@@ -39,7 +39,7 @@ class Verdict:
     """Outcome for one corpus program."""
 
     index: int
-    kind: str  # Equal | TraceDiverged | TransformError | ParseError
+    kind: str  # Equal | TraceDiverged | TransformError | ParseError | RunError
     detail: str = ""
 
     def line(self) -> str:
@@ -85,7 +85,10 @@ def diff_one(
         ast = lang.parse(text)
     except Exception as e:
         return Verdict(index, "ParseError", f"original: {e}")
-    before = lang.run(ast, fuel=fuel)
+    try:
+        before = lang.run(ast, fuel=fuel)
+    except Exception as e:
+        return Verdict(index, "RunError", f"before: {type(e).__name__}: {e}")
 
     try:
         out_term = pass_fn(lang.decompose(ast), lang)
@@ -97,7 +100,10 @@ def diff_one(
         out_ast = lang.parse(out_text)
     except Exception as e:
         return Verdict(index, "ParseError", f"transformed: {e}")
-    after = lang.run(out_ast, fuel=fuel)
+    try:
+        after = lang.run(out_ast, fuel=fuel)
+    except Exception as e:
+        return Verdict(index, "RunError", f"after: {type(e).__name__}: {e}")
     if erase_markers:
         after = after.erased()
         before = before.erased()

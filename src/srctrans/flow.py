@@ -15,6 +15,7 @@ them and callers must rebuild.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import is_
 from typing import Optional
 
 from .fragments import BLOCK
@@ -383,7 +384,7 @@ def _insert_into_body(block: Term, lang: LanguageDef, edits: dict) -> Term:
             if changed:
                 new_items[i] = _rebuild_with(view, replaced)
         here = edits.get(bpath)
-        if here is None and new_items == list(items):
+        if here is None and all(map(is_, new_items, items)):
             return blk
         if here:
             if any(idx < 0 or idx > len(items) for idx in here):

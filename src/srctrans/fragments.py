@@ -101,10 +101,6 @@ def assign(lhs: Term, rhs: Term) -> Term:
     return mk_term(ASSIGN, (), (lhs, mk_term(ASSIGN_OP_EQUALS), rhs))
 
 
-class UnconvertibleInit(Exception):
-    """Reserved: a language initializer with no expression form."""
-
-
 class LanguageOps(Protocol):
     """The two syntactic operations each frontend supplies for hoisting."""
 

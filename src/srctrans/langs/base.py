@@ -9,6 +9,7 @@ knowing the concrete grammar.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import is_
 from typing import Callable, Optional, Protocol
 
 from ..fragments import (
@@ -225,14 +226,6 @@ def language_names() -> list[str]:
     return sorted(_REGISTRY)
 
 
-def by_extension(ext: str) -> LanguageDef:
-    _load_builtin()
-    for lang in _REGISTRY.values():
-        if lang.file_ext == ext:
-            return lang
-    raise KeyError(f"no language with extension {ext!r}")
-
-
 def _load_builtin() -> None:
     from . import minic, minijs, minilua  # noqa: F401
 
@@ -245,14 +238,18 @@ def make_translator(special: dict[str, Callable]) -> Callable[[Term], Term]:
     """Kind-directed recursion; unlisted kinds rebuild themselves.
 
     Each special handler receives the node and the translator itself so it
-    can recurse into children.
+    can recurse into children.  A node of an unlisted kind whose children
+    all come back unchanged is returned as is, not rebuilt.
     """
 
     def tr(t: Term) -> Term:
         handler = special.get(t.kind.name)
         if handler is not None:
             return handler(t, tr)
-        return mk_term(t.kind, t.payload_values, tuple(tr(c) for c in t.children))
+        children = [tr(c) for c in t.children]
+        if all(map(is_, children, t.children)):
+            return t
+        return mk_term(t.kind, t.payload_values, children)
 
     return tr
 
@@ -272,10 +269,13 @@ def block_items(block: Term) -> list[Term]:
 
 
 def with_block_items(block: Term, items: list[Term]) -> Term:
+    """block with its items replaced; block itself if each item is the same
+    object as before."""
     from ..fragments import BLOCK_ITEM_L
 
-    if block.kind != BLOCK:
-        raise UnrepresentableTerm(f"expected a generic block, got {block.kind.name}")
+    old = block_items(block)
+    if len(old) == len(items) and all(map(is_, items, old)):
+        return block
     return mk_term(
         BLOCK, (), (build_list(BLOCK_ITEM_L, items), block.children[1])
     )

@@ -20,7 +20,7 @@ Argument types are Int, Bool, String, a type name, [t] for lists, and
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from .terms import (
     Atom,
@@ -100,15 +100,18 @@ class Schema:
     type_defs: tuple[tuple[str, tuple[ConstructorDecl, ...]], ...]
     root_type: str
 
+    _ctors: dict = field(init=False, default_factory=dict, compare=False, repr=False)
+
+    def __post_init__(self):
+        for tname, ctors in self.type_defs:
+            for c in ctors:
+                self._ctors.setdefault(c.name, (tname, c))
+
     def types(self) -> dict[str, tuple[ConstructorDecl, ...]]:
         return dict(self.type_defs)
 
     def constructor(self, name: str) -> Optional[tuple[str, ConstructorDecl]]:
-        for tname, ctors in self.type_defs:
-            for c in ctors:
-                if c.name == name:
-                    return tname, c
-        return None
+        return self._ctors.get(name)
 
 
 @dataclass(frozen=True)
@@ -211,18 +214,52 @@ PRIM_BOX_KINDS = {
 }
 
 
+class _CtorCodec:
+    """How values of one constructor map to and from its node kind.
+
+    `slots` has one entry per constructor argument: the primitive's name
+    for a payload slot, else the (encode, decode) pair of a child slot.
+    A plain class, not a dataclass, to keep import time down.
+    """
+
+    __slots__ = ("ctor", "kind", "slots")
+
+    def __init__(self, ctor: str, kind: NodeKind, slots: tuple):
+        self.ctor = ctor
+        self.kind = kind
+        self.slots = slots
+
+
 @dataclass(frozen=True)
 class ModularizedLanguage:
     schema: Schema
     signature: Signature
     sort_of: tuple[tuple[str, Atom], ...]  # type name -> sort
     fragment_of: tuple[tuple[str, tuple[NodeKind, ...]], ...]
+    # Lookup tables built once, at construction: sorts by type name and
+    # codecs by constructor name and by kind name.
+    _sorts: dict = field(init=False, default_factory=dict, compare=False, repr=False)
+    _by_ctor: dict = field(init=False, default_factory=dict, compare=False, repr=False)
+    _by_kind: dict = field(init=False, default_factory=dict, compare=False, repr=False)
+
+    def __post_init__(self):
+        self._sorts.update(self.sort_of)
+        name = self.schema.name
+        for _, ctors in self.schema.type_defs:
+            for ctor in ctors:
+                codec = _CtorCodec(
+                    ctor.name,
+                    self.signature.kind(f"{name}.{ctor.name}"),
+                    tuple(
+                        a.name if isinstance(a, Prim) else _arg_codec(name, a)
+                        for a in ctor.args
+                    ),
+                )
+                self._by_ctor[ctor.name] = codec
+                self._by_kind[codec.kind.name] = codec
 
     def sort_for(self, type_name: str) -> Atom:
-        for n, s in self.sort_of:
-            if n == type_name:
-                return s
-        raise KeyError(type_name)
+        return self._sorts[type_name]
 
     @property
     def root_sort(self) -> Atom:
@@ -280,29 +317,66 @@ def modularize_schema(schema: Schema) -> ModularizedLanguage:
     return ModularizedLanguage(schema, signature, sort_of, tuple(fragments))
 
 
-def _arg_to_term(lang: ModularizedLanguage, ty: SchemaType, value) -> Term:
-    name = lang.schema.name
+def _arg_codec(lang_name: str, ty: SchemaType) -> tuple[Callable, Callable]:
+    """(encode, decode) functions for a value of type ty in a child slot.
+
+    Both take the language first: encode(lang, value) -> Term and
+    decode(lang, term) -> value.
+    """
     if isinstance(ty, Prim):
         # Only reached inside containers; box the primitive as a leaf term.
-        if not _prim_matches(ty.name, value):
-            raise NonConformingValue(f"expected {ty.name}, got {value!r}")
-        return mk_term(PRIM_BOX_KINDS[ty.name], (value,))
+        prim, box = ty.name, PRIM_BOX_KINDS[ty.name]
+
+        def encode(lang, value):
+            if not _prim_matches(prim, value):
+                raise NonConformingValue(f"expected {prim}, got {value!r}")
+            return mk_term(box, (value,))
+
+        def decode(lang, term):
+            if term.kind is not box and term.kind != box:
+                raise ForeignKind(f"expected boxed {prim}, got {term.kind.name}")
+            return term.payload_values[0]
+
+        return encode, decode
     if isinstance(ty, Named):
-        if not isinstance(value, GenericValue):
-            raise NonConformingValue(f"expected {ty.name} value, got {value!r}")
-        return to_modular(lang, value)
+        tname = ty.name
+
+        def encode(lang, value):
+            if not isinstance(value, GenericValue):
+                raise NonConformingValue(f"expected {tname} value, got {value!r}")
+            return to_modular(lang, value)
+
+        return encode, from_modular
     if isinstance(ty, ListT):
-        if not isinstance(value, tuple):
-            raise NonConformingValue(f"expected tuple for list, got {value!r}")
-        elem_sort = _translate_sort(name, ty.elem)
-        return build_list(elem_sort, [_arg_to_term(lang, ty.elem, v) for v in value])
+        elem_sort = _translate_sort(lang_name, ty.elem)
+        enc_elem, dec_elem = _arg_codec(lang_name, ty.elem)
+
+        def encode(lang, value):
+            if not isinstance(value, tuple):
+                raise NonConformingValue(f"expected tuple for list, got {value!r}")
+            return build_list(elem_sort, [enc_elem(lang, v) for v in value])
+
+        def decode(lang, term):
+            return tuple([dec_elem(lang, t) for t in extract_list(term)])
+
+        return encode, decode
     if isinstance(ty, PairT):
-        if not isinstance(value, PairV):
-            raise NonConformingValue(f"expected PairV, got {value!r}")
-        return build_pair(
-            _arg_to_term(lang, ty.first, value.first),
-            _arg_to_term(lang, ty.second, value.second),
-        )
+        enc_first, dec_first = _arg_codec(lang_name, ty.first)
+        enc_second, dec_second = _arg_codec(lang_name, ty.second)
+
+        def encode(lang, value):
+            if not isinstance(value, PairV):
+                raise NonConformingValue(f"expected PairV, got {value!r}")
+            return build_pair(
+                enc_first(lang, value.first), enc_second(lang, value.second)
+            )
+
+        def decode(lang, term):
+            return PairV(
+                dec_first(lang, term.children[0]), dec_second(lang, term.children[1])
+            )
+
+        return encode, decode
     raise InvalidSchema(f"malformed type {ty!r}")
 
 
@@ -318,59 +392,38 @@ def to_modular(lang: ModularizedLanguage, value: GenericValue) -> Term:
     """Encode a schema-conforming value as a sorted term."""
     if not isinstance(value, GenericValue):
         raise NonConformingValue(f"not a constructor value: {value!r}")
-    found = lang.schema.constructor(value.ctor)
-    if found is None:
+    codec = lang._by_ctor.get(value.ctor)
+    if codec is None:
         raise NonConformingValue(f"unknown constructor {value.ctor}")
-    _, ctor = found
-    if len(value.args) != len(ctor.args):
+    if len(value.args) != len(codec.slots):
         raise NonConformingValue(
-            f"{value.ctor}: expected {len(ctor.args)} arguments, got {len(value.args)}"
+            f"{value.ctor}: expected {len(codec.slots)} arguments, got {len(value.args)}"
         )
     payloads = []
     children = []
-    for ty, v in zip(ctor.args, value.args):
-        if isinstance(ty, Prim):
-            if not _prim_matches(ty.name, v):
-                raise NonConformingValue(f"{value.ctor}: expected {ty.name}, got {v!r}")
+    for slot, v in zip(codec.slots, value.args):
+        if isinstance(slot, str):
+            if not _prim_matches(slot, v):
+                raise NonConformingValue(f"{value.ctor}: expected {slot}, got {v!r}")
             payloads.append(v)
         else:
-            children.append(_arg_to_term(lang, ty, v))
-    return mk_term(lang.signature.kind(f"{lang.schema.name}.{value.ctor}"), payloads, children)
-
-
-def _arg_from_term(lang: ModularizedLanguage, ty: SchemaType, term: Term):
-    if isinstance(ty, Prim):
-        if term.kind != PRIM_BOX_KINDS[ty.name]:
-            raise ForeignKind(f"expected boxed {ty.name}, got {term.kind.name}")
-        return term.payload_values[0]
-    if isinstance(ty, Named):
-        return from_modular(lang, term)
-    if isinstance(ty, ListT):
-        return tuple(_arg_from_term(lang, ty.elem, t) for t in extract_list(term))
-    if isinstance(ty, PairT):
-        return PairV(
-            _arg_from_term(lang, ty.first, term.children[0]),
-            _arg_from_term(lang, ty.second, term.children[1]),
-        )
-    raise InvalidSchema(f"malformed type {ty!r}")
+            children.append(slot[0](lang, v))
+    return mk_term(codec.kind, payloads, children)
 
 
 def from_modular(lang: ModularizedLanguage, term: Term) -> GenericValue:
     """Decode a term of this language's signature back into a value."""
-    prefix = lang.schema.name + "."
-    if not term.kind.name.startswith(prefix) or not lang.signature.contains(term.kind):
-        raise ForeignKind(f"kind {term.kind.name} is not part of {lang.schema.name}")
-    ctor_name = term.kind.name[len(prefix):]
-    _, ctor = lang.schema.constructor(ctor_name)
-    payloads = list(term.payload_values)
-    children = list(term.children)
-    args = []
-    for ty in ctor.args:
-        if isinstance(ty, Prim):
-            args.append(payloads.pop(0))
-        else:
-            args.append(_arg_from_term(lang, ty, children.pop(0)))
-    return GenericValue(ctor_name, tuple(args))
+    kind = term.kind
+    codec = lang._by_kind.get(kind.name)
+    if codec is None or (codec.kind is not kind and codec.kind != kind):
+        raise ForeignKind(f"kind {kind.name} is not part of {lang.schema.name}")
+    payloads = iter(term.payload_values)
+    children = iter(term.children)
+    args = [
+        next(payloads) if isinstance(slot, str) else slot[1](lang, next(children))
+        for slot in codec.slots
+    ]
+    return GenericValue(codec.ctor, tuple(args))
 
 
 # ---------------------------------------------------------------------------

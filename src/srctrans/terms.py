@@ -11,6 +11,7 @@ sort.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Callable, Iterable, Iterator, Optional, Union
 
 PRIM_TYPES = ("Int", "Bool", "String")
@@ -72,6 +73,18 @@ class OptionOf:
 
 Sort = Union[Atom, ListOf, PairOf, OptionOf]
 
+_INTERNED: dict = {}
+
+
+def _intern_sort(sort: Sort) -> Sort:
+    """The canonical object among all sorts equal to `sort`.
+
+    Node kinds hold only interned sorts, so the sort check in mk_term is
+    usually an identity test; equality stays structural.  The table holds
+    one entry per distinct sort the loaded signatures mention.
+    """
+    return _INTERNED.setdefault(sort, sort)
+
 
 def sort_name(sort: Sort) -> str:
     if isinstance(sort, Atom):
@@ -98,6 +111,8 @@ class NodeKind:
         for p in self.payloads:
             if p not in PRIM_TYPES:
                 raise ValueError(f"{self.name}: bad payload type {p!r}")
+        object.__setattr__(self, "child_sorts", tuple(map(_intern_sort, self.child_sorts)))
+        object.__setattr__(self, "produced", _intern_sort(self.produced))
 
     def __repr__(self):
         return f"NodeKind({self.name})"
@@ -141,18 +156,22 @@ def mk_term(kind: NodeKind, payloads: Iterable = (), children: Iterable[Term] = 
     """Construct a well-sorted term, rejecting arity and sort mismatches."""
     if not isinstance(kind, NodeKind):
         raise UnknownKind(f"not a node kind: {kind!r}")
-    payloads = _check_payload(kind, tuple(payloads))
+    if kind.payloads or payloads:
+        payloads = _check_payload(kind, tuple(payloads))
+    else:
+        payloads = ()
     children = tuple(children)
-    if len(children) != len(kind.child_sorts):
+    wants = kind.child_sorts
+    if len(children) != len(wants):
         raise ArityMismatch(
-            f"{kind.name}: expected {len(kind.child_sorts)} children, "
-            f"got {len(children)}"
+            f"{kind.name}: expected {len(wants)} children, got {len(children)}"
         )
-    for i, (want, child) in enumerate(zip(kind.child_sorts, children)):
+    for i, (want, child) in enumerate(zip(wants, children)):
         if not isinstance(child, Term):
             raise SortMismatch(i, want, None)
-        if child.sort != want:
-            raise SortMismatch(i, want, child.sort)
+        got = child.kind.produced
+        if got is not want and got != want:
+            raise SortMismatch(i, want, got)
     return Term(kind, payloads, children)
 
 
@@ -165,12 +184,15 @@ def project(term: Term, kind: NodeKind) -> Optional[tuple[tuple, tuple[Term, ...
 
 # ---------------------------------------------------------------------------
 # Container kinds.  These are built-in and instantiable at every element
-# sort; they belong to every signature.
+# sort; they belong to every signature.  The list kinds are memoized per
+# element sort, since every list built or rebuilt needs them.
 
+@cache
 def nil_kind(elem: Sort) -> NodeKind:
     return NodeKind("NilF", (), (), ListOf(elem))
 
 
+@cache
 def cons_kind(elem: Sort) -> NodeKind:
     return NodeKind("ConsF", (), (elem, ListOf(elem)), ListOf(elem))
 
@@ -244,8 +266,7 @@ class Signature:
     """A finite set of node kinds naming one language representation.
 
     Container kinds are implicit members of every signature and are not
-    listed.  Sorts referenced by some kind but produced by none are the
-    signature's frontier.
+    listed.
     """
 
     name: str
@@ -273,29 +294,6 @@ class Signature:
         if is_container_kind(kind):
             return True
         return self._by_name.get(kind.name) == kind
-
-    def produced_sorts(self) -> set[Sort]:
-        return {k.produced for k in self.kinds}
-
-    def frontier_sorts(self) -> set[Sort]:
-        """Atomic sorts referenced as children but produced by no kind."""
-        produced = self.produced_sorts()
-        out = set()
-
-        def visit(sort: Sort):
-            if isinstance(sort, Atom):
-                if sort not in produced:
-                    out.add(sort)
-            elif isinstance(sort, (ListOf, OptionOf)):
-                visit(sort.elem)
-            elif isinstance(sort, PairOf):
-                visit(sort.first)
-                visit(sort.second)
-
-        for k in self.kinds:
-            for s in k.child_sorts:
-                visit(s)
-        return out
 
 
 def check_term(term: Term, signature: Optional[Signature] = None) -> None:

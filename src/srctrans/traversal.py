@@ -7,6 +7,7 @@ the traversal checks.
 
 from __future__ import annotations
 
+from operator import is_
 from typing import Callable, Optional, TypeVar
 
 from .terms import Term, mk_term, sort_name
@@ -31,8 +32,8 @@ def _apply(r: Rewrite, t: Term) -> Optional[Term]:
 
 def transform_bottom_up(r: Rewrite, t: Term) -> Term:
     """Apply r at every node, children first; non-firing nodes pass through."""
-    children = tuple(transform_bottom_up(r, c) for c in t.children)
-    if children != t.children:
+    children = [transform_bottom_up(r, c) for c in t.children]
+    if not all(map(is_, children, t.children)):
         t = mk_term(t.kind, t.payload_values, children)
     out = _apply(r, t)
     return t if out is None else out

@@ -6,6 +6,7 @@ summary.  The corpora are deterministic, so two consecutive runs of this
 module produce identical results.
 """
 
+import hashlib
 import random
 import time
 
@@ -38,6 +39,10 @@ ALL = ("minic", "minijs", "minilua")
 UNTYPED = ("minijs", "minilua")
 
 CORPUS_SIZE = 1000
+
+# sha256 of the criterion-10 report (13937 bytes).  Pins the output bytes
+# across code changes, not only across reruns within one process.
+REPORT_SHA256 = "4301247cf1ac3601fbf2622125944bd8dcb1692af50b33dcd7611157b4d14a56"
 
 
 def report(num, name, ok, detail=""):
@@ -298,3 +303,4 @@ def test_criterion_10_determinism():
     second = _pipeline_report()
     report(10, "determinism (byte-identical reruns)", first == second,
            f"{len(first)} bytes")
+    assert hashlib.sha256(first.encode()).hexdigest() == REPORT_SHA256

@@ -69,6 +69,32 @@ def test_batch_survives_bad_entries():
     assert report.passed == 2
 
 
+def test_run_failures_become_verdicts():
+    # A stray continue leaks the interpreter's ContinueEx; unbounded
+    # recursion overflows the Python stack.  Neither aborts the batch.
+    texts = [
+        "function main() { print(1); }",
+        "function main() { continue; }",
+        "function f(n) { return f(n + 1); }\nfunction main() { f(0); }",
+    ]
+    report = diff_test("minijs", "ident", texts)
+    kinds = [v.kind for v in report.verdicts]
+    assert kinds == ["Equal", "RunError", "RunError"]
+    assert report.verdicts[1].detail.startswith("before: ContinueEx")
+    assert report.verdicts[2].detail.startswith("before: RecursionError: ")
+    assert report.render().endswith("PASS 1/3\n")
+
+
+def test_run_failure_after_transform():
+    def stray_continue(term, lang):
+        return lang.decompose(lang.parse("function main() { continue; }"))
+
+    lang = get_language("minijs")
+    v = diff_one(lang, stray_continue, 0, "function main() { print(1); }")
+    assert v.kind == "RunError"
+    assert v.detail.startswith("after: ContinueEx")
+
+
 def test_testcov_erases_markers_by_default():
     report = diff_test("minijs", "testcov", corpus("minijs", 20))
     assert report.all_equal

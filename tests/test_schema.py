@@ -7,6 +7,7 @@ import pytest
 from helpers import random_schema, random_value
 from srctrans.schema import (
     GV,
+    ForeignKind,
     InvalidSchema,
     NonConformingValue,
     RemovedKindNotPresent,
@@ -18,7 +19,7 @@ from srctrans.schema import (
     to_modular,
     validate_schema,
 )
-from srctrans.terms import check_term
+from srctrans.terms import Atom, NodeKind, check_term, mk_term
 
 ARITH_TEXT = """\
 type Arith = Add Atom Atom
@@ -81,6 +82,42 @@ def test_to_modular_rejects_bad_value():
 
     with pytest.raises(SortMismatch):
         to_modular(lang, GV("Add", (GV("Lit", (1,)), GV("Lit", (2,)))))
+
+
+def test_to_modular_rejects_unknown_ctor_arity_and_prim():
+    lang = arith()
+    with pytest.raises(NonConformingValue, match="unknown constructor"):
+        to_modular(lang, GV("Nope", ()))
+    with pytest.raises(NonConformingValue, match="expected 2 arguments"):
+        to_modular(lang, GV("Add", (GV("Var", ("x",)),)))
+    with pytest.raises(NonConformingValue, match="expected Int"):
+        to_modular(lang, GV("Lit", (True,)))
+    with pytest.raises(NonConformingValue, match="expected Int"):
+        to_modular(lang, GV("Const", (GV("Lit", (False,)),)))
+
+
+def test_from_modular_rejects_foreign_kinds():
+    lang = arith()
+    lit = to_modular(lang, GV("Lit", (1,)))
+    # The right name, but child sorts that differ from Arith.Add's.
+    fake_add = NodeKind("Arith.Add", (), (lit.sort, lit.sort), Atom("Arith.ArithL"))
+    with pytest.raises(ForeignKind):
+        from_modular(lang, mk_term(fake_add, (), (lit, lit)))
+    other = modularize_schema(parse_schema_text(ARITH_TEXT, "Other"))
+    with pytest.raises(ForeignKind):
+        from_modular(lang, to_modular(other, GV("Lit", (1,))))
+    with pytest.raises(ForeignKind):
+        from_modular(other, lit)
+
+
+def test_lookups_by_name():
+    lang = arith()
+    assert lang.sort_for("Atom") == Atom("Arith.AtomL")
+    with pytest.raises(KeyError):
+        lang.sort_for("Nope")
+    tname, ctor = lang.schema.constructor("Const")
+    assert tname == "Atom" and ctor.name == "Const"
+    assert lang.schema.constructor("Nope") is None
 
 
 def test_roundtrip_random_schemas():

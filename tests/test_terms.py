@@ -55,6 +55,34 @@ def test_child_sort_checked():
         mk_term(ADD, (), (lit(1),))
 
 
+def test_kind_sorts_are_interned():
+    a = NodeKind("A", (), (ListOf(Atom("E")),), Atom("E"))
+    b = NodeKind("B", (), (ListOf(Atom("E")),), Atom("E"))
+    assert a.child_sorts[0] is b.child_sorts[0]
+    assert a.produced is b.produced is ADD.child_sorts[0]
+
+
+def test_sort_check_is_structural_not_identity():
+    # A sort that escaped interning: equal to E but another object.
+    stray = NodeKind("Stray", ("Int",), (), E)
+    object.__setattr__(stray, "produced", Atom("E"))
+    assert stray.produced == ADD.child_sorts[0]
+    assert stray.produced is not ADD.child_sorts[0]
+    t = mk_term(ADD, (), (mk_term(stray, (1,)), lit(2)))
+    assert t.children[0].kind is stray
+    object.__setattr__(stray, "produced", Atom("F"))
+    with pytest.raises(SortMismatch):
+        mk_term(ADD, (), (mk_term(stray, (1,)), lit(2)))
+
+
+def test_payload_checked_unless_both_sides_empty():
+    with pytest.raises(ArityMismatch):
+        mk_term(LIT)
+    with pytest.raises(ArityMismatch):
+        mk_term(ADD, (1,), (lit(1), lit(2)))
+    assert mk_term(ADD, [], (lit(1), lit(2))).payload_values == ()
+
+
 def test_list_roundtrip():
     items = [lit(i) for i in range(4)]
     t = build_list(E, items)
@@ -67,6 +95,15 @@ def test_map_list_preserves_shape():
     t = build_list(E, [lit(1), lit(2)])
     out = map_list(lambda x: mk_term(LIT, (x.payload_values[0] * 10,)), t)
     assert [x.payload_values[0] for x in extract_list(out)] == [10, 20]
+
+
+def test_container_kinds_memoized():
+    from srctrans.terms import cons_kind, nil_kind
+
+    assert nil_kind(E) is nil_kind(Atom("E"))
+    assert cons_kind(E) is cons_kind(Atom("E"))
+    a, b = build_list(E, [lit(1)]), build_list(E, [lit(2)])
+    assert a.kind is b.kind and a.children[1].kind is b.children[1].kind
 
 
 def test_pair_and_option():

@@ -83,6 +83,34 @@ def test_try_and_seq():
     assert all_children(try_(bump))(add(lit(1), lit(2))) == add(lit(2), lit(3))
 
 
+def test_unchanged_input_returned_as_is():
+    t = add(lit(1), add(lit(2), lit(3)))
+    assert transform_bottom_up(lambda _: None, t) is t
+    out = transform_bottom_up(bump, t)
+    assert out is not t and out.children[1] is not t.children[1]
+
+
+def test_translator_and_block_edit_return_input_when_unchanged():
+    from srctrans.langs.base import (
+        block_items,
+        get_language,
+        make_translator,
+        with_block_items,
+    )
+
+    lang = get_language("minic")
+    term = lang.decompose(lang.parse("int main() { int x = 1; x = x + 2; return x; }"))
+    assert make_translator({})(term) is term
+    body = get_at(term, lang.adapter.body_paths(term)[0])
+    items = block_items(body)
+    assert with_block_items(body, items) is body
+    copies = [mk_term(i.kind, i.payload_values, i.children) for i in items]
+    rebuilt = with_block_items(body, copies)
+    assert rebuilt is not body and rebuilt == body
+    shorter = with_block_items(body, items[:-1])
+    assert shorter is not body and block_items(shorter) == items[:-1]
+
+
 def test_paths():
     t = add(lit(1), add(lit(2), lit(3)))
     assert get_at(t, (1, 0)) == lit(2)
