@@ -9,9 +9,9 @@ disjointness.
 
 from __future__ import annotations
 
-from typing import Protocol
+from typing import Optional, Protocol
 
-from .terms import Atom, ListOf, NodeKind, Signature, Term, mk_term
+from .terms import Atom, ListOf, NodeKind, Signature, Term, build_list, mk_term
 from .traversal import query_collect
 
 # Reserved generic sorts
@@ -99,6 +99,20 @@ def ident(name: str) -> Term:
 
 def assign(lhs: Term, rhs: Term) -> Term:
     return mk_term(ASSIGN, (), (lhs, mk_term(ASSIGN_OP_EQUALS), rhs))
+
+
+def single_decl(binder: Term, init: Optional[Term]) -> Term:
+    """One binder without attributes; `init` is a LocalVarInitL term or
+    None for no initializer."""
+    opt = mk_term(NO_INIT) if init is None else mk_term(JUST_INIT, (), (init,))
+    return mk_term(SINGLE_DECL, (), (mk_term(EMPTY_DECL_ATTRS), binder, opt))
+
+
+def multi_decl(singles: list[Term], attrs: Optional[Term] = None) -> Term:
+    """A declaration of `singles` sharing `attrs` (none by default)."""
+    if attrs is None:
+        attrs = mk_term(EMPTY_COMMON_ATTRS)
+    return mk_term(MULTI_DECL, (), (attrs, build_list(SINGLE_DECL_L, singles)))
 
 
 class LanguageOps(Protocol):

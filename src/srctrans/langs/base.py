@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import is_
+from types import SimpleNamespace
 from typing import Callable, Optional, Protocol
 
 from ..fragments import (
@@ -17,10 +18,13 @@ from ..fragments import (
     EMPTY_BLOCK_END,
     LanguageOps,
     assert_reserved_disjoint,
+    assign,
+    generic_signature,
+    ident,
 )
-from ..injections import InjectionTable
-from ..schema import GenericValue, ModularizedLanguage, Schema
-from ..terms import Signature, Term, build_list, extract_list, mk_term
+from ..injections import InjectionDecl, InjectionTable, Step
+from ..schema import GenericValue, ModularizedLanguage, Schema, sum_signatures
+from ..terms import ListOf, NodeKind, Signature, Term, build_list, extract_list, mk_term
 from ..traversal import Path
 
 
@@ -134,29 +138,89 @@ ItemView = (
 )
 
 
-class TacOps(Protocol):
+class TacOps:
     """Expression-level hooks for three-address-code conversion.
 
-    Languages without the pass leave the LanguageDef slot as None.
+    A frontend subclass adds make_decl_item, make_assign_item,
+    make_if_item and init_exprs, which returns (expressions, rebuild) for
+    a declaration initializer.  Languages without the pass leave the
+    LanguageDef slot as None.
     """
+
+    def __init__(self, C, ident_term: Callable[[str], Term],
+                 literals: tuple[str, ...], not_op: str,
+                 and_or: tuple[str, str], assign_is: Optional[NodeKind] = None):
+        self.C = C
+        self.ident_term = ident_term
+        self.literals = frozenset(getattr(C, n).kind.name for n in literals)
+        self.var = C.VarE.kind.name
+        self.member = C.MemberE.kind.name
+        self.binop = C.BinE.kind.name
+        self.not_op = not_op
+        self.and_or = and_or
+        self.assign = assign_is.name if assign_is is not None else None
+        self.expr_sort = C.VarE.kind.produced
 
     def classify(self, expr: Term) -> tuple:
         """One of ("atomic",), ("shortcircuit", is_and, left, right),
         ("assign", target, source), or ("operands", parts, rebuild) where
         rebuild maps replacement parts back to an expression."""
+        if self.is_atomic(expr):
+            return ("atomic",)
+        name = expr.kind.name
+        if name == self.assign:
+            lhs_w, _, rhs_w = expr.children[0].children
+            return ("assign", lhs_w.children[0], rhs_w.children[0])
+        if name == self.binop and expr.payload_values[0] in self.and_or:
+            op = expr.payload_values[0]
+            return ("shortcircuit", op == self.and_or[0], *expr.children)
+        return split_operands(expr, self.expr_sort)
 
-    def make_var(self, name: str) -> Term: ...
+    def is_atomic(self, expr: Term) -> bool:
+        name = expr.kind.name
+        if name in self.literals or name == self.var:
+            return True
+        if name == self.member:
+            return self.is_atomic(expr.children[0])
+        return False
 
-    def make_not(self, expr: Term) -> Term: ...
+    def is_effect_free(self, expr: Term) -> bool:
+        return expr.kind.name in self.literals
 
-    def make_decl_item(self, name: str, init: Optional[Term]) -> Term: ...
+    def make_var(self, name: str) -> Term:
+        return self.C.VarE(self.ident_term(name))
 
-    def make_assign_item(self, target: Term, source: Term) -> Term: ...
+    def make_not(self, expr: Term) -> Term:
+        return self.C.UnaryE(self.not_op, expr)
 
-    def make_if_item(self, cond: Term, then_items: list, else_items) -> Term: ...
 
-    def init_exprs(self, init: Term) -> tuple:
-        """(expressions, rebuild) for a declaration initializer term."""
+def split_operands(expr: Term, expr_sort) -> tuple:
+    """Expose the direct expression operands of a compound expression."""
+    list_sort = ListOf(expr_sort)
+    slots = []  # (child index, None) or (child index, list position)
+    parts = []
+    for i, (sort, child) in enumerate(zip(expr.kind.child_sorts, expr.children)):
+        if sort == expr_sort:
+            slots.append((i, None))
+            parts.append(child)
+        elif sort == list_sort:
+            for j, elem in enumerate(extract_list(child)):
+                slots.append((i, j))
+                parts.append(elem)
+
+    def rebuild(new_parts: list) -> Term:
+        children = list(expr.children)
+        lists: dict[int, list] = {}
+        for (i, j), part in zip(slots, new_parts):
+            if j is None:
+                children[i] = part
+            else:
+                lists.setdefault(i, extract_list(expr.children[i]))[j] = part
+        for i, elems in lists.items():
+            children[i] = build_list(expr_sort, elems)
+        return mk_term(expr.kind, expr.payload_values, tuple(children))
+
+    return ("operands", parts, rebuild)
 
 
 class Adapter(Protocol):
@@ -185,9 +249,9 @@ class LanguageDef:
     pretty: Callable[[GenericValue], str]
     trans_ips: Callable[[Term], Term]
     untrans_ips: Callable[[Term], Term]
+    run: Callable
+    item_walk: Callable
     tac: Optional[TacOps] = None
-    run: Optional[Callable] = None
-    item_walk: Optional[Callable] = None
 
     def __post_init__(self):
         assert_reserved_disjoint(dict(self.modularized.sort_of).values())
@@ -231,7 +295,102 @@ def _load_builtin() -> None:
 
 
 # ---------------------------------------------------------------------------
-# Translator scaffolding shared by the per-language trans/untrans pairs.
+# Incremental parametric syntax scaffolding shared by the frontends.
+
+
+def constructors(mod: ModularizedLanguage) -> SimpleNamespace:
+    """One term builder per surface constructor, bound to its kind once:
+    `C.IfStmt(cond, then, els)`.  Payload arguments come first, then
+    children; each builder's `kind` attribute is its node kind."""
+    prefix = len(mod.signature.name) + 1
+    return SimpleNamespace(
+        **{k.name[prefix:]: _builder(k) for k in mod.signature.kinds}
+    )
+
+
+def _builder(kind: NodeKind) -> Callable[..., Term]:
+    n = len(kind.payloads)
+
+    def build(*args):
+        return mk_term(kind, args[:n], args[n:])
+
+    build.kind = kind
+    return build
+
+
+def genericize(
+    mod: ModularizedLanguage, removed: list[str], injections: list[NodeKind]
+) -> tuple[Signature, InjectionTable]:
+    """The language's IPS signature and injection table.  The generic
+    fragments replace the `removed` surface constructors; each injection
+    kind declares the edge from its one child's sort to its own sort."""
+    name = mod.signature.name
+    ips = sum_signatures(
+        f"{name}+Generic",
+        [mod.signature, generic_signature()],
+        minus=[f"{name}.{ctor}" for ctor in removed],
+        plus=[k for k in injections if not mod.signature.has_kind(k.name)],
+    )
+    table = InjectionTable(ips)
+    for kind in injections:
+        table.declare(InjectionDecl(kind.child_sorts[0], kind.produced, (Step(kind, 0),)))
+    return ips, table
+
+
+def wrap(kind: NodeKind, inner: Term) -> Term:
+    """Apply a one-child injection kind."""
+    return mk_term(kind, (), (inner,))
+
+
+def expect(cond: bool, what: str) -> None:
+    if not cond:
+        raise UnrepresentableTerm(what)
+
+
+def ident_assign_cases(
+    ident_is: NodeKind, surface_ident: Callable,
+    assign_is: NodeKind, lhs_is: NodeKind, rhs_is: NodeKind,
+    surface_assign: Callable, target: str, source: str,
+) -> tuple[Callable[[str], Term], dict, dict]:
+    """(ident_term, trans cases, untrans cases): the identifier and
+    assignment cases of trans_ips and untrans_ips.  `target` and `source`
+    name what the assignment's sides hold, for error messages."""
+
+    def ident_term(name: str) -> Term:
+        return wrap(ident_is, ident(name))
+
+    def tr_ident(t: Term, tr) -> Term:
+        return ident_term(t.payload_values[0])
+
+    def tr_assign(t: Term, tr) -> Term:
+        lhs, rhs = t.children
+        return wrap(assign_is, assign(wrap(lhs_is, tr(lhs)), wrap(rhs_is, tr(rhs))))
+
+    def un_ident(t: Term, tr) -> Term:
+        inner = t.children[0]
+        expect(inner.kind.name == "Ident", "expected a generic identifier")
+        return surface_ident(inner.payload_values[0])
+
+    def un_assign(t: Term, tr) -> Term:
+        inner = t.children[0]
+        expect(inner.kind.name == "Assign", "expected a generic assignment")
+        lhs_w, op, rhs_w = inner.children
+        expect(op.kind.name == "AssignOpEquals", "unsupported assignment operator")
+        expect(lhs_w.kind == lhs_is, f"assignment target is not {target}")
+        expect(rhs_w.kind == rhs_is, f"assignment source is not {source}")
+        return surface_assign(tr(lhs_w.children[0]), tr(rhs_w.children[0]))
+
+    return (
+        ident_term,
+        {surface_ident.kind.name: tr_ident, surface_assign.kind.name: tr_assign},
+        {ident_is.name: un_ident, assign_is.name: un_assign},
+    )
+
+
+def some(option: Term) -> Optional[Term]:
+    """The value of a surface option node (`SomeExpr e`), or None for the
+    empty one (`NoExpr`)."""
+    return option.children[0] if option.children else None
 
 
 def make_translator(special: dict[str, Callable]) -> Callable[[Term], Term]:

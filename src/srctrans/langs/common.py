@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
+
+from ..schema import GV, GenericValue
 
 
 class ParseError(Exception):
@@ -99,6 +102,7 @@ class TokenStream:
         self.tokens = tokens
         self.pos = 0
         self.keywords = keywords
+        self.in_loop = False
 
     def peek(self, ahead: int = 0) -> Token:
         i = min(self.pos + ahead, len(self.tokens) - 1)
@@ -153,6 +157,186 @@ class TokenStream:
         tok = self.peek()
         if tok.kind != "eof":
             raise self.error(f"trailing input {tok.value!r}")
+
+    def comma_list(self, item: Callable, closer: str | None = None) -> list:
+        """`item(self)` results separated by commas.  With a closer, the
+        list may be empty and the closer is consumed."""
+        if closer is not None and self.accept_op(closer):
+            return []
+        items = [item(self)]
+        while self.accept_op(","):
+            items.append(item(self))
+        if closer is not None:
+            self.expect_op(closer)
+        return items
+
+    def loop_body(self, parse: Callable, in_loop: bool = True):
+        """`parse(self)` for a loop body, or for a function body with
+        in_loop=False: break and continue parse only inside a loop."""
+        outer, self.in_loop = self.in_loop, in_loop
+        body = parse(self)
+        self.in_loop = outer
+        return body
+
+    def accept_jump(self, kw: str) -> bool:
+        """accept_kw for `break`/`continue`, rejecting one outside a loop."""
+        if not self.at_kw(kw):
+            return False
+        if not self.in_loop:
+            raise self.error(f"{kw!r} outside a loop")
+        self.next()
+        return True
+
+
+def parse_ident(ts: TokenStream) -> GenericValue:
+    return GV("Ident", (ts.expect_name(),))
+
+
+def parse_c_stmt(ts: TokenStream, expr: Callable, body: Callable,
+                 block: Callable, decl_kw: str | None = None) -> GenericValue:
+    """A statement of the C-like grammar MiniC and MiniJS share.  `body`
+    parses the body of if, while and for, `block` a braced block; a for
+    header may not start with the declaration keyword `decl_kw`."""
+    if ts.accept_kw("if"):
+        ts.expect_op("(")
+        cond = expr(ts)
+        ts.expect_op(")")
+        then = body(ts)
+        els = GV("SomeElse", (body(ts),)) if ts.accept_kw("else") else GV("NoElse")
+        return GV("IfStmt", (cond, then, els))
+    if ts.accept_kw("while"):
+        ts.expect_op("(")
+        cond = expr(ts)
+        ts.expect_op(")")
+        return GV("WhileStmt", (cond, ts.loop_body(body)))
+    if ts.accept_kw("for"):
+        ts.expect_op("(")
+        if decl_kw is not None and ts.at_kw(decl_kw):
+            raise ts.error("declarations are not allowed in a for header")
+        init = _parse_opt_expr(ts, expr, ";")
+        ts.expect_op(";")
+        cond = _parse_opt_expr(ts, expr, ";")
+        ts.expect_op(";")
+        step = _parse_opt_expr(ts, expr, ")")
+        ts.expect_op(")")
+        return GV("ForStmt", (init, cond, step, ts.loop_body(body)))
+    if ts.accept_kw("return"):
+        opt = _parse_opt_expr(ts, expr, ";")
+        ts.expect_op(";")
+        return GV("ReturnStmt", (opt,))
+    if ts.accept_jump("break"):
+        ts.expect_op(";")
+        return GV("BreakStmt")
+    if ts.accept_jump("continue"):
+        ts.expect_op(";")
+        return GV("ContinueStmt")
+    if ts.at_op("{"):
+        return GV("BlockStmt", (block(ts),))
+    e = expr(ts)
+    ts.expect_op(";")
+    return GV("ExprStmt", (e,))
+
+
+def _parse_opt_expr(ts: TokenStream, expr: Callable, closer: str) -> GenericValue:
+    if ts.at_op(closer):
+        return GV("NoExpr")
+    return GV("SomeExpr", (expr(ts),))
+
+
+def parse_unary(ts: TokenStream, not_op: str, operand: Callable) -> GenericValue:
+    """`operand` under any number of prefix `not_op` and `-` operators."""
+    tok = ts.peek()
+    if tok.value in (not_op, "-") and tok.kind in ("op", "name"):
+        ts.next()
+        return GV("UnaryE", (tok.value, parse_unary(ts, not_op, operand)))
+    return operand(ts)
+
+
+def parse_postfix(ts: TokenStream, primary: Callable, expr: Callable) -> GenericValue:
+    """A primary expression followed by `[index]` and `.member` suffixes."""
+    e = primary(ts)
+    while True:
+        if ts.accept_op("["):
+            idx = expr(ts)
+            ts.expect_op("]")
+            e = GV("IndexE", (e, idx))
+        elif ts.accept_op("."):
+            e = GV("MemberE", (e, ts.expect_name()))
+        else:
+            return e
+
+
+def parse_primary(ts: TokenStream, expr: Callable, num: str,
+                  nil: tuple[str, str] | None = None) -> GenericValue:
+    """An integer literal (constructor `num`), `true`, `false`, the `nil`
+    keyword and constructor if the language has one, a variable, a call
+    or a parenthesized expression."""
+    tok = ts.peek()
+    if tok.kind == "num":
+        ts.next()
+        return GV(num, (int(tok.value),))
+    if ts.accept_kw("true"):
+        return GV("BoolLit", (True,))
+    if ts.accept_kw("false"):
+        return GV("BoolLit", (False,))
+    if nil is not None and ts.accept_kw(nil[0]):
+        return GV(nil[1])
+    if tok.kind == "name":
+        name = parse_ident(ts)
+        if ts.accept_op("("):
+            return GV("CallE", (name, tuple(ts.comma_list(expr, ")"))))
+        return GV("VarE", (name,))
+    if ts.accept_op("("):
+        e = expr(ts)
+        ts.expect_op(")")
+        return e
+    raise ts.error(f"expected an expression, got {tok.value!r}")
+
+
+def parse_binary(ts: TokenStream, prec: dict[str, int], operand: Callable,
+                 min_prec: int = 0) -> GenericValue:
+    """Precedence climbing over left-associative binary operators; `prec`
+    maps each operator, an op or keyword token, to its binding power."""
+    lhs = operand(ts)
+    while True:
+        tok = ts.peek()
+        p = prec.get(tok.value) if tok.kind in ("op", "name") else None
+        if p is None or p < min_prec:
+            return lhs
+        ts.next()
+        lhs = GV("BinE", (tok.value, lhs, parse_binary(ts, prec, operand, p + 1)))
+
+
+def expr_printer(prec: dict[str, int], own: Callable) -> Callable[..., str]:
+    """A language's expression printer: the constructors the bundled
+    languages print alike, then `own(e, ctx)` for the rest.  `ctx` is the
+    binding power of the context; a looser expression is parenthesized."""
+
+    def show(e: GenericValue, ctx: int = 0) -> str:
+        c = e.ctor
+        if c == "NumLit" or c == "IntLit":
+            return str(e.args[0])
+        if c == "BoolLit":
+            return "true" if e.args[0] else "false"
+        if c == "VarE":
+            return e.args[0].args[0]
+        if c == "IndexE":
+            return f"{show(e.args[0], 9)}[{show(e.args[1])}]"
+        if c == "MemberE":
+            return f"{show(e.args[0], 9)}.{e.args[1]}"
+        if c == "CallE":
+            return f"{e.args[0].args[0]}({', '.join(show(a) for a in e.args[1])})"
+        if c == "BinE":
+            op = e.args[0]
+            p = prec[op]
+            out = f"{show(e.args[1], p)} {op} {show(e.args[2], p + 1)}"
+            return f"({out})" if ctx > p else out
+        if c == "AssignE":
+            out = f"{show(e.args[0], 9)} = {show(e.args[1], 1)}"
+            return f"({out})" if ctx > 1 else out
+        return own(e, ctx)
+
+    return show
 
 
 class PrettyPrinter:

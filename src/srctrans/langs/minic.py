@@ -9,43 +9,39 @@ statements, so `if (c) int x = 1;` is a parse error.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Optional
 
 from ..fragments import (
     ASSIGN_L,
-    BINDER_L,
     BLOCK_ITEM_L,
     BLOCK_L,
     COMMON_ATTRS_L,
-    EMPTY_DECL_ATTRS,
     IDENT_IS_BINDER,
     IDENT_L,
-    JUST_INIT,
     LHS_L,
     LOCAL_VAR_INIT_L,
-    MULTI_DECL,
     MULTI_DECL_IS_ITEM,
-    MULTI_DECL_L,
-    NO_INIT,
     RHS_L,
     assign,
     binder_names,
-    generic_signature,
     ident,
+    multi_decl,
+    single_decl,
 )
-from ..injections import InjectionDecl, InjectionTable, Step
 from ..runtime import (
+    COV,
     BreakEx,
     ContinueEx,
+    Interp,
     ReturnEx,
     RunResult,
     Trap,
-    external_value,
-    trunc_div,
-    trunc_mod,
+    check_int,
+    int_op,
 )
 from ..schema import GV, GenericValue, modularize_schema, parse_schema_text
-from ..terms import NodeKind, Term, build_list, extract_list, mk_term
+from ..terms import NodeKind, Term, build_list, extract_list
 from ..traversal import Path
 from .base import (
     ExprStmtView,
@@ -61,11 +57,28 @@ from .base import (
     UnrepresentableTerm,
     WhileView,
     block_items,
+    constructors,
+    expect,
     generic_block,
+    genericize,
+    ident_assign_cases,
     make_translator,
     register,
+    some,
+    wrap,
 )
-from .common import PrettyPrinter, TokenStream, tokenize
+from .common import (
+    PrettyPrinter,
+    TokenStream,
+    expr_printer,
+    parse_binary,
+    parse_c_stmt,
+    parse_ident,
+    parse_postfix,
+    parse_primary,
+    parse_unary,
+    tokenize,
+)
 
 SCHEMA_TEXT = """
 type Program = Program [FuncDef]
@@ -88,17 +101,7 @@ type Expr = IntLit Int | BoolLit Bool | VarE Ident | IndexE Expr Expr | CallE Id
 SCHEMA = parse_schema_text(SCHEMA_TEXT, name="MiniC")
 MOD = modularize_schema(SCHEMA)
 S = MOD.sort_for
-
-
-def _mk(ctor: str):
-    kind = MOD.signature.kind(f"MiniC.{ctor}")
-
-    def build(*args):
-        payloads = args[: len(kind.payloads)]
-        children = args[len(kind.payloads):]
-        return mk_term(kind, payloads, children)
-
-    return build
+C = constructors(MOD)
 
 
 # ---------------------------------------------------------------------------
@@ -114,9 +117,9 @@ _KEYWORDS = frozenset(
      "break", "continue", "true", "false"}
 )
 
-# precedence level per left-associative binary tier, low to high
-_BIN_TIERS = [["||"], ["&&"], ["==", "!="], ["<", "<=", ">", ">="],
-              ["+", "-"], ["*", "/", "%"]]
+# binding power of each binary operator, for the parser and the printer
+_PREC = {"||": 2, "&&": 3, "==": 4, "!=": 4, "<": 5, "<=": 5,
+         ">": 5, ">=": 5, "+": 6, "-": 6, "*": 7, "/": 7, "%": 7}
 
 
 def parse(text: str) -> GenericValue:
@@ -145,19 +148,16 @@ def _parse_type(ts: TokenStream) -> GenericValue:
 
 def _parse_func(ts: TokenStream) -> GenericValue:
     ty = _parse_type(ts)
-    name = ts.expect_name()
+    name = parse_ident(ts)
     ts.expect_op("(")
-    params = []
-    if not ts.at_op(")"):
-        while True:
-            pty = _parse_type(ts)
-            pname = ts.expect_name()
-            params.append(GV("Param", (pty, GV("Ident", (pname,)))))
-            if not ts.accept_op(","):
-                break
-    ts.expect_op(")")
+    params = ts.comma_list(_parse_param, ")")
     block = _parse_block(ts)
-    return GV("FuncDef", (ty, GV("Ident", (name,)), tuple(params), block))
+    return GV("FuncDef", (ty, name, tuple(params), block))
+
+
+def _parse_param(ts: TokenStream) -> GenericValue:
+    pty = _parse_type(ts)
+    return GV("Param", (pty, parse_ident(ts)))
 
 
 def _parse_block(ts: TokenStream) -> GenericValue:
@@ -174,81 +174,32 @@ def _parse_block(ts: TokenStream) -> GenericValue:
 
 def _parse_decl(ts: TokenStream) -> GenericValue:
     ty = _parse_type(ts)
-    dtors = []
-    while True:
-        name = ts.expect_name()
-        if ts.accept_op("="):
-            if ts.at_op("{"):
-                ts.next()
-                elems = []
-                if not ts.at_op("}"):
-                    while True:
-                        elems.append(_parse_expr(ts))
-                        if not ts.accept_op(","):
-                            break
-                ts.expect_op("}")
-                init = GV("ArrInit", (tuple(elems),))
-            else:
-                init = GV("ExprInit", (_parse_expr(ts),))
-            opt = GV("SomeInit", (init,))
-        else:
-            opt = GV("NoInit")
-        dtors.append(GV("Declarator", (GV("Ident", (name,)), opt)))
-        if not ts.accept_op(","):
-            break
+    dtors = ts.comma_list(_parse_declarator)
     ts.expect_op(";")
     return GV("Decl", (ty, tuple(dtors)))
+
+
+def _parse_declarator(ts: TokenStream) -> GenericValue:
+    name = parse_ident(ts)
+    if ts.accept_op("="):
+        if ts.accept_op("{"):
+            init = GV("ArrInit", (tuple(ts.comma_list(_parse_expr, "}")),))
+        else:
+            init = GV("ExprInit", (_parse_expr(ts),))
+        opt = GV("SomeInit", (init,))
+    else:
+        opt = GV("NoInit")
+    return GV("Declarator", (name, opt))
 
 
 def _parse_stmt(ts: TokenStream) -> GenericValue:
     if _at_type(ts):
         raise ts.error("declaration not allowed here; wrap it in a block")
-    if ts.accept_kw("if"):
-        ts.expect_op("(")
-        cond = _parse_expr(ts)
-        ts.expect_op(")")
-        then = _parse_stmt(ts)
-        els = GV("SomeElse", (_parse_stmt(ts),)) if ts.accept_kw("else") else GV("NoElse")
-        return GV("IfStmt", (cond, then, els))
-    if ts.accept_kw("while"):
-        ts.expect_op("(")
-        cond = _parse_expr(ts)
-        ts.expect_op(")")
-        return GV("WhileStmt", (cond, _parse_stmt(ts)))
-    if ts.accept_kw("for"):
-        ts.expect_op("(")
-        init = _parse_opt_expr(ts, ";")
-        ts.expect_op(";")
-        cond = _parse_opt_expr(ts, ";")
-        ts.expect_op(";")
-        step = _parse_opt_expr(ts, ")")
-        ts.expect_op(")")
-        return GV("ForStmt", (init, cond, step, _parse_stmt(ts)))
-    if ts.accept_kw("return"):
-        opt = _parse_opt_expr(ts, ";")
-        ts.expect_op(";")
-        return GV("ReturnStmt", (opt,))
-    if ts.accept_kw("break"):
-        ts.expect_op(";")
-        return GV("BreakStmt")
-    if ts.accept_kw("continue"):
-        ts.expect_op(";")
-        return GV("ContinueStmt")
-    if ts.at_op("{"):
-        return GV("BlockStmt", (_parse_block(ts),))
-    expr = _parse_expr(ts)
-    ts.expect_op(";")
-    return GV("ExprStmt", (expr,))
-
-
-def _parse_opt_expr(ts: TokenStream, closer: str) -> GenericValue:
-    if ts.at_op(closer):
-        return GV("NoExpr")
-    return GV("SomeExpr", (_parse_expr(ts),))
+    return parse_c_stmt(ts, _parse_expr, _parse_stmt, _parse_block)
 
 
 def _parse_expr(ts: TokenStream) -> GenericValue:
-    lhs = _parse_binary(ts, 0)
+    lhs = parse_binary(ts, _PREC, _parse_unary)
     if ts.at_op("="):
         if lhs.ctor not in ("VarE", "IndexE"):
             raise ts.error("assignment target must be a variable or index")
@@ -257,95 +208,26 @@ def _parse_expr(ts: TokenStream) -> GenericValue:
     return lhs
 
 
-def _parse_binary(ts: TokenStream, tier: int) -> GenericValue:
-    if tier >= len(_BIN_TIERS):
-        return _parse_unary(ts)
-    lhs = _parse_binary(ts, tier + 1)
-    while ts.peek().kind == "op" and ts.peek().value in _BIN_TIERS[tier]:
-        op = ts.next().value
-        rhs = _parse_binary(ts, tier + 1)
-        lhs = GV("BinE", (op, lhs, rhs))
-    return lhs
-
-
-def _parse_unary(ts: TokenStream) -> GenericValue:
-    if ts.at_op("!") or ts.at_op("-"):
-        op = ts.next().value
-        return GV("UnaryE", (op, _parse_unary(ts)))
-    return _parse_postfix(ts)
-
-
-def _parse_postfix(ts: TokenStream) -> GenericValue:
-    expr = _parse_primary(ts)
-    while ts.at_op("["):
-        ts.next()
-        idx = _parse_expr(ts)
-        ts.expect_op("]")
-        expr = GV("IndexE", (expr, idx))
-    return expr
-
-
-def _parse_primary(ts: TokenStream) -> GenericValue:
-    tok = ts.peek()
-    if tok.kind == "num":
-        ts.next()
-        return GV("IntLit", (int(tok.value),))
-    if ts.accept_kw("true"):
-        return GV("BoolLit", (True,))
-    if ts.accept_kw("false"):
-        return GV("BoolLit", (False,))
-    if tok.kind == "name":
-        name = ts.expect_name()
-        if ts.accept_op("("):
-            args = []
-            if not ts.at_op(")"):
-                while True:
-                    args.append(_parse_expr(ts))
-                    if not ts.accept_op(","):
-                        break
-            ts.expect_op(")")
-            return GV("CallE", (GV("Ident", (name,)), tuple(args)))
-        return GV("VarE", (GV("Ident", (name,)),))
-    if ts.accept_op("("):
-        expr = _parse_expr(ts)
-        ts.expect_op(")")
-        return expr
-    raise ts.error(f"expected an expression, got {tok.value!r}")
+_parse_primary = partial(parse_primary, expr=_parse_expr, num="IntLit")
+_parse_postfix = partial(parse_postfix, primary=_parse_primary, expr=_parse_expr)
+_parse_unary = partial(parse_unary, not_op="!", operand=_parse_postfix)
 
 
 # ---------------------------------------------------------------------------
 # Pretty-printing
 
-_PREC = {"=": 1, "||": 2, "&&": 3, "==": 4, "!=": 4, "<": 5, "<=": 5,
-         ">": 5, ">=": 5, "+": 6, "-": 6, "*": 7, "/": 7, "%": 7}
 _TYPE_STR = {"TInt": "int", "TBool": "bool", "TIntArr": "int[]"}
 
 
-def _expr_str(e: GenericValue, ctx: int = 0) -> str:
+def _own_expr_str(e: GenericValue, ctx: int) -> str:
     c = e.ctor
-    if c == "IntLit":
-        return str(e.args[0])
-    if c == "BoolLit":
-        return "true" if e.args[0] else "false"
-    if c == "VarE":
-        return e.args[0].args[0]
-    if c == "IndexE":
-        return f"{_expr_str(e.args[0], 9)}[{_expr_str(e.args[1])}]"
-    if c == "CallE":
-        args = ", ".join(_expr_str(a) for a in e.args[1])
-        return f"{e.args[0].args[0]}({args})"
     if c == "UnaryE":
         out = f"{e.args[0]}{_expr_str(e.args[1], 8)}"
         return f"({out})" if ctx > 8 else out
-    if c == "BinE":
-        op = e.args[0]
-        prec = _PREC[op]
-        out = f"{_expr_str(e.args[1], prec)} {op} {_expr_str(e.args[2], prec + 1)}"
-        return f"({out})" if ctx > prec else out
-    if c == "AssignE":
-        out = f"{_expr_str(e.args[0], 9)} = {_expr_str(e.args[1], 1)}"
-        return f"({out})" if ctx > 1 else out
     raise ValueError(f"not a MiniC expression: {c}")
+
+
+_expr_str = expr_printer(_PREC, _own_expr_str)
 
 
 def _init_str(init: GenericValue) -> str:
@@ -379,15 +261,19 @@ def _dangles(s: GenericValue) -> bool:
     return False
 
 
+def _print_block(pp: PrettyPrinter, opener: str, block: GenericValue) -> None:
+    pp.line(opener)
+    pp.push()
+    for item in block.args[0]:
+        _print_item(pp, item)
+    pp.pop()
+    pp.line("}")
+
+
 def _print_body(pp: PrettyPrinter, header: str, body: GenericValue,
                 force_brace: bool = False) -> None:
     if body.ctor == "BlockStmt":
-        pp.line(header + " {")
-        pp.push()
-        for item in body.args[0].args[0]:
-            _print_item(pp, item)
-        pp.pop()
-        pp.line("}")
+        _print_block(pp, header + " {", body.args[0])
     elif force_brace:
         pp.line(header + " {")
         pp.push()
@@ -432,12 +318,7 @@ def _print_stmt(pp: PrettyPrinter, s: GenericValue) -> None:
     elif c == "ContinueStmt":
         pp.line("continue;")
     elif c == "BlockStmt":
-        pp.line("{")
-        pp.push()
-        for item in s.args[0].args[0]:
-            _print_item(pp, item)
-        pp.pop()
-        pp.line("}")
+        _print_block(pp, "{", s.args[0])
     else:
         raise ValueError(f"not a MiniC statement: {c}")
 
@@ -458,12 +339,7 @@ def pretty(ast: GenericValue) -> str:
         plist = ", ".join(
             f"{_TYPE_STR[p.args[0].ctor]} {p.args[1].args[0]}" for p in params
         )
-        pp.line(f"{_TYPE_STR[ty.ctor]} {name.args[0]}({plist}) {{")
-        pp.push()
-        for item in block.args[0]:
-            _print_item(pp, item)
-        pp.pop()
-        pp.line("}")
+        _print_block(pp, f"{_TYPE_STR[ty.ctor]} {name.args[0]}({plist}) {{", block)
     return pp.render()
 
 
@@ -479,66 +355,26 @@ INIT_IS_INIT = NodeKind("MiniCInitIsLocalVarInit", (), (S("Init"),), LOCAL_VAR_I
 STMT_IS_ITEM = NodeKind("MiniCStmtIsBlockItem", (), (S("Stmt"),), BLOCK_ITEM_L)
 BLOCK_IS_MINIC = NodeKind("GenericBlockIsMiniCBlock", (), (BLOCK_L,), S("Block"))
 
-_REMOVED = [
-    "MiniC.Ident", "MiniC.Block", "MiniC.StmtItem", "MiniC.DeclItem",
-    "MiniC.Decl", "MiniC.Declarator", "MiniC.SomeInit", "MiniC.NoInit",
-    "MiniC.AssignE",
-]
-_INJECTION_KINDS = [
-    IDENT_IS_MINIC, ASSIGN_IS_EXPR, EXPR_IS_LHS, EXPR_IS_RHS,
-    TYPE_IS_ATTRS, INIT_IS_INIT, STMT_IS_ITEM, BLOCK_IS_MINIC,
-    IDENT_IS_BINDER, MULTI_DECL_IS_ITEM,
-]
-
-from ..schema import sum_signatures  # noqa: E402
-
-IPS = sum_signatures(
-    "MiniC+Generic",
-    [MOD.signature, generic_signature()],
-    minus=_REMOVED,
-    plus=_INJECTION_KINDS,
+IPS, TABLE = genericize(
+    MOD,
+    ["Ident", "Block", "StmtItem", "DeclItem", "Decl", "Declarator",
+     "SomeInit", "NoInit", "AssignE"],
+    [
+        IDENT_IS_MINIC, ASSIGN_IS_EXPR, EXPR_IS_LHS, EXPR_IS_RHS,
+        TYPE_IS_ATTRS, INIT_IS_INIT, STMT_IS_ITEM, BLOCK_IS_MINIC,
+        IDENT_IS_BINDER, MULTI_DECL_IS_ITEM, C.ExprStmt.kind,
+    ],
 )
-
-TABLE = InjectionTable(IPS)
-for _frm, _to, _kind in [
-    (IDENT_L, S("Ident"), IDENT_IS_MINIC),
-    (ASSIGN_L, S("Expr"), ASSIGN_IS_EXPR),
-    (S("Expr"), LHS_L, EXPR_IS_LHS),
-    (S("Expr"), RHS_L, EXPR_IS_RHS),
-    (S("Type"), COMMON_ATTRS_L, TYPE_IS_ATTRS),
-    (S("Init"), LOCAL_VAR_INIT_L, INIT_IS_INIT),
-    (IDENT_L, BINDER_L, IDENT_IS_BINDER),
-    (S("Stmt"), BLOCK_ITEM_L, STMT_IS_ITEM),
-    (BLOCK_L, S("Block"), BLOCK_IS_MINIC),
-    (MULTI_DECL_L, BLOCK_ITEM_L, MULTI_DECL_IS_ITEM),
-    (S("Expr"), S("Stmt"), IPS.kind("MiniC.ExprStmt")),
-]:
-    TABLE.declare(InjectionDecl(_frm, _to, (Step(_kind, 0),)))
 TABLE.compose(ASSIGN_L, S("Expr"), S("Stmt"))
 TABLE.compose(ASSIGN_L, S("Stmt"), BLOCK_ITEM_L)
 
-
-def _wrap(kind: NodeKind, inner: Term) -> Term:
-    return mk_term(kind, (), (inner,))
-
-
-def _ident_term(name: str) -> Term:
-    return _wrap(IDENT_IS_MINIC, ident(name))
+_ident_term, _TRANS, _UNTRANS = ident_assign_cases(
+    IDENT_IS_MINIC, C.Ident, ASSIGN_IS_EXPR, EXPR_IS_LHS, EXPR_IS_RHS, C.AssignE,
+    target="a MiniC expression", source="a MiniC expression",
+)
 
 
 # trans: surface modular term -> genericized term
-
-def _tr_ident(t: Term, tr) -> Term:
-    return _ident_term(t.payload_values[0])
-
-
-def _tr_assign(t: Term, tr) -> Term:
-    lhs, rhs = t.children
-    return _wrap(
-        ASSIGN_IS_EXPR,
-        assign(_wrap(EXPR_IS_LHS, tr(lhs)), _wrap(EXPR_IS_RHS, tr(rhs))),
-    )
-
 
 def _tr_decl(t: Term, tr) -> Term:
     ty, dtors = t.children
@@ -547,82 +383,45 @@ def _tr_decl(t: Term, tr) -> Term:
         name = dtor.children[0].payload_values[0]
         opt = dtor.children[1]
         if opt.kind.name == "MiniC.SomeInit":
-            opt_g = mk_term(JUST_INIT, (), (_wrap(INIT_IS_INIT, tr(opt.children[0])),))
+            init = wrap(INIT_IS_INIT, tr(opt.children[0]))
         else:
-            opt_g = mk_term(NO_INIT)
-        singles.append(
-            mk_term(
-                IPS.kind("SingleLocalVarDecl"),
-                (),
-                (mk_term(EMPTY_DECL_ATTRS), _wrap(IDENT_IS_BINDER, ident(name)), opt_g),
-            )
-        )
-    from ..fragments import SINGLE_DECL_L
-
-    return mk_term(
-        MULTI_DECL, (), (_wrap(TYPE_IS_ATTRS, tr(ty)), build_list(SINGLE_DECL_L, singles))
-    )
+            init = None
+        singles.append(single_decl(wrap(IDENT_IS_BINDER, ident(name)), init))
+    return multi_decl(singles, wrap(TYPE_IS_ATTRS, tr(ty)))
 
 
 def _tr_block(t: Term, tr) -> Term:
     items = []
     for item in extract_list(t.children[0]):
         if item.kind.name == "MiniC.StmtItem":
-            items.append(_wrap(STMT_IS_ITEM, tr(item.children[0])))
+            items.append(wrap(STMT_IS_ITEM, tr(item.children[0])))
         else:
-            items.append(_wrap(MULTI_DECL_IS_ITEM, _tr_decl(item.children[0], tr)))
-    return _wrap(BLOCK_IS_MINIC, generic_block(items))
+            items.append(wrap(MULTI_DECL_IS_ITEM, _tr_decl(item.children[0], tr)))
+    return wrap(BLOCK_IS_MINIC, generic_block(items))
 
 
-trans_ips = make_translator(
-    {
-        "MiniC.Ident": _tr_ident,
-        "MiniC.AssignE": _tr_assign,
-        "MiniC.Block": _tr_block,
-    }
-)
+trans_ips = make_translator({**_TRANS, "MiniC.Block": _tr_block})
 
 
 # untrans: genericized term -> surface modular term
 
-def _expect(cond: bool, what: str) -> None:
-    if not cond:
-        raise UnrepresentableTerm(what)
-
-
-def _un_ident(t: Term, tr) -> Term:
-    inner = t.children[0]
-    _expect(inner.kind.name == "Ident", "expected a generic identifier")
-    return _mk("Ident")(inner.payload_values[0])
-
-
-def _un_assign(t: Term, tr) -> Term:
-    inner = t.children[0]
-    _expect(inner.kind.name == "Assign", "expected a generic assignment")
-    lhs_w, op, rhs_w = inner.children
-    _expect(op.kind.name == "AssignOpEquals", "unsupported assignment operator")
-    _expect(lhs_w.kind == EXPR_IS_LHS, "assignment target is not a MiniC expression")
-    _expect(rhs_w.kind == EXPR_IS_RHS, "assignment source is not a MiniC expression")
-    return _mk("AssignE")(tr(lhs_w.children[0]), tr(rhs_w.children[0]))
-
-
 def _un_decl(t: Term, tr) -> Term:
-    _expect(t.kind.name == "MultiLocalVarDecl", "expected a generic declaration")
+    expect(t.kind.name == "MultiLocalVarDecl", "expected a generic declaration")
     attrs, singles = t.children
-    _expect(attrs.kind == TYPE_IS_ATTRS, "declaration attributes are not a MiniC type")
+    expect(attrs.kind == TYPE_IS_ATTRS, "declaration attributes are not a MiniC type")
     dtors = []
     for single in extract_list(singles):
         _, binder, opt = single.children
-        _expect(binder.kind == IDENT_IS_BINDER, "MiniC binders are single identifiers")
+        expect(binder.kind == IDENT_IS_BINDER, "MiniC binders are single identifiers")
         name = binder.children[0].payload_values[0]
         if opt.kind.name == "JustLocalVarInit":
             init_w = opt.children[0]
-            _expect(init_w.kind == INIT_IS_INIT, "initializer is not a MiniC initializer")
-            opt_s = _mk("SomeInit")(tr(init_w.children[0]))
+            expect(init_w.kind == INIT_IS_INIT, "initializer is not a MiniC initializer")
+            opt_s = C.SomeInit(tr(init_w.children[0]))
         else:
-            opt_s = _mk("NoInit")()
-        dtors.append(_mk("Declarator")(_mk("Ident")(name), opt_s))
-    return _mk("Decl")(
+            opt_s = C.NoInit()
+        dtors.append(C.Declarator(C.Ident(name), opt_s))
+    return C.Decl(
         tr(attrs.children[0]), build_list(S("Declarator"), dtors)
     )
 
@@ -632,21 +431,15 @@ def _un_block(t: Term, tr) -> Term:
     items = []
     for item in block_items(inner):
         if item.kind == STMT_IS_ITEM:
-            items.append(_mk("StmtItem")(tr(item.children[0])))
+            items.append(C.StmtItem(tr(item.children[0])))
         elif item.kind == MULTI_DECL_IS_ITEM:
-            items.append(_mk("DeclItem")(_un_decl(item.children[0], tr)))
+            items.append(C.DeclItem(_un_decl(item.children[0], tr)))
         else:
             raise UnrepresentableTerm(f"unexpected block item {item.kind.name}")
-    return _mk("Block")(build_list(S("BlockItem"), items))
+    return C.Block(build_list(S("BlockItem"), items))
 
 
-untrans_ips = make_translator(
-    {
-        "IdentIsMiniCIdent": _un_ident,
-        "AssignIsMiniCExpr": _un_assign,
-        "GenericBlockIsMiniCBlock": _un_block,
-    }
-)
+untrans_ips = make_translator({**_UNTRANS, "GenericBlockIsMiniCBlock": _un_block})
 
 
 # ---------------------------------------------------------------------------
@@ -657,54 +450,45 @@ class _Ops:
     binder_in_scope_in_init = True
 
     def var_init_to_rhs(self, common_attrs: Term, decl_attrs: Term, init: Term) -> Term:
-        _expect(init.kind == INIT_IS_INIT, "not a MiniC initializer")
+        expect(init.kind == INIT_IS_INIT, "not a MiniC initializer")
         inner = init.children[0]
         if inner.kind.name == "MiniC.ExprInit":
-            return _wrap(EXPR_IS_RHS, inner.children[0])
+            return wrap(EXPR_IS_RHS, inner.children[0])
         # Braced initializers become calls to the array builtin.
         elems = inner.children[0]
-        call = _mk("CallE")(_mk("Ident")("array"), elems)
-        return _wrap(EXPR_IS_RHS, call)
+        call = C.CallE(C.Ident("array"), elems)
+        return wrap(EXPR_IS_RHS, call)
 
     def var_decl_binder_to_lhs(self, binder: Term) -> Term:
         name = binder_names(binder)[0]
-        return _wrap(EXPR_IS_LHS, _mk("VarE")(_ident_term(name)))
+        return wrap(EXPR_IS_LHS, C.VarE(_ident_term(name)))
 
 
 # ---------------------------------------------------------------------------
 # Structural adapter
 
-_K = IPS.kind
-
-
 def _stmt_to_block(stmt: Term) -> tuple[Term, bool]:
     """View a statement in body position as a generic block."""
     if stmt.kind.name == "MiniC.BlockStmt":
         wrapper = stmt.children[0]
-        _expect(wrapper.kind == BLOCK_IS_MINIC, "block statement body is foreign")
+        expect(wrapper.kind == BLOCK_IS_MINIC, "block statement body is foreign")
         return wrapper.children[0], True
-    return generic_block([_wrap(STMT_IS_ITEM, stmt)]), False
+    return generic_block([wrap(STMT_IS_ITEM, stmt)]), False
 
 
 def _block_to_stmt(block: Term, was_braced: bool) -> Term:
     if was_braced:
-        return _mk("BlockStmt")(_wrap(BLOCK_IS_MINIC, block))
+        return C.BlockStmt(wrap(BLOCK_IS_MINIC, block))
     items = block_items(block)
     if len(items) == 1 and items[0].kind == STMT_IS_ITEM:
         return items[0].children[0]
-    return _mk("BlockStmt")(_wrap(BLOCK_IS_MINIC, block))
-
-
-def _opt_expr(t: Term) -> Optional[Term]:
-    if t.kind.name == "MiniC.SomeExpr":
-        return t.children[0]
-    return None
+    return C.BlockStmt(wrap(BLOCK_IS_MINIC, block))
 
 
 def _mk_opt_expr(e: Optional[Term]) -> Term:
     if e is None:
-        return _mk("NoExpr")()
-    return _mk("SomeExpr")(e)
+        return C.NoExpr()
+    return C.SomeExpr(e)
 
 
 class _Adapter:
@@ -715,7 +499,7 @@ class _Adapter:
         name = stmt.kind.name
 
         def as_item(s: Term) -> Term:
-            return _wrap(STMT_IS_ITEM, s)
+            return wrap(STMT_IS_ITEM, s)
 
         if name == "MiniC.IfStmt":
             cond, then, els = stmt.children
@@ -727,12 +511,12 @@ class _Adapter:
 
             def rebuild_if(c: Term, tb: Term, eb: Optional[Term]) -> Term:
                 new_else = (
-                    _mk("NoElse")()
+                    C.NoElse()
                     if eb is None
-                    else _mk("SomeElse")(_block_to_stmt(eb, else_braced))
+                    else C.SomeElse(_block_to_stmt(eb, else_braced))
                 )
                 return as_item(
-                    _mk("IfStmt")(c, _block_to_stmt(tb, then_braced), new_else)
+                    C.IfStmt(c, _block_to_stmt(tb, then_braced), new_else)
                 )
 
             return IfView(cond, then_block, else_block, rebuild_if)
@@ -741,7 +525,7 @@ class _Adapter:
             body_block, braced = _stmt_to_block(body)
 
             def rebuild_while(c: Term, b: Term) -> Term:
-                return as_item(_mk("WhileStmt")(c, _block_to_stmt(b, braced)))
+                return as_item(C.WhileStmt(c, _block_to_stmt(b, braced)))
 
             return WhileView(cond, body_block, rebuild_while)
         if name == "MiniC.ForStmt":
@@ -750,21 +534,21 @@ class _Adapter:
 
             def rebuild_for(i, c, s, b):
                 return as_item(
-                    _mk("ForStmt")(
+                    C.ForStmt(
                         _mk_opt_expr(i), _mk_opt_expr(c), _mk_opt_expr(s),
                         _block_to_stmt(b, braced),
                     )
                 )
 
-            return ForView(_opt_expr(init), _opt_expr(cond), _opt_expr(step),
+            return ForView(some(init), some(cond), some(step),
                            body_block, rebuild_for)
         if name == "MiniC.ReturnStmt":
             opt = stmt.children[0]
 
             def rebuild_ret(v: Optional[Term]) -> Term:
-                return as_item(_mk("ReturnStmt")(_mk_opt_expr(v)))
+                return as_item(C.ReturnStmt(_mk_opt_expr(v)))
 
-            return ReturnView(_opt_expr(opt), rebuild_ret)
+            return ReturnView(some(opt), rebuild_ret)
         if name == "MiniC.BreakStmt":
             return BreakView()
         if name == "MiniC.ContinueStmt":
@@ -773,14 +557,14 @@ class _Adapter:
             wrapper = stmt.children[0]
 
             def rebuild_block(b: Term) -> Term:
-                return as_item(_mk("BlockStmt")(_wrap(BLOCK_IS_MINIC, b)))
+                return as_item(C.BlockStmt(wrap(BLOCK_IS_MINIC, b)))
 
             return NestedBlockView(wrapper.children[0], rebuild_block)
         if name == "MiniC.ExprStmt":
             expr = stmt.children[0]
 
             def rebuild_expr(e: Term) -> Term:
-                return as_item(_mk("ExprStmt")(e))
+                return as_item(C.ExprStmt(e))
 
             return ExprStmtView(expr, rebuild_expr)
         return PlainView()
@@ -797,66 +581,49 @@ class _Adapter:
         return paths
 
     def make_cov_marker(self, index: int) -> Term:
-        cell = _mk("IndexE")(_mk("VarE")(_ident_term("cov")), _mk("IntLit")(index))
-        a = assign(_wrap(EXPR_IS_LHS, cell), _wrap(EXPR_IS_RHS, _mk("BoolLit")(True)))
+        cell = C.IndexE(C.VarE(_ident_term("cov")), C.IntLit(index))
+        a = assign(wrap(EXPR_IS_LHS, cell), wrap(EXPR_IS_RHS, C.BoolLit(True)))
         return TABLE.inj(a, BLOCK_ITEM_L)
 
 
 # ---------------------------------------------------------------------------
 # Evaluation
 
-_COV = object()  # sentinel value of the coverage array
+def _default_value(ty: GenericValue):
+    if ty.ctor == "TBool":
+        return False
+    if ty.ctor == "TIntArr":
+        return []
+    return 0
 
 
-class _Interp:
-    def __init__(self, ast: GenericValue, fuel: int,
-                 on_item: Optional[Callable] = None,
-                 on_enter: Optional[Callable] = None):
-        self.funcs = {f.args[1].args[0]: f for f in ast.args[0]}
-        self.fuel = fuel
-        self.events: list[tuple] = []
-        self.cov: dict[int, bool] = {}
-        self.ext_calls = 0
-        self.on_item = on_item
-        self.on_enter = on_enter
+def _render(v) -> str:
+    if v is None:
+        return "void"
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, list):
+        return "[" + ", ".join(_render(x) for x in v) + "]"
+    if v is COV:
+        return "cov"
+    return str(v)
 
-    def tick(self) -> None:
-        self.fuel -= 1
-        if self.fuel < 0:
-            raise Trap("fuel")
 
-    def run(self) -> RunResult:
-        try:
-            main = self.funcs.get("main")
-            if main is None:
-                raise Trap("nomain")
-            args = [_default_value(p.args[0]) for p in main.args[2]]
-            value = self.call_user(main, args)
-            self.events.append(("return", _render(value)))
-        except Trap as trap:
-            self.events.append(("trap", trap.kind))
-        return RunResult(tuple(self.events), dict(self.cov))
+class _Interp(Interp):
+    render = staticmethod(_render)
+    void = 0
 
-    def call_user(self, func: GenericValue, args: list):
+    def start(self):
+        main = self.main()
+        return self.call_user(main, [_default_value(p.args[0]) for p in main.args[2]])
+
+    def bind(self, func: GenericValue, args: list) -> tuple[dict, GenericValue]:
         params = func.args[2]
         if len(args) != len(params):
             raise Trap("arity")
-        if self.on_enter:
-            self.on_enter(func)
-        env = [{p.args[1].args[0]: a for p, a in zip(params, args)}]
-        try:
-            self.exec_block(func.args[3], env, new_scope=False)
-        except ReturnEx as ret:
-            return ret.value
-        return 0
+        return {p.args[1].args[0]: a for p, a in zip(params, args)}, func.args[3]
 
     # -- statements
-
-    def exec_block(self, block: GenericValue, env: list, new_scope: bool = True):
-        if new_scope:
-            env = env + [{}]
-        for item in block.args[0]:
-            self.exec_item(item, env)
 
     def exec_item(self, item: GenericValue, env: list) -> None:
         if self.on_item:
@@ -945,12 +712,9 @@ class _Interp:
 
     # -- expressions
 
-    def lookup(self, name: str, env: list):
-        for scope in reversed(env):
-            if name in scope:
-                return scope[name]
+    def unbound(self, name: str):
         if name == "cov":
-            return _COV
+            return COV
         raise Trap("undef")
 
     def store(self, name: str, value, env: list) -> None:
@@ -987,9 +751,7 @@ class _Interp:
             v = self.eval(operand, env)
             if op == "!":
                 return not self.truthy(v)
-            if isinstance(v, bool) or not isinstance(v, int):
-                raise Trap("type")
-            return -v
+            return -check_int(v)
         if c == "BinE":
             return self.binop(e, env)
         if c == "AssignE":
@@ -997,9 +759,8 @@ class _Interp:
         raise Trap("expr")
 
     def index_read(self, base, idx):
-        if isinstance(idx, bool) or not isinstance(idx, int):
-            raise Trap("type")
-        if base is _COV:
+        check_int(idx)
+        if base is COV:
             return self.cov.get(idx, False)
         if not isinstance(base, list):
             raise Trap("type")
@@ -1013,13 +774,9 @@ class _Interp:
             return value
         if lhs.ctor == "IndexE":
             base = self.eval(lhs.args[0], env)
-            idx = self.eval(lhs.args[1], env)
-            if isinstance(idx, bool) or not isinstance(idx, int):
-                raise Trap("type")
-            if base is _COV:
-                self.events.append(("cov", idx))
-                self.cov[idx] = bool(value)
-                return value
+            idx = check_int(self.eval(lhs.args[1], env))
+            if base is COV:
+                return self.mark(idx, value)
             if not isinstance(base, list):
                 raise Trap("type")
             if not 0 <= idx < len(base):
@@ -1046,67 +803,19 @@ class _Interp:
             if isinstance(a, list) or isinstance(b, list):
                 raise Trap("type")
             return (a == b) if op == "==" else (a != b)
-        for v in (a, b):
-            if isinstance(v, bool) or not isinstance(v, int):
-                raise Trap("type")
-        if op == "+":
-            return a + b
-        if op == "-":
-            return a - b
-        if op == "*":
-            return a * b
-        if op == "/":
-            return trunc_div(a, b)
-        if op == "%":
-            return trunc_mod(a, b)
-        if op == "<":
-            return a < b
-        if op == "<=":
-            return a <= b
-        if op == ">":
-            return a > b
-        if op == ">=":
-            return a >= b
-        raise Trap("op")
+        return int_op(op, a, b)
 
     def call(self, name: str, args: list):
-        if name in self.funcs:
-            return self.call_user(self.funcs[name], args)
-        if name == "print":
-            self.events.append(("print", " ".join(_render(a) for a in args)))
-            return 0
-        if name == "array":
+        if name == "array" and name not in self.funcs:
             return list(args)
-        self.events.append(("call", name, tuple(_render(a) for a in args)))
-        value = external_value(self.ext_calls, args)
-        self.ext_calls += 1
-        return value
-
-
-def _default_value(ty: GenericValue):
-    if ty.ctor == "TBool":
-        return False
-    if ty.ctor == "TIntArr":
-        return []
-    return 0
-
-
-def _render(v) -> str:
-    if v is None:
-        return "void"
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, list):
-        return "[" + ", ".join(_render(x) for x in v) + "]"
-    if v is _COV:
-        return "cov"
-    return str(v)
+        return super().call(name, args)
 
 
 def run(ast: GenericValue, fuel: int = 100_000,
         on_item: Optional[Callable] = None,
         on_enter: Optional[Callable] = None) -> RunResult:
-    return _Interp(ast, fuel, on_item, on_enter).run()
+    funcs = {f.args[1].args[0]: f for f in ast.args[0]}
+    return _Interp(funcs, fuel, on_item, on_enter).run()
 
 
 def item_walk(ast: GenericValue) -> list[GenericValue]:
@@ -1144,10 +853,6 @@ def item_walk(ast: GenericValue) -> list[GenericValue]:
         for it in func.args[3].args[0]:
             walk_item(it)
     return out
-
-
-def functions_of(ast: GenericValue) -> list[GenericValue]:
-    return list(ast.args[0])
 
 
 LANGUAGE = register(

@@ -9,50 +9,39 @@ Assignment to an undeclared name creates a global; reading one traps.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Optional
 
 from ..fragments import (
     ASSIGN_L,
-    BINDER_L,
     BLOCK_ITEM_L,
     BLOCK_L,
-    EMPTY_COMMON_ATTRS,
-    EMPTY_DECL_ATTRS,
     IDENT_IS_BINDER,
     IDENT_L,
-    JUST_INIT,
     LHS_L,
     LOCAL_VAR_INIT_L,
-    MULTI_DECL,
     MULTI_DECL_IS_ITEM,
-    MULTI_DECL_L,
-    NO_INIT,
     RHS_L,
-    SINGLE_DECL_L,
     assign,
     binder_names,
-    generic_signature,
     ident,
+    multi_decl,
+    single_decl,
 )
-from ..injections import InjectionDecl, InjectionTable, Step
 from ..runtime import (
+    COV,
+    TC,
     BreakEx,
     ContinueEx,
+    Interp,
     ReturnEx,
     RunResult,
     Trap,
-    external_value,
-    trunc_div,
-    trunc_mod,
+    check_int,
+    int_op,
 )
-from ..schema import (
-    GV,
-    GenericValue,
-    modularize_schema,
-    parse_schema_text,
-    sum_signatures,
-)
-from ..terms import ListOf, NodeKind, Term, build_list, extract_list, mk_term
+from ..schema import GV, GenericValue, modularize_schema, parse_schema_text
+from ..terms import NodeKind, Term, build_list, extract_list
 from ..traversal import Path
 from .base import (
     BreakView,
@@ -65,14 +54,32 @@ from .base import (
     NestedBlockView,
     PlainView,
     ReturnView,
+    TacOps,
     UnrepresentableTerm,
     WhileView,
     block_items,
+    constructors,
+    expect,
     generic_block,
+    genericize,
+    ident_assign_cases,
     make_translator,
     register,
+    some,
+    wrap,
 )
-from .common import PrettyPrinter, TokenStream, tokenize
+from .common import (
+    PrettyPrinter,
+    TokenStream,
+    expr_printer,
+    parse_binary,
+    parse_c_stmt,
+    parse_ident,
+    parse_postfix,
+    parse_primary,
+    parse_unary,
+    tokenize,
+)
 
 SCHEMA_TEXT = """
 type Program = Program [FuncDef]
@@ -92,17 +99,7 @@ type Expr = NumLit Int | BoolLit Bool | UndefLit | VarE Ident | IndexE Expr Expr
 SCHEMA = parse_schema_text(SCHEMA_TEXT, name="MiniJS")
 MOD = modularize_schema(SCHEMA)
 S = MOD.sort_for
-
-
-def _mk(ctor: str):
-    kind = MOD.signature.kind(f"MiniJS.{ctor}")
-
-    def build(*args):
-        payloads = args[: len(kind.payloads)]
-        children = args[len(kind.payloads):]
-        return mk_term(kind, payloads, children)
-
-    return build
+C = constructors(MOD)
 
 
 # ---------------------------------------------------------------------------
@@ -117,8 +114,9 @@ _KEYWORDS = frozenset(
     {"function", "var", "if", "else", "while", "for", "return",
      "break", "continue", "true", "false", "undefined"}
 )
-_BIN_TIERS = [["||"], ["&&"], ["==", "!="], ["<", "<=", ">", ">="],
-              ["+", "-"], ["*", "/", "%"]]
+# binding power of each binary operator, for the parser and the printer
+_PREC = {"||": 2, "&&": 3, "==": 4, "!=": 4, "<": 5, "<=": 5,
+         ">": 5, ">=": 5, "+": 6, "-": 6, "*": 7, "/": 7, "%": 7}
 
 
 def parse(text: str) -> GenericValue:
@@ -134,16 +132,10 @@ def parse(text: str) -> GenericValue:
 
 def _parse_func(ts: TokenStream) -> GenericValue:
     ts.expect_kw("function")
-    name = ts.expect_name()
+    name = parse_ident(ts)
     ts.expect_op("(")
-    params = []
-    if not ts.at_op(")"):
-        while True:
-            params.append(GV("Ident", (ts.expect_name(),)))
-            if not ts.accept_op(","):
-                break
-    ts.expect_op(")")
-    return GV("FuncDef", (GV("Ident", (name,)), tuple(params), _parse_block(ts)))
+    params = ts.comma_list(parse_ident, ")")
+    return GV("FuncDef", (name, tuple(params), _parse_block(ts)))
 
 
 def _parse_block(ts: TokenStream) -> GenericValue:
@@ -161,66 +153,23 @@ def _parse_block(ts: TokenStream) -> GenericValue:
 
 def _parse_stmt(ts: TokenStream) -> GenericValue:
     if ts.accept_kw("var"):
-        dtors = []
-        while True:
-            name = ts.expect_name()
-            if ts.accept_op("="):
-                opt = GV("SomeInit", (_parse_expr(ts),))
-            else:
-                opt = GV("NoInit")
-            dtors.append(GV("VarDtor", (GV("Ident", (name,)), opt)))
-            if not ts.accept_op(","):
-                break
+        dtors = ts.comma_list(_parse_dtor)
         ts.expect_op(";")
         return GV("VarStmt", (tuple(dtors),))
-    if ts.accept_kw("if"):
-        ts.expect_op("(")
-        cond = _parse_expr(ts)
-        ts.expect_op(")")
-        then = _parse_block(ts)
-        els = GV("SomeElse", (_parse_block(ts),)) if ts.accept_kw("else") else GV("NoElse")
-        return GV("IfStmt", (cond, then, els))
-    if ts.accept_kw("while"):
-        ts.expect_op("(")
-        cond = _parse_expr(ts)
-        ts.expect_op(")")
-        return GV("WhileStmt", (cond, _parse_block(ts)))
-    if ts.accept_kw("for"):
-        ts.expect_op("(")
-        if ts.at_kw("var"):
-            raise ts.error("declarations are not allowed in a for header")
-        init = _parse_opt_expr(ts, ";")
-        ts.expect_op(";")
-        cond = _parse_opt_expr(ts, ";")
-        ts.expect_op(";")
-        step = _parse_opt_expr(ts, ")")
-        ts.expect_op(")")
-        return GV("ForStmt", (init, cond, step, _parse_block(ts)))
-    if ts.accept_kw("return"):
-        opt = _parse_opt_expr(ts, ";")
-        ts.expect_op(";")
-        return GV("ReturnStmt", (opt,))
-    if ts.accept_kw("break"):
-        ts.expect_op(";")
-        return GV("BreakStmt")
-    if ts.accept_kw("continue"):
-        ts.expect_op(";")
-        return GV("ContinueStmt")
-    if ts.at_op("{"):
-        return GV("BlockStmt", (_parse_block(ts),))
-    expr = _parse_expr(ts)
-    ts.expect_op(";")
-    return GV("ExprStmt", (expr,))
+    return parse_c_stmt(ts, _parse_expr, _parse_block, _parse_block, decl_kw="var")
 
 
-def _parse_opt_expr(ts: TokenStream, closer: str) -> GenericValue:
-    if ts.at_op(closer):
-        return GV("NoExpr")
-    return GV("SomeExpr", (_parse_expr(ts),))
+def _parse_dtor(ts: TokenStream) -> GenericValue:
+    name = parse_ident(ts)
+    if ts.accept_op("="):
+        opt = GV("SomeInit", (_parse_expr(ts),))
+    else:
+        opt = GV("NoInit")
+    return GV("VarDtor", (name, opt))
 
 
 def _parse_expr(ts: TokenStream) -> GenericValue:
-    lhs = _parse_binary(ts, 0)
+    lhs = parse_binary(ts, _PREC, _parse_unary)
     if ts.at_op("="):
         if lhs.ctor not in ("VarE", "IndexE", "MemberE"):
             raise ts.error("assignment target must be a variable, index or member")
@@ -229,115 +178,32 @@ def _parse_expr(ts: TokenStream) -> GenericValue:
     return lhs
 
 
-def _parse_binary(ts: TokenStream, tier: int) -> GenericValue:
-    if tier >= len(_BIN_TIERS):
-        return _parse_unary(ts)
-    lhs = _parse_binary(ts, tier + 1)
-    while ts.peek().kind == "op" and ts.peek().value in _BIN_TIERS[tier]:
-        op = ts.next().value
-        lhs = GV("BinE", (op, lhs, _parse_binary(ts, tier + 1)))
-    return lhs
-
-
-def _parse_unary(ts: TokenStream) -> GenericValue:
-    if ts.at_op("!") or ts.at_op("-"):
-        op = ts.next().value
-        return GV("UnaryE", (op, _parse_unary(ts)))
-    return _parse_postfix(ts)
-
-
-def _parse_postfix(ts: TokenStream) -> GenericValue:
-    expr = _parse_primary(ts)
-    while True:
-        if ts.at_op("["):
-            ts.next()
-            idx = _parse_expr(ts)
-            ts.expect_op("]")
-            expr = GV("IndexE", (expr, idx))
-        elif ts.at_op("."):
-            ts.next()
-            expr = GV("MemberE", (expr, ts.expect_name()))
-        else:
-            return expr
-
-
 def _parse_primary(ts: TokenStream) -> GenericValue:
-    tok = ts.peek()
-    if tok.kind == "num":
-        ts.next()
-        return GV("NumLit", (int(tok.value),))
-    if ts.accept_kw("true"):
-        return GV("BoolLit", (True,))
-    if ts.accept_kw("false"):
-        return GV("BoolLit", (False,))
-    if ts.accept_kw("undefined"):
-        return GV("UndefLit")
-    if tok.kind == "name":
-        name = ts.expect_name()
-        if ts.accept_op("("):
-            args = []
-            if not ts.at_op(")"):
-                while True:
-                    args.append(_parse_expr(ts))
-                    if not ts.accept_op(","):
-                        break
-            ts.expect_op(")")
-            return GV("CallE", (GV("Ident", (name,)), tuple(args)))
-        return GV("VarE", (GV("Ident", (name,)),))
-    if ts.accept_op("("):
-        expr = _parse_expr(ts)
-        ts.expect_op(")")
-        return expr
     if ts.accept_op("["):
-        elems = []
-        if not ts.at_op("]"):
-            while True:
-                elems.append(_parse_expr(ts))
-                if not ts.accept_op(","):
-                    break
-        ts.expect_op("]")
-        return GV("ArrayE", (tuple(elems),))
-    raise ts.error(f"expected an expression, got {tok.value!r}")
+        return GV("ArrayE", (tuple(ts.comma_list(_parse_expr, "]")),))
+    return parse_primary(ts, _parse_expr, "NumLit", ("undefined", "UndefLit"))
+
+
+_parse_postfix = partial(parse_postfix, primary=_parse_primary, expr=_parse_expr)
+_parse_unary = partial(parse_unary, not_op="!", operand=_parse_postfix)
 
 
 # ---------------------------------------------------------------------------
 # Pretty-printing
 
-_PREC = {"=": 1, "||": 2, "&&": 3, "==": 4, "!=": 4, "<": 5, "<=": 5,
-         ">": 5, ">=": 5, "+": 6, "-": 6, "*": 7, "/": 7, "%": 7}
-
-
-def _expr_str(e: GenericValue, ctx: int = 0) -> str:
+def _own_expr_str(e: GenericValue, ctx: int) -> str:
     c = e.ctor
-    if c == "NumLit":
-        return str(e.args[0])
-    if c == "BoolLit":
-        return "true" if e.args[0] else "false"
     if c == "UndefLit":
         return "undefined"
-    if c == "VarE":
-        return e.args[0].args[0]
-    if c == "IndexE":
-        return f"{_expr_str(e.args[0], 9)}[{_expr_str(e.args[1])}]"
-    if c == "MemberE":
-        return f"{_expr_str(e.args[0], 9)}.{e.args[1]}"
-    if c == "CallE":
-        args = ", ".join(_expr_str(a) for a in e.args[1])
-        return f"{e.args[0].args[0]}({args})"
     if c == "ArrayE":
         return "[" + ", ".join(_expr_str(a) for a in e.args[0]) + "]"
     if c == "UnaryE":
         out = f"{e.args[0]}{_expr_str(e.args[1], 8)}"
         return f"({out})" if ctx > 8 else out
-    if c == "BinE":
-        op = e.args[0]
-        prec = _PREC[op]
-        out = f"{_expr_str(e.args[1], prec)} {op} {_expr_str(e.args[2], prec + 1)}"
-        return f"({out})" if ctx > prec else out
-    if c == "AssignE":
-        out = f"{_expr_str(e.args[0], 9)} = {_expr_str(e.args[1], 1)}"
-        return f"({out})" if ctx > 1 else out
     raise ValueError(f"not a MiniJS expression: {c}")
+
+
+_expr_str = expr_printer(_PREC, _own_expr_str)
 
 
 def _quote(s: str) -> str:
@@ -347,13 +213,17 @@ def _quote(s: str) -> str:
 def _print_block(pp: PrettyPrinter, block: GenericValue, opener: str,
                  closer: str = "}") -> None:
     pp.line(opener)
+    _print_block_body(pp, block)
+    pp.line(closer)
+
+
+def _print_block_body(pp: PrettyPrinter, block: GenericValue) -> None:
     pp.push()
     for d in block.args[0]:
         pp.line(_quote(d.args[0]) + ";")
     for s in block.args[1].args[0]:
         _print_stmt(pp, s)
     pp.pop()
-    pp.line(closer)
 
 
 def _print_stmt(pp: PrettyPrinter, s: GenericValue) -> None:
@@ -374,13 +244,7 @@ def _print_stmt(pp: PrettyPrinter, s: GenericValue) -> None:
         cond, then, els = s.args
         if els.ctor == "SomeElse":
             _print_block(pp, then, f"if ({_expr_str(cond)}) {{", "} else {")
-            # reuse the block printer body for the else arm
-            pp.push()
-            for d in els.args[0].args[0]:
-                pp.line(_quote(d.args[0]) + ";")
-            for st in els.args[0].args[1].args[0]:
-                _print_stmt(pp, st)
-            pp.pop()
+            _print_block_body(pp, els.args[0])
             pp.line("}")
         else:
             _print_block(pp, then, f"if ({_expr_str(cond)}) {{")
@@ -431,59 +295,22 @@ EXPR_IS_INIT = NodeKind("MiniJSExprIsLocalVarInit", (), (S("Expr"),), LOCAL_VAR_
 STMT_IS_ITEM = NodeKind("MiniJSStmtIsBlockItem", (), (S("Stmt"),), BLOCK_ITEM_L)
 BLOCK_IS_STMTS = NodeKind("GenericBlockIsMiniJSStmts", (), (BLOCK_L,), S("Stmts"))
 
-_REMOVED = [
-    "MiniJS.Ident", "MiniJS.Stmts", "MiniJS.VarStmt", "MiniJS.VarDtor",
-    "MiniJS.SomeInit", "MiniJS.NoInit", "MiniJS.AssignE",
-]
-_INJECTION_KINDS = [
-    IDENT_IS_MINIJS, ASSIGN_IS_EXPR, EXPR_IS_LHS, EXPR_IS_RHS,
-    EXPR_IS_INIT, STMT_IS_ITEM, BLOCK_IS_STMTS,
-    IDENT_IS_BINDER, MULTI_DECL_IS_ITEM,
-]
-
-IPS = sum_signatures(
-    "MiniJS+Generic",
-    [MOD.signature, generic_signature()],
-    minus=_REMOVED,
-    plus=_INJECTION_KINDS,
+IPS, TABLE = genericize(
+    MOD,
+    ["Ident", "Stmts", "VarStmt", "VarDtor", "SomeInit", "NoInit", "AssignE"],
+    [
+        IDENT_IS_MINIJS, ASSIGN_IS_EXPR, EXPR_IS_LHS, EXPR_IS_RHS,
+        EXPR_IS_INIT, STMT_IS_ITEM, BLOCK_IS_STMTS,
+        IDENT_IS_BINDER, MULTI_DECL_IS_ITEM, C.ExprStmt.kind,
+    ],
 )
-
-TABLE = InjectionTable(IPS)
-for _frm, _to, _kind in [
-    (IDENT_L, S("Ident"), IDENT_IS_MINIJS),
-    (ASSIGN_L, S("Expr"), ASSIGN_IS_EXPR),
-    (S("Expr"), LHS_L, EXPR_IS_LHS),
-    (S("Expr"), RHS_L, EXPR_IS_RHS),
-    (S("Expr"), LOCAL_VAR_INIT_L, EXPR_IS_INIT),
-    (IDENT_L, BINDER_L, IDENT_IS_BINDER),
-    (S("Stmt"), BLOCK_ITEM_L, STMT_IS_ITEM),
-    (BLOCK_L, S("Stmts"), BLOCK_IS_STMTS),
-    (MULTI_DECL_L, BLOCK_ITEM_L, MULTI_DECL_IS_ITEM),
-    (S("Expr"), S("Stmt"), IPS.kind("MiniJS.ExprStmt")),
-]:
-    TABLE.declare(InjectionDecl(_frm, _to, (Step(_kind, 0),)))
 TABLE.compose(ASSIGN_L, S("Expr"), S("Stmt"))
 TABLE.compose(ASSIGN_L, S("Stmt"), BLOCK_ITEM_L)
 
-
-def _wrap(kind: NodeKind, inner: Term) -> Term:
-    return mk_term(kind, (), (inner,))
-
-
-def _ident_term(name: str) -> Term:
-    return _wrap(IDENT_IS_MINIJS, ident(name))
-
-
-def _tr_ident(t: Term, tr) -> Term:
-    return _ident_term(t.payload_values[0])
-
-
-def _tr_assign(t: Term, tr) -> Term:
-    lhs, rhs = t.children
-    return _wrap(
-        ASSIGN_IS_EXPR,
-        assign(_wrap(EXPR_IS_LHS, tr(lhs)), _wrap(EXPR_IS_RHS, tr(rhs))),
-    )
+_ident_term, _TRANS, _UNTRANS = ident_assign_cases(
+    IDENT_IS_MINIJS, C.Ident, ASSIGN_IS_EXPR, EXPR_IS_LHS, EXPR_IS_RHS, C.AssignE,
+    target="a MiniJS expression", source="a MiniJS expression",
+)
 
 
 def _tr_var_stmt(t: Term, tr) -> Term:
@@ -492,78 +319,43 @@ def _tr_var_stmt(t: Term, tr) -> Term:
         name = dtor.children[0].payload_values[0]
         opt = dtor.children[1]
         if opt.kind.name == "MiniJS.SomeInit":
-            opt_g = mk_term(JUST_INIT, (), (_wrap(EXPR_IS_INIT, tr(opt.children[0])),))
+            init = wrap(EXPR_IS_INIT, tr(opt.children[0]))
         else:
-            opt_g = mk_term(NO_INIT)
-        singles.append(
-            mk_term(
-                IPS.kind("SingleLocalVarDecl"),
-                (),
-                (mk_term(EMPTY_DECL_ATTRS), _wrap(IDENT_IS_BINDER, ident(name)), opt_g),
-            )
-        )
-    return mk_term(
-        MULTI_DECL, (), (mk_term(EMPTY_COMMON_ATTRS), build_list(SINGLE_DECL_L, singles))
-    )
+            init = None
+        singles.append(single_decl(wrap(IDENT_IS_BINDER, ident(name)), init))
+    return multi_decl(singles)
 
 
 def _tr_stmts(t: Term, tr) -> Term:
     items = []
     for stmt in extract_list(t.children[0]):
         if stmt.kind.name == "MiniJS.VarStmt":
-            items.append(_wrap(MULTI_DECL_IS_ITEM, _tr_var_stmt(stmt, tr)))
+            items.append(wrap(MULTI_DECL_IS_ITEM, _tr_var_stmt(stmt, tr)))
         else:
-            items.append(_wrap(STMT_IS_ITEM, tr(stmt)))
-    return _wrap(BLOCK_IS_STMTS, generic_block(items))
+            items.append(wrap(STMT_IS_ITEM, tr(stmt)))
+    return wrap(BLOCK_IS_STMTS, generic_block(items))
 
 
-trans_ips = make_translator(
-    {
-        "MiniJS.Ident": _tr_ident,
-        "MiniJS.AssignE": _tr_assign,
-        "MiniJS.Stmts": _tr_stmts,
-    }
-)
-
-
-def _expect(cond: bool, what: str) -> None:
-    if not cond:
-        raise UnrepresentableTerm(what)
-
-
-def _un_ident(t: Term, tr) -> Term:
-    inner = t.children[0]
-    _expect(inner.kind.name == "Ident", "expected a generic identifier")
-    return _mk("Ident")(inner.payload_values[0])
-
-
-def _un_assign(t: Term, tr) -> Term:
-    inner = t.children[0]
-    _expect(inner.kind.name == "Assign", "expected a generic assignment")
-    lhs_w, op, rhs_w = inner.children
-    _expect(op.kind.name == "AssignOpEquals", "unsupported assignment operator")
-    _expect(lhs_w.kind == EXPR_IS_LHS, "assignment target is not a MiniJS expression")
-    _expect(rhs_w.kind == EXPR_IS_RHS, "assignment source is not a MiniJS expression")
-    return _mk("AssignE")(tr(lhs_w.children[0]), tr(rhs_w.children[0]))
+trans_ips = make_translator({**_TRANS, "MiniJS.Stmts": _tr_stmts})
 
 
 def _un_decl(t: Term, tr) -> Term:
-    _expect(t.kind.name == "MultiLocalVarDecl", "expected a generic declaration")
+    expect(t.kind.name == "MultiLocalVarDecl", "expected a generic declaration")
     attrs, singles = t.children
-    _expect(attrs.kind.name == "EmptyCommonAttrs", "MiniJS declarations carry no attributes")
+    expect(attrs.kind.name == "EmptyCommonAttrs", "MiniJS declarations carry no attributes")
     dtors = []
     for single in extract_list(singles):
         _, binder, opt = single.children
-        _expect(binder.kind == IDENT_IS_BINDER, "MiniJS binders are single identifiers")
+        expect(binder.kind == IDENT_IS_BINDER, "MiniJS binders are single identifiers")
         name = binder.children[0].payload_values[0]
         if opt.kind.name == "JustLocalVarInit":
             init_w = opt.children[0]
-            _expect(init_w.kind == EXPR_IS_INIT, "initializer is not a MiniJS expression")
-            opt_s = _mk("SomeInit")(tr(init_w.children[0]))
+            expect(init_w.kind == EXPR_IS_INIT, "initializer is not a MiniJS expression")
+            opt_s = C.SomeInit(tr(init_w.children[0]))
         else:
-            opt_s = _mk("NoInit")()
-        dtors.append(_mk("VarDtor")(_mk("Ident")(name), opt_s))
-    return _mk("VarStmt")(build_list(S("VarDtor"), dtors))
+            opt_s = C.NoInit()
+        dtors.append(C.VarDtor(C.Ident(name), opt_s))
+    return C.VarStmt(build_list(S("VarDtor"), dtors))
 
 
 def _un_stmts(t: Term, tr) -> Term:
@@ -575,16 +367,10 @@ def _un_stmts(t: Term, tr) -> Term:
             stmts.append(_un_decl(item.children[0], tr))
         else:
             raise UnrepresentableTerm(f"unexpected block item {item.kind.name}")
-    return _mk("Stmts")(build_list(S("Stmt"), stmts))
+    return C.Stmts(build_list(S("Stmt"), stmts))
 
 
-untrans_ips = make_translator(
-    {
-        "IdentIsMiniJSIdent": _un_ident,
-        "AssignIsMiniJSExpr": _un_assign,
-        "GenericBlockIsMiniJSStmts": _un_stmts,
-    }
-)
+untrans_ips = make_translator({**_UNTRANS, "GenericBlockIsMiniJSStmts": _un_stmts})
 
 
 # ---------------------------------------------------------------------------
@@ -596,12 +382,12 @@ class _Ops:
     binder_in_scope_in_init = True
 
     def var_init_to_rhs(self, common_attrs: Term, decl_attrs: Term, init: Term) -> Term:
-        _expect(init.kind == EXPR_IS_INIT, "not a MiniJS initializer")
-        return _wrap(EXPR_IS_RHS, init.children[0])
+        expect(init.kind == EXPR_IS_INIT, "not a MiniJS initializer")
+        return wrap(EXPR_IS_RHS, init.children[0])
 
     def var_decl_binder_to_lhs(self, binder: Term) -> Term:
         name = binder_names(binder)[0]
-        return _wrap(EXPR_IS_LHS, _mk("VarE")(_ident_term(name)))
+        return wrap(EXPR_IS_LHS, C.VarE(_ident_term(name)))
 
 
 # ---------------------------------------------------------------------------
@@ -610,28 +396,27 @@ class _Ops:
 def _block_parts(block: Term) -> tuple[Term, Term]:
     """Split a MiniJS block into (directives, generic block)."""
     directives, stmts_w = block.children
-    _expect(stmts_w.kind == BLOCK_IS_STMTS, "block body is foreign")
+    expect(stmts_w.kind == BLOCK_IS_STMTS, "block body is foreign")
     return directives, stmts_w.children[0]
 
 
 def _make_block(directives: Term, generic: Term) -> Term:
-    return _mk("Block")(directives, _wrap(BLOCK_IS_STMTS, generic))
+    return C.Block(directives, wrap(BLOCK_IS_STMTS, generic))
 
 
 def _empty_directives() -> Term:
     return build_list(S("Directive"), [])
 
 
-def _opt_expr(t: Term) -> Optional[Term]:
-    if t.kind.name == "MiniJS.SomeExpr":
-        return t.children[0]
-    return None
-
-
 def _mk_opt_expr(e: Optional[Term]) -> Term:
     if e is None:
-        return _mk("NoExpr")()
-    return _mk("SomeExpr")(e)
+        return C.NoExpr()
+    return C.SomeExpr(e)
+
+
+def _assign_item(target: Term, source: Term) -> Term:
+    a = assign(wrap(EXPR_IS_LHS, target), wrap(EXPR_IS_RHS, source))
+    return TABLE.inj(a, BLOCK_ITEM_L)
 
 
 class _Adapter:
@@ -642,7 +427,7 @@ class _Adapter:
         name = stmt.kind.name
 
         def as_item(s: Term) -> Term:
-            return _wrap(STMT_IS_ITEM, s)
+            return wrap(STMT_IS_ITEM, s)
 
         if name == "MiniJS.IfStmt":
             cond, then, els = stmt.children
@@ -654,11 +439,11 @@ class _Adapter:
 
             def rebuild_if(c: Term, tb: Term, eb: Optional[Term]) -> Term:
                 if eb is None:
-                    new_else = _mk("NoElse")()
+                    new_else = C.NoElse()
                 else:
                     dirs = else_dirs if else_dirs is not None else _empty_directives()
-                    new_else = _mk("SomeElse")(_make_block(dirs, eb))
-                return as_item(_mk("IfStmt")(c, _make_block(then_dirs, tb), new_else))
+                    new_else = C.SomeElse(_make_block(dirs, eb))
+                return as_item(C.IfStmt(c, _make_block(then_dirs, tb), new_else))
 
             return IfView(cond, then_g, else_g, rebuild_if)
         if name == "MiniJS.WhileStmt":
@@ -666,7 +451,7 @@ class _Adapter:
             dirs, body_g = _block_parts(body)
 
             def rebuild_while(c: Term, b: Term) -> Term:
-                return as_item(_mk("WhileStmt")(c, _make_block(dirs, b)))
+                return as_item(C.WhileStmt(c, _make_block(dirs, b)))
 
             return WhileView(cond, body_g, rebuild_while)
         if name == "MiniJS.ForStmt":
@@ -675,21 +460,21 @@ class _Adapter:
 
             def rebuild_for(i, c, s, b):
                 return as_item(
-                    _mk("ForStmt")(
+                    C.ForStmt(
                         _mk_opt_expr(i), _mk_opt_expr(c), _mk_opt_expr(s),
                         _make_block(dirs, b),
                     )
                 )
 
-            return ForView(_opt_expr(init), _opt_expr(cond), _opt_expr(step),
+            return ForView(some(init), some(cond), some(step),
                            body_g, rebuild_for)
         if name == "MiniJS.ReturnStmt":
             opt = stmt.children[0]
 
             def rebuild_ret(v: Optional[Term]) -> Term:
-                return as_item(_mk("ReturnStmt")(_mk_opt_expr(v)))
+                return as_item(C.ReturnStmt(_mk_opt_expr(v)))
 
-            return ReturnView(_opt_expr(opt), rebuild_ret)
+            return ReturnView(some(opt), rebuild_ret)
         if name == "MiniJS.BreakStmt":
             return BreakView()
         if name == "MiniJS.ContinueStmt":
@@ -698,14 +483,14 @@ class _Adapter:
             dirs, inner_g = _block_parts(stmt.children[0])
 
             def rebuild_block(b: Term) -> Term:
-                return as_item(_mk("BlockStmt")(_make_block(dirs, b)))
+                return as_item(C.BlockStmt(_make_block(dirs, b)))
 
             return NestedBlockView(inner_g, rebuild_block)
         if name == "MiniJS.ExprStmt":
             expr = stmt.children[0]
 
             def rebuild_expr(e: Term) -> Term:
-                return as_item(_mk("ExprStmt")(e))
+                return as_item(C.ExprStmt(e))
 
             return ExprStmtView(expr, rebuild_expr)
         return PlainView()
@@ -722,186 +507,100 @@ class _Adapter:
         return paths
 
     def make_cov_marker(self, index: int) -> Term:
-        cell = _mk("IndexE")(
-            _mk("MemberE")("cov", _mk("VarE")(_ident_term("TC"))),
-            _mk("NumLit")(index),
+        cell = C.IndexE(
+            C.MemberE("cov", C.VarE(_ident_term("TC"))),
+            C.NumLit(index),
         )
-        a = assign(_wrap(EXPR_IS_LHS, cell), _wrap(EXPR_IS_RHS, _mk("BoolLit")(True)))
-        return TABLE.inj(a, BLOCK_ITEM_L)
+        return _assign_item(cell, C.BoolLit(True))
 
 
 # ---------------------------------------------------------------------------
 # Three-address hooks
 
-_EXPR_SORT = S("Expr")
-
-
-class _Tac:
-    temp_prefix = "__t"
-
-    def classify(self, expr: Term) -> tuple:
-        name = expr.kind.name
-        if self.is_atomic(expr):
-            return ("atomic",)
-        if name == "AssignIsMiniJSExpr":
-            inner = expr.children[0]
-            lhs_w, _, rhs_w = inner.children
-            return ("assign", lhs_w.children[0], rhs_w.children[0])
-        if name == "MiniJS.BinE" and expr.payload_values[0] in ("&&", "||"):
-            return (
-                "shortcircuit",
-                expr.payload_values[0] == "&&",
-                expr.children[0],
-                expr.children[1],
-            )
-        return _split_operands(expr, _EXPR_SORT)
-
-    def is_atomic(self, expr: Term) -> bool:
-        name = expr.kind.name
-        if name in ("MiniJS.NumLit", "MiniJS.BoolLit", "MiniJS.UndefLit",
-                    "MiniJS.VarE"):
-            return True
-        if name == "MiniJS.MemberE":
-            return self.is_atomic(expr.children[0])
-        return False
-
-    def is_effect_free(self, expr: Term) -> bool:
-        return expr.kind.name in ("MiniJS.NumLit", "MiniJS.BoolLit",
-                                  "MiniJS.UndefLit")
-
-    def make_var(self, name: str) -> Term:
-        return _mk("VarE")(_ident_term(name))
-
-    def make_not(self, expr: Term) -> Term:
-        return _mk("UnaryE")("!", expr)
-
+class _Tac(TacOps):
     def make_decl_item(self, name: str, init: Optional[Term]) -> Term:
-        if init is None:
-            opt = mk_term(NO_INIT)
-        else:
-            opt = mk_term(JUST_INIT, (), (_wrap(EXPR_IS_INIT, init),))
-        single = mk_term(
-            IPS.kind("SingleLocalVarDecl"),
-            (),
-            (mk_term(EMPTY_DECL_ATTRS), _wrap(IDENT_IS_BINDER, ident(name)), opt),
-        )
-        decl = mk_term(
-            MULTI_DECL, (),
-            (mk_term(EMPTY_COMMON_ATTRS), build_list(SINGLE_DECL_L, [single])),
-        )
-        return _wrap(MULTI_DECL_IS_ITEM, decl)
+        if init is not None:
+            init = wrap(EXPR_IS_INIT, init)
+        single = single_decl(wrap(IDENT_IS_BINDER, ident(name)), init)
+        return wrap(MULTI_DECL_IS_ITEM, multi_decl([single]))
 
     def make_assign_item(self, target: Term, source: Term) -> Term:
-        a = assign(_wrap(EXPR_IS_LHS, target), _wrap(EXPR_IS_RHS, source))
-        return TABLE.inj(a, BLOCK_ITEM_L)
+        return _assign_item(target, source)
 
     def make_if_item(self, cond: Term, then_items: list, else_items) -> Term:
         then_b = _make_block(_empty_directives(), generic_block(then_items))
         if else_items is None:
-            els = _mk("NoElse")()
+            els = C.NoElse()
         else:
-            els = _mk("SomeElse")(
+            els = C.SomeElse(
                 _make_block(_empty_directives(), generic_block(else_items))
             )
-        return _wrap(STMT_IS_ITEM, _mk("IfStmt")(cond, then_b, els))
+        return wrap(STMT_IS_ITEM, C.IfStmt(cond, then_b, els))
 
     def init_exprs(self, init: Term) -> tuple:
-        _expect(init.kind == EXPR_IS_INIT, "not a MiniJS initializer")
+        expect(init.kind == EXPR_IS_INIT, "not a MiniJS initializer")
 
         def rebuild(exprs: list) -> Term:
-            return _wrap(EXPR_IS_INIT, exprs[0])
+            return wrap(EXPR_IS_INIT, exprs[0])
 
         return [init.children[0]], rebuild
-
-
-def _split_operands(expr: Term, expr_sort) -> tuple:
-    """Expose the direct expression operands of a compound expression."""
-    slots = []  # (child index, None) or (child index, list position)
-    parts = []
-    for i, (sort, child) in enumerate(zip(expr.kind.child_sorts, expr.children)):
-        if sort == expr_sort:
-            slots.append((i, None))
-            parts.append(child)
-        elif sort == ListOf(expr_sort):
-            for j, elem in enumerate(extract_list(child)):
-                slots.append((i, j))
-                parts.append(elem)
-
-    def rebuild(new_parts: list) -> Term:
-        children = list(expr.children)
-        lists: dict[int, list] = {}
-        for (i, j), part in zip(slots, new_parts):
-            if j is None:
-                children[i] = part
-            else:
-                lists.setdefault(i, extract_list(expr.children[i]))[j] = part
-        for i, elems in lists.items():
-            children[i] = build_list(expr_sort, elems)
-        return mk_term(expr.kind, expr.payload_values, tuple(children))
-
-    return ("operands", parts, rebuild)
 
 
 # ---------------------------------------------------------------------------
 # Evaluation
 
-_TC = object()
-_COV = object()
+def _truthy(v) -> bool:
+    if v is None:
+        return False
+    if isinstance(v, bool):
+        return v
+    if isinstance(v, int):
+        return v != 0
+    return True
 
 
-class _Interp:
-    def __init__(self, ast: GenericValue, fuel: int,
-                 on_item: Optional[Callable] = None,
-                 on_enter: Optional[Callable] = None):
-        self.funcs = {f.args[0].args[0]: f for f in ast.args[0]}
-        self.fuel = fuel
-        self.events: list[tuple] = []
-        self.cov: dict[int, bool] = {}
-        self.globals: dict[str, object] = {}
-        self.ext_calls = 0
-        self.on_item = on_item
-        self.on_enter = on_enter
+def _same_value(a, b) -> bool:
+    if a is None or b is None:
+        return a is None and b is None
+    if isinstance(a, bool) != isinstance(b, bool):
+        return False
+    if isinstance(a, list) != isinstance(b, list):
+        return False
+    if isinstance(a, list):
+        return len(a) == len(b) and all(_same_value(x, y) for x, y in zip(a, b))
+    return a == b
 
-    def tick(self) -> None:
-        self.fuel -= 1
-        if self.fuel < 0:
-            raise Trap("fuel")
 
-    def run(self) -> RunResult:
-        try:
-            main = self.funcs.get("main")
-            if main is None:
-                raise Trap("nomain")
-            value = self.call_user(main, [None] * len(main.args[1]))
-            self.events.append(("return", _render(value)))
-        except Trap as trap:
-            self.events.append(("trap", trap.kind))
-        return RunResult(tuple(self.events), dict(self.cov))
+def _render(v) -> str:
+    if v is None:
+        return "undefined"
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, list):
+        return "[" + ", ".join(_render(x) for x in v) + "]"
+    if v is TC or v is COV:
+        return "[object]"
+    return str(v)
 
-    def call_user(self, func: GenericValue, args: list):
+
+class _Interp(Interp):
+    render = staticmethod(_render)
+
+    def start(self):
+        main = self.main()
+        return self.call_user(main, [None] * len(main.args[1]))
+
+    def bind(self, func: GenericValue, args: list) -> tuple[dict, GenericValue]:
         params = func.args[1]
         if len(args) != len(params):
             raise Trap("arity")
-        if self.on_enter:
-            self.on_enter(func)
-        env = [{p.args[0]: a for p, a in zip(params, args)}]
-        try:
-            self.exec_block(func.args[2], env, new_scope=False)
-        except ReturnEx as ret:
-            return ret.value
-        return None
+        return {p.args[0]: a for p, a in zip(params, args)}, func.args[2]
 
     def exec_block(self, block: GenericValue, env: list, new_scope: bool = True):
         if new_scope:
             env = env + [{}]
         for stmt in block.args[1].args[0]:
             self.exec_item(stmt, env)
-
-    def exec_item(self, stmt: GenericValue, env: list) -> None:
-        if self.on_item:
-            self.on_item(stmt)
-        self.tick()
-        self.exec_stmt(stmt, env)
 
     def exec_stmt(self, s: GenericValue, env: list) -> None:
         c = s.ctor
@@ -963,23 +662,10 @@ class _Interp:
         else:
             raise Trap("stmt")
 
-    def lookup(self, name: str, env: list):
-        for scope in reversed(env):
-            if name in scope:
-                return scope[name]
-        if name in self.globals:
-            return self.globals[name]
+    def unbound(self, name: str):
         if name == "TC":
-            return _TC
+            return TC
         raise Trap("undef")
-
-    def store(self, name: str, value, env: list) -> None:
-        for scope in reversed(env):
-            if name in scope:
-                scope[name] = value
-                return
-        # Assignment to an undeclared name creates a global.
-        self.globals[name] = value
 
     def eval(self, e: GenericValue, env: list):
         self.tick()
@@ -996,8 +682,8 @@ class _Interp:
             return self.index_read(base, idx)
         if c == "MemberE":
             base = self.eval(e.args[0], env)
-            if base is _TC and e.args[1] == "cov":
-                return _COV
+            if base is TC and e.args[1] == "cov":
+                return COV
             raise Trap("member")
         if c == "CallE":
             name = e.args[0].args[0]
@@ -1010,9 +696,7 @@ class _Interp:
             v = self.eval(operand, env)
             if op == "!":
                 return not _truthy(v)
-            if isinstance(v, bool) or not isinstance(v, int):
-                raise Trap("type")
-            return -v
+            return -check_int(v)
         if c == "BinE":
             return self.binop(e, env)
         if c == "AssignE":
@@ -1021,9 +705,8 @@ class _Interp:
         raise Trap("expr")
 
     def index_read(self, base, idx):
-        if isinstance(idx, bool) or not isinstance(idx, int):
-            raise Trap("type")
-        if base is _COV:
+        check_int(idx)
+        if base is COV:
             return self.cov.get(idx, False)
         if not isinstance(base, list):
             raise Trap("type")
@@ -1037,13 +720,9 @@ class _Interp:
             return value
         if lhs.ctor == "IndexE":
             base = self.eval(lhs.args[0], env)
-            idx = self.eval(lhs.args[1], env)
-            if isinstance(idx, bool) or not isinstance(idx, int):
-                raise Trap("type")
-            if base is _COV:
-                self.events.append(("cov", idx))
-                self.cov[idx] = bool(value)
-                return value
+            idx = check_int(self.eval(lhs.args[1], env))
+            if base is COV:
+                return self.mark(idx, value)
             if not isinstance(base, list):
                 raise Trap("type")
             if 0 <= idx < len(base):
@@ -1068,79 +747,14 @@ class _Interp:
         if op in ("==", "!="):
             same = _same_value(a, b)
             return same if op == "==" else not same
-        for v in (a, b):
-            if isinstance(v, bool) or not isinstance(v, int):
-                raise Trap("type")
-        if op == "+":
-            return a + b
-        if op == "-":
-            return a - b
-        if op == "*":
-            return a * b
-        if op == "/":
-            return trunc_div(a, b)
-        if op == "%":
-            return trunc_mod(a, b)
-        if op == "<":
-            return a < b
-        if op == "<=":
-            return a <= b
-        if op == ">":
-            return a > b
-        if op == ">=":
-            return a >= b
-        raise Trap("op")
-
-    def call(self, name: str, args: list):
-        if name in self.funcs:
-            return self.call_user(self.funcs[name], args)
-        if name == "print":
-            self.events.append(("print", " ".join(_render(a) for a in args)))
-            return None
-        self.events.append(("call", name, tuple(_render(a) for a in args)))
-        value = external_value(self.ext_calls, args)
-        self.ext_calls += 1
-        return value
-
-
-def _truthy(v) -> bool:
-    if v is None:
-        return False
-    if isinstance(v, bool):
-        return v
-    if isinstance(v, int):
-        return v != 0
-    return True
-
-
-def _same_value(a, b) -> bool:
-    if a is None or b is None:
-        return a is None and b is None
-    if isinstance(a, bool) != isinstance(b, bool):
-        return False
-    if isinstance(a, list) != isinstance(b, list):
-        return False
-    if isinstance(a, list):
-        return len(a) == len(b) and all(_same_value(x, y) for x, y in zip(a, b))
-    return a == b
-
-
-def _render(v) -> str:
-    if v is None:
-        return "undefined"
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, list):
-        return "[" + ", ".join(_render(x) for x in v) + "]"
-    if v is _TC or v is _COV:
-        return "[object]"
-    return str(v)
+        return int_op(op, a, b)
 
 
 def run(ast: GenericValue, fuel: int = 100_000,
         on_item: Optional[Callable] = None,
         on_enter: Optional[Callable] = None) -> RunResult:
-    return _Interp(ast, fuel, on_item, on_enter).run()
+    funcs = {f.args[0].args[0]: f for f in ast.args[0]}
+    return _Interp(funcs, fuel, on_item, on_enter).run()
 
 
 def item_walk(ast: GenericValue) -> list[GenericValue]:
@@ -1170,10 +784,6 @@ def item_walk(ast: GenericValue) -> list[GenericValue]:
     return out
 
 
-def functions_of(ast: GenericValue) -> list[GenericValue]:
-    return list(ast.args[0])
-
-
 LANGUAGE = register(
     LanguageDef(
         name="minijs",
@@ -1188,7 +798,8 @@ LANGUAGE = register(
         pretty=pretty,
         trans_ips=trans_ips,
         untrans_ips=untrans_ips,
-        tac=_Tac(),
+        tac=_Tac(C, _ident_term, ("NumLit", "BoolLit", "UndefLit"), "!",
+                 ("&&", "||"), ASSIGN_IS_EXPR),
         run=run,
         item_walk=item_walk,
     )

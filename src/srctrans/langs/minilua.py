@@ -9,6 +9,7 @@ globals yield nil; assignment to one creates it.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Optional
 
 from ..fragments import (
@@ -16,40 +17,28 @@ from ..fragments import (
     BINDER_L,
     BLOCK_ITEM_L,
     BLOCK_L,
-    EMPTY_COMMON_ATTRS,
-    EMPTY_DECL_ATTRS,
-    JUST_INIT,
+    IDENT_L,
     LHS_L,
     LOCAL_VAR_INIT_L,
-    MULTI_DECL,
     MULTI_DECL_IS_ITEM,
-    MULTI_DECL_L,
-    NO_INIT,
     RHS_L,
-    IDENT_L,
-    SINGLE_DECL_L,
     assign,
-    generic_signature,
-    ident,
+    multi_decl,
+    single_decl,
 )
-from ..injections import InjectionDecl, InjectionTable, Step
 from ..runtime import (
+    COV,
+    TC,
     BreakEx,
+    Interp,
     ReturnEx,
     RunResult,
     Trap,
-    external_value,
-    trunc_div,
-    trunc_mod,
+    check_int,
+    int_op,
 )
-from ..schema import (
-    GV,
-    GenericValue,
-    modularize_schema,
-    parse_schema_text,
-    sum_signatures,
-)
-from ..terms import NodeKind, Term, build_list, extract_list, mk_term
+from ..schema import GV, GenericValue, modularize_schema, parse_schema_text
+from ..terms import NodeKind, Term, build_list, extract_list
 from ..traversal import Path
 from .base import (
     AssignView,
@@ -62,15 +51,31 @@ from .base import (
     NestedBlockView,
     PlainView,
     ReturnView,
+    TacOps,
     UnrepresentableTerm,
     WhileView,
     block_items,
+    constructors,
+    expect,
     generic_block,
+    genericize,
+    ident_assign_cases,
     make_translator,
     register,
+    some,
+    wrap,
 )
-from .common import PrettyPrinter, TokenStream, tokenize
-from .minijs import _split_operands
+from .common import (
+    PrettyPrinter,
+    TokenStream,
+    expr_printer,
+    parse_binary,
+    parse_ident,
+    parse_postfix,
+    parse_primary,
+    parse_unary,
+    tokenize,
+)
 
 SCHEMA_TEXT = """
 type Chunk = Chunk Block
@@ -90,17 +95,7 @@ type Expr = NumLit Int | BoolLit Bool | NilLit | VarE Ident | IndexE Expr Expr |
 SCHEMA = parse_schema_text(SCHEMA_TEXT, name="MiniLua")
 MOD = modularize_schema(SCHEMA)
 S = MOD.sort_for
-
-
-def _mk(ctor: str):
-    kind = MOD.signature.kind(f"MiniLua.{ctor}")
-
-    def build(*args):
-        payloads = args[: len(kind.payloads)]
-        children = args[len(kind.payloads):]
-        return mk_term(kind, payloads, children)
-
-    return build
+C = constructors(MOD)
 
 
 # ---------------------------------------------------------------------------
@@ -116,8 +111,9 @@ _KEYWORDS = frozenset(
      "do", "for", "return", "break", "true", "false", "nil", "and", "or",
      "not"}
 )
-_BIN_TIERS = [["or"], ["and"], ["<", ">", "<=", ">=", "~=", "=="],
-              ["+", "-"], ["*", "/", "%"]]
+# binding power of each binary operator, for the parser and the printer
+_PREC = {"or": 2, "and": 3, "<": 4, ">": 4, "<=": 4, ">=": 4, "~=": 4,
+         "==": 4, "+": 6, "-": 6, "*": 7, "/": 7, "%": 7}
 _BLOCK_ENDERS = ("end", "else", "elseif")
 
 
@@ -144,17 +140,11 @@ def _parse_block(ts: TokenStream, top: bool = False) -> GenericValue:
 
 
 def _parse_name_list(ts: TokenStream) -> GenericValue:
-    names = [GV("Ident", (ts.expect_name(),))]
-    while ts.accept_op(","):
-        names.append(GV("Ident", (ts.expect_name(),)))
-    return GV("NameList", (tuple(names),))
+    return GV("NameList", (tuple(ts.comma_list(parse_ident)),))
 
 
 def _parse_expr_list(ts: TokenStream) -> GenericValue:
-    exprs = [_parse_expr(ts)]
-    while ts.accept_op(","):
-        exprs.append(_parse_expr(ts))
-    return GV("ExprList", (tuple(exprs),))
+    return GV("ExprList", (tuple(ts.comma_list(_parse_expr)),))
 
 
 def _parse_stmt(ts: TokenStream) -> GenericValue:
@@ -166,14 +156,10 @@ def _parse_stmt(ts: TokenStream) -> GenericValue:
             opt = GV("NoExprs")
         return GV("LocalStmt", (names, opt))
     if ts.accept_kw("function"):
-        name = GV("Ident", (ts.expect_name(),))
+        name = parse_ident(ts)
         ts.expect_op("(")
-        if ts.at_op(")"):
-            params = GV("NameList", ((),))
-        else:
-            params = _parse_name_list(ts)
-        ts.expect_op(")")
-        body = _parse_block(ts)
+        params = GV("NameList", (tuple(ts.comma_list(parse_ident, ")")),))
+        body = ts.loop_body(_parse_block, in_loop=False)
         ts.expect_kw("end")
         return GV("FuncStmt", (name, params, body))
     if ts.accept_kw("if"):
@@ -184,25 +170,25 @@ def _parse_stmt(ts: TokenStream) -> GenericValue:
     if ts.accept_kw("while"):
         cond = _parse_expr(ts)
         ts.expect_kw("do")
-        body = _parse_block(ts)
+        body = ts.loop_body(_parse_block)
         ts.expect_kw("end")
         return GV("WhileStmt", (cond, body))
     if ts.accept_kw("for"):
-        var = GV("Ident", (ts.expect_name(),))
+        var = parse_ident(ts)
         ts.expect_op("=")
         low = _parse_expr(ts)
         ts.expect_op(",")
         high = _parse_expr(ts)
         step = GV("SomeStep", (_parse_expr(ts),)) if ts.accept_op(",") else GV("NoStep")
         ts.expect_kw("do")
-        body = _parse_block(ts)
+        body = ts.loop_body(_parse_block)
         ts.expect_kw("end")
         return GV("ForStmt", (var, low, high, step, body))
     if ts.accept_kw("return"):
         if _at_block_end(ts, top=False) or ts.peek().kind == "eof" or ts.at_op(";"):
             return GV("ReturnStmt", (GV("NoRet"),))
         return GV("ReturnStmt", (GV("SomeRet", (_parse_expr(ts),)),))
-    if ts.accept_kw("break"):
+    if ts.accept_jump("break"):
         return GV("BreakStmt")
     if ts.accept_kw("do"):
         body = _parse_block(ts)
@@ -238,104 +224,24 @@ def _parse_else_tail(ts: TokenStream) -> GenericValue:
     return GV("NoElse")
 
 
-def _at_tier_op(ts: TokenStream, tier: list[str]) -> Optional[str]:
-    tok = ts.peek()
-    if tok.kind == "op" and tok.value in tier:
-        return tok.value
-    if tok.kind == "name" and tok.value in tier:
-        return tok.value
-    return None
+def _parse_expr(ts: TokenStream) -> GenericValue:
+    return parse_binary(ts, _PREC, _parse_unary)
 
 
-def _parse_expr(ts: TokenStream, tier: int = 0) -> GenericValue:
-    if tier >= len(_BIN_TIERS):
-        return _parse_unary(ts)
-    lhs = _parse_expr(ts, tier + 1)
-    while (op := _at_tier_op(ts, _BIN_TIERS[tier])) is not None:
-        ts.next()
-        lhs = GV("BinE", (op, lhs, _parse_expr(ts, tier + 1)))
-    return lhs
-
-
-def _parse_unary(ts: TokenStream) -> GenericValue:
-    if ts.at_kw("not"):
-        ts.next()
-        return GV("UnaryE", ("not", _parse_unary(ts)))
-    if ts.at_op("-"):
-        ts.next()
-        return GV("UnaryE", ("-", _parse_unary(ts)))
-    return _parse_postfix(ts)
-
-
-def _parse_postfix(ts: TokenStream) -> GenericValue:
-    expr = _parse_primary(ts)
-    while True:
-        if ts.at_op("["):
-            ts.next()
-            idx = _parse_expr(ts)
-            ts.expect_op("]")
-            expr = GV("IndexE", (expr, idx))
-        elif ts.at_op("."):
-            ts.next()
-            expr = GV("MemberE", (expr, ts.expect_name()))
-        else:
-            return expr
-
-
-def _parse_primary(ts: TokenStream) -> GenericValue:
-    tok = ts.peek()
-    if tok.kind == "num":
-        ts.next()
-        return GV("NumLit", (int(tok.value),))
-    if ts.accept_kw("true"):
-        return GV("BoolLit", (True,))
-    if ts.accept_kw("false"):
-        return GV("BoolLit", (False,))
-    if ts.accept_kw("nil"):
-        return GV("NilLit")
-    if tok.kind == "name":
-        name = ts.expect_name()
-        if ts.accept_op("("):
-            args = []
-            if not ts.at_op(")"):
-                while True:
-                    args.append(_parse_expr(ts))
-                    if not ts.accept_op(","):
-                        break
-            ts.expect_op(")")
-            return GV("CallE", (GV("Ident", (name,)), tuple(args)))
-        return GV("VarE", (GV("Ident", (name,)),))
-    if ts.accept_op("("):
-        expr = _parse_expr(ts)
-        ts.expect_op(")")
-        return expr
-    raise ts.error(f"expected an expression, got {tok.value!r}")
+_parse_primary = partial(
+    parse_primary, expr=_parse_expr, num="NumLit", nil=("nil", "NilLit")
+)
+_parse_postfix = partial(parse_postfix, primary=_parse_primary, expr=_parse_expr)
+_parse_unary = partial(parse_unary, not_op="not", operand=_parse_postfix)
 
 
 # ---------------------------------------------------------------------------
 # Pretty-printing
 
-_PREC = {"or": 2, "and": 3, "<": 4, ">": 4, "<=": 4, ">=": 4, "~=": 4,
-         "==": 4, "+": 6, "-": 6, "*": 7, "/": 7, "%": 7}
-
-
-def _expr_str(e: GenericValue, ctx: int = 0) -> str:
+def _own_expr_str(e: GenericValue, ctx: int) -> str:
     c = e.ctor
-    if c == "NumLit":
-        return str(e.args[0])
-    if c == "BoolLit":
-        return "true" if e.args[0] else "false"
     if c == "NilLit":
         return "nil"
-    if c == "VarE":
-        return e.args[0].args[0]
-    if c == "IndexE":
-        return f"{_expr_str(e.args[0], 9)}[{_expr_str(e.args[1])}]"
-    if c == "MemberE":
-        return f"{_expr_str(e.args[0], 9)}.{e.args[1]}"
-    if c == "CallE":
-        args = ", ".join(_expr_str(a) for a in e.args[1])
-        return f"{e.args[0].args[0]}({args})"
     if c == "UnaryE":
         op = e.args[0]
         inner = _expr_str(e.args[1], 8)
@@ -345,12 +251,10 @@ def _expr_str(e: GenericValue, ctx: int = 0) -> str:
             # avoid "--", which would start a comment
             out = f"-({inner})" if inner.startswith("-") else f"-{inner}"
         return f"({out})" if ctx > 8 else out
-    if c == "BinE":
-        op = e.args[0]
-        prec = _PREC[op]
-        out = f"{_expr_str(e.args[1], prec)} {op} {_expr_str(e.args[2], prec + 1)}"
-        return f"({out})" if ctx > prec else out
     raise ValueError(f"not a MiniLua expression: {c}")
+
+
+_expr_str = expr_printer(_PREC, _own_expr_str)
 
 
 def _name_list_str(nl: GenericValue) -> str:
@@ -447,136 +351,63 @@ EXPRLIST_IS_INIT = NodeKind(
 STMT_IS_ITEM = NodeKind("MiniLuaStmtIsBlockItem", (), (S("Stmt"),), BLOCK_ITEM_L)
 BLOCK_IS_MINILUA = NodeKind("GenericBlockIsMiniLuaBlock", (), (BLOCK_L,), S("Block"))
 
-_REMOVED = [
-    "MiniLua.Ident", "MiniLua.Block", "MiniLua.AssignStmt",
-    "MiniLua.LocalStmt", "MiniLua.SomeExprs", "MiniLua.NoExprs",
-]
-_INJECTION_KINDS = [
-    IDENT_IS_MINILUA, ASSIGN_IS_STMT, LHSLIST_IS_LHS, EXPRLIST_IS_RHS,
-    NAMELIST_IS_BINDER, EXPRLIST_IS_INIT, STMT_IS_ITEM, BLOCK_IS_MINILUA,
-    MULTI_DECL_IS_ITEM,
-]
-
-IPS = sum_signatures(
-    "MiniLua+Generic",
-    [MOD.signature, generic_signature()],
-    minus=_REMOVED,
-    plus=_INJECTION_KINDS,
+IPS, TABLE = genericize(
+    MOD,
+    ["Ident", "Block", "AssignStmt", "LocalStmt", "SomeExprs", "NoExprs"],
+    [
+        IDENT_IS_MINILUA, ASSIGN_IS_STMT, LHSLIST_IS_LHS, EXPRLIST_IS_RHS,
+        NAMELIST_IS_BINDER, EXPRLIST_IS_INIT, STMT_IS_ITEM, BLOCK_IS_MINILUA,
+        MULTI_DECL_IS_ITEM,
+    ],
 )
-
-TABLE = InjectionTable(IPS)
-for _frm, _to, _kind in [
-    (IDENT_L, S("Ident"), IDENT_IS_MINILUA),
-    (ASSIGN_L, S("Stmt"), ASSIGN_IS_STMT),
-    (S("LhsList"), LHS_L, LHSLIST_IS_LHS),
-    (S("ExprList"), RHS_L, EXPRLIST_IS_RHS),
-    (S("NameList"), BINDER_L, NAMELIST_IS_BINDER),
-    (S("ExprList"), LOCAL_VAR_INIT_L, EXPRLIST_IS_INIT),
-    (S("Stmt"), BLOCK_ITEM_L, STMT_IS_ITEM),
-    (BLOCK_L, S("Block"), BLOCK_IS_MINILUA),
-    (MULTI_DECL_L, BLOCK_ITEM_L, MULTI_DECL_IS_ITEM),
-]:
-    TABLE.declare(InjectionDecl(_frm, _to, (Step(_kind, 0),)))
 TABLE.compose(ASSIGN_L, S("Stmt"), BLOCK_ITEM_L)
 
-
-def _wrap(kind: NodeKind, inner: Term) -> Term:
-    return mk_term(kind, (), (inner,))
-
-
-def _ident_term(name: str) -> Term:
-    return _wrap(IDENT_IS_MINILUA, ident(name))
-
-
-def _tr_ident(t: Term, tr) -> Term:
-    return _ident_term(t.payload_values[0])
+_ident_term, _TRANS, _UNTRANS = ident_assign_cases(
+    IDENT_IS_MINILUA, C.Ident, ASSIGN_IS_STMT, LHSLIST_IS_LHS, EXPRLIST_IS_RHS,
+    C.AssignStmt,
+    target="a MiniLua target list", source="a MiniLua expression list",
+)
 
 
 def _tr_local(t: Term, tr) -> Term:
     names, opt = t.children
     if opt.kind.name == "MiniLua.SomeExprs":
-        opt_g = mk_term(
-            JUST_INIT, (), (_wrap(EXPRLIST_IS_INIT, tr(opt.children[0])),)
-        )
+        init = wrap(EXPRLIST_IS_INIT, tr(opt.children[0]))
     else:
-        opt_g = mk_term(NO_INIT)
-    single = mk_term(
-        IPS.kind("SingleLocalVarDecl"),
-        (),
-        (mk_term(EMPTY_DECL_ATTRS), _wrap(NAMELIST_IS_BINDER, tr(names)), opt_g),
-    )
-    return mk_term(
-        MULTI_DECL, (),
-        (mk_term(EMPTY_COMMON_ATTRS), build_list(SINGLE_DECL_L, [single])),
-    )
-
-
-def _tr_assign(t: Term, tr) -> Term:
-    lhs, rhs = t.children
-    return _wrap(
-        ASSIGN_IS_STMT,
-        assign(_wrap(LHSLIST_IS_LHS, tr(lhs)), _wrap(EXPRLIST_IS_RHS, tr(rhs))),
-    )
+        init = None
+    return multi_decl([single_decl(wrap(NAMELIST_IS_BINDER, tr(names)), init)])
 
 
 def _tr_block(t: Term, tr) -> Term:
     items = []
     for stmt in extract_list(t.children[0]):
         if stmt.kind.name == "MiniLua.LocalStmt":
-            items.append(_wrap(MULTI_DECL_IS_ITEM, _tr_local(stmt, tr)))
-        elif stmt.kind.name == "MiniLua.AssignStmt":
-            items.append(_wrap(STMT_IS_ITEM, _tr_assign(stmt, tr)))
+            items.append(wrap(MULTI_DECL_IS_ITEM, _tr_local(stmt, tr)))
         else:
-            items.append(_wrap(STMT_IS_ITEM, tr(stmt)))
-    return _wrap(BLOCK_IS_MINILUA, generic_block(items))
+            items.append(wrap(STMT_IS_ITEM, tr(stmt)))
+    return wrap(BLOCK_IS_MINILUA, generic_block(items))
 
 
-trans_ips = make_translator(
-    {
-        "MiniLua.Ident": _tr_ident,
-        "MiniLua.Block": _tr_block,
-    }
-)
-
-
-def _expect(cond: bool, what: str) -> None:
-    if not cond:
-        raise UnrepresentableTerm(what)
-
-
-def _un_ident(t: Term, tr) -> Term:
-    inner = t.children[0]
-    _expect(inner.kind.name == "Ident", "expected a generic identifier")
-    return _mk("Ident")(inner.payload_values[0])
-
-
-def _un_assign(t: Term, tr) -> Term:
-    inner = t.children[0]
-    _expect(inner.kind.name == "Assign", "expected a generic assignment")
-    lhs_w, op, rhs_w = inner.children
-    _expect(op.kind.name == "AssignOpEquals", "unsupported assignment operator")
-    _expect(lhs_w.kind == LHSLIST_IS_LHS, "assignment target is not a MiniLua target list")
-    _expect(rhs_w.kind == EXPRLIST_IS_RHS, "assignment source is not a MiniLua expression list")
-    return _mk("AssignStmt")(tr(lhs_w.children[0]), tr(rhs_w.children[0]))
+trans_ips = make_translator({**_TRANS, "MiniLua.Block": _tr_block})
 
 
 def _un_decl(t: Term, tr) -> Term:
-    _expect(t.kind.name == "MultiLocalVarDecl", "expected a generic declaration")
+    expect(t.kind.name == "MultiLocalVarDecl", "expected a generic declaration")
     attrs, singles_t = t.children
-    _expect(attrs.kind.name == "EmptyCommonAttrs", "MiniLua declarations carry no attributes")
+    expect(attrs.kind.name == "EmptyCommonAttrs", "MiniLua declarations carry no attributes")
     singles = extract_list(singles_t)
     # One parallel binder group per local statement.
-    _expect(len(singles) == 1, "MiniLua declarations hold a single binder group")
+    expect(len(singles) == 1, "MiniLua declarations hold a single binder group")
     _, binder, opt = singles[0].children
-    _expect(binder.kind == NAMELIST_IS_BINDER, "MiniLua binders are name lists")
+    expect(binder.kind == NAMELIST_IS_BINDER, "MiniLua binders are name lists")
     names = tr(binder.children[0])
     if opt.kind.name == "JustLocalVarInit":
         init_w = opt.children[0]
-        _expect(init_w.kind == EXPRLIST_IS_INIT, "initializer is not a MiniLua expression list")
-        opt_s = _mk("SomeExprs")(tr(init_w.children[0]))
+        expect(init_w.kind == EXPRLIST_IS_INIT, "initializer is not a MiniLua expression list")
+        opt_s = C.SomeExprs(tr(init_w.children[0]))
     else:
-        opt_s = _mk("NoExprs")()
-    return _mk("LocalStmt")(names, opt_s)
+        opt_s = C.NoExprs()
+    return C.LocalStmt(names, opt_s)
 
 
 def _un_block(t: Term, tr) -> Term:
@@ -588,16 +419,10 @@ def _un_block(t: Term, tr) -> Term:
             stmts.append(_un_decl(item.children[0], tr))
         else:
             raise UnrepresentableTerm(f"unexpected block item {item.kind.name}")
-    return _mk("Block")(build_list(S("Stmt"), stmts))
+    return C.Block(build_list(S("Stmt"), stmts))
 
 
-untrans_ips = make_translator(
-    {
-        "IdentIsMiniLuaIdent": _un_ident,
-        "AssignIsMiniLuaStmt": _un_assign,
-        "GenericBlockIsMiniLuaBlock": _un_block,
-    }
-)
+untrans_ips = make_translator({**_UNTRANS, "GenericBlockIsMiniLuaBlock": _un_block})
 
 
 # ---------------------------------------------------------------------------
@@ -609,28 +434,28 @@ class _Ops:
     binder_in_scope_in_init = False
 
     def var_init_to_rhs(self, common_attrs: Term, decl_attrs: Term, init: Term) -> Term:
-        _expect(init.kind == EXPRLIST_IS_INIT, "not a MiniLua initializer")
-        return _wrap(EXPRLIST_IS_RHS, init.children[0])
+        expect(init.kind == EXPRLIST_IS_INIT, "not a MiniLua initializer")
+        return wrap(EXPRLIST_IS_RHS, init.children[0])
 
     def var_decl_binder_to_lhs(self, binder: Term) -> Term:
-        _expect(binder.kind == NAMELIST_IS_BINDER, "not a MiniLua binder")
+        expect(binder.kind == NAMELIST_IS_BINDER, "not a MiniLua binder")
         targets = [
-            _mk("VarE")(name_t)
+            C.VarE(name_t)
             for name_t in extract_list(binder.children[0].children[0])
         ]
-        return _wrap(LHSLIST_IS_LHS, _mk("LhsList")(build_list(S("Expr"), targets)))
+        return wrap(LHSLIST_IS_LHS, C.LhsList(build_list(S("Expr"), targets)))
 
 
 # ---------------------------------------------------------------------------
 # Structural adapter
 
 def _unwrap_block(block: Term) -> Term:
-    _expect(block.kind == BLOCK_IS_MINILUA, "block body is foreign")
+    expect(block.kind == BLOCK_IS_MINILUA, "block body is foreign")
     return block.children[0]
 
 
 def _wrap_block(generic: Term) -> Term:
-    return _wrap(BLOCK_IS_MINILUA, generic)
+    return wrap(BLOCK_IS_MINILUA, generic)
 
 
 def _tail_to_block(tail: Term) -> tuple[Optional[Term], str]:
@@ -641,20 +466,28 @@ def _tail_to_block(tail: Term) -> tuple[Optional[Term], str]:
         return _unwrap_block(tail.children[0]), "else"
     # elseif: view the rest of the chain as a one-statement else block
     cond, block, rest = tail.children
-    synthetic = _mk("IfStmt")(cond, block, rest)
-    return generic_block([_wrap(STMT_IS_ITEM, synthetic)]), "elseif"
+    synthetic = C.IfStmt(cond, block, rest)
+    return generic_block([wrap(STMT_IS_ITEM, synthetic)]), "elseif"
 
 
 def _block_to_tail(block: Optional[Term], how: str) -> Term:
     if block is None:
-        return _mk("NoElse")()
+        return C.NoElse()
     if how == "elseif":
         items = block_items(block)
         if len(items) == 1 and items[0].kind == STMT_IS_ITEM:
             stmt = items[0].children[0]
             if stmt.kind.name == "MiniLua.IfStmt":
-                return _mk("ElseIf")(*stmt.children)
-    return _mk("Else")(_wrap_block(block))
+                return C.ElseIf(*stmt.children)
+    return C.Else(_wrap_block(block))
+
+
+def _assign_item(targets, sources) -> Term:
+    a = assign(
+        wrap(LHSLIST_IS_LHS, C.LhsList(build_list(S("Expr"), targets))),
+        wrap(EXPRLIST_IS_RHS, C.ExprList(build_list(S("Expr"), sources))),
+    )
+    return TABLE.inj(a, BLOCK_ITEM_L)
 
 
 class _Adapter:
@@ -665,22 +498,14 @@ class _Adapter:
         name = stmt.kind.name
 
         def as_item(s: Term) -> Term:
-            return _wrap(STMT_IS_ITEM, s)
+            return wrap(STMT_IS_ITEM, s)
 
         if name == "AssignIsMiniLuaStmt":
             inner = stmt.children[0]
             lhs_w, _, rhs_w = inner.children
             targets = tuple(extract_list(lhs_w.children[0].children[0]))
             sources = tuple(extract_list(rhs_w.children[0].children[0]))
-
-            def rebuild_assign(ts: tuple, ss: tuple) -> Term:
-                a = assign(
-                    _wrap(LHSLIST_IS_LHS, _mk("LhsList")(build_list(S("Expr"), list(ts)))),
-                    _wrap(EXPRLIST_IS_RHS, _mk("ExprList")(build_list(S("Expr"), list(ss)))),
-                )
-                return TABLE.inj(a, BLOCK_ITEM_L)
-
-            return AssignView(targets, sources, rebuild_assign)
+            return AssignView(targets, sources, _assign_item)
         if name == "MiniLua.IfStmt":
             cond, then, tail = stmt.children
             then_g = _unwrap_block(then)
@@ -688,7 +513,7 @@ class _Adapter:
 
             def rebuild_if(c: Term, tb: Term, eb: Optional[Term]) -> Term:
                 return as_item(
-                    _mk("IfStmt")(c, _wrap_block(tb), _block_to_tail(eb, how))
+                    C.IfStmt(c, _wrap_block(tb), _block_to_tail(eb, how))
                 )
 
             return IfView(cond, then_g, else_g, rebuild_if)
@@ -697,29 +522,29 @@ class _Adapter:
             body_g = _unwrap_block(body)
 
             def rebuild_while(c: Term, b: Term) -> Term:
-                return as_item(_mk("WhileStmt")(c, _wrap_block(b)))
+                return as_item(C.WhileStmt(c, _wrap_block(b)))
 
             return WhileView(cond, body_g, rebuild_while)
         if name == "MiniLua.ForStmt":
             var, low, high, step_t, body = stmt.children
-            step = step_t.children[0] if step_t.kind.name == "MiniLua.SomeStep" else None
+            step = some(step_t)
             body_g = _unwrap_block(body)
 
             def rebuild_for(lo, hi, st, b):
-                new_step = _mk("SomeStep")(st) if st is not None else _mk("NoStep")()
+                new_step = C.SomeStep(st) if st is not None else C.NoStep()
                 return as_item(
-                    _mk("ForStmt")(var, lo, hi, new_step, _wrap_block(b))
+                    C.ForStmt(var, lo, hi, new_step, _wrap_block(b))
                 )
 
             var_name = var.children[0].payload_values[0]
             return ForNumView(var_name, low, high, step, body_g, rebuild_for)
         if name == "MiniLua.ReturnStmt":
             opt = stmt.children[0]
-            value = opt.children[0] if opt.kind.name == "MiniLua.SomeRet" else None
+            value = some(opt)
 
             def rebuild_ret(v: Optional[Term]) -> Term:
-                new_opt = _mk("SomeRet")(v) if v is not None else _mk("NoRet")()
-                return as_item(_mk("ReturnStmt")(new_opt))
+                new_opt = C.SomeRet(v) if v is not None else C.NoRet()
+                return as_item(C.ReturnStmt(new_opt))
 
             return ReturnView(value, rebuild_ret)
         if name == "MiniLua.BreakStmt":
@@ -728,14 +553,14 @@ class _Adapter:
             inner_g = _unwrap_block(stmt.children[0])
 
             def rebuild_do(b: Term) -> Term:
-                return as_item(_mk("DoStmt")(_wrap_block(b)))
+                return as_item(C.DoStmt(_wrap_block(b)))
 
             return NestedBlockView(inner_g, rebuild_do)
         if name == "MiniLua.CallStmt":
             expr = stmt.children[0]
 
             def rebuild_call(e: Term) -> Term:
-                return as_item(_mk("CallStmt")(e))
+                return as_item(C.CallStmt(e))
 
             return ExprStmtView(expr, rebuild_call)
         return PlainView()
@@ -755,99 +580,43 @@ class _Adapter:
         return paths
 
     def make_cov_marker(self, index: int) -> Term:
-        cell = _mk("IndexE")(
-            _mk("MemberE")("cov", _mk("VarE")(_ident_term("TC"))),
-            _mk("NumLit")(index),
+        cell = C.IndexE(
+            C.MemberE("cov", C.VarE(_ident_term("TC"))),
+            C.NumLit(index),
         )
-        a = assign(
-            _wrap(LHSLIST_IS_LHS, _mk("LhsList")(build_list(S("Expr"), [cell]))),
-            _wrap(EXPRLIST_IS_RHS, _mk("ExprList")(build_list(S("Expr"), [_mk("BoolLit")(True)]))),
-        )
-        return TABLE.inj(a, BLOCK_ITEM_L)
+        return _assign_item([cell], [C.BoolLit(True)])
 
 
 # ---------------------------------------------------------------------------
 # Three-address hooks
 
-_EXPR_SORT = S("Expr")
-
-
-class _Tac:
-    temp_prefix = "__t"
-
-    def classify(self, expr: Term) -> tuple:
-        name = expr.kind.name
-        if self.is_atomic(expr):
-            return ("atomic",)
-        if name == "MiniLua.BinE" and expr.payload_values[0] in ("and", "or"):
-            return (
-                "shortcircuit",
-                expr.payload_values[0] == "and",
-                expr.children[0],
-                expr.children[1],
-            )
-        return _split_operands(expr, _EXPR_SORT)
-
-    def is_atomic(self, expr: Term) -> bool:
-        name = expr.kind.name
-        if name in ("MiniLua.NumLit", "MiniLua.BoolLit", "MiniLua.NilLit",
-                    "MiniLua.VarE"):
-            return True
-        if name == "MiniLua.MemberE":
-            return self.is_atomic(expr.children[0])
-        return False
-
-    def is_effect_free(self, expr: Term) -> bool:
-        return expr.kind.name in ("MiniLua.NumLit", "MiniLua.BoolLit",
-                                  "MiniLua.NilLit")
-
-    def make_var(self, name: str) -> Term:
-        return _mk("VarE")(_ident_term(name))
-
-    def make_not(self, expr: Term) -> Term:
-        return _mk("UnaryE")("not", expr)
-
+class _Tac(TacOps):
     def make_decl_item(self, name: str, init: Optional[Term]) -> Term:
-        names = _mk("NameList")(build_list(S("Ident"), [_ident_term(name)]))
-        if init is None:
-            opt = mk_term(NO_INIT)
-        else:
-            exprs = _mk("ExprList")(build_list(S("Expr"), [init]))
-            opt = mk_term(JUST_INIT, (), (_wrap(EXPRLIST_IS_INIT, exprs),))
-        single = mk_term(
-            IPS.kind("SingleLocalVarDecl"),
-            (),
-            (mk_term(EMPTY_DECL_ATTRS), _wrap(NAMELIST_IS_BINDER, names), opt),
-        )
-        decl = mk_term(
-            MULTI_DECL, (),
-            (mk_term(EMPTY_COMMON_ATTRS), build_list(SINGLE_DECL_L, [single])),
-        )
-        return _wrap(MULTI_DECL_IS_ITEM, decl)
+        names = C.NameList(build_list(S("Ident"), [_ident_term(name)]))
+        if init is not None:
+            init = wrap(EXPRLIST_IS_INIT, C.ExprList(build_list(S("Expr"), [init])))
+        single = single_decl(wrap(NAMELIST_IS_BINDER, names), init)
+        return wrap(MULTI_DECL_IS_ITEM, multi_decl([single]))
 
     def make_assign_item(self, target: Term, source: Term) -> Term:
-        a = assign(
-            _wrap(LHSLIST_IS_LHS, _mk("LhsList")(build_list(S("Expr"), [target]))),
-            _wrap(EXPRLIST_IS_RHS, _mk("ExprList")(build_list(S("Expr"), [source]))),
-        )
-        return TABLE.inj(a, BLOCK_ITEM_L)
+        return _assign_item([target], [source])
 
     def make_if_item(self, cond: Term, then_items: list, else_items) -> Term:
         then_b = _wrap_block(generic_block(then_items))
         if else_items is None:
-            tail = _mk("NoElse")()
+            tail = C.NoElse()
         else:
-            tail = _mk("Else")(_wrap_block(generic_block(else_items)))
-        return _wrap(STMT_IS_ITEM, _mk("IfStmt")(cond, then_b, tail))
+            tail = C.Else(_wrap_block(generic_block(else_items)))
+        return wrap(STMT_IS_ITEM, C.IfStmt(cond, then_b, tail))
 
     def init_exprs(self, init: Term) -> tuple:
-        _expect(init.kind == EXPRLIST_IS_INIT, "not a MiniLua initializer")
+        expect(init.kind == EXPRLIST_IS_INIT, "not a MiniLua initializer")
         exprs = extract_list(init.children[0].children[0])
 
         def rebuild(new_exprs: list) -> Term:
-            return _wrap(
+            return wrap(
                 EXPRLIST_IS_INIT,
-                _mk("ExprList")(build_list(S("Expr"), new_exprs)),
+                C.ExprList(build_list(S("Expr"), new_exprs)),
             )
 
         return exprs, rebuild
@@ -856,67 +625,53 @@ class _Tac:
 # ---------------------------------------------------------------------------
 # Evaluation
 
-_TC = object()
-_COV = object()
+def _truthy(v) -> bool:
+    return v is not None and v is not False
 
 
-class _Interp:
-    def __init__(self, ast: GenericValue, fuel: int,
-                 on_item: Optional[Callable] = None,
-                 on_enter: Optional[Callable] = None):
-        self.chunk = ast
-        self.funcs: dict[str, GenericValue] = {}
-        _collect_funcs(ast.args[0], self.funcs)
-        self.fuel = fuel
-        self.events: list[tuple] = []
-        self.cov: dict[int, bool] = {}
-        self.globals: dict[str, object] = {}
-        self.ext_calls = 0
-        self.on_item = on_item
-        self.on_enter = on_enter
+def _same_value(a, b) -> bool:
+    if a is None or b is None:
+        return a is None and b is None
+    if isinstance(a, bool) != isinstance(b, bool):
+        return False
+    if a is TC or b is TC or a is COV or b is COV:
+        return a is b
+    return a == b
 
-    def tick(self) -> None:
-        self.fuel -= 1
-        if self.fuel < 0:
-            raise Trap("fuel")
 
-    def run(self) -> RunResult:
-        try:
-            if self.on_enter:
-                self.on_enter(self.chunk)
-            try:
-                self.exec_block(self.chunk.args[0], [{}], new_scope=False)
-                value = None
-            except ReturnEx as ret:
-                value = ret.value
-            self.events.append(("return", _render(value)))
-        except Trap as trap:
-            self.events.append(("trap", trap.kind))
-        return RunResult(tuple(self.events), dict(self.cov))
+def _render(v) -> str:
+    if v is None:
+        return "nil"
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if v is TC or v is COV:
+        return "table"
+    return str(v)
 
-    def call_user(self, func: GenericValue, args: list):
+
+class _Interp(Interp):
+    render = staticmethod(_render)
+
+    def __init__(self, chunk: GenericValue, *args):
+        funcs: dict[str, GenericValue] = {}
+        _collect_funcs(chunk.args[0], funcs)
+        super().__init__(funcs, *args)
+        self.chunk = chunk
+
+    def start(self):
         if self.on_enter:
-            self.on_enter(func)
-        params = [n.args[0] for n in func.args[1].args[0]]
-        # extra arguments are dropped, missing ones become nil
-        frame = {p: (args[i] if i < len(args) else None) for i, p in enumerate(params)}
+            self.on_enter(self.chunk)
         try:
-            self.exec_block(func.args[2], [frame], new_scope=False)
+            self.exec_block(self.chunk.args[0], [{}], new_scope=False)
         except ReturnEx as ret:
             return ret.value
         return None
 
-    def exec_block(self, block: GenericValue, env: list, new_scope: bool = True):
-        if new_scope:
-            env = env + [{}]
-        for stmt in block.args[0]:
-            self.exec_item(stmt, env)
-
-    def exec_item(self, stmt: GenericValue, env: list) -> None:
-        if self.on_item:
-            self.on_item(stmt)
-        self.tick()
-        self.exec_stmt(stmt, env)
+    def bind(self, func: GenericValue, args: list) -> tuple[dict, GenericValue]:
+        params = [n.args[0] for n in func.args[1].args[0]]
+        # extra arguments are dropped, missing ones become nil
+        frame = {p: (args[i] if i < len(args) else None) for i, p in enumerate(params)}
+        return frame, func.args[2]
 
     def exec_stmt(self, s: GenericValue, env: list) -> None:
         c = s.ctor
@@ -958,8 +713,7 @@ class _Interp:
             hi = self.eval(high, env)
             st = self.eval(step_o.args[0], env) if step_o.ctor == "SomeStep" else 1
             for v in (lo, hi, st):
-                if isinstance(v, bool) or not isinstance(v, int):
-                    raise Trap("type")
+                check_int(v)
             if st == 0:
                 raise Trap("forstep")
             i = lo
@@ -999,33 +753,20 @@ class _Interp:
         else:
             self.exec_tail(rest, env)
 
-    def lookup(self, name: str, env: list):
-        for scope in reversed(env):
-            if name in scope:
-                return scope[name]
-        if name in self.globals:
-            return self.globals[name]
+    def unbound(self, name: str):
         if name == "TC":
-            return _TC
+            return TC
         return None  # unknown globals read as nil
 
     def assign_to(self, lhs: GenericValue, value, env: list) -> None:
         if lhs.ctor == "VarE":
-            name = lhs.args[0].args[0]
-            for scope in reversed(env):
-                if name in scope:
-                    scope[name] = value
-                    return
-            self.globals[name] = value
+            self.store(lhs.args[0].args[0], value, env)
             return
         if lhs.ctor == "IndexE":
             base = self.eval(lhs.args[0], env)
-            idx = self.eval(lhs.args[1], env)
-            if isinstance(idx, bool) or not isinstance(idx, int):
-                raise Trap("type")
-            if base is _COV:
-                self.events.append(("cov", idx))
-                self.cov[idx] = bool(value)
+            idx = check_int(self.eval(lhs.args[1], env))
+            if base is COV:
+                self.mark(idx, value)
                 return
             raise Trap("type")
         raise Trap("lhs")
@@ -1041,16 +782,14 @@ class _Interp:
             return self.lookup(e.args[0].args[0], env)
         if c == "IndexE":
             base = self.eval(e.args[0], env)
-            idx = self.eval(e.args[1], env)
-            if isinstance(idx, bool) or not isinstance(idx, int):
-                raise Trap("type")
-            if base is _COV:
+            idx = check_int(self.eval(e.args[1], env))
+            if base is COV:
                 return self.cov.get(idx, False)
             raise Trap("type")
         if c == "MemberE":
             base = self.eval(e.args[0], env)
-            if base is _TC and e.args[1] == "cov":
-                return _COV
+            if base is TC and e.args[1] == "cov":
+                return COV
             raise Trap("member")
         if c == "CallE":
             name = e.args[0].args[0]
@@ -1061,9 +800,7 @@ class _Interp:
             v = self.eval(operand, env)
             if op == "not":
                 return not _truthy(v)
-            if isinstance(v, bool) or not isinstance(v, int):
-                raise Trap("type")
-            return -v
+            return -check_int(v)
         if c == "BinE":
             return self.binop(e, env)
         raise Trap("expr")
@@ -1081,39 +818,7 @@ class _Interp:
         if op in ("==", "~="):
             same = _same_value(a, b)
             return same if op == "==" else not same
-        for v in (a, b):
-            if isinstance(v, bool) or not isinstance(v, int):
-                raise Trap("type")
-        if op == "+":
-            return a + b
-        if op == "-":
-            return a - b
-        if op == "*":
-            return a * b
-        if op == "/":
-            return trunc_div(a, b)
-        if op == "%":
-            return trunc_mod(a, b)
-        if op == "<":
-            return a < b
-        if op == "<=":
-            return a <= b
-        if op == ">":
-            return a > b
-        if op == ">=":
-            return a >= b
-        raise Trap("op")
-
-    def call(self, name: str, args: list):
-        if name in self.funcs:
-            return self.call_user(self.funcs[name], args)
-        if name == "print":
-            self.events.append(("print", " ".join(_render(a) for a in args)))
-            return None
-        self.events.append(("call", name, tuple(_render(a) for a in args)))
-        value = external_value(self.ext_calls, args)
-        self.ext_calls += 1
-        return value
+        return int_op(op, a, b)
 
 
 def _collect_funcs(block: GenericValue, out: dict) -> None:
@@ -1136,30 +841,6 @@ def _collect_funcs(block: GenericValue, out: dict) -> None:
             _collect_funcs(s.args[4], out)
         elif c == "DoStmt":
             _collect_funcs(s.args[0], out)
-
-
-def _truthy(v) -> bool:
-    return v is not None and v is not False
-
-
-def _same_value(a, b) -> bool:
-    if a is None or b is None:
-        return a is None and b is None
-    if isinstance(a, bool) != isinstance(b, bool):
-        return False
-    if a is _TC or b is _TC or a is _COV or b is _COV:
-        return a is b
-    return a == b
-
-
-def _render(v) -> str:
-    if v is None:
-        return "nil"
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if v is _TC or v is _COV:
-        return "table"
-    return str(v)
 
 
 def run(ast: GenericValue, fuel: int = 100_000,
@@ -1204,11 +885,6 @@ def item_walk(ast: GenericValue) -> list[GenericValue]:
         elif c == "FuncStmt":
             funcs.append(s)
 
-    def find_funcs(block: GenericValue) -> None:
-        # document-order function discovery, including nested ones
-        for s in block.args[0]:
-            walk_stmt(s)
-
     walk_block(ast.args[0])
     for func in funcs:
         walk_block(func.args[2])
@@ -1229,7 +905,8 @@ LANGUAGE = register(
         pretty=pretty,
         trans_ips=trans_ips,
         untrans_ips=untrans_ips,
-        tac=_Tac(),
+        tac=_Tac(C, _ident_term, ("NumLit", "BoolLit", "NilLit"), "not",
+                 ("and", "or")),
         run=run,
         item_walk=item_walk,
     )

@@ -13,9 +13,8 @@ from ..flow import BeforeLoopCondition, BeforeStmt, continue_sites, insert_at, i
 from ..fragments import (
     BLOCK_ITEM_L,
     IDENT,
-    MULTI_DECL,
     MULTI_DECL_IS_ITEM,
-    SINGLE_DECL_L,
+    multi_decl,
 )
 from ..langs.base import (
     AssignView,
@@ -31,23 +30,25 @@ from ..langs.base import (
     generic_block,
     with_block_items,
 )
-from ..terms import Term, build_list, extract_list, mk_term
+from ..terms import Term, extract_list, mk_term
 from ..traversal import get_at, query_collect, replace_at
 from .hoist import RequirementMissing
+
+
+TEMP_PREFIX = "__t"
 
 
 class _Names:
     """Fresh `__t<n>` names per routine, skipping names already in use."""
 
-    def __init__(self, used: set[str], prefix: str):
+    def __init__(self, used: set[str]):
         self.used = set(used)
-        self.prefix = prefix
         self.counter = 0
         self.minted: set[str] = set()
 
     def fresh(self) -> str:
         while True:
-            name = f"{self.prefix}{self.counter}"
+            name = f"{TEMP_PREFIX}{self.counter}"
             self.counter += 1
             if name not in self.used:
                 self.used.add(name)
@@ -235,17 +236,13 @@ class _BodyPass:
             preludes.append(items)
             rebuilt.append(mk_term(single.kind, (), (lattrs, binder, new_opt)))
         if not any(preludes):
-            new_decl = mk_term(
-                MULTI_DECL, (), (attrs, build_list(SINGLE_DECL_L, rebuilt))
-            )
+            new_decl = multi_decl(rebuilt, attrs)
             return [self.lang.injections.inj(new_decl, BLOCK_ITEM_L)]
         # a prelude may read earlier binders, so split one decl per binder
         out: list[Term] = []
         for p, single in zip(preludes, rebuilt):
             out.extend(p)
-            new_decl = mk_term(
-                MULTI_DECL, (), (attrs, build_list(SINGLE_DECL_L, [single]))
-            )
+            new_decl = multi_decl([single], attrs)
             out.append(self.lang.injections.inj(new_decl, BLOCK_ITEM_L))
         return out
 
@@ -382,7 +379,7 @@ def tac(term: Term, lang: LanguageDef) -> Term:
     for b in range(len(lang.adapter.body_paths(out))):
         path = lang.adapter.body_paths(out)[b]
         body = get_at(out, path)
-        names = _Names(_used_names(body), lang.tac.temp_prefix)
+        names = _Names(_used_names(body))
         body2 = _BodyPass(lang, names).walk_block(body)
         out = replace_at(out, path, body2)
     return out

@@ -1,8 +1,10 @@
 """Differential harness: verdicts, report shape, resilience."""
 
+from dataclasses import replace
+
 import pytest
 
-from srctrans.difftest import PASSES, Verdict, diff_one, diff_test
+from srctrans.difftest import PASSES, DiffReport, Verdict, diff_one, diff_test
 from srctrans.gen import GenConfig, gen_program
 from srctrans.langs.base import block_items, get_language, with_block_items
 
@@ -69,30 +71,48 @@ def test_batch_survives_bad_entries():
     assert report.passed == 2
 
 
+def _faulty_run(lang, trigger: str, exc: Exception):
+    """lang.run, except that a program calling `trigger` raises exc."""
+
+    def run(ast, **kw):
+        if f"{trigger}(" in lang.pretty(ast):
+            raise exc
+        return lang.run(ast, **kw)
+
+    return run
+
+
 def test_run_failures_become_verdicts():
-    # A stray continue leaks the interpreter's ContinueEx; unbounded
-    # recursion overflows the Python stack.  Neither aborts the batch.
+    # An exception escaping the interpreter on the original program does
+    # not abort the batch.
+    lang = get_language("minijs")
+    lang = replace(lang, run=_faulty_run(lang, "explode", RecursionError("too deep")))
+    lang = replace(lang, run=_faulty_run(lang, "leak", RuntimeError("leaked")))
     texts = [
         "function main() { print(1); }",
-        "function main() { continue; }",
-        "function f(n) { return f(n + 1); }\nfunction main() { f(0); }",
+        "function main() { leak(1); }",
+        "function main() { explode(0); }",
     ]
-    report = diff_test("minijs", "ident", texts)
+    verdicts = tuple(
+        diff_one(lang, PASSES["ident"], i, t) for i, t in enumerate(texts)
+    )
+    report = DiffReport("minijs", "ident", verdicts)
     kinds = [v.kind for v in report.verdicts]
     assert kinds == ["Equal", "RunError", "RunError"]
-    assert report.verdicts[1].detail.startswith("before: ContinueEx")
+    assert report.verdicts[1].detail.startswith("before: RuntimeError: ")
     assert report.verdicts[2].detail.startswith("before: RecursionError: ")
     assert report.render().endswith("PASS 1/3\n")
 
 
 def test_run_failure_after_transform():
-    def stray_continue(term, lang):
-        return lang.decompose(lang.parse("function main() { continue; }"))
+    def add_leak(term, lang):
+        return lang.decompose(lang.parse("function main() { leak(1); }"))
 
     lang = get_language("minijs")
-    v = diff_one(lang, stray_continue, 0, "function main() { print(1); }")
+    lang = replace(lang, run=_faulty_run(lang, "leak", RuntimeError("leaked")))
+    v = diff_one(lang, add_leak, 0, "function main() { print(1); }")
     assert v.kind == "RunError"
-    assert v.detail.startswith("after: ContinueEx")
+    assert v.detail.startswith("after: RuntimeError: ")
 
 
 def test_testcov_erases_markers_by_default():

@@ -1,8 +1,13 @@
 """Frontends and reference interpreters for the three bundled languages."""
 
+import ast
+from pathlib import Path
+
 import pytest
 
+import srctrans.langs
 from helpers import COUNTF
+from srctrans.difftest import diff_test
 from srctrans.gen import GenConfig, gen_program
 from srctrans.langs.base import get_language, language_names
 from srctrans.langs.common import ParseError
@@ -188,3 +193,89 @@ def test_registry():
     assert set(language_names()) == {"minic", "minijs", "minilua"}
     with pytest.raises(KeyError):
         get_language("cobol")
+
+
+@pytest.mark.parametrize(
+    "lname,text",
+    [
+        ("minic", "int main() { break; }"),
+        ("minic", "int main() { continue; }"),
+        ("minic", "int main() { if (true) break; return 0; }"),
+        ("minijs", "function main() { break; }"),
+        ("minijs", "function main() { continue; }"),
+        ("minijs", "function main() { { continue; } }"),
+        ("minilua", "break\n"),
+        ("minilua", "if true then break end\n"),
+        # a function body is not a loop, even inside one
+        ("minilua", "while true do function f() break end break end\n"),
+    ],
+)
+def test_jump_outside_loop_rejected(lname, text):
+    with pytest.raises(ParseError, match="outside a loop"):
+        get_language(lname).parse(text)
+
+
+JUMPS_IN_NESTED_BLOCKS = {
+    "minic": (
+        "int main() {\n  while (true) {\n    if (true) {\n      {\n"
+        "        break;\n      }\n    }\n  }\n  for (; ; )\n    if (false)\n"
+        "      continue;\n    else\n      break;\n  return 0;\n}\n"
+    ),
+    "minijs": (
+        "function main() {\n  while (true) {\n    if (true) {\n      {\n"
+        "        break;\n      }\n    }\n  }\n  for (; ; ) {\n    {\n"
+        "      continue;\n    }\n  }\n}\n"
+    ),
+    "minilua": (
+        "while true do\n  if true then\n    do\n      break\n    end\n"
+        "  end\nend\nfor i = 1, 2 do\n  if i > 1 then\n    break\n"
+        "  else\n    function f()\n      return 1\n    end\n  end\nend\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("lname", ALL)
+def test_jump_in_nested_block_of_loop_parses(lname):
+    lang = get_language(lname)
+    text = JUMPS_IN_NESTED_BLOCKS[lname]
+    assert lang.pretty(lang.parse(text)) == text
+
+
+RECURSION = {
+    "minic": (
+        "int f(int n) { if (n == 0) { return 7; } return f(n - 1); }\n"
+        "int main() { return f(N); }\n"
+    ),
+    "minijs": (
+        "function f(n) { if (n == 0) { return 7; } return f(n - 1); }\n"
+        "function main() { return f(N); }\n"
+    ),
+    "minilua": (
+        "function f(n)\n  if n == 0 then\n    return 7\n  end\n"
+        "  return f(n - 1)\nend\nreturn f(N)\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("lname", ALL)
+def test_call_depth_limit(lname):
+    lang = get_language(lname)
+    shallow = RECURSION[lname].replace("N", "50")
+    assert lang.run(lang.parse(shallow)).events == (("return", "7"),)
+    deep = RECURSION[lname].replace("N", "1000")
+    assert lang.run(lang.parse(deep)).events[-1] == ("trap", "stack")
+    assert diff_test(lname, "ident", [deep]).verdicts[0].kind == "Equal"
+
+
+def test_frontends_import_no_other_frontend():
+    langs_dir = Path(srctrans.langs.__file__).parent
+    for lname in ALL:
+        tree = ast.parse((langs_dir / f"{lname}.py").read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                imported.add((node.module or "").rsplit(".", 1)[-1])
+                imported.update(a.name for a in node.names)
+            elif isinstance(node, ast.Import):
+                imported.update(a.name.rsplit(".", 1)[-1] for a in node.names)
+        assert not imported & (set(ALL) - {lname}), lname
