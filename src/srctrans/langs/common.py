@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+import re
+from string import ascii_letters, digits
+from typing import Callable, NamedTuple
 
 from ..schema import GV, GenericValue
 
@@ -15,88 +16,93 @@ class ParseError(Exception):
         self.col = col
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # num | name | string | op | eof
     value: str
     line: int
     col: int
 
 
-def tokenize(
-    text: str,
-    operators: list[str],
-    line_comment: str | None = None,
-    strings: bool = False,
-) -> list[Token]:
-    """Longest-match lexer over names, integers, operators and strings."""
-    ops = sorted(operators, key=len, reverse=True)
-    toks: list[Token] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if c.isspace():
-            i += 1
-            col += 1
-            continue
-        if line_comment and text.startswith(line_comment, i):
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            toks.append(Token("num", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(Token("name", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
+# Token's generated __new__ is a Python function; the lexer builds the
+# tuple directly.
+_new_token = tuple.__new__
+_UNESCAPE = re.compile(r"\\(.)", re.DOTALL).sub
+
+
+def lexer(
+    operators: list[str], line_comment: str, strings: bool = False
+) -> Callable[[str], list[Token]]:
+    """A language's lexer over names, decimal integers, operators and,
+    with `strings`, quoted strings, compiled into one regular expression.
+
+    Operators use longest match.  A column counts every character before
+    it on its line except comment characters, and a backslash-escaped
+    newline inside a string does not start a line.  A name starts with
+    a letter or `_`; a number is a run of decimal digits, which `int`
+    always accepts.
+    """
+    ops = "|".join(map(re.escape, sorted(operators, key=len, reverse=True)))
+    string = r"""|"(?:[^"\\\n]|\\.)*"|'(?:[^'\\\n]|\\.)*'""" if strings else ""
+    # each match: the horizontal space before a token, then the token
+    scan = re.compile(
+        rf"([^\S\n]*)(\n|{re.escape(line_comment)}[^\n]*|\d+|[^\W\d]\w*{string}|{ops}|\S)",
+        re.DOTALL,
+    ).findall
+    exact = dict.fromkeys(operators, "op")
+    exact["\n"] = "nl"
+    first = dict.fromkeys(ascii_letters + "_", "name")
+    first.update(dict.fromkeys(digits, "num"))
+    exact_kind, first_kind = exact.get, first.get
+
+    def rare_kind(tok: str, line: int, col: int) -> str:
+        c = tok[0]
+        if tok.startswith(line_comment):
+            return "comment"
         if strings and c in "'\"":
-            j = i + 1
-            buf = []
-            while j < n and text[j] != c:
-                if text[j] == "\n":
-                    raise ParseError("unterminated string", line, col)
-                if text[j] == "\\" and j + 1 < n:
-                    buf.append(text[j + 1])
-                    j += 2
-                else:
-                    buf.append(text[j])
-                    j += 1
-            if j >= n:
+            if len(tok) == 1:
                 raise ParseError("unterminated string", line, col)
-            toks.append(Token("string", "".join(buf), line, col))
-            col += j + 1 - i
-            i = j + 1
-            continue
-        for op in ops:
-            if text.startswith(op, i):
-                toks.append(Token("op", op, line, col))
-                i += len(op)
-                col += len(op)
-                break
-        else:
-            raise ParseError(f"unexpected character {c!r}", line, col)
-    toks.append(Token("eof", "", line, col))
-    return toks
+            return "string"
+        if c.isdecimal():
+            return "num"
+        if c.isalpha():
+            return "name"
+        raise ParseError(f"unexpected character {c!r}", line, col)
+
+    def tokenize(text: str) -> list[Token]:
+        toks: list[Token] = []
+        append = toks.append
+        line = col = 1
+        tok = ""
+        for space, tok in scan(text):
+            col += len(space)
+            kind = exact_kind(tok) or first_kind(tok[0]) or rare_kind(tok, line, col)
+            if kind == "nl":
+                line += 1
+                col = 1
+                continue
+            if kind == "comment":
+                continue
+            value = tok
+            if kind == "string":
+                value = tok[1:-1]
+                if "\\" in value:
+                    value = _UNESCAPE(r"\1", value)
+            append(_new_token(Token, (kind, value, line, col)))
+            col += len(tok)
+        # the space after the last token's line counts toward the eof
+        # column; the characters of a trailing comment do not
+        if not tok.startswith(line_comment):
+            tail = text[len(text.rstrip()):]
+            col += len(tail) - tail.rfind("\n") - 1
+        append(_new_token(Token, ("eof", "", line, col)))
+        return toks
+
+    return tokenize
 
 
 class TokenStream:
-    """Cursor over a token list with the usual expect/accept helpers."""
+    """Cursor over a token list with the usual expect/accept helpers.
+    The list ends with the one eof token, which `next` never passes."""
 
     def __init__(self, tokens: list[Token], keywords: frozenset[str]):
         self.tokens = tokens
@@ -105,11 +111,12 @@ class TokenStream:
         self.in_loop = False
 
     def peek(self, ahead: int = 0) -> Token:
-        i = min(self.pos + ahead, len(self.tokens) - 1)
-        return self.tokens[i]
+        if ahead:
+            return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+        return self.tokens[self.pos]
 
     def next(self) -> Token:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.kind != "eof":
             self.pos += 1
         return tok
@@ -119,22 +126,24 @@ class TokenStream:
         return ParseError(message, tok.line, tok.col)
 
     def at_op(self, op: str) -> bool:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         return tok.kind == "op" and tok.value == op
 
     def at_kw(self, kw: str) -> bool:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         return tok.kind == "name" and tok.value == kw
 
     def accept_op(self, op: str) -> bool:
-        if self.at_op(op):
-            self.next()
+        tok = self.tokens[self.pos]
+        if tok.kind == "op" and tok.value == op:
+            self.pos += 1
             return True
         return False
 
     def accept_kw(self, kw: str) -> bool:
-        if self.at_kw(kw):
-            self.next()
+        tok = self.tokens[self.pos]
+        if tok.kind == "name" and tok.value == kw:
+            self.pos += 1
             return True
         return False
 

@@ -71,13 +71,13 @@ from .common import (
     PrettyPrinter,
     TokenStream,
     expr_printer,
+    lexer,
     parse_binary,
     parse_c_stmt,
     parse_ident,
     parse_postfix,
     parse_primary,
     parse_unary,
-    tokenize,
 )
 
 SCHEMA_TEXT = """
@@ -122,8 +122,11 @@ _PREC = {"||": 2, "&&": 3, "==": 4, "!=": 4, "<": 5, "<=": 5,
          ">": 5, ">=": 5, "+": 6, "-": 6, "*": 7, "/": 7, "%": 7}
 
 
+tokenize = lexer(_OPS, "//")
+
+
 def parse(text: str) -> GenericValue:
-    ts = TokenStream(tokenize(text, _OPS, line_comment="//"), _KEYWORDS)
+    ts = TokenStream(tokenize(text), _KEYWORDS)
     funcs = []
     while ts.peek().kind != "eof":
         funcs.append(_parse_func(ts))

@@ -72,13 +72,13 @@ from .common import (
     PrettyPrinter,
     TokenStream,
     expr_printer,
+    lexer,
     parse_binary,
     parse_c_stmt,
     parse_ident,
     parse_postfix,
     parse_primary,
     parse_unary,
-    tokenize,
 )
 
 SCHEMA_TEXT = """
@@ -119,10 +119,11 @@ _PREC = {"||": 2, "&&": 3, "==": 4, "!=": 4, "<": 5, "<=": 5,
          ">": 5, ">=": 5, "+": 6, "-": 6, "*": 7, "/": 7, "%": 7}
 
 
+tokenize = lexer(_OPS, "//", strings=True)
+
+
 def parse(text: str) -> GenericValue:
-    ts = TokenStream(
-        tokenize(text, _OPS, line_comment="//", strings=True), _KEYWORDS
-    )
+    ts = TokenStream(tokenize(text), _KEYWORDS)
     funcs = []
     while ts.peek().kind != "eof":
         funcs.append(_parse_func(ts))
@@ -207,7 +208,9 @@ _expr_str = expr_printer(_PREC, _own_expr_str)
 
 
 def _quote(s: str) -> str:
-    return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
+    # the lexer reads backslash-newline as a newline inside a string
+    escaped = s.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\\n")
+    return '"' + escaped + '"'
 
 
 def _print_block(pp: PrettyPrinter, block: GenericValue, opener: str,

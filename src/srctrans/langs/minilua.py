@@ -69,12 +69,12 @@ from .common import (
     PrettyPrinter,
     TokenStream,
     expr_printer,
+    lexer,
     parse_binary,
     parse_ident,
     parse_postfix,
     parse_primary,
     parse_unary,
-    tokenize,
 )
 
 SCHEMA_TEXT = """
@@ -117,8 +117,11 @@ _PREC = {"or": 2, "and": 3, "<": 4, ">": 4, "<=": 4, ">=": 4, "~=": 4,
 _BLOCK_ENDERS = ("end", "else", "elseif")
 
 
+tokenize = lexer(_OPS, "--")
+
+
 def parse(text: str) -> GenericValue:
-    ts = TokenStream(tokenize(text, _OPS, line_comment="--"), _KEYWORDS)
+    ts = TokenStream(tokenize(text), _KEYWORDS)
     block = _parse_block(ts, top=True)
     ts.expect_eof()
     return GV("Chunk", (block,))

@@ -144,21 +144,36 @@ def shadow_unsafe(items: list[Term], index: int, lang: LanguageDef) -> bool:
     captured), or in the declaration's own initializer for languages whose
     binder is not in scope there.
     """
-    decl = _as_decl(items[index], lang)
-    if decl is None:
-        raise ValueError("item is not a declaration")
-    bound = set()
-    for single in extract_list(decl.children[1]):
-        bound.update(binder_names(single.children[1]))
-    for earlier in items[:index]:
-        if bound & _ident_names(earlier):
-            return True
-    if not lang.ops.binder_in_scope_in_init:
+    return _PrefixNames(items).shadow_unsafe(index, lang)
+
+
+class _PrefixNames:
+    """The identifier names in a block's items before a given index, for
+    indexes asked in increasing order: each item is scanned once."""
+
+    def __init__(self, items: list[Term]):
+        self.items = items
+        self.names: set[str] = set()
+        self.upto = 0
+
+    def shadow_unsafe(self, index: int, lang: LanguageDef) -> bool:
+        decl = _as_decl(self.items[index], lang)
+        if decl is None:
+            raise ValueError("item is not a declaration")
+        for earlier in self.items[self.upto:index]:
+            self.names |= _ident_names(earlier)
+        self.upto = index
+        bound = set()
         for single in extract_list(decl.children[1]):
-            opt = single.children[2]
-            if opt.kind == JUST_INIT and bound & _ident_names(opt.children[0]):
-                return True
-    return False
+            bound.update(binder_names(single.children[1]))
+        if bound & self.names:
+            return True
+        if not lang.ops.binder_in_scope_in_init:
+            for single in extract_list(decl.children[1]):
+                opt = single.children[2]
+                if opt.kind == JUST_INIT and bound & _ident_names(opt.children[0]):
+                    return True
+        return False
 
 
 def hoist(term: Term, lang: LanguageDef) -> Term:
@@ -169,13 +184,14 @@ def hoist(term: Term, lang: LanguageDef) -> Term:
         if t.kind != BLOCK:
             return None
         items = block_items(t)
+        prefix = _PrefixNames(items)
         decls: list[Term] = []
         rest: list[Term] = []
         for i, item in enumerate(items):
             if _as_decl(item, lang) is None:
                 rest.append(item)
                 continue
-            if shadow_unsafe(items, i, lang):
+            if prefix.shadow_unsafe(i, lang):
                 rest.append(item)
                 continue
             ds, ss = _split_decl(item, lang)
@@ -199,6 +215,7 @@ def postcondition_violations(term: Term, lang: LanguageDef) -> list[str]:
         if t.kind != BLOCK:
             return []
         items = block_items(t)
+        prefix = _PrefixNames(items)
         seen_stmt = False
         out = []
         for i, item in enumerate(items):
@@ -206,7 +223,7 @@ def postcondition_violations(term: Term, lang: LanguageDef) -> list[str]:
             if decl is None:
                 seen_stmt = True
                 continue
-            unsafe = shadow_unsafe(items, i, lang)
+            unsafe = prefix.shadow_unsafe(i, lang)
             if seen_stmt and not unsafe:
                 out.append(f"hoistable declaration after statement at item {i}")
             has_init = any(

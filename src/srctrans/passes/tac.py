@@ -376,10 +376,14 @@ def tac(term: Term, lang: LanguageDef) -> Term:
             "(declaring temporaries would need type inference)"
         )
     out = term
-    for b in range(len(lang.adapter.body_paths(out))):
-        path = lang.adapter.body_paths(out)[b]
+    paths = lang.adapter.body_paths(out)
+    for b, path in enumerate(paths):
         body = get_at(out, path)
         names = _Names(_used_names(body))
         body2 = _BodyPass(lang, names).walk_block(body)
         out = replace_at(out, path, body2)
+        # Paths are in source order, so the bodies nested in this one come
+        # next; the rewrite moved them, so locate the rest anew.
+        if b + 1 < len(paths) and paths[b + 1][:len(path)] == path:
+            paths[b + 1:] = lang.adapter.body_paths(out)[b + 1:]
     return out

@@ -114,11 +114,25 @@ class NodeKind:
         object.__setattr__(self, "child_sorts", tuple(map(_intern_sort, self.child_sorts)))
         object.__setattr__(self, "produced", _intern_sort(self.produced))
 
+    def __eq__(self, other):
+        # The passes compare kinds often and almost always with the same
+        # object; equality stays structural for a kind built twice.
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.name == other.name
+            and self.payloads == other.payloads
+            and self.child_sorts == other.child_sorts
+            and self.produced == other.produced
+        )
+
     def __repr__(self):
         return f"NodeKind({self.name})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Term:
     """An immutable sorted tree node.  Build through mk_term only."""
 
@@ -131,16 +145,27 @@ class Term:
         return self.kind.produced
 
 
+# mk_term fills a new Term's slots directly: the frozen __init__ would set
+# each field through object.__setattr__ in a Python frame.
+_new_term = object.__new__
+_set_kind = Term.kind.__set__
+_set_payloads = Term.payload_values.__set__
+_set_children = Term.children.__set__
+
+
 _PY_PRIM = {"Int": int, "Bool": bool, "String": str}
 
 
 def _check_payload(kind: NodeKind, values) -> tuple:
-    if len(values) != len(kind.payloads):
+    tys = kind.payloads
+    # most kinds have one payload, and its value is of exactly that class
+    if len(values) == 1 == len(tys) and values[0].__class__ is _PY_PRIM[tys[0]]:
+        return values
+    if len(values) != len(tys):
         raise ArityMismatch(
-            f"{kind.name}: expected {len(kind.payloads)} payloads, "
-            f"got {len(values)}"
+            f"{kind.name}: expected {len(tys)} payloads, got {len(values)}"
         )
-    for i, (ty, v) in enumerate(zip(kind.payloads, values)):
+    for i, (ty, v) in enumerate(zip(tys, values)):
         py = _PY_PRIM[ty]
         # bool is a subclass of int; keep Int and Bool slots distinct.
         if ty == "Int" and isinstance(v, bool):
@@ -152,6 +177,15 @@ def _check_payload(kind: NodeKind, values) -> tuple:
     return tuple(values)
 
 
+def _check_children(wants: tuple, children: tuple) -> None:
+    for i, (want, child) in enumerate(zip(wants, children)):
+        if not isinstance(child, Term):
+            raise SortMismatch(i, want, None)
+        got = child.kind.produced
+        if got != want:
+            raise SortMismatch(i, want, got)
+
+
 def mk_term(kind: NodeKind, payloads: Iterable = (), children: Iterable[Term] = ()) -> Term:
     """Construct a well-sorted term, rejecting arity and sort mismatches."""
     if not isinstance(kind, NodeKind):
@@ -160,19 +194,22 @@ def mk_term(kind: NodeKind, payloads: Iterable = (), children: Iterable[Term] = 
         payloads = _check_payload(kind, tuple(payloads))
     else:
         payloads = ()
-    children = tuple(children)
+    if children.__class__ is not tuple:
+        children = tuple(children)
     wants = kind.child_sorts
     if len(children) != len(wants):
         raise ArityMismatch(
             f"{kind.name}: expected {len(wants)} children, got {len(children)}"
         )
-    for i, (want, child) in enumerate(zip(wants, children)):
-        if not isinstance(child, Term):
-            raise SortMismatch(i, want, None)
-        got = child.kind.produced
-        if got is not want and got != want:
-            raise SortMismatch(i, want, got)
-    return Term(kind, payloads, children)
+    for want, child in zip(wants, children):
+        if child.__class__ is not Term or child.kind.produced is not want:
+            _check_children(wants, children)
+            break
+    t = _new_term(Term)
+    _set_kind(t, kind)
+    _set_payloads(t, payloads)
+    _set_children(t, children)
+    return t
 
 
 def project(term: Term, kind: NodeKind) -> Optional[tuple[tuple, tuple[Term, ...]]]:

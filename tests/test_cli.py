@@ -42,6 +42,14 @@ def test_transform_parse_failure(tmp_path, capsys):
     assert "srctrans:" in capsys.readouterr().err
 
 
+def test_transform_unicode_digit_failure_has_position(tmp_path, capsys):
+    # `²` is not a number character: a ParseError with its position
+    f = write(tmp_path, "bad.mjs", "function main() { return ²; }")
+    rc = cli(["transform", "--lang", "minijs", "--pass", "ident", str(f)])
+    assert rc == 2
+    assert "line 1, col 26: unexpected character '²'" in capsys.readouterr().err
+
+
 def test_usage_error_exits_1(capsys):
     with pytest.raises(SystemExit) as exc:
         cli(["transform", "--lang", "minic", "--pass", "nosuch", "f.mc"])

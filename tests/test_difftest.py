@@ -134,3 +134,14 @@ def test_verdict_line_format():
     assert Verdict(0, "TraceDiverged", "step 2: x vs y").line() == (
         "0\tTraceDiverged\tstep 2: x vs y"
     )
+
+
+def test_minijs_directive_with_escaped_newline_round_trips():
+    text = 'function main() { "a\\\nb"; return 1; }'
+    assert diff_test("minijs", "ident", [text]).verdicts[0].kind == "Equal"
+    lang = get_language("minijs")
+    ast = lang.parse(text)
+    printed = lang.pretty(ast)
+    assert printed == 'function main() {\n  "a\\\nb";\n  return 1;\n}\n'
+    assert lang.parse(printed) == ast
+    assert lang.pretty(lang.parse(printed)) == printed

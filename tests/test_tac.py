@@ -21,6 +21,48 @@ def test_nested_addition_golden():
     assert out == "function main() {\n  var __t0 = 1 + 1;\n  x = __t0 + 1;\n}\n"
 
 
+def test_nested_minilua_functions_golden():
+    # The chunk's rewrite moves every function body and the rewrite of
+    # `outer` moves `inner`; each body gets its own temporaries.
+    lang = get_language("minilua")
+    text = (
+        "function outer(a)\n"
+        "  local x = a * 2 + a\n"
+        "  function inner(b)\n"
+        "    return b * 2 + b * 3\n"
+        "  end\n"
+        "  return inner(x) + a * 2\n"
+        "end\n"
+        "function other(d)\n"
+        "  return d * d + d * 2\n"
+        "end\n"
+        "y = outer(1) + other(2) * 3\n"
+    )
+    assert apply(lang, text) == (
+        "function outer(a)\n"
+        "  local __t0 = a * 2\n"
+        "  local x = __t0 + a\n"
+        "  function inner(b)\n"
+        "    local __t0 = b * 2\n"
+        "    local __t1 = b * 3\n"
+        "    return __t0 + __t1\n"
+        "  end\n"
+        "  local __t1 = inner(x)\n"
+        "  local __t2 = a * 2\n"
+        "  return __t1 + __t2\n"
+        "end\n"
+        "function other(d)\n"
+        "  local __t0 = d * d\n"
+        "  local __t1 = d * 2\n"
+        "  return __t0 + __t1\n"
+        "end\n"
+        "local __t0 = outer(1)\n"
+        "local __t1 = other(2)\n"
+        "local __t2 = __t1 * 3\n"
+        "y = __t0 + __t2\n"
+    )
+
+
 def test_atomic_statement_unchanged():
     lang = get_language("minijs")
     text = "function main() {\n  x = a;\n  return x;\n}\n"
