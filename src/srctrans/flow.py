@@ -499,15 +499,32 @@ def insert_many(term: Term, lang: LanguageDef, requests: list) -> Term:
         if set(per_body) - {0}:
             raise InvalidPath("single-body term has only body 0")
         return _insert_into_body(term, lang, per_body.get(0, {}))
-    out = term
-    for b, edits in sorted(per_body.items()):
-        paths = lang.adapter.body_paths(out)
-        try:
-            path = paths[b]
-        except IndexError:
-            raise InvalidPath(f"no body {b}") from None
-        out = replace_at(out, path, _insert_into_body(get_at(out, path), lang, edits))
+
+    def insert(b: int, body: Term) -> Term:
+        edits = per_body.pop(b, None)
+        return body if edits is None else _insert_into_body(body, lang, edits)
+
+    out = rewrite_bodies(term, lang, insert)
+    if per_body:
+        raise InvalidPath(f"no body {min(per_body)}")
     return out
+
+
+def rewrite_bodies(term: Term, lang: LanguageDef, rewrite) -> Term:
+    """term with each routine body replaced by rewrite(b, body), where b
+    numbers the bodies in source order; a rewrite may return its input."""
+    paths = lang.adapter.body_paths(term)
+    for b, path in enumerate(paths):
+        body = get_at(term, path)
+        new = rewrite(b, body)
+        if new is body:
+            continue
+        term = replace_at(term, path, new)
+        # Paths are in source order, so the bodies nested in this one come
+        # next; the rewrite moved them, so locate the rest anew.
+        if b + 1 < len(paths) and paths[b + 1][:len(path)] == path:
+            paths[b + 1:] = lang.adapter.body_paths(term)[b + 1:]
+    return term
 
 
 def insert_at(term: Term, point: InsertionPoint, stmts: list, lang: LanguageDef) -> Term:

@@ -85,6 +85,12 @@ class _Emitter:
                 return self.rng.choice(outer)
         return self.fresh_name(scopes)
 
+    def block(self, scopes: list, depth: int, in_loop: bool, n: int = None) -> None:
+        inner = self.push_scope(scopes)
+        count = n if n is not None else self.rng.randrange(1, self.cfg.max_stmts + 1)
+        for _ in range(count):
+            self.stmt(inner, depth, in_loop)
+
     # -- expressions -------------------------------------------------------
 
     def int_expr(self, scopes: list, depth: int) -> str:
@@ -162,13 +168,15 @@ class _Emitter:
 
 
 class _CurlyEmitter(_Emitter):
-    """Shared statement layer for the brace languages."""
+    """Shared statement layer for the brace languages.  A subclass names
+    its keywords, the share of `for` among loops and the declaration
+    without an initializer."""
 
-    def block(self, scopes: list, depth: int, in_loop: bool, n: int = None) -> None:
-        inner = self.push_scope(scopes)
-        count = n if n is not None else self.rng.randrange(1, self.cfg.max_stmts + 1)
-        for _ in range(count):
-            self.stmt(inner, depth, in_loop)
+    func_kw: str  # before a function name
+    param_kw: str  # before a parameter name
+    int_kw: str  # declares an int
+    bool_kw: str  # declares a bool
+    for_share: float
 
     def stmt(self, scopes: list, depth: int, in_loop: bool) -> None:
         choices = ["decl", "assign", "print", "print"]
@@ -186,14 +194,14 @@ class _CurlyEmitter(_Emitter):
         ints = self.visible(scopes, "int")
         bools = self.visible(scopes, "bool")
         if bools and (not ints or self.rng.random() < 0.25):
-            self.line(self.assign_line(self.rng.choice(bools), self.bool_expr(scopes, 2)))
+            self.line(f"{self.rng.choice(bools)} = {self.bool_expr(scopes, 2)};")
         elif ints:
-            self.line(self.assign_line(self.rng.choice(ints), self.int_expr(scopes, 3)))
+            self.line(f"{self.rng.choice(ints)} = {self.int_expr(scopes, 3)};")
         else:
             self.stmt_decl(scopes, depth, in_loop)
 
     def stmt_print(self, scopes: list, depth: int, in_loop: bool) -> None:
-        self.line(self.print_line(self.print_arg(scopes, 2)))
+        self.line(f"print({self.print_arg(scopes, 2)});")
 
     def stmt_if(self, scopes: list, depth: int, in_loop: bool) -> None:
         self.line(f"if ({self.cond_expr(scopes, 2)}) {{")
@@ -215,14 +223,12 @@ class _CurlyEmitter(_Emitter):
         self.indent -= 1
         self.line("}")
 
-
-class _MiniCEmitter(_CurlyEmitter):
     def program(self) -> str:
         n_helpers = self.rng.randrange(1, 3)
         for i in range(n_helpers):
             arity = self.rng.randrange(1, 3)
             self.funcs_helper(f"f{i}", arity)
-        self.line("int main() {")
+        self.line(f"{self.func_kw} main() {{")
         self.indent += 1
         scopes: list = [{}]
         self.block(scopes, self.cfg.max_depth - 3, False,
@@ -234,7 +240,8 @@ class _MiniCEmitter(_CurlyEmitter):
 
     def funcs_helper(self, name: str, arity: int) -> None:
         params = [f"p{i}" for i in range(arity)]
-        self.line(f"int {name}({', '.join('int ' + p for p in params)}) {{")
+        plist = ", ".join(self.param_kw + p for p in params)
+        self.line(f"{self.func_kw} {name}({plist}) {{")
         self.indent += 1
         scopes: list = [{p: "int" for p in params}]
         self.block(scopes, 1, False, n=self.rng.randrange(1, 3))
@@ -242,12 +249,6 @@ class _MiniCEmitter(_CurlyEmitter):
         self.indent -= 1
         self.line("}")
         self.funcs.append((name, arity))
-
-    def assign_line(self, name: str, expr: str) -> str:
-        return f"{name} = {expr};"
-
-    def print_line(self, arg: str) -> str:
-        return f"print({arg});"
 
     def stmt_decl(self, scopes: list, depth: int, in_loop: bool) -> None:
         # initializers are built before the binder is registered, so a
@@ -257,21 +258,20 @@ class _MiniCEmitter(_CurlyEmitter):
         if r < 0.2:
             init = self.bool_expr(scopes, 2)
             self.declare(scopes, name, "bool")
-            self.line(f"bool {name} = {init};")
+            self.line(f"{self.bool_kw} {name} = {init};")
         elif r < 0.3:
-            self.declare(scopes, name, "int")
-            self.line(f"int {name};")
+            self.decl_uninit(scopes, name)
         elif r < 0.4:
             first = self.int_expr(scopes, 2)
             self.declare(scopes, name, "int")
             second = self.fresh_name(scopes)
             rest = self.int_expr(scopes, 2)  # may read the first declarator
             self.declare(scopes, second, "int")
-            self.line(f"int {name} = {first}, {second} = {rest};")
+            self.line(f"{self.int_kw} {name} = {first}, {second} = {rest};")
         else:
             init = self.int_expr(scopes, 3)
             self.declare(scopes, name, "int")
-            self.line(f"int {name} = {init};")
+            self.line(f"{self.int_kw} {name} = {init};")
 
     def stmt_nested(self, scopes: list, depth: int, in_loop: bool) -> None:
         self.line("{")
@@ -285,115 +285,42 @@ class _MiniCEmitter(_CurlyEmitter):
         bound = self.rng.randrange(2, 6)
         self.declare(scopes, var, "loopvar")
         inner = self.push_scope(scopes)
-        if self.rng.random() < 0.5:
-            self.line(f"int {var} = 0;")
+        self.line(f"{self.int_kw} {var} = 0;")
+        if self.rng.random() < self.for_share:
             self.line(f"for ({var} = 0; {var} < {bound}; {var} = {var} + 1) {{")
             self.indent += 1
             self.block(inner, depth - 1, True)
-            self.indent -= 1
-            self.line("}")
         else:
-            self.line(f"int {var} = 0;")
             self.line(f"while ({var} < {bound}) {{")
             self.indent += 1
             # increment first so a generated continue cannot skip it
             self.line(f"{var} = {var} + 1;")
             self.block(inner, depth - 1, False)
-            self.indent -= 1
-            self.line("}")
+        self.indent -= 1
+        self.line("}")
+
+
+class _MiniCEmitter(_CurlyEmitter):
+    func_kw, param_kw, int_kw, bool_kw = "int", "int ", "int", "bool"
+    for_share = 0.5
+
+    def decl_uninit(self, scopes: list, name: str) -> None:
+        self.declare(scopes, name, "int")
+        self.line(f"int {name};")
 
 
 class _MiniJSEmitter(_CurlyEmitter):
-    def program(self) -> str:
-        n_helpers = self.rng.randrange(1, 3)
-        for i in range(n_helpers):
-            arity = self.rng.randrange(1, 3)
-            self.funcs_helper(f"f{i}", arity)
-        self.line("function main() {")
-        self.indent += 1
-        scopes: list = [{}]
-        self.block(scopes, self.cfg.max_depth - 3, False,
-                   n=self.rng.randrange(3, self.cfg.max_stmts + 3))
-        self.line(f"return {self.int_expr(scopes, 2)};")
-        self.indent -= 1
-        self.line("}")
-        return self.render()
+    func_kw, param_kw, int_kw, bool_kw = "function", "", "var", "var"
+    for_share = 0.6
 
-    def funcs_helper(self, name: str, arity: int) -> None:
-        params = [f"p{i}" for i in range(arity)]
-        self.line(f"function {name}({', '.join(params)}) {{")
-        self.indent += 1
-        scopes: list = [{p: "int" for p in params}]
-        self.block(scopes, 1, False, n=self.rng.randrange(1, 3))
-        self.line(f"return {self.int_expr(scopes, 2)};")
-        self.indent -= 1
-        self.line("}")
-        self.funcs.append((name, arity))
-
-    def assign_line(self, name: str, expr: str) -> str:
-        return f"{name} = {expr};"
-
-    def print_line(self, arg: str) -> str:
-        return f"print({arg});"
-
-    def stmt_decl(self, scopes: list, depth: int, in_loop: bool) -> None:
-        # as in the other emitters: initializer first, then register binder
-        name = self.pick_decl_name(scopes)
-        r = self.rng.random()
-        if r < 0.2:
-            init = self.bool_expr(scopes, 2)
-            self.declare(scopes, name, "bool")
-            self.line(f"var {name} = {init};")
-        elif r < 0.3:
-            init = self.int_expr(scopes, 2)
-            self.declare(scopes, name, "int")
-            self.line(f"var {name};")
-            self.line(f"{name} = {init};")
-        elif r < 0.4:
-            first = self.int_expr(scopes, 2)
-            self.declare(scopes, name, "int")
-            second = self.fresh_name(scopes)
-            rest = self.int_expr(scopes, 2)  # may read the first declarator
-            self.declare(scopes, second, "int")
-            self.line(f"var {name} = {first}, {second} = {rest};")
-        else:
-            init = self.int_expr(scopes, 3)
-            self.declare(scopes, name, "int")
-            self.line(f"var {name} = {init};")
-
-    def stmt_nested(self, scopes: list, depth: int, in_loop: bool) -> None:
-        self.line("{")
-        self.indent += 1
-        self.block(scopes, depth - 1, in_loop)
-        self.indent -= 1
-        self.line("}")
-
-    def stmt_loop(self, scopes: list, depth: int, in_loop: bool) -> None:
-        var = self.fresh_name(scopes)
-        bound = self.rng.randrange(2, 6)
-        self.declare(scopes, var, "loopvar")
-        inner = self.push_scope(scopes)
-        if self.rng.random() < 0.6:
-            self.line(f"var {var} = 0;")
-            self.line(f"for ({var} = 0; {var} < {bound}; {var} = {var} + 1) {{")
-            self.indent += 1
-            self.block(inner, depth - 1, True)
-            self.indent -= 1
-            self.line("}")
-        else:
-            self.line(f"var {var} = 0;")
-            self.line(f"while ({var} < {bound}) {{")
-            self.indent += 1
-            self.line(f"{var} = {var} + 1;")
-            self.block(inner, depth - 1, False)
-            self.indent -= 1
-            self.line("}")
+    def decl_uninit(self, scopes: list, name: str) -> None:
+        init = self.int_expr(scopes, 2)
+        self.declare(scopes, name, "int")
+        self.line(f"var {name};")
+        self.line(f"{name} = {init};")
 
 
 class _MiniLuaEmitter(_Emitter):
-    def true_lit(self) -> str:
-        return "true"
-
     def neq_op(self) -> str:
         return "~="
 
@@ -427,12 +354,6 @@ class _MiniLuaEmitter(_Emitter):
         self.indent -= 1
         self.line("end")
         self.funcs.append((name, arity))
-
-    def block(self, scopes: list, depth: int, in_loop: bool, n: int = None) -> None:
-        inner = self.push_scope(scopes)
-        count = n if n is not None else self.rng.randrange(1, self.cfg.max_stmts + 1)
-        for _ in range(count):
-            self.stmt(inner, depth, in_loop)
 
     def stmt(self, scopes: list, depth: int, in_loop: bool) -> None:
         choices = ["decl", "assign", "print", "print"]

@@ -15,12 +15,16 @@ from typing import Callable, Optional, Protocol
 
 from ..fragments import (
     BLOCK,
+    BLOCK_ITEM_L,
     EMPTY_BLOCK_END,
+    IDENT_IS_BINDER,
+    MULTI_DECL_IS_ITEM,
     LanguageOps,
     assert_reserved_disjoint,
     assign,
     generic_signature,
     ident,
+    single_decl,
 )
 from ..injections import InjectionDecl, InjectionTable, Step
 from ..schema import GenericValue, ModularizedLanguage, Schema, sum_signatures
@@ -138,19 +142,164 @@ ItemView = (
 )
 
 
+class BodyCodec:
+    """How a frontend's bodies open into generic Blocks and close back.
+
+    A block of the frontend is a generic Block under the injection
+    `block_is`; its statements are block items under `stmt_is`.  A body
+    slot (the body of an if or a loop) holds a block unless a subclass
+    says otherwise.  `open` returns a slot's generic Block and what
+    `close` needs to give the slot its form back; `fresh` is that for a
+    body built from scratch.  `open_block`/`close_block` do the same for
+    a block itself (a function body or a nested block statement).
+    """
+
+    fresh = None
+
+    def __init__(self, block_is: NodeKind, stmt_is: NodeKind):
+        self.block_is = block_is
+        self.stmt_is = stmt_is
+
+    def open_block(self, block: Term) -> tuple[Term, object]:
+        expect(block.kind == self.block_is, "block body is foreign")
+        return block.children[0], None
+
+    def close_block(self, generic: Term, keep) -> Term:
+        return wrap(self.block_is, generic)
+
+    def open(self, slot: Term) -> tuple[Term, object]:
+        return self.open_block(slot)
+
+    def close(self, generic: Term, keep) -> Term:
+        return self.close_block(generic, keep)
+
+    def item(self, stmt: Term) -> Term:
+        return wrap(self.stmt_is, stmt)
+
+
+def item_viewer(body: BodyCodec, arms: dict) -> Callable[[Term], ItemView]:
+    """An adapter's item_view: `arms` maps a statement kind to the view
+    of such a statement; every other block item is a PlainView."""
+    by_name = {kind.name: arm for kind, arm in arms.items()}
+
+    def item_view(item: Term) -> ItemView:
+        if item.kind != body.stmt_is:
+            return PlainView()
+        stmt = item.children[0]
+        arm = by_name.get(stmt.kind.name)
+        return PlainView() if arm is None else arm(stmt)
+
+    return item_view
+
+
+def optional(some_ctor: Callable, none_ctor: Callable) -> Callable:
+    """The surface option builder: `some_ctor(v)`, or `none_ctor()` for None."""
+    return lambda v: none_ctor() if v is None else some_ctor(v)
+
+
+def _same_stmt(body: BodyCodec, stmt: Term, *children: Term) -> Term:
+    """A statement of stmt's kind with new children, as a block item."""
+    return body.item(mk_term(stmt.kind, (), children))
+
+
+def shared_arms(body: BodyCodec, C, ret_opt: Callable, nested: Callable,
+                expr: Callable) -> dict:
+    """The view arms whose statements every bundled language writes
+    alike: while, return (`ret_opt` builds its option), break, the
+    `nested` block statement and the `expr` statement."""
+
+    def while_view(stmt: Term) -> WhileView:
+        cond, slot = stmt.children
+        block, keep = body.open(slot)
+        return WhileView(
+            cond, block, lambda c, b: _same_stmt(body, stmt, c, body.close(b, keep))
+        )
+
+    def nested_view(stmt: Term) -> NestedBlockView:
+        block, keep = body.open_block(stmt.children[0])
+        return NestedBlockView(
+            block, lambda b: _same_stmt(body, stmt, body.close_block(b, keep))
+        )
+
+    return {
+        C.WhileStmt.kind: while_view,
+        C.ReturnStmt.kind: lambda s: ReturnView(
+            some(s.children[0]), lambda v: _same_stmt(body, s, ret_opt(v))
+        ),
+        C.BreakStmt.kind: lambda s: BreakView(),
+        nested.kind: nested_view,
+        expr.kind: lambda s: ExprStmtView(
+            s.children[0], lambda e: _same_stmt(body, s, e)
+        ),
+    }
+
+
+def c_item_view(C, body: BodyCodec) -> Callable[[Term], ItemView]:
+    """item_view of the C-like statements MiniC and MiniJS share."""
+    opt = optional(C.SomeExpr, C.NoExpr)
+
+    def if_view(stmt: Term) -> IfView:
+        cond, then, els = stmt.children
+        then_block, then_keep = body.open(then)
+        else_slot = some(els)
+        else_block, else_keep = (
+            (None, body.fresh) if else_slot is None else body.open(else_slot)
+        )
+
+        def rebuild(c: Term, tb: Term, eb: Optional[Term]) -> Term:
+            new_else = C.NoElse() if eb is None else C.SomeElse(body.close(eb, else_keep))
+            return body.item(C.IfStmt(c, body.close(tb, then_keep), new_else))
+
+        return IfView(cond, then_block, else_block, rebuild)
+
+    def for_view(stmt: Term) -> ForView:
+        init, cond, step, slot = stmt.children
+        block, keep = body.open(slot)
+
+        def rebuild(i, c, s, b):
+            return body.item(C.ForStmt(opt(i), opt(c), opt(s), body.close(b, keep)))
+
+        return ForView(some(init), some(cond), some(step), block, rebuild)
+
+    return item_viewer(body, {
+        **shared_arms(body, C, opt, C.BlockStmt, C.ExprStmt),
+        C.IfStmt.kind: if_view,
+        C.ForStmt.kind: for_view,
+        C.ContinueStmt.kind: lambda s: ContinueView(),
+    })
+
+
+def func_body_paths(suffix: Path) -> Callable[[Term], list[Path]]:
+    """body_paths of a program whose root holds a list of functions;
+    `suffix` leads from a function to its generic body Block."""
+
+    def body_paths(root: Term) -> list[Path]:
+        paths = []
+        spine = root.children[0]
+        prefix: Path = (0,)
+        while spine.kind.name == "ConsF":
+            paths.append(prefix + suffix)
+            spine = spine.children[1]
+            prefix = prefix + (1,)
+        return paths
+
+    return body_paths
+
+
 class TacOps:
     """Expression-level hooks for three-address-code conversion.
 
-    A frontend subclass adds make_decl_item, make_assign_item,
-    make_if_item and init_exprs, which returns (expressions, rebuild) for
-    a declaration initializer.  Languages without the pass leave the
-    LanguageDef slot as None.
+    A frontend subclass adds make_decl_item, make_assign_item and
+    init_exprs, which returns (expressions, rebuild) for a declaration
+    initializer.  Languages without the pass leave the LanguageDef slot
+    as None.
     """
 
-    def __init__(self, C, ident_term: Callable[[str], Term],
+    def __init__(self, C, body: BodyCodec, ident_term: Callable[[str], Term],
                  literals: tuple[str, ...], not_op: str,
                  and_or: tuple[str, str], assign_is: Optional[NodeKind] = None):
         self.C = C
+        self.body = body
         self.ident_term = ident_term
         self.literals = frozenset(getattr(C, n).kind.name for n in literals)
         self.var = C.VarE.kind.name
@@ -192,6 +341,11 @@ class TacOps:
 
     def make_not(self, expr: Term) -> Term:
         return self.C.UnaryE(self.not_op, expr)
+
+    def make_if_item(self, cond: Term, then_items: list) -> Term:
+        """`if cond then then_items` with no else, as a block item."""
+        then = self.body.close(generic_block(then_items), self.body.fresh)
+        return self.body.item(self.C.IfStmt(cond, then, self.C.NoElse()))
 
 
 def split_operands(expr: Term, expr_sort) -> tuple:
@@ -387,6 +541,81 @@ def ident_assign_cases(
     )
 
 
+def block_cases(body: BodyCodec, surface_block: Callable, decl: NodeKind,
+                tr_decl: Callable, un_decl: Callable,
+                stmt_item: Optional[Callable] = None) -> tuple[dict, dict]:
+    """(trans cases, untrans cases) of a frontend's statement list: the
+    surface block `surface_block` holds statements and `decl`
+    declarations, and its generic Block holds them under the codec's
+    `stmt_is` and MULTI_DECL_IS_ITEM.  `tr_decl` translates one `decl`
+    node to a MultiLocalVarDecl; `un_decl(attrs, singles, tr)` translates
+    back.  With `stmt_item`, each statement sits in that item node."""
+    elem_sort = surface_block.kind.child_sorts[0].elem
+
+    def tr_block(t: Term, tr) -> Term:
+        items = []
+        for elem in extract_list(t.children[0]):
+            if elem.kind.name == decl.name:
+                items.append(wrap(MULTI_DECL_IS_ITEM, tr_decl(elem, tr)))
+            else:
+                stmt = elem if stmt_item is None else elem.children[0]
+                items.append(body.item(tr(stmt)))
+        return wrap(body.block_is, generic_block(items))
+
+    def un_block(t: Term, tr) -> Term:
+        elems = []
+        for item in block_items(t.children[0]):
+            if item.kind == body.stmt_is:
+                stmt = tr(item.children[0])
+                elems.append(stmt if stmt_item is None else stmt_item(stmt))
+            elif item.kind == MULTI_DECL_IS_ITEM:
+                multi = item.children[0]
+                expect(multi.kind.name == "MultiLocalVarDecl",
+                       "expected a generic declaration")
+                elems.append(un_decl(*multi.children, tr))
+            else:
+                raise UnrepresentableTerm(f"unexpected block item {item.kind.name}")
+        return surface_block(build_list(elem_sort, elems))
+
+    return {surface_block.kind.name: tr_block}, {body.block_is.name: un_block}
+
+
+def declarator_cases(C, dtor: Callable, init_is: NodeKind, lang: str,
+                     init_what: str) -> tuple[Callable, Callable]:
+    """(trans, untrans) of the declarator lists MiniC and MiniJS share:
+    `dtor` builds a declarator from an identifier and a `SomeInit`/
+    `NoInit` initializer, which the generic side holds under `init_is`.
+    `lang` and `init_what` name the language and the initializer in
+    error messages."""
+
+    def tr_dtors(dtors: Term, tr) -> list[Term]:
+        singles = []
+        for d in extract_list(dtors):
+            name = d.children[0].payload_values[0]
+            init = some(d.children[1])
+            if init is not None:
+                init = wrap(init_is, tr(init))
+            singles.append(single_decl(wrap(IDENT_IS_BINDER, ident(name)), init))
+        return singles
+
+    def un_dtors(singles: Term, tr) -> Term:
+        dtors = []
+        for single in extract_list(singles):
+            _, binder, opt = single.children
+            expect(binder.kind == IDENT_IS_BINDER, f"{lang} binders are single identifiers")
+            name = binder.children[0].payload_values[0]
+            if opt.kind.name == "JustLocalVarInit":
+                init_w = opt.children[0]
+                expect(init_w.kind == init_is, f"initializer is not {init_what}")
+                opt_s = C.SomeInit(tr(init_w.children[0]))
+            else:
+                opt_s = C.NoInit()
+            dtors.append(dtor(C.Ident(name), opt_s))
+        return build_list(dtor.kind.produced, dtors)
+
+    return tr_dtors, un_dtors
+
+
 def some(option: Term) -> Optional[Term]:
     """The value of a surface option node (`SomeExpr e`), or None for the
     empty one (`NoExpr`)."""
@@ -414,8 +643,6 @@ def make_translator(special: dict[str, Callable]) -> Callable[[Term], Term]:
 
 
 def generic_block(items: list[Term]) -> Term:
-    from ..fragments import BLOCK_ITEM_L
-
     return mk_term(
         BLOCK, (), (build_list(BLOCK_ITEM_L, items), mk_term(EMPTY_BLOCK_END))
     )
@@ -430,8 +657,6 @@ def block_items(block: Term) -> list[Term]:
 def with_block_items(block: Term, items: list[Term]) -> Term:
     """block with its items replaced; block itself if each item is the same
     object as before."""
-    from ..fragments import BLOCK_ITEM_L
-
     old = block_items(block)
     if len(old) == len(items) and all(map(is_, items, old)):
         return block

@@ -1,4 +1,5 @@
-"""Shared lexing and parsing scaffolding for the bundled frontends."""
+"""Shared lexing and parsing scaffolding for the bundled frontends, and
+the interpreter statements of the C-like ones."""
 
 from __future__ import annotations
 
@@ -6,6 +7,7 @@ import re
 from string import ascii_letters, digits
 from typing import Callable, NamedTuple
 
+from ..runtime import BreakEx, ContinueEx, Interp, ReturnEx, Trap
 from ..schema import GV, GenericValue
 
 
@@ -250,6 +252,63 @@ def _parse_opt_expr(ts: TokenStream, expr: Callable, closer: str) -> GenericValu
     if ts.at_op(closer):
         return GV("NoExpr")
     return GV("SomeExpr", (expr(ts),))
+
+
+class CInterp(Interp):
+    """Runs the statements `parse_c_stmt` parses.  A subclass supplies
+    `truthy` and `exec_body`, which runs the body of an if or a loop."""
+
+    def exec_stmt(self, s: GenericValue, env: list) -> None:
+        c = s.ctor
+        if c == "ExprStmt":
+            self.eval(s.args[0], env)
+        elif c == "IfStmt":
+            cond, then, els = s.args
+            if self.truthy(self.eval(cond, env)):
+                self.exec_body(then, env)
+            elif els.ctor == "SomeElse":
+                self.exec_body(els.args[0], env)
+        elif c == "WhileStmt":
+            cond, body = s.args
+            while True:
+                self.tick()
+                if not self.truthy(self.eval(cond, env)):
+                    break
+                try:
+                    self.exec_body(body, env)
+                except BreakEx:
+                    break
+                except ContinueEx:
+                    continue
+        elif c == "ForStmt":
+            init, cond, step, body = s.args
+            if init.ctor == "SomeExpr":
+                self.eval(init.args[0], env)
+            while True:
+                self.tick()
+                if cond.ctor == "SomeExpr" and not self.truthy(
+                    self.eval(cond.args[0], env)
+                ):
+                    break
+                try:
+                    self.exec_body(body, env)
+                except BreakEx:
+                    break
+                except ContinueEx:
+                    pass
+                if step.ctor == "SomeExpr":
+                    self.eval(step.args[0], env)
+        elif c == "ReturnStmt":
+            opt = s.args[0]
+            raise ReturnEx(self.eval(opt.args[0], env) if opt.ctor == "SomeExpr" else None)
+        elif c == "BreakStmt":
+            raise BreakEx()
+        elif c == "ContinueStmt":
+            raise ContinueEx()
+        elif c == "BlockStmt":
+            self.exec_block(s.args[0], env)
+        else:
+            raise Trap("stmt")
 
 
 def parse_unary(ts: TokenStream, not_op: str, operand: Callable) -> GenericValue:

@@ -25,49 +25,30 @@ from ..fragments import (
     RHS_L,
     assign,
     binder_names,
-    ident,
     multi_decl,
-    single_decl,
 )
-from ..runtime import (
-    COV,
-    BreakEx,
-    ContinueEx,
-    Interp,
-    ReturnEx,
-    RunResult,
-    Trap,
-    check_int,
-    int_op,
-)
+from ..runtime import COV, RunResult, Trap, check_int, int_op
 from ..schema import GV, GenericValue, modularize_schema, parse_schema_text
-from ..terms import NodeKind, Term, build_list, extract_list
-from ..traversal import Path
+from ..terms import NodeKind, Term
 from .base import (
-    ExprStmtView,
-    ForView,
-    IfView,
-    ItemView,
+    BodyCodec,
     LanguageDef,
-    NestedBlockView,
-    PlainView,
-    BreakView,
-    ContinueView,
-    ReturnView,
-    UnrepresentableTerm,
-    WhileView,
+    block_cases,
     block_items,
+    c_item_view,
     constructors,
+    declarator_cases,
     expect,
+    func_body_paths,
     generic_block,
     genericize,
     ident_assign_cases,
     make_translator,
     register,
-    some,
     wrap,
 )
 from .common import (
+    CInterp,
     PrettyPrinter,
     TokenStream,
     expr_printer,
@@ -377,72 +358,47 @@ _ident_term, _TRANS, _UNTRANS = ident_assign_cases(
 )
 
 
-# trans: surface modular term -> genericized term
+class _Body(BodyCodec):
+    """A MiniC body is a statement, braced or bare."""
 
-def _tr_decl(t: Term, tr) -> Term:
-    ty, dtors = t.children
-    singles = []
-    for dtor in extract_list(dtors):
-        name = dtor.children[0].payload_values[0]
-        opt = dtor.children[1]
-        if opt.kind.name == "MiniC.SomeInit":
-            init = wrap(INIT_IS_INIT, tr(opt.children[0]))
-        else:
-            init = None
-        singles.append(single_decl(wrap(IDENT_IS_BINDER, ident(name)), init))
-    return multi_decl(singles, wrap(TYPE_IS_ATTRS, tr(ty)))
+    fresh = False
 
+    def open(self, stmt: Term) -> tuple[Term, bool]:
+        if stmt.kind.name != "MiniC.BlockStmt":
+            return generic_block([self.item(stmt)]), False
+        block = stmt.children[0]
+        expect(block.kind == BLOCK_IS_MINIC, "block statement body is foreign")
+        return block.children[0], True
 
-def _tr_block(t: Term, tr) -> Term:
-    items = []
-    for item in extract_list(t.children[0]):
-        if item.kind.name == "MiniC.StmtItem":
-            items.append(wrap(STMT_IS_ITEM, tr(item.children[0])))
-        else:
-            items.append(wrap(MULTI_DECL_IS_ITEM, _tr_decl(item.children[0], tr)))
-    return wrap(BLOCK_IS_MINIC, generic_block(items))
+    def close(self, generic: Term, braced: bool) -> Term:
+        items = () if braced else block_items(generic)
+        if len(items) == 1 and items[0].kind == STMT_IS_ITEM:
+            return items[0].children[0]
+        return C.BlockStmt(self.close_block(generic, None))
 
 
-trans_ips = make_translator({**_TRANS, "MiniC.Block": _tr_block})
+BODY = _Body(BLOCK_IS_MINIC, STMT_IS_ITEM)
+_tr_dtors, _un_dtors = declarator_cases(
+    C, C.Declarator, INIT_IS_INIT, "MiniC", "a MiniC initializer"
+)
 
 
-# untrans: genericized term -> surface modular term
+def _tr_decl(item: Term, tr) -> Term:
+    ty, dtors = item.children[0].children
+    return multi_decl(_tr_dtors(dtors, tr), wrap(TYPE_IS_ATTRS, tr(ty)))
 
-def _un_decl(t: Term, tr) -> Term:
-    expect(t.kind.name == "MultiLocalVarDecl", "expected a generic declaration")
-    attrs, singles = t.children
+
+def _un_decl(attrs: Term, singles: Term, tr) -> Term:
     expect(attrs.kind == TYPE_IS_ATTRS, "declaration attributes are not a MiniC type")
-    dtors = []
-    for single in extract_list(singles):
-        _, binder, opt = single.children
-        expect(binder.kind == IDENT_IS_BINDER, "MiniC binders are single identifiers")
-        name = binder.children[0].payload_values[0]
-        if opt.kind.name == "JustLocalVarInit":
-            init_w = opt.children[0]
-            expect(init_w.kind == INIT_IS_INIT, "initializer is not a MiniC initializer")
-            opt_s = C.SomeInit(tr(init_w.children[0]))
-        else:
-            opt_s = C.NoInit()
-        dtors.append(C.Declarator(C.Ident(name), opt_s))
-    return C.Decl(
-        tr(attrs.children[0]), build_list(S("Declarator"), dtors)
-    )
+    dtors = _un_dtors(singles, tr)
+    return C.DeclItem(C.Decl(tr(attrs.children[0]), dtors))
 
 
-def _un_block(t: Term, tr) -> Term:
-    inner = t.children[0]
-    items = []
-    for item in block_items(inner):
-        if item.kind == STMT_IS_ITEM:
-            items.append(C.StmtItem(tr(item.children[0])))
-        elif item.kind == MULTI_DECL_IS_ITEM:
-            items.append(C.DeclItem(_un_decl(item.children[0], tr)))
-        else:
-            raise UnrepresentableTerm(f"unexpected block item {item.kind.name}")
-    return C.Block(build_list(S("BlockItem"), items))
-
-
-untrans_ips = make_translator({**_UNTRANS, "GenericBlockIsMiniCBlock": _un_block})
+_BLOCK_TRANS, _BLOCK_UNTRANS = block_cases(
+    BODY, C.Block, C.DeclItem.kind, _tr_decl, _un_decl, C.StmtItem
+)
+trans_ips = make_translator({**_TRANS, **_BLOCK_TRANS})
+untrans_ips = make_translator({**_UNTRANS, **_BLOCK_UNTRANS})
 
 
 # ---------------------------------------------------------------------------
@@ -470,118 +426,10 @@ class _Ops:
 # ---------------------------------------------------------------------------
 # Structural adapter
 
-def _stmt_to_block(stmt: Term) -> tuple[Term, bool]:
-    """View a statement in body position as a generic block."""
-    if stmt.kind.name == "MiniC.BlockStmt":
-        wrapper = stmt.children[0]
-        expect(wrapper.kind == BLOCK_IS_MINIC, "block statement body is foreign")
-        return wrapper.children[0], True
-    return generic_block([wrap(STMT_IS_ITEM, stmt)]), False
-
-
-def _block_to_stmt(block: Term, was_braced: bool) -> Term:
-    if was_braced:
-        return C.BlockStmt(wrap(BLOCK_IS_MINIC, block))
-    items = block_items(block)
-    if len(items) == 1 and items[0].kind == STMT_IS_ITEM:
-        return items[0].children[0]
-    return C.BlockStmt(wrap(BLOCK_IS_MINIC, block))
-
-
-def _mk_opt_expr(e: Optional[Term]) -> Term:
-    if e is None:
-        return C.NoExpr()
-    return C.SomeExpr(e)
-
-
 class _Adapter:
-    def item_view(self, item: Term) -> ItemView:
-        if item.kind != STMT_IS_ITEM:
-            return PlainView()
-        stmt = item.children[0]
-        name = stmt.kind.name
-
-        def as_item(s: Term) -> Term:
-            return wrap(STMT_IS_ITEM, s)
-
-        if name == "MiniC.IfStmt":
-            cond, then, els = stmt.children
-            then_block, then_braced = _stmt_to_block(then)
-            if els.kind.name == "MiniC.SomeElse":
-                else_block, else_braced = _stmt_to_block(els.children[0])
-            else:
-                else_block, else_braced = None, False
-
-            def rebuild_if(c: Term, tb: Term, eb: Optional[Term]) -> Term:
-                new_else = (
-                    C.NoElse()
-                    if eb is None
-                    else C.SomeElse(_block_to_stmt(eb, else_braced))
-                )
-                return as_item(
-                    C.IfStmt(c, _block_to_stmt(tb, then_braced), new_else)
-                )
-
-            return IfView(cond, then_block, else_block, rebuild_if)
-        if name == "MiniC.WhileStmt":
-            cond, body = stmt.children
-            body_block, braced = _stmt_to_block(body)
-
-            def rebuild_while(c: Term, b: Term) -> Term:
-                return as_item(C.WhileStmt(c, _block_to_stmt(b, braced)))
-
-            return WhileView(cond, body_block, rebuild_while)
-        if name == "MiniC.ForStmt":
-            init, cond, step, body = stmt.children
-            body_block, braced = _stmt_to_block(body)
-
-            def rebuild_for(i, c, s, b):
-                return as_item(
-                    C.ForStmt(
-                        _mk_opt_expr(i), _mk_opt_expr(c), _mk_opt_expr(s),
-                        _block_to_stmt(b, braced),
-                    )
-                )
-
-            return ForView(some(init), some(cond), some(step),
-                           body_block, rebuild_for)
-        if name == "MiniC.ReturnStmt":
-            opt = stmt.children[0]
-
-            def rebuild_ret(v: Optional[Term]) -> Term:
-                return as_item(C.ReturnStmt(_mk_opt_expr(v)))
-
-            return ReturnView(some(opt), rebuild_ret)
-        if name == "MiniC.BreakStmt":
-            return BreakView()
-        if name == "MiniC.ContinueStmt":
-            return ContinueView()
-        if name == "MiniC.BlockStmt":
-            wrapper = stmt.children[0]
-
-            def rebuild_block(b: Term) -> Term:
-                return as_item(C.BlockStmt(wrap(BLOCK_IS_MINIC, b)))
-
-            return NestedBlockView(wrapper.children[0], rebuild_block)
-        if name == "MiniC.ExprStmt":
-            expr = stmt.children[0]
-
-            def rebuild_expr(e: Term) -> Term:
-                return as_item(C.ExprStmt(e))
-
-            return ExprStmtView(expr, rebuild_expr)
-        return PlainView()
-
-    def body_paths(self, root: Term) -> list[Path]:
-        paths = []
-        spine = root.children[0]
-        prefix: Path = (0,)
-        while spine.kind.name == "ConsF":
-            # FuncDef children: type, name, params, block wrapper.
-            paths.append(prefix + (0, 3, 0))
-            spine = spine.children[1]
-            prefix = prefix + (1,)
-        return paths
+    item_view = staticmethod(c_item_view(C, BODY))
+    # FuncDef children: type, name, params, block wrapper.
+    body_paths = staticmethod(func_body_paths((0, 3, 0)))
 
     def make_cov_marker(self, index: int) -> Term:
         cell = C.IndexE(C.VarE(_ident_term("cov")), C.IntLit(index))
@@ -612,7 +460,7 @@ def _render(v) -> str:
     return str(v)
 
 
-class _Interp(Interp):
+class _Interp(CInterp):
     render = staticmethod(_render)
     void = 0
 
@@ -660,58 +508,6 @@ class _Interp(Interp):
             self.on_item(stmt)
         self.tick()
         self.exec_stmt(stmt, env)
-
-    def exec_stmt(self, s: GenericValue, env: list) -> None:
-        c = s.ctor
-        if c == "ExprStmt":
-            self.eval(s.args[0], env)
-        elif c == "IfStmt":
-            cond, then, els = s.args
-            if self.truthy(self.eval(cond, env)):
-                self.exec_body(then, env)
-            elif els.ctor == "SomeElse":
-                self.exec_body(els.args[0], env)
-        elif c == "WhileStmt":
-            cond, body = s.args
-            while True:
-                self.tick()
-                if not self.truthy(self.eval(cond, env)):
-                    break
-                try:
-                    self.exec_body(body, env)
-                except BreakEx:
-                    break
-                except ContinueEx:
-                    continue
-        elif c == "ForStmt":
-            init, cond, step, body = s.args
-            if init.ctor == "SomeExpr":
-                self.eval(init.args[0], env)
-            while True:
-                self.tick()
-                if cond.ctor == "SomeExpr" and not self.truthy(
-                    self.eval(cond.args[0], env)
-                ):
-                    break
-                try:
-                    self.exec_body(body, env)
-                except BreakEx:
-                    break
-                except ContinueEx:
-                    pass
-                if step.ctor == "SomeExpr":
-                    self.eval(step.args[0], env)
-        elif c == "ReturnStmt":
-            opt = s.args[0]
-            raise ReturnEx(self.eval(opt.args[0], env) if opt.ctor == "SomeExpr" else None)
-        elif c == "BreakStmt":
-            raise BreakEx()
-        elif c == "ContinueStmt":
-            raise ContinueEx()
-        elif c == "BlockStmt":
-            self.exec_block(s.args[0], env)
-        else:
-            raise Trap("stmt")
 
     # -- expressions
 

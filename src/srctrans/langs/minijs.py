@@ -28,47 +28,27 @@ from ..fragments import (
     multi_decl,
     single_decl,
 )
-from ..runtime import (
-    COV,
-    TC,
-    BreakEx,
-    ContinueEx,
-    Interp,
-    ReturnEx,
-    RunResult,
-    Trap,
-    check_int,
-    int_op,
-)
+from ..runtime import COV, TC, RunResult, Trap, check_int, int_op
 from ..schema import GV, GenericValue, modularize_schema, parse_schema_text
-from ..terms import NodeKind, Term, build_list, extract_list
-from ..traversal import Path
+from ..terms import NodeKind, Term, build_list
 from .base import (
-    BreakView,
-    ContinueView,
-    ExprStmtView,
-    ForView,
-    IfView,
-    ItemView,
+    BodyCodec,
     LanguageDef,
-    NestedBlockView,
-    PlainView,
-    ReturnView,
     TacOps,
-    UnrepresentableTerm,
-    WhileView,
-    block_items,
+    block_cases,
+    c_item_view,
     constructors,
+    declarator_cases,
     expect,
-    generic_block,
+    func_body_paths,
     genericize,
     ident_assign_cases,
     make_translator,
     register,
-    some,
     wrap,
 )
 from .common import (
+    CInterp,
     PrettyPrinter,
     TokenStream,
     expr_printer,
@@ -316,64 +296,36 @@ _ident_term, _TRANS, _UNTRANS = ident_assign_cases(
 )
 
 
-def _tr_var_stmt(t: Term, tr) -> Term:
-    singles = []
-    for dtor in extract_list(t.children[0]):
-        name = dtor.children[0].payload_values[0]
-        opt = dtor.children[1]
-        if opt.kind.name == "MiniJS.SomeInit":
-            init = wrap(EXPR_IS_INIT, tr(opt.children[0]))
-        else:
-            init = None
-        singles.append(single_decl(wrap(IDENT_IS_BINDER, ident(name)), init))
-    return multi_decl(singles)
+class _Body(BodyCodec):
+    """A MiniJS block carries directives before its statements."""
+
+    def open_block(self, block: Term) -> tuple[Term, Term]:
+        directives, stmts = block.children
+        return super().open_block(stmts)[0], directives
+
+    def close_block(self, generic: Term, directives: Optional[Term]) -> Term:
+        if directives is None:
+            directives = build_list(S("Directive"), [])
+        return C.Block(directives, super().close_block(generic, None))
 
 
-def _tr_stmts(t: Term, tr) -> Term:
-    items = []
-    for stmt in extract_list(t.children[0]):
-        if stmt.kind.name == "MiniJS.VarStmt":
-            items.append(wrap(MULTI_DECL_IS_ITEM, _tr_var_stmt(stmt, tr)))
-        else:
-            items.append(wrap(STMT_IS_ITEM, tr(stmt)))
-    return wrap(BLOCK_IS_STMTS, generic_block(items))
+BODY = _Body(BLOCK_IS_STMTS, STMT_IS_ITEM)
+_tr_dtors, _un_dtors = declarator_cases(
+    C, C.VarDtor, EXPR_IS_INIT, "MiniJS", "a MiniJS expression"
+)
 
 
-trans_ips = make_translator({**_TRANS, "MiniJS.Stmts": _tr_stmts})
-
-
-def _un_decl(t: Term, tr) -> Term:
-    expect(t.kind.name == "MultiLocalVarDecl", "expected a generic declaration")
-    attrs, singles = t.children
+def _un_decl(attrs: Term, singles: Term, tr) -> Term:
     expect(attrs.kind.name == "EmptyCommonAttrs", "MiniJS declarations carry no attributes")
-    dtors = []
-    for single in extract_list(singles):
-        _, binder, opt = single.children
-        expect(binder.kind == IDENT_IS_BINDER, "MiniJS binders are single identifiers")
-        name = binder.children[0].payload_values[0]
-        if opt.kind.name == "JustLocalVarInit":
-            init_w = opt.children[0]
-            expect(init_w.kind == EXPR_IS_INIT, "initializer is not a MiniJS expression")
-            opt_s = C.SomeInit(tr(init_w.children[0]))
-        else:
-            opt_s = C.NoInit()
-        dtors.append(C.VarDtor(C.Ident(name), opt_s))
-    return C.VarStmt(build_list(S("VarDtor"), dtors))
+    return C.VarStmt(_un_dtors(singles, tr))
 
 
-def _un_stmts(t: Term, tr) -> Term:
-    stmts = []
-    for item in block_items(t.children[0]):
-        if item.kind == STMT_IS_ITEM:
-            stmts.append(tr(item.children[0]))
-        elif item.kind == MULTI_DECL_IS_ITEM:
-            stmts.append(_un_decl(item.children[0], tr))
-        else:
-            raise UnrepresentableTerm(f"unexpected block item {item.kind.name}")
-    return C.Stmts(build_list(S("Stmt"), stmts))
-
-
-untrans_ips = make_translator({**_UNTRANS, "GenericBlockIsMiniJSStmts": _un_stmts})
+_BLOCK_TRANS, _BLOCK_UNTRANS = block_cases(
+    BODY, C.Stmts, C.VarStmt.kind,
+    lambda t, tr: multi_decl(_tr_dtors(t.children[0], tr)), _un_decl,
+)
+trans_ips = make_translator({**_TRANS, **_BLOCK_TRANS})
+untrans_ips = make_translator({**_UNTRANS, **_BLOCK_UNTRANS})
 
 
 # ---------------------------------------------------------------------------
@@ -396,118 +348,15 @@ class _Ops:
 # ---------------------------------------------------------------------------
 # Structural adapter
 
-def _block_parts(block: Term) -> tuple[Term, Term]:
-    """Split a MiniJS block into (directives, generic block)."""
-    directives, stmts_w = block.children
-    expect(stmts_w.kind == BLOCK_IS_STMTS, "block body is foreign")
-    return directives, stmts_w.children[0]
-
-
-def _make_block(directives: Term, generic: Term) -> Term:
-    return C.Block(directives, wrap(BLOCK_IS_STMTS, generic))
-
-
-def _empty_directives() -> Term:
-    return build_list(S("Directive"), [])
-
-
-def _mk_opt_expr(e: Optional[Term]) -> Term:
-    if e is None:
-        return C.NoExpr()
-    return C.SomeExpr(e)
-
-
 def _assign_item(target: Term, source: Term) -> Term:
     a = assign(wrap(EXPR_IS_LHS, target), wrap(EXPR_IS_RHS, source))
     return TABLE.inj(a, BLOCK_ITEM_L)
 
 
 class _Adapter:
-    def item_view(self, item: Term) -> ItemView:
-        if item.kind != STMT_IS_ITEM:
-            return PlainView()
-        stmt = item.children[0]
-        name = stmt.kind.name
-
-        def as_item(s: Term) -> Term:
-            return wrap(STMT_IS_ITEM, s)
-
-        if name == "MiniJS.IfStmt":
-            cond, then, els = stmt.children
-            then_dirs, then_g = _block_parts(then)
-            if els.kind.name == "MiniJS.SomeElse":
-                else_dirs, else_g = _block_parts(els.children[0])
-            else:
-                else_dirs, else_g = None, None
-
-            def rebuild_if(c: Term, tb: Term, eb: Optional[Term]) -> Term:
-                if eb is None:
-                    new_else = C.NoElse()
-                else:
-                    dirs = else_dirs if else_dirs is not None else _empty_directives()
-                    new_else = C.SomeElse(_make_block(dirs, eb))
-                return as_item(C.IfStmt(c, _make_block(then_dirs, tb), new_else))
-
-            return IfView(cond, then_g, else_g, rebuild_if)
-        if name == "MiniJS.WhileStmt":
-            cond, body = stmt.children
-            dirs, body_g = _block_parts(body)
-
-            def rebuild_while(c: Term, b: Term) -> Term:
-                return as_item(C.WhileStmt(c, _make_block(dirs, b)))
-
-            return WhileView(cond, body_g, rebuild_while)
-        if name == "MiniJS.ForStmt":
-            init, cond, step, body = stmt.children
-            dirs, body_g = _block_parts(body)
-
-            def rebuild_for(i, c, s, b):
-                return as_item(
-                    C.ForStmt(
-                        _mk_opt_expr(i), _mk_opt_expr(c), _mk_opt_expr(s),
-                        _make_block(dirs, b),
-                    )
-                )
-
-            return ForView(some(init), some(cond), some(step),
-                           body_g, rebuild_for)
-        if name == "MiniJS.ReturnStmt":
-            opt = stmt.children[0]
-
-            def rebuild_ret(v: Optional[Term]) -> Term:
-                return as_item(C.ReturnStmt(_mk_opt_expr(v)))
-
-            return ReturnView(some(opt), rebuild_ret)
-        if name == "MiniJS.BreakStmt":
-            return BreakView()
-        if name == "MiniJS.ContinueStmt":
-            return ContinueView()
-        if name == "MiniJS.BlockStmt":
-            dirs, inner_g = _block_parts(stmt.children[0])
-
-            def rebuild_block(b: Term) -> Term:
-                return as_item(C.BlockStmt(_make_block(dirs, b)))
-
-            return NestedBlockView(inner_g, rebuild_block)
-        if name == "MiniJS.ExprStmt":
-            expr = stmt.children[0]
-
-            def rebuild_expr(e: Term) -> Term:
-                return as_item(C.ExprStmt(e))
-
-            return ExprStmtView(expr, rebuild_expr)
-        return PlainView()
-
-    def body_paths(self, root: Term) -> list[Path]:
-        paths = []
-        spine = root.children[0]
-        prefix: Path = (0,)
-        while spine.kind.name == "ConsF":
-            # FuncDef children: name, params, block(directives, stmts).
-            paths.append(prefix + (0, 2, 1, 0))
-            spine = spine.children[1]
-            prefix = prefix + (1,)
-        return paths
+    item_view = staticmethod(c_item_view(C, BODY))
+    # FuncDef children: name, params, block(directives, stmts).
+    body_paths = staticmethod(func_body_paths((0, 2, 1, 0)))
 
     def make_cov_marker(self, index: int) -> Term:
         cell = C.IndexE(
@@ -529,16 +378,6 @@ class _Tac(TacOps):
 
     def make_assign_item(self, target: Term, source: Term) -> Term:
         return _assign_item(target, source)
-
-    def make_if_item(self, cond: Term, then_items: list, else_items) -> Term:
-        then_b = _make_block(_empty_directives(), generic_block(then_items))
-        if else_items is None:
-            els = C.NoElse()
-        else:
-            els = C.SomeElse(
-                _make_block(_empty_directives(), generic_block(else_items))
-            )
-        return wrap(STMT_IS_ITEM, C.IfStmt(cond, then_b, els))
 
     def init_exprs(self, init: Term) -> tuple:
         expect(init.kind == EXPR_IS_INIT, "not a MiniJS initializer")
@@ -586,8 +425,9 @@ def _render(v) -> str:
     return str(v)
 
 
-class _Interp(Interp):
+class _Interp(CInterp):
     render = staticmethod(_render)
+    truthy = staticmethod(_truthy)
 
     def start(self):
         main = self.main()
@@ -605,65 +445,22 @@ class _Interp(Interp):
         for stmt in block.args[1].args[0]:
             self.exec_item(stmt, env)
 
-    def exec_stmt(self, s: GenericValue, env: list) -> None:
-        c = s.ctor
-        if c == "ExprStmt":
-            self.eval(s.args[0], env)
-        elif c == "VarStmt":
-            for dtor in s.args[0]:
-                name = dtor.args[0].args[0]
-                opt = dtor.args[1]
-                # the binder is in scope (undefined) inside its own initializer
-                env[-1][name] = None
-                if opt.ctor == "SomeInit":
-                    env[-1][name] = self.eval(opt.args[0], env)
-        elif c == "IfStmt":
-            cond, then, els = s.args
-            if _truthy(self.eval(cond, env)):
-                self.exec_block(then, env)
-            elif els.ctor == "SomeElse":
-                self.exec_block(els.args[0], env)
-        elif c == "WhileStmt":
-            cond, body = s.args
-            while True:
-                self.tick()
-                if not _truthy(self.eval(cond, env)):
-                    break
-                try:
-                    self.exec_block(body, env)
-                except BreakEx:
-                    break
-                except ContinueEx:
-                    continue
-        elif c == "ForStmt":
-            init, cond, step, body = s.args
-            if init.ctor == "SomeExpr":
-                self.eval(init.args[0], env)
-            while True:
-                self.tick()
-                if cond.ctor == "SomeExpr" and not _truthy(
-                    self.eval(cond.args[0], env)
-                ):
-                    break
-                try:
-                    self.exec_block(body, env)
-                except BreakEx:
-                    break
-                except ContinueEx:
-                    pass
-                if step.ctor == "SomeExpr":
-                    self.eval(step.args[0], env)
-        elif c == "ReturnStmt":
-            opt = s.args[0]
-            raise ReturnEx(self.eval(opt.args[0], env) if opt.ctor == "SomeExpr" else None)
-        elif c == "BreakStmt":
-            raise BreakEx()
-        elif c == "ContinueStmt":
-            raise ContinueEx()
-        elif c == "BlockStmt":
-            self.exec_block(s.args[0], env)
-        else:
-            raise Trap("stmt")
+    exec_body = exec_block
+
+    def exec_item(self, stmt: GenericValue, env: list) -> None:
+        if self.on_item:
+            self.on_item(stmt)
+        self.tick()
+        if stmt.ctor != "VarStmt":
+            self.exec_stmt(stmt, env)
+            return
+        for dtor in stmt.args[0]:
+            name = dtor.args[0].args[0]
+            opt = dtor.args[1]
+            # the binder is in scope (undefined) inside its own initializer
+            env[-1][name] = None
+            if opt.ctor == "SomeInit":
+                env[-1][name] = self.eval(opt.args[0], env)
 
     def unbound(self, name: str):
         if name == "TC":
@@ -801,7 +598,7 @@ LANGUAGE = register(
         pretty=pretty,
         trans_ips=trans_ips,
         untrans_ips=untrans_ips,
-        tac=_Tac(C, _ident_term, ("NumLit", "BoolLit", "UndefLit"), "!",
+        tac=_Tac(C, BODY, _ident_term, ("NumLit", "BoolLit", "UndefLit"), "!",
                  ("&&", "||"), ASSIGN_IS_EXPR),
         run=run,
         item_walk=item_walk,

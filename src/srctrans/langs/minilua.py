@@ -42,26 +42,23 @@ from ..terms import NodeKind, Term, build_list, extract_list
 from ..traversal import Path
 from .base import (
     AssignView,
-    BreakView,
-    ExprStmtView,
+    BodyCodec,
     ForNumView,
     IfView,
-    ItemView,
     LanguageDef,
-    NestedBlockView,
-    PlainView,
-    ReturnView,
     TacOps,
-    UnrepresentableTerm,
-    WhileView,
+    block_cases,
     block_items,
     constructors,
     expect,
     generic_block,
     genericize,
     ident_assign_cases,
+    item_viewer,
     make_translator,
+    optional,
     register,
+    shared_arms,
     some,
     wrap,
 )
@@ -381,22 +378,7 @@ def _tr_local(t: Term, tr) -> Term:
     return multi_decl([single_decl(wrap(NAMELIST_IS_BINDER, tr(names)), init)])
 
 
-def _tr_block(t: Term, tr) -> Term:
-    items = []
-    for stmt in extract_list(t.children[0]):
-        if stmt.kind.name == "MiniLua.LocalStmt":
-            items.append(wrap(MULTI_DECL_IS_ITEM, _tr_local(stmt, tr)))
-        else:
-            items.append(wrap(STMT_IS_ITEM, tr(stmt)))
-    return wrap(BLOCK_IS_MINILUA, generic_block(items))
-
-
-trans_ips = make_translator({**_TRANS, "MiniLua.Block": _tr_block})
-
-
-def _un_decl(t: Term, tr) -> Term:
-    expect(t.kind.name == "MultiLocalVarDecl", "expected a generic declaration")
-    attrs, singles_t = t.children
+def _un_decl(attrs: Term, singles_t: Term, tr) -> Term:
     expect(attrs.kind.name == "EmptyCommonAttrs", "MiniLua declarations carry no attributes")
     singles = extract_list(singles_t)
     # One parallel binder group per local statement.
@@ -413,19 +395,12 @@ def _un_decl(t: Term, tr) -> Term:
     return C.LocalStmt(names, opt_s)
 
 
-def _un_block(t: Term, tr) -> Term:
-    stmts = []
-    for item in block_items(t.children[0]):
-        if item.kind == STMT_IS_ITEM:
-            stmts.append(tr(item.children[0]))
-        elif item.kind == MULTI_DECL_IS_ITEM:
-            stmts.append(_un_decl(item.children[0], tr))
-        else:
-            raise UnrepresentableTerm(f"unexpected block item {item.kind.name}")
-    return C.Block(build_list(S("Stmt"), stmts))
-
-
-untrans_ips = make_translator({**_UNTRANS, "GenericBlockIsMiniLuaBlock": _un_block})
+BODY = BodyCodec(BLOCK_IS_MINILUA, STMT_IS_ITEM)
+_BLOCK_TRANS, _BLOCK_UNTRANS = block_cases(
+    BODY, C.Block, C.LocalStmt.kind, _tr_local, _un_decl
+)
+trans_ips = make_translator({**_TRANS, **_BLOCK_TRANS})
+untrans_ips = make_translator({**_UNTRANS, **_BLOCK_UNTRANS})
 
 
 # ---------------------------------------------------------------------------
@@ -452,25 +427,16 @@ class _Ops:
 # ---------------------------------------------------------------------------
 # Structural adapter
 
-def _unwrap_block(block: Term) -> Term:
-    expect(block.kind == BLOCK_IS_MINILUA, "block body is foreign")
-    return block.children[0]
-
-
-def _wrap_block(generic: Term) -> Term:
-    return wrap(BLOCK_IS_MINILUA, generic)
-
-
 def _tail_to_block(tail: Term) -> tuple[Optional[Term], str]:
     name = tail.kind.name
     if name == "MiniLua.NoElse":
         return None, "none"
     if name == "MiniLua.Else":
-        return _unwrap_block(tail.children[0]), "else"
+        return BODY.open(tail.children[0])[0], "else"
     # elseif: view the rest of the chain as a one-statement else block
     cond, block, rest = tail.children
     synthetic = C.IfStmt(cond, block, rest)
-    return generic_block([wrap(STMT_IS_ITEM, synthetic)]), "elseif"
+    return generic_block([BODY.item(synthetic)]), "elseif"
 
 
 def _block_to_tail(block: Optional[Term], how: str) -> Term:
@@ -482,7 +448,7 @@ def _block_to_tail(block: Optional[Term], how: str) -> Term:
             stmt = items[0].children[0]
             if stmt.kind.name == "MiniLua.IfStmt":
                 return C.ElseIf(*stmt.children)
-    return C.Else(_wrap_block(block))
+    return C.Else(BODY.close(block, None))
 
 
 def _assign_item(targets, sources) -> Term:
@@ -493,93 +459,65 @@ def _assign_item(targets, sources) -> Term:
     return TABLE.inj(a, BLOCK_ITEM_L)
 
 
+def _assign_view(stmt: Term) -> AssignView:
+    lhs_w, _, rhs_w = stmt.children[0].children
+    targets = tuple(extract_list(lhs_w.children[0].children[0]))
+    sources = tuple(extract_list(rhs_w.children[0].children[0]))
+    return AssignView(targets, sources, _assign_item)
+
+
+def _if_view(stmt: Term) -> IfView:
+    cond, then, tail = stmt.children
+    then_g = BODY.open(then)[0]
+    else_g, how = _tail_to_block(tail)
+
+    def rebuild(c: Term, tb: Term, eb: Optional[Term]) -> Term:
+        return BODY.item(C.IfStmt(c, BODY.close(tb, None), _block_to_tail(eb, how)))
+
+    return IfView(cond, then_g, else_g, rebuild)
+
+
+_step = optional(C.SomeStep, C.NoStep)
+
+
+def _for_view(stmt: Term) -> ForNumView:
+    var, low, high, step, body = stmt.children
+    body_g = BODY.open(body)[0]
+
+    def rebuild(lo, hi, st, b):
+        return BODY.item(C.ForStmt(var, lo, hi, _step(st), BODY.close(b, None)))
+
+    var_name = var.children[0].payload_values[0]
+    return ForNumView(var_name, low, high, some(step), body_g, rebuild)
+
+
 class _Adapter:
-    def item_view(self, item: Term) -> ItemView:
-        if item.kind != STMT_IS_ITEM:
-            return PlainView()
-        stmt = item.children[0]
-        name = stmt.kind.name
-
-        def as_item(s: Term) -> Term:
-            return wrap(STMT_IS_ITEM, s)
-
-        if name == "AssignIsMiniLuaStmt":
-            inner = stmt.children[0]
-            lhs_w, _, rhs_w = inner.children
-            targets = tuple(extract_list(lhs_w.children[0].children[0]))
-            sources = tuple(extract_list(rhs_w.children[0].children[0]))
-            return AssignView(targets, sources, _assign_item)
-        if name == "MiniLua.IfStmt":
-            cond, then, tail = stmt.children
-            then_g = _unwrap_block(then)
-            else_g, how = _tail_to_block(tail)
-
-            def rebuild_if(c: Term, tb: Term, eb: Optional[Term]) -> Term:
-                return as_item(
-                    C.IfStmt(c, _wrap_block(tb), _block_to_tail(eb, how))
-                )
-
-            return IfView(cond, then_g, else_g, rebuild_if)
-        if name == "MiniLua.WhileStmt":
-            cond, body = stmt.children
-            body_g = _unwrap_block(body)
-
-            def rebuild_while(c: Term, b: Term) -> Term:
-                return as_item(C.WhileStmt(c, _wrap_block(b)))
-
-            return WhileView(cond, body_g, rebuild_while)
-        if name == "MiniLua.ForStmt":
-            var, low, high, step_t, body = stmt.children
-            step = some(step_t)
-            body_g = _unwrap_block(body)
-
-            def rebuild_for(lo, hi, st, b):
-                new_step = C.SomeStep(st) if st is not None else C.NoStep()
-                return as_item(
-                    C.ForStmt(var, lo, hi, new_step, _wrap_block(b))
-                )
-
-            var_name = var.children[0].payload_values[0]
-            return ForNumView(var_name, low, high, step, body_g, rebuild_for)
-        if name == "MiniLua.ReturnStmt":
-            opt = stmt.children[0]
-            value = some(opt)
-
-            def rebuild_ret(v: Optional[Term]) -> Term:
-                new_opt = C.SomeRet(v) if v is not None else C.NoRet()
-                return as_item(C.ReturnStmt(new_opt))
-
-            return ReturnView(value, rebuild_ret)
-        if name == "MiniLua.BreakStmt":
-            return BreakView()
-        if name == "MiniLua.DoStmt":
-            inner_g = _unwrap_block(stmt.children[0])
-
-            def rebuild_do(b: Term) -> Term:
-                return as_item(C.DoStmt(_wrap_block(b)))
-
-            return NestedBlockView(inner_g, rebuild_do)
-        if name == "MiniLua.CallStmt":
-            expr = stmt.children[0]
-
-            def rebuild_call(e: Term) -> Term:
-                return as_item(C.CallStmt(e))
-
-            return ExprStmtView(expr, rebuild_call)
-        return PlainView()
+    item_view = staticmethod(item_viewer(BODY, {
+        **shared_arms(BODY, C, optional(C.SomeRet, C.NoRet), C.DoStmt, C.CallStmt),
+        ASSIGN_IS_STMT: _assign_view,
+        C.IfStmt.kind: _if_view,
+        C.ForStmt.kind: _for_view,
+    }))
 
     def body_paths(self, root: Term) -> list[Path]:
         # The chunk body comes first, then every function body in
-        # document order.
+        # document order.  The scan keeps a stack of child iterators, one
+        # per node on `path`, so deep nesting does not recurse.
         paths: list[Path] = [(0, 0)]
-
-        def scan(t: Term, prefix: Path) -> None:
-            if t.kind.name == "MiniLua.FuncStmt":
-                paths.append(prefix + (2, 0))
-            for i, c in enumerate(t.children):
-                scan(c, prefix + (i,))
-
-        scan(root, ())
+        path: list[int] = []
+        todo = [enumerate(root.children)]
+        while todo:
+            for i, child in todo[-1]:
+                if child.kind.name == "MiniLua.FuncStmt":
+                    paths.append((*path, i, 2, 0))
+                if child.children:
+                    path.append(i)
+                    todo.append(enumerate(child.children))
+                    break
+            else:
+                todo.pop()
+                if path:
+                    path.pop()
         return paths
 
     def make_cov_marker(self, index: int) -> Term:
@@ -603,14 +541,6 @@ class _Tac(TacOps):
 
     def make_assign_item(self, target: Term, source: Term) -> Term:
         return _assign_item([target], [source])
-
-    def make_if_item(self, cond: Term, then_items: list, else_items) -> Term:
-        then_b = _wrap_block(generic_block(then_items))
-        if else_items is None:
-            tail = C.NoElse()
-        else:
-            tail = C.Else(_wrap_block(generic_block(else_items)))
-        return wrap(STMT_IS_ITEM, C.IfStmt(cond, then_b, tail))
 
     def init_exprs(self, init: Term) -> tuple:
         expect(init.kind == EXPRLIST_IS_INIT, "not a MiniLua initializer")
@@ -908,7 +838,7 @@ LANGUAGE = register(
         pretty=pretty,
         trans_ips=trans_ips,
         untrans_ips=untrans_ips,
-        tac=_Tac(C, _ident_term, ("NumLit", "BoolLit", "NilLit"), "not",
+        tac=_Tac(C, BODY, _ident_term, ("NumLit", "BoolLit", "NilLit"), "not",
                  ("and", "or")),
         run=run,
         item_walk=item_walk,

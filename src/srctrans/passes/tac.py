@@ -9,7 +9,14 @@ continue.  Runs on languages with untyped declarations (MiniJS, MiniLua).
 
 from __future__ import annotations
 
-from ..flow import BeforeLoopCondition, BeforeStmt, continue_sites, insert_at, insert_many
+from ..flow import (
+    BeforeLoopCondition,
+    BeforeStmt,
+    continue_sites,
+    insert_at,
+    insert_many,
+    rewrite_bodies,
+)
 from ..fragments import (
     BLOCK_ITEM_L,
     IDENT,
@@ -31,7 +38,7 @@ from ..langs.base import (
     with_block_items,
 )
 from ..terms import Term, extract_list, mk_term
-from ..traversal import get_at, query_collect, replace_at
+from ..traversal import query_collect
 from .hoist import RequirementMissing
 
 
@@ -133,7 +140,7 @@ class _BodyPass:
         if not is_and:
             guard = self.ops.make_not(guard)
         then = p_r + [self.ops.make_assign_item(self.ops.make_var(name), r_flat)]
-        items.append(self.ops.make_if_item(guard, then, None))
+        items.append(self.ops.make_if_item(guard, then))
         return items, self.ops.make_var(name)
 
     def flatten_assign(self, target: Term, source: Term, want_value: bool):
@@ -375,15 +382,7 @@ def tac(term: Term, lang: LanguageDef) -> Term:
             f"tac on {lang.name}: no untyped-declaration hooks "
             "(declaring temporaries would need type inference)"
         )
-    out = term
-    paths = lang.adapter.body_paths(out)
-    for b, path in enumerate(paths):
-        body = get_at(out, path)
-        names = _Names(_used_names(body))
-        body2 = _BodyPass(lang, names).walk_block(body)
-        out = replace_at(out, path, body2)
-        # Paths are in source order, so the bodies nested in this one come
-        # next; the rewrite moved them, so locate the rest anew.
-        if b + 1 < len(paths) and paths[b + 1][:len(path)] == path:
-            paths[b + 1:] = lang.adapter.body_paths(out)[b + 1:]
-    return out
+    return rewrite_bodies(
+        term, lang,
+        lambda b, body: _BodyPass(lang, _Names(_used_names(body))).walk_block(body),
+    )

@@ -544,18 +544,6 @@ def _parse_one_type(toks: list[str], lineno: int) -> tuple[SchemaType, list[str]
     raise InvalidSchema(f"line {lineno}: unexpected token {head!r}")
 
 
-def _fmt_type(ty: SchemaType) -> str:
-    if isinstance(ty, Prim):
-        return ty.name
-    if isinstance(ty, Named):
-        return ty.name
-    if isinstance(ty, ListT):
-        return f"[{_fmt_type(ty.elem)}]"
-    if isinstance(ty, PairT):
-        return f"({_fmt_type(ty.first)},{_fmt_type(ty.second)})"
-    raise InvalidSchema(f"malformed type {ty!r}")
-
-
 def dump_modularized(lang: ModularizedLanguage) -> str:
     """Deterministic textual dump of the generated sorts and kinds."""
     lines = [f"language {lang.schema.name}", f"root {sort_name(lang.root_sort)}"]

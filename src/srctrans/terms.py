@@ -30,10 +30,12 @@ class ArityMismatch(TermError):
 
 
 class SortMismatch(TermError):
+    """A child of the wrong sort; `actual` is None for a non-term child."""
+
     def __init__(self, position, expected, actual):
+        got = "a non-term" if actual is None else sort_name(actual)
         super().__init__(
-            f"child {position}: expected sort {sort_name(expected)}, "
-            f"got {sort_name(actual)}"
+            f"child {position}: expected sort {sort_name(expected)}, got {got}"
         )
         self.position = position
         self.expected = expected

@@ -31,19 +31,41 @@ def _apply(r: Rewrite, t: Term) -> Optional[Term]:
 
 
 def transform_bottom_up(r: Rewrite, t: Term) -> Term:
-    """Apply r at every node, children first; non-firing nodes pass through."""
-    children = [transform_bottom_up(r, c) for c in t.children]
-    if not all(map(is_, children, t.children)):
-        t = mk_term(t.kind, t.payload_values, children)
-    out = _apply(r, t)
-    return t if out is None else out
+    """Apply r at every node, children first; non-firing nodes pass through.
+
+    The walk keeps an explicit stack, so a long list spine does not
+    deepen the Python stack.  A stack entry is a term to visit or, as a
+    1-tuple, a term whose rewritten children are the last results.
+    """
+    results: list[Term] = []
+    todo: list = [t]
+    while todo:
+        node = todo.pop()
+        if node.__class__ is Term:
+            if node.children:
+                todo.append((node,))
+                todo.extend(reversed(node.children))
+                continue
+        else:
+            node = node[0]
+            n = len(node.children)
+            children = results[-n:]
+            del results[-n:]
+            if not all(map(is_, children, node.children)):
+                node = mk_term(node.kind, node.payload_values, children)
+        out = _apply(r, node)
+        results.append(node if out is None else out)
+    return results[0]
 
 
 def query_collect(q: Query, t: Term) -> list:
-    """Concatenate q over all nodes in pre-order."""
-    out = list(q(t))
-    for c in t.children:
-        out.extend(query_collect(q, c))
+    """Concatenate q over all nodes in pre-order, on an explicit stack."""
+    out: list = []
+    todo = [t]
+    while todo:
+        node = todo.pop()
+        out.extend(q(node))
+        todo.extend(reversed(node.children))
     return out
 
 
@@ -120,8 +142,12 @@ def get_at(t: Term, path: Path) -> Term:
 
 
 def replace_at(t: Term, path: Path, new: Term) -> Term:
-    if not path:
-        return new
-    i = path[0]
-    child = replace_at(t.children[i], path[1:], new)
-    return mk_term(t.kind, t.payload_values, t.children[:i] + (child,) + t.children[i + 1:])
+    spine = []
+    for i in path:
+        spine.append(t)
+        t = t.children[i]
+    for parent, i in zip(reversed(spine), reversed(path)):
+        children = parent.children
+        new = mk_term(parent.kind, parent.payload_values,
+                      children[:i] + (new,) + children[i + 1:])
+    return new

@@ -215,9 +215,9 @@ def test_term_repr_hash_eq_match_a_frozen_dataclass():
     (lambda: mk_term(ADD, (1,), ()), ArityMismatch, "Add: expected 0 payloads, got 1"),
     (lambda: mk_term(ADD, (), (mk_term(LIT, (1,)),)), ArityMismatch,
      "Add: expected 2 children, got 1"),
-    # a child that is not a term fails while SortMismatch names its sort
-    (lambda: mk_term(ADD, (), (mk_term(LIT, (1,)), 2)), TypeError,
-     "not a sort: None"),
+    # a child that is not a term has no sort to name
+    (lambda: mk_term(ADD, (), (mk_term(LIT, (1,)), 2)), SortMismatch,
+     "child 1: expected sort E, got a non-term"),
     (lambda: mk_term(ADD, (), (mk_term(NodeKind("F", (), (), ListOf(E))),
                                mk_term(LIT, (1,)))),
      SortMismatch, r"child 0: expected sort E, got [E]"),

@@ -92,3 +92,69 @@ def test_marker_count_equals_block_count():
     lang = get_language("minijs")
     out, n = instrument(lang, COUNTF["minijs"])
     assert out.count("cov[") == n
+
+
+def test_minilua_sibling_and_nested_functions_golden():
+    # The chunk is body 0, then each function body in document order; the
+    # markers of every body land at once, whatever the bodies' nesting.
+    lang = get_language("minilua")
+    text = (
+        "function outer(a)\n"
+        "  local x = a\n"
+        "  function inner(b)\n"
+        "    if b > 0 then\n"
+        "      return b\n"
+        "    end\n"
+        "    return 0\n"
+        "  end\n"
+        "  while x > 0 do\n"
+        "    x = x - 1\n"
+        "  end\n"
+        "  return inner(x)\n"
+        "end\n"
+        "function other(d)\n"
+        "  if d > 1 then\n"
+        "    print(d)\n"
+        "  else\n"
+        "    print(0)\n"
+        "  end\n"
+        "  return d\n"
+        "end\n"
+        "print(outer(2) + other(3))\n"
+    )
+    assert instrument(lang, text) == (
+        "TC.cov[0] = true\n"
+        "function outer(a)\n"
+        "  TC.cov[1] = true\n"
+        "  local x = a\n"
+        "  function inner(b)\n"
+        "    TC.cov[4] = true\n"
+        "    if b > 0 then\n"
+        "      TC.cov[5] = true\n"
+        "      return b\n"
+        "    end\n"
+        "    TC.cov[6] = true\n"
+        "    return 0\n"
+        "  end\n"
+        "  while x > 0 do\n"
+        "    TC.cov[2] = true\n"
+        "    x = x - 1\n"
+        "  end\n"
+        "  TC.cov[3] = true\n"
+        "  return inner(x)\n"
+        "end\n"
+        "function other(d)\n"
+        "  TC.cov[7] = true\n"
+        "  if d > 1 then\n"
+        "    TC.cov[8] = true\n"
+        "    print(d)\n"
+        "  else\n"
+        "    TC.cov[9] = true\n"
+        "    print(0)\n"
+        "  end\n"
+        "  TC.cov[10] = true\n"
+        "  return d\n"
+        "end\n"
+        "print(outer(2) + other(3))\n",
+        11,
+    )
