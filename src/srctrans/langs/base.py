@@ -28,7 +28,7 @@ from ..fragments import (
 )
 from ..injections import InjectionDecl, InjectionTable, Step
 from ..schema import GenericValue, ModularizedLanguage, Schema, sum_signatures
-from ..terms import ListOf, NodeKind, Signature, Term, build_list, extract_list, mk_term
+from ..terms import NodeKind, Signature, Term, build_list, list_kind, mk_term
 from ..traversal import Path
 
 
@@ -274,14 +274,7 @@ def func_body_paths(suffix: Path) -> Callable[[Term], list[Path]]:
     `suffix` leads from a function to its generic body Block."""
 
     def body_paths(root: Term) -> list[Path]:
-        paths = []
-        spine = root.children[0]
-        prefix: Path = (0,)
-        while spine.kind.name == "ConsF":
-            paths.append(prefix + suffix)
-            spine = spine.children[1]
-            prefix = prefix + (1,)
-        return paths
+        return [(0, i, *suffix) for i in range(len(root.children[0].children))]
 
     return body_paths
 
@@ -309,6 +302,7 @@ class TacOps:
         self.and_or = and_or
         self.assign = assign_is.name if assign_is is not None else None
         self.expr_sort = C.VarE.kind.produced
+        self.expr_list_sort = list_kind(self.expr_sort).produced
 
     def classify(self, expr: Term) -> tuple:
         """One of ("atomic",), ("shortcircuit", is_and, left, right),
@@ -323,7 +317,7 @@ class TacOps:
         if name == self.binop and expr.payload_values[0] in self.and_or:
             op = expr.payload_values[0]
             return ("shortcircuit", op == self.and_or[0], *expr.children)
-        return split_operands(expr, self.expr_sort)
+        return self.split_operands(expr)
 
     def is_atomic(self, expr: Term) -> bool:
         name = expr.kind.name
@@ -347,34 +341,32 @@ class TacOps:
         then = self.body.close(generic_block(then_items), self.body.fresh)
         return self.body.item(self.C.IfStmt(cond, then, self.C.NoElse()))
 
+    def split_operands(self, expr: Term) -> tuple:
+        """Expose the direct expression operands of a compound expression."""
+        slots = []  # (child index, None) or (child index, list position)
+        parts = []
+        for i, (sort, child) in enumerate(zip(expr.kind.child_sorts, expr.children)):
+            if sort is self.expr_sort:
+                slots.append((i, None))
+                parts.append(child)
+            elif sort is self.expr_list_sort:
+                for j, elem in enumerate(child.children):
+                    slots.append((i, j))
+                    parts.append(elem)
 
-def split_operands(expr: Term, expr_sort) -> tuple:
-    """Expose the direct expression operands of a compound expression."""
-    list_sort = ListOf(expr_sort)
-    slots = []  # (child index, None) or (child index, list position)
-    parts = []
-    for i, (sort, child) in enumerate(zip(expr.kind.child_sorts, expr.children)):
-        if sort == expr_sort:
-            slots.append((i, None))
-            parts.append(child)
-        elif sort == list_sort:
-            for j, elem in enumerate(extract_list(child)):
-                slots.append((i, j))
-                parts.append(elem)
+        def rebuild(new_parts: list) -> Term:
+            children = list(expr.children)
+            lists: dict[int, list] = {}
+            for (i, j), part in zip(slots, new_parts):
+                if j is None:
+                    children[i] = part
+                else:
+                    lists.setdefault(i, list(expr.children[i].children))[j] = part
+            for i, elems in lists.items():
+                children[i] = mk_term(expr.children[i].kind, (), elems)
+            return mk_term(expr.kind, expr.payload_values, tuple(children))
 
-    def rebuild(new_parts: list) -> Term:
-        children = list(expr.children)
-        lists: dict[int, list] = {}
-        for (i, j), part in zip(slots, new_parts):
-            if j is None:
-                children[i] = part
-            else:
-                lists.setdefault(i, extract_list(expr.children[i]))[j] = part
-        for i, elems in lists.items():
-            children[i] = build_list(expr_sort, elems)
-        return mk_term(expr.kind, expr.payload_values, tuple(children))
-
-    return ("operands", parts, rebuild)
+        return ("operands", parts, rebuild)
 
 
 class Adapter(Protocol):
@@ -554,7 +546,7 @@ def block_cases(body: BodyCodec, surface_block: Callable, decl: NodeKind,
 
     def tr_block(t: Term, tr) -> Term:
         items = []
-        for elem in extract_list(t.children[0]):
+        for elem in t.children[0].children:
             if elem.kind.name == decl.name:
                 items.append(wrap(MULTI_DECL_IS_ITEM, tr_decl(elem, tr)))
             else:
@@ -590,7 +582,7 @@ def declarator_cases(C, dtor: Callable, init_is: NodeKind, lang: str,
 
     def tr_dtors(dtors: Term, tr) -> list[Term]:
         singles = []
-        for d in extract_list(dtors):
+        for d in dtors.children:
             name = d.children[0].payload_values[0]
             init = some(d.children[1])
             if init is not None:
@@ -600,7 +592,7 @@ def declarator_cases(C, dtor: Callable, init_is: NodeKind, lang: str,
 
     def un_dtors(singles: Term, tr) -> Term:
         dtors = []
-        for single in extract_list(singles):
+        for single in singles.children:
             _, binder, opt = single.children
             expect(binder.kind == IDENT_IS_BINDER, f"{lang} binders are single identifiers")
             name = binder.children[0].payload_values[0]
@@ -648,10 +640,10 @@ def generic_block(items: list[Term]) -> Term:
     )
 
 
-def block_items(block: Term) -> list[Term]:
+def block_items(block: Term) -> tuple[Term, ...]:
     if block.kind != BLOCK:
         raise UnrepresentableTerm(f"expected a generic block, got {block.kind.name}")
-    return extract_list(block.children[0])
+    return block.children[0].children
 
 
 def with_block_items(block: Term, items: list[Term]) -> Term:

@@ -429,7 +429,7 @@ class _Ops:
 class _Adapter:
     item_view = staticmethod(c_item_view(C, BODY))
     # FuncDef children: type, name, params, block wrapper.
-    body_paths = staticmethod(func_body_paths((0, 3, 0)))
+    body_paths = staticmethod(func_body_paths((3, 0)))
 
     def make_cov_marker(self, index: int) -> Term:
         cell = C.IndexE(C.VarE(_ident_term("cov")), C.IntLit(index))

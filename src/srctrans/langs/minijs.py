@@ -356,7 +356,7 @@ def _assign_item(target: Term, source: Term) -> Term:
 class _Adapter:
     item_view = staticmethod(c_item_view(C, BODY))
     # FuncDef children: name, params, block(directives, stmts).
-    body_paths = staticmethod(func_body_paths((0, 2, 1, 0)))
+    body_paths = staticmethod(func_body_paths((2, 1, 0)))
 
     def make_cov_marker(self, index: int) -> Term:
         cell = C.IndexE(

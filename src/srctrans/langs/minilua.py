@@ -38,7 +38,7 @@ from ..runtime import (
     int_op,
 )
 from ..schema import GV, GenericValue, modularize_schema, parse_schema_text
-from ..terms import NodeKind, Term, build_list, extract_list
+from ..terms import NodeKind, Term, build_list, list_kind
 from ..traversal import Path
 from .base import (
     AssignView,
@@ -380,7 +380,7 @@ def _tr_local(t: Term, tr) -> Term:
 
 def _un_decl(attrs: Term, singles_t: Term, tr) -> Term:
     expect(attrs.kind.name == "EmptyCommonAttrs", "MiniLua declarations carry no attributes")
-    singles = extract_list(singles_t)
+    singles = singles_t.children
     # One parallel binder group per local statement.
     expect(len(singles) == 1, "MiniLua declarations hold a single binder group")
     _, binder, opt = singles[0].children
@@ -419,7 +419,7 @@ class _Ops:
         expect(binder.kind == NAMELIST_IS_BINDER, "not a MiniLua binder")
         targets = [
             C.VarE(name_t)
-            for name_t in extract_list(binder.children[0].children[0])
+            for name_t in binder.children[0].children[0].children
         ]
         return wrap(LHSLIST_IS_LHS, C.LhsList(build_list(S("Expr"), targets)))
 
@@ -461,8 +461,8 @@ def _assign_item(targets, sources) -> Term:
 
 def _assign_view(stmt: Term) -> AssignView:
     lhs_w, _, rhs_w = stmt.children[0].children
-    targets = tuple(extract_list(lhs_w.children[0].children[0]))
-    sources = tuple(extract_list(rhs_w.children[0].children[0]))
+    targets = lhs_w.children[0].children[0].children
+    sources = rhs_w.children[0].children[0].children
     return AssignView(targets, sources, _assign_item)
 
 
@@ -491,6 +491,12 @@ def _for_view(stmt: Term) -> ForNumView:
     return ForNumView(var_name, low, high, some(step), body_g, rebuild)
 
 
+# The sorts of an expression and of a list of them: no function statement
+# occurs under either, so the body scan does not descend into them.
+_EXPR = C.VarE.kind.produced
+_EXPRS = list_kind(_EXPR).produced
+
+
 class _Adapter:
     item_view = staticmethod(item_viewer(BODY, {
         **shared_arms(BODY, C, optional(C.SomeRet, C.NoRet), C.DoStmt, C.CallStmt),
@@ -510,7 +516,8 @@ class _Adapter:
             for i, child in todo[-1]:
                 if child.kind.name == "MiniLua.FuncStmt":
                     paths.append((*path, i, 2, 0))
-                if child.children:
+                sort = child.kind.produced
+                if child.children and sort is not _EXPR and sort is not _EXPRS:
                     path.append(i)
                     todo.append(enumerate(child.children))
                     break
@@ -544,7 +551,7 @@ class _Tac(TacOps):
 
     def init_exprs(self, init: Term) -> tuple:
         expect(init.kind == EXPRLIST_IS_INIT, "not a MiniLua initializer")
-        exprs = extract_list(init.children[0].children[0])
+        exprs = init.children[0].children[0].children
 
         def rebuild(new_exprs: list) -> Term:
             return wrap(

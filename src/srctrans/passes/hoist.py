@@ -26,7 +26,7 @@ from ..fragments import (
     binder_names,
 )
 from ..langs.base import LanguageDef, block_items, with_block_items
-from ..terms import Term, build_list, extract_list, mk_term
+from ..terms import Term, build_list, mk_term
 from ..traversal import query_collect, transform_bottom_up
 
 
@@ -82,7 +82,7 @@ def _decl_to_assigns(decl: Term, lang: LanguageDef) -> list[Term]:
     """One assignment per initialized declarator, in declarator order."""
     mattrs, singles = decl.children
     out = []
-    for single in extract_list(singles):
+    for single in singles.children:
         lattrs, binder, opt = single.children
         if opt.kind != JUST_INIT:
             continue
@@ -98,7 +98,7 @@ def _split_decl(item: Term, lang: LanguageDef) -> tuple[list[Term], list[Term]]:
         return [], [item]
     mattrs, singles = decl.children
     stripped = build_list(
-        SINGLE_DECL_L, [_remove_init(s) for s in extract_list(singles)]
+        SINGLE_DECL_L, [_remove_init(s) for s in singles.children]
     )
     hoisted = lang.injections.inj(
         mk_term(MULTI_DECL, (), (mattrs, stripped)), BLOCK_ITEM_L
@@ -164,12 +164,12 @@ class _PrefixNames:
             self.names |= _ident_names(earlier)
         self.upto = index
         bound = set()
-        for single in extract_list(decl.children[1]):
+        for single in decl.children[1].children:
             bound.update(binder_names(single.children[1]))
         if bound & self.names:
             return True
         if not lang.ops.binder_in_scope_in_init:
-            for single in extract_list(decl.children[1]):
+            for single in decl.children[1].children:
                 opt = single.children[2]
                 if opt.kind == JUST_INIT and bound & _ident_names(opt.children[0]):
                     return True
@@ -228,7 +228,7 @@ def postcondition_violations(term: Term, lang: LanguageDef) -> list[str]:
                 out.append(f"hoistable declaration after statement at item {i}")
             has_init = any(
                 s.children[2].kind == JUST_INIT
-                for s in extract_list(decl.children[1])
+                for s in decl.children[1].children
             )
             if has_init and not unsafe:
                 out.append(f"hoistable declaration keeps initializer at item {i}")

@@ -37,7 +37,7 @@ from ..langs.base import (
     generic_block,
     with_block_items,
 )
-from ..terms import Term, extract_list, mk_term
+from ..terms import Term, mk_term
 from ..traversal import query_collect
 from .hoist import RequirementMissing
 
@@ -212,11 +212,10 @@ class _BodyPass:
         return [item]
 
     def walk_decl(self, decl: Term) -> list[Term]:
-        attrs, singles_t = decl.children
-        singles = extract_list(singles_t)
+        attrs, singles = decl.children
         preludes: list[list[Term]] = []
         rebuilt: list[Term] = []
-        for single in singles:
+        for single in singles.children:
             lattrs, binder, opt = single.children
             if opt.kind.name != "JustLocalVarInit":
                 preludes.append([])
@@ -305,7 +304,7 @@ class _BodyPass:
     def _recompute_condition(self, loop_item: Term, prelude: list[Term]) -> list[Term]:
         synth = generic_block([loop_item])
         out = insert_at(synth, BeforeLoopCondition(0, (), 0), prelude, self.lang)
-        return block_items(out)
+        return list(block_items(out))
 
     def walk_while(self, view: WhileView) -> list[Term]:
         body2 = self.walk_block(view.body)

@@ -32,7 +32,6 @@ from .terms import (
     Term,
     build_list,
     build_pair,
-    extract_list,
     mk_term,
     sort_name,
 )
@@ -219,15 +218,24 @@ class _CtorCodec:
 
     `slots` has one entry per constructor argument: the primitive's name
     for a payload slot, else the (encode, decode) pair of a child slot.
-    A plain class, not a dataclass, to keep import time down.
+    The decode plan: `decoders` decode the children in order, and
+    `order` puts the payloads followed by the decoded children back in
+    argument order, or is None where they already are.  A plain class,
+    not a dataclass, to keep import time down.
     """
 
-    __slots__ = ("ctor", "kind", "slots")
+    __slots__ = ("ctor", "kind", "slots", "decoders", "order")
 
     def __init__(self, ctor: str, kind: NodeKind, slots: tuple):
         self.ctor = ctor
         self.kind = kind
         self.slots = slots
+        self.decoders = tuple(s[1] for s in slots if not isinstance(s, str))
+        # the argument index of each payload, then of each child
+        where = [i for i, s in enumerate(slots) if isinstance(s, str)]
+        where += [i for i, s in enumerate(slots) if not isinstance(s, str)]
+        in_order = where == sorted(where)
+        self.order = None if in_order else tuple(map(where.index, range(len(where))))
 
 
 @dataclass(frozen=True)
@@ -357,7 +365,7 @@ def _arg_codec(lang_name: str, ty: SchemaType) -> tuple[Callable, Callable]:
             return build_list(elem_sort, [enc_elem(lang, v) for v in value])
 
         def decode(lang, term):
-            return tuple([dec_elem(lang, t) for t in extract_list(term)])
+            return tuple([dec_elem(lang, t) for t in term.children])
 
         return encode, decode
     if isinstance(ty, PairT):
@@ -417,13 +425,12 @@ def from_modular(lang: ModularizedLanguage, term: Term) -> GenericValue:
     codec = lang._by_kind.get(kind.name)
     if codec is None or (codec.kind is not kind and codec.kind != kind):
         raise ForeignKind(f"kind {kind.name} is not part of {lang.schema.name}")
-    payloads = iter(term.payload_values)
-    children = iter(term.children)
-    args = [
-        next(payloads) if isinstance(slot, str) else slot[1](lang, next(children))
-        for slot in codec.slots
-    ]
-    return GenericValue(codec.ctor, tuple(args))
+    args = term.payload_values + tuple(
+        [dec(lang, child) for dec, child in zip(codec.decoders, term.children)]
+    )
+    if codec.order is not None:
+        args = tuple([args[i] for i in codec.order])
+    return GenericValue(codec.ctor, args)
 
 
 # ---------------------------------------------------------------------------

@@ -2,17 +2,17 @@
 
 A term is a node kind applied to primitive payloads and sorted children.
 Sorts are runtime tags checked at construction time, so an ill-sorted tree
-can never be built through this module's constructors.  List, pair and
-option values are embedded as ordinary terms via the built-in container
-kinds (ConsF/NilF, PairF, JustF/NothingF), which exist at every element
-sort.
+can never be built through this module's constructors.  List and pair
+values are embedded as ordinary terms via the built-in container kinds,
+which exist at every element sort: a list is one ListF node whose
+children, any number of them, are its elements; a pair is a PairF node.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache
-from typing import Callable, Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, Optional, Union
 
 PRIM_TYPES = ("Int", "Bool", "String")
 
@@ -46,10 +46,6 @@ class PayloadMismatch(TermError):
     pass
 
 
-class NotAListTerm(TermError):
-    pass
-
-
 @dataclass(frozen=True)
 class Atom:
     """A nominal sort label."""
@@ -68,12 +64,7 @@ class PairOf:
     second: "Sort"
 
 
-@dataclass(frozen=True)
-class OptionOf:
-    elem: "Sort"
-
-
-Sort = Union[Atom, ListOf, PairOf, OptionOf]
+Sort = Union[Atom, ListOf, PairOf]
 
 _INTERNED: dict = {}
 
@@ -95,8 +86,6 @@ def sort_name(sort: Sort) -> str:
         return f"[{sort_name(sort.elem)}]"
     if isinstance(sort, PairOf):
         return f"({sort_name(sort.first)}, {sort_name(sort.second)})"
-    if isinstance(sort, OptionOf):
-        return f"{sort_name(sort.elem)}?"
     raise TypeError(f"not a sort: {sort!r}")
 
 
@@ -188,6 +177,17 @@ def _check_children(wants: tuple, children: tuple) -> None:
             raise SortMismatch(i, want, got)
 
 
+def _child_sorts(kind: NodeKind, n: int) -> tuple:
+    """The sorts of n children of kind: a list kind takes any number of
+    children of its element sort, every other kind its own child sorts."""
+    wants = kind.child_sorts
+    if n == len(wants):
+        return wants
+    if kind.name == "ListF":
+        return wants * n
+    raise ArityMismatch(f"{kind.name}: expected {len(wants)} children, got {n}")
+
+
 def mk_term(kind: NodeKind, payloads: Iterable = (), children: Iterable[Term] = ()) -> Term:
     """Construct a well-sorted term, rejecting arity and sort mismatches."""
     if not isinstance(kind, NodeKind):
@@ -200,9 +200,7 @@ def mk_term(kind: NodeKind, payloads: Iterable = (), children: Iterable[Term] = 
         children = tuple(children)
     wants = kind.child_sorts
     if len(children) != len(wants):
-        raise ArityMismatch(
-            f"{kind.name}: expected {len(wants)} children, got {len(children)}"
-        )
+        wants = _child_sorts(kind, len(children))
     for want, child in zip(wants, children):
         if child.__class__ is not Term or child.kind.produced is not want:
             _check_children(wants, children)
@@ -223,32 +221,20 @@ def project(term: Term, kind: NodeKind) -> Optional[tuple[tuple, tuple[Term, ...
 
 # ---------------------------------------------------------------------------
 # Container kinds.  These are built-in and instantiable at every element
-# sort; they belong to every signature.  The list kinds are memoized per
-# element sort, since every list built or rebuilt needs them.
+# sort; they belong to every signature.  The list kind is memoized per
+# element sort, since every list built needs it.
 
 @cache
-def nil_kind(elem: Sort) -> NodeKind:
-    return NodeKind("NilF", (), (), ListOf(elem))
-
-
-@cache
-def cons_kind(elem: Sort) -> NodeKind:
-    return NodeKind("ConsF", (), (elem, ListOf(elem)), ListOf(elem))
+def list_kind(elem: Sort) -> NodeKind:
+    """The kind of a list of elem: its children are the elements."""
+    return NodeKind("ListF", (), (elem,), ListOf(elem))
 
 
 def pair_kind(first: Sort, second: Sort) -> NodeKind:
     return NodeKind("PairF", (), (first, second), PairOf(first, second))
 
 
-def just_kind(elem: Sort) -> NodeKind:
-    return NodeKind("JustF", (), (elem,), OptionOf(elem))
-
-
-def nothing_kind(elem: Sort) -> NodeKind:
-    return NodeKind("NothingF", (), (), OptionOf(elem))
-
-
-CONTAINER_KIND_NAMES = frozenset({"NilF", "ConsF", "PairF", "JustF", "NothingF"})
+CONTAINER_KIND_NAMES = frozenset({"ListF", "PairF"})
 
 
 def is_container_kind(kind: NodeKind) -> bool:
@@ -256,45 +242,11 @@ def is_container_kind(kind: NodeKind) -> bool:
 
 
 def build_list(elem_sort: Sort, items: Iterable[Term]) -> Term:
-    """Right-nested ConsF chain over items, ending in NilF."""
-    items = list(items)
-    out = mk_term(nil_kind(elem_sort))
-    ck = cons_kind(elem_sort)
-    for item in reversed(items):
-        out = mk_term(ck, (), (item, out))
-    return out
-
-
-def extract_list(term: Term) -> list[Term]:
-    """Flatten a ConsF/NilF spine back into a Python list."""
-    if not isinstance(term.sort, ListOf):
-        raise NotAListTerm(f"term of sort {sort_name(term.sort)} is not a list")
-    out = []
-    while True:
-        if term.kind.name == "NilF":
-            return out
-        if term.kind.name == "ConsF":
-            out.append(term.children[0])
-            term = term.children[1]
-            continue
-        raise NotAListTerm(f"unexpected kind {term.kind.name} in list spine")
-
-
-def map_list(f: Callable[[Term], Term], term: Term) -> Term:
-    """Apply a sort-preserving function to every element of a list term."""
-    if not isinstance(term.sort, ListOf):
-        raise NotAListTerm(f"term of sort {sort_name(term.sort)} is not a list")
-    return build_list(term.sort.elem, [f(x) for x in extract_list(term)])
+    return mk_term(list_kind(elem_sort), (), items)
 
 
 def build_pair(first: Term, second: Term) -> Term:
     return mk_term(pair_kind(first.sort, second.sort), (), (first, second))
-
-
-def build_option(elem_sort: Sort, item: Optional[Term]) -> Term:
-    if item is None:
-        return mk_term(nothing_kind(elem_sort))
-    return mk_term(just_kind(elem_sort), (), (item,))
 
 
 # ---------------------------------------------------------------------------
@@ -348,9 +300,8 @@ def check_term(term: Term, signature: Optional[Signature] = None) -> None:
         if signature is not None and not signature.contains(t.kind):
             raise UnknownKind(f"kind {t.kind.name} not in signature {signature.name}")
         _check_payload(t.kind, t.payload_values)
-        if len(t.children) != len(t.kind.child_sorts):
-            raise ArityMismatch(t.kind.name)
-        for i, (want, child) in enumerate(zip(t.kind.child_sorts, t.children)):
+        wants = _child_sorts(t.kind, len(t.children))
+        for i, (want, child) in enumerate(zip(wants, t.children)):
             if child.sort != want:
                 raise SortMismatch(i, want, child.sort)
             stack.append(child)

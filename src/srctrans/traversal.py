@@ -33,9 +33,9 @@ def _apply(r: Rewrite, t: Term) -> Optional[Term]:
 def transform_bottom_up(r: Rewrite, t: Term) -> Term:
     """Apply r at every node, children first; non-firing nodes pass through.
 
-    The walk keeps an explicit stack, so a long list spine does not
-    deepen the Python stack.  A stack entry is a term to visit or, as a
-    1-tuple, a term whose rewritten children are the last results.
+    The walk keeps an explicit stack, so deep nesting does not deepen
+    the Python stack.  A stack entry is a term to visit or, as a 1-tuple,
+    a term whose rewritten children are the last results.
     """
     results: list[Term] = []
     todo: list = [t]
@@ -67,66 +67,6 @@ def query_collect(q: Query, t: Term) -> list:
         out.extend(q(node))
         todo.extend(reversed(node.children))
     return out
-
-
-def try_(r: Rewrite) -> Rewrite:
-    """Like r, but fall back to the unchanged term instead of not firing."""
-
-    def go(t: Term) -> Optional[Term]:
-        out = _apply(r, t)
-        return t if out is None else out
-
-    return go
-
-
-def seq(r1: Rewrite, r2: Rewrite) -> Rewrite:
-    """Apply r1 then r2; fires if either component fires."""
-
-    def go(t: Term) -> Optional[Term]:
-        mid = _apply(r1, t)
-        out = _apply(r2, mid if mid is not None else t)
-        if out is not None:
-            return out
-        return mid
-
-    return go
-
-
-def once_top_down(r: Rewrite) -> Rewrite:
-    """Fire r at the first applicable node in pre-order, and nowhere else."""
-
-    def go(t: Term) -> Optional[Term]:
-        out = _apply(r, t)
-        if out is not None:
-            return out
-        for i, c in enumerate(t.children):
-            new_c = go(c)
-            if new_c is not None:
-                children = t.children[:i] + (new_c,) + t.children[i + 1:]
-                return mk_term(t.kind, t.payload_values, children)
-        return None
-
-    return go
-
-
-def all_children(r: Rewrite) -> Rewrite:
-    """Apply r to each immediate child; fires if any child fires."""
-
-    def go(t: Term) -> Optional[Term]:
-        changed = False
-        children = []
-        for c in t.children:
-            out = _apply(r, c)
-            if out is None:
-                children.append(c)
-            else:
-                children.append(out)
-                changed = True
-        if not changed:
-            return None
-        return mk_term(t.kind, t.payload_values, tuple(children))
-
-    return go
 
 
 # ---------------------------------------------------------------------------

@@ -24,12 +24,10 @@ from srctrans.schema import (
 from srctrans.terms import (
     Atom,
     ListOf,
-    OptionOf,
     PairOf,
     Signature,
     Term,
     build_list,
-    build_option,
     build_pair,
     mk_term,
 )
@@ -119,7 +117,7 @@ def _min_depths(sig: Signature) -> dict:
     def sort_depth(sort) -> int:
         if isinstance(sort, Atom):
             return depth.get(sort, INF)
-        if isinstance(sort, (ListOf, OptionOf)):
+        if isinstance(sort, ListOf):
             return 0  # empty container
         if isinstance(sort, PairOf):
             a, b = sort_depth(sort.first), sort_depth(sort.second)
@@ -153,10 +151,6 @@ class TermFuzzer:
             return build_list(
                 sort.elem, [self.term(sort.elem, budget - 1) for _ in range(n)]
             )
-        if isinstance(sort, OptionOf):
-            if budget > 0 and self.rng.random() < 0.6:
-                return build_option(sort.elem, self.term(sort.elem, budget - 1))
-            return build_option(sort.elem, None)
         if isinstance(sort, PairOf):
             return build_pair(
                 self.term(sort.first, budget - 1),

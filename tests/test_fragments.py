@@ -56,10 +56,8 @@ def test_binder_names_single_and_list():
     decls = [t for t in _walk(term) if t.kind == MULTI_DECL]
     assert len(decls) == 1
     singles = decls[0].children[1]
-    from srctrans.terms import extract_list
-
     names = []
-    for single in extract_list(singles):
+    for single in singles.children:
         names.extend(binder_names(single.children[1]))
     assert names == ["a", "b"]
 

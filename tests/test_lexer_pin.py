@@ -28,6 +28,7 @@ from srctrans.terms import (
     PayloadMismatch,
     SortMismatch,
     UnknownKind,
+    list_kind,
     mk_term,
 )
 
@@ -221,6 +222,12 @@ def test_term_repr_hash_eq_match_a_frozen_dataclass():
     (lambda: mk_term(ADD, (), (mk_term(NodeKind("F", (), (), ListOf(E))),
                                mk_term(LIT, (1,)))),
      SortMismatch, r"child 0: expected sort E, got [E]"),
+    # a list names the position of the element that does not fit
+    (lambda: mk_term(list_kind(E), (), (mk_term(LIT, (1,)), mk_term(LIT, (2,)),
+                                        mk_term(NodeKind("G", (), (), Atom("F"))))),
+     SortMismatch, "child 2: expected sort E, got F"),
+    (lambda: mk_term(list_kind(E), (), [mk_term(LIT, (i,)) for i in range(3)] + ["x"]),
+     SortMismatch, "child 3: expected sort E, got a non-term"),
 ])
 def test_mk_term_rejections_keep_their_messages(build, error, message):
     with pytest.raises(error) as e:

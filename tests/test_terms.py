@@ -10,13 +10,11 @@ from srctrans.terms import (
     PayloadMismatch,
     SortMismatch,
     build_list,
-    build_option,
     build_pair,
     check_term,
-    extract_list,
     is_container_kind,
     iter_subterms,
-    map_list,
+    list_kind,
     mk_term,
     project,
     sort_name,
@@ -87,32 +85,29 @@ def test_list_roundtrip():
     items = [lit(i) for i in range(4)]
     t = build_list(E, items)
     assert t.sort == ListOf(E)
-    assert extract_list(t) == items
-    assert extract_list(build_list(E, [])) == []
-
-
-def test_map_list_preserves_shape():
-    t = build_list(E, [lit(1), lit(2)])
-    out = map_list(lambda x: mk_term(LIT, (x.payload_values[0] * 10,)), t)
-    assert [x.payload_values[0] for x in extract_list(out)] == [10, 20]
+    assert t.children == tuple(items)
+    assert build_list(E, []).children == ()
 
 
 def test_container_kinds_memoized():
-    from srctrans.terms import cons_kind, nil_kind
-
-    assert nil_kind(E) is nil_kind(Atom("E"))
-    assert cons_kind(E) is cons_kind(Atom("E"))
-    a, b = build_list(E, [lit(1)]), build_list(E, [lit(2)])
-    assert a.kind is b.kind and a.children[1].kind is b.children[1].kind
+    assert list_kind(E) is list_kind(Atom("E"))
+    a, b = build_list(E, [lit(1)]), build_list(E, [])
+    assert a.kind is b.kind is list_kind(E)
 
 
-def test_pair_and_option():
+def test_list_kind_takes_any_number_of_elements():
+    for n in (0, 1, 5):
+        t = mk_term(list_kind(E), (), [lit(i) for i in range(n)])
+        assert t.kind.name == "ListF" and is_container_kind(t.kind)
+        assert t.children == tuple(lit(i) for i in range(n))
+        check_term(t)
+        check_term(mk_term(MANY, (), (t,)))
+
+
+def test_pair_container():
     p = build_pair(lit(1), lit(2))
     assert p.kind.name == "PairF"
-    assert build_option(E, None).kind.name == "NothingF"
-    some = build_option(E, lit(3))
-    assert some.kind.name == "JustF"
-    assert is_container_kind(some.kind)
+    assert is_container_kind(p.kind)
 
 
 def test_project():

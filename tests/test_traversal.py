@@ -5,14 +5,10 @@ import pytest
 from srctrans.terms import Atom, NodeKind, mk_term
 from srctrans.traversal import (
     SortViolation,
-    all_children,
     get_at,
-    once_top_down,
     query_collect,
     replace_at,
-    seq,
     transform_bottom_up,
-    try_,
 )
 
 E = Atom("E")
@@ -65,22 +61,6 @@ def test_query_collect_preorder():
     t = add(lit(1), add(lit(2), lit(3)))
     kinds = query_collect(lambda x: [x.kind.name], t)
     assert kinds == ["Add", "Lit", "Add", "Lit", "Lit"]
-
-
-def test_once_top_down_stops_after_first():
-    r = once_top_down(bump)
-    out = r(add(lit(1), lit(2)))
-    vals = query_collect(
-        lambda x: [x.payload_values[0]] if x.kind == LIT else [], out
-    )
-    assert vals == [2, 2]  # only the first literal bumped
-
-
-def test_try_and_seq():
-    assert try_(bump)(mk_term(OTHER)) == mk_term(OTHER)
-    two_bumps = seq(bump, bump)
-    assert two_bumps(lit(0)) == lit(2)
-    assert all_children(try_(bump))(add(lit(1), lit(2))) == add(lit(2), lit(3))
 
 
 def test_unchanged_input_returned_as_is():
