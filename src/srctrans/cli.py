@@ -103,7 +103,9 @@ def _cmd_difftest(args) -> int:
     if args.corpus is not None:
         lang = get_language(args.lang)
         paths = sorted(args.corpus.glob(f"*{lang.file_ext}"))
-        corpus = [p.read_text() for p in paths]
+        # A file that is not UTF-8 still gets a verdict: its bad bytes
+        # become lone surrogates, which the lexer rejects with a position.
+        corpus = [p.read_text(errors="surrogateescape") for p in paths]
     else:
         corpus = [
             gen_program(args.lang, GenConfig(seed=args.seed + i))

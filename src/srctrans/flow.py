@@ -500,7 +500,7 @@ def insert_many(term: Term, lang: LanguageDef, requests: list) -> Term:
             raise InvalidPath("single-body term has only body 0")
         return _insert_into_body(term, lang, per_body.get(0, {}))
 
-    def insert(b: int, body: Term) -> Term:
+    def insert(b: int, body: Term, before: Term) -> Term:
         edits = per_body.pop(b, None)
         return body if edits is None else _insert_into_body(body, lang, edits)
 
@@ -511,20 +511,24 @@ def insert_many(term: Term, lang: LanguageDef, requests: list) -> Term:
 
 
 def rewrite_bodies(term: Term, lang: LanguageDef, rewrite) -> Term:
-    """term with each routine body replaced by rewrite(b, body), where b
-    numbers the bodies in source order; a rewrite may return its input."""
+    """term with each routine body replaced by rewrite(b, body, before),
+    where b numbers the bodies in source order, body is routine b's body
+    with the bodies nested in it already rewritten, and before is the
+    body as term has it; a rewrite may return body.
+
+    The bodies are rewritten from last to first.  A body nested in
+    another comes after it in source order, so no rewrite moves a body
+    still to be rewritten, and one scan for the paths serves them all.
+    """
     paths = lang.adapter.body_paths(term)
-    for b, path in enumerate(paths):
-        body = get_at(term, path)
-        new = rewrite(b, body)
-        if new is body:
-            continue
-        term = replace_at(term, path, new)
-        # Paths are in source order, so the bodies nested in this one come
-        # next; the rewrite moved them, so locate the rest anew.
-        if b + 1 < len(paths) and paths[b + 1][:len(path)] == path:
-            paths[b + 1:] = lang.adapter.body_paths(term)[b + 1:]
-    return term
+    out = term
+    for b in reversed(range(len(paths))):
+        path = paths[b]
+        body = get_at(out, path)
+        new = rewrite(b, body, get_at(term, path))
+        if new is not body:
+            out = replace_at(out, path, new)
+    return out
 
 
 def insert_at(term: Term, point: InsertionPoint, stmts: list, lang: LanguageDef) -> Term:

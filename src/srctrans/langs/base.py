@@ -28,7 +28,15 @@ from ..fragments import (
 )
 from ..injections import InjectionDecl, InjectionTable, Step
 from ..schema import GenericValue, ModularizedLanguage, Schema, sum_signatures
-from ..terms import NodeKind, Signature, Term, build_list, list_kind, mk_term
+from ..terms import (
+    NodeKind,
+    Signature,
+    Term,
+    build_list,
+    list_kind,
+    mk_term,
+    set_origin,
+)
 from ..traversal import Path
 
 
@@ -614,22 +622,41 @@ def some(option: Term) -> Optional[Term]:
     return option.children[0] if option.children else None
 
 
-def make_translator(special: dict[str, Callable]) -> Callable[[Term], Term]:
+def make_translator(special: dict[str, Callable], inverse: bool = False
+                    ) -> Callable[[Term], Term]:
     """Kind-directed recursion; unlisted kinds rebuild themselves.
 
     Each special handler receives the node and the translator itself so it
     can recurse into children.  A node of an unlisted kind whose children
     all come back unchanged is returned as is, not rebuilt.
+
+    Provenance (`Term.origin`): translating a node that came from
+    to_modular, as trans_ips does, the translator records that node as
+    the origin of the node it returns for it, unless the returned node
+    already has one.  An `inverse` translator, untrans_ips, undoes such a
+    recording one.  It records nothing, and it answers a node that has an
+    origin without descending: with the recorded surface term, or with
+    the node itself when it came straight from to_modular.  So a
+    recompose walks only the nodes a pass built.
     """
 
     def tr(t: Term) -> Term:
+        origin = t.origin
+        if inverse and origin is not None:
+            return t if origin.__class__ is GenericValue else origin
         handler = special.get(t.kind.name)
         if handler is not None:
-            return handler(t, tr)
-        children = [tr(c) for c in t.children]
-        if all(map(is_, children, t.children)):
-            return t
-        return mk_term(t.kind, t.payload_values, children)
+            out = handler(t, tr)
+        else:
+            children = list(map(tr, t.children))
+            if all(map(is_, children, t.children)):
+                return t
+            out = mk_term(t.kind, t.payload_values, children)
+        # Only a recording translator gets here with an origin.  A node a
+        # deeper call returned keeps the nearer origin it has.
+        if origin is not None and out.origin is None:
+            set_origin(out, t)
+        return out
 
     return tr
 

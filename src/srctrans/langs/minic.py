@@ -398,7 +398,7 @@ _BLOCK_TRANS, _BLOCK_UNTRANS = block_cases(
     BODY, C.Block, C.DeclItem.kind, _tr_decl, _un_decl, C.StmtItem
 )
 trans_ips = make_translator({**_TRANS, **_BLOCK_TRANS})
-untrans_ips = make_translator({**_UNTRANS, **_BLOCK_UNTRANS})
+untrans_ips = make_translator({**_UNTRANS, **_BLOCK_UNTRANS}, inverse=True)
 
 
 # ---------------------------------------------------------------------------

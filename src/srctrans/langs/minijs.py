@@ -325,7 +325,7 @@ _BLOCK_TRANS, _BLOCK_UNTRANS = block_cases(
     lambda t, tr: multi_decl(_tr_dtors(t.children[0], tr)), _un_decl,
 )
 trans_ips = make_translator({**_TRANS, **_BLOCK_TRANS})
-untrans_ips = make_translator({**_UNTRANS, **_BLOCK_UNTRANS})
+untrans_ips = make_translator({**_UNTRANS, **_BLOCK_UNTRANS}, inverse=True)
 
 
 # ---------------------------------------------------------------------------

@@ -400,7 +400,7 @@ _BLOCK_TRANS, _BLOCK_UNTRANS = block_cases(
     BODY, C.Block, C.LocalStmt.kind, _tr_local, _un_decl
 )
 trans_ips = make_translator({**_TRANS, **_BLOCK_TRANS})
-untrans_ips = make_translator({**_UNTRANS, **_BLOCK_UNTRANS})
+untrans_ips = make_translator({**_UNTRANS, **_BLOCK_UNTRANS}, inverse=True)
 
 
 # ---------------------------------------------------------------------------

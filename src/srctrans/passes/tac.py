@@ -383,5 +383,7 @@ def tac(term: Term, lang: LanguageDef) -> Term:
         )
     return rewrite_bodies(
         term, lang,
-        lambda b, body: _BodyPass(lang, _Names(_used_names(body))).walk_block(body),
+        lambda b, body, before: _BodyPass(
+            lang, _Names(_used_names(before))
+        ).walk_block(body),
     )

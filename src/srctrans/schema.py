@@ -26,6 +26,7 @@ from .terms import (
     Atom,
     ListOf,
     NodeKind,
+    PY_PRIM,
     PairOf,
     Signature,
     Sort,
@@ -218,22 +219,29 @@ class _CtorCodec:
 
     `slots` has one entry per constructor argument: the primitive's name
     for a payload slot, else the (encode, decode) pair of a child slot.
-    The decode plan: `decoders` decode the children in order, and
-    `order` puts the payloads followed by the decoded children back in
-    argument order, or is None where they already are.  A plain class,
-    not a dataclass, to keep import time down.
+    The encode plan: `payloads` pairs each payload's argument index with
+    its Python class, and `encoders` each child's with its encoder.  The
+    decode plan: `decoders` decode the children in order, and `order`
+    puts the payloads followed by the decoded children back in argument
+    order, or is None where they already are.  A plain class, not a
+    dataclass, to keep import time down.
     """
 
-    __slots__ = ("ctor", "kind", "slots", "decoders", "order")
+    __slots__ = ("ctor", "kind", "slots", "payloads", "encoders", "decoders", "order")
 
     def __init__(self, ctor: str, kind: NodeKind, slots: tuple):
         self.ctor = ctor
         self.kind = kind
         self.slots = slots
+        self.payloads = tuple(
+            (i, PY_PRIM[s]) for i, s in enumerate(slots) if isinstance(s, str)
+        )
+        self.encoders = tuple(
+            (i, s[0]) for i, s in enumerate(slots) if not isinstance(s, str)
+        )
         self.decoders = tuple(s[1] for s in slots if not isinstance(s, str))
         # the argument index of each payload, then of each child
-        where = [i for i, s in enumerate(slots) if isinstance(s, str)]
-        where += [i for i, s in enumerate(slots) if not isinstance(s, str)]
+        where = [i for i, _ in self.payloads] + [i for i, _ in self.encoders]
         in_order = where == sorted(where)
         self.order = None if in_order else tuple(map(where.index, range(len(where))))
 
@@ -397,34 +405,50 @@ def _prim_matches(prim: str, value) -> bool:
 
 
 def to_modular(lang: ModularizedLanguage, value: GenericValue) -> Term:
-    """Encode a schema-conforming value as a sorted term."""
+    """Encode a schema-conforming value as a sorted term.
+
+    Each constructor node records `value` as its origin, which
+    from_modular returns for a node no pass has replaced.
+    """
     if not isinstance(value, GenericValue):
         raise NonConformingValue(f"not a constructor value: {value!r}")
     codec = lang._by_ctor.get(value.ctor)
     if codec is None:
         raise NonConformingValue(f"unknown constructor {value.ctor}")
-    if len(value.args) != len(codec.slots):
+    args = value.args
+    if len(args) != len(codec.slots):
         raise NonConformingValue(
-            f"{value.ctor}: expected {len(codec.slots)} arguments, got {len(value.args)}"
+            f"{value.ctor}: expected {len(codec.slots)} arguments, got {len(args)}"
         )
     payloads = []
+    for i, cls in codec.payloads:
+        v = args[i]
+        if v.__class__ is not cls and not _prim_matches(codec.slots[i], v):
+            # Report the first bad argument in argument order: a child
+            # before this payload raises first.
+            for j, enc in codec.encoders:
+                if j < i:
+                    enc(lang, args[j])
+            raise NonConformingValue(f"{value.ctor}: expected {codec.slots[i]}, got {v!r}")
+        payloads.append(v)
     children = []
-    for slot, v in zip(codec.slots, value.args):
-        if isinstance(slot, str):
-            if not _prim_matches(slot, v):
-                raise NonConformingValue(f"{value.ctor}: expected {slot}, got {v!r}")
-            payloads.append(v)
-        else:
-            children.append(slot[0](lang, v))
-    return mk_term(codec.kind, payloads, children)
+    for i, enc in codec.encoders:
+        children.append(enc(lang, args[i]))
+    return mk_term(codec.kind, payloads, children, value)
 
 
 def from_modular(lang: ModularizedLanguage, term: Term) -> GenericValue:
-    """Decode a term of this language's signature back into a value."""
+    """Decode a term of this language's signature back into a value.
+
+    A node straight from to_modular decodes to the value it records.
+    """
     kind = term.kind
     codec = lang._by_kind.get(kind.name)
     if codec is None or (codec.kind is not kind and codec.kind != kind):
         raise ForeignKind(f"kind {kind.name} is not part of {lang.schema.name}")
+    origin = term.origin
+    if origin.__class__ is GenericValue:
+        return origin
     args = term.payload_values + tuple(
         [dec(lang, child) for dec, child in zip(codec.decoders, term.children)]
     )

@@ -6,6 +6,13 @@ can never be built through this module's constructors.  List and pair
 values are embedded as ordinary terms via the built-in container kinds,
 which exist at every element sort: a list is one ListF node whose
 children, any number of them, are its elements; a pair is a PairF node.
+
+A term also remembers its provenance in `origin`: the GenericValue that
+`schema.to_modular` encoded, or the surface term that a recording
+translator (`langs.base.make_translator`) built it from.  Recompose reads
+it to stop at every node a pass left in place, so its cost follows the
+nodes the pass built.  `origin` takes no part in equality, hashing or
+repr, and it is set once, on a node just built, and never changed.
 """
 
 from __future__ import annotations
@@ -125,11 +132,16 @@ class NodeKind:
 
 @dataclass(frozen=True, slots=True)
 class Term:
-    """An immutable sorted tree node.  Build through mk_term only."""
+    """An immutable sorted tree node.  Build through mk_term only.
+
+    `origin` is the provenance described in the module docstring, or None
+    for a node built otherwise, as a pass builds its nodes.
+    """
 
     kind: NodeKind
     payload_values: tuple
     children: tuple["Term", ...]
+    origin: object = field(default=None, compare=False, repr=False)
 
     @property
     def sort(self) -> Sort:
@@ -142,22 +154,26 @@ _new_term = object.__new__
 _set_kind = Term.kind.__set__
 _set_payloads = Term.payload_values.__set__
 _set_children = Term.children.__set__
+# Sets a node's origin.  Only the code that just built the node calls it,
+# and only while the origin is None: mk_term for to_modular, and a
+# recording translator (`langs.base.make_translator`).
+set_origin = Term.origin.__set__
 
 
-_PY_PRIM = {"Int": int, "Bool": bool, "String": str}
+PY_PRIM = {"Int": int, "Bool": bool, "String": str}
 
 
 def _check_payload(kind: NodeKind, values) -> tuple:
     tys = kind.payloads
     # most kinds have one payload, and its value is of exactly that class
-    if len(values) == 1 == len(tys) and values[0].__class__ is _PY_PRIM[tys[0]]:
+    if len(values) == 1 == len(tys) and values[0].__class__ is PY_PRIM[tys[0]]:
         return values
     if len(values) != len(tys):
         raise ArityMismatch(
             f"{kind.name}: expected {len(tys)} payloads, got {len(values)}"
         )
     for i, (ty, v) in enumerate(zip(tys, values)):
-        py = _PY_PRIM[ty]
+        py = PY_PRIM[ty]
         # bool is a subclass of int; keep Int and Bool slots distinct.
         if ty == "Int" and isinstance(v, bool):
             raise PayloadMismatch(f"{kind.name} payload {i}: expected Int, got Bool")
@@ -188,8 +204,12 @@ def _child_sorts(kind: NodeKind, n: int) -> tuple:
     raise ArityMismatch(f"{kind.name}: expected {len(wants)} children, got {n}")
 
 
-def mk_term(kind: NodeKind, payloads: Iterable = (), children: Iterable[Term] = ()) -> Term:
-    """Construct a well-sorted term, rejecting arity and sort mismatches."""
+def mk_term(kind: NodeKind, payloads: Iterable = (), children: Iterable[Term] = (),
+            origin: object = None) -> Term:
+    """Construct a well-sorted term, rejecting arity and sort mismatches.
+
+    `origin` is the new node's provenance; only to_modular passes one.
+    """
     if not isinstance(kind, NodeKind):
         raise UnknownKind(f"not a node kind: {kind!r}")
     if kind.payloads or payloads:
@@ -209,6 +229,7 @@ def mk_term(kind: NodeKind, payloads: Iterable = (), children: Iterable[Term] = 
     _set_kind(t, kind)
     _set_payloads(t, payloads)
     _set_children(t, children)
+    set_origin(t, origin)
     return t
 
 

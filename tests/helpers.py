@@ -32,6 +32,25 @@ from srctrans.terms import (
     mk_term,
 )
 
+def without_origin(term: Term) -> Term:
+    """A copy of term rebuilt through mk_term, so that no node records an
+    origin and recomposing the copy walks every node.  Uses an explicit
+    stack, so deep terms do not recurse."""
+    done: list[Term] = []
+    stack = [(term, False)]
+    while stack:
+        t, built_children = stack.pop()
+        if built_children:
+            start = len(done) - len(t.children)
+            children = done[start:]
+            del done[start:]
+            done.append(mk_term(t.kind, t.payload_values, children))
+        else:
+            stack.append((t, True))
+            stack.extend((c, False) for c in reversed(t.children))
+    return done[0]
+
+
 # ---------------------------------------------------------------------------
 # Random schemas and conforming values (modularizer isomorphism oracle).
 

@@ -19,6 +19,7 @@ from helpers import (
     executed_blocks_oracle,
     random_schema,
     random_value,
+    without_origin,
 )
 from srctrans.difftest import diff_test
 from srctrans.flow import basic_blocks, build_cfg, dump_dot
@@ -120,7 +121,10 @@ def test_criterion_03_decompose_recompose(plain_corpus):
         lang = get_language(lname)
         for text in plain_corpus[lname]:
             ast = lang.parse(text)
-            assert lang.recompose(lang.decompose(ast)) == ast
+            term = lang.decompose(ast)
+            assert lang.recompose(term) == ast
+            # without provenance, recompose walks every node
+            assert lang.recompose(without_origin(term)) == ast
             total += 1
     elapsed = time.monotonic() - t0
     report(3, "decompose/recompose isomorphism", elapsed < 120.0,

@@ -83,6 +83,22 @@ def test_difftest_corpus_with_bad_file(tmp_path, capsys):
     assert out.splitlines()[-1] == "PASS 1/2"
 
 
+def test_difftest_corpus_file_not_utf8_gets_a_verdict(tmp_path, capsys):
+    write(tmp_path, "a.mc", "int main() { return 0; }")
+    (tmp_path / "b.mc").write_bytes(b"int main() { return \xff; }")
+    write(tmp_path, "c.mc", "int main() { return 1; }")
+    rc = cli(["difftest", "--lang", "minic", "--pass", "ident",
+              "--corpus", str(tmp_path)])
+    out = capsys.readouterr().out
+    assert rc == 3
+    assert out.splitlines() == [
+        "0\tEqual",
+        "1\tParseError\toriginal: line 1, col 21: unexpected character '\\udcff'",
+        "2\tEqual",
+        "PASS 2/3",
+    ]
+
+
 def test_cfg_dot(tmp_path):
     f = write(tmp_path, "a.mc", COUNTF["minic"])
     dest = tmp_path / "g.dot"

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import srctrans.langs
-from helpers import COUNTF
+from helpers import COUNTF, without_origin
 from srctrans.difftest import diff_test
 from srctrans.gen import GenConfig, gen_program
 from srctrans.langs.base import get_language, language_names
@@ -57,6 +57,7 @@ def test_decompose_recompose_identity(lname):
         term = lang.decompose(ast)
         check_term(term, lang.ips)
         assert lang.recompose(term) == ast
+        assert lang.recompose(without_origin(term)) == ast
 
 
 @pytest.mark.parametrize("lname", ALL)
@@ -65,7 +66,9 @@ def test_generated_roundtrip(lname):
     for seed in range(40):
         ast = lang.parse(gen_program(lname, GenConfig(seed=seed, shadowing=True)))
         assert lang.parse(lang.pretty(ast)) == ast
-        assert lang.recompose(lang.decompose(ast)) == ast
+        term = lang.decompose(ast)
+        assert lang.recompose(term) == ast
+        assert lang.recompose(without_origin(term)) == ast
 
 
 @pytest.mark.parametrize(

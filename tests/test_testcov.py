@@ -158,3 +158,32 @@ def test_minilua_sibling_and_nested_functions_golden():
         "print(outer(2) + other(3))\n",
         11,
     )
+
+
+def test_minilua_testcov_finds_the_bodies_in_two_scans(monkeypatch):
+    # build_cfg scans for the bodies, and rewrite_bodies scans once more.
+    # It rewrites the bodies last to first, so the markers put into the
+    # chunk body do not move a function body still to be rewritten, and
+    # no third scan is needed to find them again.
+    lang = get_language("minilua")
+    text = (
+        "function f(a)\n"
+        "  if a > 0 then\n"
+        "    return a\n"
+        "  end\n"
+        "  return 0\n"
+        "end\n"
+        "print(f(1))\n"
+    )
+    term = lang.decompose(lang.parse(text))
+    scan = lang.adapter.body_paths
+    scans = []
+
+    def counted(root):
+        scans.append(root)
+        return scan(root)
+
+    monkeypatch.setattr(lang.adapter, "body_paths", counted)
+    out, n = cov_pass(term, lang)
+    assert len(scans) == 2
+    assert n == 4 and lang.pretty(lang.recompose(out)).startswith("TC.cov[0] = true\n")
