@@ -63,6 +63,13 @@ def _build_parser() -> _Parser:
     return p
 
 
+def _read_source(path: Path) -> str:
+    """A source file's text.  A file that is not UTF-8 still gets a
+    position for its first bad byte: the byte becomes a lone surrogate,
+    which the lexer rejects as an unexpected character."""
+    return path.read_text(errors="surrogateescape")
+
+
 def _emit(text: str, out) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -73,7 +80,7 @@ def _emit(text: str, out) -> None:
 def _cmd_transform(args) -> int:
     lang = get_language(args.lang)
     try:
-        term = lang.decompose(lang.parse(args.file.read_text()))
+        term = lang.decompose(lang.parse(_read_source(args.file)))
         out = lang.pretty(lang.recompose(PASSES[args.pass_name](term, lang)))
     except Exception as e:
         print(f"srctrans: {e}", file=sys.stderr)
@@ -85,7 +92,7 @@ def _cmd_transform(args) -> int:
 def _cmd_roundtrip(args) -> int:
     lang = get_language(args.lang)
     try:
-        ast = lang.parse(args.file.read_text())
+        ast = lang.parse(_read_source(args.file))
         text = lang.pretty(ast)
         again = lang.parse(text)
     except Exception as e:
@@ -103,9 +110,7 @@ def _cmd_difftest(args) -> int:
     if args.corpus is not None:
         lang = get_language(args.lang)
         paths = sorted(args.corpus.glob(f"*{lang.file_ext}"))
-        # A file that is not UTF-8 still gets a verdict: its bad bytes
-        # become lone surrogates, which the lexer rejects with a position.
-        corpus = [p.read_text(errors="surrogateescape") for p in paths]
+        corpus = [_read_source(p) for p in paths]
     else:
         corpus = [
             gen_program(args.lang, GenConfig(seed=args.seed + i))
@@ -119,7 +124,7 @@ def _cmd_difftest(args) -> int:
 def _cmd_cfg(args) -> int:
     lang = get_language(args.lang)
     try:
-        term = lang.decompose(lang.parse(args.file.read_text()))
+        term = lang.decompose(lang.parse(_read_source(args.file)))
         text = dump_dot(build_cfg(term, lang))
     except Exception as e:
         print(f"srctrans: {e}", file=sys.stderr)

@@ -33,7 +33,7 @@ from .langs.base import (
     block_items,
     with_block_items,
 )
-from .terms import Term
+from .terms import Term, gc_paused
 from .traversal import get_at, replace_at
 
 # A block is addressed by a tuple of (item index, slot) pairs descending
@@ -226,6 +226,7 @@ def body_blocks(term: Term, lang: LanguageDef) -> list[Term]:
     return [get_at(term, p) for p in lang.adapter.body_paths(term)]
 
 
+@gc_paused
 def build_cfg(term: Term, lang: LanguageDef) -> CFG:
     builder = _Builder(lang)
     bodies = body_blocks(term, lang)
@@ -314,6 +315,7 @@ def block_graph(cfg: CFG) -> dict[int, tuple]:
     return out
 
 
+@gc_paused
 def dump_dot(cfg: CFG) -> str:
     """Deterministic graph text: one node and one edge per line."""
     blocks = basic_blocks(cfg)
@@ -365,52 +367,51 @@ def _rebuild_with(view, slot_blocks: dict):
 
 def _insert_into_body(block: Term, lang: LanguageDef, edits: dict) -> Term:
     """Apply {block path: {index: [items]}} edits under one body root."""
-
-    def go(blk: Term, bpath: BlockPath) -> Term:
-        items = block_items(blk)
-        new_items = list(items)
-        prefix = bpath
-        for i, item in enumerate(items):
-            view = lang.adapter.item_view(item)
-            subs = _view_blocks(view)
-            if not subs:
-                continue
-            replaced = {}
-            changed = False
-            for slot, sub in subs:
-                sub2 = go(sub, prefix + ((i, slot),))
-                replaced[slot] = sub2
-                changed = changed or sub2 is not sub
-            if changed:
-                new_items[i] = _rebuild_with(view, replaced)
-        here = edits.get(bpath)
-        if here is None and all(map(is_, new_items, items)):
-            return blk
-        if here:
-            if any(idx < 0 or idx > len(items) for idx in here):
-                raise InvalidPath(f"index out of range in block {bpath}")
-            out: list[Term] = []
-            for i, item in enumerate(new_items):
-                out.extend(here.get(i, ()))
-                out.append(item)
-            out.extend(here.get(len(new_items), ()))
-            new_items = out
-        return with_block_items(blk, new_items)
-
-    changed = go(block, ())
+    changed = _insert_into_block(block, (), lang, edits)
     touched = set(edits)
-
-    def known(bpath: BlockPath, blk: Term) -> None:
+    stack = [((), block)]
+    while touched and stack:
+        bpath, blk = stack.pop()
         touched.discard(bpath)
         for i, item in enumerate(block_items(blk)):
             for slot, sub in _view_blocks(lang.adapter.item_view(item)):
-                known(bpath + ((i, slot),), sub)
-
+                stack.append((bpath + ((i, slot),), sub))
     if touched:
-        known((), block)
-        if touched:
-            raise InvalidPath(f"no such block: {sorted(touched)[0]}")
+        raise InvalidPath(f"no such block: {sorted(touched)[0]}")
     return changed
+
+
+def _insert_into_block(blk: Term, bpath: BlockPath, lang: LanguageDef,
+                       edits: dict) -> Term:
+    """blk, at bpath, with the edits at and below it applied."""
+    items = block_items(blk)
+    new_items = list(items)
+    for i, item in enumerate(items):
+        view = lang.adapter.item_view(item)
+        subs = _view_blocks(view)
+        if not subs:
+            continue
+        replaced = {}
+        changed = False
+        for slot, sub in subs:
+            sub2 = _insert_into_block(sub, bpath + ((i, slot),), lang, edits)
+            replaced[slot] = sub2
+            changed = changed or sub2 is not sub
+        if changed:
+            new_items[i] = _rebuild_with(view, replaced)
+    here = edits.get(bpath)
+    if here is None and all(map(is_, new_items, items)):
+        return blk
+    if here:
+        if any(idx < 0 or idx > len(items) for idx in here):
+            raise InvalidPath(f"index out of range in block {bpath}")
+        out: list[Term] = []
+        for i, item in enumerate(new_items):
+            out.extend(here.get(i, ()))
+            out.append(item)
+        out.extend(here.get(len(new_items), ()))
+        new_items = out
+    return with_block_items(blk, new_items)
 
 
 def _loop_sites(term, lang, point: BeforeLoopCondition, include_preloop: bool):
@@ -454,24 +455,33 @@ def _resolve_block(body: Term, lang: LanguageDef, bpath: BlockPath) -> Term:
 
 
 def continue_sites(body: Term, lang: LanguageDef) -> list[tuple]:
-    """(block path, index) of each continue targeting the enclosing loop.
+    """(block path, index) of each continue targeting the enclosing loop,
+    in source order.
 
     Nested loops capture their own continues and are not descended into.
     """
     out: list[tuple] = []
-
-    def go(blk: Term, bpath: BlockPath) -> None:
+    # Each entry is a block to scan, as (block, path), or a continue
+    # found, as (None, (path, index)); a block's entries are pushed in
+    # reverse, so they pop in source order.
+    stack = [(body, ())]
+    while stack:
+        blk, bpath = stack.pop()
+        if blk is None:
+            out.append(bpath)
+            continue
+        found = []
         for i, item in enumerate(block_items(blk)):
             view = lang.adapter.item_view(item)
             if isinstance(view, ContinueView):
-                out.append((bpath, i))
+                found.append((None, (bpath, i)))
             elif isinstance(view, IfView):
-                go(view.then_block, bpath + ((i, "then"),))
+                found.append((view.then_block, bpath + ((i, "then"),)))
                 if view.else_block is not None:
-                    go(view.else_block, bpath + ((i, "else"),))
+                    found.append((view.else_block, bpath + ((i, "else"),)))
             elif isinstance(view, NestedBlockView):
-                go(view.block, bpath + ((i, "block"),))
-    go(body, ())
+                found.append((view.block, bpath + ((i, "block"),)))
+        stack.extend(reversed(found))
     return out
 
 

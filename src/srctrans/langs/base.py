@@ -33,6 +33,7 @@ from ..terms import (
     Signature,
     Term,
     build_list,
+    gc_paused,
     list_kind,
     mk_term,
     set_origin,
@@ -638,6 +639,9 @@ def make_translator(special: dict[str, Callable], inverse: bool = False
     origin without descending: with the recorded surface term, or with
     the node itself when it came straight from to_modular.  So a
     recompose walks only the nodes a pass built.
+
+    The returned translator runs with the cyclic collector paused
+    (`terms.gc_paused`); handlers recurse through the unpaused one.
     """
 
     def tr(t: Term) -> Term:
@@ -658,7 +662,7 @@ def make_translator(special: dict[str, Callable], inverse: bool = False
             set_origin(out, t)
         return out
 
-    return tr
+    return gc_paused(tr)
 
 
 def generic_block(items: list[Term]) -> Term:

@@ -29,7 +29,7 @@ from ..fragments import (
 )
 from ..runtime import COV, RunResult, Trap, check_int, int_op
 from ..schema import GV, GenericValue, modularize_schema, parse_schema_text
-from ..terms import NodeKind, Term
+from ..terms import NodeKind, Term, gc_paused
 from .base import (
     BodyCodec,
     LanguageDef,
@@ -106,6 +106,7 @@ _PREC = {"||": 2, "&&": 3, "==": 4, "!=": 4, "<": 5, "<=": 5,
 tokenize = lexer(_OPS, "//")
 
 
+@gc_paused
 def parse(text: str) -> GenericValue:
     ts = TokenStream(tokenize(text), _KEYWORDS)
     funcs = []
@@ -314,6 +315,7 @@ def _print_item(pp: PrettyPrinter, item: GenericValue) -> None:
         _print_stmt(pp, item.args[0])
 
 
+@gc_paused
 def pretty(ast: GenericValue) -> str:
     pp = PrettyPrinter()
     for i, func in enumerate(ast.args[0]):

@@ -30,7 +30,7 @@ from ..fragments import (
 )
 from ..runtime import COV, TC, RunResult, Trap, check_int, int_op
 from ..schema import GV, GenericValue, modularize_schema, parse_schema_text
-from ..terms import NodeKind, Term, build_list
+from ..terms import NodeKind, Term, build_list, gc_paused
 from .base import (
     BodyCodec,
     LanguageDef,
@@ -102,6 +102,7 @@ _PREC = {"||": 2, "&&": 3, "==": 4, "!=": 4, "<": 5, "<=": 5,
 tokenize = lexer(_OPS, "//", strings=True)
 
 
+@gc_paused
 def parse(text: str) -> GenericValue:
     ts = TokenStream(tokenize(text), _KEYWORDS)
     funcs = []
@@ -256,6 +257,7 @@ def _print_stmt(pp: PrettyPrinter, s: GenericValue) -> None:
         raise ValueError(f"not a MiniJS statement: {c}")
 
 
+@gc_paused
 def pretty(ast: GenericValue) -> str:
     pp = PrettyPrinter()
     for i, func in enumerate(ast.args[0]):

@@ -38,7 +38,7 @@ from ..runtime import (
     int_op,
 )
 from ..schema import GV, GenericValue, modularize_schema, parse_schema_text
-from ..terms import NodeKind, Term, build_list, list_kind
+from ..terms import NodeKind, Term, build_list, gc_paused, list_kind
 from ..traversal import Path
 from .base import (
     AssignView,
@@ -117,6 +117,7 @@ _BLOCK_ENDERS = ("end", "else", "elseif")
 tokenize = lexer(_OPS, "--")
 
 
+@gc_paused
 def parse(text: str) -> GenericValue:
     ts = TokenStream(tokenize(text), _KEYWORDS)
     block = _parse_block(ts, top=True)
@@ -328,6 +329,7 @@ def _print_stmt(pp: PrettyPrinter, s: GenericValue) -> None:
         raise ValueError(f"not a MiniLua statement: {c}")
 
 
+@gc_paused
 def pretty(ast: GenericValue) -> str:
     pp = PrettyPrinter()
     for s in ast.args[0].args[0]:

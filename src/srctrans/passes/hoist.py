@@ -26,7 +26,7 @@ from ..fragments import (
     binder_names,
 )
 from ..langs.base import LanguageDef, block_items, with_block_items
-from ..terms import Term, build_list, mk_term
+from ..terms import Term, build_list, gc_paused, mk_term
 from ..traversal import query_collect, transform_bottom_up
 
 
@@ -111,6 +111,7 @@ def _hoist_block_items(items: list[Term], lang: LanguageDef) -> list[Term]:
     return [d for ds, _ in split for d in ds] + [s for _, ss in split for s in ss]
 
 
+@gc_paused
 def elementary_hoist(term: Term, lang: LanguageDef) -> Term:
     """Rearrange every block, ignoring name capture."""
     CAN_HOIST.check(lang, "elementary_hoist")
@@ -176,6 +177,7 @@ class _PrefixNames:
         return False
 
 
+@gc_paused
 def hoist(term: Term, lang: LanguageDef) -> Term:
     """As elementary_hoist, but leave shadow-sensitive declarations alone."""
     CAN_HOIST.check(lang, "hoist")

@@ -37,7 +37,7 @@ from ..langs.base import (
     generic_block,
     with_block_items,
 )
-from ..terms import Term, mk_term
+from ..terms import Term, gc_paused, mk_term
 from ..traversal import query_collect
 from .hoist import RequirementMissing
 
@@ -374,6 +374,7 @@ def _used_names(term: Term) -> set[str]:
     )
 
 
+@gc_paused
 def tac(term: Term, lang: LanguageDef) -> Term:
     """Flatten nested computations body by body."""
     if lang.tac is None:

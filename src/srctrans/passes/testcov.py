@@ -12,7 +12,7 @@ from __future__ import annotations
 from ..flow import basic_blocks, build_cfg, insert_many
 from ..fragments import ASSIGN, ASSIGN_L, BLOCK, BLOCK_ITEM_L
 from ..langs.base import LanguageDef
-from ..terms import Term
+from ..terms import Term, gc_paused
 from .hoist import PassRequirements
 
 CAN_TESTCOV = PassRequirements(
@@ -21,6 +21,7 @@ CAN_TESTCOV = PassRequirements(
 )
 
 
+@gc_paused
 def testcov(term: Term, lang: LanguageDef) -> tuple[Term, int]:
     CAN_TESTCOV.check(lang, "testcov")
     blocks = basic_blocks(build_cfg(term, lang))

@@ -33,6 +33,7 @@ from .terms import (
     Term,
     build_list,
     build_pair,
+    gc_paused,
     mk_term,
     sort_name,
 )
@@ -360,9 +361,9 @@ def _arg_codec(lang_name: str, ty: SchemaType) -> tuple[Callable, Callable]:
         def encode(lang, value):
             if not isinstance(value, GenericValue):
                 raise NonConformingValue(f"expected {tname} value, got {value!r}")
-            return to_modular(lang, value)
+            return _encode(lang, value)
 
-        return encode, from_modular
+        return encode, _decode
     if isinstance(ty, ListT):
         elem_sort = _translate_sort(lang_name, ty.elem)
         enc_elem, dec_elem = _arg_codec(lang_name, ty.elem)
@@ -404,12 +405,18 @@ def _prim_matches(prim: str, value) -> bool:
     return isinstance(value, str)
 
 
+@gc_paused
 def to_modular(lang: ModularizedLanguage, value: GenericValue) -> Term:
     """Encode a schema-conforming value as a sorted term.
 
     Each constructor node records `value` as its origin, which
     from_modular returns for a node no pass has replaced.
     """
+    return _encode(lang, value)
+
+
+def _encode(lang: ModularizedLanguage, value: GenericValue) -> Term:
+    """to_modular without the collector pause; the codecs recurse here."""
     if not isinstance(value, GenericValue):
         raise NonConformingValue(f"not a constructor value: {value!r}")
     codec = lang._by_ctor.get(value.ctor)
@@ -437,11 +444,17 @@ def to_modular(lang: ModularizedLanguage, value: GenericValue) -> Term:
     return mk_term(codec.kind, payloads, children, value)
 
 
+@gc_paused
 def from_modular(lang: ModularizedLanguage, term: Term) -> GenericValue:
     """Decode a term of this language's signature back into a value.
 
     A node straight from to_modular decodes to the value it records.
     """
+    return _decode(lang, term)
+
+
+def _decode(lang: ModularizedLanguage, term: Term) -> GenericValue:
+    """from_modular without the collector pause; the codecs recurse here."""
     kind = term.kind
     codec = lang._by_kind.get(kind.name)
     if codec is None or (codec.kind is not kind and codec.kind != kind):

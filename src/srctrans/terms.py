@@ -13,15 +13,48 @@ translator (`langs.base.make_translator`) built it from.  Recompose reads
 it to stop at every node a pass left in place, so its cost follows the
 nodes the pass built.  `origin` takes no part in equality, hashing or
 repr, and it is set once, on a node just built, and never changed.
+
+Terms are immutable and acyclic, so reference counting frees them.  The
+layers that build trees (parse, decompose, the passes, the CFG builder
+and its dump, recompose and pretty) therefore run with CPython's cyclic collector
+paused, through `gc_paused`: otherwise every few hundred allocations
+start a collection that traverses the live trees and finds nothing.  The
+pause only defers cycle collection to the end of the call; no result
+depends on it.  The collector is process-wide, so a call in one thread
+may briefly pause collection for the others as well.
 """
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, wraps
 from typing import Iterable, Iterator, Optional, Union
 
 PRIM_TYPES = ("Int", "Bool", "String")
+
+
+def gc_paused(fn):
+    """fn, run with the cyclic collector paused for the call.
+
+    A call made while the collector is already off, as from an outer
+    paused layer or by a caller that turned it off, leaves it as it is.
+    Otherwise the collector is turned back on when fn returns or raises.
+    Recursive walkers call the undecorated function, so the pause is
+    taken once per layer call, not once per node.
+    """
+
+    @wraps(fn)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return fn(*args, **kwargs)
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            gc.enable()
+
+    return paused
 
 
 class TermError(Exception):

@@ -99,6 +99,23 @@ def test_difftest_corpus_file_not_utf8_gets_a_verdict(tmp_path, capsys):
     ]
 
 
+@pytest.mark.parametrize("command", [
+    ["transform", "--lang", "minic", "--pass", "ident"],
+    ["roundtrip", "--lang", "minic"],
+    ["cfg", "--lang", "minic"],
+])
+def test_file_not_utf8_fails_with_position(tmp_path, capsys, command):
+    f = tmp_path / "bad.mc"
+    f.write_bytes(b"int main() { return \xff; }")
+    rc = cli([*command, str(f)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == (
+        "srctrans: line 1, col 21: unexpected character '\\udcff'\n"
+    )
+
+
 def test_cfg_dot(tmp_path):
     f = write(tmp_path, "a.mc", COUNTF["minic"])
     dest = tmp_path / "g.dot"

@@ -7,16 +7,19 @@ from srctrans.flow import (
     BeforeLoopCondition,
     BeforeStmt,
     BlockEntry,
+    InvalidPath,
     basic_blocks,
     block_graph,
     build_cfg,
+    continue_sites,
     dump_dot,
     insert_at,
     insert_many,
 )
 from srctrans.gen import GenConfig, gen_program
-from srctrans.langs.base import get_language
+from srctrans.langs.base import block_items, get_language
 from srctrans.terms import check_term
+from srctrans.traversal import get_at
 
 ALL = ("minic", "minijs", "minilua")
 
@@ -124,6 +127,35 @@ def test_before_loop_condition_three_sites_with_continue():
     lines = [ln.strip() for ln in printed.splitlines()]
     idx = lines.index("continue;")
     assert "cov[7]" in lines[idx - 1]
+
+
+def test_continue_sites_in_source_order():
+    lang = get_language("minijs")
+    text = (
+        "function main() { var c = 3; while (c > 0) {"
+        " c = c - 1; if (c == 2) { continue; } else { { f(); continue; } }"
+        " while (c > 5) { continue; } if (c == 1) { g(); continue; } continue; } }"
+    )
+    term = lang.decompose(lang.parse(text))
+    loop = lang.adapter.item_view(block_items(get_at(term, lang.adapter.body_paths(term)[0]))[1])
+    # the inner loop's continue is its own
+    assert continue_sites(loop.body, lang) == [
+        (((1, "then"),), 0),
+        (((1, "else"), (0, "block")), 1),
+        (((3, "then"),), 1),
+        ((), 4),
+    ]
+
+
+def test_insert_into_missing_block_raises():
+    lang = get_language("minic")
+    term = lang.decompose(lang.parse("int main() { if (1) { print(1); } return 0; }"))
+    marker = lang.adapter.make_cov_marker(0)
+    assert insert_at(term, BlockEntry(0, ((0, "then"),)), [marker], lang) != term
+    with pytest.raises(InvalidPath, match="no such block"):
+        insert_at(term, BlockEntry(0, ((0, "else"),)), [marker], lang)
+    with pytest.raises(InvalidPath, match="index out of range"):
+        insert_at(term, BeforeStmt(0, ((0, "then"),), 2), [marker], lang)
 
 
 def test_before_stmt_first_equals_block_entry():
