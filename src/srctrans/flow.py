@@ -14,6 +14,7 @@ them and callers must rebuild.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from operator import is_
 from typing import Optional
@@ -291,26 +292,30 @@ def _is_leader(cfg: CFG, node: NodeId) -> bool:
 
 def block_graph(cfg: CFG) -> dict[int, tuple]:
     """Successor block ids per block id, contracting non-statement nodes."""
-    blocks = basic_blocks(cfg)
+    return _block_graph(cfg, basic_blocks(cfg))
+
+
+def _block_graph(cfg: CFG, blocks: list[BasicBlock]) -> dict[int, tuple]:
     of_stmt = {n: blk.id for blk in blocks for n in blk.stmts}
     out: dict[int, tuple] = {}
     for blk in blocks:
         if not blk.stmts:
             out[blk.id] = ()
             continue
-        found: list[int] = []
+        # breadth-first from the block's last statement, stopping at
+        # statements; the successors are listed in the order found
+        found: dict[int, None] = {}
         seen = set()
-        stack = list(cfg.succs[blk.stmts[-1]])
-        while stack:
-            n = stack.pop(0)
+        frontier = deque(cfg.succs[blk.stmts[-1]])
+        while frontier:
+            n = frontier.popleft()
             if n in seen:
                 continue
             seen.add(n)
             if n[0] == "stmt":
-                if of_stmt[n] not in found:
-                    found.append(of_stmt[n])
+                found[of_stmt[n]] = None
                 continue
-            stack.extend(cfg.succs[n])
+            frontier.extend(cfg.succs[n])
         out[blk.id] = tuple(found)
     return out
 
@@ -319,7 +324,7 @@ def block_graph(cfg: CFG) -> dict[int, tuple]:
 def dump_dot(cfg: CFG) -> str:
     """Deterministic graph text: one node and one edge per line."""
     blocks = basic_blocks(cfg)
-    graph = block_graph(cfg)
+    graph = _block_graph(cfg, blocks)
     lines = ["digraph cfg {"]
     for blk in blocks:
         lines.append(f'  n{blk.id} [label="body{blk.body} stmts={len(blk.stmts)}"]')

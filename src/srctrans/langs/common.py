@@ -1,5 +1,5 @@
 """Shared lexing and parsing scaffolding for the bundled frontends, and
-the interpreter statements of the C-like ones."""
+the compiled statements of the C-like ones."""
 
 from __future__ import annotations
 
@@ -7,7 +7,15 @@ import re
 from string import ascii_letters, digits
 from typing import Callable, NamedTuple
 
-from ..runtime import BreakEx, ContinueEx, Interp, ReturnEx, Trap
+from ..runtime import (
+    BREAK,
+    COMPARISONS,
+    CONTINUE,
+    EXPRESSIONS,
+    Compiler,
+    Trap,
+    literal,
+)
 from ..schema import GV, GenericValue
 
 
@@ -254,61 +262,155 @@ def _parse_opt_expr(ts: TokenStream, expr: Callable, closer: str) -> GenericValu
     return GV("SomeExpr", (expr(ts),))
 
 
-class CInterp(Interp):
-    """Runs the statements `parse_c_stmt` parses.  A subclass supplies
-    `truthy` and `exec_body`, which runs the body of an if or a loop."""
+def expr_stmt(comp: Compiler, s: GenericValue) -> Callable:
+    def expr_stmt(st, env, code=comp.expr(s.args[0])):
+        st.fuel -= 1
+        if st.fuel < 0:
+            raise Trap("fuel")
+        code(st, env)
 
-    def exec_stmt(self, s: GenericValue, env: list) -> None:
-        c = s.ctor
-        if c == "ExprStmt":
-            self.eval(s.args[0], env)
-        elif c == "IfStmt":
-            cond, then, els = s.args
-            if self.truthy(self.eval(cond, env)):
-                self.exec_body(then, env)
-            elif els.ctor == "SomeElse":
-                self.exec_body(els.args[0], env)
-        elif c == "WhileStmt":
-            cond, body = s.args
-            while True:
-                self.tick()
-                if not self.truthy(self.eval(cond, env)):
-                    break
-                try:
-                    self.exec_body(body, env)
-                except BreakEx:
-                    break
-                except ContinueEx:
-                    continue
-        elif c == "ForStmt":
-            init, cond, step, body = s.args
-            if init.ctor == "SomeExpr":
-                self.eval(init.args[0], env)
-            while True:
-                self.tick()
-                if cond.ctor == "SomeExpr" and not self.truthy(
-                    self.eval(cond.args[0], env)
-                ):
-                    break
-                try:
-                    self.exec_body(body, env)
-                except BreakEx:
-                    break
-                except ContinueEx:
-                    pass
-                if step.ctor == "SomeExpr":
-                    self.eval(step.args[0], env)
-        elif c == "ReturnStmt":
-            opt = s.args[0]
-            raise ReturnEx(self.eval(opt.args[0], env) if opt.ctor == "SomeExpr" else None)
-        elif c == "BreakStmt":
-            raise BreakEx()
-        elif c == "ContinueStmt":
-            raise ContinueEx()
-        elif c == "BlockStmt":
-            self.exec_block(s.args[0], env)
-        else:
-            raise Trap("stmt")
+    return expr_stmt
+
+
+def _assign_expr(comp: Compiler, e: GenericValue) -> Callable:
+    """Assignment as an expression: the value is the value assigned."""
+    lhs, rhs = e.args
+    value_c = comp.expr(rhs)
+    depth = comp.resolve(lhs.args[0].args[0]) if lhs.ctor == "VarE" else None
+    if depth is None:
+        def assign(st, env, store=comp.target(lhs), value_c=value_c):
+            st.fuel -= 1
+            if st.fuel < 0:
+                raise Trap("fuel")
+            return store(st, env, value_c(st, env))
+
+        return assign
+
+    def assign_var(st, env, depth=depth, name=lhs.args[0].args[0], value_c=value_c):
+        st.fuel -= 1
+        if st.fuel < 0:
+            raise Trap("fuel")
+        value = env[depth][name] = value_c(st, env)
+        return value
+
+    return assign_var
+
+
+def _if_stmt(comp: Compiler, s: GenericValue) -> Callable:
+    cond, then, els = s.args
+
+    def if_(st, env, test=comp.test(cond), then_c=comp.body(then),
+            else_c=comp.body(els.args[0]) if els.ctor == "SomeElse" else None):
+        st.fuel -= 1
+        if st.fuel < 0:
+            raise Trap("fuel")
+        if test(st, env):
+            return then_c(st, env)
+        return None if else_c is None else else_c(st, env)
+
+    return if_
+
+
+def while_stmt(comp: Compiler, s: GenericValue) -> Callable:
+    cond, body = s.args
+
+    def while_(st, env, test=comp.test(cond), body_c=comp.body(body)):
+        st.fuel -= 1
+        if st.fuel < 0:
+            raise Trap("fuel")
+        while True:
+            st.fuel -= 1
+            if st.fuel < 0:
+                raise Trap("fuel")
+            if not test(st, env):
+                return None
+            signal = body_c(st, env)
+            if signal is not None and signal is not CONTINUE:
+                return None if signal is BREAK else signal
+
+    return while_
+
+
+def _for_stmt(comp: Compiler, s: GenericValue) -> Callable:
+    init, cond, step, body = s.args
+
+    def for_(st, env,
+             init_c=comp.expr(init.args[0]) if init.ctor == "SomeExpr" else None,
+             test=comp.test(cond.args[0]) if cond.ctor == "SomeExpr" else None,
+             step_c=comp.expr(step.args[0]) if step.ctor == "SomeExpr" else None,
+             body_c=comp.body(body)):
+        st.fuel -= 1
+        if st.fuel < 0:
+            raise Trap("fuel")
+        if init_c is not None:
+            init_c(st, env)
+        while True:
+            st.fuel -= 1
+            if st.fuel < 0:
+                raise Trap("fuel")
+            if test is not None and not test(st, env):
+                return None
+            signal = body_c(st, env)
+            if signal is not None and signal is not CONTINUE:
+                return None if signal is BREAK else signal
+            if step_c is not None:
+                step_c(st, env)
+
+    return for_
+
+
+def return_stmt(comp: Compiler, s: GenericValue) -> Callable:
+    """`return`, with the optional value in the statement's one child."""
+    opt = s.args[0]
+    if not opt.args:
+        return jump((None,))
+
+    def return_(st, env, code=comp.expr(opt.args[0])):
+        st.fuel -= 1
+        if st.fuel < 0:
+            raise Trap("fuel")
+        return (code(st, env),)
+
+    return return_
+
+
+def jump(signal) -> Callable:
+    def jump(st, env, signal=signal):
+        st.fuel -= 1
+        if st.fuel < 0:
+            raise Trap("fuel")
+        return signal
+
+    return jump
+
+
+def block_stmt(comp: Compiler, s: GenericValue) -> Callable:
+    def block_(st, env, block_c=comp.block(s.args[0])):
+        st.fuel -= 1
+        if st.fuel < 0:
+            raise Trap("fuel")
+        return block_c(st, env)
+
+    return block_
+
+
+class CCompiler(Compiler):
+    """Compiles the statements `parse_c_stmt` parses and the expressions
+    MiniC and MiniJS share.  A subclass supplies `body(node)`, which
+    compiles the body of an if or a loop, and `truthy`."""
+
+    STMT = {
+        "ExprStmt": expr_stmt,
+        "IfStmt": _if_stmt,
+        "WhileStmt": while_stmt,
+        "ForStmt": _for_stmt,
+        "ReturnStmt": return_stmt,
+        "BreakStmt": lambda comp, s: jump(BREAK),
+        "ContinueStmt": lambda comp, s: jump(CONTINUE),
+        "BlockStmt": block_stmt,
+    }
+    EXPR = {**EXPRESSIONS, "BoolLit": literal, "AssignE": _assign_expr}
+    BOOL_OPS = COMPARISONS | {"==", "!="}
 
 
 def parse_unary(ts: TokenStream, not_op: str, operand: Callable) -> GenericValue:

@@ -27,7 +27,7 @@ from ..fragments import (
     binder_names,
     multi_decl,
 )
-from ..runtime import COV, RunResult, Trap, check_int, int_op
+from ..runtime import COV, RunResult, Trap, call_user, literal
 from ..schema import GV, GenericValue, modularize_schema, parse_schema_text
 from ..terms import NodeKind, Term, gc_paused
 from .base import (
@@ -48,7 +48,7 @@ from .base import (
     wrap,
 )
 from .common import (
-    CInterp,
+    CCompiler,
     PrettyPrinter,
     TokenStream,
     expr_printer,
@@ -462,161 +462,163 @@ def _render(v) -> str:
     return str(v)
 
 
-class _Interp(CInterp):
-    render = staticmethod(_render)
-    void = 0
+def _read_index(base, idx):
+    if not isinstance(base, list):
+        raise Trap("type")
+    if not 0 <= idx < len(base):
+        raise Trap("index")
+    return base[idx]
 
-    def start(self):
-        main = self.main()
-        return self.call_user(main, [_default_value(p.args[0]) for p in main.args[2]])
 
-    def bind(self, func: GenericValue, args: list) -> tuple[dict, GenericValue]:
-        params = func.args[2]
-        if len(args) != len(params):
-            raise Trap("arity")
-        return {p.args[1].args[0]: a for p, a in zip(params, args)}, func.args[3]
+def _store_index(base, idx, value):
+    _read_index(base, idx)  # the traps of a read
+    base[idx] = value
+    return value
 
-    # -- statements
 
-    def exec_item(self, item: GenericValue, env: list) -> None:
-        if self.on_item:
-            self.on_item(item)
-        self.tick()
-        if item.ctor == "DeclItem":
-            self.exec_decl(item.args[0], env)
+def _truthy(v) -> bool:
+    if isinstance(v, bool):
+        return v
+    if isinstance(v, int):
+        return v != 0
+    raise Trap("type")
+
+
+def _decl_item(comp: CCompiler, item: GenericValue) -> Callable:
+    ty, dtors = item.args[0].args
+    inits = []
+    for dtor in dtors:
+        opt = dtor.args[1]
+        init = opt.args[0] if opt.ctor == "SomeInit" else None
+        name = dtor.args[0].args[0]
+        # the binder is in scope inside its own initializer
+        comp.declare(name)
+        if init is None:
+            code = None
+        elif init.ctor == "ExprInit":
+            code = comp.expr(init.args[0])
         else:
-            self.exec_stmt(item.args[0], env)
+            code = _array_init([comp.expr(e) for e in init.args[0]])
+        inits.append((name, code))
 
-    def exec_decl(self, decl: GenericValue, env: list) -> None:
-        ty, dtors = decl.args
-        for dtor in dtors:
-            name = dtor.args[0].args[0]
-            opt = dtor.args[1]
-            # the binder is in scope inside its own initializer
-            env[-1][name] = _default_value(ty)
-            if opt.ctor == "SomeInit":
-                init = opt.args[0]
-                if init.ctor == "ExprInit":
-                    env[-1][name] = self.eval(init.args[0], env)
-                else:
-                    env[-1][name] = [self.eval(e, env) for e in init.args[0]]
+    def decl(st, env, ty=ty, inits=inits):
+        st.fuel -= 1
+        if st.fuel < 0:
+            raise Trap("fuel")
+        scope = env[-1]
+        for name, code in inits:
+            scope[name] = _default_value(ty)
+            if code is not None:
+                scope[name] = code(st, env)
 
-    def exec_body(self, stmt: GenericValue, env: list) -> None:
-        """Run a statement in body position; it occupies an item slot."""
+    return decl
+
+
+def _array_init(elems: list) -> Callable:
+    def array(st, env, elems=elems):
+        return [c(st, env) for c in elems]
+
+    return array
+
+
+def _typed_equality(comp: CCompiler, e: GenericValue) -> Callable:
+    """`==` and `!=`: a bool and an integer, or an array, trap."""
+    op, lhs, rhs = e.args
+
+    def equality(st, env, a=comp.expr(lhs), b=comp.expr(rhs), same=op == "=="):
+        st.fuel -= 1
+        if st.fuel < 0:
+            raise Trap("fuel")
+        x = a(st, env)
+        y = b(st, env)
+        if isinstance(x, bool) != isinstance(y, bool):
+            raise Trap("type")
+        if isinstance(x, list) or isinstance(y, list):
+            raise Trap("type")
+        return (x == y) == same
+
+    return equality
+
+
+def _and(comp: CCompiler, e: GenericValue) -> Callable:
+    def and_(st, env, a=comp.expr(e.args[1]), b=comp.expr(e.args[2])):
+        st.fuel -= 1
+        if st.fuel < 0:
+            raise Trap("fuel")
+        if not _truthy(a(st, env)):
+            return False
+        return _truthy(b(st, env))
+
+    return and_
+
+
+def _or(comp: CCompiler, e: GenericValue) -> Callable:
+    def or_(st, env, a=comp.expr(e.args[1]), b=comp.expr(e.args[2])):
+        st.fuel -= 1
+        if st.fuel < 0:
+            raise Trap("fuel")
+        if _truthy(a(st, env)):
+            return True
+        return _truthy(b(st, env))
+
+    return or_
+
+
+class _Compiler(CCompiler):
+    render = staticmethod(_render)
+    truthy = staticmethod(_truthy)
+    read_index = staticmethod(_read_index)
+    store_index = staticmethod(_store_index)
+    void = 0
+    EXPR = {**CCompiler.EXPR, "IntLit": literal}
+    BINOP = {"==": _typed_equality, "!=": _typed_equality, "&&": _and, "||": _or}
+    BOOL_OPS = CCompiler.BOOL_OPS | {"&&", "||"}
+    BUILTINS = {"array": list}
+
+    @staticmethod
+    def items_of(block: GenericValue) -> tuple:
+        return block.args[0]
+
+    @staticmethod
+    def routine_block(func: GenericValue) -> GenericValue:
+        return func.args[3]
+
+    def start(self, st):
+        main = self.main()
+        return call_user(st, main, [_default_value(p.args[0]) for p in main.args[2]])
+
+    @staticmethod
+    def params(func: GenericValue) -> list:
+        return [p.args[1].args[0] for p in func.args[2]]
+
+    def item(self, item: GenericValue) -> Callable:
+        if item.ctor == "DeclItem":
+            return self.hooked(item, _decl_item(self, item))
+        return self.stmt(item.args[0], item)
+
+    def body(self, stmt: GenericValue) -> Callable:
+        """A statement in body position occupies an item slot; a braced
+        body is a block."""
         if stmt.ctor == "BlockStmt":
-            self.exec_block(stmt.args[0], env)
-            return
-        if self.on_item:
-            self.on_item(stmt)
-        self.tick()
-        self.exec_stmt(stmt, env)
+            return self.block(stmt.args[0])
+        return self.stmt(stmt)
 
-    # -- expressions
-
-    def unbound(self, name: str):
+    @staticmethod
+    def unbound(name: str):
         if name == "cov":
             return COV
         raise Trap("undef")
 
-    def store(self, name: str, value, env: list) -> None:
-        for scope in reversed(env):
-            if name in scope:
-                scope[name] = value
-                return
+    @staticmethod
+    def undeclared(st, name: str, value) -> None:
         raise Trap("undef")
-
-    def truthy(self, v) -> bool:
-        if isinstance(v, bool):
-            return v
-        if isinstance(v, int):
-            return v != 0
-        raise Trap("type")
-
-    def eval(self, e: GenericValue, env: list):
-        self.tick()
-        c = e.ctor
-        if c == "IntLit" or c == "BoolLit":
-            return e.args[0]
-        if c == "VarE":
-            return self.lookup(e.args[0].args[0], env)
-        if c == "IndexE":
-            base = self.eval(e.args[0], env)
-            idx = self.eval(e.args[1], env)
-            return self.index_read(base, idx)
-        if c == "CallE":
-            name = e.args[0].args[0]
-            args = [self.eval(a, env) for a in e.args[1]]
-            return self.call(name, args)
-        if c == "UnaryE":
-            op, operand = e.args
-            v = self.eval(operand, env)
-            if op == "!":
-                return not self.truthy(v)
-            return -check_int(v)
-        if c == "BinE":
-            return self.binop(e, env)
-        if c == "AssignE":
-            return self.assign_to(e.args[0], self.eval(e.args[1], env), env)
-        raise Trap("expr")
-
-    def index_read(self, base, idx):
-        check_int(idx)
-        if base is COV:
-            return self.cov.get(idx, False)
-        if not isinstance(base, list):
-            raise Trap("type")
-        if not 0 <= idx < len(base):
-            raise Trap("index")
-        return base[idx]
-
-    def assign_to(self, lhs: GenericValue, value, env: list):
-        if lhs.ctor == "VarE":
-            self.store(lhs.args[0].args[0], value, env)
-            return value
-        if lhs.ctor == "IndexE":
-            base = self.eval(lhs.args[0], env)
-            idx = check_int(self.eval(lhs.args[1], env))
-            if base is COV:
-                return self.mark(idx, value)
-            if not isinstance(base, list):
-                raise Trap("type")
-            if not 0 <= idx < len(base):
-                raise Trap("index")
-            base[idx] = value
-            return value
-        raise Trap("lhs")
-
-    def binop(self, e: GenericValue, env: list):
-        op = e.args[0]
-        if op == "&&":
-            if not self.truthy(self.eval(e.args[1], env)):
-                return False
-            return self.truthy(self.eval(e.args[2], env))
-        if op == "||":
-            if self.truthy(self.eval(e.args[1], env)):
-                return True
-            return self.truthy(self.eval(e.args[2], env))
-        a = self.eval(e.args[1], env)
-        b = self.eval(e.args[2], env)
-        if op in ("==", "!="):
-            if isinstance(a, bool) != isinstance(b, bool):
-                raise Trap("type")
-            if isinstance(a, list) or isinstance(b, list):
-                raise Trap("type")
-            return (a == b) if op == "==" else (a != b)
-        return int_op(op, a, b)
-
-    def call(self, name: str, args: list):
-        if name == "array" and name not in self.funcs:
-            return list(args)
-        return super().call(name, args)
 
 
 def run(ast: GenericValue, fuel: int = 100_000,
         on_item: Optional[Callable] = None,
         on_enter: Optional[Callable] = None) -> RunResult:
     funcs = {f.args[1].args[0]: f for f in ast.args[0]}
-    return _Interp(funcs, fuel, on_item, on_enter).run()
+    return _Compiler(funcs, on_item, on_enter).run(fuel)
 
 
 def item_walk(ast: GenericValue) -> list[GenericValue]:

@@ -28,7 +28,19 @@ from ..fragments import (
     multi_decl,
     single_decl,
 )
-from ..runtime import COV, TC, RunResult, Trap, check_int, int_op
+from ..runtime import (
+    COV,
+    TC,
+    RunResult,
+    Trap,
+    and_value,
+    call_user,
+    equality,
+    literal,
+    member,
+    nil_literal,
+    or_value,
+)
 from ..schema import GV, GenericValue, modularize_schema, parse_schema_text
 from ..terms import NodeKind, Term, build_list, gc_paused
 from .base import (
@@ -48,7 +60,7 @@ from .base import (
     wrap,
 )
 from .common import (
-    CInterp,
+    CCompiler,
     PrettyPrinter,
     TokenStream,
     expr_printer,
@@ -427,136 +439,98 @@ def _render(v) -> str:
     return str(v)
 
 
-class _Interp(CInterp):
+def _read_index(base, idx):
+    if not isinstance(base, list):
+        raise Trap("type")
+    if not 0 <= idx < len(base):
+        return None  # out-of-range reads yield undefined
+    return base[idx]
+
+
+def _store_index(base, idx, value):
+    if not isinstance(base, list):
+        raise Trap("type")
+    if 0 <= idx < len(base):
+        base[idx] = value
+    elif idx == len(base):
+        base.append(value)
+    else:
+        raise Trap("index")
+    return value
+
+
+def _var_stmt(comp: CCompiler, s: GenericValue) -> Callable:
+    inits = []
+    for dtor in s.args[0]:
+        name, opt = dtor.args[0].args[0], dtor.args[1]
+        # the binder is in scope (undefined) inside its own initializer
+        comp.declare(name)
+        inits.append((name, comp.expr(opt.args[0]) if opt.ctor == "SomeInit" else None))
+
+    def var(st, env, inits=inits):
+        st.fuel -= 1
+        if st.fuel < 0:
+            raise Trap("fuel")
+        scope = env[-1]
+        for name, code in inits:
+            scope[name] = None
+            if code is not None:
+                scope[name] = code(st, env)
+
+    return var
+
+
+def _array(comp: CCompiler, e: GenericValue) -> Callable:
+    def array(st, env, elems=[comp.expr(a) for a in e.args[0]]):
+        st.fuel -= 1
+        if st.fuel < 0:
+            raise Trap("fuel")
+        return [c(st, env) for c in elems]
+
+    return array
+
+
+class _Compiler(CCompiler):
     render = staticmethod(_render)
     truthy = staticmethod(_truthy)
+    read_index = staticmethod(_read_index)
+    store_index = staticmethod(_store_index)
+    STMT = {**CCompiler.STMT, "VarStmt": _var_stmt}
+    EXPR = {**CCompiler.EXPR, "NumLit": literal, "UndefLit": nil_literal,
+            "MemberE": member, "ArrayE": _array}
+    BINOP = {"&&": and_value, "||": or_value,
+             "==": equality(_same_value), "!=": equality(_same_value)}
 
-    def start(self):
+    @staticmethod
+    def items_of(block: GenericValue) -> tuple:
+        return block.args[1].args[0]
+
+    @staticmethod
+    def routine_block(func: GenericValue) -> GenericValue:
+        return func.args[2]
+
+    def start(self, st):
         main = self.main()
-        return self.call_user(main, [None] * len(main.args[1]))
+        return call_user(st, main, [None] * len(main.args[1]))
 
-    def bind(self, func: GenericValue, args: list) -> tuple[dict, GenericValue]:
-        params = func.args[1]
-        if len(args) != len(params):
-            raise Trap("arity")
-        return {p.args[0]: a for p, a in zip(params, args)}, func.args[2]
+    @staticmethod
+    def params(func: GenericValue) -> list:
+        return [p.args[0] for p in func.args[1]]
 
-    def exec_block(self, block: GenericValue, env: list, new_scope: bool = True):
-        if new_scope:
-            env = env + [{}]
-        for stmt in block.args[1].args[0]:
-            self.exec_item(stmt, env)
+    body = CCompiler.block
 
-    exec_body = exec_block
-
-    def exec_item(self, stmt: GenericValue, env: list) -> None:
-        if self.on_item:
-            self.on_item(stmt)
-        self.tick()
-        if stmt.ctor != "VarStmt":
-            self.exec_stmt(stmt, env)
-            return
-        for dtor in stmt.args[0]:
-            name = dtor.args[0].args[0]
-            opt = dtor.args[1]
-            # the binder is in scope (undefined) inside its own initializer
-            env[-1][name] = None
-            if opt.ctor == "SomeInit":
-                env[-1][name] = self.eval(opt.args[0], env)
-
-    def unbound(self, name: str):
+    @staticmethod
+    def unbound(name: str):
         if name == "TC":
             return TC
         raise Trap("undef")
-
-    def eval(self, e: GenericValue, env: list):
-        self.tick()
-        c = e.ctor
-        if c == "NumLit" or c == "BoolLit":
-            return e.args[0]
-        if c == "UndefLit":
-            return None
-        if c == "VarE":
-            return self.lookup(e.args[0].args[0], env)
-        if c == "IndexE":
-            base = self.eval(e.args[0], env)
-            idx = self.eval(e.args[1], env)
-            return self.index_read(base, idx)
-        if c == "MemberE":
-            base = self.eval(e.args[0], env)
-            if base is TC and e.args[1] == "cov":
-                return COV
-            raise Trap("member")
-        if c == "CallE":
-            name = e.args[0].args[0]
-            args = [self.eval(a, env) for a in e.args[1]]
-            return self.call(name, args)
-        if c == "ArrayE":
-            return [self.eval(a, env) for a in e.args[0]]
-        if c == "UnaryE":
-            op, operand = e.args
-            v = self.eval(operand, env)
-            if op == "!":
-                return not _truthy(v)
-            return -check_int(v)
-        if c == "BinE":
-            return self.binop(e, env)
-        if c == "AssignE":
-            value = self.eval(e.args[1], env)
-            return self.assign_to(e.args[0], value, env)
-        raise Trap("expr")
-
-    def index_read(self, base, idx):
-        check_int(idx)
-        if base is COV:
-            return self.cov.get(idx, False)
-        if not isinstance(base, list):
-            raise Trap("type")
-        if not 0 <= idx < len(base):
-            return None  # out-of-range reads yield undefined
-        return base[idx]
-
-    def assign_to(self, lhs: GenericValue, value, env: list):
-        if lhs.ctor == "VarE":
-            self.store(lhs.args[0].args[0], value, env)
-            return value
-        if lhs.ctor == "IndexE":
-            base = self.eval(lhs.args[0], env)
-            idx = check_int(self.eval(lhs.args[1], env))
-            if base is COV:
-                return self.mark(idx, value)
-            if not isinstance(base, list):
-                raise Trap("type")
-            if 0 <= idx < len(base):
-                base[idx] = value
-            elif idx == len(base):
-                base.append(value)
-            else:
-                raise Trap("index")
-            return value
-        raise Trap("lhs")
-
-    def binop(self, e: GenericValue, env: list):
-        op = e.args[0]
-        if op == "&&":
-            left = self.eval(e.args[1], env)
-            return self.eval(e.args[2], env) if _truthy(left) else left
-        if op == "||":
-            left = self.eval(e.args[1], env)
-            return left if _truthy(left) else self.eval(e.args[2], env)
-        a = self.eval(e.args[1], env)
-        b = self.eval(e.args[2], env)
-        if op in ("==", "!="):
-            same = _same_value(a, b)
-            return same if op == "==" else not same
-        return int_op(op, a, b)
 
 
 def run(ast: GenericValue, fuel: int = 100_000,
         on_item: Optional[Callable] = None,
         on_enter: Optional[Callable] = None) -> RunResult:
     funcs = {f.args[0].args[0]: f for f in ast.args[0]}
-    return _Interp(funcs, fuel, on_item, on_enter).run()
+    return _Compiler(funcs, on_item, on_enter).run(fuel)
 
 
 def item_walk(ast: GenericValue) -> list[GenericValue]:

@@ -27,15 +27,22 @@ from ..fragments import (
     single_decl,
 )
 from ..runtime import (
+    BREAK,
+    COMPARISONS,
     COV,
+    EXPRESSIONS,
     TC,
-    BreakEx,
-    Interp,
-    ReturnEx,
+    Compiler,
     RunResult,
     Trap,
+    and_value,
     check_int,
-    int_op,
+    equality,
+    literal,
+    member,
+    nil_literal,
+    or_value,
+    returned,
 )
 from ..schema import GV, GenericValue, modularize_schema, parse_schema_text
 from ..terms import NodeKind, Term, build_list, gc_paused, list_kind
@@ -64,6 +71,11 @@ from .base import (
 )
 from .common import (
     PrettyPrinter,
+    block_stmt,
+    expr_stmt,
+    jump,
+    return_stmt,
+    while_stmt,
     TokenStream,
     expr_printer,
     lexer,
@@ -591,8 +603,154 @@ def _render(v) -> str:
     return str(v)
 
 
-class _Interp(Interp):
+def _no_index(base, idx, value=None):
+    raise Trap("type")
+
+
+def _local_stmt(comp: "_Compiler", s: GenericValue) -> Callable:
+    names, opt = s.args
+    names = [n.args[0] for n in names.args[0]]
+    values = [comp.expr(e) for e in opt.args[0].args[0]] if opt.ctor == "SomeExprs" else []
+    for name in names:
+        comp.declare(name)
+    if len(names) == len(values) == 1:
+        def local_one(st, env, name=names[0], code=values[0]):
+            st.fuel -= 1
+            if st.fuel < 0:
+                raise Trap("fuel")
+            env[-1][name] = code(st, env)
+
+        return local_one
+
+    def local(st, env, names=names, values=values):
+        st.fuel -= 1
+        if st.fuel < 0:
+            raise Trap("fuel")
+        vs = [c(st, env) for c in values]
+        scope = env[-1]
+        for i, name in enumerate(names):
+            scope[name] = vs[i] if i < len(vs) else None
+
+    return local
+
+
+def _assign_stmt(comp: "_Compiler", s: GenericValue) -> Callable:
+    """Parallel assignment: every value first, then the targets in order."""
+    values = [comp.expr(e) for e in s.args[1].args[0]]
+    targets = [comp.target(t) for t in s.args[0].args[0]]
+    if len(targets) == len(values) == 1:
+        def assign_one(st, env, store=targets[0], code=values[0]):
+            st.fuel -= 1
+            if st.fuel < 0:
+                raise Trap("fuel")
+            store(st, env, code(st, env))
+
+        return assign_one
+
+    def assign(st, env, values=values, targets=targets):
+        st.fuel -= 1
+        if st.fuel < 0:
+            raise Trap("fuel")
+        vs = [c(st, env) for c in values]
+        for i, store in enumerate(targets):
+            store(st, env, vs[i] if i < len(vs) else None)
+
+    return assign
+
+
+def _if_stmt(comp: "_Compiler", s: GenericValue) -> Callable:
+    cond, then, tail = s.args
+
+    def if_(st, env, test=comp.test(cond), then_c=comp.block(then),
+            tail_c=_else_tail(comp, tail)):
+        st.fuel -= 1
+        if st.fuel < 0:
+            raise Trap("fuel")
+        if test(st, env):
+            return then_c(st, env)
+        return None if tail_c is None else tail_c(st, env)
+
+    return if_
+
+
+def _else_tail(comp: "_Compiler", tail: GenericValue) -> Optional[Callable]:
+    if tail.ctor == "Else":
+        return comp.block(tail.args[0])
+    if tail.ctor != "ElseIf":
+        return None
+    # elseif behaves like an item guarding the rest of the chain
+    cond, block, rest = tail.args
+
+    def elseif(st, env, test=comp.test(cond), block_c=comp.block(block),
+               rest_c=_else_tail(comp, rest)):
+        st.fuel -= 1
+        if st.fuel < 0:
+            raise Trap("fuel")
+        if test(st, env):
+            return block_c(st, env)
+        return None if rest_c is None else rest_c(st, env)
+
+    return comp.hooked(tail, elseif)
+
+
+def _for_num(comp: "_Compiler", s: GenericValue) -> Callable:
+    """Numeric for: bounds and step evaluated once; the loop variable
+    lives in a scope of its own around each run of the body."""
+    var, low, high, step, body = s.args
+    name = var.args[0]
+    low_c = comp.expr(low)
+    high_c = comp.expr(high)
+    step_c = comp.expr(step.args[0]) if step.ctor == "SomeStep" else None
+    comp.scopes.append(frozenset((name,)))
+    body_c = comp.block(body)
+    comp.scopes.pop()
+
+    def for_(st, env, name=name, low_c=low_c, high_c=high_c, step_c=step_c, body_c=body_c):
+        st.fuel -= 1
+        if st.fuel < 0:
+            raise Trap("fuel")
+        i = low_c(st, env)
+        hi = high_c(st, env)
+        by = 1 if step_c is None else step_c(st, env)
+        for v in (i, hi, by):
+            check_int(v)
+        if by == 0:
+            raise Trap("forstep")
+        while (i <= hi) if by > 0 else (i >= hi):
+            st.fuel -= 1
+            if st.fuel < 0:
+                raise Trap("fuel")
+            signal = body_c(st, env + [{name: i}])
+            if signal is not None:
+                return None if signal is BREAK else signal
+            i += by
+
+    return for_
+
+
+class _Compiler(Compiler):
     render = staticmethod(_render)
+    truthy = staticmethod(_truthy)
+    read_index = staticmethod(_no_index)
+    store_index = staticmethod(_no_index)
+    NOT = "not"
+    STMT = {
+        "LocalStmt": _local_stmt,
+        "AssignStmt": _assign_stmt,
+        "CallStmt": expr_stmt,
+        "IfStmt": _if_stmt,
+        "WhileStmt": while_stmt,
+        "ForStmt": _for_num,
+        "FuncStmt": lambda comp, s: jump(None),  # collected before the run
+        "ReturnStmt": return_stmt,
+        "BreakStmt": lambda comp, s: jump(BREAK),
+        "DoStmt": block_stmt,
+    }
+    EXPR = {**EXPRESSIONS, "NumLit": literal, "BoolLit": literal,
+            "NilLit": nil_literal, "MemberE": member}
+    BINOP = {"and": and_value, "or": or_value,
+             "==": equality(_same_value), "~=": equality(_same_value)}
+    BOOL_OPS = COMPARISONS | {"==", "~="}
 
     def __init__(self, chunk: GenericValue, *args):
         funcs: dict[str, GenericValue] = {}
@@ -600,167 +758,37 @@ class _Interp(Interp):
         super().__init__(funcs, *args)
         self.chunk = chunk
 
-    def start(self):
+    @staticmethod
+    def items_of(block: GenericValue) -> tuple:
+        return block.args[0]
+
+    @staticmethod
+    def routine_block(func: GenericValue) -> GenericValue:
+        return func.args[2]
+
+    body = Compiler.block
+
+    def start(self, st):
         if self.on_enter:
             self.on_enter(self.chunk)
-        try:
-            self.exec_block(self.chunk.args[0], [{}], new_scope=False)
-        except ReturnEx as ret:
-            return ret.value
-        return None
+        self.scopes = [frozenset()]
+        signal = self.block(self.chunk.args[0], new_scope=False)(st, [{}])
+        return None if signal is None else returned(signal)
 
-    def bind(self, func: GenericValue, args: list) -> tuple[dict, GenericValue]:
-        params = [n.args[0] for n in func.args[1].args[0]]
+    @staticmethod
+    def params(func: GenericValue) -> list:
+        return [n.args[0] for n in func.args[1].args[0]]
+
+    @staticmethod
+    def bind(params: list, args: list) -> dict:
         # extra arguments are dropped, missing ones become nil
-        frame = {p: (args[i] if i < len(args) else None) for i, p in enumerate(params)}
-        return frame, func.args[2]
+        return {p: (args[i] if i < len(args) else None) for i, p in enumerate(params)}
 
-    def exec_stmt(self, s: GenericValue, env: list) -> None:
-        c = s.ctor
-        if c == "LocalStmt":
-            names, opt = s.args
-            values = (
-                [self.eval(e, env) for e in opt.args[0].args[0]]
-                if opt.ctor == "SomeExprs"
-                else []
-            )
-            for i, n in enumerate(names.args[0]):
-                env[-1][n.args[0]] = values[i] if i < len(values) else None
-        elif c == "AssignStmt":
-            values = [self.eval(e, env) for e in s.args[1].args[0]]
-            targets = s.args[0].args[0]
-            for i, target in enumerate(targets):
-                self.assign_to(target, values[i] if i < len(values) else None, env)
-        elif c == "CallStmt":
-            self.eval(s.args[0], env)
-        elif c == "IfStmt":
-            cond, then, tail = s.args
-            if _truthy(self.eval(cond, env)):
-                self.exec_block(then, env)
-            else:
-                self.exec_tail(tail, env)
-        elif c == "WhileStmt":
-            cond, body = s.args
-            while True:
-                self.tick()
-                if not _truthy(self.eval(cond, env)):
-                    break
-                try:
-                    self.exec_block(body, env)
-                except BreakEx:
-                    break
-        elif c == "ForStmt":
-            var, low, high, step_o, body = s.args
-            lo = self.eval(low, env)
-            hi = self.eval(high, env)
-            st = self.eval(step_o.args[0], env) if step_o.ctor == "SomeStep" else 1
-            for v in (lo, hi, st):
-                check_int(v)
-            if st == 0:
-                raise Trap("forstep")
-            i = lo
-            name = var.args[0]
-            while (i <= hi) if st > 0 else (i >= hi):
-                self.tick()
-                try:
-                    self.exec_block(body, env + [{name: i}], new_scope=True)
-                except BreakEx:
-                    break
-                i += st
-        elif c == "FuncStmt":
-            pass  # definitions are collected before execution
-        elif c == "ReturnStmt":
-            opt = s.args[0]
-            raise ReturnEx(self.eval(opt.args[0], env) if opt.ctor == "SomeRet" else None)
-        elif c == "BreakStmt":
-            raise BreakEx()
-        elif c == "DoStmt":
-            self.exec_block(s.args[0], env)
-        else:
-            raise Trap("stmt")
-
-    def exec_tail(self, tail: GenericValue, env: list) -> None:
-        if tail.ctor == "NoElse":
-            return
-        if tail.ctor == "Else":
-            self.exec_block(tail.args[0], env)
-            return
-        # elseif behaves like an item guarding the rest of the chain
-        if self.on_item:
-            self.on_item(tail)
-        self.tick()
-        cond, block, rest = tail.args
-        if _truthy(self.eval(cond, env)):
-            self.exec_block(block, env)
-        else:
-            self.exec_tail(rest, env)
-
-    def unbound(self, name: str):
+    @staticmethod
+    def unbound(name: str):
         if name == "TC":
             return TC
         return None  # unknown globals read as nil
-
-    def assign_to(self, lhs: GenericValue, value, env: list) -> None:
-        if lhs.ctor == "VarE":
-            self.store(lhs.args[0].args[0], value, env)
-            return
-        if lhs.ctor == "IndexE":
-            base = self.eval(lhs.args[0], env)
-            idx = check_int(self.eval(lhs.args[1], env))
-            if base is COV:
-                self.mark(idx, value)
-                return
-            raise Trap("type")
-        raise Trap("lhs")
-
-    def eval(self, e: GenericValue, env: list):
-        self.tick()
-        c = e.ctor
-        if c == "NumLit" or c == "BoolLit":
-            return e.args[0]
-        if c == "NilLit":
-            return None
-        if c == "VarE":
-            return self.lookup(e.args[0].args[0], env)
-        if c == "IndexE":
-            base = self.eval(e.args[0], env)
-            idx = check_int(self.eval(e.args[1], env))
-            if base is COV:
-                return self.cov.get(idx, False)
-            raise Trap("type")
-        if c == "MemberE":
-            base = self.eval(e.args[0], env)
-            if base is TC and e.args[1] == "cov":
-                return COV
-            raise Trap("member")
-        if c == "CallE":
-            name = e.args[0].args[0]
-            args = [self.eval(a, env) for a in e.args[1]]
-            return self.call(name, args)
-        if c == "UnaryE":
-            op, operand = e.args
-            v = self.eval(operand, env)
-            if op == "not":
-                return not _truthy(v)
-            return -check_int(v)
-        if c == "BinE":
-            return self.binop(e, env)
-        raise Trap("expr")
-
-    def binop(self, e: GenericValue, env: list):
-        op = e.args[0]
-        if op == "and":
-            left = self.eval(e.args[1], env)
-            return self.eval(e.args[2], env) if _truthy(left) else left
-        if op == "or":
-            left = self.eval(e.args[1], env)
-            return left if _truthy(left) else self.eval(e.args[2], env)
-        a = self.eval(e.args[1], env)
-        b = self.eval(e.args[2], env)
-        if op in ("==", "~="):
-            same = _same_value(a, b)
-            return same if op == "==" else not same
-        return int_op(op, a, b)
 
 
 def _collect_funcs(block: GenericValue, out: dict) -> None:
@@ -788,7 +816,7 @@ def _collect_funcs(block: GenericValue, out: dict) -> None:
 def run(ast: GenericValue, fuel: int = 100_000,
         on_item: Optional[Callable] = None,
         on_enter: Optional[Callable] = None) -> RunResult:
-    return _Interp(ast, fuel, on_item, on_enter).run()
+    return _Compiler(ast, on_item, on_enter).run(fuel)
 
 
 def item_walk(ast: GenericValue) -> list[GenericValue]:

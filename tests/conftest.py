@@ -20,3 +20,19 @@ def collector_left_on():
     if not gc.isenabled():
         gc.enable()
         pytest.fail("the cyclic collector was left disabled")
+
+
+_RECURSION_LIMIT = sys.getrecursionlimit()
+
+
+@pytest.fixture(autouse=True)
+def recursion_limit_kept():
+    """Fail any test after which the recursion limit differs from its
+    value when the test run started: deep inputs must be handled without
+    raising `sys.setrecursionlimit`.  The limit is restored here so one failure
+    does not leak into the tests after it."""
+    yield
+    limit = sys.getrecursionlimit()
+    if limit != _RECURSION_LIMIT:
+        sys.setrecursionlimit(_RECURSION_LIMIT)
+        pytest.fail(f"the recursion limit was changed to {limit}")

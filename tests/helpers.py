@@ -245,6 +245,305 @@ print(count)
 
 
 # ---------------------------------------------------------------------------
+# Hand-written programs for the interpreters: recursion, nested loops with
+# break and continue, short-circuit conditions, arrays, shadowing and
+# declarations that come after a use, and a run ending in each trap.
+
+HAND = {
+    "minic": {
+        "fib": """\
+int fib(int n) {
+  if (n < 2) {
+    return n;
+  }
+  return fib(n - 1) + fib(n - 2);
+}
+int main() {
+  print(fib(10));
+  return fib(7);
+}
+""",
+        "loops": """\
+int main() {
+  int s = 0;
+  int i = 0;
+  for (i = 0; i < 6; i = i + 1) {
+    int j = 0;
+    while (j < 6) {
+      j = j + 1;
+      if (j == 2) {
+        continue;
+      }
+      if (i * j > 12) {
+        break;
+      }
+      s = s + i * j;
+      print(s);
+    }
+    if (i == 4) break;
+    for (;;) {
+      if (s > 0) break;
+      s = s + 1;
+    }
+  }
+  return s;
+}
+""",
+        "shortcircuit": """\
+int main() {
+  int a = 0;
+  bool b = f(1) && g(2);
+  bool c = f(3) || g(4);
+  if (a == 0 || h(a) > 1 && !k(2)) {
+    print(a, b, c);
+  }
+  while (a < 5 && (a != 3 || f(a))) {
+    a = a + 1;
+  }
+  return -a;
+}
+""",
+        "arrays": """\
+int main() {
+  int[] a = {1, 2, 3};
+  int[] b;
+  a[1] = 5;
+  b = array(7, 8);
+  print(a, b, a[1] + b[0]);
+  return a[3];
+}
+""",
+        "scopes": """\
+int g(int x) {
+  int y = x + 1;
+  {
+    int x = y * 2;
+    y = x + y;
+  }
+  return y + x;
+}
+int main() {
+  int a = 1;
+  int b = a + 1, c = b + a;
+  int d = d + 5;
+  int i = 0;
+  while (i < 3) {
+    print(a);
+    int a = i * 10;
+    a = a + 1;
+    print(a);
+    i = i + 1;
+  }
+  for (i = 0; i < 2; i = i + 1) {
+    int j = i;
+    {
+      int j = 7;
+      print(j);
+    }
+    print(j);
+  }
+  print(b, c, d, g(a));
+  return a;
+}
+""",
+        "divzero": "int main() {\n  int x = 3;\n  print(x);\n  return x / (x - 3);\n}\n",
+        "type": "int main() {\n  bool b = true;\n  print(1);\n  return b + 1;\n}\n",
+        "undef": "int main() {\n  print(1);\n  return y;\n}\n",
+        "stack": "int f(int n) {\n  return f(n + 1);\n}\nint main() {\n  return f(0);\n}\n",
+        "fuel": "int main() {\n  int i = 0;\n  while (true) {\n    i = i + 1;\n  }\n  return i;\n}\n",
+    },
+    "minijs": {
+        "fib": """\
+function fib(n) {
+  if (n < 2) {
+    return n;
+  }
+  return fib(n - 1) + fib(n - 2);
+}
+function main() {
+  print(fib(10));
+  return fib(7);
+}
+""",
+        "loops": """\
+function main() {
+  var s = 0;
+  var i = 0;
+  for (i = 0; i < 6; i = i + 1) {
+    var j = 0;
+    while (j < 6) {
+      j = j + 1;
+      if (j == 2) {
+        continue;
+      }
+      if (i * j > 12) {
+        break;
+      }
+      s = s + i * j;
+      print(s);
+    }
+    if (i == 4) {
+      break;
+    }
+    for (;;) {
+      if (s > 0) {
+        break;
+      }
+      s = s + 1;
+    }
+  }
+  return s;
+}
+""",
+        "shortcircuit": """\
+function main() {
+  var a = 0;
+  var b = f(1) && g(2), c = f(3) || g(4);
+  if (a == 0 || h(a) > 1 && !k(2)) {
+    print(a, b, c, undefined || a);
+  }
+  while (a < 5 && (a != 3 || f(a))) {
+    a = a + 1;
+  }
+  return -a;
+}
+""",
+        "arrays": """\
+function main() {
+  "use strict";
+  var a = [1, 2, 3];
+  a[1] = 5;
+  a[3] = [a[0]];
+  g = a;
+  print(a, g == a, a[7], a[3][0]);
+  return a.length;
+}
+""",
+        "scopes": """\
+function g(x) {
+  var y = x + 1;
+  {
+    var x = y * 2;
+    y = x + y;
+  }
+  return y + x;
+}
+function main() {
+  var a = 1;
+  var b = a + 1, c = b + a;
+  var d = d;
+  h = 4;
+  var i = 0;
+  while (i < 3) {
+    print(a, h);
+    var a = i * 10;
+    a = a + 1;
+    print(a);
+    i = i + 1;
+  }
+  print(b, c, d, g(a), h);
+  return a;
+}
+""",
+        "divzero": "function main() {\n  var x = 3;\n  print(x);\n  return x % (x - 3);\n}\n",
+        "type": "function main() {\n  var b = true;\n  print(1);\n  return b + 1;\n}\n",
+        "undef": "function main() {\n  print(1);\n  return y;\n}\n",
+        "stack": "function f(n) {\n  return f(n + 1);\n}\nfunction main() {\n  return f(0);\n}\n",
+        "fuel": "function main() {\n  var i = 0;\n  while (true) {\n    i = i + 1;\n  }\n  return i;\n}\n",
+    },
+    "minilua": {
+        "fib": """\
+function fib(n)
+  if n < 2 then
+    return n
+  end
+  return fib(n - 1) + fib(n - 2)
+end
+print(fib(10))
+return fib(7)
+""",
+        "loops": """\
+local s = 0
+for i = 0, 5 do
+  local j = 0
+  while j < 6 do
+    j = j + 1
+    if j == 2 then
+      s = s
+    elseif i * j > 12 then
+      break
+    else
+      s = s + i * j
+      print(s)
+    end
+  end
+  if i == 4 then
+    break
+  end
+end
+for k = 10, 1, -3 do
+  print(k)
+end
+return s
+""",
+        "shortcircuit": """\
+local a = 0
+local b, c = f(1) and g(2), f(3) or g(4)
+if a == 0 or h(a) > 1 and not k(2) then
+  print(a, b, c, nil or a)
+end
+while a < 5 and (a ~= 3 or f(a)) do
+  a = a + 1
+end
+a, b, c = b, a
+return -a
+""",
+        "scopes": """\
+local a = 1
+local b, c = a + 1, a
+local d = d
+h = 4
+function g(x)
+  local y = x + 1
+  do
+    local x = y * 2
+    y = x + y
+  end
+  return y + x + (a or 0)
+end
+for i = 1, 2 do
+  print(a, i)
+  local a = i * 10
+  local i = a
+  print(a, i)
+end
+local a = a + 1
+print(a, b, c, d, h, g(a))
+return a
+""",
+        "divzero": "local x = 3\nprint(x)\nreturn x / (x - 3)\n",
+        "type": "local b = true\nprint(1)\nreturn b + 1\n",
+        "undef": "print(1)\nreturn y + 1\n",
+        "stack": "function f(n)\n  return f(n + 1)\nend\nreturn f(0)\n",
+        "fuel": "local i = 0\nwhile true do\n  i = i + 1\nend\nreturn i\n",
+    },
+}
+
+def nested_recursion(lname: str, k: int, n: int) -> str:
+    """A program whose f(n) returns f(n - 1) + 1 from inside k nested
+    `if n > 0` blocks, and which returns f(n)."""
+    if lname == "minilua":
+        head, open_, close = "function f(n)\n", "if n > 0 then\n", "end\n"
+        ret, tail = "return f(n - 1) + 1\n", f"return 0\nend\nreturn f({n})\n"
+    else:
+        head = "int f(int n) {\n" if lname == "minic" else "function f(n) {\n"
+        main = "int main() {" if lname == "minic" else "function main() {"
+        open_, close = "if (n > 0) {\n", "}\n"
+        ret, tail = "return f(n - 1) + 1;\n", f"return 0;\n}}\n{main}\nreturn f({n});\n}}\n"
+    return head + open_ * k + ret + close * k + tail
+
+
+# ---------------------------------------------------------------------------
 # Atomic-operand scan: syntactic postcondition of the flattening pass.
 
 

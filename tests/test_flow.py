@@ -1,5 +1,7 @@
 """Control-flow graphs, basic blocks, and the flow-directed inserter."""
 
+import hashlib
+
 import pytest
 
 from helpers import COUNTF
@@ -22,6 +24,13 @@ from srctrans.terms import check_term
 from srctrans.traversal import get_at
 
 ALL = ("minic", "minijs", "minilua")
+
+# sha256 of the dot dumps of GenConfig seeds 0-29, one after another
+DOT_PINNED = {
+    "minic": "188a87f6fc9305037777e96348c1ba1ab25432db45114eea33a260be968635cf",
+    "minijs": "ebf60e037273c232641e22ffa39df90330a192764ac05b948b039e1b7480eb0f",
+    "minilua": "2af32825a05e8a3342c7eb1776807a2f791cc8fbdff98c3bcbaf7c15b8b004fe",
+}
 
 
 def cfg_of(lname, text):
@@ -203,3 +212,15 @@ def test_insert_converts_minilua_elseif():
 def test_unreachable_marked():
     _, cfg = cfg_of("minic", "int main() { return 0; print(9); }")
     assert any(n in cfg.unreachable for n in cfg.stmt_order)
+
+
+def _dot_dumps(lname: str) -> str:
+    return "".join(
+        dump_dot(cfg_of(lname, gen_program(lname, GenConfig(seed=s)))[1])
+        for s in range(30)
+    )
+
+
+@pytest.mark.parametrize("lname", ALL)
+def test_dot_dump_is_pinned(lname):
+    assert hashlib.sha256(_dot_dumps(lname).encode()).hexdigest() == DOT_PINNED[lname]

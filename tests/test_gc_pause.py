@@ -11,6 +11,7 @@ import gc
 
 import pytest
 
+from helpers import HAND, nested_recursion
 from srctrans.difftest import PASSES, diff_one
 from srctrans.flow import build_cfg, dump_dot
 from srctrans.gen import GenConfig, gen_program
@@ -168,3 +169,29 @@ def test_ops_leave_no_cyclic_garbage(lname, shadowing):
             lambda: diff_one(lang, pass_fn, 0, text, name == "testcov", 100_000)
         )
     assert left == {op: 0 for op in left}
+
+
+# f(n) recurses n + 1 calls deep; main is one more call in MiniC and MiniJS
+_DEEPEST = {"minic": 98, "minijs": 98, "minilua": 99}
+
+
+@pytest.mark.parametrize("lname", ALL)
+def test_runs_leave_no_cyclic_garbage(lname):
+    # a run ending in each trap, a recursion 100 calls deep and breaks out
+    # of nested loops; with and without the on_item/on_enter hooks
+    lang = get_language(lname)
+    programs = dict(HAND[lname], deep=nested_recursion(lname, 1, _DEEPEST[lname]))
+    left = {}
+    for name, text in programs.items():
+        ast = lang.parse(text)
+        result = lang.run(ast)
+        if name in ("divzero", "type", "undef", "stack", "fuel"):
+            assert result.events[-1][0] == "trap"
+        if name == "deep":
+            assert result.events == (("return", str(_DEEPEST[lname])),)
+        calls = []
+        left[name] = _garbage_left(lambda: lang.run(ast))
+        left[f"{name} hooked"] = _garbage_left(
+            lambda: lang.run(ast, on_item=calls.append, on_enter=calls.append)
+        )
+    assert left == {run: 0 for run in left}
