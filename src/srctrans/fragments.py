@@ -101,10 +101,14 @@ def assign(lhs: Term, rhs: Term) -> Term:
     return mk_term(ASSIGN, (), (lhs, mk_term(ASSIGN_OP_EQUALS), rhs))
 
 
-def single_decl(binder: Term, init: Optional[Term]) -> Term:
-    """One binder without attributes; `init` is a LocalVarInitL term or
-    None for no initializer."""
-    opt = mk_term(NO_INIT) if init is None else mk_term(JUST_INIT, (), (init,))
+def opt_init(init: Optional[Term]) -> Term:
+    """The initializer option of a LocalVarInitL term `init`, or the empty
+    option for None."""
+    return mk_term(NO_INIT) if init is None else mk_term(JUST_INIT, (), (init,))
+
+
+def single_decl(binder: Term, opt: Term) -> Term:
+    """One binder without attributes; `opt` is its initializer option."""
     return mk_term(SINGLE_DECL, (), (mk_term(EMPTY_DECL_ATTRS), binder, opt))
 
 

@@ -18,7 +18,10 @@ from ..fragments import (
     BLOCK_ITEM_L,
     EMPTY_BLOCK_END,
     IDENT_IS_BINDER,
+    JUST_INIT,
+    MULTI_DECL,
     MULTI_DECL_IS_ITEM,
+    NO_INIT,
     LanguageOps,
     assert_reserved_disjoint,
     assign,
@@ -27,16 +30,23 @@ from ..fragments import (
     single_decl,
 )
 from ..injections import InjectionDecl, InjectionTable, Step
-from ..schema import GenericValue, ModularizedLanguage, Schema, sum_signatures
+from ..schema import (
+    GenericValue,
+    ModularizedLanguage,
+    Schema,
+    from_modular,
+    list_items,
+    sum_signatures,
+)
 from ..terms import (
     NodeKind,
     Signature,
+    SortMismatch,
     Term,
     build_list,
     gc_paused,
     list_kind,
     mk_term,
-    set_origin,
 )
 from ..traversal import Path
 
@@ -402,7 +412,9 @@ class LanguageDef:
     adapter: Adapter
     parse: Callable[[str], GenericValue]
     pretty: Callable[[GenericValue], str]
-    trans_ips: Callable[[Term], Term]
+    # The IPS term of a parsed value, built in one walk (`schema.walker`
+    # with the frontend's trans cases), and back to a modular term.
+    decompose: Callable[[GenericValue], Term]
     untrans_ips: Callable[[Term], Term]
     run: Callable
     item_walk: Callable
@@ -411,14 +423,14 @@ class LanguageDef:
     def __post_init__(self):
         assert_reserved_disjoint(dict(self.modularized.sort_of).values())
 
-    def decompose(self, ast: GenericValue) -> Term:
-        from ..schema import to_modular
-
-        return self.trans_ips(to_modular(self.modularized, ast))
+    @gc_paused
+    def trans_ips(self, term: Term) -> Term:
+        """The IPS term of a term of the modular signature: decompose of
+        the value it stands for, which is O(1) to find for a term straight
+        from `schema.to_modular`."""
+        return self.decompose(from_modular(self.modularized, term))
 
     def recompose(self, term: Term) -> GenericValue:
-        from ..schema import from_modular
-
         return from_modular(self.modularized, self.untrans_ips(term))
 
 
@@ -502,24 +514,31 @@ def expect(cond: bool, what: str) -> None:
         raise UnrepresentableTerm(what)
 
 
+def ctor_name(build: Callable) -> str:
+    """The constructor a builder of `constructors` builds, which keys a
+    trans case."""
+    return build.kind.name.partition(".")[2]
+
+
 def ident_assign_cases(
     ident_is: NodeKind, surface_ident: Callable,
     assign_is: NodeKind, lhs_is: NodeKind, rhs_is: NodeKind,
     surface_assign: Callable, target: str, source: str,
 ) -> tuple[Callable[[str], Term], dict, dict]:
     """(ident_term, trans cases, untrans cases): the identifier and
-    assignment cases of trans_ips and untrans_ips.  `target` and `source`
+    assignment cases of decompose and untrans_ips.  `target` and `source`
     name what the assignment's sides hold, for error messages."""
 
     def ident_term(name: str) -> Term:
         return wrap(ident_is, ident(name))
 
-    def tr_ident(t: Term, tr) -> Term:
-        return ident_term(t.payload_values[0])
+    def tr_ident(v: GenericValue, walk) -> Term:
+        return wrap(ident_is, ident(v.args[0]))
 
-    def tr_assign(t: Term, tr) -> Term:
-        lhs, rhs = t.children
-        return wrap(assign_is, assign(wrap(lhs_is, tr(lhs)), wrap(rhs_is, tr(rhs))))
+    def tr_assign(v: GenericValue, walk) -> Term:
+        lhs, rhs = v.args
+        lhs, rhs = walk(lhs), walk(rhs)
+        return wrap(assign_is, assign(wrap(lhs_is, lhs), wrap(rhs_is, rhs)))
 
     def un_ident(t: Term, tr) -> Term:
         inner = t.children[0]
@@ -537,67 +556,72 @@ def ident_assign_cases(
 
     return (
         ident_term,
-        {surface_ident.kind.name: tr_ident, surface_assign.kind.name: tr_assign},
+        {ctor_name(surface_ident): tr_ident, ctor_name(surface_assign): tr_assign},
         {ident_is.name: un_ident, assign_is.name: un_assign},
     )
 
 
-def block_cases(body: BodyCodec, surface_block: Callable, decl: NodeKind,
+def block_cases(body: BodyCodec, surface_block: Callable, decl: Callable,
                 tr_decl: Callable, un_decl: Callable,
-                stmt_item: Optional[Callable] = None) -> tuple[dict, dict]:
+                items: Optional[tuple[Callable, Callable]] = None) -> tuple[dict, dict]:
     """(trans cases, untrans cases) of a frontend's statement list: the
     surface block `surface_block` holds statements and `decl`
     declarations, and its generic Block holds them under the codec's
-    `stmt_is` and MULTI_DECL_IS_ITEM.  `tr_decl` translates one `decl`
-    node to a MultiLocalVarDecl; `un_decl(attrs, singles, tr)` translates
-    back.  With `stmt_item`, each statement sits in that item node."""
+    `stmt_is` and MULTI_DECL_IS_ITEM.  `tr_decl` is the trans case of
+    `decl`, which gives a MultiLocalVarDecl; `un_decl(attrs, singles,
+    tr)` translates back.  With `items`, the builders of a statement item
+    and a declaration item, each block element sits in one of those."""
     elem_sort = surface_block.kind.child_sorts[0].elem
+    cases = {ctor_name(decl): tr_decl}
+    if items is not None:
+        cases[ctor_name(items[0])] = body.stmt_is
+        cases[ctor_name(items[1])] = MULTI_DECL_IS_ITEM
 
-    def tr_block(t: Term, tr) -> Term:
-        items = []
-        for elem in t.children[0].children:
-            if elem.kind.name == decl.name:
-                items.append(wrap(MULTI_DECL_IS_ITEM, tr_decl(elem, tr)))
-            else:
-                stmt = elem if stmt_item is None else elem.children[0]
-                items.append(body.item(tr(stmt)))
-        return wrap(body.block_is, generic_block(items))
+    def tr_block(v: GenericValue, walk) -> Term:
+        elems = list(map(walk, list_items(v.args[0])))
+        if items is None:
+            elems = [
+                wrap(MULTI_DECL_IS_ITEM, t) if t.kind is MULTI_DECL else body.item(t)
+                for t in elems
+            ]
+        return wrap(body.block_is, generic_block(elems))
 
     def un_block(t: Term, tr) -> Term:
         elems = []
         for item in block_items(t.children[0]):
             if item.kind == body.stmt_is:
                 stmt = tr(item.children[0])
-                elems.append(stmt if stmt_item is None else stmt_item(stmt))
+                elems.append(stmt if items is None else items[0](stmt))
             elif item.kind == MULTI_DECL_IS_ITEM:
                 multi = item.children[0]
                 expect(multi.kind.name == "MultiLocalVarDecl",
                        "expected a generic declaration")
-                elems.append(un_decl(*multi.children, tr))
+                decl = un_decl(*multi.children, tr)
+                elems.append(decl if items is None else items[1](decl))
             else:
                 raise UnrepresentableTerm(f"unexpected block item {item.kind.name}")
         return surface_block(build_list(elem_sort, elems))
 
-    return {surface_block.kind.name: tr_block}, {body.block_is.name: un_block}
+    cases[ctor_name(surface_block)] = tr_block
+    return cases, {body.block_is.name: un_block}
 
 
-def declarator_cases(C, dtor: Callable, init_is: NodeKind, lang: str,
-                     init_what: str) -> tuple[Callable, Callable]:
-    """(trans, untrans) of the declarator lists MiniC and MiniJS share:
-    `dtor` builds a declarator from an identifier and a `SomeInit`/
-    `NoInit` initializer, which the generic side holds under `init_is`.
-    `lang` and `init_what` name the language and the initializer in
-    error messages."""
+def declarator_cases(C, dtor: Callable, ident_is: NodeKind, init_is: NodeKind,
+                     lang: str, init_what: str) -> tuple[dict, Callable]:
+    """(trans cases, untrans) of the declarator lists MiniC and MiniJS
+    share: `dtor` builds a declarator from an identifier, which decompose
+    gives under `ident_is`, and a `SomeInit`/`NoInit` initializer, which
+    the generic side holds under `init_is`.  Each declarator becomes a
+    SingleLocalVarDecl.  `lang` and `init_what` name the language and the
+    initializer in error messages."""
+    ident_sort = ident_is.produced
 
-    def tr_dtors(dtors: Term, tr) -> list[Term]:
-        singles = []
-        for d in dtors.children:
-            name = d.children[0].payload_values[0]
-            init = some(d.children[1])
-            if init is not None:
-                init = wrap(init_is, tr(init))
-            singles.append(single_decl(wrap(IDENT_IS_BINDER, ident(name)), init))
-        return singles
+    def tr_dtor(v: GenericValue, walk) -> Term:
+        name, opt = v.args
+        name, opt = walk(name), walk(opt)
+        if name.sort != ident_sort:
+            raise SortMismatch(0, ident_sort, name.sort)
+        return single_decl(wrap(IDENT_IS_BINDER, name.children[0]), opt)
 
     def un_dtors(singles: Term, tr) -> Term:
         dtors = []
@@ -614,7 +638,20 @@ def declarator_cases(C, dtor: Callable, init_is: NodeKind, lang: str,
             dtors.append(dtor(C.Ident(name), opt_s))
         return build_list(dtor.kind.produced, dtors)
 
-    return tr_dtors, un_dtors
+    return {
+        ctor_name(dtor): tr_dtor,
+        **option_cases(C.SomeInit, C.NoInit, init_is),
+    }, un_dtors
+
+
+def option_cases(some_ctor: Callable, none_ctor: Callable, init_is: NodeKind) -> dict:
+    """The trans cases of a declaration's initializer option: `some_ctor`
+    holds an initializer, which the generic side holds under `init_is`."""
+    return {
+        ctor_name(some_ctor):
+            lambda v, walk: mk_term(JUST_INIT, (), (wrap(init_is, walk(v.args[0])),)),
+        ctor_name(none_ctor): lambda v, walk: mk_term(NO_INIT),
+    }
 
 
 def some(option: Term) -> Optional[Term]:
@@ -623,44 +660,33 @@ def some(option: Term) -> Optional[Term]:
     return option.children[0] if option.children else None
 
 
-def make_translator(special: dict[str, Callable], inverse: bool = False
-                    ) -> Callable[[Term], Term]:
+def make_translator(special: dict[str, Callable]) -> Callable[[Term], Term]:
     """Kind-directed recursion; unlisted kinds rebuild themselves.
 
     Each special handler receives the node and the translator itself so it
     can recurse into children.  A node of an unlisted kind whose children
     all come back unchanged is returned as is, not rebuilt.
 
-    Provenance (`Term.origin`): translating a node that came from
-    to_modular, as trans_ips does, the translator records that node as
-    the origin of the node it returns for it, unless the returned node
-    already has one.  An `inverse` translator, untrans_ips, undoes such a
-    recording one.  It records nothing, and it answers a node that has an
-    origin without descending: with the recorded surface term, or with
-    the node itself when it came straight from to_modular.  So a
-    recompose walks only the nodes a pass built.
+    A node that records an origin (`Term.origin`) is returned as it is,
+    without a look below: only a node of the modular signature records
+    one, and `schema.from_modular` answers it with its origin.  So
+    untrans_ips, this translator over the untrans cases, walks only the
+    nodes a pass built and the IPS-only nodes just above them.
 
     The returned translator runs with the cyclic collector paused
     (`terms.gc_paused`); handlers recurse through the unpaused one.
     """
 
     def tr(t: Term) -> Term:
-        origin = t.origin
-        if inverse and origin is not None:
-            return t if origin.__class__ is GenericValue else origin
+        if t.origin is not None:
+            return t
         handler = special.get(t.kind.name)
         if handler is not None:
-            out = handler(t, tr)
-        else:
-            children = list(map(tr, t.children))
-            if all(map(is_, children, t.children)):
-                return t
-            out = mk_term(t.kind, t.payload_values, children)
-        # Only a recording translator gets here with an origin.  A node a
-        # deeper call returned keeps the nearer origin it has.
-        if origin is not None and out.origin is None:
-            set_origin(out, t)
-        return out
+            return handler(t, tr)
+        children = list(map(tr, t.children))
+        if all(map(is_, children, t.children)):
+            return t
+        return mk_term(t.kind, t.payload_values, children)
 
     return gc_paused(tr)
 

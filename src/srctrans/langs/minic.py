@@ -28,7 +28,14 @@ from ..fragments import (
     multi_decl,
 )
 from ..runtime import COV, RunResult, Trap, call_user, literal
-from ..schema import GV, GenericValue, modularize_schema, parse_schema_text
+from ..schema import (
+    GV,
+    GenericValue,
+    list_items,
+    modularize_schema,
+    parse_schema_text,
+    walker,
+)
 from ..terms import NodeKind, Term, gc_paused
 from .base import (
     BodyCodec,
@@ -380,27 +387,28 @@ class _Body(BodyCodec):
 
 
 BODY = _Body(BLOCK_IS_MINIC, STMT_IS_ITEM)
-_tr_dtors, _un_dtors = declarator_cases(
-    C, C.Declarator, INIT_IS_INIT, "MiniC", "a MiniC initializer"
+_DTOR_TRANS, _un_dtors = declarator_cases(
+    C, C.Declarator, IDENT_IS_MINIC, INIT_IS_INIT, "MiniC", "a MiniC initializer"
 )
 
 
-def _tr_decl(item: Term, tr) -> Term:
-    ty, dtors = item.children[0].children
-    return multi_decl(_tr_dtors(dtors, tr), wrap(TYPE_IS_ATTRS, tr(ty)))
+def _tr_decl(v: GenericValue, walk) -> Term:
+    ty, dtors = v.args
+    ty = walk(ty)
+    return multi_decl(list(map(walk, list_items(dtors))), wrap(TYPE_IS_ATTRS, ty))
 
 
 def _un_decl(attrs: Term, singles: Term, tr) -> Term:
     expect(attrs.kind == TYPE_IS_ATTRS, "declaration attributes are not a MiniC type")
     dtors = _un_dtors(singles, tr)
-    return C.DeclItem(C.Decl(tr(attrs.children[0]), dtors))
+    return C.Decl(tr(attrs.children[0]), dtors)
 
 
 _BLOCK_TRANS, _BLOCK_UNTRANS = block_cases(
-    BODY, C.Block, C.DeclItem.kind, _tr_decl, _un_decl, C.StmtItem
+    BODY, C.Block, C.Decl, _tr_decl, _un_decl, (C.StmtItem, C.DeclItem)
 )
-trans_ips = make_translator({**_TRANS, **_BLOCK_TRANS})
-untrans_ips = make_translator({**_UNTRANS, **_BLOCK_UNTRANS}, inverse=True)
+decompose = gc_paused(walker(MOD, {**_TRANS, **_DTOR_TRANS, **_BLOCK_TRANS}))
+untrans_ips = make_translator({**_UNTRANS, **_BLOCK_UNTRANS})
 
 
 # ---------------------------------------------------------------------------
@@ -670,7 +678,7 @@ LANGUAGE = register(
         adapter=_Adapter(),
         parse=parse,
         pretty=pretty,
-        trans_ips=trans_ips,
+        decompose=decompose,
         untrans_ips=untrans_ips,
         run=run,
         item_walk=item_walk,

@@ -26,6 +26,7 @@ from ..fragments import (
     binder_names,
     ident,
     multi_decl,
+    opt_init,
     single_decl,
 )
 from ..runtime import (
@@ -41,7 +42,14 @@ from ..runtime import (
     nil_literal,
     or_value,
 )
-from ..schema import GV, GenericValue, modularize_schema, parse_schema_text
+from ..schema import (
+    GV,
+    GenericValue,
+    list_items,
+    modularize_schema,
+    parse_schema_text,
+    walker,
+)
 from ..terms import NodeKind, Term, build_list, gc_paused
 from .base import (
     BodyCodec,
@@ -324,8 +332,8 @@ class _Body(BodyCodec):
 
 
 BODY = _Body(BLOCK_IS_STMTS, STMT_IS_ITEM)
-_tr_dtors, _un_dtors = declarator_cases(
-    C, C.VarDtor, EXPR_IS_INIT, "MiniJS", "a MiniJS expression"
+_DTOR_TRANS, _un_dtors = declarator_cases(
+    C, C.VarDtor, IDENT_IS_MINIJS, EXPR_IS_INIT, "MiniJS", "a MiniJS expression"
 )
 
 
@@ -335,11 +343,11 @@ def _un_decl(attrs: Term, singles: Term, tr) -> Term:
 
 
 _BLOCK_TRANS, _BLOCK_UNTRANS = block_cases(
-    BODY, C.Stmts, C.VarStmt.kind,
-    lambda t, tr: multi_decl(_tr_dtors(t.children[0], tr)), _un_decl,
+    BODY, C.Stmts, C.VarStmt,
+    lambda v, walk: multi_decl(list(map(walk, list_items(v.args[0])))), _un_decl,
 )
-trans_ips = make_translator({**_TRANS, **_BLOCK_TRANS})
-untrans_ips = make_translator({**_UNTRANS, **_BLOCK_UNTRANS}, inverse=True)
+decompose = gc_paused(walker(MOD, {**_TRANS, **_DTOR_TRANS, **_BLOCK_TRANS}))
+untrans_ips = make_translator({**_UNTRANS, **_BLOCK_UNTRANS})
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +395,7 @@ class _Tac(TacOps):
     def make_decl_item(self, name: str, init: Optional[Term]) -> Term:
         if init is not None:
             init = wrap(EXPR_IS_INIT, init)
-        single = single_decl(wrap(IDENT_IS_BINDER, ident(name)), init)
+        single = single_decl(wrap(IDENT_IS_BINDER, ident(name)), opt_init(init))
         return wrap(MULTI_DECL_IS_ITEM, multi_decl([single]))
 
     def make_assign_item(self, target: Term, source: Term) -> Term:
@@ -423,8 +431,32 @@ def _same_value(a, b) -> bool:
     if isinstance(a, list) != isinstance(b, list):
         return False
     if isinstance(a, list):
-        return len(a) == len(b) and all(_same_value(x, y) for x, y in zip(a, b))
+        return _same_arrays(a, b)
     return a == b
+
+
+def _same_arrays(a: list, b: list) -> bool:
+    """Elementwise equality of two arrays, on an explicit stack, so that
+    nesting depth costs no Python frames.  A pair of arrays met again is
+    taken as equal: it is still being compared, or it compared equal,
+    since any difference ends the comparison.  So an array that contains
+    itself equals itself."""
+    seen = set()
+    stack = [(a, b)]
+    while stack:
+        a, b = stack.pop()
+        pair = (id(a), id(b))
+        if pair in seen:
+            continue
+        seen.add(pair)
+        if len(a) != len(b):
+            return False
+        for x, y in zip(a, b):
+            if isinstance(x, list) and isinstance(y, list):
+                stack.append((x, y))
+            elif not _same_value(x, y):
+                return False
+    return True
 
 
 def _render(v) -> str:
@@ -433,10 +465,35 @@ def _render(v) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, list):
-        return "[" + ", ".join(_render(x) for x in v) + "]"
+        return _render_array(v)
     if v is TC or v is COV:
         return "[object]"
     return str(v)
+
+
+def _render_array(v: list) -> str:
+    """`[e1, e2, ...]`, on an explicit stack; an array already on the path
+    from v down to it prints as `[...]`."""
+    on_path = {id(v)}
+    stack = [(v, iter(v), [])]
+    while True:
+        array, elems, parts = stack[-1]
+        for x in elems:
+            if not isinstance(x, list):
+                parts.append(_render(x))
+            elif id(x) in on_path:
+                parts.append("[...]")
+            else:
+                on_path.add(id(x))
+                stack.append((x, iter(x), []))
+                break
+        else:
+            stack.pop()
+            on_path.discard(id(array))
+            text = "[" + ", ".join(parts) + "]"
+            if not stack:
+                return text
+            stack[-1][2].append(text)
 
 
 def _read_index(base, idx):
@@ -572,7 +629,7 @@ LANGUAGE = register(
         adapter=_Adapter(),
         parse=parse,
         pretty=pretty,
-        trans_ips=trans_ips,
+        decompose=decompose,
         untrans_ips=untrans_ips,
         tac=_Tac(C, BODY, _ident_term, ("NumLit", "BoolLit", "UndefLit"), "!",
                  ("&&", "||"), ASSIGN_IS_EXPR),

@@ -24,6 +24,7 @@ from ..fragments import (
     RHS_L,
     assign,
     multi_decl,
+    opt_init,
     single_decl,
 )
 from ..runtime import (
@@ -44,7 +45,7 @@ from ..runtime import (
     or_value,
     returned,
 )
-from ..schema import GV, GenericValue, modularize_schema, parse_schema_text
+from ..schema import GV, GenericValue, modularize_schema, parse_schema_text, walker
 from ..terms import NodeKind, Term, build_list, gc_paused, list_kind
 from ..traversal import Path
 from .base import (
@@ -64,6 +65,7 @@ from .base import (
     item_viewer,
     make_translator,
     optional,
+    option_cases,
     register,
     shared_arms,
     some,
@@ -383,13 +385,10 @@ _ident_term, _TRANS, _UNTRANS = ident_assign_cases(
 )
 
 
-def _tr_local(t: Term, tr) -> Term:
-    names, opt = t.children
-    if opt.kind.name == "MiniLua.SomeExprs":
-        init = wrap(EXPRLIST_IS_INIT, tr(opt.children[0]))
-    else:
-        init = None
-    return multi_decl([single_decl(wrap(NAMELIST_IS_BINDER, tr(names)), init)])
+def _tr_local(v: GenericValue, walk) -> Term:
+    names, opt = v.args
+    names, opt = walk(names), walk(opt)
+    return multi_decl([single_decl(wrap(NAMELIST_IS_BINDER, names), opt)])
 
 
 def _un_decl(attrs: Term, singles_t: Term, tr) -> Term:
@@ -411,10 +410,12 @@ def _un_decl(attrs: Term, singles_t: Term, tr) -> Term:
 
 BODY = BodyCodec(BLOCK_IS_MINILUA, STMT_IS_ITEM)
 _BLOCK_TRANS, _BLOCK_UNTRANS = block_cases(
-    BODY, C.Block, C.LocalStmt.kind, _tr_local, _un_decl
+    BODY, C.Block, C.LocalStmt, _tr_local, _un_decl
 )
-trans_ips = make_translator({**_TRANS, **_BLOCK_TRANS})
-untrans_ips = make_translator({**_UNTRANS, **_BLOCK_UNTRANS}, inverse=True)
+decompose = gc_paused(walker(MOD, {
+    **_TRANS, **_BLOCK_TRANS, **option_cases(C.SomeExprs, C.NoExprs, EXPRLIST_IS_INIT),
+}))
+untrans_ips = make_translator({**_UNTRANS, **_BLOCK_UNTRANS})
 
 
 # ---------------------------------------------------------------------------
@@ -557,7 +558,7 @@ class _Tac(TacOps):
         names = C.NameList(build_list(S("Ident"), [_ident_term(name)]))
         if init is not None:
             init = wrap(EXPRLIST_IS_INIT, C.ExprList(build_list(S("Expr"), [init])))
-        single = single_decl(wrap(NAMELIST_IS_BINDER, names), init)
+        single = single_decl(wrap(NAMELIST_IS_BINDER, names), opt_init(init))
         return wrap(MULTI_DECL_IS_ITEM, multi_decl([single]))
 
     def make_assign_item(self, target: Term, source: Term) -> Term:
@@ -873,7 +874,7 @@ LANGUAGE = register(
         adapter=_Adapter(),
         parse=parse,
         pretty=pretty,
-        trans_ips=trans_ips,
+        decompose=decompose,
         untrans_ips=untrans_ips,
         tac=_Tac(C, BODY, _ident_term, ("NumLit", "BoolLit", "NilLit"), "not",
                  ("and", "or")),

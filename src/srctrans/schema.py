@@ -15,6 +15,11 @@ Schemas can also be read from a small line-oriented text format:
 
 Argument types are Int, Bool, String, a type name, [t] for lists, and
 (t, t) for pairs.  The first defined type is the root.
+
+Encoding is one walk over a value (`walker`).  `to_modular` is the walk
+alone; a frontend adds trans cases for the constructors its incremental
+parametric syntax replaces, so its decompose builds each IPS node once,
+straight from the value.
 """
 
 from __future__ import annotations
@@ -31,9 +36,9 @@ from .terms import (
     Signature,
     Sort,
     Term,
-    build_list,
     build_pair,
     gc_paused,
+    list_kind,
     mk_term,
     sort_name,
 )
@@ -221,19 +226,24 @@ class _CtorCodec:
     `slots` has one entry per constructor argument: the primitive's name
     for a payload slot, else the (encode, decode) pair of a child slot.
     The encode plan: `payloads` pairs each payload's argument index with
-    its Python class, and `encoders` each child's with its encoder.  The
-    decode plan: `decoders` decode the children in order, and `order`
-    puts the payloads followed by the decoded children back in argument
-    order, or is None where they already are.  A plain class, not a
-    dataclass, to keep import time down.
+    its Python class, and `encoders` each child's with its encoder, None
+    for a constructor-typed child, which the walk encodes itself.  When
+    the payloads come first and every child is constructor-typed,
+    `split` is the number of payloads, else None.  The decode plan:
+    `decoders` decode the children in order, and `order` puts the
+    payloads followed by the decoded children back in argument order, or
+    is None where they already are.  A plain class, not a dataclass, to
+    keep import time down.
     """
 
-    __slots__ = ("ctor", "kind", "slots", "payloads", "encoders", "decoders", "order")
+    __slots__ = ("ctor", "kind", "slots", "arity", "payloads", "encoders", "split",
+                 "decoders", "order")
 
     def __init__(self, ctor: str, kind: NodeKind, slots: tuple):
         self.ctor = ctor
         self.kind = kind
         self.slots = slots
+        self.arity = len(slots)
         self.payloads = tuple(
             (i, PY_PRIM[s]) for i, s in enumerate(slots) if isinstance(s, str)
         )
@@ -245,6 +255,8 @@ class _CtorCodec:
         where = [i for i, _ in self.payloads] + [i for i, _ in self.encoders]
         in_order = where == sorted(where)
         self.order = None if in_order else tuple(map(where.index, range(len(where))))
+        named = all(enc is None for _, enc in self.encoders)
+        self.split = len(self.payloads) if in_order and named else None
 
 
 @dataclass(frozen=True)
@@ -334,17 +346,18 @@ def modularize_schema(schema: Schema) -> ModularizedLanguage:
     return ModularizedLanguage(schema, signature, sort_of, tuple(fragments))
 
 
-def _arg_codec(lang_name: str, ty: SchemaType) -> tuple[Callable, Callable]:
+def _arg_codec(lang_name: str, ty: SchemaType) -> tuple[Optional[Callable], Callable]:
     """(encode, decode) functions for a value of type ty in a child slot.
 
-    Both take the language first: encode(lang, value) -> Term and
-    decode(lang, term) -> value.
+    encode(walk, value) -> Term encodes the constructor values inside
+    value with `walk`; it is None for a constructor-typed slot, which
+    the walk encodes directly.  decode(lang, term) -> value.
     """
     if isinstance(ty, Prim):
         # Only reached inside containers; box the primitive as a leaf term.
         prim, box = ty.name, PRIM_BOX_KINDS[ty.name]
 
-        def encode(lang, value):
+        def encode(walk, value):
             if not _prim_matches(prim, value):
                 raise NonConformingValue(f"expected {prim}, got {value!r}")
             return mk_term(box, (value,))
@@ -356,22 +369,16 @@ def _arg_codec(lang_name: str, ty: SchemaType) -> tuple[Callable, Callable]:
 
         return encode, decode
     if isinstance(ty, Named):
-        tname = ty.name
-
-        def encode(lang, value):
-            if not isinstance(value, GenericValue):
-                raise NonConformingValue(f"expected {tname} value, got {value!r}")
-            return _encode(lang, value)
-
-        return encode, _decode
+        return None, _decode
     if isinstance(ty, ListT):
-        elem_sort = _translate_sort(lang_name, ty.elem)
+        kind = list_kind(_translate_sort(lang_name, ty.elem))
         enc_elem, dec_elem = _arg_codec(lang_name, ty.elem)
 
-        def encode(lang, value):
-            if not isinstance(value, tuple):
-                raise NonConformingValue(f"expected tuple for list, got {value!r}")
-            return build_list(elem_sort, [enc_elem(lang, v) for v in value])
+        def encode(walk, value):
+            value = list_items(value)
+            if enc_elem is None:
+                return mk_term(kind, (), tuple(map(walk, value)))
+            return mk_term(kind, (), tuple([enc_elem(walk, v) for v in value]))
 
         def decode(lang, term):
             return tuple([dec_elem(lang, t) for t in term.children])
@@ -381,11 +388,13 @@ def _arg_codec(lang_name: str, ty: SchemaType) -> tuple[Callable, Callable]:
         enc_first, dec_first = _arg_codec(lang_name, ty.first)
         enc_second, dec_second = _arg_codec(lang_name, ty.second)
 
-        def encode(lang, value):
+        def encode(walk, value):
             if not isinstance(value, PairV):
                 raise NonConformingValue(f"expected PairV, got {value!r}")
+            first, second = value.first, value.second
             return build_pair(
-                enc_first(lang, value.first), enc_second(lang, value.second)
+                walk(first) if enc_first is None else enc_first(walk, first),
+                walk(second) if enc_second is None else enc_second(walk, second),
             )
 
         def decode(lang, term):
@@ -405,50 +414,91 @@ def _prim_matches(prim: str, value) -> bool:
     return isinstance(value, str)
 
 
+def list_items(value) -> tuple:
+    """value, the elements of a list-typed argument; a case that reads a
+    list argument itself checks it here, as the walk does."""
+    if value.__class__ is not tuple and not isinstance(value, tuple):
+        raise NonConformingValue(f"expected tuple for list, got {value!r}")
+    return value
+
+
+def walker(lang: ModularizedLanguage, cases: dict) -> Callable[[GenericValue], Term]:
+    """The encoder walk of lang's values, with the cases `cases`.
+
+    The walk checks each value it reaches: a constructor value of lang's
+    schema, with the right number of arguments and payloads of the right
+    class.  Then a constructor named in `cases` goes to its case, called
+    as case(value, walk), which builds the value's node itself and
+    encodes the children it keeps with `walk`; a case that is a node
+    kind stands for the case that applies the kind to the encoded only
+    child, which the walk does without the call.  Every other constructor
+    is built from its codec plan, with its children encoded by the same
+    walk, and records `value` as its origin.  A wrong value raises
+    NonConformingValue at the first bad argument in argument order; a
+    child of the wrong sort raises SortMismatch from the node above.
+
+    The walk recurses once per constructor-typed child and does not
+    pause the collector; `to_modular` is this walk with no cases.
+    """
+    by_ctor = lang._by_ctor
+    case_for = cases.get
+
+    def walk(value):
+        if value.__class__ is not GenericValue and not isinstance(value, GenericValue):
+            raise NonConformingValue(f"not a constructor value: {value!r}")
+        codec = by_ctor.get(value.ctor)
+        if codec is None:
+            raise NonConformingValue(f"unknown constructor {value.ctor}")
+        args = value.args
+        if len(args) != codec.arity:
+            raise NonConformingValue(
+                f"{value.ctor}: expected {codec.arity} arguments, got {len(args)}"
+            )
+        for i, cls in codec.payloads:
+            v = args[i]
+            if v.__class__ is not cls and not _prim_matches(codec.slots[i], v):
+                # Report the first bad argument in argument order: a
+                # child before this payload raises first.
+                for j, enc in codec.encoders:
+                    if j < i:
+                        walk(args[j]) if enc is None else enc(walk, args[j])
+                raise NonConformingValue(
+                    f"{value.ctor}: expected {codec.slots[i]}, got {v!r}"
+                )
+        case = case_for(value.ctor)
+        if case is not None:
+            if case.__class__ is NodeKind:
+                return mk_term(case, (), (walk(args[0]),))
+            return case(value, walk)
+        split = codec.split
+        if split is not None:
+            return mk_term(codec.kind, args[:split], tuple(map(walk, args[split:])), value)
+        children = []
+        for i, enc in codec.encoders:
+            children.append(walk(args[i]) if enc is None else enc(walk, args[i]))
+        payloads = [args[i] for i, _ in codec.payloads]
+        return mk_term(codec.kind, payloads, children, value)
+
+    return walk
+
+
 @gc_paused
 def to_modular(lang: ModularizedLanguage, value: GenericValue) -> Term:
-    """Encode a schema-conforming value as a sorted term.
+    """Encode a schema-conforming value as a sorted term of lang's own
+    signature: the walk of `walker` with no cases.
 
-    Each constructor node records `value` as its origin, which
-    from_modular returns for a node no pass has replaced.
+    Each constructor node records the value it stands for as its origin,
+    which from_modular returns.
     """
-    return _encode(lang, value)
-
-
-def _encode(lang: ModularizedLanguage, value: GenericValue) -> Term:
-    """to_modular without the collector pause; the codecs recurse here."""
-    if not isinstance(value, GenericValue):
-        raise NonConformingValue(f"not a constructor value: {value!r}")
-    codec = lang._by_ctor.get(value.ctor)
-    if codec is None:
-        raise NonConformingValue(f"unknown constructor {value.ctor}")
-    args = value.args
-    if len(args) != len(codec.slots):
-        raise NonConformingValue(
-            f"{value.ctor}: expected {len(codec.slots)} arguments, got {len(args)}"
-        )
-    payloads = []
-    for i, cls in codec.payloads:
-        v = args[i]
-        if v.__class__ is not cls and not _prim_matches(codec.slots[i], v):
-            # Report the first bad argument in argument order: a child
-            # before this payload raises first.
-            for j, enc in codec.encoders:
-                if j < i:
-                    enc(lang, args[j])
-            raise NonConformingValue(f"{value.ctor}: expected {codec.slots[i]}, got {v!r}")
-        payloads.append(v)
-    children = []
-    for i, enc in codec.encoders:
-        children.append(enc(lang, args[i]))
-    return mk_term(codec.kind, payloads, children, value)
+    return walker(lang, {})(value)
 
 
 @gc_paused
 def from_modular(lang: ModularizedLanguage, term: Term) -> GenericValue:
     """Decode a term of this language's signature back into a value.
 
-    A node straight from to_modular decodes to the value it records.
+    A node of a kind foreign to the signature raises ForeignKind; a node
+    that records an origin decodes to it, without a look below.
     """
     return _decode(lang, term)
 
@@ -460,7 +510,7 @@ def _decode(lang: ModularizedLanguage, term: Term) -> GenericValue:
     if codec is None or (codec.kind is not kind and codec.kind != kind):
         raise ForeignKind(f"kind {kind.name} is not part of {lang.schema.name}")
     origin = term.origin
-    if origin.__class__ is GenericValue:
+    if origin is not None:
         return origin
     args = term.payload_values + tuple(
         [dec(lang, child) for dec, child in zip(codec.decoders, term.children)]

@@ -7,12 +7,15 @@ values are embedded as ordinary terms via the built-in container kinds,
 which exist at every element sort: a list is one ListF node whose
 children, any number of them, are its elements; a pair is a PairF node.
 
-A term also remembers its provenance in `origin`: the GenericValue that
-`schema.to_modular` encoded, or the surface term that a recording
-translator (`langs.base.make_translator`) built it from.  Recompose reads
-it to stop at every node a pass left in place, so its cost follows the
-nodes the pass built.  `origin` takes no part in equality, hashing or
-repr, and it is set once, on a node just built, and never changed.
+A term also remembers its provenance in `origin`: always the
+GenericValue the node stands for.  The walk of `schema.walker` records
+it on each node of a kind of the language's modular signature that it
+builds (`schema.to_modular` on every constructor node, a frontend's
+decompose on every surface node); IPS-only nodes, lists and the nodes a
+pass builds record none.  Recompose reads it to stop at every node a
+pass left in place, so its cost follows the nodes the pass built.
+`origin` takes no part in equality, hashing or repr, and it is set once,
+on a node just built, and never changed.
 
 Terms are immutable and acyclic, so reference counting frees them.  The
 layers that build trees (parse, decompose, the passes, the CFG builder
@@ -187,10 +190,8 @@ _new_term = object.__new__
 _set_kind = Term.kind.__set__
 _set_payloads = Term.payload_values.__set__
 _set_children = Term.children.__set__
-# Sets a node's origin.  Only the code that just built the node calls it,
-# and only while the origin is None: mk_term for to_modular, and a
-# recording translator (`langs.base.make_translator`).
-set_origin = Term.origin.__set__
+# Sets a node's origin, once, on the node mk_term just built.
+_set_origin = Term.origin.__set__
 
 
 PY_PRIM = {"Int": int, "Bool": bool, "String": str}
@@ -241,7 +242,8 @@ def mk_term(kind: NodeKind, payloads: Iterable = (), children: Iterable[Term] = 
             origin: object = None) -> Term:
     """Construct a well-sorted term, rejecting arity and sort mismatches.
 
-    `origin` is the new node's provenance; only to_modular passes one.
+    `origin` is the new node's provenance, the value it stands for; only
+    the walk of `schema.walker` passes one.
     """
     if not isinstance(kind, NodeKind):
         raise UnknownKind(f"not a node kind: {kind!r}")
@@ -262,7 +264,7 @@ def mk_term(kind: NodeKind, payloads: Iterable = (), children: Iterable[Term] = 
     _set_kind(t, kind)
     _set_payloads(t, payloads)
     _set_children(t, children)
-    set_origin(t, origin)
+    _set_origin(t, origin)
     return t
 
 

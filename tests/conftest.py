@@ -36,3 +36,24 @@ def recursion_limit_kept():
     if limit != _RECURSION_LIMIT:
         sys.setrecursionlimit(_RECURSION_LIMIT)
         pytest.fail(f"the recursion limit was changed to {limit}")
+
+
+_GC_THRESHOLD = gc.get_threshold()
+
+
+@pytest.fixture(autouse=True)
+def collector_settings_kept():
+    """Fail any test after which the collector's thresholds differ from
+    their values when the test run started, or objects are left frozen:
+    the tree layers pause the collector for a call (`terms.gc_paused`)
+    and change nothing else about it.  Both are put back here so one
+    failure does not leak into the tests after it."""
+    yield
+    threshold, frozen = gc.get_threshold(), gc.get_freeze_count()
+    if threshold != _GC_THRESHOLD or frozen:
+        gc.set_threshold(*_GC_THRESHOLD)
+        gc.unfreeze()
+        pytest.fail(
+            f"the collector was left with thresholds {threshold} and "
+            f"{frozen} frozen objects"
+        )

@@ -543,6 +543,17 @@ def nested_recursion(lname: str, k: int, n: int) -> str:
     return head + open_ * k + ret + close * k + tail
 
 
+def nested_ifs(lname: str, n: int) -> str:
+    """A program that prints x from inside n nested `if x < 5` blocks."""
+    if lname == "minilua":
+        return "local x = 1\n" + "if x < 5 then\n" * n + "print(x)\n" + "end\n" * n
+    if lname == "minic":
+        head = "int main() {\n  int x = 1;\n"
+    else:
+        head = "function main() {\n  var x = 1;\n"
+    return head + "if (x < 5) {\n" * n + "print(x);\n" + "}\n" * n + "return 0;\n}\n"
+
+
 # ---------------------------------------------------------------------------
 # Atomic-operand scan: syntactic postcondition of the flattening pass.
 

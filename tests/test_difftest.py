@@ -145,3 +145,37 @@ def test_minijs_directive_with_escaped_newline_round_trips():
     assert printed == 'function main() {\n  "a\\\nb";\n  return 1;\n}\n'
     assert lang.parse(printed) == ast
     assert lang.pretty(lang.parse(printed)) == printed
+
+
+# An array that contains itself, two that contain each other, and arrays
+# nested 5000 deep: MiniJS equality and printing take a nested array on
+# an explicit stack, so none of these exhausts the Python stack.
+CYCLIC_ARRAYS = {
+    "self": "function main() {\n  var a = [0];\n  a[0] = a;\n  print(a);\n"
+            "  return a == a;\n}\n",
+    "mutual": "function main() {\n  var a = [0];\n  var b = [1];\n  a[0] = b;\n"
+              "  b[0] = a;\n  print(a, b);\n  print(a == b);\n  return a[0] == b;\n}\n",
+    "deep": "function main() {\n  var a = [0];\n  var b = [0];\n  var i = 0;\n"
+            "  while (i < 5000) {\n    a = [a, i];\n    b = [b, i];\n    i = i + 1;\n  }\n"
+            "  print(a);\n  print(a == b);\n  b[1] = 0;\n  return a == b;\n}\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CYCLIC_ARRAYS))
+def test_cyclic_and_deep_arrays_are_equal(name):
+    text = CYCLIC_ARRAYS[name]
+    for pname in ("ident", "ehoist", "hoist", "tac"):
+        report = diff_test("minijs", pname, [text])
+        assert report.all_equal, (pname, report.render())
+
+
+def test_cyclic_and_deep_arrays_print_and_compare():
+    lang = get_language("minijs")
+    events = {n: lang.run(lang.parse(t)).events for n, t in CYCLIC_ARRAYS.items()}
+    assert events["self"] == (("print", "[[...]]"), ("return", "true"))
+    assert events["mutual"] == (
+        ("print", "[[[...]]] [[[...]]]"), ("print", "true"), ("return", "true"),
+    )
+    deep = events["deep"]
+    assert deep[0][1] == "[" * 5001 + "0]" + "".join(f", {i}]" for i in range(5000))
+    assert deep[1:] == (("print", "true"), ("return", "false"))

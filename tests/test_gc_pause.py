@@ -43,9 +43,10 @@ def test_nested_calls_leave_the_collector_on():
 
 
 def test_nested_layers_leave_the_collector_on():
-    # testcov calls build_cfg, and decompose calls to_modular and trans_ips
+    # testcov calls build_cfg, and trans_ips calls from_modular and decompose
     lang = get_language("minijs")
-    term = lang.decompose(lang.parse(gen_program("minijs", GenConfig(seed=1))))
+    ast = lang.parse(gen_program("minijs", GenConfig(seed=1)))
+    term = lang.trans_ips(to_modular(lang.modularized, ast))
     PASSES["testcov"](term, lang)
     assert gc.isenabled()
 
@@ -121,6 +122,7 @@ def test_no_collection_starts_inside_a_layer(lname):
     layers = {
         "parse": (lang.parse, text),
         "to_modular": (to_modular, mod, ast),
+        "decompose": (lang.decompose, ast),
         "trans_ips": (lang.trans_ips, to_modular(mod, ast)),
         **{f"pass.{p}": (PASSES[p], generic, lang) for p in passes},
         "untrans_ips": (lang.untrans_ips, out),

@@ -1,10 +1,11 @@
 """Provenance: terms remember their source, and recompose stops there.
 
-`to_modular` records the value it encoded on each node it builds, and
-`trans_ips` the surface term it translated.  The recorded origin must be
-exactly what a full recompose of the node gives, so the shortcut never
-changes a result; these tests compare against `without_origin` copies,
-which recompose the long way.
+An origin is always the value a node stands for.  `to_modular` records
+one on each constructor node it builds, and `decompose` on each node of
+a kind of the modular signature; the IPS-only nodes above them record
+none.  The recorded origin must be exactly what a full recompose of the
+node gives, so the shortcut never changes a result; these tests compare
+against `without_origin` copies, which recompose the long way.
 """
 
 import pytest
@@ -13,7 +14,7 @@ from helpers import COUNTF, without_origin
 from srctrans.gen import GenConfig, gen_program
 from srctrans.langs.base import get_language
 from srctrans.passes.hoist import hoist
-from srctrans.schema import GenericValue, from_modular, to_modular
+from srctrans.schema import GenericValue, to_modular
 from srctrans.terms import iter_subterms, mk_term
 from srctrans.traversal import get_at, replace_at
 
@@ -60,12 +61,20 @@ def _check_origins(lang, term):
         origin = node.origin
         if origin is None:
             continue
-        if isinstance(origin, GenericValue):
-            assert from_modular(lang.modularized, without_origin(node)) == origin
-        else:
-            assert lang.untrans_ips(without_origin(node)) == origin
+        assert lang.recompose(without_origin(node)) == origin
         checked += 1
     return checked
+
+
+def _check_origin_kinds(lang, term):
+    """Every node of a kind of the modular signature has an origin, and
+    no other node has one: not an injection, a generic fragment or a
+    list."""
+    sig = lang.modularized.signature
+    for node in iter_subterms(term):
+        name = node.kind.name
+        surface = sig.has_kind(name) and sig.kind(name) == node.kind
+        assert (node.origin is not None) == surface, name
 
 
 @pytest.mark.parametrize("lname", ALL)
@@ -78,6 +87,8 @@ def test_origin_is_what_a_full_recompose_gives(lname):
         assert _check_origins(lang, surface) > 0
         term = lang.trans_ips(surface)
         assert _check_origins(lang, term) > 0
+        _check_origin_kinds(lang, term)
+        _check_origin_kinds(lang, lang.decompose(ast))
 
 
 @pytest.mark.parametrize("lname", ALL)
