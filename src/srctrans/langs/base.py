@@ -17,6 +17,7 @@ from ..fragments import (
     BLOCK,
     BLOCK_ITEM_L,
     EMPTY_BLOCK_END,
+    IDENT,
     IDENT_IS_BINDER,
     JUST_INIT,
     MULTI_DECL,
@@ -37,6 +38,7 @@ from ..schema import (
     from_modular,
     list_items,
     sum_signatures,
+    to_modular,
 )
 from ..terms import (
     NodeKind,
@@ -412,10 +414,10 @@ class LanguageDef:
     adapter: Adapter
     parse: Callable[[str], GenericValue]
     pretty: Callable[[GenericValue], str]
-    # The IPS term of a parsed value, built in one walk (`schema.walker`
-    # with the frontend's trans cases), and back to a modular term.
+    # The IPS term of a parsed value and back, each in one walk:
+    # `schema.walker` and `schema.reader` with the frontend's cases.
     decompose: Callable[[GenericValue], Term]
-    untrans_ips: Callable[[Term], Term]
+    recompose: Callable[[Term], GenericValue]
     run: Callable
     item_walk: Callable
     tac: Optional[TacOps] = None
@@ -430,8 +432,10 @@ class LanguageDef:
         from `schema.to_modular`."""
         return self.decompose(from_modular(self.modularized, term))
 
-    def recompose(self, term: Term) -> GenericValue:
-        return from_modular(self.modularized, self.untrans_ips(term))
+    @gc_paused
+    def untrans_ips(self, term: Term) -> Term:
+        """to_modular of the recomposed value: from_modular of it is O(1)."""
+        return to_modular(self.modularized, self.recompose(term))
 
 
 _REGISTRY: dict[str, LanguageDef] = {}
@@ -526,8 +530,9 @@ def ident_assign_cases(
     surface_assign: Callable, target: str, source: str,
 ) -> tuple[Callable[[str], Term], dict, dict]:
     """(ident_term, trans cases, untrans cases): the identifier and
-    assignment cases of decompose and untrans_ips.  `target` and `source`
+    assignment cases of decompose and recompose.  `target` and `source`
     name what the assignment's sides hold, for error messages."""
+    ident_ctor, assign_ctor = ctor_name(surface_ident), ctor_name(surface_assign)
 
     def ident_term(name: str) -> Term:
         return wrap(ident_is, ident(name))
@@ -540,23 +545,23 @@ def ident_assign_cases(
         lhs, rhs = walk(lhs), walk(rhs)
         return wrap(assign_is, assign(wrap(lhs_is, lhs), wrap(rhs_is, rhs)))
 
-    def un_ident(t: Term, tr) -> Term:
+    def un_ident(t: Term, read) -> GenericValue:
         inner = t.children[0]
-        expect(inner.kind.name == "Ident", "expected a generic identifier")
-        return surface_ident(inner.payload_values[0])
+        expect(inner.kind is IDENT or inner.kind == IDENT, "expected a generic identifier")
+        return GenericValue(ident_ctor, inner.payload_values)
 
-    def un_assign(t: Term, tr) -> Term:
+    def un_assign(t: Term, read) -> GenericValue:
         inner = t.children[0]
         expect(inner.kind.name == "Assign", "expected a generic assignment")
         lhs_w, op, rhs_w = inner.children
         expect(op.kind.name == "AssignOpEquals", "unsupported assignment operator")
         expect(lhs_w.kind == lhs_is, f"assignment target is not {target}")
         expect(rhs_w.kind == rhs_is, f"assignment source is not {source}")
-        return surface_assign(tr(lhs_w.children[0]), tr(rhs_w.children[0]))
+        return GenericValue(assign_ctor, (read(lhs_w.children[0]), read(rhs_w.children[0])))
 
     return (
         ident_term,
-        {ctor_name(surface_ident): tr_ident, ctor_name(surface_assign): tr_assign},
+        {ident_ctor: tr_ident, assign_ctor: tr_assign},
         {ident_is.name: un_ident, assign_is.name: un_assign},
     )
 
@@ -569,13 +574,14 @@ def block_cases(body: BodyCodec, surface_block: Callable, decl: Callable,
     declarations, and its generic Block holds them under the codec's
     `stmt_is` and MULTI_DECL_IS_ITEM.  `tr_decl` is the trans case of
     `decl`, which gives a MultiLocalVarDecl; `un_decl(attrs, singles,
-    tr)` translates back.  With `items`, the builders of a statement item
+    read)` reads one back.  With `items`, the builders of a statement item
     and a declaration item, each block element sits in one of those."""
-    elem_sort = surface_block.kind.child_sorts[0].elem
+    block_ctor = ctor_name(surface_block)
     cases = {ctor_name(decl): tr_decl}
     if items is not None:
-        cases[ctor_name(items[0])] = body.stmt_is
-        cases[ctor_name(items[1])] = MULTI_DECL_IS_ITEM
+        stmt_item, decl_item = map(ctor_name, items)
+        cases[stmt_item] = body.stmt_is
+        cases[decl_item] = MULTI_DECL_IS_ITEM
 
     def tr_block(v: GenericValue, walk) -> Term:
         elems = list(map(walk, list_items(v.args[0])))
@@ -586,23 +592,23 @@ def block_cases(body: BodyCodec, surface_block: Callable, decl: Callable,
             ]
         return wrap(body.block_is, generic_block(elems))
 
-    def un_block(t: Term, tr) -> Term:
+    def un_block(t: Term, read) -> GenericValue:
         elems = []
         for item in block_items(t.children[0]):
             if item.kind == body.stmt_is:
-                stmt = tr(item.children[0])
-                elems.append(stmt if items is None else items[0](stmt))
+                stmt = read(item.children[0])
+                elems.append(stmt if items is None else GenericValue(stmt_item, (stmt,)))
             elif item.kind == MULTI_DECL_IS_ITEM:
                 multi = item.children[0]
                 expect(multi.kind.name == "MultiLocalVarDecl",
                        "expected a generic declaration")
-                decl = un_decl(*multi.children, tr)
-                elems.append(decl if items is None else items[1](decl))
+                decl = un_decl(*multi.children, read)
+                elems.append(decl if items is None else GenericValue(decl_item, (decl,)))
             else:
                 raise UnrepresentableTerm(f"unexpected block item {item.kind.name}")
-        return surface_block(build_list(elem_sort, elems))
+        return GenericValue(block_ctor, (tuple(elems),))
 
-    cases[ctor_name(surface_block)] = tr_block
+    cases[block_ctor] = tr_block
     return cases, {body.block_is.name: un_block}
 
 
@@ -615,6 +621,8 @@ def declarator_cases(C, dtor: Callable, ident_is: NodeKind, init_is: NodeKind,
     SingleLocalVarDecl.  `lang` and `init_what` name the language and the
     initializer in error messages."""
     ident_sort = ident_is.produced
+    dtor_ctor, ident_ctor, some_init = map(ctor_name, (dtor, C.Ident, C.SomeInit))
+    no_init = GenericValue(ctor_name(C.NoInit))
 
     def tr_dtor(v: GenericValue, walk) -> Term:
         name, opt = v.args
@@ -623,7 +631,7 @@ def declarator_cases(C, dtor: Callable, ident_is: NodeKind, init_is: NodeKind,
             raise SortMismatch(0, ident_sort, name.sort)
         return single_decl(wrap(IDENT_IS_BINDER, name.children[0]), opt)
 
-    def un_dtors(singles: Term, tr) -> Term:
+    def un_dtors(singles: Term, read) -> tuple:
         dtors = []
         for single in singles.children:
             _, binder, opt = single.children
@@ -632,11 +640,11 @@ def declarator_cases(C, dtor: Callable, ident_is: NodeKind, init_is: NodeKind,
             if opt.kind.name == "JustLocalVarInit":
                 init_w = opt.children[0]
                 expect(init_w.kind == init_is, f"initializer is not {init_what}")
-                opt_s = C.SomeInit(tr(init_w.children[0]))
+                opt_v = GenericValue(some_init, (read(init_w.children[0]),))
             else:
-                opt_s = C.NoInit()
-            dtors.append(dtor(C.Ident(name), opt_s))
-        return build_list(dtor.kind.produced, dtors)
+                opt_v = no_init
+            dtors.append(GenericValue(dtor_ctor, (GenericValue(ident_ctor, (name,)), opt_v)))
+        return tuple(dtors)
 
     return {
         ctor_name(dtor): tr_dtor,
@@ -658,37 +666,6 @@ def some(option: Term) -> Optional[Term]:
     """The value of a surface option node (`SomeExpr e`), or None for the
     empty one (`NoExpr`)."""
     return option.children[0] if option.children else None
-
-
-def make_translator(special: dict[str, Callable]) -> Callable[[Term], Term]:
-    """Kind-directed recursion; unlisted kinds rebuild themselves.
-
-    Each special handler receives the node and the translator itself so it
-    can recurse into children.  A node of an unlisted kind whose children
-    all come back unchanged is returned as is, not rebuilt.
-
-    A node that records an origin (`Term.origin`) is returned as it is,
-    without a look below: only a node of the modular signature records
-    one, and `schema.from_modular` answers it with its origin.  So
-    untrans_ips, this translator over the untrans cases, walks only the
-    nodes a pass built and the IPS-only nodes just above them.
-
-    The returned translator runs with the cyclic collector paused
-    (`terms.gc_paused`); handlers recurse through the unpaused one.
-    """
-
-    def tr(t: Term) -> Term:
-        if t.origin is not None:
-            return t
-        handler = special.get(t.kind.name)
-        if handler is not None:
-            return handler(t, tr)
-        children = list(map(tr, t.children))
-        if all(map(is_, children, t.children)):
-            return t
-        return mk_term(t.kind, t.payload_values, children)
-
-    return gc_paused(tr)
 
 
 def generic_block(items: list[Term]) -> Term:

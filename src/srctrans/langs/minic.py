@@ -34,6 +34,7 @@ from ..schema import (
     list_items,
     modularize_schema,
     parse_schema_text,
+    reader,
     walker,
 )
 from ..terms import NodeKind, Term, gc_paused
@@ -50,7 +51,6 @@ from .base import (
     generic_block,
     genericize,
     ident_assign_cases,
-    make_translator,
     register,
     wrap,
 )
@@ -398,17 +398,17 @@ def _tr_decl(v: GenericValue, walk) -> Term:
     return multi_decl(list(map(walk, list_items(dtors))), wrap(TYPE_IS_ATTRS, ty))
 
 
-def _un_decl(attrs: Term, singles: Term, tr) -> Term:
+def _un_decl(attrs: Term, singles: Term, read) -> GenericValue:
     expect(attrs.kind == TYPE_IS_ATTRS, "declaration attributes are not a MiniC type")
-    dtors = _un_dtors(singles, tr)
-    return C.Decl(tr(attrs.children[0]), dtors)
+    dtors = _un_dtors(singles, read)
+    return GV("Decl", (read(attrs.children[0]), dtors))
 
 
 _BLOCK_TRANS, _BLOCK_UNTRANS = block_cases(
     BODY, C.Block, C.Decl, _tr_decl, _un_decl, (C.StmtItem, C.DeclItem)
 )
 decompose = gc_paused(walker(MOD, {**_TRANS, **_DTOR_TRANS, **_BLOCK_TRANS}))
-untrans_ips = make_translator({**_UNTRANS, **_BLOCK_UNTRANS})
+recompose = gc_paused(reader(MOD, {**_UNTRANS, **_BLOCK_UNTRANS}))
 
 
 # ---------------------------------------------------------------------------
@@ -679,7 +679,7 @@ LANGUAGE = register(
         parse=parse,
         pretty=pretty,
         decompose=decompose,
-        untrans_ips=untrans_ips,
+        recompose=recompose,
         run=run,
         item_walk=item_walk,
     )

@@ -48,6 +48,7 @@ from ..schema import (
     list_items,
     modularize_schema,
     parse_schema_text,
+    reader,
     walker,
 )
 from ..terms import NodeKind, Term, build_list, gc_paused
@@ -63,7 +64,6 @@ from .base import (
     func_body_paths,
     genericize,
     ident_assign_cases,
-    make_translator,
     register,
     wrap,
 )
@@ -337,9 +337,9 @@ _DTOR_TRANS, _un_dtors = declarator_cases(
 )
 
 
-def _un_decl(attrs: Term, singles: Term, tr) -> Term:
+def _un_decl(attrs: Term, singles: Term, read) -> GenericValue:
     expect(attrs.kind.name == "EmptyCommonAttrs", "MiniJS declarations carry no attributes")
-    return C.VarStmt(_un_dtors(singles, tr))
+    return GV("VarStmt", (_un_dtors(singles, read),))
 
 
 _BLOCK_TRANS, _BLOCK_UNTRANS = block_cases(
@@ -347,7 +347,7 @@ _BLOCK_TRANS, _BLOCK_UNTRANS = block_cases(
     lambda v, walk: multi_decl(list(map(walk, list_items(v.args[0])))), _un_decl,
 )
 decompose = gc_paused(walker(MOD, {**_TRANS, **_DTOR_TRANS, **_BLOCK_TRANS}))
-untrans_ips = make_translator({**_UNTRANS, **_BLOCK_UNTRANS})
+recompose = gc_paused(reader(MOD, {**_UNTRANS, **_BLOCK_UNTRANS}))
 
 
 # ---------------------------------------------------------------------------
@@ -630,7 +630,7 @@ LANGUAGE = register(
         parse=parse,
         pretty=pretty,
         decompose=decompose,
-        untrans_ips=untrans_ips,
+        recompose=recompose,
         tac=_Tac(C, BODY, _ident_term, ("NumLit", "BoolLit", "UndefLit"), "!",
                  ("&&", "||"), ASSIGN_IS_EXPR),
         run=run,

@@ -45,7 +45,7 @@ from ..runtime import (
     or_value,
     returned,
 )
-from ..schema import GV, GenericValue, modularize_schema, parse_schema_text, walker
+from ..schema import GV, GenericValue, modularize_schema, parse_schema_text, reader, walker
 from ..terms import NodeKind, Term, build_list, gc_paused, list_kind
 from ..traversal import Path
 from .base import (
@@ -63,7 +63,6 @@ from .base import (
     genericize,
     ident_assign_cases,
     item_viewer,
-    make_translator,
     optional,
     option_cases,
     register,
@@ -391,21 +390,21 @@ def _tr_local(v: GenericValue, walk) -> Term:
     return multi_decl([single_decl(wrap(NAMELIST_IS_BINDER, names), opt)])
 
 
-def _un_decl(attrs: Term, singles_t: Term, tr) -> Term:
+def _un_decl(attrs: Term, singles_t: Term, read) -> GenericValue:
     expect(attrs.kind.name == "EmptyCommonAttrs", "MiniLua declarations carry no attributes")
     singles = singles_t.children
     # One parallel binder group per local statement.
     expect(len(singles) == 1, "MiniLua declarations hold a single binder group")
     _, binder, opt = singles[0].children
     expect(binder.kind == NAMELIST_IS_BINDER, "MiniLua binders are name lists")
-    names = tr(binder.children[0])
+    names = read(binder.children[0])
     if opt.kind.name == "JustLocalVarInit":
         init_w = opt.children[0]
         expect(init_w.kind == EXPRLIST_IS_INIT, "initializer is not a MiniLua expression list")
-        opt_s = C.SomeExprs(tr(init_w.children[0]))
+        opt_v = GV("SomeExprs", (read(init_w.children[0]),))
     else:
-        opt_s = C.NoExprs()
-    return C.LocalStmt(names, opt_s)
+        opt_v = GV("NoExprs")
+    return GV("LocalStmt", (names, opt_v))
 
 
 BODY = BodyCodec(BLOCK_IS_MINILUA, STMT_IS_ITEM)
@@ -415,7 +414,7 @@ _BLOCK_TRANS, _BLOCK_UNTRANS = block_cases(
 decompose = gc_paused(walker(MOD, {
     **_TRANS, **_BLOCK_TRANS, **option_cases(C.SomeExprs, C.NoExprs, EXPRLIST_IS_INIT),
 }))
-untrans_ips = make_translator({**_UNTRANS, **_BLOCK_UNTRANS})
+recompose = gc_paused(reader(MOD, {**_UNTRANS, **_BLOCK_UNTRANS}))
 
 
 # ---------------------------------------------------------------------------
@@ -875,7 +874,7 @@ LANGUAGE = register(
         parse=parse,
         pretty=pretty,
         decompose=decompose,
-        untrans_ips=untrans_ips,
+        recompose=recompose,
         tac=_Tac(C, BODY, _ident_term, ("NumLit", "BoolLit", "NilLit"), "not",
                  ("and", "or")),
         run=run,

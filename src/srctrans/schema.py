@@ -16,10 +16,10 @@ Schemas can also be read from a small line-oriented text format:
 Argument types are Int, Bool, String, a type name, [t] for lists, and
 (t, t) for pairs.  The first defined type is the root.
 
-Encoding is one walk over a value (`walker`).  `to_modular` is the walk
-alone; a frontend adds trans cases for the constructors its incremental
-parametric syntax replaces, so its decompose builds each IPS node once,
-straight from the value.
+Encoding is one walk over a value (`walker`), and decoding one over a
+term (`reader`); `to_modular` and `from_modular` are the walks alone.  A
+frontend adds cases for what its incremental parametric syntax replaces,
+so its decompose and recompose go straight between value and IPS term.
 """
 
 from __future__ import annotations
@@ -230,10 +230,10 @@ class _CtorCodec:
     for a constructor-typed child, which the walk encodes itself.  When
     the payloads come first and every child is constructor-typed,
     `split` is the number of payloads, else None.  The decode plan:
-    `decoders` decode the children in order, and `order` puts the
-    payloads followed by the decoded children back in argument order, or
-    is None where they already are.  A plain class, not a dataclass, to
-    keep import time down.
+    `decoders` decode the children in order, None where the walk does,
+    and `order` puts the payloads followed by the decoded children back
+    in argument order, or is None where they already are.  A plain
+    class, not a dataclass, to keep import time down.
     """
 
     __slots__ = ("ctor", "kind", "slots", "arity", "payloads", "encoders", "split",
@@ -350,8 +350,9 @@ def _arg_codec(lang_name: str, ty: SchemaType) -> tuple[Optional[Callable], Call
     """(encode, decode) functions for a value of type ty in a child slot.
 
     encode(walk, value) -> Term encodes the constructor values inside
-    value with `walk`; it is None for a constructor-typed slot, which
-    the walk encodes directly.  decode(lang, term) -> value.
+    value with `walk`, and decode(read, term) -> value decodes the
+    constructor terms inside term with `read`; both are None for a
+    constructor-typed slot, which the walks encode and decode directly.
     """
     if isinstance(ty, Prim):
         # Only reached inside containers; box the primitive as a leaf term.
@@ -362,14 +363,14 @@ def _arg_codec(lang_name: str, ty: SchemaType) -> tuple[Optional[Callable], Call
                 raise NonConformingValue(f"expected {prim}, got {value!r}")
             return mk_term(box, (value,))
 
-        def decode(lang, term):
+        def decode(read, term):
             if term.kind is not box and term.kind != box:
                 raise ForeignKind(f"expected boxed {prim}, got {term.kind.name}")
             return term.payload_values[0]
 
         return encode, decode
     if isinstance(ty, Named):
-        return None, _decode
+        return None, None
     if isinstance(ty, ListT):
         kind = list_kind(_translate_sort(lang_name, ty.elem))
         enc_elem, dec_elem = _arg_codec(lang_name, ty.elem)
@@ -380,8 +381,10 @@ def _arg_codec(lang_name: str, ty: SchemaType) -> tuple[Optional[Callable], Call
                 return mk_term(kind, (), tuple(map(walk, value)))
             return mk_term(kind, (), tuple([enc_elem(walk, v) for v in value]))
 
-        def decode(lang, term):
-            return tuple([dec_elem(lang, t) for t in term.children])
+        def decode(read, term):
+            if dec_elem is None:
+                return tuple(map(read, term.children))
+            return tuple([dec_elem(read, t) for t in term.children])
 
         return encode, decode
     if isinstance(ty, PairT):
@@ -397,9 +400,11 @@ def _arg_codec(lang_name: str, ty: SchemaType) -> tuple[Optional[Callable], Call
                 walk(second) if enc_second is None else enc_second(walk, second),
             )
 
-        def decode(lang, term):
+        def decode(read, term):
+            first, second = term.children
             return PairV(
-                dec_first(lang, term.children[0]), dec_second(lang, term.children[1])
+                read(first) if dec_first is None else dec_first(read, first),
+                read(second) if dec_second is None else dec_second(read, second),
             )
 
         return encode, decode
@@ -493,31 +498,49 @@ def to_modular(lang: ModularizedLanguage, value: GenericValue) -> Term:
     return walker(lang, {})(value)
 
 
+def reader(lang: ModularizedLanguage, cases: dict) -> Callable[[Term], GenericValue]:
+    """The decoder walk of terms into lang's values, with the cases
+    `cases`: the mirror of `walker`.
+
+    A node whose kind is named in `cases` goes to its case, called as
+    case(term, read), which returns the node's value and decodes the
+    children it keeps with `read`.  Any other node must be of a kind of
+    lang's signature, else it raises ForeignKind; it decodes to its
+    origin if it records one, without a look below, and otherwise from
+    its codec plan.  The walk builds no term, recurses once per
+    constructor-typed child and does not pause the collector;
+    `from_modular` is this walk with no cases.
+    """
+    by_kind = lang._by_kind
+    case_for = cases.get
+
+    def read(term):
+        kind = term.kind
+        case = case_for(kind.name)
+        if case is not None:
+            return case(term, read)
+        codec = by_kind.get(kind.name)
+        if codec is None or (codec.kind is not kind and codec.kind != kind):
+            raise ForeignKind(f"kind {kind.name} is not part of {lang.schema.name}")
+        if term.origin is not None:
+            return term.origin
+        if codec.split is not None:
+            return GenericValue(codec.ctor, term.payload_values + tuple(map(read, term.children)))
+        args = list(term.payload_values)
+        for dec, child in zip(codec.decoders, term.children):
+            args.append(read(child) if dec is None else dec(read, child))
+        if codec.order is not None:
+            args = [args[i] for i in codec.order]
+        return GenericValue(codec.ctor, tuple(args))
+
+    return read
+
+
 @gc_paused
 def from_modular(lang: ModularizedLanguage, term: Term) -> GenericValue:
-    """Decode a term of this language's signature back into a value.
-
-    A node of a kind foreign to the signature raises ForeignKind; a node
-    that records an origin decodes to it, without a look below.
-    """
-    return _decode(lang, term)
-
-
-def _decode(lang: ModularizedLanguage, term: Term) -> GenericValue:
-    """from_modular without the collector pause; the codecs recurse here."""
-    kind = term.kind
-    codec = lang._by_kind.get(kind.name)
-    if codec is None or (codec.kind is not kind and codec.kind != kind):
-        raise ForeignKind(f"kind {kind.name} is not part of {lang.schema.name}")
-    origin = term.origin
-    if origin is not None:
-        return origin
-    args = term.payload_values + tuple(
-        [dec(lang, child) for dec, child in zip(codec.decoders, term.children)]
-    )
-    if codec.order is not None:
-        args = tuple([args[i] for i in codec.order])
-    return GenericValue(codec.ctor, args)
+    """Decode a term of this language's signature back into a value: the
+    walk of `reader` with no cases."""
+    return reader(lang, {})(term)
 
 
 # ---------------------------------------------------------------------------

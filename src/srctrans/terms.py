@@ -12,8 +12,8 @@ GenericValue the node stands for.  The walk of `schema.walker` records
 it on each node of a kind of the language's modular signature that it
 builds (`schema.to_modular` on every constructor node, a frontend's
 decompose on every surface node); IPS-only nodes, lists and the nodes a
-pass builds record none.  Recompose reads it to stop at every node a
-pass left in place, so its cost follows the nodes the pass built.
+pass builds record none.  Recompose (`schema.reader`) returns it at each
+node a pass left in place and builds no term, so it costs what the pass built.
 `origin` takes no part in equality, hashing or repr, and it is set once,
 on a node just built, and never changed.
 

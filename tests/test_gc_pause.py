@@ -125,6 +125,7 @@ def test_no_collection_starts_inside_a_layer(lname):
         "decompose": (lang.decompose, ast),
         "trans_ips": (lang.trans_ips, to_modular(mod, ast)),
         **{f"pass.{p}": (PASSES[p], generic, lang) for p in passes},
+        "recompose": (lang.recompose, out),
         "untrans_ips": (lang.untrans_ips, out),
         "from_modular": (from_modular, mod, surface),
         "pretty": (lang.pretty, ast),

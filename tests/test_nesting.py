@@ -6,6 +6,13 @@ when decompose built the modular tree and then rebuilt it: the codecs of
 `to_modular` took 10 (MiniC), 8 (MiniJS) and 6 (MiniLua) Python frames
 per nesting level.  The one walk of decompose takes 5, 4 and 3.  MiniC
 fails in its parser from 200 levels on.
+
+`testcov` and `tac` rebuild every nested block, so recompose walks them
+all.  Their cells failed with `TransformError RecursionError` when
+recompose built a surface modular tree and then decoded it, from 100
+(MiniC), 150 (MiniJS) and 200 (MiniLua) levels on; the one walk of
+recompose takes 4, 4 and 3 frames per level.  MiniC has no `tac`, so
+its cell gives `RequirementMissing`.
 """
 
 import pytest
@@ -18,8 +25,25 @@ CELLS = [("minic", n) for n in (100, 120, 150)] + [
     ("minijs", n) for n in (150, 200)
 ] + [("minilua", n) for n in (200, 250, 300)]
 
+REBUILT_CELLS = [
+    (pass_name, lname, n)
+    for lname, n in (("minic", 150), ("minijs", 200), ("minilua", 300))
+    for pass_name in ("testcov", "tac")
+]
+
 
 @pytest.mark.parametrize("lname, n", CELLS)
 def test_nested_ifs_are_equal(lname, n):
     verdict = diff_one(get_language(lname), PASSES["ident"], 0, nested_ifs(lname, n))
     assert verdict.kind == "Equal", verdict.detail
+
+
+@pytest.mark.parametrize("pass_name, lname, n", REBUILT_CELLS)
+def test_nested_ifs_rebuilt_by_a_pass(pass_name, lname, n):
+    erase = pass_name == "testcov"
+    verdict = diff_one(get_language(lname), PASSES[pass_name], 0, nested_ifs(lname, n), erase)
+    if (pass_name, lname) == ("tac", "minic"):
+        assert verdict.kind == "TransformError", verdict.detail
+        assert verdict.detail.startswith("RequirementMissing"), verdict.detail
+    else:
+        assert verdict.kind == "Equal", verdict.detail

@@ -74,13 +74,11 @@ def test_translator_and_block_edit_return_input_when_unchanged():
     from srctrans.langs.base import (
         block_items,
         get_language,
-        make_translator,
         with_block_items,
     )
 
     lang = get_language("minic")
     term = lang.decompose(lang.parse("int main() { int x = 1; x = x + 2; return x; }"))
-    assert make_translator({})(term) is term
     body = get_at(term, lang.adapter.body_paths(term)[0])
     items = block_items(body)
     assert with_block_items(body, items) is body
