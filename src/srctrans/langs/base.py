@@ -636,14 +636,17 @@ def declarator_cases(C, dtor: Callable, ident_is: NodeKind, init_is: NodeKind,
         for single in singles.children:
             _, binder, opt = single.children
             expect(binder.kind == IDENT_IS_BINDER, f"{lang} binders are single identifiers")
-            name = binder.children[0].payload_values[0]
-            if opt.kind.name == "JustLocalVarInit":
+            name = binder.children[0]
+            expect(name.kind == IDENT, "expected a generic identifier")
+            if opt.kind == JUST_INIT:
                 init_w = opt.children[0]
                 expect(init_w.kind == init_is, f"initializer is not {init_what}")
                 opt_v = GenericValue(some_init, (read(init_w.children[0]),))
             else:
+                expect(opt.kind == NO_INIT, "expected a generic initializer option")
                 opt_v = no_init
-            dtors.append(GenericValue(dtor_ctor, (GenericValue(ident_ctor, (name,)), opt_v)))
+            name_v = GenericValue(ident_ctor, name.payload_values)
+            dtors.append(GenericValue(dtor_ctor, (name_v, opt_v)))
         return tuple(dtors)
 
     return {

@@ -1,5 +1,9 @@
 """Shared lexing and parsing scaffolding for the bundled frontends, and
-the compiled statements of the C-like ones."""
+the compiled statements of the C-like ones.
+
+Every frontend parses expressions with `expression_parser`, one loop on
+explicit stacks, so an expression's nesting takes no Python frames;
+statements are parsed by recursive descent."""
 
 from __future__ import annotations
 
@@ -413,68 +417,178 @@ class CCompiler(Compiler):
     BOOL_OPS = COMPARISONS | {"==", "!="}
 
 
-def parse_unary(ts: TokenStream, not_op: str, operand: Callable) -> GenericValue:
-    """`operand` under any number of prefix `not_op` and `-` operators."""
-    tok = ts.peek()
-    if tok.value in (not_op, "-") and tok.kind in ("op", "name"):
-        ts.next()
-        return GV("UnaryE", (tok.value, parse_unary(ts, not_op, operand)))
-    return operand(ts)
+# The kinds of open bracket in `expression_parser`'s loop, and the binding
+# power, which no binary operator has, that marks a prefix operator on
+# its operator stack.
+_PAREN, _INDEX, _CALL, _ARRAY, _ASSIGN = range(5)
+_PREFIX = 1 << 30
 
 
-def parse_postfix(ts: TokenStream, primary: Callable, expr: Callable) -> GenericValue:
-    """A primary expression followed by `[index]` and `.member` suffixes."""
-    e = primary(ts)
-    while True:
-        if ts.accept_op("["):
-            idx = expr(ts)
-            ts.expect_op("]")
-            e = GV("IndexE", (e, idx))
-        elif ts.accept_op("."):
-            e = GV("MemberE", (e, ts.expect_name()))
-        else:
-            return e
+def expression_parser(
+    prec: dict[str, int],
+    not_op: str,
+    num: str,
+    keywords: frozenset[str],
+    nil: tuple[str, str] | None = None,
+    array: bool = False,
+    targets: tuple[str, ...] = (),
+    target_message: str = "",
+) -> Callable[..., GenericValue]:
+    """A language's expression parser, `parse(ts)`.
 
+    An operand is any number of prefix `not_op` and `-` operators before
+    a primary with `[index]` and `.member` suffixes.  A primary is an
+    integer literal (constructor `num`), `true`, `false`, the `nil`
+    keyword and constructor if the language has one, a variable, a call,
+    a parenthesized expression, or with `array` a `[...]` array literal.
+    Operands are joined by the left-associative binary operators of
+    `prec`, op or keyword tokens mapped to their binding power.  With
+    `targets`, `=` is right-associative assignment: the expression
+    before it, fully reduced, must have a constructor in `targets`, else
+    `target_message` is raised at the `=`.  `parse(ts, postfix_only=True)`
+    parses one operand with no prefix operator, binary operator or `=`
+    outside brackets.
 
-def parse_primary(ts: TokenStream, expr: Callable, num: str,
-                  nil: tuple[str, str] | None = None) -> GenericValue:
-    """An integer literal (constructor `num`), `true`, `false`, the `nil`
-    keyword and constructor if the language has one, a variable, a call
-    or a parenthesized expression."""
-    tok = ts.peek()
-    if tok.kind == "num":
-        ts.next()
-        return GV(num, (int(tok.value),))
-    if ts.accept_kw("true"):
-        return GV("BoolLit", (True,))
-    if ts.accept_kw("false"):
-        return GV("BoolLit", (False,))
-    if nil is not None and ts.accept_kw(nil[0]):
-        return GV(nil[1])
-    if tok.kind == "name":
-        name = parse_ident(ts)
-        if ts.accept_op("("):
-            return GV("CallE", (name, tuple(ts.comma_list(expr, ")"))))
-        return GV("VarE", (name,))
-    if ts.accept_op("("):
-        e = expr(ts)
-        ts.expect_op(")")
-        return e
-    raise ts.error(f"expected an expression, got {tok.value!r}")
+    One loop parses the whole expression (Pratt, "Top Down Operator
+    Precedence", POPL 1973; Dijkstra's shunting-yard algorithm) over three
+    stacks: the left operands of pending binary operators, the operators,
+    and the open brackets (parentheses, an index, call arguments, array
+    items and the right side of an assignment).  So nesting takes no
+    Python frames, and tokens are read by index, not through `ts`.
+    """
+    nil_kw, nil_ctor = nil or (None, None)
+    power = prec.get
 
+    def parse(ts: TokenStream, postfix_only: bool = False) -> GenericValue:
+        toks = ts.tokens
+        i = ts.pos
+        vals: list = []    # the left operand of each pending binary operator
+        ops: list = []     # (binding power, operator), prefix ones at _PREFIX
+        frames: list = []  # (kind, the enclosing base, payload) per bracket
+        base = 0           # len(ops) when the innermost bracket opened
+        while True:
+            # An operand: prefix operators, then a primary.  A bracket
+            # pushes a frame and parses its first operand next.
+            tok = toks[i]
+            kind, value = tok[0], tok[1]
+            if frames or not postfix_only:
+                while (value == "-" or value == not_op) and (kind == "op" or kind == "name"):
+                    ops.append((_PREFIX, value))
+                    i += 1
+                    tok = toks[i]
+                    kind, value = tok[0], tok[1]
+            if kind == "name" and value not in keywords:
+                i += 1
+                e = GV("Ident", (value,))
+                tok = toks[i]
+                if tok[1] != "(" or tok[0] != "op":
+                    e = GV("VarE", (e,))
+                else:
+                    i += 1
+                    tok = toks[i]
+                    if tok[1] != ")" or tok[0] != "op":
+                        frames.append((_CALL, base, (e, [])))
+                        base = len(ops)
+                        continue
+                    i += 1
+                    e = GV("CallE", (e, ()))
+            elif kind == "num":
+                i += 1
+                e = GV(num, (int(value),))
+            elif kind == "name":
+                if value == "true" or value == "false":
+                    e = GV("BoolLit", (value == "true",))
+                elif value == nil_kw:
+                    e = GV(nil_ctor)
+                else:
+                    raise ParseError(f"expected an identifier, got {value!r}", tok[2], tok[3])
+                i += 1
+            elif kind == "op" and value == "(":
+                i += 1
+                frames.append((_PAREN, base, None))
+                base = len(ops)
+                continue
+            elif array and kind == "op" and value == "[":
+                i += 1
+                tok = toks[i]
+                if tok[1] != "]" or tok[0] != "op":
+                    frames.append((_ARRAY, base, []))
+                    base = len(ops)
+                    continue
+                i += 1
+                e = GV("ArrayE", ((),))
+            else:
+                raise ParseError(f"expected an expression, got {value!r}", tok[2], tok[3])
 
-def parse_binary(ts: TokenStream, prec: dict[str, int], operand: Callable,
-                 min_prec: int = 0) -> GenericValue:
-    """Precedence climbing over left-associative binary operators; `prec`
-    maps each operator, an op or keyword token, to its binding power."""
-    lhs = operand(ts)
-    while True:
-        tok = ts.peek()
-        p = prec.get(tok.value) if tok.kind in ("op", "name") else None
-        if p is None or p < min_prec:
-            return lhs
-        ts.next()
-        lhs = GV("BinE", (tok.value, lhs, parse_binary(ts, prec, operand, p + 1)))
+            # `e` is a primary, or a bracket's value: its suffixes, its
+            # prefix operators, then a binary operator, `=` or a closer.
+            while True:
+                tok = toks[i]
+                kind, value = tok[0], tok[1]
+                if kind == "op":
+                    if value == "[":
+                        i += 1
+                        frames.append((_INDEX, base, e))
+                        base = len(ops)
+                        break
+                    if value == ".":
+                        tok = toks[i + 1]
+                        if tok[0] != "name" or tok[1] in keywords:
+                            raise ParseError(
+                                f"expected an identifier, got {tok[1]!r}", tok[2], tok[3]
+                            )
+                        i += 2
+                        e = GV("MemberE", (e, tok[1]))
+                        continue
+                if postfix_only and not frames:
+                    ts.pos = i
+                    return e
+                while len(ops) > base and ops[-1][0] == _PREFIX:
+                    e = GV("UnaryE", (ops.pop()[1], e))
+                p = power(value) if kind == "op" or kind == "name" else None
+                if p is not None:
+                    while len(ops) > base and ops[-1][0] >= p:
+                        e = GV("BinE", (ops.pop()[1], vals.pop(), e))
+                    ops.append((p, value))
+                    vals.append(e)
+                    i += 1
+                    break
+                # the end of the expression in the innermost bracket
+                while len(ops) > base:
+                    e = GV("BinE", (ops.pop()[1], vals.pop(), e))
+                if targets and value == "=" and kind == "op":
+                    if e.ctor not in targets:
+                        raise ParseError(target_message, tok[2], tok[3])
+                    i += 1
+                    frames.append((_ASSIGN, base, e))
+                    break
+                while frames and frames[-1][0] == _ASSIGN:
+                    _, base, lhs = frames.pop()
+                    e = GV("AssignE", (lhs, e))
+                if not frames:
+                    ts.pos = i
+                    return e
+                bracket, outer, payload = frames[-1]
+                if bracket == _CALL or bracket == _ARRAY:
+                    items = payload[1] if bracket == _CALL else payload
+                    items.append(e)
+                    if value == "," and kind == "op":
+                        i += 1
+                        break
+                closer = ")" if bracket == _PAREN or bracket == _CALL else "]"
+                if value != closer or kind != "op":
+                    raise ParseError(f"expected {closer!r}, got {value!r}", tok[2], tok[3])
+                i += 1
+                frames.pop()
+                base = outer
+                if bracket == _INDEX:
+                    e = GV("IndexE", (payload, e))
+                elif bracket == _CALL:
+                    e = GV("CallE", (payload[0], tuple(items)))
+                elif bracket == _ARRAY:
+                    e = GV("ArrayE", (tuple(items),))
+
+    return parse
 
 
 def expr_printer(prec: dict[str, int], own: Callable) -> Callable[..., str]:

@@ -9,7 +9,6 @@ statements, so `if (c) int x = 1;` is a parse error.
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Callable, Optional
 
 from ..fragments import (
@@ -59,13 +58,10 @@ from .common import (
     PrettyPrinter,
     TokenStream,
     expr_printer,
+    expression_parser,
     lexer,
-    parse_binary,
     parse_c_stmt,
     parse_ident,
-    parse_postfix,
-    parse_primary,
-    parse_unary,
 )
 
 SCHEMA_TEXT = """
@@ -190,19 +186,10 @@ def _parse_stmt(ts: TokenStream) -> GenericValue:
     return parse_c_stmt(ts, _parse_expr, _parse_stmt, _parse_block)
 
 
-def _parse_expr(ts: TokenStream) -> GenericValue:
-    lhs = parse_binary(ts, _PREC, _parse_unary)
-    if ts.at_op("="):
-        if lhs.ctor not in ("VarE", "IndexE"):
-            raise ts.error("assignment target must be a variable or index")
-        ts.next()
-        return GV("AssignE", (lhs, _parse_expr(ts)))
-    return lhs
-
-
-_parse_primary = partial(parse_primary, expr=_parse_expr, num="IntLit")
-_parse_postfix = partial(parse_postfix, primary=_parse_primary, expr=_parse_expr)
-_parse_unary = partial(parse_unary, not_op="!", operand=_parse_postfix)
+_parse_expr = expression_parser(
+    _PREC, "!", "IntLit", _KEYWORDS, targets=("VarE", "IndexE"),
+    target_message="assignment target must be a variable or index",
+)
 
 
 # ---------------------------------------------------------------------------

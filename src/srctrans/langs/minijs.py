@@ -9,7 +9,6 @@ Assignment to an undeclared name creates a global; reading one traps.
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Callable, Optional
 
 from ..fragments import (
@@ -72,13 +71,10 @@ from .common import (
     PrettyPrinter,
     TokenStream,
     expr_printer,
+    expression_parser,
     lexer,
-    parse_binary,
     parse_c_stmt,
     parse_ident,
-    parse_postfix,
-    parse_primary,
-    parse_unary,
 )
 
 SCHEMA_TEXT = """
@@ -170,24 +166,11 @@ def _parse_dtor(ts: TokenStream) -> GenericValue:
     return GV("VarDtor", (name, opt))
 
 
-def _parse_expr(ts: TokenStream) -> GenericValue:
-    lhs = parse_binary(ts, _PREC, _parse_unary)
-    if ts.at_op("="):
-        if lhs.ctor not in ("VarE", "IndexE", "MemberE"):
-            raise ts.error("assignment target must be a variable, index or member")
-        ts.next()
-        return GV("AssignE", (lhs, _parse_expr(ts)))
-    return lhs
-
-
-def _parse_primary(ts: TokenStream) -> GenericValue:
-    if ts.accept_op("["):
-        return GV("ArrayE", (tuple(ts.comma_list(_parse_expr, "]")),))
-    return parse_primary(ts, _parse_expr, "NumLit", ("undefined", "UndefLit"))
-
-
-_parse_postfix = partial(parse_postfix, primary=_parse_primary, expr=_parse_expr)
-_parse_unary = partial(parse_unary, not_op="!", operand=_parse_postfix)
+_parse_expr = expression_parser(
+    _PREC, "!", "NumLit", _KEYWORDS, nil=("undefined", "UndefLit"), array=True,
+    targets=("VarE", "IndexE", "MemberE"),
+    target_message="assignment target must be a variable, index or member",
+)
 
 
 # ---------------------------------------------------------------------------

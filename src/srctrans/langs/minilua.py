@@ -9,7 +9,6 @@ globals yield nil; assignment to one creates it.
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Callable, Optional
 
 from ..fragments import (
@@ -18,9 +17,11 @@ from ..fragments import (
     BLOCK_ITEM_L,
     BLOCK_L,
     IDENT_L,
+    JUST_INIT,
     LHS_L,
     LOCAL_VAR_INIT_L,
     MULTI_DECL_IS_ITEM,
+    NO_INIT,
     RHS_L,
     assign,
     multi_decl,
@@ -79,12 +80,9 @@ from .common import (
     while_stmt,
     TokenStream,
     expr_printer,
+    expression_parser,
     lexer,
-    parse_binary,
     parse_ident,
-    parse_postfix,
-    parse_primary,
-    parse_unary,
 )
 
 SCHEMA_TEXT = """
@@ -209,11 +207,11 @@ def _parse_stmt(ts: TokenStream) -> GenericValue:
         ts.expect_kw("end")
         return GV("DoStmt", (body,))
     # assignment or call statement
-    first = _parse_postfix(ts)
+    first = _parse_expr(ts, postfix_only=True)
     if ts.at_op(",") or ts.at_op("="):
         targets = [first]
         while ts.accept_op(","):
-            targets.append(_parse_postfix(ts))
+            targets.append(_parse_expr(ts, postfix_only=True))
         for t in targets:
             if t.ctor not in ("VarE", "IndexE", "MemberE"):
                 raise ts.error("assignment target must be a variable, index or member")
@@ -238,15 +236,7 @@ def _parse_else_tail(ts: TokenStream) -> GenericValue:
     return GV("NoElse")
 
 
-def _parse_expr(ts: TokenStream) -> GenericValue:
-    return parse_binary(ts, _PREC, _parse_unary)
-
-
-_parse_primary = partial(
-    parse_primary, expr=_parse_expr, num="NumLit", nil=("nil", "NilLit")
-)
-_parse_postfix = partial(parse_postfix, primary=_parse_primary, expr=_parse_expr)
-_parse_unary = partial(parse_unary, not_op="not", operand=_parse_postfix)
+_parse_expr = expression_parser(_PREC, "not", "NumLit", _KEYWORDS, nil=("nil", "NilLit"))
 
 
 # ---------------------------------------------------------------------------
@@ -398,11 +388,12 @@ def _un_decl(attrs: Term, singles_t: Term, read) -> GenericValue:
     _, binder, opt = singles[0].children
     expect(binder.kind == NAMELIST_IS_BINDER, "MiniLua binders are name lists")
     names = read(binder.children[0])
-    if opt.kind.name == "JustLocalVarInit":
+    if opt.kind == JUST_INIT:
         init_w = opt.children[0]
         expect(init_w.kind == EXPRLIST_IS_INIT, "initializer is not a MiniLua expression list")
         opt_v = GV("SomeExprs", (read(init_w.children[0]),))
     else:
+        expect(opt.kind == NO_INIT, "expected a generic initializer option")
         opt_v = GV("NoExprs")
     return GV("LocalStmt", (names, opt_v))
 

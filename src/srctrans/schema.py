@@ -120,16 +120,27 @@ class Schema:
         return self._ctors.get(name)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class GenericValue:
     """A neutral constructor-applied value conforming to some schema.
 
     Arguments are primitives, nested GenericValues, tuples (for list
-    types), or 2-element PairV wrappers (for pair types).
+    types), or 2-element PairV wrappers (for pair types).  The class is
+    a frozen dataclass whose `__init__` fills the two slots directly:
+    the generated one would set each field through `object.__setattr__`
+    in a Python frame, at about three times the cost.
     """
 
     ctor: str
     args: tuple = ()
+
+    def __init__(self, ctor: str, args: tuple = ()):
+        _set_ctor(self, ctor)
+        _set_args(self, args)
+
+
+_set_ctor = GenericValue.ctor.__set__
+_set_args = GenericValue.args.__set__
 
 
 @dataclass(frozen=True)

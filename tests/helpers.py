@@ -554,6 +554,27 @@ def nested_ifs(lname: str, n: int) -> str:
     return head + "if (x < 5) {\n" * n + "print(x);\n" + "}\n" * n + "return 0;\n}\n"
 
 
+EXPR_SHAPES = ("parens", "unary", "binary", "calls")
+
+
+def nested_expr(lname: str, shape: str, n: int) -> str:
+    """A program that prints an expression nested n levels deep around x:
+    `((x))` for "parens", `- - x` for "unary", `1 + (1 + (x))` for
+    "binary" and `f(f(x))` for "calls", where f returns its argument."""
+    opener, closer = {
+        "parens": ("(", ")"), "unary": ("- ", ""),
+        "binary": ("1 + (", ")"), "calls": ("f(", ")"),
+    }[shape]
+    expr = opener * n + "x" + closer * n
+    if lname == "minilua":
+        return f"function f(x)\n  return x\nend\nlocal x = 1\nprint({expr})\n"
+    if lname == "minic":
+        head = "int f(int x) {\n  return x;\n}\nint main() {\n  int x = 1;\n"
+    else:
+        head = "function f(x) {\n  return x;\n}\nfunction main() {\n  var x = 1;\n"
+    return f"{head}  print({expr});\n  return 0;\n}}\n"
+
+
 # ---------------------------------------------------------------------------
 # Atomic-operand scan: syntactic postcondition of the flattening pass.
 

@@ -13,11 +13,19 @@ recompose built a surface modular tree and then decoded it, from 100
 (MiniC), 150 (MiniJS) and 200 (MiniLua) levels on; the one walk of
 recompose takes 4, 4 and 3 frames per level.  MiniC has no `tac`, so
 its cell gives `RequirementMissing`.
+
+Expressions nested 150 and 300 levels deep, in the four shapes of
+`helpers.nested_expr`, must give `Equal` too.  Parentheses, binaries and
+calls failed there with `ParseError original: maximum recursion depth
+exceeded` when the parser took several Python frames per level; the
+expression parser now takes none, so 10,000 levels parse.
 """
+
+import sys
 
 import pytest
 
-from helpers import nested_ifs
+from helpers import EXPR_SHAPES, nested_expr, nested_ifs
 from srctrans.difftest import PASSES, diff_one
 from srctrans.langs.base import get_language
 
@@ -47,3 +55,32 @@ def test_nested_ifs_rebuilt_by_a_pass(pass_name, lname, n):
         assert verdict.detail.startswith("RequirementMissing"), verdict.detail
     else:
         assert verdict.kind == "Equal", verdict.detail
+
+
+EXPR_CELLS = [
+    (pass_name, lname, shape, n)
+    for pass_name in ("ident", "hoist", "testcov", "tac")
+    for lname in ("minic", "minijs", "minilua")
+    for shape in EXPR_SHAPES
+    for n in (150, 300)
+]
+
+
+@pytest.mark.parametrize("pass_name, lname, shape, n", EXPR_CELLS)
+def test_nested_expressions(pass_name, lname, shape, n):
+    erase = pass_name == "testcov"
+    text = nested_expr(lname, shape, n)
+    verdict = diff_one(get_language(lname), PASSES[pass_name], 0, text, erase)
+    if (pass_name, lname) == ("tac", "minic"):
+        assert verdict.kind == "TransformError", verdict.detail
+        assert verdict.detail.startswith("RequirementMissing"), verdict.detail
+    else:
+        assert verdict.kind == "Equal", verdict.detail
+
+
+@pytest.mark.parametrize("lname", ["minic", "minijs", "minilua"])
+@pytest.mark.parametrize("shape", EXPR_SHAPES)
+def test_expression_parser_takes_no_frame_per_level(lname, shape):
+    n = 10_000
+    assert n > sys.getrecursionlimit()
+    get_language(lname).parse(nested_expr(lname, shape, n))

@@ -7,7 +7,10 @@ check what they read themselves.  Each term below holds one fault, and
 `recompose` must raise what the two walks raised, with the same message:
 `UnrepresentableTerm` from an untrans case, or `ForeignKind` for a node
 that is not part of the language.  The table was recorded on the two
-walks.  `untrans_ips` then `from_modular` must raise the same.
+walks, except two rows the declaration cases once missed: an initializer
+option of a foreign kind recomposed as no initializer, and a binder
+identifier that is not the generic `Ident` gave `IndexError`.
+`untrans_ips` then `from_modular` must raise the same.
 
 Sorts are checked when a term is built, so a fault sits where its sort
 allows: under an injection the cases read, or as a node of a made-up
@@ -32,6 +35,7 @@ from srctrans.fragments import (
     LHS_L,
     LOCAL_VAR_INIT_L,
     MULTI_DECL_L,
+    OPT_LOCAL_VAR_INIT_L,
     RHS_L,
     ident,
 )
@@ -135,6 +139,9 @@ def faults(lname: str) -> dict:
                   _child(0, _const(_leaf("Init", LOCAL_VAR_INIT_L)))),
         "binder of a foreign kind":
             _edit(term, _named("SingleLocalVarDecl"), _child(1, _const(_leaf("Pattern", BINDER_L)))),
+        "initializer option of a foreign kind":
+            _edit(term, _named("JustLocalVarInit"),
+                  _const(_leaf("MaybeLocalVarInit", OPT_LOCAL_VAR_INIT_L))),
     }
     if lname == "minic":
         out["declaration attributes not a type"] = _edit(
@@ -143,6 +150,11 @@ def faults(lname: str) -> dict:
     else:
         out["declaration with attributes"] = _edit(
             term, _named("EmptyCommonAttrs"), _const(_leaf("Const", COMMON_ATTRS_L))
+        )
+    if lname != "minilua":
+        out["binder identifier not an Ident"] = _edit(
+            term, _named("SingleLocalVarDecl"),
+            _child(1, _child(0, _const(_leaf("Name", IDENT_L)))),
         )
     if lname == "minilua":
         out["binder a single identifier"] = _edit(
@@ -205,6 +217,10 @@ EXPECTED = {
             "UnrepresentableTerm: MiniC binders are single identifiers",
         "declaration attributes not a type":
             "UnrepresentableTerm: declaration attributes are not a MiniC type",
+        "initializer option of a foreign kind":
+            "UnrepresentableTerm: expected a generic initializer option",
+        "binder identifier not an Ident":
+            "UnrepresentableTerm: expected a generic identifier",
     },
     "minijs": {
         "generic Assign without its injection":
@@ -237,6 +253,10 @@ EXPECTED = {
             "UnrepresentableTerm: MiniJS binders are single identifiers",
         "declaration with attributes":
             "UnrepresentableTerm: MiniJS declarations carry no attributes",
+        "initializer option of a foreign kind":
+            "UnrepresentableTerm: expected a generic initializer option",
+        "binder identifier not an Ident":
+            "UnrepresentableTerm: expected a generic identifier",
     },
     "minilua": {
         "generic Assign without its injection":
@@ -275,6 +295,8 @@ EXPECTED = {
             "UnrepresentableTerm: MiniLua declarations hold a single binder group",
         "declaration with no binder group":
             "UnrepresentableTerm: MiniLua declarations hold a single binder group",
+        "initializer option of a foreign kind":
+            "UnrepresentableTerm: expected a generic initializer option",
     },
 }
 

@@ -1,5 +1,8 @@
 """Schema parsing, modularization, and the round-trip laws."""
 
+import copy
+import dataclasses
+import pickle
 import random
 
 import pytest
@@ -7,6 +10,7 @@ import pytest
 from helpers import random_schema, random_value
 from srctrans.schema import (
     GV,
+    GenericValue,
     ForeignKind,
     InvalidSchema,
     NonConformingValue,
@@ -146,3 +150,46 @@ def test_sum_signatures_minus_missing():
     smaller = sum_signatures("NoConst", [lang.signature], minus=["Arith.Const"])
     with pytest.raises(RemovedKindNotPresent):
         sum_signatures("Twice", [smaller], minus=["Arith.Const"])
+
+
+# ---------------------------------------------------------------------------
+# GenericValue's contract: that of a frozen dataclass
+
+
+@dataclasses.dataclass(frozen=True)
+class _Reference:
+    ctor: str
+    args: tuple = ()
+
+
+def test_generic_value_repr_hash_eq_match_a_frozen_dataclass():
+    v = GV("BinE", ("+", GV("VarE", (GV("Ident", ("a",)),)), GV("IntLit", (1,))))
+    ref = _Reference("BinE", ("+", _Reference("VarE", (_Reference("Ident", ("a",)),)),
+                               _Reference("IntLit", (1,))))
+    assert GV is GenericValue and isinstance(v, GV)
+    assert repr(v) == repr(ref).replace("_Reference(", "GenericValue(")
+    assert hash(GV("NoElse")) == hash(_Reference("NoElse"))
+    assert hash(v) == hash((v.ctor, v.args))
+    assert v == GV("BinE", ("+", GV("VarE", (GV("Ident", ("a",)),)), GV("IntLit", (1,))))
+    assert v != GV("BinE", ("-",) + v.args[1:])
+    assert GV("NoElse") != _Reference("NoElse")
+    assert GV(ctor="SomeInit", args=(1,)) == GV("SomeInit", (1,))
+    assert GV(ctor="NoInit").args == () and GV("NoInit") == GV("NoInit", ())
+
+
+def test_generic_value_is_frozen_and_has_no_dict():
+    v = GV("IntLit", (1,))
+    for name in ("ctor", "args"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(v, name, None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(v, name)
+    assert not hasattr(v, "__dict__")
+    assert [f.name for f in dataclasses.fields(GV)] == ["ctor", "args"]
+
+
+def test_generic_value_copies_and_pickles():
+    v = GV("CallE", (GV("Ident", ("f",)), (GV("IntLit", (1,)), GV("BoolLit", (True,)))))
+    for copied in (copy.deepcopy(v), pickle.loads(pickle.dumps(v)), copy.copy(v)):
+        assert copied == v and repr(copied) == repr(v) and type(copied) is GV
+    assert copy.deepcopy(v) is not v
