@@ -96,8 +96,7 @@ class BasicBlock:
 class CFG:
     """Immutable control-flow snapshot of one term."""
 
-    def __init__(self, term: Term, bodies, nodes, edges, stmt_order, unreachable):
-        self.term = term
+    def __init__(self, bodies, nodes, edges, stmt_order, unreachable):
         self.bodies = tuple(bodies)
         self.nodes = tuple(nodes)
         self.edges = tuple(edges)
@@ -108,12 +107,6 @@ class CFG:
         for a, b in self.edges:
             self.succs[a] += (b,)
             self.preds[b] += (a,)
-
-    def entry(self, body: int) -> NodeId:
-        return ("entry", body)
-
-    def exit(self, body: int) -> NodeId:
-        return ("exit", body)
 
 
 class _Ctx:
@@ -245,7 +238,7 @@ def build_cfg(term: Term, lang: LanguageDef) -> CFG:
         reached.add(n)
         stack.extend(succs[n])
     unreachable = [n for n in builder.nodes if n not in reached]
-    return CFG(term, bodies, builder.nodes, builder.edges, builder.stmt_order, unreachable)
+    return CFG(bodies, builder.nodes, builder.edges, builder.stmt_order, unreachable)
 
 
 def basic_blocks(cfg: CFG) -> list[BasicBlock]:
@@ -372,23 +365,19 @@ def _rebuild_with(view, slot_blocks: dict):
 
 def _insert_into_body(block: Term, lang: LanguageDef, edits: dict) -> Term:
     """Apply {block path: {index: [items]}} edits under one body root."""
-    changed = _insert_into_block(block, (), lang, edits)
-    touched = set(edits)
-    stack = [((), block)]
-    while touched and stack:
-        bpath, blk = stack.pop()
-        touched.discard(bpath)
-        for i, item in enumerate(block_items(blk)):
-            for slot, sub in _view_blocks(lang.adapter.item_view(item)):
-                stack.append((bpath + ((i, slot),), sub))
-    if touched:
-        raise InvalidPath(f"no such block: {sorted(touched)[0]}")
+    reached: set = set()
+    changed = _insert_into_block(block, (), lang, edits, reached)
+    missing = edits.keys() - reached
+    if missing:
+        raise InvalidPath(f"no such block: {min(missing)}")
     return changed
 
 
 def _insert_into_block(blk: Term, bpath: BlockPath, lang: LanguageDef,
-                       edits: dict) -> Term:
-    """blk, at bpath, with the edits at and below it applied."""
+                       edits: dict, reached: set) -> Term:
+    """blk, at bpath, with the edits at and below it applied; adds the
+    path of each block it walks to reached."""
+    reached.add(bpath)
     items = block_items(blk)
     new_items = list(items)
     for i, item in enumerate(items):
@@ -399,7 +388,7 @@ def _insert_into_block(blk: Term, bpath: BlockPath, lang: LanguageDef,
         replaced = {}
         changed = False
         for slot, sub in subs:
-            sub2 = _insert_into_block(sub, bpath + ((i, slot),), lang, edits)
+            sub2 = _insert_into_block(sub, bpath + ((i, slot),), lang, edits, reached)
             replaced[slot] = sub2
             changed = changed or sub2 is not sub
         if changed:
@@ -419,7 +408,7 @@ def _insert_into_block(blk: Term, bpath: BlockPath, lang: LanguageDef,
     return with_block_items(blk, new_items)
 
 
-def _loop_sites(term, lang, point: BeforeLoopCondition, include_preloop: bool):
+def _loop_sites(term, lang, point: BeforeLoopCondition):
     """Concrete (body, block path, index) sites for a loop condition."""
     bodies = body_blocks(term, lang)
     try:
@@ -433,9 +422,7 @@ def _loop_sites(term, lang, point: BeforeLoopCondition, include_preloop: bool):
     view = lang.adapter.item_view(items[point.index])
     if not isinstance(view, (WhileView, ForView, ForNumView)):
         raise InvalidPath("BeforeLoopCondition target is not a loop")
-    sites = []
-    if include_preloop:
-        sites.append((point.body, point.block, point.index))
+    sites = [(point.body, point.block, point.index)]
     body_path = point.block + ((point.index, "body"),)
     sites.append((point.body, body_path, len(block_items(view.body))))
     if not isinstance(view, ForNumView):
@@ -503,7 +490,7 @@ def insert_many(term: Term, lang: LanguageDef, requests: list) -> Term:
         elif isinstance(point, BeforeStmt):
             concrete.append(((point.body, point.block, point.index), stmts))
         elif isinstance(point, BeforeLoopCondition):
-            for site in _loop_sites(term, lang, point, include_preloop=True):
+            for site in _loop_sites(term, lang, point):
                 concrete.append((site, stmts))
         else:
             raise InvalidPath(f"unknown insertion point {point!r}")

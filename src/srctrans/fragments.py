@@ -134,10 +134,11 @@ class LanguageOps(Protocol):
         """Convert a binder (VarDeclBinderL) to an LhsL term naming it."""
 
 
-def binder_names(binder: Term) -> list[str]:
-    """All identifier names bound by a binder term, in order."""
+def ident_names(term: Term) -> list[str]:
+    """The names of the generic identifiers in a term, in order: the names
+    a binder binds, or the names an expression reads."""
     return query_collect(
-        lambda t: [t.payload_values[0]] if t.kind == IDENT else [], binder
+        lambda t: [t.payload_values[0]] if t.kind == IDENT else [], term
     )
 
 

@@ -14,8 +14,7 @@ import random
 from dataclasses import dataclass
 
 # Names the generator must never produce: coverage and harness globals,
-# builtins, and the temporary prefix used by the flattening pass.
-_FORBIDDEN_PREFIXES = ("__t",)
+# and builtins.
 _FORBIDDEN = frozenset({"cov", "TC", "array", "print", "main"})
 
 _EXTERNALS = ("ext0", "ext1", "ext2")

@@ -1,10 +1,10 @@
 """Sort injections: declared embeddings of one sort's terms at another sort.
 
 An injection is realized by a chain of wrapper kinds, innermost first.
-Each step names the kind, the child position the embedded term occupies,
-and default terms for the wrapper's remaining positions.  Projection
-deterministically unwraps the same chain, returning None when shapes do
-not match.
+Each wrapper kind has no payloads and exactly one child, which holds the
+term the chain carries so far.  Projection deterministically unwraps the
+same chain, returning None at the first wrapper of another kind.  A sort
+pair has at most one edge, declared or derived.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .terms import NodeKind, Signature, Sort, Term, mk_term, project, sort_name
+from .terms import NodeKind, Signature, Sort, Term, mk_term, sort_name
 
 
 class InjectionError(Exception):
@@ -36,57 +36,25 @@ class MissingEdge(InjectionError):
 
 
 @dataclass(frozen=True)
-class Step:
-    """One wrapper in an injection chain."""
-
-    kind: NodeKind
-    child_index: int
-    payloads: tuple = ()
-    fill: tuple[tuple[int, Term], ...] = ()  # other child positions
-
-    def filled_children(self, inner: Term) -> tuple[Term, ...]:
-        children: list[Optional[Term]] = [None] * len(self.kind.child_sorts)
-        children[self.child_index] = inner
-        for idx, term in self.fill:
-            children[idx] = term
-        if any(c is None for c in children):
-            raise IllTypedPath(f"{self.kind.name}: unfilled child positions")
-        return tuple(children)  # type: ignore[return-value]
-
-
-@dataclass(frozen=True)
 class InjectionDecl:
     from_sort: Sort
     to_sort: Sort
-    path: tuple[Step, ...]  # innermost first
+    path: tuple[NodeKind, ...]  # innermost first
     derived: bool = False
 
 
 def _check_path(decl: InjectionDecl, signature: Optional[Signature]) -> None:
     current = decl.from_sort
-    for step in decl.path:
-        kind = step.kind
+    for kind in decl.path:
         if signature is not None and not signature.contains(kind):
             raise IllTypedPath(f"kind {kind.name} not in signature")
-        if not (0 <= step.child_index < len(kind.child_sorts)):
-            raise IllTypedPath(f"{kind.name}: child index {step.child_index} out of range")
-        if kind.child_sorts[step.child_index] != current:
+        if kind.payloads or len(kind.child_sorts) != 1:
+            raise IllTypedPath(f"{kind.name}: not a one-child kind without payloads")
+        if kind.child_sorts[0] != current:
             raise IllTypedPath(
-                f"{kind.name} child {step.child_index} expects "
-                f"{sort_name(kind.child_sorts[step.child_index])}, "
+                f"{kind.name} child 0 expects {sort_name(kind.child_sorts[0])}, "
                 f"chain carries {sort_name(current)}"
             )
-        fill_idx = {i for i, _ in step.fill}
-        for i, term in step.fill:
-            if i == step.child_index or not (0 <= i < len(kind.child_sorts)):
-                raise IllTypedPath(f"{kind.name}: bad fill position {i}")
-            if term.sort != kind.child_sorts[i]:
-                raise IllTypedPath(
-                    f"{kind.name}: fill at {i} has sort {sort_name(term.sort)}"
-                )
-        expected_fill = set(range(len(kind.child_sorts))) - {step.child_index}
-        if fill_idx != expected_fill:
-            raise IllTypedPath(f"{kind.name}: fill positions {fill_idx} != {expected_fill}")
         current = kind.produced
     if current != decl.to_sort:
         raise IllTypedPath(
@@ -102,24 +70,13 @@ class InjectionTable:
     _edges: dict[tuple[Sort, Sort], InjectionDecl] = field(default_factory=dict)
 
     def declare(self, decl: InjectionDecl) -> None:
-        key = (decl.from_sort, decl.to_sort)
-        existing = self._edges.get(key)
-        if existing is not None:
-            if decl.derived and not existing.derived:
-                return  # declared edges win over derived ones
-            if decl.derived and existing.derived and existing.path != decl.path:
-                raise DuplicateInjection(
-                    f"two distinct derived paths for "
-                    f"{sort_name(decl.from_sort)} -> {sort_name(decl.to_sort)}"
-                )
-            if not decl.derived:
-                raise DuplicateInjection(
-                    f"{sort_name(decl.from_sort)} -> {sort_name(decl.to_sort)} "
-                    "already declared"
-                )
-            return
+        if self.has(decl.from_sort, decl.to_sort):
+            raise DuplicateInjection(
+                f"{sort_name(decl.from_sort)} -> {sort_name(decl.to_sort)} "
+                "already declared"
+            )
         _check_path(decl, self.signature)
-        self._edges[key] = decl
+        self._edges[(decl.from_sort, decl.to_sort)] = decl
 
     def lookup(self, from_sort: Sort, to_sort: Sort) -> InjectionDecl:
         try:
@@ -139,27 +96,18 @@ class InjectionTable:
         """Embed term at the target sort through the registered chain."""
         if term.sort == target and not self.has(term.sort, target):
             return term
-        decl = self.lookup(term.sort, target)
         out = term
-        for step in decl.path:
-            out = mk_term(step.kind, step.payloads, step.filled_children(out))
+        for kind in self.lookup(term.sort, target).path:
+            out = mk_term(kind, (), (out,))
         return out
 
     def proj(self, term: Term, source: Sort) -> Optional[Term]:
         """Recover an embedded term of the source sort, or None."""
-        decl = self.lookup(source, term.sort)
         out = term
-        for step in reversed(decl.path):
-            got = project(out, step.kind)
-            if got is None:
+        for kind in reversed(self.lookup(source, term.sort).path):
+            if out.kind != kind:
                 return None
-            payloads, children = got
-            if payloads != step.payloads:
-                return None
-            for idx, fill_term in step.fill:
-                if children[idx] != fill_term:
-                    return None
-            out = children[step.child_index]
+            out = out.children[0]
         return out
 
     def compose(self, a: Sort, b: Sort, c: Sort) -> None:
@@ -169,14 +117,13 @@ class InjectionTable:
                 f"compose needs {sort_name(a)} -> {sort_name(b)} and "
                 f"{sort_name(b)} -> {sort_name(c)}"
             )
-        first = self.lookup(a, b)
-        second = self.lookup(b, c)
-        self.declare(InjectionDecl(a, c, first.path + second.path, derived=True))
+        path = self.lookup(a, b).path + self.lookup(b, c).path
+        self.declare(InjectionDecl(a, c, path, derived=True))
 
     def dump(self) -> str:
         lines = []
         for decl in self.edges():
-            chain = " -> ".join(f"{s.kind.name}[{s.child_index}]" for s in decl.path)
+            chain = " -> ".join(f"{kind.name}[0]" for kind in decl.path)
             tag = " (derived)" if decl.derived else ""
             lines.append(
                 f"{sort_name(decl.from_sort)} => {sort_name(decl.to_sort)}: "

@@ -30,7 +30,7 @@ from ..fragments import (
     ident,
     single_decl,
 )
-from ..injections import InjectionDecl, InjectionTable, Step
+from ..injections import InjectionDecl, InjectionTable
 from ..schema import (
     GenericValue,
     ModularizedLanguage,
@@ -490,21 +490,22 @@ def _builder(kind: NodeKind) -> Callable[..., Term]:
 
 
 def genericize(
-    mod: ModularizedLanguage, removed: list[str], injections: list[NodeKind]
+    mod: ModularizedLanguage, cases: dict, injections: list[NodeKind]
 ) -> tuple[Signature, InjectionTable]:
     """The language's IPS signature and injection table.  The generic
-    fragments replace the `removed` surface constructors; each injection
-    kind declares the edge from its one child's sort to its own sort."""
+    fragments replace the surface constructors the decompose `cases`
+    translate; each injection kind declares the edge from its one child's
+    sort to its own sort."""
     name = mod.signature.name
     ips = sum_signatures(
         f"{name}+Generic",
         [mod.signature, generic_signature()],
-        minus=[f"{name}.{ctor}" for ctor in removed],
+        minus=[f"{name}.{ctor}" for ctor in cases],
         plus=[k for k in injections if not mod.signature.has_kind(k.name)],
     )
     table = InjectionTable(ips)
     for kind in injections:
-        table.declare(InjectionDecl(kind.child_sorts[0], kind.produced, (Step(kind, 0),)))
+        table.declare(InjectionDecl(kind.child_sorts[0], kind.produced, (kind,)))
     return ips, table
 
 
@@ -621,8 +622,8 @@ def declarator_cases(C, dtor: Callable, ident_is: NodeKind, init_is: NodeKind,
     SingleLocalVarDecl.  `lang` and `init_what` name the language and the
     initializer in error messages."""
     ident_sort = ident_is.produced
-    dtor_ctor, ident_ctor, some_init = map(ctor_name, (dtor, C.Ident, C.SomeInit))
-    no_init = GenericValue(ctor_name(C.NoInit))
+    dtor_ctor, ident_ctor = ctor_name(dtor), ctor_name(C.Ident)
+    option_trans, un_option = option_cases(C.SomeInit, C.NoInit, init_is, init_what)
 
     def tr_dtor(v: GenericValue, walk) -> Term:
         name, opt = v.args
@@ -638,31 +639,36 @@ def declarator_cases(C, dtor: Callable, ident_is: NodeKind, init_is: NodeKind,
             expect(binder.kind == IDENT_IS_BINDER, f"{lang} binders are single identifiers")
             name = binder.children[0]
             expect(name.kind == IDENT, "expected a generic identifier")
-            if opt.kind == JUST_INIT:
-                init_w = opt.children[0]
-                expect(init_w.kind == init_is, f"initializer is not {init_what}")
-                opt_v = GenericValue(some_init, (read(init_w.children[0]),))
-            else:
-                expect(opt.kind == NO_INIT, "expected a generic initializer option")
-                opt_v = no_init
+            opt_v = un_option(opt, read)
             name_v = GenericValue(ident_ctor, name.payload_values)
             dtors.append(GenericValue(dtor_ctor, (name_v, opt_v)))
         return tuple(dtors)
 
-    return {
-        ctor_name(dtor): tr_dtor,
-        **option_cases(C.SomeInit, C.NoInit, init_is),
-    }, un_dtors
+    return {ctor_name(dtor): tr_dtor, **option_trans}, un_dtors
 
 
-def option_cases(some_ctor: Callable, none_ctor: Callable, init_is: NodeKind) -> dict:
-    """The trans cases of a declaration's initializer option: `some_ctor`
-    holds an initializer, which the generic side holds under `init_is`."""
+def option_cases(some_ctor: Callable, none_ctor: Callable, init_is: NodeKind,
+                 init_what: str) -> tuple[dict, Callable]:
+    """(trans cases, untrans) of a declaration's initializer option:
+    `some_ctor` holds an initializer, which the generic side holds under
+    `init_is`.  The untrans reads a generic initializer option back;
+    `init_what` names the initializer in error messages."""
+    some_ctor_name = ctor_name(some_ctor)
+    none = GenericValue(ctor_name(none_ctor))
+
+    def un_option(opt: Term, read) -> GenericValue:
+        if opt.kind == JUST_INIT:
+            init_w = opt.children[0]
+            expect(init_w.kind == init_is, f"initializer is not {init_what}")
+            return GenericValue(some_ctor_name, (read(init_w.children[0]),))
+        expect(opt.kind == NO_INIT, "expected a generic initializer option")
+        return none
+
     return {
-        ctor_name(some_ctor):
+        some_ctor_name:
             lambda v, walk: mk_term(JUST_INIT, (), (wrap(init_is, walk(v.args[0])),)),
         ctor_name(none_ctor): lambda v, walk: mk_term(NO_INIT),
-    }
+    }, un_option
 
 
 def some(option: Term) -> Optional[Term]:

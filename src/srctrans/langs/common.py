@@ -626,13 +626,12 @@ def expr_printer(prec: dict[str, int], own: Callable) -> Callable[..., str]:
 class PrettyPrinter:
     """Indented line accumulator for layout-normalized output."""
 
-    def __init__(self, indent_unit: str = "  "):
+    def __init__(self):
         self.lines: list[str] = []
         self.depth = 0
-        self.indent_unit = indent_unit
 
     def line(self, text: str) -> None:
-        self.lines.append(self.indent_unit * self.depth + text if text else "")
+        self.lines.append("  " * self.depth + text if text else "")
 
     def push(self) -> None:
         self.depth += 1

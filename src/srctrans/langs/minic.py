@@ -23,7 +23,7 @@ from ..fragments import (
     MULTI_DECL_IS_ITEM,
     RHS_L,
     assign,
-    binder_names,
+    ident_names,
     multi_decl,
 )
 from ..runtime import COV, RunResult, Trap, call_user, literal
@@ -335,19 +335,6 @@ INIT_IS_INIT = NodeKind("MiniCInitIsLocalVarInit", (), (S("Init"),), LOCAL_VAR_I
 STMT_IS_ITEM = NodeKind("MiniCStmtIsBlockItem", (), (S("Stmt"),), BLOCK_ITEM_L)
 BLOCK_IS_MINIC = NodeKind("GenericBlockIsMiniCBlock", (), (BLOCK_L,), S("Block"))
 
-IPS, TABLE = genericize(
-    MOD,
-    ["Ident", "Block", "StmtItem", "DeclItem", "Decl", "Declarator",
-     "SomeInit", "NoInit", "AssignE"],
-    [
-        IDENT_IS_MINIC, ASSIGN_IS_EXPR, EXPR_IS_LHS, EXPR_IS_RHS,
-        TYPE_IS_ATTRS, INIT_IS_INIT, STMT_IS_ITEM, BLOCK_IS_MINIC,
-        IDENT_IS_BINDER, MULTI_DECL_IS_ITEM, C.ExprStmt.kind,
-    ],
-)
-TABLE.compose(ASSIGN_L, S("Expr"), S("Stmt"))
-TABLE.compose(ASSIGN_L, S("Stmt"), BLOCK_ITEM_L)
-
 _ident_term, _TRANS, _UNTRANS = ident_assign_cases(
     IDENT_IS_MINIC, C.Ident, ASSIGN_IS_EXPR, EXPR_IS_LHS, EXPR_IS_RHS, C.AssignE,
     target="a MiniC expression", source="a MiniC expression",
@@ -394,7 +381,18 @@ def _un_decl(attrs: Term, singles: Term, read) -> GenericValue:
 _BLOCK_TRANS, _BLOCK_UNTRANS = block_cases(
     BODY, C.Block, C.Decl, _tr_decl, _un_decl, (C.StmtItem, C.DeclItem)
 )
-decompose = gc_paused(walker(MOD, {**_TRANS, **_DTOR_TRANS, **_BLOCK_TRANS}))
+_CASES = {**_TRANS, **_DTOR_TRANS, **_BLOCK_TRANS}
+IPS, TABLE = genericize(
+    MOD, _CASES,
+    [
+        IDENT_IS_MINIC, ASSIGN_IS_EXPR, EXPR_IS_LHS, EXPR_IS_RHS,
+        TYPE_IS_ATTRS, INIT_IS_INIT, STMT_IS_ITEM, BLOCK_IS_MINIC,
+        IDENT_IS_BINDER, MULTI_DECL_IS_ITEM, C.ExprStmt.kind,
+    ],
+)
+TABLE.compose(ASSIGN_L, S("Expr"), S("Stmt"))
+TABLE.compose(ASSIGN_L, S("Stmt"), BLOCK_ITEM_L)
+decompose = gc_paused(walker(MOD, _CASES))
 recompose = gc_paused(reader(MOD, {**_UNTRANS, **_BLOCK_UNTRANS}))
 
 
@@ -416,7 +414,7 @@ class _Ops:
         return wrap(EXPR_IS_RHS, call)
 
     def var_decl_binder_to_lhs(self, binder: Term) -> Term:
-        name = binder_names(binder)[0]
+        name = ident_names(binder)[0]
         return wrap(EXPR_IS_LHS, C.VarE(_ident_term(name)))
 
 

@@ -22,8 +22,8 @@ from ..fragments import (
     MULTI_DECL_IS_ITEM,
     RHS_L,
     assign,
-    binder_names,
     ident,
+    ident_names,
     multi_decl,
     opt_init,
     single_decl,
@@ -283,18 +283,6 @@ EXPR_IS_INIT = NodeKind("MiniJSExprIsLocalVarInit", (), (S("Expr"),), LOCAL_VAR_
 STMT_IS_ITEM = NodeKind("MiniJSStmtIsBlockItem", (), (S("Stmt"),), BLOCK_ITEM_L)
 BLOCK_IS_STMTS = NodeKind("GenericBlockIsMiniJSStmts", (), (BLOCK_L,), S("Stmts"))
 
-IPS, TABLE = genericize(
-    MOD,
-    ["Ident", "Stmts", "VarStmt", "VarDtor", "SomeInit", "NoInit", "AssignE"],
-    [
-        IDENT_IS_MINIJS, ASSIGN_IS_EXPR, EXPR_IS_LHS, EXPR_IS_RHS,
-        EXPR_IS_INIT, STMT_IS_ITEM, BLOCK_IS_STMTS,
-        IDENT_IS_BINDER, MULTI_DECL_IS_ITEM, C.ExprStmt.kind,
-    ],
-)
-TABLE.compose(ASSIGN_L, S("Expr"), S("Stmt"))
-TABLE.compose(ASSIGN_L, S("Stmt"), BLOCK_ITEM_L)
-
 _ident_term, _TRANS, _UNTRANS = ident_assign_cases(
     IDENT_IS_MINIJS, C.Ident, ASSIGN_IS_EXPR, EXPR_IS_LHS, EXPR_IS_RHS, C.AssignE,
     target="a MiniJS expression", source="a MiniJS expression",
@@ -329,7 +317,18 @@ _BLOCK_TRANS, _BLOCK_UNTRANS = block_cases(
     BODY, C.Stmts, C.VarStmt,
     lambda v, walk: multi_decl(list(map(walk, list_items(v.args[0])))), _un_decl,
 )
-decompose = gc_paused(walker(MOD, {**_TRANS, **_DTOR_TRANS, **_BLOCK_TRANS}))
+_CASES = {**_TRANS, **_DTOR_TRANS, **_BLOCK_TRANS}
+IPS, TABLE = genericize(
+    MOD, _CASES,
+    [
+        IDENT_IS_MINIJS, ASSIGN_IS_EXPR, EXPR_IS_LHS, EXPR_IS_RHS,
+        EXPR_IS_INIT, STMT_IS_ITEM, BLOCK_IS_STMTS,
+        IDENT_IS_BINDER, MULTI_DECL_IS_ITEM, C.ExprStmt.kind,
+    ],
+)
+TABLE.compose(ASSIGN_L, S("Expr"), S("Stmt"))
+TABLE.compose(ASSIGN_L, S("Stmt"), BLOCK_ITEM_L)
+decompose = gc_paused(walker(MOD, _CASES))
 recompose = gc_paused(reader(MOD, {**_UNTRANS, **_BLOCK_UNTRANS}))
 
 
@@ -346,7 +345,7 @@ class _Ops:
         return wrap(EXPR_IS_RHS, init.children[0])
 
     def var_decl_binder_to_lhs(self, binder: Term) -> Term:
-        name = binder_names(binder)[0]
+        name = ident_names(binder)[0]
         return wrap(EXPR_IS_LHS, C.VarE(_ident_term(name)))
 
 

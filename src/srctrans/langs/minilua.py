@@ -17,11 +17,9 @@ from ..fragments import (
     BLOCK_ITEM_L,
     BLOCK_L,
     IDENT_L,
-    JUST_INIT,
     LHS_L,
     LOCAL_VAR_INIT_L,
     MULTI_DECL_IS_ITEM,
-    NO_INIT,
     RHS_L,
     assign,
     multi_decl,
@@ -356,17 +354,6 @@ EXPRLIST_IS_INIT = NodeKind(
 STMT_IS_ITEM = NodeKind("MiniLuaStmtIsBlockItem", (), (S("Stmt"),), BLOCK_ITEM_L)
 BLOCK_IS_MINILUA = NodeKind("GenericBlockIsMiniLuaBlock", (), (BLOCK_L,), S("Block"))
 
-IPS, TABLE = genericize(
-    MOD,
-    ["Ident", "Block", "AssignStmt", "LocalStmt", "SomeExprs", "NoExprs"],
-    [
-        IDENT_IS_MINILUA, ASSIGN_IS_STMT, LHSLIST_IS_LHS, EXPRLIST_IS_RHS,
-        NAMELIST_IS_BINDER, EXPRLIST_IS_INIT, STMT_IS_ITEM, BLOCK_IS_MINILUA,
-        MULTI_DECL_IS_ITEM,
-    ],
-)
-TABLE.compose(ASSIGN_L, S("Stmt"), BLOCK_ITEM_L)
-
 _ident_term, _TRANS, _UNTRANS = ident_assign_cases(
     IDENT_IS_MINILUA, C.Ident, ASSIGN_IS_STMT, LHSLIST_IS_LHS, EXPRLIST_IS_RHS,
     C.AssignStmt,
@@ -380,6 +367,11 @@ def _tr_local(v: GenericValue, walk) -> Term:
     return multi_decl([single_decl(wrap(NAMELIST_IS_BINDER, names), opt)])
 
 
+_OPTION_TRANS, _un_option = option_cases(
+    C.SomeExprs, C.NoExprs, EXPRLIST_IS_INIT, "a MiniLua expression list"
+)
+
+
 def _un_decl(attrs: Term, singles_t: Term, read) -> GenericValue:
     expect(attrs.kind.name == "EmptyCommonAttrs", "MiniLua declarations carry no attributes")
     singles = singles_t.children
@@ -388,23 +380,24 @@ def _un_decl(attrs: Term, singles_t: Term, read) -> GenericValue:
     _, binder, opt = singles[0].children
     expect(binder.kind == NAMELIST_IS_BINDER, "MiniLua binders are name lists")
     names = read(binder.children[0])
-    if opt.kind == JUST_INIT:
-        init_w = opt.children[0]
-        expect(init_w.kind == EXPRLIST_IS_INIT, "initializer is not a MiniLua expression list")
-        opt_v = GV("SomeExprs", (read(init_w.children[0]),))
-    else:
-        expect(opt.kind == NO_INIT, "expected a generic initializer option")
-        opt_v = GV("NoExprs")
-    return GV("LocalStmt", (names, opt_v))
+    return GV("LocalStmt", (names, _un_option(opt, read)))
 
 
 BODY = BodyCodec(BLOCK_IS_MINILUA, STMT_IS_ITEM)
 _BLOCK_TRANS, _BLOCK_UNTRANS = block_cases(
     BODY, C.Block, C.LocalStmt, _tr_local, _un_decl
 )
-decompose = gc_paused(walker(MOD, {
-    **_TRANS, **_BLOCK_TRANS, **option_cases(C.SomeExprs, C.NoExprs, EXPRLIST_IS_INIT),
-}))
+_CASES = {**_TRANS, **_BLOCK_TRANS, **_OPTION_TRANS}
+IPS, TABLE = genericize(
+    MOD, _CASES,
+    [
+        IDENT_IS_MINILUA, ASSIGN_IS_STMT, LHSLIST_IS_LHS, EXPRLIST_IS_RHS,
+        NAMELIST_IS_BINDER, EXPRLIST_IS_INIT, STMT_IS_ITEM, BLOCK_IS_MINILUA,
+        MULTI_DECL_IS_ITEM,
+    ],
+)
+TABLE.compose(ASSIGN_L, S("Stmt"), BLOCK_ITEM_L)
+decompose = gc_paused(walker(MOD, _CASES))
 recompose = gc_paused(reader(MOD, {**_UNTRANS, **_BLOCK_UNTRANS}))
 
 

@@ -23,7 +23,7 @@ from ..fragments import (
     NO_INIT,
     SINGLE_DECL_L,
     assign,
-    binder_names,
+    ident_names,
 )
 from ..langs.base import LanguageDef, block_items, with_block_items
 from ..terms import Term, build_list, gc_paused, mk_term
@@ -128,14 +128,6 @@ def elementary_hoist(term: Term, lang: LanguageDef) -> Term:
 # Full hoist: skip shadow-sensitive declarations.
 
 
-def _ident_names(term: Term) -> set[str]:
-    return set(
-        query_collect(
-            lambda t: [t.payload_values[0]] if t.kind == IDENT else [], term
-        )
-    )
-
-
 def shadow_unsafe(items: list[Term], index: int, lang: LanguageDef) -> bool:
     """Would hoisting the declaration at `index` to the block top change
     what some identifier occurrence resolves to?
@@ -162,17 +154,17 @@ class _PrefixNames:
         if decl is None:
             raise ValueError("item is not a declaration")
         for earlier in self.items[self.upto:index]:
-            self.names |= _ident_names(earlier)
+            self.names.update(ident_names(earlier))
         self.upto = index
         bound = set()
         for single in decl.children[1].children:
-            bound.update(binder_names(single.children[1]))
+            bound.update(ident_names(single.children[1]))
         if bound & self.names:
             return True
         if not lang.ops.binder_in_scope_in_init:
             for single in decl.children[1].children:
                 opt = single.children[2]
-                if opt.kind == JUST_INIT and bound & _ident_names(opt.children[0]):
+                if opt.kind == JUST_INIT and not bound.isdisjoint(ident_names(opt.children[0])):
                     return True
         return False
 

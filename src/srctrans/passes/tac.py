@@ -19,8 +19,8 @@ from ..flow import (
 )
 from ..fragments import (
     BLOCK_ITEM_L,
-    IDENT,
     MULTI_DECL_IS_ITEM,
+    ident_names,
     multi_decl,
 )
 from ..langs.base import (
@@ -38,7 +38,6 @@ from ..langs.base import (
     with_block_items,
 )
 from ..terms import Term, gc_paused, mk_term
-from ..traversal import query_collect
 from .hoist import RequirementMissing
 
 
@@ -78,9 +77,7 @@ class _BodyPass:
         """Atoms whose value cannot change under later side effects."""
         if self.ops.is_effect_free(e):
             return True
-        names = query_collect(
-            lambda t: [t.payload_values[0]] if t.kind == IDENT else [], e
-        )
+        names = ident_names(e)
         return bool(names) and all(n in self.names.minted for n in names)
 
     def flatten_top(self, e: Term) -> tuple[list[Term], Term]:
@@ -366,14 +363,6 @@ class _BodyPass:
         return out
 
 
-def _used_names(term: Term) -> set[str]:
-    return set(
-        query_collect(
-            lambda t: [t.payload_values[0]] if t.kind == IDENT else [], term
-        )
-    )
-
-
 @gc_paused
 def tac(term: Term, lang: LanguageDef) -> Term:
     """Flatten nested computations body by body."""
@@ -385,6 +374,6 @@ def tac(term: Term, lang: LanguageDef) -> Term:
     return rewrite_bodies(
         term, lang,
         lambda b, body, before: _BodyPass(
-            lang, _Names(_used_names(before))
+            lang, _Names(set(ident_names(before)))
         ).walk_block(body),
     )

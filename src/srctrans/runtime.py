@@ -30,11 +30,12 @@ The compiler finds it from the text, and a variable's closure reads
 Every node a tree walk would visit still costs one unit of fuel, at the
 same step, so fuel runs out at the same event.  Where nothing observable
 can happen between some of those steps, a closure spends their fuel in
-one: an expression built from literals with integer and unary operators
-that runs without a trap is folded to one constant that spends one unit
-per node.  A node the compiler cannot run, such as an unknown constructor
-or operator, compiles to a closure that traps when it runs: compiling
-never raises.
+one: a unary or integer operator whose operands compiled to constants is
+run once when it compiles, and if it runs without a trap its closure is
+one constant that spends one unit per node it stands for.  So constants
+fold in the compile walk, which visits each node once.  A node the
+compiler cannot run, such as an unknown constructor or operator,
+compiles to a closure that traps when it runs: compiling never raises.
 """
 
 from __future__ import annotations
@@ -403,41 +404,29 @@ def constant(value, fuel: int = 1) -> Callable:
     return const
 
 
-def _fold(comp: Compiler, e) -> Optional[tuple]:
-    """(value, node count) of e if it is a literal, or an integer or unary
-    operator over such expressions that runs without a trap; else None.
+# The code of every closure `constant` makes; its defaults are
+# (value, fuel).
+_CONSTANT = constant(None).__code__
 
-    A tree walk spends one unit of fuel on each of those nodes, with
-    nothing observable in between, so their closure is one constant that
+
+def _folded(code: Callable, *operands: Callable) -> Callable:
+    """code, or one constant if each operand is a constant and code runs
+    without a trap on them.
+
+    A tree walk spends one unit of fuel on the node and on each node of
+    its operands, with nothing observable in between, so the constant
     spends them all at once: fuel runs out at the same event.
     """
-    compile_ = comp.EXPR.get(e.ctor)
-    if compile_ is literal:
-        return e.args[0], 1
-    if compile_ is binary:
-        op, lhs, rhs = e.args
-        fn = _INT_OPS.get(op)
-        if fn is None or op in comp.BINOP:
-            return None
-        a = _fold(comp, lhs)
-        b = a and _fold(comp, rhs)
-        if b is None:
-            return None
-        try:
-            return fn(check_int(a[0]), check_int(b[0])), 1 + a[1] + b[1]
-        except Trap:
-            return None
-    if compile_ is unary:
-        op, operand = e.args
-        a = _fold(comp, operand)
-        if a is None:
-            return None
-        try:
-            value = not comp.truthy(a[0]) if op == comp.NOT else -check_int(a[0])
-        except Trap:
-            return None
-        return value, 1 + a[1]
-    return None
+    fuel = 1
+    for operand in operands:
+        if operand.__code__ is not _CONSTANT:
+            return code
+        fuel += operand.__defaults__[1]
+    try:
+        value = code(State(None, fuel), None)
+    except Trap:
+        return code
+    return constant(value, fuel)
 
 
 def nil_literal(comp: Compiler, e) -> Callable:
@@ -544,20 +533,18 @@ def call(comp: Compiler, e) -> Callable:
 
 
 def unary(comp: Compiler, e) -> Callable:
-    folded = _fold(comp, e)
-    if folded is not None:
-        return constant(*folded)
     op, operand = e.args
+    code = comp.expr(operand)
     if op == comp.NOT:
-        def negation(st, env, code=comp.expr(operand), truthy=comp.truthy):
+        def negation(st, env, code=code, truthy=comp.truthy):
             st.fuel -= 1
             if st.fuel < 0:
                 raise Trap("fuel")
             return not truthy(code(st, env))
 
-        return negation
+        return _folded(negation, code)
 
-    def minus(st, env, code=comp.expr(operand)):
+    def minus(st, env, code=code):
         st.fuel -= 1
         if st.fuel < 0:
             raise Trap("fuel")
@@ -566,7 +553,7 @@ def unary(comp: Compiler, e) -> Callable:
             check_int(v)
         return -v
 
-    return minus
+    return _folded(minus, code)
 
 
 def binary(comp: Compiler, e) -> Callable:
@@ -574,12 +561,11 @@ def binary(comp: Compiler, e) -> Callable:
     own = comp.BINOP.get(op)
     if own is not None:
         return own(comp, e)
-    folded = _fold(comp, e)
-    if folded is not None:
-        return constant(*folded)
+    a = comp.expr(lhs)
+    b = comp.expr(rhs)
     fn = _INT_OPS.get(op)
     if fn is None:
-        def unknown_op(st, env, a=comp.expr(lhs), b=comp.expr(rhs)):
+        def unknown_op(st, env, a=a, b=b):
             st.fuel -= 1
             if st.fuel < 0:
                 raise Trap("fuel")
@@ -588,12 +574,12 @@ def binary(comp: Compiler, e) -> Callable:
             raise Trap("op")
 
         return unknown_op
-    a = comp.expr(lhs)
-    k = _fold(comp, rhs)
-    if k is not None and type(k[0]) is int:
+
+    if b.__code__ is _CONSTANT and type(b.__defaults__[0]) is int:
         # a constant integer operand spends its fuel where its closure
         # would have run
-        def int_op_constant(st, env, a=a, fn=fn, k=k[0], fuel=k[1]):
+        def int_op_constant(st, env, a=a, fn=fn, k=b.__defaults__[0],
+                            fuel=b.__defaults__[1]):
             st.fuel -= 1
             if st.fuel < 0:
                 raise Trap("fuel")
@@ -605,9 +591,9 @@ def binary(comp: Compiler, e) -> Callable:
                 check_int(x)
             return fn(x, k)
 
-        return int_op_constant
+        return _folded(int_op_constant, a, b)
 
-    def int_op(st, env, a=a, b=comp.expr(rhs), fn=fn):
+    def int_op(st, env, a=a, b=b, fn=fn):
         st.fuel -= 1
         if st.fuel < 0:
             raise Trap("fuel")
@@ -618,7 +604,7 @@ def binary(comp: Compiler, e) -> Callable:
             check_int(y)
         return fn(x, y)
 
-    return int_op
+    return _folded(int_op, a, b)
 
 
 def and_value(comp: Compiler, e) -> Callable:

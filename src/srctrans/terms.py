@@ -268,13 +268,6 @@ def mk_term(kind: NodeKind, payloads: Iterable = (), children: Iterable[Term] = 
     return t
 
 
-def project(term: Term, kind: NodeKind) -> Optional[tuple[tuple, tuple[Term, ...]]]:
-    """Return (payloads, children) iff term was built with kind."""
-    if term.kind == kind:
-        return term.payload_values, term.children
-    return None
-
-
 # ---------------------------------------------------------------------------
 # Container kinds.  These are built-in and instantiable at every element
 # sort; they belong to every signature.  The list kind is memoized per

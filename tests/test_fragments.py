@@ -14,9 +14,9 @@ from srctrans.fragments import (
     RHS_L,
     assert_reserved_disjoint,
     assign,
-    binder_names,
     generic_signature,
     ident,
+    ident_names,
 )
 from srctrans.langs.base import get_language
 from srctrans.terms import Atom, check_term
@@ -58,7 +58,7 @@ def test_binder_names_single_and_list():
     singles = decls[0].children[1]
     names = []
     for single in singles.children:
-        names.extend(binder_names(single.children[1]))
+        names.extend(ident_names(single.children[1]))
     assert names == ["a", "b"]
 
 

@@ -9,7 +9,6 @@ from srctrans.injections import (
     InjectionTable,
     MissingEdge,
     NoInjection,
-    Step,
 )
 from srctrans.terms import Atom, NodeKind, mk_term
 
@@ -17,13 +16,14 @@ A, B, C = Atom("A"), Atom("B"), Atom("C")
 MKA = NodeKind("MkA", ("Int",), (), A)
 WRAP_AB = NodeKind("WrapAB", (), (A,), B)
 WRAP_BC = NodeKind("WrapBC", (), (B,), C)
-PAD = NodeKind("Pad", (), (A, A), B)  # needs a fill for the spare slot
+PAD = NodeKind("Pad", (), (A, A), B)  # two children: no chain kind
+TAGGED = NodeKind("Tagged", ("Int",), (A,), B)  # a payload: no chain kind
 
 
 def table():
     t = InjectionTable()
-    t.declare(InjectionDecl(A, B, (Step(WRAP_AB, 0),)))
-    t.declare(InjectionDecl(B, C, (Step(WRAP_BC, 0),)))
+    t.declare(InjectionDecl(A, B, (WRAP_AB,)))
+    t.declare(InjectionDecl(B, C, (WRAP_BC,)))
     return t
 
 
@@ -47,6 +47,9 @@ def test_proj_mismatch_returns_none():
     # a C-term wrapping a B-chain does not project all the way from A
     up = t.inj(t.inj(a(), B), C)
     assert t.proj(up, B) is not None
+    # the outer wrapper matches, the inner one does not
+    t.compose(A, B, C)
+    assert t.proj(mk_term(WRAP_BC, (), (other,)), A) is None
 
 
 def test_missing_edge():
@@ -71,46 +74,41 @@ def test_compose_requires_edges():
         t.compose(B, A, C)
 
 
-def test_fill_positions_checked():
+def test_chain_kinds_have_one_child_and_no_payloads():
     t = InjectionTable()
     with pytest.raises(IllTypedPath):
-        t.declare(InjectionDecl(A, B, (Step(PAD, 0),)))  # slot 1 unfilled
-    t.declare(InjectionDecl(A, B, (Step(PAD, 0, (), ((1, a(0)),)),)))
-    up = t.inj(a(3), B)
-    assert up.children[1] == a(0)
-    # a differently-filled term does not project
-    other = mk_term(PAD, (), (a(3), a(7)))
-    assert t.proj(other, A) is None
+        t.declare(InjectionDecl(A, B, (PAD,)))
+    with pytest.raises(IllTypedPath):
+        t.declare(InjectionDecl(A, B, (TAGGED,)))
+    with pytest.raises(IllTypedPath):
+        t.declare(InjectionDecl(A, C, (TAGGED, WRAP_BC)))
+    assert not t.has(A, B) and not t.has(A, C)
 
 
 def test_ill_typed_chain_rejected():
     t = InjectionTable()
     with pytest.raises(IllTypedPath):
-        t.declare(InjectionDecl(B, C, (Step(WRAP_AB, 0),)))
+        t.declare(InjectionDecl(B, C, (WRAP_AB,)))
 
 
-def test_duplicate_derived_paths_conflict():
+def test_second_edge_on_a_pair_rejected():
+    # a declared edge, then a derived one for the same pair
     t = table()
-    t.compose(A, B, C)
+    t.declare(InjectionDecl(A, C, (WRAP_AB, WRAP_BC)))
     with pytest.raises(DuplicateInjection):
-        # a second, different derived path for the same edge
-        t.declare(
-            InjectionDecl(
-                A, C, (Step(PAD, 0, (), ((1, a(0)),)), Step(WRAP_BC, 0)),
-                derived=True,
-            )
-        )
-
-
-def test_declared_beats_derived():
-    t = table()
-    t.declare(InjectionDecl(A, C, (Step(WRAP_AB, 0), Step(WRAP_BC, 0))))
-    # a later derived edge for the same pair is silently ignored
-    t.compose(A, B, C)
+        t.compose(A, B, C)
     assert not t.lookup(A, C).derived
-    # but an explicit redeclaration is an error
+    # a derived edge, then a declared or a second derived one
+    t = table()
+    t.compose(A, B, C)
     with pytest.raises(DuplicateInjection):
-        t.declare(InjectionDecl(A, C, (Step(WRAP_AB, 0), Step(WRAP_BC, 0))))
+        t.declare(InjectionDecl(A, C, (WRAP_AB, WRAP_BC)))
+    with pytest.raises(DuplicateInjection):
+        t.compose(A, B, C)
+    assert t.lookup(A, C).derived
+    # a second declared edge
+    with pytest.raises(DuplicateInjection):
+        t.declare(InjectionDecl(A, B, (WRAP_AB,)))
 
 
 def test_dump_deterministic_and_sorted():

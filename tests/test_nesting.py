@@ -19,6 +19,12 @@ Expressions nested 150 and 300 levels deep, in the four shapes of
 calls failed there with `ParseError original: maximum recursion depth
 exceeded` when the parser took several Python frames per level; the
 expression parser now takes none, so 10,000 levels parse.
+
+Compiling and running such an expression must cost work linear in its
+depth.  The run compiler once refolded every subtree at each level to
+find constants, which made 3.9 times the calls into `runtime` at 300
+levels as at 150; it now folds a node only when its compiled operands
+are constants.
 """
 
 import sys
@@ -26,6 +32,7 @@ import sys
 import pytest
 
 from helpers import EXPR_SHAPES, nested_expr, nested_ifs
+from srctrans import runtime
 from srctrans.difftest import PASSES, diff_one
 from srctrans.langs.base import get_language
 
@@ -84,3 +91,30 @@ def test_expression_parser_takes_no_frame_per_level(lname, shape):
     n = 10_000
     assert n > sys.getrecursionlimit()
     get_language(lname).parse(nested_expr(lname, shape, n))
+
+
+def _runtime_calls(lang, text: str) -> int:
+    """Calls into `runtime` while `lang.run` compiles and runs text."""
+    ast = lang.parse(text)
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_filename == runtime.__file__:
+            calls += 1
+
+    sys.setprofile(count)
+    try:
+        lang.run(ast)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+@pytest.mark.parametrize("lname", ["minic", "minijs", "minilua"])
+@pytest.mark.parametrize("shape", EXPR_SHAPES)
+def test_run_work_grows_linearly_with_depth(lname, shape):
+    lang = get_language(lname)
+    at_150 = _runtime_calls(lang, nested_expr(lname, shape, 150))
+    at_300 = _runtime_calls(lang, nested_expr(lname, shape, 300))
+    assert at_300 <= 2.2 * at_150, (at_150, at_300)

@@ -16,7 +16,6 @@ from srctrans.terms import (
     iter_subterms,
     list_kind,
     mk_term,
-    project,
     sort_name,
     to_sexpr,
 )
@@ -108,13 +107,6 @@ def test_pair_container():
     p = build_pair(lit(1), lit(2))
     assert p.kind.name == "PairF"
     assert is_container_kind(p.kind)
-
-
-def test_project():
-    t = mk_term(ADD, (), (lit(1), lit(2)))
-    got = project(t, ADD)
-    assert got is not None and len(got[1]) == 2
-    assert project(t, LIT) is None
 
 
 def test_check_term_against_signature():
