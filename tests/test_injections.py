@@ -91,22 +91,27 @@ def test_ill_typed_chain_rejected():
         t.declare(InjectionDecl(B, C, (WRAP_AB,)))
 
 
-def test_second_edge_on_a_pair_rejected():
-    # a declared edge, then a derived one for the same pair
+def test_duplicate_derived_paths_conflict():
+    # a derived edge, then a second derived or a declared one for the pair
+    t = table()
+    t.compose(A, B, C)
+    with pytest.raises(DuplicateInjection):
+        t.compose(A, B, C)
+    with pytest.raises(DuplicateInjection):
+        t.declare(InjectionDecl(A, C, (WRAP_AB, WRAP_BC)))
+    assert t.lookup(A, C).derived
+
+
+def test_declared_beats_derived():
+    # a declared edge stays; a derived one for the same pair raises
     t = table()
     t.declare(InjectionDecl(A, C, (WRAP_AB, WRAP_BC)))
     with pytest.raises(DuplicateInjection):
         t.compose(A, B, C)
     assert not t.lookup(A, C).derived
-    # a derived edge, then a declared or a second derived one
-    t = table()
-    t.compose(A, B, C)
+    # and so does an explicit redeclaration
     with pytest.raises(DuplicateInjection):
         t.declare(InjectionDecl(A, C, (WRAP_AB, WRAP_BC)))
-    with pytest.raises(DuplicateInjection):
-        t.compose(A, B, C)
-    assert t.lookup(A, C).derived
-    # a second declared edge
     with pytest.raises(DuplicateInjection):
         t.declare(InjectionDecl(A, B, (WRAP_AB,)))
 
