@@ -66,6 +66,29 @@ class DiffReport:
         return "\n".join(lines) + "\n"
 
 
+# A transformed run that stops for fuel where the original did not, having
+# agreed with it so far, is run again with this many times the fuel, and
+# that run decides: a pass may add steps, but not change what a
+# terminating program does.
+RERUN_FUEL = 10
+_FUEL_TRAP = ("trap", "fuel")
+
+
+def _stopped_early(before: tuple, after: tuple) -> bool:
+    """after ran out of fuel where before did not, agreeing with it up to
+    there."""
+    return (
+        after[-1:] == (_FUEL_TRAP,)
+        and before[-1:] != (_FUEL_TRAP,)
+        and before[:len(after) - 1] == after[:-1]
+    )
+
+
+def _run(lang: LanguageDef, ast, fuel: int, erase_markers: bool):
+    result = lang.run(ast, fuel=fuel)
+    return result.erased() if erase_markers else result
+
+
 def _first_divergence(a: tuple, b: tuple) -> int:
     for i, (x, y) in enumerate(zip(a, b)):
         if x != y:
@@ -86,7 +109,7 @@ def diff_one(
     except Exception as e:
         return Verdict(index, "ParseError", f"original: {e}")
     try:
-        before = lang.run(ast, fuel=fuel)
+        before = _run(lang, ast, fuel, erase_markers)
     except Exception as e:
         return Verdict(index, "RunError", f"before: {type(e).__name__}: {e}")
 
@@ -101,12 +124,11 @@ def diff_one(
     except Exception as e:
         return Verdict(index, "ParseError", f"transformed: {e}")
     try:
-        after = lang.run(out_ast, fuel=fuel)
+        after = _run(lang, out_ast, fuel, erase_markers)
+        if _stopped_early(before.events, after.events):
+            after = _run(lang, out_ast, fuel * RERUN_FUEL, erase_markers)
     except Exception as e:
         return Verdict(index, "RunError", f"after: {type(e).__name__}: {e}")
-    if erase_markers:
-        after = after.erased()
-        before = before.erased()
 
     if before.events != after.events:
         step = _first_divergence(before.events, after.events)

@@ -1,12 +1,12 @@
 """Control-flow graphs over genericized terms and flow-directed insertion.
 
-The graph is statement-level: one node per block item, with extra
-expression-level nodes only for loop conditions and short-circuit
-operands.  Items are addressed by view paths: alternating (item index,
-slot) steps through the structural views an adapter exposes, so positions
-survive frontends that synthesize blocks around bare statement bodies.
-Insertion rebuilds every touched block through the views, which lets a
-frontend brace a body exactly when it stops being a single statement.
+The graph is statement-level: one node per block item, with an extra
+expression-level node only for each loop condition.  Items are addressed
+by view paths: alternating (item index, slot) steps through the
+structural views an adapter exposes, so positions survive frontends that
+synthesize blocks around bare statement bodies.  Insertion rebuilds every
+touched block through the views, which lets a frontend brace a body
+exactly when it stops being a single statement.
 
 CFGs are immutable snapshots of one term value; any rewrite invalidates
 them and callers must rebuild.
@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from operator import is_
 from typing import Optional
 
-from .fragments import BLOCK
 from .langs.base import (
     BreakView,
     ContinueView,
@@ -76,8 +75,6 @@ class BeforeLoopCondition:
 
 InsertionPoint = BeforeStmt | BlockEntry | BeforeLoopCondition
 
-_SHORT_CIRCUIT_OPS = frozenset({"&&", "||", "and", "or"})
-
 
 # ---------------------------------------------------------------------------
 # Graph construction
@@ -96,17 +93,25 @@ class BasicBlock:
 class CFG:
     """Immutable control-flow snapshot of one term."""
 
-    def __init__(self, bodies, nodes, edges, stmt_order, unreachable):
+    def __init__(self, bodies, nodes, edges, stmt_order):
         self.bodies = tuple(bodies)
         self.nodes = tuple(nodes)
         self.edges = tuple(edges)
         self.stmt_order = tuple(stmt_order)
-        self.unreachable = frozenset(unreachable)
         self.succs: dict[NodeId, tuple] = {n: () for n in self.nodes}
         self.preds: dict[NodeId, tuple] = {n: () for n in self.nodes}
         for a, b in self.edges:
             self.succs[a] += (b,)
             self.preds[b] += (a,)
+        reached = set()
+        stack = [("entry", b) for b in range(len(self.bodies))]
+        while stack:
+            n = stack.pop()
+            if n in reached:
+                continue
+            reached.add(n)
+            stack.extend(self.succs[n])
+        self.unreachable = frozenset(n for n in self.nodes if n not in reached)
 
 
 class _Ctx:
@@ -148,26 +153,6 @@ class _Builder:
             frontier = self.after_item(view, node, b, bpath, i, ctx, exit_)
         return frontier
 
-    def sc_frontier(self, owner: NodeId, cond: Optional[Term]) -> list:
-        """The owner plus one node per short-circuit right operand."""
-        frontier = [owner]
-        if cond is None:
-            return frontier
-        k = 0
-        stack = [cond]
-        while stack:
-            t = stack.pop()
-            if (
-                len(t.children) == 2
-                and any(v in _SHORT_CIRCUIT_OPS for v in t.payload_values)
-            ):
-                node = self.add(("sc", owner, k))
-                self.edges.append((frontier[-1], node))
-                frontier.append(node)
-                k += 1
-            stack.extend(reversed(t.children))
-        return frontier
-
     def after_item(self, view, node, b, bpath, i, ctx, exit_):
         if isinstance(view, ReturnView):
             self.edges.append((node, exit_))
@@ -183,29 +168,26 @@ class _Builder:
             self.edges.append((node, ctx.cont_target))
             return []
         if isinstance(view, IfView):
-            cf = self.sc_frontier(node, view.cond)
             tf = self.walk_block(
-                view.then_block, b, bpath + ((i, "then"),), cf, ctx, exit_
+                view.then_block, b, bpath + ((i, "then"),), [node], ctx, exit_
             )
             if view.else_block is None:
-                return tf + cf
+                return tf + [node]
             ef = self.walk_block(
-                view.else_block, b, bpath + ((i, "else"),), cf, ctx, exit_
+                view.else_block, b, bpath + ((i, "else"),), [node], ctx, exit_
             )
             return tf + ef
         if isinstance(view, (WhileView, ForView, ForNumView)):
             cond_node = self.add(("cond", b, bpath, i))
             self.edges.append((node, cond_node))
-            cond = view.cond if not isinstance(view, ForNumView) else None
-            cf = self.sc_frontier(cond_node, cond)
             breaks: list = []
             inner = _Ctx(cond_node, breaks)
             bf = self.walk_block(
-                view.body, b, bpath + ((i, "body"),), cf, inner, exit_
+                view.body, b, bpath + ((i, "body"),), [cond_node], inner, exit_
             )
             self.link(bf, cond_node)
             falls_out = not (isinstance(view, ForView) and view.cond is None)
-            return (cf if falls_out else []) + breaks
+            return ([cond_node] if falls_out else []) + breaks
         if isinstance(view, NestedBlockView):
             return self.walk_block(
                 view.block, b, bpath + ((i, "block"),), [node], ctx, exit_
@@ -215,8 +197,6 @@ class _Builder:
 
 def body_blocks(term: Term, lang: LanguageDef) -> list[Term]:
     """The generic body Blocks covered by analyses, in source order."""
-    if term.kind == BLOCK:
-        return [term]
     return [get_at(term, p) for p in lang.adapter.body_paths(term)]
 
 
@@ -226,19 +206,7 @@ def build_cfg(term: Term, lang: LanguageDef) -> CFG:
     bodies = body_blocks(term, lang)
     for b, block in enumerate(bodies):
         builder.body(b, block)
-    succs: dict[NodeId, list] = {n: [] for n in builder.nodes}
-    for a, bb in builder.edges:
-        succs[a].append(bb)
-    reached = set()
-    stack = [("entry", b) for b in range(len(bodies))]
-    while stack:
-        n = stack.pop()
-        if n in reached:
-            continue
-        reached.add(n)
-        stack.extend(succs[n])
-    unreachable = [n for n in builder.nodes if n not in reached]
-    return CFG(bodies, builder.nodes, builder.edges, builder.stmt_order, unreachable)
+    return CFG(bodies, builder.nodes, builder.edges, builder.stmt_order)
 
 
 def basic_blocks(cfg: CFG) -> list[BasicBlock]:
@@ -422,15 +390,10 @@ def _loop_sites(term, lang, point: BeforeLoopCondition):
     view = lang.adapter.item_view(items[point.index])
     if not isinstance(view, (WhileView, ForView, ForNumView)):
         raise InvalidPath("BeforeLoopCondition target is not a loop")
-    sites = [(point.body, point.block, point.index)]
     body_path = point.block + ((point.index, "body"),)
-    sites.append((point.body, body_path, len(block_items(view.body))))
-    if not isinstance(view, ForNumView):
-        sites.extend(
-            (point.body, body_path + bp, idx)
-            for bp, idx in continue_sites(view.body, lang)
-        )
-    return sites
+    return [(point.body, point.block, point.index)] + [
+        (point.body, body_path + bp, idx) for bp, idx in _back_edges(view.body, lang)
+    ]
 
 
 def _resolve_block(body: Term, lang: LanguageDef, bpath: BlockPath) -> Term:
@@ -477,6 +440,23 @@ def continue_sites(body: Term, lang: LanguageDef) -> list[tuple]:
     return out
 
 
+def _back_edges(body: Term, lang: LanguageDef) -> list[tuple]:
+    """(block path, index) under a loop's body of each place control
+    passes back to the loop's condition: the body end, then each continue
+    of that loop."""
+    return [((), len(block_items(body)))] + continue_sites(body, lang)
+
+
+def insert_at_back_edges(item: Term, stmts: list, lang: LanguageDef) -> Term:
+    """The loop item with stmts at the end of its body and before each
+    continue of that loop."""
+    view = lang.adapter.item_view(item)
+    edits: dict = {}
+    for bpath, idx in _back_edges(view.body, lang):
+        edits.setdefault(bpath, {})[idx] = stmts
+    return _rebuild_with(view, {"body": _insert_into_body(view.body, lang, edits)})
+
+
 def insert_many(term: Term, lang: LanguageDef, requests: list) -> Term:
     """Apply many (InsertionPoint, [block items]) insertions in one pass.
 
@@ -497,11 +477,6 @@ def insert_many(term: Term, lang: LanguageDef, requests: list) -> Term:
     per_body: dict[int, dict] = {}
     for (b, bpath, idx), stmts in concrete:
         per_body.setdefault(b, {}).setdefault(bpath, {}).setdefault(idx, []).extend(stmts)
-    if term.kind == BLOCK:
-        if set(per_body) - {0}:
-            raise InvalidPath("single-body term has only body 0")
-        return _insert_into_body(term, lang, per_body.get(0, {}))
-
     def insert(b: int, body: Term, before: Term) -> Term:
         edits = per_body.pop(b, None)
         return body if edits is None else _insert_into_body(body, lang, edits)

@@ -123,7 +123,6 @@ class ForView:
 class ForNumView:
     """Counted loop over a fresh variable; bounds evaluated once."""
 
-    var: str
     low: Term
     high: Term
     step: Optional[Term]

@@ -410,7 +410,7 @@ class _Ops:
             return wrap(EXPR_IS_RHS, inner.children[0])
         # Braced initializers become calls to the array builtin.
         elems = inner.children[0]
-        call = C.CallE(C.Ident("array"), elems)
+        call = C.CallE(_ident_term("array"), elems)
         return wrap(EXPR_IS_RHS, call)
 
     def var_decl_binder_to_lhs(self, binder: Term) -> Term:

@@ -485,8 +485,7 @@ def _for_view(stmt: Term) -> ForNumView:
     def rebuild(lo, hi, st, b):
         return BODY.item(C.ForStmt(var, lo, hi, _step(st), BODY.close(b, None)))
 
-    var_name = var.children[0].payload_values[0]
-    return ForNumView(var_name, low, high, some(step), body_g, rebuild)
+    return ForNumView(low, high, some(step), body_g, rebuild)
 
 
 # The sorts of an expression and of a list of them: no function statement
@@ -737,8 +736,8 @@ class _Compiler(Compiler):
     BOOL_OPS = COMPARISONS | {"==", "~="}
 
     def __init__(self, chunk: GenericValue, *args):
-        funcs: dict[str, GenericValue] = {}
-        _collect_funcs(chunk.args[0], funcs)
+        # a name defined twice calls its last definition
+        funcs = {f.args[0].args[0]: f for f in _funcs(chunk.args[0], [])}
         super().__init__(funcs, *args)
         self.chunk = chunk
 
@@ -775,26 +774,29 @@ class _Compiler(Compiler):
         return None  # unknown globals read as nil
 
 
-def _collect_funcs(block: GenericValue, out: dict) -> None:
+def _funcs(block: GenericValue, out: list) -> list:
+    """out, then each function statement under block in document order:
+    the order of the adapter's function bodies."""
     for s in block.args[0]:
         c = s.ctor
         if c == "FuncStmt":
-            out[s.args[0].args[0]] = s
-            _collect_funcs(s.args[2], out)
+            out.append(s)
+            _funcs(s.args[2], out)
         elif c == "IfStmt":
-            _collect_funcs(s.args[1], out)
+            _funcs(s.args[1], out)
             tail = s.args[2]
             while tail.ctor == "ElseIf":
-                _collect_funcs(tail.args[1], out)
+                _funcs(tail.args[1], out)
                 tail = tail.args[2]
             if tail.ctor == "Else":
-                _collect_funcs(tail.args[0], out)
+                _funcs(tail.args[0], out)
         elif c == "WhileStmt":
-            _collect_funcs(s.args[1], out)
+            _funcs(s.args[1], out)
         elif c == "ForStmt":
-            _collect_funcs(s.args[4], out)
+            _funcs(s.args[4], out)
         elif c == "DoStmt":
-            _collect_funcs(s.args[0], out)
+            _funcs(s.args[0], out)
+    return out
 
 
 def run(ast: GenericValue, fuel: int = 100_000,
@@ -810,7 +812,6 @@ def item_walk(ast: GenericValue) -> list[GenericValue]:
     order, matching the adapter's body enumeration.
     """
     out: list[GenericValue] = []
-    funcs: list[GenericValue] = []
 
     def walk_block(block: GenericValue) -> None:
         for s in block.args[0]:
@@ -836,11 +837,9 @@ def item_walk(ast: GenericValue) -> list[GenericValue]:
             walk_block(s.args[4])
         elif c == "DoStmt":
             walk_block(s.args[0])
-        elif c == "FuncStmt":
-            funcs.append(s)
 
     walk_block(ast.args[0])
-    for func in funcs:
+    for func in _funcs(ast.args[0], []):
         walk_block(func.args[2])
     return out
 

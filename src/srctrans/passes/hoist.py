@@ -1,10 +1,12 @@
 """Declaration hoisting: move declarations to the top of each block.
 
 Initializers are stripped and replaced in place by plain assignments, so
-the result resembles C89-style code.  The elementary variant rearranges
-every block unconditionally; the full variant additionally skips any
-declaration whose hoisting would change which binding some identifier
-occurrence resolves to, and so also handles parallel Lua declarations.
+the result resembles C89-style code.  Both variants are one block walk
+with a predicate that leaves a declaration in place.  The elementary
+variant's predicate never holds, so it rearranges every block; the full
+variant's holds for any declaration whose hoisting would change which
+binding some identifier occurrence resolves to, and so it also handles
+parallel Lua declarations.
 """
 
 from __future__ import annotations
@@ -92,10 +94,9 @@ def _decl_to_assigns(decl: Term, lang: LanguageDef) -> list[Term]:
     return out
 
 
-def _split_decl(item: Term, lang: LanguageDef) -> tuple[list[Term], list[Term]]:
-    decl = _as_decl(item, lang)
-    if decl is None:
-        return [], [item]
+def _split_decl(decl: Term, lang: LanguageDef) -> tuple[Term, list[Term]]:
+    """The declaration with its initializers stripped, as a block item,
+    and the assignments that replace them."""
     mattrs, singles = decl.children
     stripped = build_list(
         SINGLE_DECL_L, [_remove_init(s) for s in singles.children]
@@ -103,25 +104,39 @@ def _split_decl(item: Term, lang: LanguageDef) -> tuple[list[Term], list[Term]]:
     hoisted = lang.injections.inj(
         mk_term(MULTI_DECL, (), (mattrs, stripped)), BLOCK_ITEM_L
     )
-    return [hoisted], _decl_to_assigns(decl, lang)
+    return hoisted, _decl_to_assigns(decl, lang)
 
 
-def _hoist_block_items(items: list[Term], lang: LanguageDef) -> list[Term]:
-    split = [_split_decl(item, lang) for item in items]
-    return [d for ds, _ in split for d in ds] + [s for _, ss in split for s in ss]
+def _hoist(term: Term, lang: LanguageDef, pass_name: str, unsafe) -> Term:
+    """Move the declarations of every block to its top, except each one
+    at an index i of its block's items for which
+    unsafe(_PrefixNames(items), i, lang) holds."""
+    CAN_HOIST.check(lang, pass_name)
+
+    def rw(t: Term):
+        if t.kind != BLOCK:
+            return None
+        items = block_items(t)
+        prefix = _PrefixNames(items)
+        decls: list[Term] = []
+        rest: list[Term] = []
+        for i, item in enumerate(items):
+            decl = _as_decl(item, lang)
+            if decl is None or unsafe(prefix, i, lang):
+                rest.append(item)
+                continue
+            hoisted, assigns = _split_decl(decl, lang)
+            decls.append(hoisted)
+            rest.extend(assigns)
+        return with_block_items(t, decls + rest)
+
+    return transform_bottom_up(rw, term)
 
 
 @gc_paused
 def elementary_hoist(term: Term, lang: LanguageDef) -> Term:
     """Rearrange every block, ignoring name capture."""
-    CAN_HOIST.check(lang, "elementary_hoist")
-
-    def rw(t: Term):
-        if t.kind != BLOCK:
-            return None
-        return with_block_items(t, _hoist_block_items(block_items(t), lang))
-
-    return transform_bottom_up(rw, term)
+    return _hoist(term, lang, "elementary_hoist", lambda prefix, i, lang: False)
 
 
 # ---------------------------------------------------------------------------
@@ -172,28 +187,7 @@ class _PrefixNames:
 @gc_paused
 def hoist(term: Term, lang: LanguageDef) -> Term:
     """As elementary_hoist, but leave shadow-sensitive declarations alone."""
-    CAN_HOIST.check(lang, "hoist")
-
-    def rw(t: Term):
-        if t.kind != BLOCK:
-            return None
-        items = block_items(t)
-        prefix = _PrefixNames(items)
-        decls: list[Term] = []
-        rest: list[Term] = []
-        for i, item in enumerate(items):
-            if _as_decl(item, lang) is None:
-                rest.append(item)
-                continue
-            if prefix.shadow_unsafe(i, lang):
-                rest.append(item)
-                continue
-            ds, ss = _split_decl(item, lang)
-            decls.extend(ds)
-            rest.extend(ss)
-        return with_block_items(t, decls + rest)
-
-    return transform_bottom_up(rw, term)
+    return _hoist(term, lang, "hoist", _PrefixNames.shadow_unsafe)
 
 
 def postcondition_violations(term: Term, lang: LanguageDef) -> list[str]:

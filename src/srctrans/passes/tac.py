@@ -1,22 +1,17 @@
 """Three-address code: bind nested computations to fresh temporaries.
 
 After the pass every operator and call argument is atomic (a literal or a
-variable), short-circuit operators are lowered to temp-and-branch form
-preserving evaluation counts, and loop conditions are recomputed through
-the flow inserter: before the loop, at body end, and before each
-continue.  Runs on languages with untyped declarations (MiniJS, MiniLua).
+variable), and short-circuit operators are lowered to temp-and-branch form
+preserving evaluation counts.  A loop condition that needs prelude items
+is kept in a temporary, computed before the loop and recomputed on the
+loop's back edges (`flow.insert_at_back_edges`: at body end and before
+each continue), where a for loop's step also moves.  Runs on languages
+with untyped declarations (MiniJS, MiniLua).
 """
 
 from __future__ import annotations
 
-from ..flow import (
-    BeforeLoopCondition,
-    BeforeStmt,
-    continue_sites,
-    insert_at,
-    insert_many,
-    rewrite_bodies,
-)
+from ..flow import insert_at_back_edges, rewrite_bodies
 from ..fragments import (
     BLOCK_ITEM_L,
     MULTI_DECL_IS_ITEM,
@@ -34,7 +29,6 @@ from ..langs.base import (
     ReturnView,
     WhileView,
     block_items,
-    generic_block,
     with_block_items,
 )
 from ..terms import Term, gc_paused, mk_term
@@ -70,9 +64,6 @@ class _BodyPass:
 
     # -- expression flattening ---------------------------------------------
 
-    def is_atomic(self, e: Term) -> bool:
-        return self.ops.classify(e)[0] == "atomic"
-
     def _is_safe_atom(self, e: Term) -> bool:
         """Atoms whose value cannot change under later side effects."""
         if self.ops.is_effect_free(e):
@@ -101,7 +92,7 @@ class _BodyPass:
 
     def to_atom(self, e: Term, force_temp: bool) -> tuple[list[Term], Term]:
         items, flat = self.flatten_top(e)
-        if self.is_atomic(flat):
+        if self.ops.is_atomic(flat):
             if not force_temp or self._is_safe_atom(flat):
                 return items, flat
         name = self.names.fresh()
@@ -113,7 +104,7 @@ class _BodyPass:
         leaving effect-free literals in place."""
         last = -1
         for i, p in enumerate(parts):
-            if not self.is_atomic(p):
+            if not self.ops.is_atomic(p):
                 last = i
         if last < 0:
             return [], list(parts)
@@ -143,7 +134,7 @@ class _BodyPass:
     def flatten_assign(self, target: Term, source: Term, want_value: bool):
         items, s_flat = self.flatten_top(source)
         if want_value and not (
-            self.is_atomic(s_flat) and self._is_safe_atom(s_flat)
+            self.ops.is_atomic(s_flat) and self._is_safe_atom(s_flat)
         ):
             name = self.names.fresh()
             items.append(self.ops.make_decl_item(name, s_flat))
@@ -279,74 +270,44 @@ class _BodyPass:
             items, _ = self.flatten_assign(cls[1], cls[2], want_value=False)
             return items
         items, flat = self.flatten_top(step)
-        if self.is_atomic(flat):
+        if self.ops.is_atomic(flat):
             return items  # residual value is dead
         name = self.names.fresh()
         return items + [self.ops.make_decl_item(name, flat)]
 
-    def _with_body_inserts(self, loop_item: Term, body_len: int, stmts: list[Term],
-                           with_continues: bool) -> Term:
-        """Copy stmts to the loop body end and before each continue."""
-        synth = generic_block([loop_item])
-        body_vpath = ((0, "body"),)
-        requests = [(BeforeStmt(0, body_vpath, body_len), list(stmts))]
-        if with_continues:
-            view = self.lang.adapter.item_view(loop_item)
-            requests += [
-                (BeforeStmt(0, body_vpath + bp, i), list(stmts))
-                for bp, i in continue_sites(view.body, self.lang)
-            ]
-        return block_items(insert_many(synth, self.lang, requests))[0]
-
-    def _recompute_condition(self, loop_item: Term, prelude: list[Term]) -> list[Term]:
-        synth = generic_block([loop_item])
-        out = insert_at(synth, BeforeLoopCondition(0, (), 0), prelude, self.lang)
-        return list(block_items(out))
+    def guard_loop(self, cond, rebuild) -> list[Term]:
+        """The loop rebuild(c) for c the flattened cond.  A cond that needs
+        prelude items is kept in a temp, computed before the loop and
+        recomputed on the loop's back edges."""
+        p, c_flat = self.flatten_top(cond) if cond is not None else ([], None)
+        if not p:
+            return [rebuild(c_flat)]
+        name = self.names.fresh()
+        prelude = p + [self.ops.make_assign_item(self.ops.make_var(name), c_flat)]
+        loop = rebuild(self.ops.make_var(name))
+        return [
+            self.ops.make_decl_item(name, None),
+            *prelude,
+            insert_at_back_edges(loop, prelude, self.lang),
+        ]
 
     def walk_while(self, view: WhileView) -> list[Term]:
         body2 = self.walk_block(view.body)
-        p, c_flat = self.flatten_top(view.cond)
-        if not p:
-            return [view.rebuild(c_flat, body2)]
-        name = self.names.fresh()
-        prelude = p + [self.ops.make_assign_item(self.ops.make_var(name), c_flat)]
-        loop = view.rebuild(self.ops.make_var(name), body2)
-        return [self.ops.make_decl_item(name, None)] + self._recompute_condition(
-            loop, prelude
-        )
+        return self.guard_loop(view.cond, lambda c: view.rebuild(c, body2))
 
     def walk_for(self, view: ForView) -> list[Term]:
         """The init runs once before the loop, so it is hoisted out; the
-        step runs on the back edge, so it moves to the body end and before
-        each continue, ahead of any condition recomputation."""
+        step runs on the back edges, so it moves there, ahead of any
+        condition recomputation."""
         body2 = self.walk_block(view.body)
-        out: list[Term] = []
-        if view.init is not None:
-            out.extend(self.step_items(view.init))
-        moved_step = self.step_items(view.step) if view.step is not None else None
-        cond2 = view.cond
-        cond_prelude = None
-        cond_name = None
-        if cond2 is not None:
-            p, c_flat = self.flatten_top(cond2)
-            if p:
-                cond_name = self.names.fresh()
-                cond_prelude = p + [
-                    self.ops.make_assign_item(self.ops.make_var(cond_name), c_flat)
-                ]
-                cond2 = self.ops.make_var(cond_name)
-            else:
-                cond2 = c_flat
-        loop = view.rebuild(None, cond2, None, body2)
-        if moved_step:
-            body_len = len(block_items(body2))
-            loop = self._with_body_inserts(loop, body_len, moved_step, True)
-        if cond_prelude is not None:
-            out.append(self.ops.make_decl_item(cond_name, None))
-            out.extend(self._recompute_condition(loop, cond_prelude))
-        else:
-            out.append(loop)
-        return out
+        out = self.step_items(view.init) if view.init is not None else []
+        step = self.step_items(view.step) if view.step is not None else []
+
+        def rebuild(c: Term) -> Term:
+            loop = view.rebuild(None, c, None, body2)
+            return insert_at_back_edges(loop, step, self.lang) if step else loop
+
+        return out + self.guard_loop(view.cond, rebuild)
 
     def walk_for_num(self, view: ForNumView) -> list[Term]:
         body2 = self.walk_block(view.body)

@@ -4,9 +4,14 @@ from dataclasses import replace
 
 import pytest
 
+from helpers import COUNTF, HAND
 from srctrans.difftest import PASSES, DiffReport, Verdict, diff_one, diff_test
 from srctrans.gen import GenConfig, gen_program
 from srctrans.langs.base import block_items, get_language, with_block_items
+from srctrans.passes.hoist import RequirementMissing
+from srctrans.terms import TermError, check_term
+
+ALL = ("minic", "minijs", "minilua")
 
 
 def corpus(lname, n, **kw):
@@ -113,6 +118,47 @@ def test_run_failure_after_transform():
     v = diff_one(lang, add_leak, 0, "function main() { print(1); }")
     assert v.kind == "RunError"
     assert v.detail.startswith("after: RuntimeError: ")
+
+
+@pytest.mark.parametrize("pname", ("ehoist", "hoist", "testcov", "tac"))
+def test_extra_steps_past_the_fuel_are_run_again(pname):
+    # The original returns after 8,380 events within the fuel; each pass
+    # adds enough steps that the transformed program needs more.
+    text = gen_program("minilua", GenConfig(seed=13508045002))
+    v = diff_one(get_language("minilua"), PASSES[pname], 0, text, pname == "testcov")
+    assert v == Verdict(0, "Equal")
+
+
+def test_a_pass_that_never_ends_still_diverges():
+    def spin(term, lang):
+        return lang.decompose(
+            lang.parse("function main() { print(1); while (true) { } return 0; }")
+        )
+
+    v = diff_one(get_language("minijs"), spin, 0, "function main() { print(1); return 0; }")
+    assert v == Verdict(0, "TraceDiverged", "step 1: ('return', '0') vs ('trap', 'fuel')")
+
+
+@pytest.mark.parametrize("lname", ALL)
+def test_pass_outputs_stay_in_the_ips(lname):
+    """Every pass gives a term of the language's IPS, not only one that
+    recomposes."""
+    lang = get_language(lname)
+    texts = {**HAND[lname], "countf": COUNTF[lname]}
+    texts.update((f"seed {s}", t) for s, t in enumerate(corpus(lname, 40)))
+    bad = []
+    for name, text in texts.items():
+        term = lang.decompose(lang.parse(text))
+        for pname, pass_fn in PASSES.items():
+            try:
+                out = pass_fn(term, lang)
+            except RequirementMissing:
+                continue
+            try:
+                check_term(out, lang.ips)
+            except TermError as e:
+                bad.append((name, pname, str(e)))
+    assert bad == []
 
 
 def test_testcov_erases_markers_by_default():

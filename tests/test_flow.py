@@ -16,10 +16,11 @@ from srctrans.flow import (
     continue_sites,
     dump_dot,
     insert_at,
+    insert_at_back_edges,
     insert_many,
 )
 from srctrans.gen import GenConfig, gen_program
-from srctrans.langs.base import block_items, get_language
+from srctrans.langs.base import ContinueView, block_items, get_language
 from srctrans.terms import check_term
 from srctrans.traversal import get_at
 
@@ -121,13 +122,15 @@ def test_before_loop_condition_two_sites():
     assert lang.parse(printed) is not None
 
 
+_CONTINUE_LOOP = (
+    "function main() { var c = 3; while (c > 0) {"
+    " if (c == 2) { c = c - 2; continue; } c = c - 1; } return c; }"
+)
+
+
 def test_before_loop_condition_three_sites_with_continue():
     lang = get_language("minijs")
-    text = (
-        "function main() { var c = 3; while (c > 0) {"
-        " if (c == 2) { c = c - 2; continue; } c = c - 1; } return c; }"
-    )
-    term = lang.decompose(lang.parse(text))
+    term = lang.decompose(lang.parse(_CONTINUE_LOOP))
     marker = lang.adapter.make_cov_marker(7)
     out = insert_at(term, BeforeLoopCondition(0, (), 1), [marker], lang)
     printed = lang.pretty(lang.recompose(out))
@@ -136,6 +139,54 @@ def test_before_loop_condition_three_sites_with_continue():
     lines = [ln.strip() for ln in printed.splitlines()]
     idx = lines.index("continue;")
     assert "cov[7]" in lines[idx - 1]
+
+
+def test_insert_at_back_edges_body_end_and_continue():
+    lang = get_language("minijs")
+    term = lang.decompose(lang.parse(_CONTINUE_LOOP))
+    loop = block_items(get_at(term, lang.adapter.body_paths(term)[0]))[1]
+    marker = lang.adapter.make_cov_marker(7)
+    body = lang.adapter.item_view(insert_at_back_edges(loop, [marker], lang)).body
+    # the body was [if, c = c - 1] and the then block [c = c - 2, continue]
+    items = block_items(body)
+    assert len(items) == 3 and items[2] == marker
+    then = block_items(lang.adapter.item_view(items[0]).then_block)
+    assert len(then) == 3 and then[1] == marker
+    assert isinstance(lang.adapter.item_view(then[2]), ContinueView)
+
+
+def test_before_loop_condition_is_marker_then_back_edges():
+    lang = get_language("minijs")
+    term = lang.decompose(lang.parse(_CONTINUE_LOOP))
+    path = lang.adapter.body_paths(term)[0]
+    loop = block_items(get_at(term, path))[1]
+    marker = lang.adapter.make_cov_marker(7)
+    out = insert_at(term, BeforeLoopCondition(0, (), 1), [marker], lang)
+    assert block_items(get_at(out, path))[1:3] == (
+        marker, insert_at_back_edges(loop, [marker], lang),
+    )
+
+
+_SHORT_CIRCUIT_CONDITIONS = {
+    "minic": (
+        "int main() { int a = 1; int b = 0; if (a && (b || a)) { print(1); }"
+        " while (a > 0 && (b < 1 || a < 0)) { a = a - 1; } return 0; }"
+    ),
+    "minijs": (
+        "function main() { var a = 1; var b = 0; if (a && (b || a)) { print(1); }"
+        " while (a > 0 && (b < 1 || a < 0)) { a = a - 1; } return 0; }"
+    ),
+    "minilua": (
+        "local a = 1\nlocal b = 0\nif a and (b or a) then\n  print(1)\nend\n"
+        "while a > 0 and (b < 1 or a < 0) do\n  a = a - 1\nend\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("lname", ALL)
+def test_short_circuit_conditions_add_no_nodes(lname):
+    _, cfg = cfg_of(lname, _SHORT_CIRCUIT_CONDITIONS[lname])
+    assert {n[0] for n in cfg.nodes} == {"entry", "exit", "stmt", "cond"}
 
 
 def test_continue_sites_in_source_order():

@@ -94,6 +94,23 @@ def test_marker_count_equals_block_count():
     assert out.count("cov[") == n
 
 
+def test_minilua_nested_function_numbered_in_document_order():
+    # g is nested in f and comes before h, so g's body is body 2 and h's
+    # body 3; the run enters f and h but never calls g
+    lang = get_language("minilua")
+    text = (
+        "function f() print(1) function g() print(2) end print(5) end"
+        " function h() print(3) print(4) end f() h()"
+    )
+    ast = lang.parse(text)
+    cfg = build_cfg(lang.decompose(ast), lang)
+    blocks = basic_blocks(cfg)
+    out, _ = instrument(lang, text)
+    hit = {e[1] for e in lang.run(lang.parse(out)).events if e[0] == "cov"}
+    assert hit == {0, 1, 3}
+    assert executed_blocks_oracle(lang, ast, cfg, blocks) == hit
+
+
 def test_minilua_sibling_and_nested_functions_golden():
     # The chunk is body 0, then each function body in document order; the
     # markers of every body land at once, whatever the bodies' nesting.
