@@ -4,9 +4,13 @@ The graph is statement-level: one node per block item, with an extra
 expression-level node only for each loop condition.  Items are addressed
 by view paths: alternating (item index, slot) steps through the
 structural views an adapter exposes, so positions survive frontends that
-synthesize blocks around bare statement bodies.  Insertion rebuilds every
-touched block through the views, which lets a frontend brace a body
-exactly when it stops being a single statement.
+synthesize blocks around bare statement bodies.
+
+Insertion has two paths: `insert_many` puts statements before an item of
+a block, at `BeforeStmt` points such as the basic block leaders, and
+`insert_at_back_edges` puts them on a loop's back edges.  Both rebuild
+every touched block through the views, which lets a frontend brace a
+body exactly when it stops being a single statement.
 
 CFGs are immutable snapshots of one term value; any rewrite invalidates
 them and callers must rebuild.
@@ -16,6 +20,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from operator import is_
 from typing import Optional
 
@@ -48,32 +53,12 @@ class InvalidPath(Exception):
 
 @dataclass(frozen=True)
 class BeforeStmt:
-    """Insert immediately before the item at `index` of a block."""
+    """Insert immediately before the item at `index` of a block; index 0
+    is the start of the block, and the block's length its end."""
 
     body: int
     block: BlockPath
     index: int
-
-
-@dataclass(frozen=True)
-class BlockEntry:
-    """Insert at the start of a block."""
-
-    body: int
-    block: BlockPath
-
-
-@dataclass(frozen=True)
-class BeforeLoopCondition:
-    """Insert before every evaluation of the condition of the loop item
-    at `index`: before the loop, at body end, and before each continue."""
-
-    body: int
-    block: BlockPath
-    index: int
-
-
-InsertionPoint = BeforeStmt | BlockEntry | BeforeLoopCondition
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +72,7 @@ class BasicBlock:
     id: int
     body: int
     stmts: tuple
-    leader: InsertionPoint
+    leader: BeforeStmt
 
 
 class CFG:
@@ -103,6 +88,10 @@ class CFG:
         for a, b in self.edges:
             self.succs[a] += (b,)
             self.preds[b] += (a,)
+
+    @cached_property
+    def unreachable(self) -> frozenset:
+        """The nodes no body entry reaches."""
         reached = set()
         stack = [("entry", b) for b in range(len(self.bodies))]
         while stack:
@@ -111,7 +100,7 @@ class CFG:
                 continue
             reached.add(n)
             stack.extend(self.succs[n])
-        self.unreachable = frozenset(n for n in self.nodes if n not in reached)
+        return frozenset(n for n in self.nodes if n not in reached)
 
 
 class _Ctx:
@@ -195,15 +184,11 @@ class _Builder:
         return [node]
 
 
-def body_blocks(term: Term, lang: LanguageDef) -> list[Term]:
-    """The generic body Blocks covered by analyses, in source order."""
-    return [get_at(term, p) for p in lang.adapter.body_paths(term)]
-
-
 @gc_paused
 def build_cfg(term: Term, lang: LanguageDef) -> CFG:
+    """The CFG of the generic body Blocks of term, in source order."""
     builder = _Builder(lang)
-    bodies = body_blocks(term, lang)
+    bodies = [get_at(term, p) for p in lang.adapter.body_paths(term)]
     for b, block in enumerate(bodies):
         builder.body(b, block)
     return CFG(bodies, builder.nodes, builder.edges, builder.stmt_order)
@@ -222,7 +207,7 @@ def basic_blocks(cfg: CFG) -> list[BasicBlock]:
     for b in range(len(cfg.bodies)):
         stmts = per_body[b]
         if not stmts:
-            blocks.append(BasicBlock(len(blocks), b, (), BlockEntry(b, ())))
+            blocks.append(BasicBlock(len(blocks), b, (), BeforeStmt(b, (), 0)))
             continue
         current: list = []
         for n in stmts:
@@ -251,12 +236,9 @@ def _is_leader(cfg: CFG, node: NodeId) -> bool:
     return len(cfg.succs[p]) > 1
 
 
-def block_graph(cfg: CFG) -> dict[int, tuple]:
-    """Successor block ids per block id, contracting non-statement nodes."""
-    return _block_graph(cfg, basic_blocks(cfg))
-
-
-def _block_graph(cfg: CFG, blocks: list[BasicBlock]) -> dict[int, tuple]:
+def block_graph(cfg: CFG, blocks: list[BasicBlock]) -> dict[int, tuple]:
+    """Successor block ids per id of blocks, the basic blocks of cfg,
+    contracting non-statement nodes."""
     of_stmt = {n: blk.id for blk in blocks for n in blk.stmts}
     out: dict[int, tuple] = {}
     for blk in blocks:
@@ -285,7 +267,7 @@ def _block_graph(cfg: CFG, blocks: list[BasicBlock]) -> dict[int, tuple]:
 def dump_dot(cfg: CFG) -> str:
     """Deterministic graph text: one node and one edge per line."""
     blocks = basic_blocks(cfg)
-    graph = _block_graph(cfg, blocks)
+    graph = block_graph(cfg, blocks)
     lines = ["digraph cfg {"]
     for blk in blocks:
         lines.append(f'  n{blk.id} [label="body{blk.body} stmts={len(blk.stmts)}"]')
@@ -376,39 +358,6 @@ def _insert_into_block(blk: Term, bpath: BlockPath, lang: LanguageDef,
     return with_block_items(blk, new_items)
 
 
-def _loop_sites(term, lang, point: BeforeLoopCondition):
-    """Concrete (body, block path, index) sites for a loop condition."""
-    bodies = body_blocks(term, lang)
-    try:
-        body = bodies[point.body]
-    except IndexError:
-        raise InvalidPath(f"no body {point.body}") from None
-    blk = _resolve_block(body, lang, point.block)
-    items = block_items(blk)
-    if point.index >= len(items):
-        raise InvalidPath(f"no item {point.index} in block {point.block}")
-    view = lang.adapter.item_view(items[point.index])
-    if not isinstance(view, (WhileView, ForView, ForNumView)):
-        raise InvalidPath("BeforeLoopCondition target is not a loop")
-    body_path = point.block + ((point.index, "body"),)
-    return [(point.body, point.block, point.index)] + [
-        (point.body, body_path + bp, idx) for bp, idx in _back_edges(view.body, lang)
-    ]
-
-
-def _resolve_block(body: Term, lang: LanguageDef, bpath: BlockPath) -> Term:
-    blk = body
-    for i, slot in bpath:
-        items = block_items(blk)
-        if i >= len(items):
-            raise InvalidPath(f"no item {i} on the way to {bpath}")
-        subs = dict(_view_blocks(lang.adapter.item_view(items[i])))
-        if slot not in subs:
-            raise InvalidPath(f"item {i} has no {slot!r} block")
-        blk = subs[slot]
-    return blk
-
-
 def continue_sites(body: Term, lang: LanguageDef) -> list[tuple]:
     """(block path, index) of each continue targeting the enclosing loop,
     in source order.
@@ -458,25 +407,17 @@ def insert_at_back_edges(item: Term, stmts: list, lang: LanguageDef) -> Term:
 
 
 def insert_many(term: Term, lang: LanguageDef, requests: list) -> Term:
-    """Apply many (InsertionPoint, [block items]) insertions in one pass.
+    """Apply many (BeforeStmt, [block items]) insertions in one pass.
 
     Positions refer to the input term; within one block, items land before
     the original index in request order.
     """
-    concrete: list[tuple] = []
-    for point, stmts in requests:
-        if isinstance(point, BlockEntry):
-            concrete.append(((point.body, point.block, 0), stmts))
-        elif isinstance(point, BeforeStmt):
-            concrete.append(((point.body, point.block, point.index), stmts))
-        elif isinstance(point, BeforeLoopCondition):
-            for site in _loop_sites(term, lang, point):
-                concrete.append((site, stmts))
-        else:
-            raise InvalidPath(f"unknown insertion point {point!r}")
     per_body: dict[int, dict] = {}
-    for (b, bpath, idx), stmts in concrete:
-        per_body.setdefault(b, {}).setdefault(bpath, {}).setdefault(idx, []).extend(stmts)
+    for point, stmts in requests:
+        if not isinstance(point, BeforeStmt):
+            raise InvalidPath(f"unknown insertion point {point!r}")
+        edits = per_body.setdefault(point.body, {}).setdefault(point.block, {})
+        edits.setdefault(point.index, []).extend(stmts)
     def insert(b: int, body: Term, before: Term) -> Term:
         edits = per_body.pop(b, None)
         return body if edits is None else _insert_into_body(body, lang, edits)
@@ -506,7 +447,3 @@ def rewrite_bodies(term: Term, lang: LanguageDef, rewrite) -> Term:
         if new is not body:
             out = replace_at(out, path, new)
     return out
-
-
-def insert_at(term: Term, point: InsertionPoint, stmts: list, lang: LanguageDef) -> Term:
-    return insert_many(term, lang, [(point, stmts)])

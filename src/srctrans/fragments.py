@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from typing import Optional, Protocol
 
-from .terms import Atom, ListOf, NodeKind, Signature, Term, build_list, mk_term
-from .traversal import query_collect
+from .terms import Atom, ListOf, NodeKind, Signature, Term, build_list, iter_subterms, mk_term
 
 # Reserved generic sorts
 IDENT_L = Atom("IdentL")
@@ -137,9 +136,7 @@ class LanguageOps(Protocol):
 def ident_names(term: Term) -> list[str]:
     """The names of the generic identifiers in a term, in order: the names
     a binder binds, or the names an expression reads."""
-    return query_collect(
-        lambda t: [t.payload_values[0]] if t.kind == IDENT else [], term
-    )
+    return [t.payload_values[0] for t in iter_subterms(term) if t.kind is IDENT]
 
 
 def assert_reserved_disjoint(language_sorts) -> None:

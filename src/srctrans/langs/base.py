@@ -547,7 +547,7 @@ def ident_assign_cases(
 
     def un_ident(t: Term, read) -> GenericValue:
         inner = t.children[0]
-        expect(inner.kind is IDENT or inner.kind == IDENT, "expected a generic identifier")
+        expect(inner.kind is IDENT, "expected a generic identifier")
         return GenericValue(ident_ctor, inner.payload_values)
 
     def un_assign(t: Term, read) -> GenericValue:

@@ -651,7 +651,7 @@ def item_walk(ast: GenericValue) -> list[GenericValue]:
     return out
 
 
-LANGUAGE = register(
+register(
     LanguageDef(
         name="minic",
         file_ext=".mc",

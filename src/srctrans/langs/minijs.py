@@ -599,7 +599,7 @@ def item_walk(ast: GenericValue) -> list[GenericValue]:
     return out
 
 
-LANGUAGE = register(
+register(
     LanguageDef(
         name="minijs",
         file_ext=".mjs",

@@ -844,7 +844,7 @@ def item_walk(ast: GenericValue) -> list[GenericValue]:
     return out
 
 
-LANGUAGE = register(
+register(
     LanguageDef(
         name="minilua",
         file_ext=".mlua",

@@ -28,8 +28,8 @@ from ..fragments import (
     ident_names,
 )
 from ..langs.base import LanguageDef, block_items, with_block_items
-from ..terms import Term, build_list, gc_paused, mk_term
-from ..traversal import query_collect, transform_bottom_up
+from ..terms import Term, build_list, gc_paused, iter_subterms, mk_term
+from ..traversal import transform_bottom_up
 
 
 class RequirementMissing(Exception):
@@ -143,18 +143,6 @@ def elementary_hoist(term: Term, lang: LanguageDef) -> Term:
 # Full hoist: skip shadow-sensitive declarations.
 
 
-def shadow_unsafe(items: list[Term], index: int, lang: LanguageDef) -> bool:
-    """Would hoisting the declaration at `index` to the block top change
-    what some identifier occurrence resolves to?
-
-    True when a bound name already occurs anywhere in an earlier item of
-    the block (that occurrence currently resolves outside and would be
-    captured), or in the declaration's own initializer for languages whose
-    binder is not in scope there.
-    """
-    return _PrefixNames(items).shadow_unsafe(index, lang)
-
-
 class _PrefixNames:
     """The identifier names in a block's items before a given index, for
     indexes asked in increasing order: each item is scanned once."""
@@ -165,6 +153,14 @@ class _PrefixNames:
         self.upto = 0
 
     def shadow_unsafe(self, index: int, lang: LanguageDef) -> bool:
+        """Would hoisting the declaration at `index` to the block top
+        change what some identifier occurrence resolves to?
+
+        True when a bound name already occurs anywhere in an earlier item
+        of the block (that occurrence currently resolves outside and would
+        be captured), or in the declaration's own initializer for
+        languages whose binder is not in scope there.
+        """
         decl = _as_decl(self.items[index], lang)
         if decl is None:
             raise ValueError("item is not a declaration")
@@ -198,14 +194,12 @@ def postcondition_violations(term: Term, lang: LanguageDef) -> list[str]:
     deliberately leaves those in place).
     """
     problems: list[str] = []
-
-    def q(t: Term) -> list:
+    for t in iter_subterms(term):
         if t.kind != BLOCK:
-            return []
+            continue
         items = block_items(t)
         prefix = _PrefixNames(items)
         seen_stmt = False
-        out = []
         for i, item in enumerate(items):
             decl = _as_decl(item, lang)
             if decl is None:
@@ -213,14 +207,11 @@ def postcondition_violations(term: Term, lang: LanguageDef) -> list[str]:
                 continue
             unsafe = prefix.shadow_unsafe(i, lang)
             if seen_stmt and not unsafe:
-                out.append(f"hoistable declaration after statement at item {i}")
+                problems.append(f"hoistable declaration after statement at item {i}")
             has_init = any(
                 s.children[2].kind == JUST_INIT
                 for s in decl.children[1].children
             )
             if has_init and not unsafe:
-                out.append(f"hoistable declaration keeps initializer at item {i}")
-        return out
-
-    problems.extend(query_collect(q, term))
+                problems.append(f"hoistable declaration keeps initializer at item {i}")
     return problems

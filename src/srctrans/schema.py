@@ -31,7 +31,7 @@ from .terms import (
     Atom,
     ListOf,
     NodeKind,
-    PY_PRIM,
+    PRIM_TYPES,
     PairOf,
     Signature,
     Sort,
@@ -40,10 +40,9 @@ from .terms import (
     gc_paused,
     list_kind,
     mk_term,
+    prim_matches,
     sort_name,
 )
-
-PRIM_NAMES = ("Int", "Bool", "String")
 
 
 class SchemaError(Exception):
@@ -187,7 +186,7 @@ def validate_schema(schema: Schema) -> ValidationReport:
         if tname in seen_types:
             report.add("DuplicateType", f"type {tname} defined twice")
         seen_types.add(tname)
-    if tname_dups := (set(PRIM_NAMES) & type_names):
+    if tname_dups := (PRIM_TYPES.keys() & type_names):
         report.add("PrimitiveShadowed", f"types shadow primitives: {sorted(tname_dups)}")
     if schema.root_type not in type_names:
         report.add("UnknownTypeName", f"root type {schema.root_type} undefined")
@@ -196,7 +195,7 @@ def validate_schema(schema: Schema) -> ValidationReport:
 
     def check(ty: SchemaType, where: str):
         if isinstance(ty, Prim):
-            if ty.name not in PRIM_NAMES:
+            if ty.name not in PRIM_TYPES:
                 report.add("Prim", f"{where}: unknown primitive {ty.name}")
         elif isinstance(ty, Named):
             if ty.name not in type_names:
@@ -225,9 +224,9 @@ def validate_schema(schema: Schema) -> ValidationReport:
 # Built-in leaf kinds used when a primitive occurs inside a container,
 # where elements must be terms.  Like the container kinds they belong to
 # every signature and are not counted as generated kinds.
-PRIM_SORTS = {p: Atom(f"#{p}") for p in PRIM_NAMES}
+PRIM_SORTS = {p: Atom(f"#{p}") for p in PRIM_TYPES}
 PRIM_BOX_KINDS = {
-    p: NodeKind(f"{p}Box", (p,), (), PRIM_SORTS[p]) for p in PRIM_NAMES
+    p: NodeKind(f"{p}Box", (p,), (), PRIM_SORTS[p]) for p in PRIM_TYPES
 }
 
 
@@ -256,7 +255,7 @@ class _CtorCodec:
         self.slots = slots
         self.arity = len(slots)
         self.payloads = tuple(
-            (i, PY_PRIM[s]) for i, s in enumerate(slots) if isinstance(s, str)
+            (i, PRIM_TYPES[s]) for i, s in enumerate(slots) if isinstance(s, str)
         )
         self.encoders = tuple(
             (i, s[0]) for i, s in enumerate(slots) if not isinstance(s, str)
@@ -370,12 +369,12 @@ def _arg_codec(lang_name: str, ty: SchemaType) -> tuple[Optional[Callable], Call
         prim, box = ty.name, PRIM_BOX_KINDS[ty.name]
 
         def encode(walk, value):
-            if not _prim_matches(prim, value):
+            if not prim_matches(prim, value):
                 raise NonConformingValue(f"expected {prim}, got {value!r}")
             return mk_term(box, (value,))
 
         def decode(read, term):
-            if term.kind is not box and term.kind != box:
+            if term.kind is not box:
                 raise ForeignKind(f"expected boxed {prim}, got {term.kind.name}")
             return term.payload_values[0]
 
@@ -422,14 +421,6 @@ def _arg_codec(lang_name: str, ty: SchemaType) -> tuple[Optional[Callable], Call
     raise InvalidSchema(f"malformed type {ty!r}")
 
 
-def _prim_matches(prim: str, value) -> bool:
-    if prim == "Int":
-        return isinstance(value, int) and not isinstance(value, bool)
-    if prim == "Bool":
-        return isinstance(value, bool)
-    return isinstance(value, str)
-
-
 def list_items(value) -> tuple:
     """value, the elements of a list-typed argument; a case that reads a
     list argument itself checks it here, as the walk does."""
@@ -472,7 +463,7 @@ def walker(lang: ModularizedLanguage, cases: dict) -> Callable[[GenericValue], T
             )
         for i, cls in codec.payloads:
             v = args[i]
-            if v.__class__ is not cls and not _prim_matches(codec.slots[i], v):
+            if v.__class__ is not cls and not prim_matches(codec.slots[i], v):
                 # Report the first bad argument in argument order: a
                 # child before this payload raises first.
                 for j, enc in codec.encoders:
@@ -531,7 +522,7 @@ def reader(lang: ModularizedLanguage, cases: dict) -> Callable[[Term], GenericVa
         if case is not None:
             return case(term, read)
         codec = by_kind.get(kind.name)
-        if codec is None or (codec.kind is not kind and codec.kind != kind):
+        if codec is None or codec.kind is not kind:
             raise ForeignKind(f"kind {kind.name} is not part of {lang.schema.name}")
         if term.origin is not None:
             return term.origin
@@ -665,7 +656,7 @@ def _parse_one_type(toks: list[str], lineno: int) -> tuple[SchemaType, list[str]
         if not rest or rest[0] != ")":
             raise InvalidSchema(f"line {lineno}: missing ')'")
         return PairT(first, second), rest[1:]
-    if head in PRIM_NAMES:
+    if head in PRIM_TYPES:
         return Prim(head), rest
     if head.isidentifier():
         return Named(head), rest

@@ -2,7 +2,10 @@
 
 A term is a node kind applied to primitive payloads and sorted children.
 Sorts are runtime tags checked at construction time, so an ill-sorted tree
-can never be built through this module's constructors.  List and pair
+can never be built through this module's constructors.  Sorts and node
+kinds are interned: building one equal to an existing one returns that
+object, so their equality is identity and the sort check is an identity
+test.  List and pair
 values are embedded as ordinary terms via the built-in container kinds,
 which exist at every element sort: a list is one ListF node whose
 children, any number of them, are its elements; a pair is a PairF node.
@@ -34,7 +37,8 @@ from dataclasses import dataclass, field
 from functools import cache, wraps
 from typing import Iterable, Iterator, Optional, Union
 
-PRIM_TYPES = ("Int", "Bool", "String")
+# The primitive payload types, by name, and the Python class of each.
+PRIM_TYPES = {"Int": int, "Bool": bool, "String": str}
 
 
 def gc_paused(fn):
@@ -89,37 +93,53 @@ class PayloadMismatch(TermError):
     pass
 
 
-@dataclass(frozen=True)
-class Atom:
+_INTERN: dict = {}
+
+
+class _Interned:
+    """A value whose equal instances are one object.
+
+    The constructor returns the instance first built with the same
+    fields, so `==` is the default identity test and hashing is by id.
+    Subclasses are frozen dataclasses with `init=False` whose fields are
+    set here, in declaration order, once.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *fields):
+        key = (cls, *fields)
+        self = _INTERN.get(key)
+        if self is None:
+            self = object.__new__(cls)
+            for name, value in zip(cls.__match_args__, fields):
+                object.__setattr__(self, name, value)
+            _INTERN[key] = self
+        return self
+
+    def __reduce__(self):
+        return self.__class__, tuple(getattr(self, n) for n in self.__match_args__)
+
+
+@dataclass(frozen=True, eq=False, init=False)
+class Atom(_Interned):
     """A nominal sort label."""
 
     name: str
 
 
-@dataclass(frozen=True)
-class ListOf:
+@dataclass(frozen=True, eq=False, init=False)
+class ListOf(_Interned):
     elem: "Sort"
 
 
-@dataclass(frozen=True)
-class PairOf:
+@dataclass(frozen=True, eq=False, init=False)
+class PairOf(_Interned):
     first: "Sort"
     second: "Sort"
 
 
 Sort = Union[Atom, ListOf, PairOf]
-
-_INTERNED: dict = {}
-
-
-def _intern_sort(sort: Sort) -> Sort:
-    """The canonical object among all sorts equal to `sort`.
-
-    Node kinds hold only interned sorts, so the sort check in mk_term is
-    usually an identity test; equality stays structural.  The table holds
-    one entry per distinct sort the loaded signatures mention.
-    """
-    return _INTERNED.setdefault(sort, sort)
 
 
 def sort_name(sort: Sort) -> str:
@@ -132,8 +152,8 @@ def sort_name(sort: Sort) -> str:
     raise TypeError(f"not a sort: {sort!r}")
 
 
-@dataclass(frozen=True)
-class NodeKind:
+@dataclass(frozen=True, eq=False, init=False)
+class NodeKind(_Interned):
     """A constructor descriptor: payload slots, child sorts, produced sort."""
 
     name: str
@@ -141,26 +161,13 @@ class NodeKind:
     child_sorts: tuple[Sort, ...]
     produced: Sort
 
-    def __post_init__(self):
-        for p in self.payloads:
+    def __new__(cls, name: str, payloads: Iterable[str], child_sorts: Iterable[Sort],
+                produced: Sort):
+        payloads = tuple(payloads)
+        for p in payloads:
             if p not in PRIM_TYPES:
-                raise ValueError(f"{self.name}: bad payload type {p!r}")
-        object.__setattr__(self, "child_sorts", tuple(map(_intern_sort, self.child_sorts)))
-        object.__setattr__(self, "produced", _intern_sort(self.produced))
-
-    def __eq__(self, other):
-        # The passes compare kinds often and almost always with the same
-        # object; equality stays structural for a kind built twice.
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (
-            self.name == other.name
-            and self.payloads == other.payloads
-            and self.child_sorts == other.child_sorts
-            and self.produced == other.produced
-        )
+                raise ValueError(f"{name}: bad payload type {p!r}")
+        return super().__new__(cls, name, payloads, tuple(child_sorts), produced)
 
     def __repr__(self):
         return f"NodeKind({self.name})"
@@ -194,27 +201,24 @@ _set_children = Term.children.__set__
 _set_origin = Term.origin.__set__
 
 
-PY_PRIM = {"Int": int, "Bool": bool, "String": str}
+def prim_matches(ty: str, value) -> bool:
+    """Is value a payload of primitive type ty?  A bool is not an Int."""
+    return isinstance(value, PRIM_TYPES[ty]) and not (ty == "Int" and isinstance(value, bool))
 
 
 def _check_payload(kind: NodeKind, values) -> tuple:
     tys = kind.payloads
     # most kinds have one payload, and its value is of exactly that class
-    if len(values) == 1 == len(tys) and values[0].__class__ is PY_PRIM[tys[0]]:
+    if len(values) == 1 == len(tys) and values[0].__class__ is PRIM_TYPES[tys[0]]:
         return values
     if len(values) != len(tys):
         raise ArityMismatch(
             f"{kind.name}: expected {len(tys)} payloads, got {len(values)}"
         )
     for i, (ty, v) in enumerate(zip(tys, values)):
-        py = PY_PRIM[ty]
-        # bool is a subclass of int; keep Int and Bool slots distinct.
-        if ty == "Int" and isinstance(v, bool):
-            raise PayloadMismatch(f"{kind.name} payload {i}: expected Int, got Bool")
-        if not isinstance(v, py):
-            raise PayloadMismatch(
-                f"{kind.name} payload {i}: expected {ty}, got {type(v).__name__}"
-            )
+        if not prim_matches(ty, v):
+            got = "Bool" if ty == "Int" and isinstance(v, bool) else type(v).__name__
+            raise PayloadMismatch(f"{kind.name} payload {i}: expected {ty}, got {got}")
     return tuple(values)
 
 

@@ -1,20 +1,19 @@
-"""Strategy combinators: generic rewriting and queries over sorted terms.
+"""Strategy combinators: generic rewriting over sorted terms, and paths.
 
 A rewrite is a partial function Term -> Term | None; None signals "did not
 fire".  When a rewrite fires it must preserve the sort of its input, which
-the traversal checks.
+the traversal checks.  A query reads `terms.iter_subterms`, the pre-order
+walk over a term's nodes.
 """
 
 from __future__ import annotations
 
 from operator import is_
-from typing import Callable, Optional, TypeVar
+from typing import Callable, Optional
 
 from .terms import Term, mk_term, sort_name
 
 Rewrite = Callable[[Term], Optional[Term]]
-A = TypeVar("A")
-Query = Callable[[Term], list]
 
 
 class SortViolation(Exception):
@@ -56,17 +55,6 @@ def transform_bottom_up(r: Rewrite, t: Term) -> Term:
         out = _apply(r, node)
         results.append(node if out is None else out)
     return results[0]
-
-
-def query_collect(q: Query, t: Term) -> list:
-    """Concatenate q over all nodes in pre-order, on an explicit stack."""
-    out: list = []
-    todo = [t]
-    while todo:
-        node = todo.pop()
-        out.extend(q(node))
-        todo.extend(reversed(node.children))
-    return out
 
 
 # ---------------------------------------------------------------------------

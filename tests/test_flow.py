@@ -6,16 +6,13 @@ import pytest
 
 from helpers import COUNTF
 from srctrans.flow import (
-    BeforeLoopCondition,
     BeforeStmt,
-    BlockEntry,
     InvalidPath,
     basic_blocks,
     block_graph,
     build_cfg,
     continue_sites,
     dump_dot,
-    insert_at,
     insert_at_back_edges,
     insert_many,
 )
@@ -56,7 +53,7 @@ def test_if_else_four_blocks():
     _, cfg = cfg_of("minic", text)
     blocks = basic_blocks(cfg)
     assert len(blocks) == 4  # entry run, then, else, join
-    graph = block_graph(cfg)
+    graph = block_graph(cfg, blocks)
     assert set(graph[0]) == {1, 2}
     assert graph[1] == (3,) and graph[2] == (3,)
 
@@ -74,7 +71,7 @@ def test_empty_body_single_block():
     blocks = basic_blocks(cfg)
     assert len(blocks) == 1
     assert blocks[0].stmts == ()
-    assert isinstance(blocks[0].leader, BlockEntry)
+    assert blocks[0].leader == BeforeStmt(0, (), 0)
 
 
 @pytest.mark.parametrize("lname", ALL)
@@ -111,34 +108,10 @@ def test_ids_stable_and_dot_deterministic():
     assert "->" in d1
 
 
-def test_before_loop_condition_two_sites():
-    lang = get_language("minijs")
-    text = "function main() { var c = 3; while (c > 0) { f(); c = c - 1; } return c; }"
-    term = lang.decompose(lang.parse(text))
-    marker = lang.adapter.make_cov_marker(7)
-    out = insert_at(term, BeforeLoopCondition(0, (), 1), [marker], lang)
-    printed = lang.pretty(lang.recompose(out))
-    assert printed.count("cov[7]") == 2  # pre-loop and body end
-    assert lang.parse(printed) is not None
-
-
 _CONTINUE_LOOP = (
     "function main() { var c = 3; while (c > 0) {"
     " if (c == 2) { c = c - 2; continue; } c = c - 1; } return c; }"
 )
-
-
-def test_before_loop_condition_three_sites_with_continue():
-    lang = get_language("minijs")
-    term = lang.decompose(lang.parse(_CONTINUE_LOOP))
-    marker = lang.adapter.make_cov_marker(7)
-    out = insert_at(term, BeforeLoopCondition(0, (), 1), [marker], lang)
-    printed = lang.pretty(lang.recompose(out))
-    assert printed.count("cov[7]") == 3  # pre-loop, body end, before continue
-    # the continue copy comes right before the continue statement
-    lines = [ln.strip() for ln in printed.splitlines()]
-    idx = lines.index("continue;")
-    assert "cov[7]" in lines[idx - 1]
 
 
 def test_insert_at_back_edges_body_end_and_continue():
@@ -153,18 +126,6 @@ def test_insert_at_back_edges_body_end_and_continue():
     then = block_items(lang.adapter.item_view(items[0]).then_block)
     assert len(then) == 3 and then[1] == marker
     assert isinstance(lang.adapter.item_view(then[2]), ContinueView)
-
-
-def test_before_loop_condition_is_marker_then_back_edges():
-    lang = get_language("minijs")
-    term = lang.decompose(lang.parse(_CONTINUE_LOOP))
-    path = lang.adapter.body_paths(term)[0]
-    loop = block_items(get_at(term, path))[1]
-    marker = lang.adapter.make_cov_marker(7)
-    out = insert_at(term, BeforeLoopCondition(0, (), 1), [marker], lang)
-    assert block_items(get_at(out, path))[1:3] == (
-        marker, insert_at_back_edges(loop, [marker], lang),
-    )
 
 
 _SHORT_CIRCUIT_CONDITIONS = {
@@ -211,20 +172,15 @@ def test_insert_into_missing_block_raises():
     lang = get_language("minic")
     term = lang.decompose(lang.parse("int main() { if (1) { print(1); } return 0; }"))
     marker = lang.adapter.make_cov_marker(0)
-    assert insert_at(term, BlockEntry(0, ((0, "then"),)), [marker], lang) != term
+    assert insert_many(term, lang, [(BeforeStmt(0, ((0, "then"),), 0), [marker])]) != term
     with pytest.raises(InvalidPath, match="no such block"):
-        insert_at(term, BlockEntry(0, ((0, "else"),)), [marker], lang)
+        insert_many(term, lang, [(BeforeStmt(0, ((0, "else"),), 0), [marker])])
     with pytest.raises(InvalidPath, match="index out of range"):
-        insert_at(term, BeforeStmt(0, ((0, "then"),), 2), [marker], lang)
-
-
-def test_before_stmt_first_equals_block_entry():
-    lang = get_language("minic")
-    term = lang.decompose(lang.parse("int main() { print(1); return 0; }"))
-    marker = lang.adapter.make_cov_marker(0)
-    by_stmt = insert_at(term, BeforeStmt(0, (), 0), [marker], lang)
-    by_entry = insert_at(term, BlockEntry(0, ()), [marker], lang)
-    assert by_stmt == by_entry
+        insert_many(term, lang, [(BeforeStmt(0, ((0, "then"),), 2), [marker])])
+    with pytest.raises(InvalidPath, match="no body"):
+        insert_many(term, lang, [(BeforeStmt(1, (), 0), [marker])])
+    with pytest.raises(InvalidPath, match="unknown insertion point"):
+        insert_many(term, lang, [((0, (), 0), [marker])])
 
 
 def test_insert_braces_minic_bare_bodies():

@@ -1,12 +1,16 @@
 """Sorted term construction and the container kinds."""
 
+import pickle
+
 import pytest
 
+from srctrans import terms
 from srctrans.terms import (
     ArityMismatch,
     Atom,
     ListOf,
     NodeKind,
+    PairOf,
     PayloadMismatch,
     SortMismatch,
     build_list,
@@ -59,17 +63,28 @@ def test_kind_sorts_are_interned():
     assert a.produced is b.produced is ADD.child_sorts[0]
 
 
-def test_sort_check_is_structural_not_identity():
-    # A sort that escaped interning: equal to E but another object.
-    stray = NodeKind("Stray", ("Int",), (), E)
-    object.__setattr__(stray, "produced", Atom("E"))
-    assert stray.produced == ADD.child_sorts[0]
-    assert stray.produced is not ADD.child_sorts[0]
-    t = mk_term(ADD, (), (mk_term(stray, (1,)), lit(2)))
-    assert t.children[0].kind is stray
-    object.__setattr__(stray, "produced", Atom("F"))
+def test_equal_sorts_and_kinds_are_one_object():
+    assert Atom("E") is E and ListOf(Atom("E")) is ListOf(E)
+    assert PairOf(E, ListOf(E)) is PairOf(Atom("E"), ListOf(Atom("E")))
+    assert NodeKind("Add", [], [Atom("E"), E], Atom("E")) is ADD
+    assert pickle.loads(pickle.dumps(ADD)) is ADD
+    assert "__eq__" not in vars(NodeKind)
+    # a kind that differs in any one field is another object
+    for other in (
+        NodeKind("Sum", (), (E, E), E),
+        NodeKind("Add", ("Int",), (E, E), E),
+        NodeKind("Add", (), (E, Atom("F")), E),
+        NodeKind("Add", (), (E, E), Atom("F")),
+    ):
+        assert other is not ADD and other != ADD
+    # a kind with a bad payload type enters no table
+    interned = len(terms._INTERN)
+    with pytest.raises(ValueError, match="bad payload type"):
+        NodeKind("Bad", ("Float",), (), E)
+    assert len(terms._INTERN) == interned
+    # a child of the wrong sort still raises
     with pytest.raises(SortMismatch):
-        mk_term(ADD, (), (mk_term(stray, (1,)), lit(2)))
+        mk_term(ADD, (), (lit(1), mk_term(NodeKind("Lit", ("Int",), (), Atom("F")), (1,))))
 
 
 def test_payload_checked_unless_both_sides_empty():
@@ -129,6 +144,10 @@ def test_iter_subterms_preorder():
     t = mk_term(ADD, (), (lit(1), lit(2)))
     names = [s.kind.name for s in iter_subterms(t)]
     assert names == ["Add", "Lit", "Lit"]
+    t = mk_term(ADD, (), (lit(1), mk_term(ADD, (), (lit(2), lit(3)))))
+    assert [(s.kind.name, s.payload_values) for s in iter_subterms(t)] == [
+        ("Add", ()), ("Lit", (1,)), ("Add", ()), ("Lit", (2,)), ("Lit", (3,)),
+    ]
 
 
 def test_sort_name():

@@ -2,11 +2,10 @@
 
 import pytest
 
-from srctrans.terms import Atom, NodeKind, mk_term
+from srctrans.terms import Atom, NodeKind, iter_subterms, mk_term
 from srctrans.traversal import (
     SortViolation,
     get_at,
-    query_collect,
     replace_at,
     transform_bottom_up,
 )
@@ -35,9 +34,7 @@ def bump(t):
 def test_bottom_up_rewrites_everywhere():
     t = add(lit(1), add(lit(2), lit(3)))
     out = transform_bottom_up(bump, t)
-    assert query_collect(
-        lambda x: [x.payload_values[0]] if x.kind == LIT else [], out
-    ) == [2, 3, 4]
+    assert [x.payload_values[0] for x in iter_subterms(out) if x.kind == LIT] == [2, 3, 4]
 
 
 def test_bottom_up_sees_rewritten_children():
@@ -55,12 +52,6 @@ def test_rewrite_must_preserve_sort():
 
     with pytest.raises(SortViolation):
         transform_bottom_up(to_other, add(lit(1), lit(2)))
-
-
-def test_query_collect_preorder():
-    t = add(lit(1), add(lit(2), lit(3)))
-    kinds = query_collect(lambda x: [x.kind.name], t)
-    assert kinds == ["Add", "Lit", "Add", "Lit", "Lit"]
 
 
 def test_unchanged_input_returned_as_is():
