@@ -144,10 +144,6 @@ def test_iter_subterms_preorder():
     t = mk_term(ADD, (), (lit(1), lit(2)))
     names = [s.kind.name for s in iter_subterms(t)]
     assert names == ["Add", "Lit", "Lit"]
-    t = mk_term(ADD, (), (lit(1), mk_term(ADD, (), (lit(2), lit(3)))))
-    assert [(s.kind.name, s.payload_values) for s in iter_subterms(t)] == [
-        ("Add", ()), ("Lit", (1,)), ("Add", ()), ("Lit", (2,)), ("Lit", (3,)),
-    ]
 
 
 def test_sort_name():

@@ -54,6 +54,14 @@ def test_rewrite_must_preserve_sort():
         transform_bottom_up(to_other, add(lit(1), lit(2)))
 
 
+def test_query_collect_preorder():
+    # Queries collect by filtering iter_subterms, which visits in pre-order.
+    t = add(lit(1), add(lit(2), lit(3)))
+    assert [(x.kind.name, x.payload_values) for x in iter_subterms(t)] == [
+        ("Add", ()), ("Lit", (1,)), ("Add", ()), ("Lit", (2,)), ("Lit", (3,)),
+    ]
+
+
 def test_unchanged_input_returned_as_is():
     t = add(lit(1), add(lit(2), lit(3)))
     assert transform_bottom_up(lambda _: None, t) is t
