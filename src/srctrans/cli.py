@@ -47,7 +47,6 @@ def _build_parser() -> _Parser:
     src.add_argument("--count", type=int)
     src.add_argument("--corpus", type=Path)
     dt.add_argument("--seed", type=int, default=0)
-    dt.add_argument("--erase-markers", action="store_true", default=None)
 
     cf = sub.add_parser("cfg", help="dump the control-flow graph")
     cf.add_argument("--lang", required=True, choices=language_names())
@@ -116,7 +115,7 @@ def _cmd_difftest(args) -> int:
             gen_program(args.lang, GenConfig(seed=args.seed + i))
             for i in range(args.count)
         ]
-    report = diff_test(args.lang, args.pass_name, corpus, args.erase_markers)
+    report = diff_test(args.lang, args.pass_name, corpus)
     sys.stdout.write(report.render())
     return 0 if report.all_equal else 3
 

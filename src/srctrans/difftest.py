@@ -9,7 +9,7 @@ a failure never aborts the batch, so one report covers the whole corpus.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 from .langs.base import LanguageDef, get_language
 from .passes.hoist import elementary_hoist, hoist
@@ -144,17 +144,16 @@ def diff_test(
     lang_name: str,
     pass_name: str,
     corpus: list[str],
-    erase_markers: Optional[bool] = None,
     fuel: int = 100_000,
 ) -> DiffReport:
-    """Run one pass over a corpus of program texts."""
+    """Run one pass over a corpus of program texts; testcov's markers are
+    erased from both traces."""
     lang = get_language(lang_name)
     try:
         pass_fn = PASSES[pass_name]
     except KeyError:
         raise KeyError(f"unknown pass {pass_name!r}") from None
-    if erase_markers is None:
-        erase_markers = pass_name == "testcov"
+    erase_markers = pass_name == "testcov"
     verdicts = tuple(
         diff_one(lang, pass_fn, i, text, erase_markers, fuel)
         for i, text in enumerate(corpus)

@@ -3,8 +3,9 @@
 The graph is statement-level: one node per block item, with an extra
 expression-level node only for each loop condition.  Items are addressed
 by view paths: alternating (item index, slot) steps through the
-structural views an adapter exposes, so positions survive frontends that
-synthesize blocks around bare statement bodies.
+structural views an adapter exposes, where a slot is the name of a view
+part that holds a sub-block (`ItemView.BLOCKS`), so positions survive
+frontends that synthesize blocks around bare statement bodies.
 
 Insertion has two paths: `insert_many` puts statements before an item of
 a block, at `BeforeStmt` points such as the basic block leaders, and
@@ -20,21 +21,17 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
 from operator import is_
 from typing import Optional
 
 from .langs.base import (
     BreakView,
     ContinueView,
-    ForNumView,
     ForView,
-    IfView,
     LanguageDef,
-    NestedBlockView,
+    LoopView,
     ReturnView,
     UnrepresentableTerm,
-    WhileView,
     block_items,
     with_block_items,
 )
@@ -42,7 +39,7 @@ from .terms import Term, gc_paused
 from .traversal import get_at, replace_at
 
 # A block is addressed by a tuple of (item index, slot) pairs descending
-# from a body root; slots are "then", "else", "body" and "block".
+# from a body root; a slot names the view part that holds the block.
 BlockPath = tuple
 NodeId = tuple
 
@@ -88,19 +85,6 @@ class CFG:
         for a, b in self.edges:
             self.succs[a] += (b,)
             self.preds[b] += (a,)
-
-    @cached_property
-    def unreachable(self) -> frozenset:
-        """The nodes no body entry reaches."""
-        reached = set()
-        stack = [("entry", b) for b in range(len(self.bodies))]
-        while stack:
-            n = stack.pop()
-            if n in reached:
-                continue
-            reached.add(n)
-            stack.extend(self.succs[n])
-        return frozenset(n for n in self.nodes if n not in reached)
 
 
 class _Ctx:
@@ -156,32 +140,31 @@ class _Builder:
                 raise UnrepresentableTerm("continue outside a loop")
             self.edges.append((node, ctx.cont_target))
             return []
-        if isinstance(view, IfView):
-            tf = self.walk_block(
-                view.then_block, b, bpath + ((i, "then"),), [node], ctx, exit_
-            )
-            if view.else_block is None:
-                return tf + [node]
-            ef = self.walk_block(
-                view.else_block, b, bpath + ((i, "else"),), [node], ctx, exit_
-            )
-            return tf + ef
-        if isinstance(view, (WhileView, ForView, ForNumView)):
+        if isinstance(view, LoopView):
             cond_node = self.add(("cond", b, bpath, i))
             self.edges.append((node, cond_node))
             breaks: list = []
             inner = _Ctx(cond_node, breaks)
+            (slot, body), = view.blocks()
             bf = self.walk_block(
-                view.body, b, bpath + ((i, "body"),), [cond_node], inner, exit_
+                body, b, bpath + ((i, slot),), [cond_node], inner, exit_
             )
             self.link(bf, cond_node)
             falls_out = not (isinstance(view, ForView) and view.cond is None)
             return ([cond_node] if falls_out else []) + breaks
-        if isinstance(view, NestedBlockView):
-            return self.walk_block(
-                view.block, b, bpath + ((i, "block"),), [node], ctx, exit_
+        if not view.BLOCKS:
+            return [node]
+        # an if or a nested block: each sub-block runs from the item, and
+        # an absent one (no else) lets control pass the item itself
+        subs = view.blocks()
+        frontier = []
+        for slot, sub in subs:
+            frontier += self.walk_block(
+                sub, b, bpath + ((i, slot),), [node], ctx, exit_
             )
-        return [node]
+        if len(subs) < len(view.BLOCKS):
+            frontier.append(node)
+        return frontier
 
 
 @gc_paused
@@ -282,37 +265,6 @@ def dump_dot(cfg: CFG) -> str:
 # Insertion
 
 
-def _view_blocks(view) -> list[tuple]:
-    if isinstance(view, IfView):
-        out = [("then", view.then_block)]
-        if view.else_block is not None:
-            out.append(("else", view.else_block))
-        return out
-    if isinstance(view, (WhileView, ForView, ForNumView)):
-        return [("body", view.body)]
-    if isinstance(view, NestedBlockView):
-        return [("block", view.block)]
-    return []
-
-
-def _rebuild_with(view, slot_blocks: dict):
-    if isinstance(view, IfView):
-        return view.rebuild(
-            view.cond,
-            slot_blocks.get("then", view.then_block),
-            slot_blocks.get("else", view.else_block),
-        )
-    if isinstance(view, WhileView):
-        return view.rebuild(view.cond, slot_blocks["body"])
-    if isinstance(view, ForView):
-        return view.rebuild(view.init, view.cond, view.step, slot_blocks["body"])
-    if isinstance(view, ForNumView):
-        return view.rebuild(view.low, view.high, view.step, slot_blocks["body"])
-    if isinstance(view, NestedBlockView):
-        return view.rebuild(slot_blocks["block"])
-    raise InvalidPath("item has no nested blocks")
-
-
 def _insert_into_body(block: Term, lang: LanguageDef, edits: dict) -> Term:
     """Apply {block path: {index: [items]}} edits under one body root."""
     reached: set = set()
@@ -332,17 +284,15 @@ def _insert_into_block(blk: Term, bpath: BlockPath, lang: LanguageDef,
     new_items = list(items)
     for i, item in enumerate(items):
         view = lang.adapter.item_view(item)
-        subs = _view_blocks(view)
-        if not subs:
+        if not view.BLOCKS:
             continue
         replaced = {}
-        changed = False
-        for slot, sub in subs:
+        for slot, sub in view.blocks():
             sub2 = _insert_into_block(sub, bpath + ((i, slot),), lang, edits, reached)
-            replaced[slot] = sub2
-            changed = changed or sub2 is not sub
-        if changed:
-            new_items[i] = _rebuild_with(view, replaced)
+            if sub2 is not sub:
+                replaced[slot] = sub2
+        if replaced:
+            new_items[i] = view.rebuild(**replaced)
     here = edits.get(bpath)
     if here is None and all(map(is_, new_items, items)):
         return blk
@@ -379,12 +329,9 @@ def continue_sites(body: Term, lang: LanguageDef) -> list[tuple]:
             view = lang.adapter.item_view(item)
             if isinstance(view, ContinueView):
                 found.append((None, (bpath, i)))
-            elif isinstance(view, IfView):
-                found.append((view.then_block, bpath + ((i, "then"),)))
-                if view.else_block is not None:
-                    found.append((view.else_block, bpath + ((i, "else"),)))
-            elif isinstance(view, NestedBlockView):
-                found.append((view.block, bpath + ((i, "block"),)))
+            elif not isinstance(view, LoopView):
+                for slot, sub in view.blocks():
+                    found.append((sub, bpath + ((i, slot),)))
         stack.extend(reversed(found))
     return out
 
@@ -400,10 +347,11 @@ def insert_at_back_edges(item: Term, stmts: list, lang: LanguageDef) -> Term:
     """The loop item with stmts at the end of its body and before each
     continue of that loop."""
     view = lang.adapter.item_view(item)
+    (slot, body), = view.blocks()
     edits: dict = {}
-    for bpath, idx in _back_edges(view.body, lang):
+    for bpath, idx in _back_edges(body, lang):
         edits.setdefault(bpath, {})[idx] = stmts
-    return _rebuild_with(view, {"body": _insert_into_body(view.body, lang, edits)})
+    return view.rebuild(**{slot: _insert_into_body(body, lang, edits)})
 
 
 def insert_many(term: Term, lang: LanguageDef, requests: list) -> Term:

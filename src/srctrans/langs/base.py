@@ -60,106 +60,98 @@ class UnrepresentableTerm(Exception):
 # ---------------------------------------------------------------------------
 # Structural views of block items.  Adapters classify each item into one of
 # these so control-flow analysis and rewriting stay language independent.
-# Sub-blocks are always exposed as generic Block terms; rebuild callbacks
-# fold edited parts back into an item of the original sort.
+# A view is built from its parts, in FIELDS order, then the adapter's
+# build callback, which takes the parts in that order and folds them back
+# into an item of the original sort.  BLOCKS names the parts that hold
+# generic Block terms; a transformation reaches sub-blocks only through
+# `blocks()` and `rebuild`, so the name of such a part is its slot.
 
 
-@dataclass(frozen=True)
-class PlainView:
+class ItemView:
+    """A block item as its parts; the base of every view."""
+
+    FIELDS: tuple[str, ...] = ()
+    BLOCKS: tuple[str, ...] = ()
+
+    def __init__(self, *parts_then_build):
+        self.__dict__.update(zip(self.FIELDS, parts_then_build))
+        self.build = parts_then_build[-1] if parts_then_build else None
+
+    def blocks(self) -> list[tuple[str, Term]]:
+        """(part name, generic Block) of each sub-block, skipping an
+        absent one (an if without else)."""
+        parts = self.__dict__
+        return [(name, parts[name]) for name in self.BLOCKS if parts[name] is not None]
+
+    def rebuild(self, **parts) -> Term:
+        """The item with the named parts replaced."""
+        old = self.__dict__
+        return self.build(*[parts.get(name, old[name]) for name in self.FIELDS])
+
+
+class PlainView(ItemView):
     """No control flow and no nested blocks."""
 
 
-@dataclass(frozen=True)
-class BreakView:
+class BreakView(ItemView):
     pass
 
 
-@dataclass(frozen=True)
-class ContinueView:
+class ContinueView(ItemView):
     pass
 
 
-@dataclass(frozen=True)
-class ReturnView:
-    value: Optional[Term]
-    rebuild: Callable[[Optional[Term]], Term]
+class ReturnView(ItemView):
+    FIELDS = ("value",)  # None for a bare return
 
 
-@dataclass(frozen=True)
-class ExprStmtView:
-    expr: Term
-    rebuild: Callable[[Term], Term]
+class ExprStmtView(ItemView):
+    FIELDS = ("expr",)
 
 
-@dataclass(frozen=True)
-class IfView:
-    cond: Term
-    then_block: Term
-    else_block: Optional[Term]
-    rebuild: Callable[[Term, Term, Optional[Term]], Term]
+class AssignView(ItemView):
+    """A statement-level (possibly parallel) assignment; its parts are
+    tuples of target and of source expressions."""
+
+    FIELDS = ("targets", "sources")
 
 
-@dataclass(frozen=True)
-class WhileView:
-    cond: Term
-    body: Term
-    rebuild: Callable[[Term, Term], Term]
+class IfView(ItemView):
+    FIELDS = ("cond", "then", "orelse")  # orelse is None without an else
+    BLOCKS = ("then", "orelse")
 
 
-@dataclass(frozen=True)
-class ForView:
-    """C-style three-clause loop; absent clauses are None."""
-
-    init: Optional[Term]
-    cond: Optional[Term]
-    step: Optional[Term]
-    body: Term
-    rebuild: Callable[
-        [Optional[Term], Optional[Term], Optional[Term], Term], Term
-    ]
-
-
-@dataclass(frozen=True)
-class ForNumView:
-    """Counted loop over a fresh variable; bounds evaluated once."""
-
-    low: Term
-    high: Term
-    step: Optional[Term]
-    body: Term
-    rebuild: Callable[[Term, Term, Optional[Term], Term], Term]
-
-
-@dataclass(frozen=True)
-class AssignView:
-    """A statement-level (possibly parallel) assignment."""
-
-    targets: tuple[Term, ...]
-    sources: tuple[Term, ...]
-    rebuild: Callable[[tuple[Term, ...], tuple[Term, ...]], Term]
-
-
-@dataclass(frozen=True)
-class NestedBlockView:
+class NestedBlockView(ItemView):
     """A bare block statement."""
 
-    block: Term
-    rebuild: Callable[[Term], Term]
+    FIELDS = ("block",)
+    BLOCKS = ("block",)
 
 
-ItemView = (
-    PlainView
-    | BreakView
-    | ContinueView
-    | ReturnView
-    | ExprStmtView
-    | AssignView
-    | IfView
-    | WhileView
-    | ForView
-    | ForNumView
-    | NestedBlockView
-)
+class LoopView(ItemView):
+    """A loop whose one sub-block is its body."""
+
+    BLOCKS = ("body",)
+
+
+class WhileView(LoopView):
+    FIELDS = ("cond", "body")
+
+
+class ForView(LoopView):
+    """C-style three-clause loop; absent clauses are None."""
+
+    FIELDS = ("init", "cond", "step", "body")
+
+
+class ForNumView(LoopView):
+    """Counted loop over a fresh variable; bounds evaluated once."""
+
+    FIELDS = ("low", "high", "step", "body")
+
+
+# The part-less views, one instance each.
+PLAIN, BREAK, CONTINUE = PlainView(), BreakView(), ContinueView()
 
 
 class BodyCodec:
@@ -204,10 +196,10 @@ def item_viewer(body: BodyCodec, arms: dict) -> Callable[[Term], ItemView]:
 
     def item_view(item: Term) -> ItemView:
         if item.kind != body.stmt_is:
-            return PlainView()
+            return PLAIN
         stmt = item.children[0]
         arm = by_name.get(stmt.kind.name)
-        return PlainView() if arm is None else arm(stmt)
+        return PLAIN if arm is None else arm(stmt)
 
     return item_view
 
@@ -246,7 +238,7 @@ def shared_arms(body: BodyCodec, C, ret_opt: Callable, nested: Callable,
         C.ReturnStmt.kind: lambda s: ReturnView(
             some(s.children[0]), lambda v: _same_stmt(body, s, ret_opt(v))
         ),
-        C.BreakStmt.kind: lambda s: BreakView(),
+        C.BreakStmt.kind: lambda s: BREAK,
         nested.kind: nested_view,
         expr.kind: lambda s: ExprStmtView(
             s.children[0], lambda e: _same_stmt(body, s, e)
@@ -285,7 +277,7 @@ def c_item_view(C, body: BodyCodec) -> Callable[[Term], ItemView]:
         **shared_arms(body, C, opt, C.BlockStmt, C.ExprStmt),
         C.IfStmt.kind: if_view,
         C.ForStmt.kind: for_view,
-        C.ContinueStmt.kind: lambda s: ContinueView(),
+        C.ContinueStmt.kind: lambda s: CONTINUE,
     })
 
 

@@ -172,23 +172,20 @@ class _BodyPass:
                 items, _ = self.flatten_assign(cls[1], cls[2], want_value=False)
                 return items
             items, flat = self.flatten_top(view.expr)
-            return items + [view.rebuild(flat)]
+            return items + [view.build(flat)]
         if isinstance(view, AssignView):
             return self.walk_parallel_assign(view)
         if isinstance(view, ReturnView):
             if view.value is None:
                 return [item]
             items, flat = self.flatten_top(view.value)
-            return items + [view.rebuild(flat)]
+            return items + [view.build(flat)]
         if isinstance(view, IfView):
             items, c_flat = self.flatten_top(view.cond)
-            then2 = self.walk_block(view.then_block)
-            else2 = (
-                self.walk_block(view.else_block)
-                if view.else_block is not None
-                else None
-            )
-            return items + [view.rebuild(c_flat, then2, else2)]
+            walked = {}
+            for slot, sub in view.blocks():
+                walked[slot] = self.walk_block(sub)
+            return items + [view.rebuild(cond=c_flat, **walked)]
         if isinstance(view, WhileView):
             return self.walk_while(view)
         if isinstance(view, ForView):
@@ -196,7 +193,7 @@ class _BodyPass:
         if isinstance(view, ForNumView):
             return self.walk_for_num(view)
         if isinstance(view, NestedBlockView):
-            return [view.rebuild(self.walk_block(view.block))]
+            return [view.build(self.walk_block(view.block))]
         return [item]
 
     def walk_decl(self, decl: Term) -> list[Term]:
@@ -260,7 +257,7 @@ class _BodyPass:
             sub, t2 = self.flatten_target(t)
             items.extend(sub)
             targets.append(t2)
-        return items + [view.rebuild(tuple(targets), tuple(sources))]
+        return items + [view.build(tuple(targets), tuple(sources))]
 
     # -- loops -------------------------------------------------------------
 
@@ -293,7 +290,7 @@ class _BodyPass:
 
     def walk_while(self, view: WhileView) -> list[Term]:
         body2 = self.walk_block(view.body)
-        return self.guard_loop(view.cond, lambda c: view.rebuild(c, body2))
+        return self.guard_loop(view.cond, lambda c: view.build(c, body2))
 
     def walk_for(self, view: ForView) -> list[Term]:
         """The init runs once before the loop, so it is hoisted out; the
@@ -304,7 +301,7 @@ class _BodyPass:
         step = self.step_items(view.step) if view.step is not None else []
 
         def rebuild(c: Term) -> Term:
-            loop = view.rebuild(None, c, None, body2)
+            loop = view.build(None, c, None, body2)
             return insert_at_back_edges(loop, step, self.lang) if step else loop
 
         return out + self.guard_loop(view.cond, rebuild)
@@ -320,7 +317,7 @@ class _BodyPass:
             p, flat = self.flatten_top(e)
             out.extend(p)
             bounds.append(flat)
-        out.append(view.rebuild(bounds[0], bounds[1], bounds[2], body2))
+        out.append(view.build(bounds[0], bounds[1], bounds[2], body2))
         return out
 
 

@@ -70,7 +70,7 @@ class RunResult:
 # A call nested deeper than this ends the run with Trap("stack").
 # Interpreted calls still nest on the Python stack, a few frames per call
 # and per block and expression level between calls, so a recursion under
-# several nested blocks can exhaust Python's stack first (ROADMAP item 2).
+# several nested blocks can exhaust Python's stack first (ROADMAP item 5).
 MAX_CALL_DEPTH = 100
 
 # Sentinel values: MiniJS's and MiniLua's coverage table `TC`, and the

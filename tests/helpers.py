@@ -554,6 +554,15 @@ def nested_ifs(lname: str, n: int) -> str:
     return head + "if (x < 5) {\n" * n + "print(x);\n" + "}\n" * n + "return 0;\n}\n"
 
 
+def elseif_chain(n: int) -> str:
+    """A MiniLua program whose one `if` has n arms, the last n - 1 of
+    them `elseif` arms, and an else; x selects the last arm."""
+    arms = "".join(
+        f"{'if' if i == 0 else 'elseif'} x == {i} then\n  print({i})\n" for i in range(n)
+    )
+    return f"local x = {n - 1}\n{arms}else\n  print(x)\nend\n"
+
+
 EXPR_SHAPES = ("parens", "unary", "binary", "calls")
 
 

@@ -17,8 +17,9 @@ from srctrans.flow import (
     insert_many,
 )
 from srctrans.gen import GenConfig, gen_program
+from srctrans.fragments import BLOCK
 from srctrans.langs.base import ContinueView, block_items, get_language
-from srctrans.terms import check_term
+from srctrans.terms import check_term, iter_subterms
 from srctrans.traversal import get_at
 
 ALL = ("minic", "minijs", "minilua")
@@ -123,7 +124,7 @@ def test_insert_at_back_edges_body_end_and_continue():
     # the body was [if, c = c - 1] and the then block [c = c - 2, continue]
     items = block_items(body)
     assert len(items) == 3 and items[2] == marker
-    then = block_items(lang.adapter.item_view(items[0]).then_block)
+    then = block_items(lang.adapter.item_view(items[0]).then)
     assert len(then) == 3 and then[1] == marker
     assert isinstance(lang.adapter.item_view(then[2]), ContinueView)
 
@@ -162,7 +163,7 @@ def test_continue_sites_in_source_order():
     # the inner loop's continue is its own
     assert continue_sites(loop.body, lang) == [
         (((1, "then"),), 0),
-        (((1, "else"), (0, "block")), 1),
+        (((1, "orelse"), (0, "block")), 1),
         (((3, "then"),), 1),
         ((), 4),
     ]
@@ -174,7 +175,7 @@ def test_insert_into_missing_block_raises():
     marker = lang.adapter.make_cov_marker(0)
     assert insert_many(term, lang, [(BeforeStmt(0, ((0, "then"),), 0), [marker])]) != term
     with pytest.raises(InvalidPath, match="no such block"):
-        insert_many(term, lang, [(BeforeStmt(0, ((0, "else"),), 0), [marker])])
+        insert_many(term, lang, [(BeforeStmt(0, ((0, "orelse"),), 0), [marker])])
     with pytest.raises(InvalidPath, match="index out of range"):
         insert_many(term, lang, [(BeforeStmt(0, ((0, "then"),), 2), [marker])])
     with pytest.raises(InvalidPath, match="no body"):
@@ -216,11 +217,26 @@ def test_insert_converts_minilua_elseif():
     assert printed.count("TC.cov[") == len(blocks)
 
 
-def test_unreachable_marked():
-    _, cfg = cfg_of("minic", "int main() { return 0; print(9); }")
-    assert any(n in cfg.unreachable for n in cfg.stmt_order)
-
-
+@pytest.mark.parametrize("shadowing", [False, True])
+@pytest.mark.parametrize("lname", ALL)
+def test_view_rebuild_round_trips(lname, shadowing):
+    # every item whose view has parts, at any depth, comes back from its
+    # view unchanged, whether no part or every sub-block is passed again
+    lang = get_language(lname)
+    compound = 0
+    for seed in range(20):
+        text = gen_program(lname, GenConfig(seed=seed, shadowing=shadowing))
+        for t in iter_subterms(lang.decompose(lang.parse(text))):
+            if t.kind is not BLOCK:
+                continue
+            for item in block_items(t):
+                view = lang.adapter.item_view(item)
+                if not view.FIELDS:
+                    continue
+                compound += 1
+                assert view.rebuild() == item
+                assert view.rebuild(**dict(view.blocks())) == item
+    assert compound > 0
 def _dot_dumps(lname: str) -> str:
     return "".join(
         dump_dot(cfg_of(lname, gen_program(lname, GenConfig(seed=s)))[1])

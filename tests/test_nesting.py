@@ -1,4 +1,4 @@
-"""Statements nested deep (ROADMAP item 1).
+"""Statements nested deep (ROADMAP items 3 and 4).
 
 `ident` on a program whose print sits inside n nested `if` blocks must
 give `Equal`.  Each cell here failed with `TransformError RecursionError`
@@ -13,6 +13,12 @@ recompose built a surface modular tree and then decoded it, from 100
 (MiniC), 150 (MiniJS) and 200 (MiniLua) levels on; the one walk of
 recompose takes 4, 4 and 3 frames per level.  MiniC has no `tac`, so
 its cell gives `RequirementMissing`.
+
+A flat MiniLua elseif chain of 200 arms must give `Equal` through every
+pass.  Its arms sit one per if view, each the else block of the one
+before, so walks that reach sub-blocks through the views nest one level
+per arm; `testcov`, which gives each elseif test a marker, turns the
+chain into nested `else ... if ... end` blocks.
 
 Expressions nested 150 and 300 levels deep, in the four shapes of
 `helpers.nested_expr`, must give `Equal` too.  Parentheses, binaries and
@@ -31,7 +37,7 @@ import sys
 
 import pytest
 
-from helpers import EXPR_SHAPES, nested_expr, nested_ifs
+from helpers import EXPR_SHAPES, elseif_chain, nested_expr, nested_ifs
 from srctrans import runtime
 from srctrans.difftest import PASSES, diff_one
 from srctrans.langs.base import get_language
@@ -62,6 +68,13 @@ def test_nested_ifs_rebuilt_by_a_pass(pass_name, lname, n):
         assert verdict.detail.startswith("RequirementMissing"), verdict.detail
     else:
         assert verdict.kind == "Equal", verdict.detail
+
+
+@pytest.mark.parametrize("pass_name", ["ident", "ehoist", "hoist", "testcov", "tac"])
+def test_minilua_elseif_chain(pass_name):
+    erase = pass_name == "testcov"
+    verdict = diff_one(get_language("minilua"), PASSES[pass_name], 0, elseif_chain(200), erase)
+    assert verdict.kind == "Equal", verdict.detail
 
 
 EXPR_CELLS = [

@@ -1,4 +1,4 @@
-"""Interpreted recursion under nested blocks (ROADMAP item 2).
+"""Interpreted recursion under nested blocks (ROADMAP item 5).
 
 f(n) returns f(n - 1) + 1 from inside k nested `if (n > 0)` blocks.
 Each interpreted call nests Python frames, so a deep enough call gives

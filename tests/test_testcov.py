@@ -5,6 +5,7 @@ import re
 import pytest
 
 from helpers import COUNTF, executed_blocks_oracle
+from srctrans.difftest import PASSES, diff_one
 from srctrans.flow import basic_blocks, build_cfg
 from srctrans.gen import GenConfig, gen_program
 from srctrans.langs.base import get_language
@@ -204,3 +205,28 @@ def test_minilua_testcov_finds_the_bodies_in_two_scans(monkeypatch):
     out, n = cov_pass(term, lang)
     assert len(scans) == 2
     assert n == 4 and lang.pretty(lang.recompose(out)).startswith("TC.cov[0] = true\n")
+
+
+# Programs that mention the marker root (`cov` in MiniC, `TC` in MiniJS and
+# MiniLua) as an identifier.  Instrumenting them let the program capture
+# the markers, which gave a false TraceDiverged; they are now refused.
+MARKER_NAME_PROGRAMS = [
+    ("minilua", "local TC = 1\nprint(TC)\nif TC == 1 then print(2) end\nreturn 0\n"),
+    ("minijs",
+     "function main() { var TC = 1; print(TC); if (TC == 1) { print(2); } return 0; }"),
+    ("minic",
+     "int main() { int cov = 3; if (cov == 3) { cov = cov + 1; print(cov); }"
+     " print(cov); return cov; }"),
+    ("minic", "int main() { if (true) { print(1); } return cov[0]; }"),
+    ("minijs", "function main() { TC = 5; if (TC == 5) { print(1); } return 0; }"),
+]
+
+
+@pytest.mark.parametrize("lname, text", MARKER_NAME_PROGRAMS)
+def test_program_using_a_marker_name_is_refused(lname, text):
+    root = "cov" if lname == "minic" else "TC"
+    verdict = diff_one(get_language(lname), PASSES["testcov"], 0, text, True)
+    assert (verdict.kind, verdict.detail) == (
+        "TransformError",
+        f"RequirementMissing: testcov on {lname}: the program uses the marker name {root!r}",
+    )
