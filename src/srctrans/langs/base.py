@@ -63,8 +63,9 @@ class UnrepresentableTerm(Exception):
 # A view is built from its parts, in FIELDS order, then the adapter's
 # build callback, which takes the parts in that order and folds them back
 # into an item of the original sort.  BLOCKS names the parts that hold
-# generic Block terms; a transformation reaches sub-blocks only through
-# `blocks()` and `rebuild`, so the name of such a part is its slot.
+# generic Block terms; the flow layer reaches sub-blocks only through
+# `blocks()` and `rebuild`, so the name of such a part is its slot in a
+# block path.
 
 
 class ItemView:
