@@ -269,8 +269,6 @@ def _parse_opt_expr(ts: TokenStream, expr: Callable, closer: str) -> GenericValu
 def expr_stmt(comp: Compiler, s: GenericValue) -> Callable:
     def expr_stmt(st, env, code=comp.expr(s.args[0])):
         st.fuel -= 1
-        if st.fuel < 0:
-            raise Trap("fuel")
         code(st, env)
 
     return expr_stmt
@@ -284,30 +282,22 @@ def _assign_expr(comp: Compiler, e: GenericValue) -> Callable:
     if depth is None:
         def assign(st, env, store=comp.target(lhs), value_c=value_c):
             st.fuel -= 1
-            if st.fuel < 0:
-                raise Trap("fuel")
             return store(st, env, value_c(st, env))
 
         return assign
 
     def assign_var(st, env, depth=depth, name=lhs.args[0].args[0], value_c=value_c):
         st.fuel -= 1
-        if st.fuel < 0:
-            raise Trap("fuel")
         value = env[depth][name] = value_c(st, env)
         return value
 
     return assign_var
 
 
-def _if_stmt(comp: Compiler, s: GenericValue) -> Callable:
-    cond, then, els = s.args
-
-    def if_(st, env, test=comp.test(cond), then_c=comp.body(then),
-            else_c=comp.body(els.args[0]) if els.ctor == "SomeElse" else None):
+def branch(test: Callable, then_c: Callable, else_c: Callable | None) -> Callable:
+    """The closure of an if: then_c if test holds, else else_c, if any."""
+    def if_(st, env, test=test, then_c=then_c, else_c=else_c):
         st.fuel -= 1
-        if st.fuel < 0:
-            raise Trap("fuel")
         if test(st, env):
             return then_c(st, env)
         return None if else_c is None else else_c(st, env)
@@ -315,13 +305,17 @@ def _if_stmt(comp: Compiler, s: GenericValue) -> Callable:
     return if_
 
 
+def _if_stmt(comp: Compiler, s: GenericValue) -> Callable:
+    cond, then, els = s.args
+    return branch(comp.test(cond), comp.body(then),
+                  comp.body(els.args[0]) if els.ctor == "SomeElse" else None)
+
+
 def while_stmt(comp: Compiler, s: GenericValue) -> Callable:
     cond, body = s.args
 
     def while_(st, env, test=comp.test(cond), body_c=comp.body(body)):
         st.fuel -= 1
-        if st.fuel < 0:
-            raise Trap("fuel")
         while True:
             st.fuel -= 1
             if st.fuel < 0:
@@ -344,8 +338,6 @@ def _for_stmt(comp: Compiler, s: GenericValue) -> Callable:
              step_c=comp.expr(step.args[0]) if step.ctor == "SomeExpr" else None,
              body_c=comp.body(body)):
         st.fuel -= 1
-        if st.fuel < 0:
-            raise Trap("fuel")
         if init_c is not None:
             init_c(st, env)
         while True:
@@ -371,8 +363,6 @@ def return_stmt(comp: Compiler, s: GenericValue) -> Callable:
 
     def return_(st, env, code=comp.expr(opt.args[0])):
         st.fuel -= 1
-        if st.fuel < 0:
-            raise Trap("fuel")
         return (code(st, env),)
 
     return return_
@@ -381,8 +371,6 @@ def return_stmt(comp: Compiler, s: GenericValue) -> Callable:
 def jump(signal) -> Callable:
     def jump(st, env, signal=signal):
         st.fuel -= 1
-        if st.fuel < 0:
-            raise Trap("fuel")
         return signal
 
     return jump
@@ -391,8 +379,6 @@ def jump(signal) -> Callable:
 def block_stmt(comp: Compiler, s: GenericValue) -> Callable:
     def block_(st, env, block_c=comp.block(s.args[0])):
         st.fuel -= 1
-        if st.fuel < 0:
-            raise Trap("fuel")
         return block_c(st, env)
 
     return block_

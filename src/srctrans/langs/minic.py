@@ -496,8 +496,6 @@ def _decl_item(comp: CCompiler, item: GenericValue) -> Callable:
 
     def decl(st, env, ty=ty, inits=inits):
         st.fuel -= 1
-        if st.fuel < 0:
-            raise Trap("fuel")
         scope = env[-1]
         for name, code in inits:
             scope[name] = _default_value(ty)
@@ -520,8 +518,6 @@ def _typed_equality(comp: CCompiler, e: GenericValue) -> Callable:
 
     def equality(st, env, a=comp.expr(lhs), b=comp.expr(rhs), same=op == "=="):
         st.fuel -= 1
-        if st.fuel < 0:
-            raise Trap("fuel")
         x = a(st, env)
         y = b(st, env)
         if isinstance(x, bool) != isinstance(y, bool):
@@ -536,8 +532,6 @@ def _typed_equality(comp: CCompiler, e: GenericValue) -> Callable:
 def _and(comp: CCompiler, e: GenericValue) -> Callable:
     def and_(st, env, a=comp.expr(e.args[1]), b=comp.expr(e.args[2])):
         st.fuel -= 1
-        if st.fuel < 0:
-            raise Trap("fuel")
         if not _truthy(a(st, env)):
             return False
         return _truthy(b(st, env))
@@ -548,8 +542,6 @@ def _and(comp: CCompiler, e: GenericValue) -> Callable:
 def _or(comp: CCompiler, e: GenericValue) -> Callable:
     def or_(st, env, a=comp.expr(e.args[1]), b=comp.expr(e.args[2])):
         st.fuel -= 1
-        if st.fuel < 0:
-            raise Trap("fuel")
         if _truthy(a(st, env)):
             return True
         return _truthy(b(st, env))

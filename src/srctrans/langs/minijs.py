@@ -508,8 +508,6 @@ def _var_stmt(comp: CCompiler, s: GenericValue) -> Callable:
 
     def var(st, env, inits=inits):
         st.fuel -= 1
-        if st.fuel < 0:
-            raise Trap("fuel")
         scope = env[-1]
         for name, code in inits:
             scope[name] = None
@@ -522,8 +520,6 @@ def _var_stmt(comp: CCompiler, s: GenericValue) -> Callable:
 def _array(comp: CCompiler, e: GenericValue) -> Callable:
     def array(st, env, elems=[comp.expr(a) for a in e.args[0]]):
         st.fuel -= 1
-        if st.fuel < 0:
-            raise Trap("fuel")
         return [c(st, env) for c in elems]
 
     return array

@@ -72,6 +72,7 @@ from .base import (
 from .common import (
     PrettyPrinter,
     block_stmt,
+    branch,
     expr_stmt,
     jump,
     return_stmt,
@@ -599,16 +600,12 @@ def _local_stmt(comp: "_Compiler", s: GenericValue) -> Callable:
     if len(names) == len(values) == 1:
         def local_one(st, env, name=names[0], code=values[0]):
             st.fuel -= 1
-            if st.fuel < 0:
-                raise Trap("fuel")
             env[-1][name] = code(st, env)
 
         return local_one
 
     def local(st, env, names=names, values=values):
         st.fuel -= 1
-        if st.fuel < 0:
-            raise Trap("fuel")
         vs = [c(st, env) for c in values]
         scope = env[-1]
         for i, name in enumerate(names):
@@ -624,16 +621,12 @@ def _assign_stmt(comp: "_Compiler", s: GenericValue) -> Callable:
     if len(targets) == len(values) == 1:
         def assign_one(st, env, store=targets[0], code=values[0]):
             st.fuel -= 1
-            if st.fuel < 0:
-                raise Trap("fuel")
             store(st, env, code(st, env))
 
         return assign_one
 
     def assign(st, env, values=values, targets=targets):
         st.fuel -= 1
-        if st.fuel < 0:
-            raise Trap("fuel")
         vs = [c(st, env) for c in values]
         for i, store in enumerate(targets):
             store(st, env, vs[i] if i < len(vs) else None)
@@ -643,17 +636,7 @@ def _assign_stmt(comp: "_Compiler", s: GenericValue) -> Callable:
 
 def _if_stmt(comp: "_Compiler", s: GenericValue) -> Callable:
     cond, then, tail = s.args
-
-    def if_(st, env, test=comp.test(cond), then_c=comp.block(then),
-            tail_c=_else_tail(comp, tail)):
-        st.fuel -= 1
-        if st.fuel < 0:
-            raise Trap("fuel")
-        if test(st, env):
-            return then_c(st, env)
-        return None if tail_c is None else tail_c(st, env)
-
-    return if_
+    return branch(comp.test(cond), comp.block(then), _else_tail(comp, tail))
 
 
 def _else_tail(comp: "_Compiler", tail: GenericValue) -> Optional[Callable]:
@@ -663,17 +646,8 @@ def _else_tail(comp: "_Compiler", tail: GenericValue) -> Optional[Callable]:
         return None
     # elseif behaves like an item guarding the rest of the chain
     cond, block, rest = tail.args
-
-    def elseif(st, env, test=comp.test(cond), block_c=comp.block(block),
-               rest_c=_else_tail(comp, rest)):
-        st.fuel -= 1
-        if st.fuel < 0:
-            raise Trap("fuel")
-        if test(st, env):
-            return block_c(st, env)
-        return None if rest_c is None else rest_c(st, env)
-
-    return comp.hooked(tail, elseif)
+    return comp.hooked(tail, branch(comp.test(cond), comp.block(block),
+                                    _else_tail(comp, rest)))
 
 
 def _for_num(comp: "_Compiler", s: GenericValue) -> Callable:
@@ -690,8 +664,6 @@ def _for_num(comp: "_Compiler", s: GenericValue) -> Callable:
 
     def for_(st, env, name=name, low_c=low_c, high_c=high_c, step_c=step_c, body_c=body_c):
         st.fuel -= 1
-        if st.fuel < 0:
-            raise Trap("fuel")
         i = low_c(st, env)
         hi = high_c(st, env)
         by = 1 if step_c is None else step_c(st, env)

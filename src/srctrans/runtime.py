@@ -28,14 +28,23 @@ The compiler finds it from the text, and a variable's closure reads
 `env[depth][name]` without searching the chain.
 
 Every node a tree walk would visit still costs one unit of fuel, at the
-same step, so fuel runs out at the same event.  Where nothing observable
-can happen between some of those steps, a closure spends their fuel in
-one: a unary or integer operator whose operands compiled to constants is
-run once when it compiles, and if it runs without a trap its closure is
-one constant that spends one unit per node it stands for.  So constants
-fold in the compile walk, which visits each node once.  A node the
-compiler cannot run, such as an unknown constructor or operator,
-compiles to a closure that traps when it runs: compiling never raises.
+same step, but only where going on could be seen is the balance checked:
+before a trace event (`emit`), at a call (`call_user`), at each loop
+iteration and before the on_item hook.  `Compiler.run` reports the fuel
+trap for a run whose balance is negative, whatever stopped it.  Past the
+node that spent the last unit, where a tree walk trapped, a run can go
+on only through straight-line code and records nothing, so it gives what
+the tree walk gave, though it may compile and start a block the tree
+walk never entered.
+
+Where nothing observable can happen between some of a tree walk's steps,
+a closure spends their fuel in one: a unary or integer operator whose
+operands compiled to constants is run once when it compiles, and if it
+runs without a trap its closure is one constant that spends one unit per
+node it stands for.  So constants fold in the compile walk, which visits
+each node once.  A node the compiler cannot run, such as an unknown
+constructor or operator, compiles to a closure that traps when it runs:
+compiling never raises.
 """
 
 from __future__ import annotations
@@ -155,15 +164,26 @@ class State:
         self.bodies: dict[int, tuple] = {}
 
 
+def emit(st: State, event: tuple) -> None:
+    """Record event in the trace, or Trap("fuel") if the fuel has run out."""
+    if st.fuel < 0:
+        raise Trap("fuel")
+    st.events.append(event)
+
+
 def mark(st: State, idx: int, value):
-    """Store to coverage cell idx: a trace event and the cell's flag."""
-    st.events.append(("cov", idx))
+    """Store to coverage cell idx: a trace event, then the cell's flag, so
+    nothing is stored once the fuel has run out."""
+    emit(st, ("cov", idx))
     st.cov[idx] = bool(value)
     return value
 
 
 def call_user(st: State, func, args: list):
-    """Call the routine node `func`; its body is compiled on first call."""
+    """Call the routine node `func`; its body is compiled on first call.
+    With the fuel run out, a call traps before it enters or compiles."""
+    if st.fuel < 0:
+        raise Trap("fuel")
     if st.depth == MAX_CALL_DEPTH:
         raise Trap("stack")
     comp = st.comp
@@ -210,7 +230,9 @@ class Compiler:
       BUILTINS, the callees it runs itself; `void` is what print and a
       routine that falls off its end return.
 
-    An item's closure spends the item's fuel; `item(node)` compiles one.
+    An item's closure spends the item's fuel without checking it;
+    `item(node)` compiles one, and `hooked` checks the fuel before the
+    on_item hook.
     """
 
     EXPR: dict[str, Callable] = {}
@@ -235,9 +257,13 @@ class Compiler:
     def run(self, fuel: int) -> RunResult:
         st = State(self, fuel)
         try:
-            st.events.append(("return", self.render(self.start(st))))
-        except Trap as trap:
-            st.events.append(("trap", trap.kind))
+            emit(st, ("return", self.render(self.start(st))))
+        except Exception as exc:
+            # with the fuel run out, whatever stopped the run came after
+            # the step where a tree walk trapped
+            if st.fuel >= 0 and not isinstance(exc, Trap):
+                raise
+            st.events.append(("trap", "fuel" if st.fuel < 0 else exc.kind))
         return RunResult(tuple(st.events), dict(st.cov))
 
     def main(self):
@@ -282,6 +308,8 @@ class Compiler:
             return code
 
         def hooked(st, env, on_item=self.on_item, node=node, code=code):
+            if st.fuel < 0:
+                raise Trap("fuel")
             on_item(node)
             return code(st, env)
 
@@ -376,14 +404,12 @@ class Compiler:
 
 # ---------------------------------------------------------------------------
 # Expressions every language has.  Each closure first spends its node's
-# fuel.
+# fuel, and none checks it.
 
 def _traps(kind: str) -> Callable:
     """The closure of a node the compiler has no arm for."""
     def traps(st, env, kind=kind):
         st.fuel -= 1
-        if st.fuel < 0:
-            raise Trap("fuel")
         raise Trap(kind)
 
     return traps
@@ -395,10 +421,10 @@ def literal(comp: Compiler, e) -> Callable:
 
 
 def constant(value, fuel: int = 1) -> Callable:
+    """A closure that spends `fuel` units and gives value: a folded
+    constant spends the fuel of every node it stands for in one step."""
     def const(st, env, value=value, fuel=fuel):
         st.fuel -= fuel
-        if st.fuel < 0:
-            raise Trap("fuel")
         return value
 
     return const
@@ -415,7 +441,7 @@ def _folded(code: Callable, *operands: Callable) -> Callable:
 
     A tree walk spends one unit of fuel on the node and on each node of
     its operands, with nothing observable in between, so the constant
-    spends them all at once: fuel runs out at the same event.
+    spends them all at once.
     """
     fuel = 1
     for operand in operands:
@@ -439,16 +465,12 @@ def variable(comp: Compiler, e) -> Callable:
     if depth is not None:
         def variable(st, env, depth=depth, name=name):
             st.fuel -= 1
-            if st.fuel < 0:
-                raise Trap("fuel")
             return env[depth][name]
 
         return variable
 
     def global_variable(st, env, name=name, unbound=comp.unbound):
         st.fuel -= 1
-        if st.fuel < 0:
-            raise Trap("fuel")
         if name in st.globals:
             return st.globals[name]
         return unbound(name)
@@ -460,8 +482,6 @@ def index(comp: Compiler, e) -> Callable:
     def index(st, env, base_c=comp.expr(e.args[0]), idx_c=comp.expr(e.args[1]),
               read_index=comp.read_index):
         st.fuel -= 1
-        if st.fuel < 0:
-            raise Trap("fuel")
         base = base_c(st, env)
         idx = idx_c(st, env)
         if type(idx) is not int:
@@ -477,8 +497,6 @@ def member(comp: Compiler, e) -> Callable:
     """`TC.cov`, the coverage array; any other member traps."""
     def member(st, env, base_c=comp.expr(e.args[0]), is_cov=e.args[1] == "cov"):
         st.fuel -= 1
-        if st.fuel < 0:
-            raise Trap("fuel")
         if base_c(st, env) is TC and is_cov:
             return COV
         raise Trap("member")
@@ -494,18 +512,13 @@ def call(comp: Compiler, e) -> Callable:
     if func is not None:
         def call_routine(st, env, func=func, arg_cs=arg_cs):
             st.fuel -= 1
-            if st.fuel < 0:
-                raise Trap("fuel")
             return call_user(st, func, [c(st, env) for c in arg_cs])
 
         return call_routine
     if name == "print":
         def call_print(st, env, arg_cs=arg_cs, render=comp.render, void=comp.void):
             st.fuel -= 1
-            if st.fuel < 0:
-                raise Trap("fuel")
-            args = [c(st, env) for c in arg_cs]
-            st.events.append(("print", " ".join(map(render, args))))
+            emit(st, ("print", " ".join(map(render, [c(st, env) for c in arg_cs]))))
             return void
 
         return call_print
@@ -513,18 +526,14 @@ def call(comp: Compiler, e) -> Callable:
     if builtin is not None:
         def call_builtin(st, env, builtin=builtin, arg_cs=arg_cs):
             st.fuel -= 1
-            if st.fuel < 0:
-                raise Trap("fuel")
             return builtin([c(st, env) for c in arg_cs])
 
         return call_builtin
 
     def call_external(st, env, name=name, arg_cs=arg_cs, render=comp.render):
         st.fuel -= 1
-        if st.fuel < 0:
-            raise Trap("fuel")
         args = [c(st, env) for c in arg_cs]
-        st.events.append(("call", name, tuple(map(render, args))))
+        emit(st, ("call", name, tuple(map(render, args))))
         value = external_value(st.ext_calls, args)
         st.ext_calls += 1
         return value
@@ -538,16 +547,12 @@ def unary(comp: Compiler, e) -> Callable:
     if op == comp.NOT:
         def negation(st, env, code=code, truthy=comp.truthy):
             st.fuel -= 1
-            if st.fuel < 0:
-                raise Trap("fuel")
             return not truthy(code(st, env))
 
         return _folded(negation, code)
 
     def minus(st, env, code=code):
         st.fuel -= 1
-        if st.fuel < 0:
-            raise Trap("fuel")
         v = code(st, env)
         if type(v) is not int:
             check_int(v)
@@ -567,8 +572,6 @@ def binary(comp: Compiler, e) -> Callable:
     if fn is None:
         def unknown_op(st, env, a=a, b=b):
             st.fuel -= 1
-            if st.fuel < 0:
-                raise Trap("fuel")
             check_int(a(st, env))
             check_int(b(st, env))
             raise Trap("op")
@@ -581,12 +584,8 @@ def binary(comp: Compiler, e) -> Callable:
         def int_op_constant(st, env, a=a, fn=fn, k=b.__defaults__[0],
                             fuel=b.__defaults__[1]):
             st.fuel -= 1
-            if st.fuel < 0:
-                raise Trap("fuel")
             x = a(st, env)
             st.fuel -= fuel
-            if st.fuel < 0:
-                raise Trap("fuel")
             if type(x) is not int:
                 check_int(x)
             return fn(x, k)
@@ -595,8 +594,6 @@ def binary(comp: Compiler, e) -> Callable:
 
     def int_op(st, env, a=a, b=b, fn=fn):
         st.fuel -= 1
-        if st.fuel < 0:
-            raise Trap("fuel")
         x = a(st, env)
         y = b(st, env)
         if type(x) is not int or type(y) is not int:
@@ -612,8 +609,6 @@ def and_value(comp: Compiler, e) -> Callable:
     def and_value(st, env, a=comp.expr(e.args[1]), b=comp.expr(e.args[2]),
                   truthy=comp.truthy):
         st.fuel -= 1
-        if st.fuel < 0:
-            raise Trap("fuel")
         left = a(st, env)
         return b(st, env) if truthy(left) else left
 
@@ -625,8 +620,6 @@ def or_value(comp: Compiler, e) -> Callable:
     def or_value(st, env, a=comp.expr(e.args[1]), b=comp.expr(e.args[2]),
                  truthy=comp.truthy):
         st.fuel -= 1
-        if st.fuel < 0:
-            raise Trap("fuel")
         left = a(st, env)
         return left if truthy(left) else b(st, env)
 
@@ -644,16 +637,12 @@ def equality(equal: Callable) -> Callable:
         if op == "==":
             def same(st, env, a=a, b=b, equal=equal):
                 st.fuel -= 1
-                if st.fuel < 0:
-                    raise Trap("fuel")
                 return equal(a(st, env), b(st, env))
 
             return same
 
         def differs(st, env, a=a, b=b, equal=equal):
             st.fuel -= 1
-            if st.fuel < 0:
-                raise Trap("fuel")
             return not equal(a(st, env), b(st, env))
 
         return differs
