@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Optional, Protocol
 
-from .terms import Atom, ListOf, NodeKind, Signature, Term, build_list, iter_subterms, mk_term
+from .terms import Atom, ListOf, NodeKind, Signature, Term, build_list, iter_subterms
 
 # Reserved generic sorts
 IDENT_L = Atom("IdentL")
@@ -93,29 +93,29 @@ def generic_signature() -> Signature:
 
 
 def ident(name: str) -> Term:
-    return mk_term(IDENT, (name,))
+    return IDENT.build(name)
 
 
 def assign(lhs: Term, rhs: Term) -> Term:
-    return mk_term(ASSIGN, (), (lhs, mk_term(ASSIGN_OP_EQUALS), rhs))
+    return ASSIGN.build(lhs, ASSIGN_OP_EQUALS.build(), rhs)
 
 
 def opt_init(init: Optional[Term]) -> Term:
     """The initializer option of a LocalVarInitL term `init`, or the empty
     option for None."""
-    return mk_term(NO_INIT) if init is None else mk_term(JUST_INIT, (), (init,))
+    return NO_INIT.build() if init is None else JUST_INIT.build(init)
 
 
 def single_decl(binder: Term, opt: Term) -> Term:
     """One binder without attributes; `opt` is its initializer option."""
-    return mk_term(SINGLE_DECL, (), (mk_term(EMPTY_DECL_ATTRS), binder, opt))
+    return SINGLE_DECL.build(EMPTY_DECL_ATTRS.build(), binder, opt)
 
 
 def multi_decl(singles: list[Term], attrs: Optional[Term] = None) -> Term:
     """A declaration of `singles` sharing `attrs` (none by default)."""
     if attrs is None:
-        attrs = mk_term(EMPTY_COMMON_ATTRS)
-    return mk_term(MULTI_DECL, (), (attrs, build_list(SINGLE_DECL_L, singles)))
+        attrs = EMPTY_COMMON_ATTRS.build()
+    return MULTI_DECL.build(attrs, build_list(SINGLE_DECL_L, singles))
 
 
 class LanguageOps(Protocol):

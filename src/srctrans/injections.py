@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .terms import NodeKind, Signature, Sort, Term, mk_term, sort_name
+from .terms import NodeKind, Signature, Sort, Term, sort_name
 
 
 class InjectionError(Exception):
@@ -98,7 +98,7 @@ class InjectionTable:
             return term
         out = term
         for kind in self.lookup(term.sort, target).path:
-            out = mk_term(kind, (), (out,))
+            out = kind.build(out)
         return out
 
     def proj(self, term: Term, source: Sort) -> Optional[Term]:

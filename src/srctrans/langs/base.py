@@ -178,7 +178,7 @@ class BodyCodec:
         return block.children[0], None
 
     def close_block(self, generic: Term, keep) -> Term:
-        return wrap(self.block_is, generic)
+        return self.block_is.build(generic)
 
     def open(self, slot: Term) -> tuple[Term, object]:
         return self.open_block(slot)
@@ -187,7 +187,7 @@ class BodyCodec:
         return self.close_block(generic, keep)
 
     def item(self, stmt: Term) -> Term:
-        return wrap(self.stmt_is, stmt)
+        return self.stmt_is.build(stmt)
 
 
 def item_viewer(body: BodyCodec, arms: dict) -> Callable[[Term], ItemView]:
@@ -462,23 +462,11 @@ def _load_builtin() -> None:
 
 
 def constructors(mod: ModularizedLanguage) -> SimpleNamespace:
-    """One term builder per surface constructor, bound to its kind once:
+    """Each surface constructor's builder, the `build` of its node kind:
     `C.IfStmt(cond, then, els)`.  Payload arguments come first, then
     children; each builder's `kind` attribute is its node kind."""
     prefix = len(mod.signature.name) + 1
-    return SimpleNamespace(
-        **{k.name[prefix:]: _builder(k) for k in mod.signature.kinds}
-    )
-
-
-def _builder(kind: NodeKind) -> Callable[..., Term]:
-    n = len(kind.payloads)
-
-    def build(*args):
-        return mk_term(kind, args[:n], args[n:])
-
-    build.kind = kind
-    return build
+    return SimpleNamespace(**{k.name[prefix:]: k.build for k in mod.signature.kinds})
 
 
 def genericize(
@@ -499,11 +487,6 @@ def genericize(
     for kind in injections:
         table.declare(InjectionDecl(kind.child_sorts[0], kind.produced, (kind,)))
     return ips, table
-
-
-def wrap(kind: NodeKind, inner: Term) -> Term:
-    """Apply a one-child injection kind."""
-    return mk_term(kind, (), (inner,))
 
 
 def expect(cond: bool, what: str) -> None:
@@ -528,15 +511,15 @@ def ident_assign_cases(
     ident_ctor, assign_ctor = ctor_name(surface_ident), ctor_name(surface_assign)
 
     def ident_term(name: str) -> Term:
-        return wrap(ident_is, ident(name))
+        return ident_is.build(ident(name))
 
     def tr_ident(v: GenericValue, walk) -> Term:
-        return wrap(ident_is, ident(v.args[0]))
+        return ident_is.build(ident(v.args[0]))
 
     def tr_assign(v: GenericValue, walk) -> Term:
         lhs, rhs = v.args
         lhs, rhs = walk(lhs), walk(rhs)
-        return wrap(assign_is, assign(wrap(lhs_is, lhs), wrap(rhs_is, rhs)))
+        return assign_is.build(assign(lhs_is.build(lhs), rhs_is.build(rhs)))
 
     def un_ident(t: Term, read) -> GenericValue:
         inner = t.children[0]
@@ -580,10 +563,10 @@ def block_cases(body: BodyCodec, surface_block: Callable, decl: Callable,
         elems = list(map(walk, list_items(v.args[0])))
         if items is None:
             elems = [
-                wrap(MULTI_DECL_IS_ITEM, t) if t.kind is MULTI_DECL else body.item(t)
+                MULTI_DECL_IS_ITEM.build(t) if t.kind is MULTI_DECL else body.item(t)
                 for t in elems
             ]
-        return wrap(body.block_is, generic_block(elems))
+        return body.block_is.build(generic_block(elems))
 
     def un_block(t: Term, read) -> GenericValue:
         elems = []
@@ -622,7 +605,7 @@ def declarator_cases(C, dtor: Callable, ident_is: NodeKind, init_is: NodeKind,
         name, opt = walk(name), walk(opt)
         if name.sort != ident_sort:
             raise SortMismatch(0, ident_sort, name.sort)
-        return single_decl(wrap(IDENT_IS_BINDER, name.children[0]), opt)
+        return single_decl(IDENT_IS_BINDER.build(name.children[0]), opt)
 
     def un_dtors(singles: Term, read) -> tuple:
         dtors = []
@@ -658,8 +641,8 @@ def option_cases(some_ctor: Callable, none_ctor: Callable, init_is: NodeKind,
 
     return {
         some_ctor_name:
-            lambda v, walk: mk_term(JUST_INIT, (), (wrap(init_is, walk(v.args[0])),)),
-        ctor_name(none_ctor): lambda v, walk: mk_term(NO_INIT),
+            lambda v, walk: JUST_INIT.build(init_is.build(walk(v.args[0]))),
+        ctor_name(none_ctor): lambda v, walk: NO_INIT.build(),
     }, un_option
 
 
@@ -670,9 +653,7 @@ def some(option: Term) -> Optional[Term]:
 
 
 def generic_block(items: list[Term]) -> Term:
-    return mk_term(
-        BLOCK, (), (build_list(BLOCK_ITEM_L, items), mk_term(EMPTY_BLOCK_END))
-    )
+    return BLOCK.build(build_list(BLOCK_ITEM_L, items), EMPTY_BLOCK_END.build())
 
 
 def block_items(block: Term) -> tuple[Term, ...]:
@@ -687,6 +668,4 @@ def with_block_items(block: Term, items: list[Term]) -> Term:
     old = block_items(block)
     if len(old) == len(items) and all(map(is_, items, old)):
         return block
-    return mk_term(
-        BLOCK, (), (build_list(BLOCK_ITEM_L, items), block.children[1])
-    )
+    return BLOCK.build(build_list(BLOCK_ITEM_L, items), block.children[1])

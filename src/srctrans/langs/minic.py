@@ -51,7 +51,6 @@ from .base import (
     genericize,
     ident_assign_cases,
     register,
-    wrap,
 )
 from .common import (
     CCompiler,
@@ -100,6 +99,8 @@ _KEYWORDS = frozenset(
     {"int", "bool", "if", "else", "while", "for", "return",
      "break", "continue", "true", "false"}
 )
+# the keywords that start a type, so a declaration
+_TYPE_KWS = frozenset({"int", "bool"})
 
 # binding power of each binary operator, for the parser and the printer
 _PREC = {"||": 2, "&&": 3, "==": 4, "!=": 4, "<": 5, "<=": 5,
@@ -120,7 +121,8 @@ def parse(text: str) -> GenericValue:
 
 
 def _at_type(ts: TokenStream) -> bool:
-    return ts.at_kw("int") or ts.at_kw("bool")
+    tok = ts.tokens[ts.pos]
+    return tok.kind == "name" and tok.value in _TYPE_KWS
 
 
 def _parse_type(ts: TokenStream) -> GenericValue:
@@ -369,7 +371,7 @@ _DTOR_TRANS, _un_dtors = declarator_cases(
 def _tr_decl(v: GenericValue, walk) -> Term:
     ty, dtors = v.args
     ty = walk(ty)
-    return multi_decl(list(map(walk, list_items(dtors))), wrap(TYPE_IS_ATTRS, ty))
+    return multi_decl(list(map(walk, list_items(dtors))), TYPE_IS_ATTRS.build(ty))
 
 
 def _un_decl(attrs: Term, singles: Term, read) -> GenericValue:
@@ -407,15 +409,15 @@ class _Ops:
         expect(init.kind == INIT_IS_INIT, "not a MiniC initializer")
         inner = init.children[0]
         if inner.kind.name == "MiniC.ExprInit":
-            return wrap(EXPR_IS_RHS, inner.children[0])
+            return EXPR_IS_RHS.build(inner.children[0])
         # Braced initializers become calls to the array builtin.
         elems = inner.children[0]
         call = C.CallE(_ident_term("array"), elems)
-        return wrap(EXPR_IS_RHS, call)
+        return EXPR_IS_RHS.build(call)
 
     def var_decl_binder_to_lhs(self, binder: Term) -> Term:
         name = ident_names(binder)[0]
-        return wrap(EXPR_IS_LHS, C.VarE(_ident_term(name)))
+        return EXPR_IS_LHS.build(C.VarE(_ident_term(name)))
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +430,7 @@ class _Adapter:
 
     def make_cov_marker(self, index: int) -> Term:
         cell = C.IndexE(C.VarE(_ident_term("cov")), C.IntLit(index))
-        a = assign(wrap(EXPR_IS_LHS, cell), wrap(EXPR_IS_RHS, C.BoolLit(True)))
+        a = assign(EXPR_IS_LHS.build(cell), EXPR_IS_RHS.build(C.BoolLit(True)))
         return TABLE.inj(a, BLOCK_ITEM_L)
 
 

@@ -64,7 +64,6 @@ from .base import (
     genericize,
     ident_assign_cases,
     register,
-    wrap,
 )
 from .common import (
     CCompiler,
@@ -342,18 +341,18 @@ class _Ops:
 
     def var_init_to_rhs(self, common_attrs: Term, decl_attrs: Term, init: Term) -> Term:
         expect(init.kind == EXPR_IS_INIT, "not a MiniJS initializer")
-        return wrap(EXPR_IS_RHS, init.children[0])
+        return EXPR_IS_RHS.build(init.children[0])
 
     def var_decl_binder_to_lhs(self, binder: Term) -> Term:
         name = ident_names(binder)[0]
-        return wrap(EXPR_IS_LHS, C.VarE(_ident_term(name)))
+        return EXPR_IS_LHS.build(C.VarE(_ident_term(name)))
 
 
 # ---------------------------------------------------------------------------
 # Structural adapter
 
 def _assign_item(target: Term, source: Term) -> Term:
-    a = assign(wrap(EXPR_IS_LHS, target), wrap(EXPR_IS_RHS, source))
+    a = assign(EXPR_IS_LHS.build(target), EXPR_IS_RHS.build(source))
     return TABLE.inj(a, BLOCK_ITEM_L)
 
 
@@ -376,9 +375,9 @@ class _Adapter:
 class _Tac(TacOps):
     def make_decl_item(self, name: str, init: Optional[Term]) -> Term:
         if init is not None:
-            init = wrap(EXPR_IS_INIT, init)
-        single = single_decl(wrap(IDENT_IS_BINDER, ident(name)), opt_init(init))
-        return wrap(MULTI_DECL_IS_ITEM, multi_decl([single]))
+            init = EXPR_IS_INIT.build(init)
+        single = single_decl(IDENT_IS_BINDER.build(ident(name)), opt_init(init))
+        return MULTI_DECL_IS_ITEM.build(multi_decl([single]))
 
     def make_assign_item(self, target: Term, source: Term) -> Term:
         return _assign_item(target, source)
@@ -387,7 +386,7 @@ class _Tac(TacOps):
         expect(init.kind == EXPR_IS_INIT, "not a MiniJS initializer")
 
         def rebuild(exprs: list) -> Term:
-            return wrap(EXPR_IS_INIT, exprs[0])
+            return EXPR_IS_INIT.build(exprs[0])
 
         return [init.children[0]], rebuild
 

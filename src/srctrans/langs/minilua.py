@@ -67,7 +67,6 @@ from .base import (
     register,
     shared_arms,
     some,
-    wrap,
 )
 from .common import (
     PrettyPrinter,
@@ -121,7 +120,7 @@ _KEYWORDS = frozenset(
 # binding power of each binary operator, for the parser and the printer
 _PREC = {"or": 2, "and": 3, "<": 4, ">": 4, "<=": 4, ">=": 4, "~=": 4,
          "==": 4, "+": 6, "-": 6, "*": 7, "/": 7, "%": 7}
-_BLOCK_ENDERS = ("end", "else", "elseif")
+_BLOCK_ENDERS = frozenset({"end", "else", "elseif"})
 
 
 tokenize = lexer(_OPS, "--")
@@ -136,9 +135,10 @@ def parse(text: str) -> GenericValue:
 
 
 def _at_block_end(ts: TokenStream, top: bool) -> bool:
+    tok = ts.tokens[ts.pos]
     if top:
-        return ts.peek().kind == "eof"
-    return any(ts.at_kw(k) for k in _BLOCK_ENDERS)
+        return tok.kind == "eof"
+    return tok.kind == "name" and tok.value in _BLOCK_ENDERS
 
 
 def _parse_block(ts: TokenStream, top: bool = False) -> GenericValue:
@@ -159,52 +159,11 @@ def _parse_expr_list(ts: TokenStream) -> GenericValue:
 
 
 def _parse_stmt(ts: TokenStream) -> GenericValue:
-    if ts.accept_kw("local"):
-        names = _parse_name_list(ts)
-        if ts.accept_op("="):
-            opt = GV("SomeExprs", (_parse_expr_list(ts),))
-        else:
-            opt = GV("NoExprs")
-        return GV("LocalStmt", (names, opt))
-    if ts.accept_kw("function"):
-        name = parse_ident(ts)
-        ts.expect_op("(")
-        params = GV("NameList", (tuple(ts.comma_list(parse_ident, ")")),))
-        body = ts.loop_body(_parse_block, in_loop=False)
-        ts.expect_kw("end")
-        return GV("FuncStmt", (name, params, body))
-    if ts.accept_kw("if"):
-        cond = _parse_expr(ts)
-        ts.expect_kw("then")
-        then = _parse_block(ts)
-        return GV("IfStmt", (cond, then, _parse_else_tail(ts)))
-    if ts.accept_kw("while"):
-        cond = _parse_expr(ts)
-        ts.expect_kw("do")
-        body = ts.loop_body(_parse_block)
-        ts.expect_kw("end")
-        return GV("WhileStmt", (cond, body))
-    if ts.accept_kw("for"):
-        var = parse_ident(ts)
-        ts.expect_op("=")
-        low = _parse_expr(ts)
-        ts.expect_op(",")
-        high = _parse_expr(ts)
-        step = GV("SomeStep", (_parse_expr(ts),)) if ts.accept_op(",") else GV("NoStep")
-        ts.expect_kw("do")
-        body = ts.loop_body(_parse_block)
-        ts.expect_kw("end")
-        return GV("ForStmt", (var, low, high, step, body))
-    if ts.accept_kw("return"):
-        if _at_block_end(ts, top=False) or ts.peek().kind == "eof" or ts.at_op(";"):
-            return GV("ReturnStmt", (GV("NoRet"),))
-        return GV("ReturnStmt", (GV("SomeRet", (_parse_expr(ts),)),))
-    if ts.accept_jump("break"):
-        return GV("BreakStmt")
-    if ts.accept_kw("do"):
-        body = _parse_block(ts)
-        ts.expect_kw("end")
-        return GV("DoStmt", (body,))
+    """One statement: one lookup of the head token chooses its parser."""
+    tok = ts.tokens[ts.pos]
+    parse = _STMTS.get(tok.value) if tok.kind == "name" else None
+    if parse is not None:
+        return parse(ts)
     # assignment or call statement
     first = _parse_expr(ts, postfix_only=True)
     if ts.at_op(",") or ts.at_op("="):
@@ -219,6 +178,89 @@ def _parse_stmt(ts: TokenStream) -> GenericValue:
     if first.ctor != "CallE":
         raise ts.error("expression statements must be calls")
     return GV("CallStmt", (first,))
+
+
+def _local_stmt(ts: TokenStream) -> GenericValue:
+    ts.next()
+    names = _parse_name_list(ts)
+    if ts.accept_op("="):
+        opt = GV("SomeExprs", (_parse_expr_list(ts),))
+    else:
+        opt = GV("NoExprs")
+    return GV("LocalStmt", (names, opt))
+
+
+def _func_stmt(ts: TokenStream) -> GenericValue:
+    ts.next()
+    name = parse_ident(ts)
+    ts.expect_op("(")
+    params = GV("NameList", (tuple(ts.comma_list(parse_ident, ")")),))
+    body = ts.loop_body(_parse_block, in_loop=False)
+    ts.expect_kw("end")
+    return GV("FuncStmt", (name, params, body))
+
+
+def _if_stmt(ts: TokenStream) -> GenericValue:
+    ts.next()
+    cond = _parse_expr(ts)
+    ts.expect_kw("then")
+    then = _parse_block(ts)
+    return GV("IfStmt", (cond, then, _parse_else_tail(ts)))
+
+
+def _while_stmt(ts: TokenStream) -> GenericValue:
+    ts.next()
+    cond = _parse_expr(ts)
+    ts.expect_kw("do")
+    body = ts.loop_body(_parse_block)
+    ts.expect_kw("end")
+    return GV("WhileStmt", (cond, body))
+
+
+def _for_stmt(ts: TokenStream) -> GenericValue:
+    ts.next()
+    var = parse_ident(ts)
+    ts.expect_op("=")
+    low = _parse_expr(ts)
+    ts.expect_op(",")
+    high = _parse_expr(ts)
+    step = GV("SomeStep", (_parse_expr(ts),)) if ts.accept_op(",") else GV("NoStep")
+    ts.expect_kw("do")
+    body = ts.loop_body(_parse_block)
+    ts.expect_kw("end")
+    return GV("ForStmt", (var, low, high, step, body))
+
+
+def _return_stmt(ts: TokenStream) -> GenericValue:
+    ts.next()
+    if _at_block_end(ts, top=False) or ts.peek().kind == "eof" or ts.at_op(";"):
+        return GV("ReturnStmt", (GV("NoRet"),))
+    return GV("ReturnStmt", (GV("SomeRet", (_parse_expr(ts),)),))
+
+
+def _break_stmt(ts: TokenStream) -> GenericValue:
+    ts.accept_jump("break")
+    return GV("BreakStmt")
+
+
+def _do_stmt(ts: TokenStream) -> GenericValue:
+    ts.next()
+    body = _parse_block(ts)
+    ts.expect_kw("end")
+    return GV("DoStmt", (body,))
+
+
+# The parser of each statement that a keyword starts, by keyword.
+_STMTS = {
+    "local": _local_stmt,
+    "function": _func_stmt,
+    "if": _if_stmt,
+    "while": _while_stmt,
+    "for": _for_stmt,
+    "return": _return_stmt,
+    "break": _break_stmt,
+    "do": _do_stmt,
+}
 
 
 def _parse_else_tail(ts: TokenStream) -> GenericValue:
@@ -365,7 +407,7 @@ _ident_term, _TRANS, _UNTRANS = ident_assign_cases(
 def _tr_local(v: GenericValue, walk) -> Term:
     names, opt = v.args
     names, opt = walk(names), walk(opt)
-    return multi_decl([single_decl(wrap(NAMELIST_IS_BINDER, names), opt)])
+    return multi_decl([single_decl(NAMELIST_IS_BINDER.build(names), opt)])
 
 
 _OPTION_TRANS, _un_option = option_cases(
@@ -412,7 +454,7 @@ class _Ops:
 
     def var_init_to_rhs(self, common_attrs: Term, decl_attrs: Term, init: Term) -> Term:
         expect(init.kind == EXPRLIST_IS_INIT, "not a MiniLua initializer")
-        return wrap(EXPRLIST_IS_RHS, init.children[0])
+        return EXPRLIST_IS_RHS.build(init.children[0])
 
     def var_decl_binder_to_lhs(self, binder: Term) -> Term:
         expect(binder.kind == NAMELIST_IS_BINDER, "not a MiniLua binder")
@@ -420,7 +462,7 @@ class _Ops:
             C.VarE(name_t)
             for name_t in binder.children[0].children[0].children
         ]
-        return wrap(LHSLIST_IS_LHS, C.LhsList(build_list(S("Expr"), targets)))
+        return LHSLIST_IS_LHS.build(C.LhsList(build_list(S("Expr"), targets)))
 
 
 # ---------------------------------------------------------------------------
@@ -452,8 +494,8 @@ def _block_to_tail(block: Optional[Term], how: str) -> Term:
 
 def _assign_item(targets, sources) -> Term:
     a = assign(
-        wrap(LHSLIST_IS_LHS, C.LhsList(build_list(S("Expr"), targets))),
-        wrap(EXPRLIST_IS_RHS, C.ExprList(build_list(S("Expr"), sources))),
+        LHSLIST_IS_LHS.build(C.LhsList(build_list(S("Expr"), targets))),
+        EXPRLIST_IS_RHS.build(C.ExprList(build_list(S("Expr"), sources))),
     )
     return TABLE.inj(a, BLOCK_ITEM_L)
 
@@ -540,9 +582,9 @@ class _Tac(TacOps):
     def make_decl_item(self, name: str, init: Optional[Term]) -> Term:
         names = C.NameList(build_list(S("Ident"), [_ident_term(name)]))
         if init is not None:
-            init = wrap(EXPRLIST_IS_INIT, C.ExprList(build_list(S("Expr"), [init])))
-        single = single_decl(wrap(NAMELIST_IS_BINDER, names), opt_init(init))
-        return wrap(MULTI_DECL_IS_ITEM, multi_decl([single]))
+            init = EXPRLIST_IS_INIT.build(C.ExprList(build_list(S("Expr"), [init])))
+        single = single_decl(NAMELIST_IS_BINDER.build(names), opt_init(init))
+        return MULTI_DECL_IS_ITEM.build(multi_decl([single]))
 
     def make_assign_item(self, target: Term, source: Term) -> Term:
         return _assign_item([target], [source])
@@ -552,10 +594,7 @@ class _Tac(TacOps):
         exprs = init.children[0].children[0].children
 
         def rebuild(new_exprs: list) -> Term:
-            return wrap(
-                EXPRLIST_IS_INIT,
-                C.ExprList(build_list(S("Expr"), new_exprs)),
-            )
+            return EXPRLIST_IS_INIT.build(C.ExprList(build_list(S("Expr"), new_exprs)))
 
         return exprs, rebuild
 

@@ -18,6 +18,7 @@ from ..fragments import (
     ASSIGN_L,
     BLOCK,
     BLOCK_ITEM_L,
+    BLOCK_L,
     IDENT,
     JUST_INIT,
     MULTI_DECL,
@@ -77,7 +78,7 @@ def _as_decl(item: Term, lang: LanguageDef):
 
 def _remove_init(single: Term) -> Term:
     attrs, binder, _ = single.children
-    return mk_term(single.kind, (), (attrs, binder, mk_term(NO_INIT)))
+    return mk_term(single.kind, (), (attrs, binder, NO_INIT.build()))
 
 
 def _decl_to_assigns(decl: Term, lang: LanguageDef) -> list[Term]:
@@ -102,7 +103,7 @@ def _split_decl(decl: Term, lang: LanguageDef) -> tuple[Term, list[Term]]:
         SINGLE_DECL_L, [_remove_init(s) for s in singles.children]
     )
     hoisted = lang.injections.inj(
-        mk_term(MULTI_DECL, (), (mattrs, stripped)), BLOCK_ITEM_L
+        MULTI_DECL.build(mattrs, stripped), BLOCK_ITEM_L
     )
     return hoisted, _decl_to_assigns(decl, lang)
 
@@ -130,7 +131,7 @@ def _hoist(term: Term, lang: LanguageDef, pass_name: str, unsafe) -> Term:
             rest.extend(assigns)
         return with_block_items(t, decls + rest)
 
-    return transform_bottom_up(rw, term)
+    return transform_bottom_up(rw, term, lang.ips.sorts_containing(BLOCK_L))
 
 
 @gc_paused

@@ -16,10 +16,11 @@ Schemas can also be read from a small line-oriented text format:
 Argument types are Int, Bool, String, a type name, [t] for lists, and
 (t, t) for pairs.  The first defined type is the root.
 
-Encoding is one walk over a value (`walker`), and decoding one over a
-term (`reader`); `to_modular` and `from_modular` are the walks alone.  A
-frontend adds cases for what its incremental parametric syntax replaces,
-so its decompose and recompose go straight between value and IPS term.
+Encoding is one walk over a value (`walker`), which builds each node
+through its kind's builder, and decoding one over a term (`reader`);
+`to_modular` and `from_modular` are the walks alone.  A frontend adds
+cases for what its incremental parametric syntax replaces, so its
+decompose and recompose go straight between value and IPS term.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from .terms import (
     build_pair,
     gc_paused,
     list_kind,
-    mk_term,
     prim_matches,
     sort_name,
 )
@@ -239,19 +239,21 @@ class _CtorCodec:
     its Python class, and `encoders` each child's with its encoder, None
     for a constructor-typed child, which the walk encodes itself.  When
     the payloads come first and every child is constructor-typed,
-    `split` is the number of payloads, else None.  The decode plan:
+    `split` is the number of payloads, else None; `build` is the kind's
+    builder.  The decode plan:
     `decoders` decode the children in order, None where the walk does,
     and `order` puts the payloads followed by the decoded children back
     in argument order, or is None where they already are.  A plain
     class, not a dataclass, to keep import time down.
     """
 
-    __slots__ = ("ctor", "kind", "slots", "arity", "payloads", "encoders", "split",
-                 "decoders", "order")
+    __slots__ = ("ctor", "kind", "build", "slots", "arity", "payloads", "encoders",
+                 "split", "decoders", "order")
 
     def __init__(self, ctor: str, kind: NodeKind, slots: tuple):
         self.ctor = ctor
         self.kind = kind
+        self.build = kind.build
         self.slots = slots
         self.arity = len(slots)
         self.payloads = tuple(
@@ -371,7 +373,7 @@ def _arg_codec(lang_name: str, ty: SchemaType) -> tuple[Optional[Callable], Call
         def encode(walk, value):
             if not prim_matches(prim, value):
                 raise NonConformingValue(f"expected {prim}, got {value!r}")
-            return mk_term(box, (value,))
+            return box.build(value)
 
         def decode(read, term):
             if term.kind is not box:
@@ -382,14 +384,14 @@ def _arg_codec(lang_name: str, ty: SchemaType) -> tuple[Optional[Callable], Call
     if isinstance(ty, Named):
         return None, None
     if isinstance(ty, ListT):
-        kind = list_kind(_translate_sort(lang_name, ty.elem))
+        build = list_kind(_translate_sort(lang_name, ty.elem)).build
         enc_elem, dec_elem = _arg_codec(lang_name, ty.elem)
 
         def encode(walk, value):
             value = list_items(value)
             if enc_elem is None:
-                return mk_term(kind, (), tuple(map(walk, value)))
-            return mk_term(kind, (), tuple([enc_elem(walk, v) for v in value]))
+                return build(*map(walk, value))
+            return build(*[enc_elem(walk, v) for v in value])
 
         def decode(read, term):
             if dec_elem is None:
@@ -439,10 +441,11 @@ def walker(lang: ModularizedLanguage, cases: dict) -> Callable[[GenericValue], T
     encodes the children it keeps with `walk`; a case that is a node
     kind stands for the case that applies the kind to the encoded only
     child, which the walk does without the call.  Every other constructor
-    is built from its codec plan, with its children encoded by the same
-    walk, and records `value` as its origin.  A wrong value raises
-    NonConformingValue at the first bad argument in argument order; a
-    child of the wrong sort raises SortMismatch from the node above.
+    is built from its codec plan by its kind's builder, with its children
+    encoded by the same walk, and records `value` as its origin.  A wrong
+    value raises NonConformingValue at the first bad argument in argument
+    order; a child of the wrong sort raises SortMismatch from the node
+    above.
 
     The walk recurses once per constructor-typed child and does not
     pause the collector; `to_modular` is this walk with no cases.
@@ -475,16 +478,17 @@ def walker(lang: ModularizedLanguage, cases: dict) -> Callable[[GenericValue], T
         case = case_for(value.ctor)
         if case is not None:
             if case.__class__ is NodeKind:
-                return mk_term(case, (), (walk(args[0]),))
+                return case.build(walk(args[0]))
             return case(value, walk)
         split = codec.split
+        if split == 0:
+            return codec.build(*map(walk, args), origin=value)
         if split is not None:
-            return mk_term(codec.kind, args[:split], tuple(map(walk, args[split:])), value)
+            return codec.build(*args[:split], *map(walk, args[split:]), origin=value)
         children = []
         for i, enc in codec.encoders:
             children.append(walk(args[i]) if enc is None else enc(walk, args[i]))
-        payloads = [args[i] for i, _ in codec.payloads]
-        return mk_term(codec.kind, payloads, children, value)
+        return codec.build(*[args[i] for i, _ in codec.payloads], *children, origin=value)
 
     return walk
 

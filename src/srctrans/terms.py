@@ -5,7 +5,13 @@ Sorts are runtime tags checked at construction time, so an ill-sorted tree
 can never be built through this module's constructors.  Sorts and node
 kinds are interned: building one equal to an existing one returns that
 object, so their equality is identity and the sort check is an identity
-test.  List and pair
+test.  Each node kind gets one builder, `kind.build`, when it is first
+interned, specialised to the kind's payload classes, child sorts and
+list-ness.  It tests the common case inline, and on a mismatch runs
+mk_term's checks, so it raises what mk_term raises; each node is checked
+once, where it is built.  Code that knows the kind it builds calls its
+builder; mk_term is for code that rebuilds a node of a kind it read from
+another node.  List and pair
 values are embedded as ordinary terms via the built-in container kinds,
 which exist at every element sort: a list is one ListF node whose
 children, any number of them, are its elements; a pair is a PairF node.
@@ -154,7 +160,13 @@ def sort_name(sort: Sort) -> str:
 
 @dataclass(frozen=True, eq=False, init=False)
 class NodeKind(_Interned):
-    """A constructor descriptor: payload slots, child sorts, produced sort."""
+    """A constructor descriptor: payload slots, child sorts, produced sort.
+
+    `build` is the kind's builder, made once when the kind is first
+    interned: `kind.build(*payloads, *children, origin=None)` is
+    `mk_term(kind, payloads, children, origin)` with the payloads split
+    off by the kind's payload count.
+    """
 
     name: str
     payloads: tuple[str, ...]
@@ -167,7 +179,10 @@ class NodeKind(_Interned):
         for p in payloads:
             if p not in PRIM_TYPES:
                 raise ValueError(f"{name}: bad payload type {p!r}")
-        return super().__new__(cls, name, payloads, tuple(child_sorts), produced)
+        self = super().__new__(cls, name, payloads, tuple(child_sorts), produced)
+        if "build" not in self.__dict__:
+            object.__setattr__(self, "build", _builder(self))
+        return self
 
     def __repr__(self):
         return f"NodeKind({self.name})"
@@ -175,7 +190,8 @@ class NodeKind(_Interned):
 
 @dataclass(frozen=True, slots=True)
 class Term:
-    """An immutable sorted tree node.  Build through mk_term only.
+    """An immutable sorted tree node.  Build through a kind's builder, or
+    through mk_term to rebuild a node of a kind read from another node.
 
     `origin` is the provenance described in the module docstring, or None
     for a node built otherwise, as a pass builds its nodes.
@@ -191,13 +207,13 @@ class Term:
         return self.kind.produced
 
 
-# mk_term fills a new Term's slots directly: the frozen __init__ would set
-# each field through object.__setattr__ in a Python frame.
+# The builders fill a new Term's slots directly: the frozen __init__ would
+# set each field through object.__setattr__ in a Python frame.
 _new_term = object.__new__
 _set_kind = Term.kind.__set__
 _set_payloads = Term.payload_values.__set__
 _set_children = Term.children.__set__
-# Sets a node's origin, once, on the node mk_term just built.
+# Sets a node's origin, once, on the node just built.
 _set_origin = Term.origin.__set__
 
 
@@ -244,32 +260,107 @@ def _child_sorts(kind: NodeKind, n: int) -> tuple:
 
 def mk_term(kind: NodeKind, payloads: Iterable = (), children: Iterable[Term] = (),
             origin: object = None) -> Term:
-    """Construct a well-sorted term, rejecting arity and sort mismatches.
+    """Construct a well-sorted term, rejecting arity and sort mismatches:
+    the term of kind's builder, with the payloads given apart.
 
     `origin` is the new node's provenance, the value it stands for; only
     the walk of `schema.walker` passes one.
     """
     if not isinstance(kind, NodeKind):
         raise UnknownKind(f"not a node kind: {kind!r}")
+    if payloads.__class__ is not tuple:
+        payloads = tuple(payloads)
+    if len(payloads) != len(kind.payloads):
+        return _checked(kind, payloads, tuple(children), origin)
+    return kind.build(*payloads, *children, origin=origin)
+
+
+def _checked(kind: NodeKind, payloads: tuple, children: tuple, origin: object) -> Term:
+    """The term when a builder's inline test fails, or mk_term's payload
+    count: every check, in one order, so a builder and mk_term raise the
+    same exception for the same input."""
     if kind.payloads or payloads:
-        payloads = _check_payload(kind, tuple(payloads))
-    else:
-        payloads = ()
-    if children.__class__ is not tuple:
-        children = tuple(children)
-    wants = kind.child_sorts
-    if len(children) != len(wants):
-        wants = _child_sorts(kind, len(children))
-    for want, child in zip(wants, children):
-        if child.__class__ is not Term or child.kind.produced is not want:
-            _check_children(wants, children)
-            break
+        payloads = _check_payload(kind, payloads)
+    _check_children(_child_sorts(kind, len(children)), children)
     t = _new_term(Term)
     _set_kind(t, kind)
     _set_payloads(t, payloads)
     _set_children(t, children)
     _set_origin(t, origin)
     return t
+
+
+# A builder's source, by shape.  The inline test asks that each payload be
+# of exactly its class and each child a Term of exactly its sort; anything
+# else goes to _checked, which accepts what mk_term accepts.
+_LIST_BUILDER = """\
+def build(*args, origin=None):
+    for c in args:
+        if c.__class__ is not Term or c.kind.produced is not S0:
+            return checked(kind, (), args, origin)
+    t = new(Term)
+    set_kind(t, kind)
+    set_payloads(t, ())
+    set_children(t, args)
+    set_origin(t, origin)
+    return t
+"""
+
+_BUILDER = """\
+def build(*args, origin=None):
+    if len(args) == {n}:
+        {unpack}
+        if {test}:
+            t = new(Term)
+            set_kind(t, kind)
+            set_payloads(t, {payloads})
+            set_children(t, {children})
+            set_origin(t, origin)
+            return t
+    return checked(kind, args[:{np}], args[{np}:], origin)
+"""
+
+
+@cache
+def _builder_maker(n_payloads: int, n_children: int, is_list: bool):
+    """The function that makes a builder for kinds of one shape, given
+    the kind, its payload classes P0... and its child sorts S0...."""
+    names = [f"P{i}" for i in range(n_payloads)] + [f"S{i}" for i in range(n_children)]
+    if is_list:
+        body = _LIST_BUILDER
+    else:
+        ps = [f"p{i}" for i in range(n_payloads)]
+        cs = [f"c{i}" for i in range(n_children)]
+        test = [f"{p}.__class__ is P{i}" for i, p in enumerate(ps)] + [
+            f"{c}.__class__ is Term and {c}.kind.produced is S{i}" for i, c in enumerate(cs)
+        ]
+        body = _BUILDER.format(
+            n=len(ps + cs),
+            unpack=f"{', '.join(ps + cs)}, = args" if ps or cs else "pass",
+            test=" and ".join(test) or "True",
+            payloads=f"({', '.join(ps)},)" if ps else "()",
+            children="args" if not ps else f"({', '.join(cs)},)" if cs else "()",
+            np=n_payloads,
+        )
+    source = f"def make({', '.join(['kind', *names])}):\n"
+    source += "".join(f"    {line}\n" for line in body.splitlines()) + "    return build\n"
+    scope = {
+        "Term": Term, "new": _new_term, "checked": _checked, "set_kind": _set_kind,
+        "set_payloads": _set_payloads, "set_children": _set_children,
+        "set_origin": _set_origin,
+    }
+    exec(compile(source, f"<builder {n_payloads}/{n_children}{'*' if is_list else ''}>",
+                 "exec"), scope)
+    return scope["make"]
+
+
+def _builder(kind: NodeKind):
+    """kind's builder: see NodeKind.  Its `kind` attribute is kind."""
+    is_list = kind.name == "ListF"
+    make = _builder_maker(len(kind.payloads), len(kind.child_sorts), is_list)
+    build = make(kind, *(PRIM_TYPES[p] for p in kind.payloads), *kind.child_sorts)
+    build.kind = kind
+    return build
 
 
 # ---------------------------------------------------------------------------
@@ -295,11 +386,11 @@ def is_container_kind(kind: NodeKind) -> bool:
 
 
 def build_list(elem_sort: Sort, items: Iterable[Term]) -> Term:
-    return mk_term(list_kind(elem_sort), (), items)
+    return list_kind(elem_sort).build(*items)
 
 
 def build_pair(first: Term, second: Term) -> Term:
-    return mk_term(pair_kind(first.sort, second.sort), (), (first, second))
+    return pair_kind(first.sort, second.sort).build(first, second)
 
 
 # ---------------------------------------------------------------------------
@@ -316,6 +407,7 @@ class Signature:
     name: str
     kinds: tuple[NodeKind, ...]
     _by_name: dict = field(default_factory=dict, compare=False, repr=False)
+    _containing: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         seen = {}
@@ -338,6 +430,36 @@ class Signature:
         if is_container_kind(kind):
             return True
         return self._by_name.get(kind.name) == kind
+
+    def sorts_containing(self, target: Sort) -> frozenset:
+        """The sorts whose terms can hold a node of sort `target`, itself
+        included: a term of the signature of any other sort has no such
+        node.  A kind's term holds its children, a list its elements and
+        a pair its two halves.  Computed once per target."""
+        found = self._containing.get(target)
+        if found is None:
+            holders: dict = {}  # sort -> the sorts whose terms hold it directly
+
+            def held(holder: Sort, sort: Sort) -> None:
+                holders.setdefault(sort, set()).add(holder)
+                if isinstance(sort, ListOf):
+                    held(sort, sort.elem)
+                elif isinstance(sort, PairOf):
+                    held(sort, sort.first)
+                    held(sort, sort.second)
+
+            for kind in self.kinds:
+                for sort in kind.child_sorts:
+                    held(kind.produced, sort)
+            found = {target}
+            todo = [target]
+            while todo:
+                for holder in holders.get(todo.pop(), ()):
+                    if holder not in found:
+                        found.add(holder)
+                        todo.append(holder)
+            found = self._containing[target] = frozenset(found)
+        return found
 
 
 def check_term(term: Term, signature: Optional[Signature] = None) -> None:

@@ -2,8 +2,13 @@
 
 A rewrite is a partial function Term -> Term | None; None signals "did not
 fire".  When a rewrite fires it must preserve the sort of its input, which
-the traversal checks.  A query reads `terms.iter_subterms`, the pre-order
-walk over a term's nodes.
+the traversal checks.  A rewrite that fires on one sort only need not
+see the subterms that cannot hold that sort: the walk can be limited to
+the sorts that can (`Signature.sorts_containing`, computed once per
+signature), and passes every other subterm through whole, as Uniplate
+skips a subterm whose type cannot contain the target type (Mitchell &
+Runciman, "Uniform Boilerplate and List Processing", 2007).  A query
+reads `terms.iter_subterms`, the pre-order walk over a term's nodes.
 """
 
 from __future__ import annotations
@@ -29,8 +34,14 @@ def _apply(r: Rewrite, t: Term) -> Optional[Term]:
     return out
 
 
-def transform_bottom_up(r: Rewrite, t: Term) -> Term:
+def transform_bottom_up(r: Rewrite, t: Term, within: Optional[frozenset] = None) -> Term:
     """Apply r at every node, children first; non-firing nodes pass through.
+
+    With `within`, a set of sorts, a node of any other sort passes
+    through whole: neither it nor anything below it reaches r.  A rewrite
+    that fires only on nodes of one sort gives the sorts that can hold
+    that sort (`Signature.sorts_containing`), so the walk skips the
+    subterms where it cannot fire.
 
     The walk keeps an explicit stack, so deep nesting does not deepen
     the Python stack.  A stack entry is a term to visit or, as a 1-tuple,
@@ -41,6 +52,9 @@ def transform_bottom_up(r: Rewrite, t: Term) -> Term:
     while todo:
         node = todo.pop()
         if node.__class__ is Term:
+            if within is not None and node.kind.produced not in within:
+                results.append(node)
+                continue
             if node.children:
                 todo.append((node,))
                 todo.extend(reversed(node.children))

@@ -51,6 +51,32 @@ def without_origin(term: Term) -> Term:
     return done[0]
 
 
+def unpruned_transform_bottom_up(r, t: Term, within=None) -> Term:
+    """traversal.transform_bottom_up as it was before it skipped sorts:
+    `within` is ignored, so r sees every node.  Rebuilds through mk_term
+    and checks that r keeps each node's sort."""
+    results: list[Term] = []
+    todo: list = [t]
+    while todo:
+        node = todo.pop()
+        if node.__class__ is Term:
+            if node.children:
+                todo.append((node,))
+                todo.extend(reversed(node.children))
+                continue
+        else:
+            node = node[0]
+            n = len(node.children)
+            children = results[-n:]
+            del results[-n:]
+            if any(a is not b for a, b in zip(children, node.children)):
+                node = mk_term(node.kind, node.payload_values, children)
+        out = r(node)
+        assert out is None or out.sort is node.sort
+        results.append(node if out is None else out)
+    return results[0]
+
+
 # ---------------------------------------------------------------------------
 # Random schemas and conforming values (modularizer isomorphism oracle).
 

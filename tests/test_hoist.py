@@ -100,6 +100,42 @@ def test_postcondition_clean_on_outputs(lname):
         assert postcondition_violations(term, lang) == []
 
 
+@pytest.mark.parametrize("shadowing", [False, True])
+@pytest.mark.parametrize("lname", ("minic", "minijs", "minilua"))
+def test_pruned_walk_matches_unpruned(lname, shadowing, monkeypatch):
+    """hoist's walk skips the sorts that cannot hold a Block.  On
+    generated programs both variants give what they give through a walk
+    that visits every node, and the rewrite still sees every Block."""
+    from srctrans.fragments import BLOCK
+    from srctrans.passes import hoist as hoist_module
+    from srctrans.terms import iter_subterms
+    from srctrans.traversal import transform_bottom_up
+
+    from helpers import unpruned_transform_bottom_up
+
+    lang = get_language(lname)
+    blocks = []
+
+    def counting(r, t, within=None):
+        def seen(node):
+            if node.kind is BLOCK:
+                blocks.append(node)
+            return r(node)
+
+        return transform_bottom_up(seen, t, within)
+
+    for seed in range(40):
+        term = lang.decompose(lang.parse(gen_program(lname, GenConfig(seed, shadowing=shadowing))))
+        n_blocks = sum(t.kind is BLOCK for t in iter_subterms(term))
+        for fn in (elementary_hoist, hoist):
+            monkeypatch.setattr(hoist_module, "transform_bottom_up", unpruned_transform_bottom_up)
+            want = fn(term, lang)
+            monkeypatch.setattr(hoist_module, "transform_bottom_up", counting)
+            blocks.clear()
+            assert fn(term, lang) == want, (seed, fn.__name__)
+            assert len(blocks) == n_blocks
+
+
 def test_postcondition_flags_unhoisted_input():
     lang = get_language("minic")
     term = lang.decompose(

@@ -148,3 +148,102 @@ def test_iter_subterms_preorder():
 
 def test_sort_name():
     assert sort_name(ListOf(E)) == "[E]"
+
+
+# ---------------------------------------------------------------------------
+# Builders: `kind.build(*args)` is `mk_term(kind, args[:n], args[n:])` for
+# a kind with n payloads, on good input and on bad.
+
+_SAMPLE = {"Int": 7, "Bool": True, "String": "x"}
+_WRONG_CLASS = {"Int": "x", "Bool": "x", "String": 7}
+
+
+def _leaf(sort):
+    """A term of `sort`, built from kinds outside any signature."""
+    if isinstance(sort, ListOf):
+        return build_list(sort.elem, [_leaf(sort.elem)])
+    if isinstance(sort, PairOf):
+        return build_pair(_leaf(sort.first), _leaf(sort.second))
+    return NodeKind(f"Leaf{sort_name(sort)}", (), (), sort).build()
+
+
+def _other_sort(sort):
+    return Atom("Elsewhere") if sort is not Atom("Elsewhere") else E
+
+
+def _builder_kinds():
+    from srctrans.langs.base import get_language, language_names
+    from srctrans.schema import PRIM_BOX_KINDS
+    from srctrans.terms import pair_kind
+
+    kinds = {}
+    for name in language_names():
+        for kind in get_language(name).ips.kinds:
+            kinds[kind] = None
+            for sort in kind.child_sorts:
+                if isinstance(sort, ListOf):
+                    kinds[list_kind(sort.elem)] = None
+                elif isinstance(sort, PairOf):
+                    kinds[pair_kind(sort.first, sort.second)] = None
+    kinds.update(dict.fromkeys(PRIM_BOX_KINDS.values()))
+    # no bundled language has a pair; these stand for pairs of every shape
+    kinds[pair_kind(E, ListOf(E))] = None
+    kinds[pair_kind(PairOf(E, E), PRIM_BOX_KINDS["Int"].produced)] = None
+    return list(kinds)
+
+
+def _bad_inputs(kind):
+    """(what, args, the exception they raise) of each bad input that the
+    kind's shape allows."""
+    payloads = [_SAMPLE[p] for p in kind.payloads]
+    children = [_leaf(s) for s in kind.child_sorts]
+    for i, p in enumerate(kind.payloads):
+        yield f"payload {i} of a wrong class", [
+            *payloads[:i], _WRONG_CLASS[p], *payloads[i + 1:], *children], PayloadMismatch
+        if p == "Int":
+            yield f"payload {i} a bool", [
+                *payloads[:i], True, *payloads[i + 1:], *children], PayloadMismatch
+    if payloads:
+        yield "a payload short", payloads[:-1], ArityMismatch
+    if kind.name != "ListF":
+        yield "a child more", [*payloads, *children, _leaf(E)], ArityMismatch
+        if children:
+            yield "a child short", [*payloads, *children[:-1]], ArityMismatch
+    for i, sort in enumerate(kind.child_sorts):
+        for what, bad in (("a non-term", "x"), ("of the wrong sort", _leaf(_other_sort(sort)))):
+            yield f"child {i} {what}", [
+                *payloads, *children[:i], bad, *children[i + 1:]], SortMismatch
+
+
+def _outcome(build, *args):
+    try:
+        return build(*args)
+    except Exception as e:  # noqa: BLE001 - the exception is the outcome
+        return type(e), str(e)
+
+
+def test_builders_agree_with_mk_term():
+    kinds = _builder_kinds()
+    assert {k.name for k in kinds} >= {"ListF", "PairF", "IntBox", "BoolBox", "StringBox"}
+    checked = 0
+    for kind in kinds:
+        n = len(kind.payloads)
+        args = [_SAMPLE[p] for p in kind.payloads] + [_leaf(s) for s in kind.child_sorts]
+        built = kind.build(*args, origin="o")
+        assert built == mk_term(kind, args[:n], args[n:]) and built.origin == "o"
+        assert kind.build.kind is kind
+        for what, bad, raised in _bad_inputs(kind):
+            got = _outcome(kind.build, *bad)
+            assert isinstance(got, tuple) and got[0] is raised, (kind, what, got)
+            assert got == _outcome(mk_term, kind, bad[:n], bad[n:]), (kind, what)
+            checked += 1
+    assert checked > 500
+
+
+def test_list_builder_takes_any_number_of_elements():
+    build = list_kind(E).build
+    for n in (0, 1, 5):
+        items = [lit(i) for i in range(n)]
+        assert build(*items) == mk_term(list_kind(E), (), items)
+    bad = [lit(1), _leaf(Atom("F")), "x"]
+    assert _outcome(build, *bad) == _outcome(mk_term, list_kind(E), (), bad)

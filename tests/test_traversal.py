@@ -2,7 +2,7 @@
 
 import pytest
 
-from srctrans.terms import Atom, NodeKind, iter_subterms, mk_term
+from srctrans.terms import Atom, NodeKind, iter_subterms, list_kind, mk_term
 from srctrans.traversal import (
     SortViolation,
     get_at,
@@ -52,6 +52,42 @@ def test_rewrite_must_preserve_sort():
 
     with pytest.raises(SortViolation):
         transform_bottom_up(to_other, add(lit(1), lit(2)))
+
+
+def test_rewrite_never_sees_a_sort_that_cannot_hold_its_target():
+    from srctrans.terms import ListOf, Signature
+
+    stmt, blk = Atom("S"), Atom("B")
+    block = NodeKind("Blk", (), (ListOf(stmt),), blk)
+    expr_stmt = NodeKind("SExp", (), (E,), stmt)
+    block_stmt = NodeKind("SBlk", (), (blk,), stmt)
+    sig = Signature("Toy", (LIT, ADD, OTHER, block, expr_stmt, block_stmt))
+    within = sig.sorts_containing(blk)
+    assert within == {blk, stmt, ListOf(stmt)}
+
+    def blk_of(*stmts):
+        return mk_term(block, (), (mk_term(list_kind(stmt), (), stmts),))
+
+    t = blk_of(mk_term(expr_stmt, (), (add(lit(1), lit(2)),)),
+               mk_term(block_stmt, (), (blk_of(),)))
+    seen = []
+
+    def record(node):
+        seen.append(node)
+        return None
+
+    assert transform_bottom_up(record, t, within) is t
+    assert seen and all(node.sort in within for node in seen)
+    assert sum(node.kind is block for node in seen) == 2
+    assert not any(node.sort is E for node in seen)
+    # the skipped subterms are those of the sorts left out
+    assert len(seen) + sum(x.sort is E for x in iter_subterms(t)) == len(list(iter_subterms(t)))
+
+    def unsort(node):
+        return mk_term(expr_stmt, (), (lit(0),)) if node.kind is block else None
+
+    with pytest.raises(SortViolation):
+        transform_bottom_up(unsort, t, within)
 
 
 def test_query_collect_preorder():
