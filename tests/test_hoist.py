@@ -6,14 +6,19 @@ from types import SimpleNamespace
 
 import pytest
 
+from helpers import unpruned_transform_bottom_up
+from srctrans.fragments import BLOCK
 from srctrans.gen import GenConfig, gen_program
 from srctrans.langs.base import get_language
+from srctrans.passes import hoist as hoist_module
 from srctrans.passes.hoist import (
     RequirementMissing,
     elementary_hoist,
     hoist,
     postcondition_violations,
 )
+from srctrans.terms import iter_subterms
+from srctrans.traversal import transform_bottom_up
 
 HOIST_INPUT = """\
 int f(int a, int b, int s) {
@@ -106,13 +111,6 @@ def test_pruned_walk_matches_unpruned(lname, shadowing, monkeypatch):
     """hoist's walk skips the sorts that cannot hold a Block.  On
     generated programs both variants give what they give through a walk
     that visits every node, and the rewrite still sees every Block."""
-    from srctrans.fragments import BLOCK
-    from srctrans.passes import hoist as hoist_module
-    from srctrans.terms import iter_subterms
-    from srctrans.traversal import transform_bottom_up
-
-    from helpers import unpruned_transform_bottom_up
-
     lang = get_language(lname)
     blocks = []
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from srctrans.terms import Atom, NodeKind, iter_subterms, list_kind, mk_term
+from srctrans.terms import Atom, ListOf, NodeKind, Signature, iter_subterms, list_kind, mk_term
 from srctrans.traversal import (
     SortViolation,
     get_at,
@@ -55,8 +55,6 @@ def test_rewrite_must_preserve_sort():
 
 
 def test_rewrite_never_sees_a_sort_that_cannot_hold_its_target():
-    from srctrans.terms import ListOf, Signature
-
     stmt, blk = Atom("S"), Atom("B")
     block = NodeKind("Blk", (), (ListOf(stmt),), blk)
     expr_stmt = NodeKind("SExp", (), (E,), stmt)
