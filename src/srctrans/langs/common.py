@@ -219,77 +219,51 @@ def parse_c_stmt(ts: TokenStream, expr: Callable, body: Callable,
                  block: Callable, decl_kw: str | None = None) -> GenericValue:
     """A statement of the C-like grammar MiniC and MiniJS share.  `body`
     parses the body of if, while and for, `block` a braced block; a for
-    header may not start with the declaration keyword `decl_kw`.  One
-    lookup of the head token chooses the statement's parser."""
+    header may not start with the declaration keyword `decl_kw`."""
     tok = ts.tokens[ts.pos]
-    if tok.kind == "name":
-        parse = _C_STMTS.get(tok.value)
-        if parse is not None:
-            return parse(ts, expr, body, decl_kw)
-    elif tok.kind == "op" and tok.value == "{":
+    if tok.kind == "name" and tok.value in _C_STMT_KWS:
+        if ts.accept_kw("if"):
+            ts.expect_op("(")
+            cond = expr(ts)
+            ts.expect_op(")")
+            then = body(ts)
+            els = GV("SomeElse", (body(ts),)) if ts.accept_kw("else") else GV("NoElse")
+            return GV("IfStmt", (cond, then, els))
+        if ts.accept_kw("while"):
+            ts.expect_op("(")
+            cond = expr(ts)
+            ts.expect_op(")")
+            return GV("WhileStmt", (cond, ts.loop_body(body)))
+        if ts.accept_kw("for"):
+            ts.expect_op("(")
+            if decl_kw is not None and ts.at_kw(decl_kw):
+                raise ts.error("declarations are not allowed in a for header")
+            init = _parse_opt_expr(ts, expr, ";")
+            ts.expect_op(";")
+            cond = _parse_opt_expr(ts, expr, ";")
+            ts.expect_op(";")
+            step = _parse_opt_expr(ts, expr, ")")
+            ts.expect_op(")")
+            return GV("ForStmt", (init, cond, step, ts.loop_body(body)))
+        if ts.accept_kw("return"):
+            opt = _parse_opt_expr(ts, expr, ";")
+            ts.expect_op(";")
+            return GV("ReturnStmt", (opt,))
+        if ts.accept_jump("break"):
+            ts.expect_op(";")
+            return GV("BreakStmt")
+        if ts.accept_jump("continue"):
+            ts.expect_op(";")
+            return GV("ContinueStmt")
+    if ts.at_op("{"):
         return GV("BlockStmt", (block(ts),))
     e = expr(ts)
     ts.expect_op(";")
     return GV("ExprStmt", (e,))
 
 
-def _if_stmt(ts: TokenStream, expr: Callable, body: Callable, decl_kw) -> GenericValue:
-    ts.next()
-    ts.expect_op("(")
-    cond = expr(ts)
-    ts.expect_op(")")
-    then = body(ts)
-    els = GV("SomeElse", (body(ts),)) if ts.accept_kw("else") else GV("NoElse")
-    return GV("IfStmt", (cond, then, els))
-
-
-def _while_stmt(ts: TokenStream, expr: Callable, body: Callable, decl_kw) -> GenericValue:
-    ts.next()
-    ts.expect_op("(")
-    cond = expr(ts)
-    ts.expect_op(")")
-    return GV("WhileStmt", (cond, ts.loop_body(body)))
-
-
-def _for_stmt(ts: TokenStream, expr: Callable, body: Callable, decl_kw) -> GenericValue:
-    ts.next()
-    ts.expect_op("(")
-    if decl_kw is not None and ts.at_kw(decl_kw):
-        raise ts.error("declarations are not allowed in a for header")
-    init = _parse_opt_expr(ts, expr, ";")
-    ts.expect_op(";")
-    cond = _parse_opt_expr(ts, expr, ";")
-    ts.expect_op(";")
-    step = _parse_opt_expr(ts, expr, ")")
-    ts.expect_op(")")
-    return GV("ForStmt", (init, cond, step, ts.loop_body(body)))
-
-
-def _return_stmt(ts: TokenStream, expr: Callable, body: Callable, decl_kw) -> GenericValue:
-    ts.next()
-    opt = _parse_opt_expr(ts, expr, ";")
-    ts.expect_op(";")
-    return GV("ReturnStmt", (opt,))
-
-
-def _jump_stmt(kw: str, ctor: str) -> Callable:
-    def jump(ts: TokenStream, expr: Callable, body: Callable, decl_kw) -> GenericValue:
-        ts.accept_jump(kw)
-        ts.expect_op(";")
-        return GV(ctor)
-
-    return jump
-
-
-# The parser of each statement that a keyword starts, by keyword.
-_C_STMTS = {
-    "if": _if_stmt,
-    "while": _while_stmt,
-    "for": _for_stmt,
-    "return": _return_stmt,
-    "break": _jump_stmt("break", "BreakStmt"),
-    "continue": _jump_stmt("continue", "ContinueStmt"),
-}
+# The keywords that start a statement of parse_c_stmt.
+_C_STMT_KWS = frozenset({"if", "while", "for", "return", "break", "continue"})
 
 
 def _parse_opt_expr(ts: TokenStream, expr: Callable, closer: str) -> GenericValue:

@@ -159,11 +159,54 @@ def _parse_expr_list(ts: TokenStream) -> GenericValue:
 
 
 def _parse_stmt(ts: TokenStream) -> GenericValue:
-    """One statement: one lookup of the head token chooses its parser."""
     tok = ts.tokens[ts.pos]
-    parse = _STMTS.get(tok.value) if tok.kind == "name" else None
-    if parse is not None:
-        return parse(ts)
+    if tok.kind == "name" and tok.value in _STMT_KWS:
+        if ts.accept_kw("local"):
+            names = _parse_name_list(ts)
+            if ts.accept_op("="):
+                opt = GV("SomeExprs", (_parse_expr_list(ts),))
+            else:
+                opt = GV("NoExprs")
+            return GV("LocalStmt", (names, opt))
+        if ts.accept_kw("function"):
+            name = parse_ident(ts)
+            ts.expect_op("(")
+            params = GV("NameList", (tuple(ts.comma_list(parse_ident, ")")),))
+            body = ts.loop_body(_parse_block, in_loop=False)
+            ts.expect_kw("end")
+            return GV("FuncStmt", (name, params, body))
+        if ts.accept_kw("if"):
+            cond = _parse_expr(ts)
+            ts.expect_kw("then")
+            then = _parse_block(ts)
+            return GV("IfStmt", (cond, then, _parse_else_tail(ts)))
+        if ts.accept_kw("while"):
+            cond = _parse_expr(ts)
+            ts.expect_kw("do")
+            body = ts.loop_body(_parse_block)
+            ts.expect_kw("end")
+            return GV("WhileStmt", (cond, body))
+        if ts.accept_kw("for"):
+            var = parse_ident(ts)
+            ts.expect_op("=")
+            low = _parse_expr(ts)
+            ts.expect_op(",")
+            high = _parse_expr(ts)
+            step = GV("SomeStep", (_parse_expr(ts),)) if ts.accept_op(",") else GV("NoStep")
+            ts.expect_kw("do")
+            body = ts.loop_body(_parse_block)
+            ts.expect_kw("end")
+            return GV("ForStmt", (var, low, high, step, body))
+        if ts.accept_kw("return"):
+            if _at_block_end(ts, top=False) or ts.peek().kind == "eof" or ts.at_op(";"):
+                return GV("ReturnStmt", (GV("NoRet"),))
+            return GV("ReturnStmt", (GV("SomeRet", (_parse_expr(ts),)),))
+        if ts.accept_jump("break"):
+            return GV("BreakStmt")
+        if ts.accept_kw("do"):
+            body = _parse_block(ts)
+            ts.expect_kw("end")
+            return GV("DoStmt", (body,))
     # assignment or call statement
     first = _parse_expr(ts, postfix_only=True)
     if ts.at_op(",") or ts.at_op("="):
@@ -180,87 +223,8 @@ def _parse_stmt(ts: TokenStream) -> GenericValue:
     return GV("CallStmt", (first,))
 
 
-def _local_stmt(ts: TokenStream) -> GenericValue:
-    ts.next()
-    names = _parse_name_list(ts)
-    if ts.accept_op("="):
-        opt = GV("SomeExprs", (_parse_expr_list(ts),))
-    else:
-        opt = GV("NoExprs")
-    return GV("LocalStmt", (names, opt))
-
-
-def _func_stmt(ts: TokenStream) -> GenericValue:
-    ts.next()
-    name = parse_ident(ts)
-    ts.expect_op("(")
-    params = GV("NameList", (tuple(ts.comma_list(parse_ident, ")")),))
-    body = ts.loop_body(_parse_block, in_loop=False)
-    ts.expect_kw("end")
-    return GV("FuncStmt", (name, params, body))
-
-
-def _if_stmt(ts: TokenStream) -> GenericValue:
-    ts.next()
-    cond = _parse_expr(ts)
-    ts.expect_kw("then")
-    then = _parse_block(ts)
-    return GV("IfStmt", (cond, then, _parse_else_tail(ts)))
-
-
-def _while_stmt(ts: TokenStream) -> GenericValue:
-    ts.next()
-    cond = _parse_expr(ts)
-    ts.expect_kw("do")
-    body = ts.loop_body(_parse_block)
-    ts.expect_kw("end")
-    return GV("WhileStmt", (cond, body))
-
-
-def _for_stmt(ts: TokenStream) -> GenericValue:
-    ts.next()
-    var = parse_ident(ts)
-    ts.expect_op("=")
-    low = _parse_expr(ts)
-    ts.expect_op(",")
-    high = _parse_expr(ts)
-    step = GV("SomeStep", (_parse_expr(ts),)) if ts.accept_op(",") else GV("NoStep")
-    ts.expect_kw("do")
-    body = ts.loop_body(_parse_block)
-    ts.expect_kw("end")
-    return GV("ForStmt", (var, low, high, step, body))
-
-
-def _return_stmt(ts: TokenStream) -> GenericValue:
-    ts.next()
-    if _at_block_end(ts, top=False) or ts.peek().kind == "eof" or ts.at_op(";"):
-        return GV("ReturnStmt", (GV("NoRet"),))
-    return GV("ReturnStmt", (GV("SomeRet", (_parse_expr(ts),)),))
-
-
-def _break_stmt(ts: TokenStream) -> GenericValue:
-    ts.accept_jump("break")
-    return GV("BreakStmt")
-
-
-def _do_stmt(ts: TokenStream) -> GenericValue:
-    ts.next()
-    body = _parse_block(ts)
-    ts.expect_kw("end")
-    return GV("DoStmt", (body,))
-
-
-# The parser of each statement that a keyword starts, by keyword.
-_STMTS = {
-    "local": _local_stmt,
-    "function": _func_stmt,
-    "if": _if_stmt,
-    "while": _while_stmt,
-    "for": _for_stmt,
-    "return": _return_stmt,
-    "break": _break_stmt,
-    "do": _do_stmt,
-}
+# The keywords that start a statement of _parse_stmt.
+_STMT_KWS = frozenset({"local", "function", "if", "while", "for", "return", "break", "do"})
 
 
 def _parse_else_tail(ts: TokenStream) -> GenericValue:

@@ -481,8 +481,6 @@ def walker(lang: ModularizedLanguage, cases: dict) -> Callable[[GenericValue], T
                 return case.build(walk(args[0]))
             return case(value, walk)
         split = codec.split
-        if split == 0:
-            return codec.build(*map(walk, args), origin=value)
         if split is not None:
             return codec.build(*args[:split], *map(walk, args[split:]), origin=value)
         children = []
