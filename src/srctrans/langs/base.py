@@ -32,6 +32,7 @@ from ..fragments import (
 )
 from ..injections import InjectionDecl, InjectionTable
 from ..schema import (
+    Case,
     GenericValue,
     ModularizedLanguage,
     Schema,
@@ -292,6 +293,23 @@ def func_body_paths(suffix: Path) -> Callable[[Term], list[Path]]:
     return body_paths
 
 
+def pre_order(roots, below: Callable) -> list:
+    """Each of roots, each followed by the nodes below it, in pre-order:
+    `below(node)` gives the nodes directly below node, in order.  The
+    walk keeps a stack of iterators, so nesting takes no Python frames;
+    a frontend's item_walk is this walk over its item-position nodes."""
+    out = []
+    todo = [iter(roots)]
+    while todo:
+        for node in todo[-1]:
+            out.append(node)
+            todo.append(iter(below(node)))
+            break
+        else:
+            todo.pop()
+    return out
+
+
 class TacOps:
     """Expression-level hooks for three-address-code conversion.
 
@@ -521,37 +539,38 @@ def ident_assign_cases(
         lhs, rhs = walk(lhs), walk(rhs)
         return assign_is.build(assign(lhs_is.build(lhs), rhs_is.build(rhs)))
 
-    def un_ident(t: Term, read) -> GenericValue:
+    def un_ident(t: Term) -> GenericValue:
         inner = t.children[0]
         expect(inner.kind is IDENT, "expected a generic identifier")
         return GenericValue(ident_ctor, inner.payload_values)
 
-    def un_assign(t: Term, read) -> GenericValue:
+    def un_assign(t: Term) -> tuple:
         inner = t.children[0]
         expect(inner.kind.name == "Assign", "expected a generic assignment")
         lhs_w, op, rhs_w = inner.children
         expect(op.kind.name == "AssignOpEquals", "unsupported assignment operator")
         expect(lhs_w.kind == lhs_is, f"assignment target is not {target}")
         expect(rhs_w.kind == rhs_is, f"assignment source is not {source}")
-        return GenericValue(assign_ctor, (read(lhs_w.children[0]), read(rhs_w.children[0])))
+        return lhs_w.children[0], rhs_w.children[0]
 
     return (
         ident_term,
         {ident_ctor: tr_ident, assign_ctor: tr_assign},
-        {ident_is.name: un_ident, assign_is.name: un_assign},
+        {ident_is.name: Case(un_ident, None),
+         assign_is.name: Case(un_assign, lambda t, v: GenericValue(assign_ctor, tuple(v)))},
     )
 
 
 def block_cases(body: BodyCodec, surface_block: Callable, decl: Callable,
-                tr_decl: Callable, un_decl: Callable,
+                tr_decl: Callable, un_decl: Case,
                 items: Optional[tuple[Callable, Callable]] = None) -> tuple[dict, dict]:
     """(trans cases, untrans cases) of a frontend's statement list: the
     surface block `surface_block` holds statements and `decl`
     declarations, and its generic Block holds them under the codec's
     `stmt_is` and MULTI_DECL_IS_ITEM.  `tr_decl` is the trans case of
-    `decl`, which gives a MultiLocalVarDecl; `un_decl(attrs, singles,
-    read)` reads one back.  With `items`, the builders of a statement item
-    and a declaration item, each block element sits in one of those."""
+    `decl`, which gives a MultiLocalVarDecl; `un_decl` reads one back.
+    With `items`, the builders of a statement item and a declaration
+    item, each block element sits in one of those."""
     block_ctor = ctor_name(surface_block)
     cases = {ctor_name(decl): tr_decl}
     if items is not None:
@@ -568,34 +587,42 @@ def block_cases(body: BodyCodec, surface_block: Callable, decl: Callable,
             ]
         return body.block_is.build(generic_block(elems))
 
-    def un_block(t: Term, read) -> GenericValue:
-        elems = []
-        for item in block_items(t.children[0]):
-            if item.kind == body.stmt_is:
-                stmt = read(item.children[0])
-                elems.append(stmt if items is None else GenericValue(stmt_item, (stmt,)))
-            elif item.kind == MULTI_DECL_IS_ITEM:
-                multi = item.children[0]
-                expect(multi.kind.name == "MultiLocalVarDecl",
-                       "expected a generic declaration")
-                decl = un_decl(*multi.children, read)
-                elems.append(decl if items is None else GenericValue(decl_item, (decl,)))
-            else:
-                raise UnrepresentableTerm(f"unexpected block item {item.kind.name}")
+    def un_decl_item(item: Term):
+        expect(item.kind == MULTI_DECL_IS_ITEM, f"unexpected block item {item.kind.name}")
+        multi = item.children[0]
+        expect(multi.kind.name == "MultiLocalVarDecl", "expected a generic declaration")
+        return un_decl.down(multi)
+
+    def decl_value(item: Term, values: list) -> GenericValue:
+        decl = un_decl.up(item.children[0], values)
+        return decl if items is None else GenericValue(decl_item, (decl,))
+
+    decl_case = Case(un_decl_item, decl_value)
+
+    # A statement is read by its kind; any other item checks its own kind
+    # in its turn, after the items before it.
+    def un_block(t: Term) -> list:
+        return [item.children[0] if item.kind == body.stmt_is else (decl_case, item)
+                for item in block_items(t.children[0])]
+
+    def block_value(t: Term, elems: list) -> GenericValue:
+        if items is not None:
+            elems = [GenericValue(stmt_item, (e,)) if i.kind == body.stmt_is else e
+                     for i, e in zip(block_items(t.children[0]), elems)]
         return GenericValue(block_ctor, (tuple(elems),))
 
     cases[block_ctor] = tr_block
-    return cases, {body.block_is.name: un_block}
+    return cases, {body.block_is.name: Case(un_block, block_value)}
 
 
 def declarator_cases(C, dtor: Callable, ident_is: NodeKind, init_is: NodeKind,
-                     lang: str, init_what: str) -> tuple[dict, Callable]:
-    """(trans cases, untrans) of the declarator lists MiniC and MiniJS
+                     lang: str, init_what: str) -> tuple[dict, Case]:
+    """(trans cases, untrans case) of the declarator lists MiniC and MiniJS
     share: `dtor` builds a declarator from an identifier, which decompose
     gives under `ident_is`, and a `SomeInit`/`NoInit` initializer, which
     the generic side holds under `init_is`.  Each declarator becomes a
-    SingleLocalVarDecl.  `lang` and `init_what` name the language and the
-    initializer in error messages."""
+    SingleLocalVarDecl, which the untrans case reads back.  `lang` and
+    `init_what` name the language and the initializer in error messages."""
     ident_sort = ident_is.produced
     dtor_ctor, ident_ctor = ctor_name(dtor), ctor_name(C.Ident)
     option_trans, un_option = option_cases(C.SomeInit, C.NoInit, init_is, init_what)
@@ -607,43 +634,44 @@ def declarator_cases(C, dtor: Callable, ident_is: NodeKind, init_is: NodeKind,
             raise SortMismatch(0, ident_sort, name.sort)
         return single_decl(IDENT_IS_BINDER.build(name.children[0]), opt)
 
-    def un_dtors(singles: Term, read) -> tuple:
-        dtors = []
-        for single in singles.children:
-            _, binder, opt = single.children
-            expect(binder.kind == IDENT_IS_BINDER, f"{lang} binders are single identifiers")
-            name = binder.children[0]
-            expect(name.kind == IDENT, "expected a generic identifier")
-            opt_v = un_option(opt, read)
-            name_v = GenericValue(ident_ctor, name.payload_values)
-            dtors.append(GenericValue(dtor_ctor, (name_v, opt_v)))
-        return tuple(dtors)
+    def un_dtor(single: Term) -> tuple:
+        _, binder, opt = single.children
+        expect(binder.kind == IDENT_IS_BINDER, f"{lang} binders are single identifiers")
+        expect(binder.children[0].kind == IDENT, "expected a generic identifier")
+        return ((un_option, opt),)
 
-    return {ctor_name(dtor): tr_dtor, **option_trans}, un_dtors
+    def dtor_value(single: Term, opt: list) -> GenericValue:
+        name = GenericValue(ident_ctor, single.children[1].children[0].payload_values)
+        return GenericValue(dtor_ctor, (name, opt[0]))
+
+    return {ctor_name(dtor): tr_dtor, **option_trans}, Case(un_dtor, dtor_value)
 
 
 def option_cases(some_ctor: Callable, none_ctor: Callable, init_is: NodeKind,
-                 init_what: str) -> tuple[dict, Callable]:
-    """(trans cases, untrans) of a declaration's initializer option:
+                 init_what: str) -> tuple[dict, Case]:
+    """(trans cases, untrans case) of a declaration's initializer option:
     `some_ctor` holds an initializer, which the generic side holds under
-    `init_is`.  The untrans reads a generic initializer option back;
+    `init_is`.  The untrans case reads a generic initializer option back;
     `init_what` names the initializer in error messages."""
     some_ctor_name = ctor_name(some_ctor)
     none = GenericValue(ctor_name(none_ctor))
 
-    def un_option(opt: Term, read) -> GenericValue:
+    def un_option(opt: Term) -> tuple:
         if opt.kind == JUST_INIT:
             init_w = opt.children[0]
             expect(init_w.kind == init_is, f"initializer is not {init_what}")
-            return GenericValue(some_ctor_name, (read(init_w.children[0]),))
+            return init_w.children
         expect(opt.kind == NO_INIT, "expected a generic initializer option")
-        return none
+        return ()
+
+    def option_value(opt: Term, init: list) -> GenericValue:
+        return GenericValue(some_ctor_name, (init[0],)) if init else none
 
     return {
         some_ctor_name:
             lambda v, walk: JUST_INIT.build(init_is.build(walk(v.args[0]))),
         ctor_name(none_ctor): lambda v, walk: NO_INIT.build(),
-    }, un_option
+    }, Case(un_option, option_value)
 
 
 def some(option: Term) -> Optional[Term]:

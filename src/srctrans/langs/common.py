@@ -1,9 +1,12 @@
-"""Shared lexing and parsing scaffolding for the bundled frontends, and
-the compiled statements of the C-like ones.
+"""Shared lexing and parsing scaffolding for the bundled frontends, their
+printers' layout driver, and the layouts and compiled statements of the
+C-like ones.
 
 Every frontend parses expressions with `expression_parser`, one loop on
 explicit stacks, so an expression's nesting takes no Python frames;
-statements are parsed by recursive descent."""
+statements are parsed by recursive descent.  A frontend prints a
+statement as a layout, a sequence of lines, indent marks and nested
+statements, which `render` expands on an explicit stack."""
 
 from __future__ import annotations
 
@@ -270,6 +273,47 @@ def _parse_opt_expr(ts: TokenStream, expr: Callable, closer: str) -> GenericValu
     if ts.at_op(closer):
         return GV("NoExpr")
     return GV("SomeExpr", (expr(ts),))
+
+
+def c_stmt_layout(lang: str, expr: Callable, inner: Callable, body: Callable,
+                  if_else: Callable, own: dict) -> Callable:
+    """The layout (see `render`) of a statement of language `lang`: one
+    of `parse_c_stmt`'s grammar, with expressions printed by `expr`, or
+    one whose constructor `own` maps to its layout.  `inner(block)` lays
+    out a braced block's contents, `body(header, b)` the body of an if,
+    while or for under its header, and `if_else(header, then, els)` an
+    if with an else."""
+
+    def layout(s: GenericValue):
+        c = s.ctor
+        if c in own:
+            return own[c](s)
+        if c == "ExprStmt":
+            return (expr(s.args[0]) + ";",)
+        if c == "IfStmt":
+            cond, then, els = s.args
+            if els.ctor == "SomeElse":
+                return if_else(f"if ({expr(cond)})", then, els.args[0])
+            return body(f"if ({expr(cond)})", then)
+        if c == "WhileStmt":
+            return body(f"while ({expr(s.args[0])})", s.args[1])
+        if c == "ForStmt":
+            clauses = "; ".join(
+                expr(o.args[0]) if o.ctor == "SomeExpr" else "" for o in s.args[:3]
+            )
+            return body(f"for ({clauses})", s.args[3])
+        if c == "ReturnStmt":
+            opt = s.args[0]
+            return (f"return {expr(opt.args[0])};" if opt.ctor == "SomeExpr" else "return;",)
+        if c == "BreakStmt":
+            return ("break;",)
+        if c == "ContinueStmt":
+            return ("continue;",)
+        if c == "BlockStmt":
+            return ("{", INDENT, *inner(s.args[0]), DEDENT, "}")
+        raise ValueError(f"not a {lang} statement: {c}")
+
+    return layout
 
 
 def expr_stmt(comp: Compiler, s: GenericValue) -> Callable:
@@ -615,21 +659,27 @@ def expr_printer(prec: dict[str, int], own: Callable) -> Callable[..., str]:
     return show
 
 
-class PrettyPrinter:
-    """Indented line accumulator for layout-normalized output."""
+# Layout marks: the lines after INDENT sit one level deeper, until DEDENT.
+INDENT, DEDENT = 1, -1
 
-    def __init__(self):
-        self.lines: list[str] = []
-        self.depth = 0
 
-    def line(self, text: str) -> None:
-        self.lines.append("  " * self.depth + text if text else "")
-
-    def push(self) -> None:
-        self.depth += 1
-
-    def pop(self) -> None:
-        self.depth -= 1
-
-    def render(self) -> str:
-        return "\n".join(self.lines) + "\n"
+def render(parts, layout: Callable) -> str:
+    """The text of a layout: `parts` in order, each a line, INDENT or
+    DEDENT, or a node whose parts are `layout(node)`, expanded in its
+    place.  Each line is indented two spaces per level, and the text
+    ends with a newline.  The parts still to print wait on an explicit
+    stack, so nesting takes no Python frames."""
+    lines: list[str] = []
+    depth = 0
+    indent = ""
+    todo = list(reversed(parts))
+    while todo:
+        part = todo.pop()
+        if part.__class__ is str:
+            lines.append(indent + part if part else "")
+        elif part.__class__ is int:
+            depth += part
+            indent = "  " * depth
+        else:
+            todo.extend(reversed(layout(part)))
+    return "\n".join(lines) + "\n"

@@ -29,6 +29,7 @@ from ..fragments import (
 from ..runtime import COV, RunResult, Trap, call_user, literal
 from ..schema import (
     GV,
+    Case,
     GenericValue,
     list_items,
     modularize_schema,
@@ -50,17 +51,21 @@ from .base import (
     generic_block,
     genericize,
     ident_assign_cases,
+    pre_order,
     register,
 )
 from .common import (
+    DEDENT,
+    INDENT,
     CCompiler,
-    PrettyPrinter,
     TokenStream,
+    c_stmt_layout,
     expr_printer,
     expression_parser,
     lexer,
     parse_c_stmt,
     parse_ident,
+    render,
 )
 
 SCHEMA_TEXT = """
@@ -232,97 +237,56 @@ def _decl_str(d: GenericValue) -> str:
 
 def _dangles(s: GenericValue) -> bool:
     # An unbraced trailing if with no else would capture our else clause.
-    if s.ctor == "IfStmt":
-        els = s.args[2]
-        return els.ctor == "NoElse" or _dangles(els.args[0])
-    if s.ctor == "WhileStmt":
-        return _dangles(s.args[1])
-    if s.ctor == "ForStmt":
-        return _dangles(s.args[3])
-    return False
-
-
-def _print_block(pp: PrettyPrinter, opener: str, block: GenericValue) -> None:
-    pp.line(opener)
-    pp.push()
-    for item in block.args[0]:
-        _print_item(pp, item)
-    pp.pop()
-    pp.line("}")
-
-
-def _print_body(pp: PrettyPrinter, header: str, body: GenericValue,
-                force_brace: bool = False) -> None:
-    if body.ctor == "BlockStmt":
-        _print_block(pp, header + " {", body.args[0])
-    elif force_brace:
-        pp.line(header + " {")
-        pp.push()
-        _print_stmt(pp, body)
-        pp.pop()
-        pp.line("}")
-    else:
-        pp.line(header)
-        pp.push()
-        _print_stmt(pp, body)
-        pp.pop()
-
-
-def _print_stmt(pp: PrettyPrinter, s: GenericValue) -> None:
-    c = s.ctor
-    if c == "ExprStmt":
-        pp.line(_expr_str(s.args[0]) + ";")
-    elif c == "IfStmt":
-        cond, then, els = s.args
-        has_else = els.ctor == "SomeElse"
-        _print_body(pp, f"if ({_expr_str(cond)})", then,
-                    force_brace=has_else and _dangles(then))
-        if has_else:
-            _print_body(pp, "else", els.args[0])
-    elif c == "WhileStmt":
-        _print_body(pp, f"while ({_expr_str(s.args[0])})", s.args[1])
-    elif c == "ForStmt":
-        init, cond, step, body = s.args
-        clauses = "; ".join(
-            _expr_str(o.args[0]) if o.ctor == "SomeExpr" else ""
-            for o in (init, cond, step)
-        )
-        _print_body(pp, f"for ({clauses})", body)
-    elif c == "ReturnStmt":
-        opt = s.args[0]
-        if opt.ctor == "SomeExpr":
-            pp.line(f"return {_expr_str(opt.args[0])};")
+    while True:
+        c = s.ctor
+        if c == "IfStmt":
+            els = s.args[2]
+            if els.ctor == "NoElse":
+                return True
+            s = els.args[0]
+        elif c == "WhileStmt":
+            s = s.args[1]
+        elif c == "ForStmt":
+            s = s.args[3]
         else:
-            pp.line("return;")
-    elif c == "BreakStmt":
-        pp.line("break;")
-    elif c == "ContinueStmt":
-        pp.line("continue;")
-    elif c == "BlockStmt":
-        _print_block(pp, "{", s.args[0])
-    else:
-        raise ValueError(f"not a MiniC statement: {c}")
+            return False
 
 
-def _print_item(pp: PrettyPrinter, item: GenericValue) -> None:
-    if item.ctor == "DeclItem":
-        pp.line(_decl_str(item.args[0]))
-    else:
-        _print_stmt(pp, item.args[0])
+def _inner(block: GenericValue) -> list:
+    return [
+        _decl_str(item.args[0]) if item.ctor == "DeclItem" else item.args[0]
+        for item in block.args[0]
+    ]
+
+
+def _body(header: str, body: GenericValue, force_brace: bool = False) -> tuple:
+    if body.ctor == "BlockStmt":
+        return (header + " {", INDENT, *_inner(body.args[0]), DEDENT, "}")
+    if force_brace:
+        return (header + " {", INDENT, body, DEDENT, "}")
+    return (header, INDENT, body, DEDENT)
+
+
+def _if_else(header: str, then: GenericValue, els: GenericValue) -> tuple:
+    return (*_body(header, then, _dangles(then)), *_body("else", els))
+
+
+_layout = c_stmt_layout("MiniC", _expr_str, _inner, _body, _if_else, {})
 
 
 @gc_paused
 def pretty(ast: GenericValue) -> str:
-    pp = PrettyPrinter()
+    parts = []
     for i, func in enumerate(ast.args[0]):
         if i:
-            pp.line("")
+            parts.append("")
         ty, name, params, block = func.args
         plist = ", ".join(
             f"{_TYPE_STR[p.args[0].ctor]} {p.args[1].args[0]}" for p in params
         )
-        _print_block(pp, f"{_TYPE_STR[ty.ctor]} {name.args[0]}({plist}) {{", block)
-    return pp.render()
+        header = f"{_TYPE_STR[ty.ctor]} {name.args[0]}({plist}) {{"
+        parts += (header, INDENT, *_inner(block), DEDENT, "}")
+    return render(parts, _layout)
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +327,7 @@ class _Body(BodyCodec):
 
 
 BODY = _Body(BLOCK_IS_MINIC, STMT_IS_ITEM)
-_DTOR_TRANS, _un_dtors = declarator_cases(
+_DTOR_TRANS, _UN_DTOR = declarator_cases(
     C, C.Declarator, IDENT_IS_MINIC, INIT_IS_INIT, "MiniC", "a MiniC initializer"
 )
 
@@ -374,14 +338,16 @@ def _tr_decl(v: GenericValue, walk) -> Term:
     return multi_decl(list(map(walk, list_items(dtors))), TYPE_IS_ATTRS.build(ty))
 
 
-def _un_decl(attrs: Term, singles: Term, read) -> GenericValue:
+def _un_decl(multi: Term) -> list:
+    attrs, singles = multi.children
     expect(attrs.kind == TYPE_IS_ATTRS, "declaration attributes are not a MiniC type")
-    dtors = _un_dtors(singles, read)
-    return GV("Decl", (read(attrs.children[0]), dtors))
+    return [*((_UN_DTOR, s) for s in singles.children), attrs.children[0]]
 
 
 _BLOCK_TRANS, _BLOCK_UNTRANS = block_cases(
-    BODY, C.Block, C.Decl, _tr_decl, _un_decl, (C.StmtItem, C.DeclItem)
+    BODY, C.Block, C.Decl, _tr_decl,
+    Case(_un_decl, lambda multi, v: GV("Decl", (v[-1], tuple(v[:-1])))),
+    (C.StmtItem, C.DeclItem),
 )
 _CASES = {**_TRANS, **_DTOR_TRANS, **_BLOCK_TRANS}
 IPS, TABLE = genericize(
@@ -608,41 +574,29 @@ def run(ast: GenericValue, fuel: int = 100_000,
     return _Compiler(funcs, on_item, on_enter).run(fuel)
 
 
+def _items_below(node: GenericValue) -> tuple:
+    """The item-position nodes directly below an item or a bare body."""
+    s = node.args[0] if node.ctor == "StmtItem" else node
+    c = s.ctor
+    if c == "IfStmt":
+        els = s.args[2]
+        return (*_body_items(s.args[1]),
+                *(_body_items(els.args[0]) if els.ctor == "SomeElse" else ()))
+    if c == "WhileStmt" or c == "ForStmt":
+        return _body_items(s.args[-1])
+    if c == "BlockStmt":
+        return s.args[0].args[0]
+    return ()
+
+
+def _body_items(stmt: GenericValue) -> tuple:
+    """A braced body's items, or a bare body statement itself."""
+    return stmt.args[0].args[0] if stmt.ctor == "BlockStmt" else (stmt,)
+
+
 def item_walk(ast: GenericValue) -> list[GenericValue]:
     """All item-position nodes in the order coverage analysis numbers them."""
-    out: list[GenericValue] = []
-
-    def walk_body(stmt: GenericValue) -> None:
-        if stmt.ctor == "BlockStmt":
-            for it in stmt.args[0].args[0]:
-                walk_item(it)
-        else:
-            out.append(stmt)
-            walk_stmt(stmt)
-
-    def walk_item(item: GenericValue) -> None:
-        out.append(item)
-        if item.ctor == "StmtItem":
-            walk_stmt(item.args[0])
-
-    def walk_stmt(s: GenericValue) -> None:
-        c = s.ctor
-        if c == "IfStmt":
-            walk_body(s.args[1])
-            if s.args[2].ctor == "SomeElse":
-                walk_body(s.args[2].args[0])
-        elif c == "WhileStmt":
-            walk_body(s.args[1])
-        elif c == "ForStmt":
-            walk_body(s.args[3])
-        elif c == "BlockStmt":
-            for it in s.args[0].args[0]:
-                walk_item(it)
-
-    for func in ast.args[0]:
-        for it in func.args[3].args[0]:
-            walk_item(it)
-    return out
+    return pre_order([it for func in ast.args[0] for it in func.args[3].args[0]], _items_below)
 
 
 register(

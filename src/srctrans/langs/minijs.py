@@ -43,6 +43,7 @@ from ..runtime import (
 )
 from ..schema import (
     GV,
+    Case,
     GenericValue,
     list_items,
     modularize_schema,
@@ -63,17 +64,21 @@ from .base import (
     func_body_paths,
     genericize,
     ident_assign_cases,
+    pre_order,
     register,
 )
 from .common import (
+    DEDENT,
+    INDENT,
     CCompiler,
-    PrettyPrinter,
     TokenStream,
+    c_stmt_layout,
     expr_printer,
     expression_parser,
     lexer,
     parse_c_stmt,
     parse_ident,
+    render,
 )
 
 SCHEMA_TEXT = """
@@ -196,79 +201,45 @@ def _quote(s: str) -> str:
     return '"' + escaped + '"'
 
 
-def _print_block(pp: PrettyPrinter, block: GenericValue, opener: str,
-                 closer: str = "}") -> None:
-    pp.line(opener)
-    _print_block_body(pp, block)
-    pp.line(closer)
+def _inner(block: GenericValue) -> list:
+    return [*(_quote(d.args[0]) + ";" for d in block.args[0]), *_stmts(block)]
 
 
-def _print_block_body(pp: PrettyPrinter, block: GenericValue) -> None:
-    pp.push()
-    for d in block.args[0]:
-        pp.line(_quote(d.args[0]) + ";")
-    for s in block.args[1].args[0]:
-        _print_stmt(pp, s)
-    pp.pop()
+def _body(header: str, block: GenericValue) -> tuple:
+    return (header + " {", INDENT, *_inner(block), DEDENT, "}")
 
 
-def _print_stmt(pp: PrettyPrinter, s: GenericValue) -> None:
-    c = s.ctor
-    if c == "ExprStmt":
-        pp.line(_expr_str(s.args[0]) + ";")
-    elif c == "VarStmt":
-        parts = []
-        for dtor in s.args[0]:
-            name = dtor.args[0].args[0]
-            opt = dtor.args[1]
-            if opt.ctor == "SomeInit":
-                parts.append(f"{name} = {_expr_str(opt.args[0], 1)}")
-            else:
-                parts.append(name)
-        pp.line(f"var {', '.join(parts)};")
-    elif c == "IfStmt":
-        cond, then, els = s.args
-        if els.ctor == "SomeElse":
-            _print_block(pp, then, f"if ({_expr_str(cond)}) {{", "} else {")
-            _print_block_body(pp, els.args[0])
-            pp.line("}")
+def _if_else(header: str, then: GenericValue, els: GenericValue) -> tuple:
+    return (header + " {", INDENT, *_inner(then), DEDENT, *_body("} else", els))
+
+
+def _var_stmt_layout(s: GenericValue) -> tuple:
+    parts = []
+    for dtor in s.args[0]:
+        name = dtor.args[0].args[0]
+        opt = dtor.args[1]
+        if opt.ctor == "SomeInit":
+            parts.append(f"{name} = {_expr_str(opt.args[0], 1)}")
         else:
-            _print_block(pp, then, f"if ({_expr_str(cond)}) {{")
-    elif c == "WhileStmt":
-        _print_block(pp, s.args[1], f"while ({_expr_str(s.args[0])}) {{")
-    elif c == "ForStmt":
-        init, cond, step, body = s.args
-        clauses = "; ".join(
-            _expr_str(o.args[0]) if o.ctor == "SomeExpr" else ""
-            for o in (init, cond, step)
-        )
-        _print_block(pp, body, f"for ({clauses}) {{")
-    elif c == "ReturnStmt":
-        opt = s.args[0]
-        if opt.ctor == "SomeExpr":
-            pp.line(f"return {_expr_str(opt.args[0])};")
-        else:
-            pp.line("return;")
-    elif c == "BreakStmt":
-        pp.line("break;")
-    elif c == "ContinueStmt":
-        pp.line("continue;")
-    elif c == "BlockStmt":
-        _print_block(pp, s.args[0], "{")
-    else:
-        raise ValueError(f"not a MiniJS statement: {c}")
+            parts.append(name)
+    return (f"var {', '.join(parts)};",)
+
+
+_layout = c_stmt_layout(
+    "MiniJS", _expr_str, _inner, _body, _if_else, {"VarStmt": _var_stmt_layout}
+)
 
 
 @gc_paused
 def pretty(ast: GenericValue) -> str:
-    pp = PrettyPrinter()
+    parts = []
     for i, func in enumerate(ast.args[0]):
         if i:
-            pp.line("")
+            parts.append("")
         name, params, block = func.args
         plist = ", ".join(p.args[0] for p in params)
-        _print_block(pp, block, f"function {name.args[0]}({plist}) {{")
-    return pp.render()
+        parts += _body(f"function {name.args[0]}({plist})", block)
+    return render(parts, _layout)
 
 
 # ---------------------------------------------------------------------------
@@ -302,19 +273,21 @@ class _Body(BodyCodec):
 
 
 BODY = _Body(BLOCK_IS_STMTS, STMT_IS_ITEM)
-_DTOR_TRANS, _un_dtors = declarator_cases(
+_DTOR_TRANS, _UN_DTOR = declarator_cases(
     C, C.VarDtor, IDENT_IS_MINIJS, EXPR_IS_INIT, "MiniJS", "a MiniJS expression"
 )
 
 
-def _un_decl(attrs: Term, singles: Term, read) -> GenericValue:
+def _un_decl(multi: Term) -> list:
+    attrs, singles = multi.children
     expect(attrs.kind.name == "EmptyCommonAttrs", "MiniJS declarations carry no attributes")
-    return GV("VarStmt", (_un_dtors(singles, read),))
+    return [(_UN_DTOR, s) for s in singles.children]
 
 
 _BLOCK_TRANS, _BLOCK_UNTRANS = block_cases(
     BODY, C.Stmts, C.VarStmt,
-    lambda v, walk: multi_decl(list(map(walk, list_items(v.args[0])))), _un_decl,
+    lambda v, walk: multi_decl(list(map(walk, list_items(v.args[0])))),
+    Case(_un_decl, lambda multi, dtors: GV("VarStmt", (tuple(dtors),))),
 )
 _CASES = {**_TRANS, **_DTOR_TRANS, **_BLOCK_TRANS}
 IPS, TABLE = genericize(
@@ -567,31 +540,24 @@ def run(ast: GenericValue, fuel: int = 100_000,
     return _Compiler(funcs, on_item, on_enter).run(fuel)
 
 
+def _stmts_below(s: GenericValue) -> tuple:
+    """The statements directly below a statement, in its blocks."""
+    c = s.ctor
+    if c == "IfStmt":
+        els = s.args[2]
+        return (*_stmts(s.args[1]), *(_stmts(els.args[0]) if els.ctor == "SomeElse" else ()))
+    if c == "WhileStmt" or c == "ForStmt" or c == "BlockStmt":
+        return _stmts(s.args[-1])
+    return ()
+
+
+def _stmts(block: GenericValue) -> tuple:
+    return block.args[1].args[0]
+
+
 def item_walk(ast: GenericValue) -> list[GenericValue]:
     """All item-position nodes in the order coverage analysis numbers them."""
-    out: list[GenericValue] = []
-
-    def walk_block(block: GenericValue) -> None:
-        for s in block.args[1].args[0]:
-            out.append(s)
-            walk_stmt(s)
-
-    def walk_stmt(s: GenericValue) -> None:
-        c = s.ctor
-        if c == "IfStmt":
-            walk_block(s.args[1])
-            if s.args[2].ctor == "SomeElse":
-                walk_block(s.args[2].args[0])
-        elif c == "WhileStmt":
-            walk_block(s.args[1])
-        elif c == "ForStmt":
-            walk_block(s.args[3])
-        elif c == "BlockStmt":
-            walk_block(s.args[0])
-
-    for func in ast.args[0]:
-        walk_block(func.args[2])
-    return out
+    return pre_order([s for func in ast.args[0] for s in _stmts(func.args[2])], _stmts_below)
 
 
 register(

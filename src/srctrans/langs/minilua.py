@@ -44,7 +44,7 @@ from ..runtime import (
     or_value,
     returned,
 )
-from ..schema import GV, GenericValue, modularize_schema, parse_schema_text, reader, walker
+from ..schema import GV, Case, GenericValue, modularize_schema, parse_schema_text, reader, walker
 from ..terms import NodeKind, Term, build_list, gc_paused, list_kind
 from ..traversal import Path
 from .base import (
@@ -64,12 +64,14 @@ from .base import (
     item_viewer,
     optional,
     option_cases,
+    pre_order,
     register,
     shared_arms,
     some,
 )
 from .common import (
-    PrettyPrinter,
+    DEDENT,
+    INDENT,
     block_stmt,
     branch,
     expr_stmt,
@@ -81,6 +83,7 @@ from .common import (
     expression_parser,
     lexer,
     parse_ident,
+    render,
 )
 
 SCHEMA_TEXT = """
@@ -270,79 +273,58 @@ def _name_list_str(nl: GenericValue) -> str:
     return ", ".join(n.args[0] for n in nl.args[0])
 
 
-def _print_block(pp: PrettyPrinter, block: GenericValue) -> None:
-    pp.push()
-    for s in block.args[0]:
-        _print_stmt(pp, s)
-    pp.pop()
+def _indented(block: GenericValue) -> tuple:
+    return (INDENT, *block.args[0], DEDENT)
 
 
-def _print_stmt(pp: PrettyPrinter, s: GenericValue) -> None:
+def _layout(s: GenericValue):
     c = s.ctor
     if c == "LocalStmt":
         names, opt = s.args
         if opt.ctor == "SomeExprs":
             exprs = ", ".join(_expr_str(e) for e in opt.args[0].args[0])
-            pp.line(f"local {_name_list_str(names)} = {exprs}")
-        else:
-            pp.line(f"local {_name_list_str(names)}")
-    elif c == "AssignStmt":
+            return (f"local {_name_list_str(names)} = {exprs}",)
+        return (f"local {_name_list_str(names)}",)
+    if c == "AssignStmt":
         targets = ", ".join(_expr_str(t) for t in s.args[0].args[0])
         sources = ", ".join(_expr_str(e) for e in s.args[1].args[0])
-        pp.line(f"{targets} = {sources}")
-    elif c == "CallStmt":
-        pp.line(_expr_str(s.args[0]))
-    elif c == "IfStmt":
+        return (f"{targets} = {sources}",)
+    if c == "CallStmt":
+        return (_expr_str(s.args[0]),)
+    if c == "IfStmt":
         cond, then, tail = s.args
-        pp.line(f"if {_expr_str(cond)} then")
-        _print_block(pp, then)
+        parts = [f"if {_expr_str(cond)} then", *_indented(then)]
         while tail.ctor == "ElseIf":
-            pp.line(f"elseif {_expr_str(tail.args[0])} then")
-            _print_block(pp, tail.args[1])
+            parts += (f"elseif {_expr_str(tail.args[0])} then", *_indented(tail.args[1]))
             tail = tail.args[2]
         if tail.ctor == "Else":
-            pp.line("else")
-            _print_block(pp, tail.args[0])
-        pp.line("end")
-    elif c == "WhileStmt":
-        pp.line(f"while {_expr_str(s.args[0])} do")
-        _print_block(pp, s.args[1])
-        pp.line("end")
-    elif c == "ForStmt":
+            parts += ("else", *_indented(tail.args[0]))
+        parts.append("end")
+        return parts
+    if c == "WhileStmt":
+        return (f"while {_expr_str(s.args[0])} do", *_indented(s.args[1]), "end")
+    if c == "ForStmt":
         var, low, high, step, body = s.args
         head = f"for {var.args[0]} = {_expr_str(low)}, {_expr_str(high)}"
         if step.ctor == "SomeStep":
             head += f", {_expr_str(step.args[0])}"
-        pp.line(head + " do")
-        _print_block(pp, body)
-        pp.line("end")
-    elif c == "FuncStmt":
+        return (head + " do", *_indented(body), "end")
+    if c == "FuncStmt":
         name, params, body = s.args
-        pp.line(f"function {name.args[0]}({_name_list_str(params)})")
-        _print_block(pp, body)
-        pp.line("end")
-    elif c == "ReturnStmt":
+        return (f"function {name.args[0]}({_name_list_str(params)})", *_indented(body), "end")
+    if c == "ReturnStmt":
         opt = s.args[0]
-        if opt.ctor == "SomeRet":
-            pp.line(f"return {_expr_str(opt.args[0])}")
-        else:
-            pp.line("return")
-    elif c == "BreakStmt":
-        pp.line("break")
-    elif c == "DoStmt":
-        pp.line("do")
-        _print_block(pp, s.args[0])
-        pp.line("end")
-    else:
-        raise ValueError(f"not a MiniLua statement: {c}")
+        return (f"return {_expr_str(opt.args[0])}" if opt.ctor == "SomeRet" else "return",)
+    if c == "BreakStmt":
+        return ("break",)
+    if c == "DoStmt":
+        return ("do", *_indented(s.args[0]), "end")
+    raise ValueError(f"not a MiniLua statement: {c}")
 
 
 @gc_paused
 def pretty(ast: GenericValue) -> str:
-    pp = PrettyPrinter()
-    for s in ast.args[0].args[0]:
-        _print_stmt(pp, s)
-    return pp.render()
+    return render(ast.args[0].args[0], _layout)
 
 
 # ---------------------------------------------------------------------------
@@ -379,20 +361,21 @@ _OPTION_TRANS, _un_option = option_cases(
 )
 
 
-def _un_decl(attrs: Term, singles_t: Term, read) -> GenericValue:
+def _un_decl(multi: Term) -> tuple:
+    attrs, singles_t = multi.children
     expect(attrs.kind.name == "EmptyCommonAttrs", "MiniLua declarations carry no attributes")
     singles = singles_t.children
     # One parallel binder group per local statement.
     expect(len(singles) == 1, "MiniLua declarations hold a single binder group")
     _, binder, opt = singles[0].children
     expect(binder.kind == NAMELIST_IS_BINDER, "MiniLua binders are name lists")
-    names = read(binder.children[0])
-    return GV("LocalStmt", (names, _un_option(opt, read)))
+    return binder.children[0], (_un_option, opt)
 
 
 BODY = BodyCodec(BLOCK_IS_MINILUA, STMT_IS_ITEM)
 _BLOCK_TRANS, _BLOCK_UNTRANS = block_cases(
-    BODY, C.Block, C.LocalStmt, _tr_local, _un_decl
+    BODY, C.Block, C.LocalStmt, _tr_local,
+    Case(_un_decl, lambda multi, v: GV("LocalStmt", tuple(v))),
 )
 _CASES = {**_TRANS, **_BLOCK_TRANS, **_OPTION_TRANS}
 IPS, TABLE = genericize(
@@ -712,7 +695,7 @@ class _Compiler(Compiler):
 
     def __init__(self, chunk: GenericValue, *args):
         # a name defined twice calls its last definition
-        funcs = {f.args[0].args[0]: f for f in _funcs(chunk.args[0], [])}
+        funcs = {f.args[0].args[0]: f for f in _funcs(chunk.args[0])}
         super().__init__(funcs, *args)
         self.chunk = chunk
 
@@ -749,29 +732,28 @@ class _Compiler(Compiler):
         return None  # unknown globals read as nil
 
 
-def _funcs(block: GenericValue, out: list) -> list:
-    """out, then each function statement under block in document order:
-    the order of the adapter's function bodies."""
-    for s in block.args[0]:
-        c = s.ctor
-        if c == "FuncStmt":
-            out.append(s)
-            _funcs(s.args[2], out)
-        elif c == "IfStmt":
-            _funcs(s.args[1], out)
-            tail = s.args[2]
-            while tail.ctor == "ElseIf":
-                _funcs(tail.args[1], out)
-                tail = tail.args[2]
-            if tail.ctor == "Else":
-                _funcs(tail.args[0], out)
-        elif c == "WhileStmt":
-            _funcs(s.args[1], out)
-        elif c == "ForStmt":
-            _funcs(s.args[4], out)
-        elif c == "DoStmt":
-            _funcs(s.args[0], out)
-    return out
+def _items_below(s: GenericValue) -> tuple:
+    """The item-position nodes directly below a statement or an elseif
+    arm: the statements of its blocks, and an elseif arm after it."""
+    c = s.ctor
+    if c == "IfStmt" or c == "ElseIf":
+        tail = s.args[2]
+        if tail.ctor == "ElseIf":
+            return (*s.args[1].args[0], tail)
+        return (*s.args[1].args[0], *(tail.args[0].args[0] if tail.ctor == "Else" else ()))
+    if c == "WhileStmt" or c == "ForStmt" or c == "DoStmt":
+        return s.args[-1].args[0]
+    return ()
+
+
+def _funcs(block: GenericValue) -> list:
+    """Each function statement under block, nested ones included, in
+    document order: the order of the adapter's function bodies."""
+    return [s for s in pre_order(block.args[0], _below_or_in_func) if s.ctor == "FuncStmt"]
+
+
+def _below_or_in_func(s: GenericValue) -> tuple:
+    return s.args[2].args[0] if s.ctor == "FuncStmt" else _items_below(s)
 
 
 def run(ast: GenericValue, fuel: int = 100_000,
@@ -786,37 +768,8 @@ def item_walk(ast: GenericValue) -> list[GenericValue]:
     The chunk body is walked first, then each function body in document
     order, matching the adapter's body enumeration.
     """
-    out: list[GenericValue] = []
-
-    def walk_block(block: GenericValue) -> None:
-        for s in block.args[0]:
-            out.append(s)
-            walk_stmt(s)
-
-    def walk_tail(tail: GenericValue) -> None:
-        if tail.ctor == "ElseIf":
-            out.append(tail)
-            walk_block(tail.args[1])
-            walk_tail(tail.args[2])
-        elif tail.ctor == "Else":
-            walk_block(tail.args[0])
-
-    def walk_stmt(s: GenericValue) -> None:
-        c = s.ctor
-        if c == "IfStmt":
-            walk_block(s.args[1])
-            walk_tail(s.args[2])
-        elif c == "WhileStmt":
-            walk_block(s.args[1])
-        elif c == "ForStmt":
-            walk_block(s.args[4])
-        elif c == "DoStmt":
-            walk_block(s.args[0])
-
-    walk_block(ast.args[0])
-    for func in _funcs(ast.args[0], []):
-        walk_block(func.args[2])
-    return out
+    bodies = [ast.args[0], *(func.args[2] for func in _funcs(ast.args[0]))]
+    return pre_order([s for body in bodies for s in body.args[0]], _items_below)
 
 
 register(

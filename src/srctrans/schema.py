@@ -16,17 +16,18 @@ Schemas can also be read from a small line-oriented text format:
 Argument types are Int, Bool, String, a type name, [t] for lists, and
 (t, t) for pairs.  The first defined type is the root.
 
-Encoding is one walk over a value (`walker`), which builds each node
-through its kind's builder, and decoding one over a term (`reader`);
-`to_modular` and `from_modular` are the walks alone.  A frontend adds
-cases for what its incremental parametric syntax replaces, so its
-decompose and recompose go straight between value and IPS term.
+Encoding is one recursive walk over a value (`walker`), which builds
+each node through its kind's builder; decoding is one `terms.fold` over
+a term (`reader`), which takes no Python frame per level.  `to_modular`
+and `from_modular` are the walks alone.  A frontend adds cases for what
+its incremental parametric syntax replaces, so its decompose and
+recompose go straight between value and IPS term.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 from .terms import (
     Atom,
@@ -38,6 +39,7 @@ from .terms import (
     Sort,
     Term,
     build_pair,
+    fold,
     gc_paused,
     list_kind,
     prim_matches,
@@ -234,21 +236,21 @@ class _CtorCodec:
     """How values of one constructor map to and from its node kind.
 
     `slots` has one entry per constructor argument: the primitive's name
-    for a payload slot, else the (encode, decode) pair of a child slot.
+    for a payload slot, else the (encode, read case) pair of a child slot.
     The encode plan: `payloads` pairs each payload's argument index with
     its Python class, and `encoders` each child's with its encoder, None
     for a constructor-typed child, which the walk encodes itself.  When
     the payloads come first and every child is constructor-typed,
     `split` is the number of payloads, else None; `build` is the kind's
-    builder.  The decode plan:
-    `decoders` decode the children in order, None where the walk does,
-    and `order` puts the payloads followed by the decoded children back
-    in argument order, or is None where they already are.  A plain
-    class, not a dataclass, to keep import time down.
+    builder.  The decode plan: `readers` has the read case of each
+    child, None where the reader reads it by its kind, and `order` puts
+    the payloads followed by the decoded children back in argument
+    order, or is None where they already are.  A plain class, not a
+    dataclass, to keep import time down.
     """
 
     __slots__ = ("ctor", "kind", "build", "slots", "arity", "payloads", "encoders",
-                 "split", "decoders", "order")
+                 "split", "readers", "order")
 
     def __init__(self, ctor: str, kind: NodeKind, slots: tuple):
         self.ctor = ctor
@@ -262,7 +264,7 @@ class _CtorCodec:
         self.encoders = tuple(
             (i, s[0]) for i, s in enumerate(slots) if not isinstance(s, str)
         )
-        self.decoders = tuple(s[1] for s in slots if not isinstance(s, str))
+        self.readers = tuple(s[1] for s in slots if not isinstance(s, str))
         # the argument index of each payload, then of each child
         where = [i for i, _ in self.payloads] + [i for i, _ in self.encoders]
         in_order = where == sorted(where)
@@ -358,13 +360,16 @@ def modularize_schema(schema: Schema) -> ModularizedLanguage:
     return ModularizedLanguage(schema, signature, sort_of, tuple(fragments))
 
 
-def _arg_codec(lang_name: str, ty: SchemaType) -> tuple[Optional[Callable], Callable]:
-    """(encode, decode) functions for a value of type ty in a child slot.
+# How `reader` reads one node, in the two steps of `terms.fold`; `up` is
+# None where `down` always gives the node's value outright.
+Case = NamedTuple("Case", [("down", Callable), ("up", Callable)])
 
+
+def _arg_codec(lang_name: str, ty: SchemaType) -> tuple[Optional[Callable], Optional[Case]]:
+    """(encode, read case) for a value of type ty in a child slot:
     encode(walk, value) -> Term encodes the constructor values inside
-    value with `walk`, and decode(read, term) -> value decodes the
-    constructor terms inside term with `read`; both are None for a
-    constructor-typed slot, which the walks encode and decode directly.
+    value with `walk`, and the case reads the term back.  Both are None
+    for a constructor-typed slot, which the walks encode and read alone.
     """
     if isinstance(ty, Prim):
         # Only reached inside containers; box the primitive as a leaf term.
@@ -375,17 +380,17 @@ def _arg_codec(lang_name: str, ty: SchemaType) -> tuple[Optional[Callable], Call
                 raise NonConformingValue(f"expected {prim}, got {value!r}")
             return box.build(value)
 
-        def decode(read, term):
+        def unbox(term):
             if term.kind is not box:
                 raise ForeignKind(f"expected boxed {prim}, got {term.kind.name}")
             return term.payload_values[0]
 
-        return encode, decode
+        return encode, Case(unbox, None)
     if isinstance(ty, Named):
         return None, None
     if isinstance(ty, ListT):
         build = list_kind(_translate_sort(lang_name, ty.elem)).build
-        enc_elem, dec_elem = _arg_codec(lang_name, ty.elem)
+        enc_elem, elem = _arg_codec(lang_name, ty.elem)
 
         def encode(walk, value):
             value = list_items(value)
@@ -393,33 +398,27 @@ def _arg_codec(lang_name: str, ty: SchemaType) -> tuple[Optional[Callable], Call
                 return build(*map(walk, value))
             return build(*[enc_elem(walk, v) for v in value])
 
-        def decode(read, term):
-            if dec_elem is None:
-                return tuple(map(read, term.children))
-            return tuple([dec_elem(read, t) for t in term.children])
+        def elems(term):
+            return term.children if elem is None else [(elem, t) for t in term.children]
 
-        return encode, decode
+        return encode, Case(elems, lambda term, values: tuple(values))
     if isinstance(ty, PairT):
-        enc_first, dec_first = _arg_codec(lang_name, ty.first)
-        enc_second, dec_second = _arg_codec(lang_name, ty.second)
+        enc_first, first = _arg_codec(lang_name, ty.first)
+        enc_second, second = _arg_codec(lang_name, ty.second)
 
         def encode(walk, value):
             if not isinstance(value, PairV):
                 raise NonConformingValue(f"expected PairV, got {value!r}")
-            first, second = value.first, value.second
+            a, b = value.first, value.second
             return build_pair(
-                walk(first) if enc_first is None else enc_first(walk, first),
-                walk(second) if enc_second is None else enc_second(walk, second),
+                walk(a) if enc_first is None else enc_first(walk, a),
+                walk(b) if enc_second is None else enc_second(walk, b),
             )
 
-        def decode(read, term):
-            first, second = term.children
-            return PairV(
-                read(first) if dec_first is None else dec_first(read, first),
-                read(second) if dec_second is None else dec_second(read, second),
-            )
+        def halves(term):
+            return [t if r is None else (r, t) for r, t in zip((first, second), term.children)]
 
-        return encode, decode
+        return encode, Case(halves, lambda term, values: PairV(*values))
     raise InvalidSchema(f"malformed type {ty!r}")
 
 
@@ -450,15 +449,16 @@ def walker(lang: ModularizedLanguage, cases: dict) -> Callable[[GenericValue], T
     The walk recurses once per constructor-typed child and does not
     pause the collector; `to_modular` is this walk with no cases.
     """
-    by_ctor = lang._by_ctor
-    case_for = cases.get
+    # one lookup per value: each constructor's codec and case
+    plan = {ctor: (codec, cases.get(ctor)) for ctor, codec in lang._by_ctor.items()}.get
 
     def walk(value):
         if value.__class__ is not GenericValue and not isinstance(value, GenericValue):
             raise NonConformingValue(f"not a constructor value: {value!r}")
-        codec = by_ctor.get(value.ctor)
-        if codec is None:
+        entry = plan(value.ctor)
+        if entry is None:
             raise NonConformingValue(f"unknown constructor {value.ctor}")
+        codec, case = entry
         args = value.args
         if len(args) != codec.arity:
             raise NonConformingValue(
@@ -475,7 +475,6 @@ def walker(lang: ModularizedLanguage, cases: dict) -> Callable[[GenericValue], T
                 raise NonConformingValue(
                     f"{value.ctor}: expected {codec.slots[i]}, got {v!r}"
                 )
-        case = case_for(value.ctor)
         if case is not None:
             if case.__class__ is NodeKind:
                 return case.build(walk(args[0]))
@@ -504,40 +503,48 @@ def to_modular(lang: ModularizedLanguage, value: GenericValue) -> Term:
 
 def reader(lang: ModularizedLanguage, cases: dict) -> Callable[[Term], GenericValue]:
     """The decoder walk of terms into lang's values, with the cases
-    `cases`: the mirror of `walker`.
+    `cases`: the mirror of `walker`, as a `terms.fold`.
 
-    A node whose kind is named in `cases` goes to its case, called as
-    case(term, read), which returns the node's value and decodes the
-    children it keeps with `read`.  Any other node must be of a kind of
-    lang's signature, else it raises ForeignKind; it decodes to its
-    origin if it records one, without a look below, and otherwise from
-    its codec plan.  The walk builds no term, recurses once per
-    constructor-typed child and does not pause the collector;
+    A node whose kind is named in `cases` is read by its `Case`, one
+    level at a time: `down(term)` checks the node and returns the terms
+    below it to read, each read by its kind or, given as a pair (case,
+    term), by that case, or else the node's value outright; `up(term,
+    values)` builds the node's value from theirs.  Any other node must
+    be of a kind of lang's signature, else it raises ForeignKind; it
+    decodes to its origin if it records one, without a look below, and
+    otherwise from its codec plan.  The walk builds no term, takes no
+    Python frame per level and does not pause the collector;
     `from_modular` is this walk with no cases.
     """
-    by_kind = lang._by_kind
-    case_for = cases.get
+    plan = {**lang._by_kind, **cases}.get
 
-    def read(term):
-        kind = term.kind
-        case = case_for(kind.name)
-        if case is not None:
-            return case(term, read)
-        codec = by_kind.get(kind.name)
+    def down(node):
+        if node.__class__ is tuple:  # (case, term)
+            return node[0].down(node[1])
+        kind = node.kind
+        codec = plan(kind.name)
+        if codec.__class__ is Case:
+            return codec.down(node)
         if codec is None or codec.kind is not kind:
             raise ForeignKind(f"kind {kind.name} is not part of {lang.schema.name}")
-        if term.origin is not None:
-            return term.origin
+        if node.origin is not None:
+            return node.origin
         if codec.split is not None:
-            return GenericValue(codec.ctor, term.payload_values + tuple(map(read, term.children)))
-        args = list(term.payload_values)
-        for dec, child in zip(codec.decoders, term.children):
-            args.append(read(child) if dec is None else dec(read, child))
-        if codec.order is not None:
-            args = [args[i] for i in codec.order]
-        return GenericValue(codec.ctor, tuple(args))
+            return node.children
+        return [t if r is None else (r, t) for r, t in zip(codec.readers, node.children)]
 
-    return read
+    def up(node, values):
+        if node.__class__ is tuple:
+            return node[0].up(node[1], values)
+        codec = plan(node.kind.name)
+        if codec.__class__ is Case:
+            return codec.up(node, values)
+        args = node.payload_values + tuple(values)
+        if codec.order is not None:
+            args = tuple([args[i] for i in codec.order])
+        return GenericValue(codec.ctor, args)
+
+    return lambda term: fold(term, down, up)
 
 
 @gc_paused
@@ -602,9 +609,10 @@ def parse_schema_text(text: str, name: str = "Schema") -> Schema:
             cname = toks[0]
             if not cname.isidentifier():
                 raise InvalidSchema(f"line {lineno}: bad constructor name {cname!r}")
-            args, rest = _parse_args(toks[1:], lineno)
-            if rest:
-                raise InvalidSchema(f"line {lineno}: trailing tokens {rest!r}")
+            args, rest = [], toks[1:]
+            while rest:
+                arg, rest = _parse_one_type(rest, lineno)
+                args.append(arg)
             ctors.append(ConstructorDecl(cname, tuple(args)))
         defs.append((tname, tuple(ctors)))
     if not defs:
@@ -631,14 +639,6 @@ def _tokenize_type(text: str) -> list[str]:
             toks.append(text[i:j])
             i = j
     return toks
-
-
-def _parse_args(toks: list[str], lineno: int) -> tuple[list[SchemaType], list[str]]:
-    args = []
-    while toks:
-        ty, toks = _parse_one_type(toks, lineno)
-        args.append(ty)
-    return args, toks
 
 
 def _parse_one_type(toks: list[str], lineno: int) -> tuple[SchemaType, list[str]]:

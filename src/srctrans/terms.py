@@ -41,6 +41,7 @@ from __future__ import annotations
 import gc
 from dataclasses import dataclass, field
 from functools import cache, wraps
+from operator import attrgetter
 from typing import Iterable, Iterator, Optional, Union
 
 # The primitive payload types, by name, and the Python class of each.
@@ -483,10 +484,46 @@ def check_term(term: Term, signature: Optional[Signature] = None) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Debug serialization
+# Folds and walks
 
-def to_sexpr(term: Term) -> str:
-    """Parenthesized dump `(KindName payload* child*)`, strings quoted."""
+# Marks a node's place on the fold's stack: its children's results are done.
+_UP = object()
+
+
+def fold(root, down, up):
+    """root folded bottom-up on an explicit stack, so nesting takes no
+    Python frames: a catamorphism (Meijer, Fokkinga & Paterson,
+    "Functional Programming with Bananas, Lenses, Envelopes and Barbed
+    Wire", 1991), written once for the walks that build a node's result
+    from its children's.  `down(node)` checks node and returns the nodes
+    below it to fold, in a tuple or list, or else node's result
+    outright.  `up(node, results)` builds node's result from theirs, a
+    list or ().  down runs in pre-order and up in post-order, as in a
+    recursive walk, so a check raises where the recursive walk would.
+    """
+    todo = [root]
+    pending: list = []  # the nodes whose children are being folded
+    frames: list = [[]]  # per pending node, its children's results so far
+    while todo:
+        node = todo.pop()
+        if node is _UP:
+            results = frames.pop()
+            frames[-1].append(up(pending.pop(), results))
+            continue
+        below = down(node)
+        if below.__class__ is not tuple and below.__class__ is not list:
+            frames[-1].append(below)
+        elif below:
+            pending.append(node)
+            frames.append([])
+            todo.append(_UP)
+            todo.extend(reversed(below))
+        else:
+            frames[-1].append(up(node, ()))
+    return frames[0][0]
+
+
+def _sexpr(term: Term, children: list) -> str:
     parts = [term.kind.name]
     for ty, v in zip(term.kind.payloads, term.payload_values):
         if ty == "String":
@@ -495,9 +532,14 @@ def to_sexpr(term: Term) -> str:
             parts.append("true" if v else "false")
         else:
             parts.append(str(v))
-    for child in term.children:
-        parts.append(to_sexpr(child))
+    parts += children
     return "(" + " ".join(parts) + ")"
+
+
+def to_sexpr(term: Term) -> str:
+    """Parenthesized dump `(KindName payload* child*)`, strings quoted: a
+    fold."""
+    return fold(term, attrgetter("children"), _sexpr)
 
 
 def iter_subterms(term: Term) -> Iterator[Term]:

@@ -45,7 +45,9 @@ def transform_bottom_up(r: Rewrite, t: Term, within: Optional[frozenset] = None)
 
     The walk keeps an explicit stack, so deep nesting does not deepen
     the Python stack.  A stack entry is a term to visit or, as a 1-tuple,
-    a term whose rewritten children are the last results.
+    a term whose rewritten children are the last results.  It is not a
+    `terms.fold`: the fold calls a `down` and an `up` per node where this
+    loop calls only the rewrite, and made `hoist` about a tenth slower.
     """
     results: list[Term] = []
     todo: list = [t]

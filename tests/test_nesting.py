@@ -10,15 +10,19 @@ fails in its parser from 200 levels on.
 `testcov` and `tac` rebuild every nested block, so recompose walks them
 all.  Their cells failed with `TransformError RecursionError` when
 recompose built a surface modular tree and then decoded it, from 100
-(MiniC), 150 (MiniJS) and 200 (MiniLua) levels on; the one walk of
-recompose takes 4, 4 and 3 frames per level.  MiniC has no `tac`, so
-its cell gives `RequirementMissing`.
+(MiniC), 150 (MiniJS) and 200 (MiniLua) levels on; the one recursive
+walk of recompose then took 4, 4 and 3 frames per level, and recompose
+is now a fold on an explicit stack, which takes none.  MiniC has no
+`tac`, so its cell gives `RequirementMissing`.
 
-A flat MiniLua elseif chain of 200 arms must give `Equal` through every
-pass.  Its arms sit one per if view, each the else block of the one
-before, so walks that reach sub-blocks through the views nest one level
-per arm; `testcov`, which gives each elseif test a marker, turns the
-chain into nested `else ... if ... end` blocks.
+A flat MiniLua elseif chain of 200 and of 300 arms must give `Equal`
+through every pass.  Its arms sit one per if view, each the else block
+of the one before, so walks that reach sub-blocks through the views nest
+one level per arm; `testcov`, which gives each elseif test a marker,
+turns the chain into nested `else ... if ... end` blocks.  Recompose
+took about four frames per arm there, so `testcov` failed with
+`TransformError RecursionError` from 250 arms on; now the reparse of its
+output fails first, in the statement parser, from 350 arms on.
 
 Expressions nested 150 and 300 levels deep, in the four shapes of
 `helpers.nested_expr`, must give `Equal` too.  Parentheses, binaries and
@@ -73,8 +77,10 @@ def test_nested_ifs_rebuilt_by_a_pass(pass_name, lname, n):
 @pytest.mark.parametrize("pass_name", ["ident", "ehoist", "hoist", "testcov", "tac"])
 def test_minilua_elseif_chain(pass_name):
     erase = pass_name == "testcov"
-    verdict = diff_one(get_language("minilua"), PASSES[pass_name], 0, elseif_chain(200), erase)
-    assert verdict.kind == "Equal", verdict.detail
+    for arms in (200, 300):
+        text = elseif_chain(arms)
+        verdict = diff_one(get_language("minilua"), PASSES[pass_name], 0, text, erase)
+        assert verdict.kind == "Equal", (arms, verdict.detail)
 
 
 EXPR_CELLS = [
