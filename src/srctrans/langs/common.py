@@ -22,6 +22,7 @@ from ..runtime import (
     Compiler,
     Trap,
     literal,
+    local_assignment,
 )
 from ..schema import GV, GenericValue
 
@@ -317,7 +318,12 @@ def c_stmt_layout(lang: str, expr: Callable, inner: Callable, body: Callable,
 
 
 def expr_stmt(comp: Compiler, s: GenericValue) -> Callable:
-    def expr_stmt(st, env, code=comp.expr(s.args[0])):
+    code = comp.expr(s.args[0])
+    if code.__code__ is _ASSIGN_LOCAL:
+        # `x = <expr>;` to a local x: the statement and the assignment
+        return local_assignment(*code.__defaults__, 2)
+
+    def expr_stmt(st, env, code=code):
         st.fuel -= 1
         code(st, env)
 
@@ -335,13 +341,21 @@ def _assign_expr(comp: Compiler, e: GenericValue) -> Callable:
             return store(st, env, value_c(st, env))
 
         return assign
+    return _assign_local(depth, lhs.args[0].args[0], value_c)
 
-    def assign_var(st, env, depth=depth, name=lhs.args[0].args[0], value_c=value_c):
+
+def _assign_local(depth: int, name: str, value_c: Callable) -> Callable:
+    def assign_local(st, env, depth=depth, name=name, value_c=value_c):
         st.fuel -= 1
         value = env[depth][name] = value_c(st, env)
         return value
 
-    return assign_var
+    return assign_local
+
+
+# The code of every closure `_assign_local` makes; its defaults are
+# (depth, name, value_c).
+_ASSIGN_LOCAL = _assign_local(0, "", None).__code__
 
 
 def branch(test: Callable, then_c: Callable, else_c: Callable | None) -> Callable:

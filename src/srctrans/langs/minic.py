@@ -26,7 +26,7 @@ from ..fragments import (
     ident_names,
     multi_decl,
 )
-from ..runtime import COV, RunResult, Trap, call_user, literal
+from ..runtime import COV, RunResult, Trap, call_user, equality, literal
 from ..schema import (
     GV,
     Case,
@@ -480,21 +480,13 @@ def _array_init(elems: list) -> Callable:
     return array
 
 
-def _typed_equality(comp: CCompiler, e: GenericValue) -> Callable:
-    """`==` and `!=`: a bool and an integer, or an array, trap."""
-    op, lhs, rhs = e.args
-
-    def equality(st, env, a=comp.expr(lhs), b=comp.expr(rhs), same=op == "=="):
-        st.fuel -= 1
-        x = a(st, env)
-        y = b(st, env)
-        if isinstance(x, bool) != isinstance(y, bool):
-            raise Trap("type")
-        if isinstance(x, list) or isinstance(y, list):
-            raise Trap("type")
-        return (x == y) == same
-
-    return equality
+def _equal(x, y) -> bool:
+    """`==`: a bool and an integer, or an array, trap."""
+    if isinstance(x, bool) != isinstance(y, bool):
+        raise Trap("type")
+    if isinstance(x, list) or isinstance(y, list):
+        raise Trap("type")
+    return x == y
 
 
 def _and(comp: CCompiler, e: GenericValue) -> Callable:
@@ -524,7 +516,7 @@ class _Compiler(CCompiler):
     store_index = staticmethod(_store_index)
     void = 0
     EXPR = {**CCompiler.EXPR, "IntLit": literal}
-    BINOP = {"==": _typed_equality, "!=": _typed_equality, "&&": _and, "||": _or}
+    BINOP = {"==": equality(_equal), "!=": equality(_equal), "&&": _and, "||": _or}
     BOOL_OPS = CCompiler.BOOL_OPS | {"&&", "||"}
     BUILTINS = {"array": list}
 

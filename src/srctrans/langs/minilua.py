@@ -39,10 +39,12 @@ from ..runtime import (
     check_int,
     equality,
     literal,
+    local_assignment,
     member,
     nil_literal,
     or_value,
     returned,
+    scope,
 )
 from ..schema import GV, Case, GenericValue, modularize_schema, parse_schema_text, reader, walker
 from ..terms import NodeKind, Term, build_list, gc_paused, list_kind
@@ -603,7 +605,13 @@ def _local_stmt(comp: "_Compiler", s: GenericValue) -> Callable:
 def _assign_stmt(comp: "_Compiler", s: GenericValue) -> Callable:
     """Parallel assignment: every value first, then the targets in order."""
     values = [comp.expr(e) for e in s.args[1].args[0]]
-    targets = [comp.target(t) for t in s.args[0].args[0]]
+    lhs = s.args[0].args[0]
+    if len(lhs) == len(values) == 1 and lhs[0].ctor == "VarE":
+        name = lhs[0].args[0].args[0]
+        depth = comp.resolve(name)
+        if depth is not None:
+            return local_assignment(depth, name, values[0], 1)
+    targets = [comp.target(t) for t in lhs]
     if len(targets) == len(values) == 1:
         def assign_one(st, env, store=targets[0], code=values[0]):
             st.fuel -= 1
@@ -644,7 +652,7 @@ def _for_num(comp: "_Compiler", s: GenericValue) -> Callable:
     low_c = comp.expr(low)
     high_c = comp.expr(high)
     step_c = comp.expr(step.args[0]) if step.ctor == "SomeStep" else None
-    comp.scopes.append(frozenset((name,)))
+    comp.scopes.append(scope((name,)))
     body_c = comp.block(body)
     comp.scopes.pop()
 
@@ -712,7 +720,7 @@ class _Compiler(Compiler):
     def start(self, st):
         if self.on_enter:
             self.on_enter(self.chunk)
-        self.scopes = [frozenset()]
+        self.scopes = [scope()]
         signal = self.block(self.chunk.args[0], new_scope=False)(st, [{}])
         return None if signal is None else returned(signal)
 

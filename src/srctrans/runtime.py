@@ -45,12 +45,26 @@ node it stands for.  So constants fold in the compile walk, which visits
 each node once.  A node the compiler cannot run, such as an unknown
 constructor or operator, compiles to a closure that traps when it runs:
 compiling never raises.
+
+The commonest expression shapes compile to one fused closure where a
+chain of closures would call one per node (Ertl & Gregg's
+superinstructions): an integer operator, `==` or `!=` whose operands
+are a local variable or any closure, against a local variable, an
+integer constant or any closure, with the operator written inline; and
+the statement `x = <expr>` for a local x.  A fused closure spends the
+fuel of every node it stands for before the first point where it can
+trap, exactly as the chain spends it: reading a local variable cannot
+trap, so a closure whose operands are locals and constants spends all
+its fuel at once, and an operand that is a closure runs where the chain
+runs it, after its operator's unit and before a constant's.  No fused
+closure compares the fuel.  Each is generated from source once per
+shape and operator, the first time a run needs it (`_fused_maker`).
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Callable, Optional
 
 
@@ -131,17 +145,19 @@ def external_value(counter: int, args: list):
     return (counter * 7 + s) % 5 - 2
 
 
-# The integer arithmetic and comparisons all three languages share.
+# The integer arithmetic and comparisons all three languages share, each
+# as the Python expression that computes it from integer operands x and
+# y: a fused closure (see `_fused`) writes it inline.
 _INT_OPS = {
-    "+": operator.add,
-    "-": operator.sub,
-    "*": operator.mul,
-    "/": trunc_div,
-    "%": trunc_mod,
-    "<": operator.lt,
-    "<=": operator.le,
-    ">": operator.gt,
-    ">=": operator.ge,
+    "+": "x + y",
+    "-": "x - y",
+    "*": "x * y",
+    "/": "x // y if x >= 0 and y > 0 else trunc_div(x, y)",
+    "%": "x % y if x >= 0 and y > 0 else trunc_mod(x, y)",
+    "<": "x < y",
+    "<=": "x <= y",
+    ">": "x > y",
+    ">=": "x >= y",
 }
 COMPARISONS = frozenset({"<", "<=", ">", ">="})
 
@@ -162,6 +178,11 @@ class State:
         self.ext_calls = 0
         self.depth = 0
         self.bodies: dict[int, tuple] = {}
+
+
+def scope(names=()) -> tuple[dict, int]:
+    """A compile-time scope that binds names (see `Compiler.scopes`)."""
+    return dict.fromkeys(names, 0), 1
 
 
 def emit(st: State, event: tuple) -> None:
@@ -250,9 +271,14 @@ class Compiler:
         self.funcs = funcs
         self.on_item = on_item
         self.on_enter = on_enter
-        # while compiling: the names each scope has bound so far, innermost
-        # last
-        self.scopes: list[frozenset] = []
+        # while compiling: each scope, innermost last, as a pair (names,
+        # count).  `names` maps each name the scope binds to the number
+        # of declarations in it before the name's first; the scope binds
+        # at this point the names whose number is below `count`.  A pair
+        # is never changed, so a snapshot of the list keeps what each
+        # scope bound then, while later declarations go on adding to
+        # `names`.
+        self.scopes: list[tuple[dict, int]] = []
 
     def run(self, fuel: int) -> RunResult:
         st = State(self, fuel)
@@ -328,21 +354,25 @@ class Compiler:
         return test
 
     def declare(self, name: str) -> None:
-        self.scopes[-1] = self.scopes[-1] | {name}
+        names, count = self.scopes[-1]
+        if names.get(name, count) >= count:
+            names[name] = count
+            self.scopes[-1] = (names, count + 1)
 
     def resolve(self, name: str) -> Optional[int]:
         """The index in `env` of the scope that holds name at this point,
         or None if no scope does."""
         scopes = self.scopes
         for depth in range(-1, -len(scopes) - 1, -1):
-            if name in scopes[depth]:
+            names, count = scopes[depth]
+            if names.get(name, count) < count:
                 return depth
         return None
 
     def routine(self, func) -> tuple[list, Callable]:
         """func's parameter names and its body's closure."""
         params = self.params(func)
-        self.scopes = [frozenset(params)]
+        self.scopes = [scope(params)]
         return params, self.block(self.routine_block(func), False)
 
     def block(self, block, new_scope: bool = True) -> Callable:
@@ -353,7 +383,7 @@ class Compiler:
         def run(st, env, comp=self, items=self.items_of(block), new_scope=new_scope,
                 outer=tuple(self.scopes), code=[]):
             if not code:
-                comp.scopes = [*outer, frozenset()] if new_scope else list(outer)
+                comp.scopes = [*outer, scope()] if new_scope else list(outer)
                 code.extend(map(comp.item, items))
             if new_scope:
                 env = env + [{}]
@@ -463,11 +493,7 @@ def variable(comp: Compiler, e) -> Callable:
     name = e.args[0].args[0]
     depth = comp.resolve(name)
     if depth is not None:
-        def variable(st, env, depth=depth, name=name):
-            st.fuel -= 1
-            return env[depth][name]
-
-        return variable
+        return local(depth, name)
 
     def global_variable(st, env, name=name, unbound=comp.unbound):
         st.fuel -= 1
@@ -476,6 +502,30 @@ def variable(comp: Compiler, e) -> Callable:
         return unbound(name)
 
     return global_variable
+
+
+def local(depth: int, name: str) -> Callable:
+    """The closure of a variable that the scope env[depth] holds."""
+    def variable(st, env, depth=depth, name=name):
+        st.fuel -= 1
+        return env[depth][name]
+
+    return variable
+
+
+# The code of every closure `local` makes; its defaults are (depth, name).
+_LOCAL = local(0, "").__code__
+
+
+def local_assignment(depth: int, name: str, value_c: Callable, fuel: int) -> Callable:
+    """The closure of a statement that stores value_c's value to the local
+    env[depth][name], for a statement of `fuel` nodes above value_c with
+    nothing observable between them."""
+    def assign(st, env, depth=depth, name=name, value_c=value_c, fuel=fuel):
+        st.fuel -= fuel
+        env[depth][name] = value_c(st, env)
+
+    return assign
 
 
 def index(comp: Compiler, e) -> Callable:
@@ -568,8 +618,7 @@ def binary(comp: Compiler, e) -> Callable:
         return own(comp, e)
     a = comp.expr(lhs)
     b = comp.expr(rhs)
-    fn = _INT_OPS.get(op)
-    if fn is None:
+    if op not in _INT_OPS:
         def unknown_op(st, env, a=a, b=b):
             st.fuel -= 1
             check_int(a(st, env))
@@ -577,31 +626,7 @@ def binary(comp: Compiler, e) -> Callable:
             raise Trap("op")
 
         return unknown_op
-
-    if b.__code__ is _CONSTANT and type(b.__defaults__[0]) is int:
-        # a constant integer operand spends its fuel where its closure
-        # would have run
-        def int_op_constant(st, env, a=a, fn=fn, k=b.__defaults__[0],
-                            fuel=b.__defaults__[1]):
-            st.fuel -= 1
-            x = a(st, env)
-            st.fuel -= fuel
-            if type(x) is not int:
-                check_int(x)
-            return fn(x, k)
-
-        return _folded(int_op_constant, a, b)
-
-    def int_op(st, env, a=a, b=b, fn=fn):
-        st.fuel -= 1
-        x = a(st, env)
-        y = b(st, env)
-        if type(x) is not int or type(y) is not int:
-            check_int(x)
-            check_int(y)
-        return fn(x, y)
-
-    return _folded(int_op, a, b)
+    return _folded(_fused(op, a, b), a, b)
 
 
 def and_value(comp: Compiler, e) -> Callable:
@@ -627,27 +652,83 @@ def or_value(comp: Compiler, e) -> Callable:
 
 
 def equality(equal: Callable) -> Callable:
-    """The compile function of `==` and its negation for a language whose
-    equality never traps; equal(a, b) decides it."""
+    """The compile function of `==` and its negation; equal(a, b) decides
+    it, and on two integers gives what `==` gives."""
 
     def compile_(comp: Compiler, e) -> Callable:
         op, lhs, rhs = e.args
-        a = comp.expr(lhs)
-        b = comp.expr(rhs)
-        if op == "==":
-            def same(st, env, a=a, b=b, equal=equal):
-                st.fuel -= 1
-                return equal(a(st, env), b(st, env))
-
-            return same
-
-        def differs(st, env, a=a, b=b, equal=equal):
-            st.fuel -= 1
-            return not equal(a(st, env), b(st, env))
-
-        return differs
+        return _fused("==" if op == "==" else "!=", comp.expr(lhs), comp.expr(rhs), equal)
 
     return compile_
+
+
+# ---------------------------------------------------------------------------
+# Fused operators (see the module docstring): Ertl & Gregg's
+# superinstructions (PLDI 2003), generated from source.
+
+# By shape: the closure's parameters, and the code that spends the fuel
+# of the nodes it stands for and binds the operands x and y.  Reading a
+# local variable cannot trap, so where no operand is a closure the fuel
+# is spent at once; a closure operand runs where the unfused chain runs
+# it, after its operator's unit and before a constant's.
+_SHAPES = {
+    "local_const": ("depth, name, y, fuel",
+                    "st.fuel -= fuel\nx = env[depth][name]\n"),
+    "local_local": ("depth, name, depth_y, name_y",
+                    "st.fuel -= 3\nx = env[depth][name]\ny = env[depth_y][name_y]\n"),
+    "any_const": ("a, y, fuel",
+                  "st.fuel -= 1\nx = a(st, env)\nst.fuel -= fuel\n"),
+    "any_any": ("a, b",
+                "st.fuel -= 1\nx = a(st, env)\ny = b(st, env)\n"),
+}
+
+# What a fused closure does with its operands: an integer operator traps
+# unless both are integers; equality asks `equal` unless both are.  A
+# constant operand is always an integer.
+_INT_OP = """\
+if type(x) is not int{y_is_not_int}:
+    raise Trap("type")
+return {expr}
+"""
+_EQUALITY = "return x {op} y if type(x) is int{y_is_int} else {negation}equal(x, y)\n"
+
+
+@cache
+def _fused_maker(shape: str, op: str) -> Callable:
+    """The function that makes the fused closures of one shape and
+    operator from the shape's parameters, and `equal` for equality."""
+    params, load = _SHAPES[shape]
+    y_const = shape.endswith("_const")
+    if op in _INT_OPS:
+        body = _INT_OP.format(
+            y_is_not_int="" if y_const else " or type(y) is not int", expr=_INT_OPS[op])
+    else:
+        params += ", equal"
+        body = _EQUALITY.format(op=op, y_is_int="" if y_const else " and type(y) is int",
+                                negation="" if op == "==" else "not ")
+    defaults = ", ".join(f"{p}={p}" for p in params.split(", "))
+    source = (f"def make({params}):\n    def {shape}(st, env, {defaults}):\n"
+              + "".join(f"        {line}\n" for line in (load + body).splitlines())
+              + f"    return {shape}\n")
+    namespace = {"Trap": Trap, "trunc_div": trunc_div, "trunc_mod": trunc_mod}
+    exec(compile(source, f"<fused {op} {shape}>", "exec"), namespace)
+    return namespace["make"]
+
+
+def _fused(op: str, a: Callable, b: Callable, equal: Optional[Callable] = None) -> Callable:
+    """The closure of `a op b`, for an integer operator or for `==` or
+    `!=` decided by equal, fused for the shape of the operand closures:
+    a local variable against a local variable or an integer constant,
+    or any closure against an integer constant or any closure."""
+    extra = () if equal is None else (equal,)
+    if b.__code__ is _CONSTANT and type(b.__defaults__[0]) is int:
+        y, fuel = b.__defaults__
+        if a.__code__ is _LOCAL:
+            return _fused_maker("local_const", op)(*a.__defaults__, y, 2 + fuel, *extra)
+        return _fused_maker("any_const", op)(a, y, fuel, *extra)
+    if a.__code__ is _LOCAL and b.__code__ is _LOCAL:
+        return _fused_maker("local_local", op)(*a.__defaults__, *b.__defaults__, *extra)
+    return _fused_maker("any_any", op)(a, b, *extra)
 
 
 EXPRESSIONS = {

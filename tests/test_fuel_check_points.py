@@ -12,6 +12,11 @@ This test parses every module under `src/srctrans` and lists the
 functions, by qualified name, that contain a comparison on `st.fuel`.
 A check anywhere else is code to delete; a check point missing from the
 list is a run that may go on unseen or without bound.
+
+Some closures are generated from source (`runtime._fused_maker`), so the
+test also parses each string assigned at a module's top level that
+mentions `st.fuel`, under the name the string is assigned to.  Such a
+template must parse on its own, or its comparisons would go unseen.
 """
 
 import ast
@@ -53,8 +58,33 @@ def _checking_functions(tree: ast.Module, module: str):
     return visit(tree, module)
 
 
+def _templates(tree: ast.Module, module: str):
+    """(qualified name, source) of each string that mentions st.fuel in
+    the value of an assignment at the module's top level."""
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.Assign, ast.AnnAssign)) and stmt.value is not None:
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            name = ", ".join(ast.unparse(t) for t in targets)
+            for node in ast.walk(stmt.value):
+                if (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                        and "st.fuel" in node.value):
+                    yield f"{module}.{name}", node.value
+
+
+def _modules():
+    for path in sorted(PACKAGE.rglob("*.py")):
+        yield path.stem, ast.parse(path.read_text())
+
+
 def test_fuel_is_compared_only_at_the_check_points():
     found = set()
-    for path in sorted(PACKAGE.rglob("*.py")):
-        found.update(_checking_functions(ast.parse(path.read_text()), path.stem))
+    for module, tree in _modules():
+        found.update(_checking_functions(tree, module))
+        for name, source in _templates(tree, module):
+            found.update(_checking_functions(ast.parse(source), name))
     assert found == CHECK_POINTS
+
+
+def test_the_fused_closure_templates_are_parsed():
+    names = {name for module, tree in _modules() for name, _ in _templates(tree, module)}
+    assert "runtime._SHAPES" in names

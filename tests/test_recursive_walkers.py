@@ -13,7 +13,12 @@ to call, as a statement parser passes itself to `parse_c_stmt`.  The
 path may run directly or through a sibling or nested function.  A name
 resolves to the function it names in the nearest enclosing function or
 in the module, unless a parameter or an assignment in between shadows
-it; method calls through an attribute (`self.expr`) are not followed.
+it.  Within a class, `self.<name>` resolves to the method of that name
+defined in the class or in a base class of the same module; a method
+reached through any other attribute (`comp.expr`) or through a table of
+functions (`Compiler.EXPR`) is not followed, so the run compiler's
+`Compiler.expr`, `stmt` and `block`, which recurse that way, are not
+found.
 The list that remains is the work left for ROADMAP items 2, 3 and 5,
 and a few functions whose recursion does not follow a program's
 nesting.  A function that newly recurses must be added here on
@@ -39,6 +44,23 @@ RECURSIVE = {
     "schema.walker.walk",
     "common.expr_printer.show",
     "flow._insert_into_block",
+    # the CFG builder and tac's walks, which recurse through self
+    # (item 3)
+    "flow._Builder.walk_block",
+    "flow._Builder.after_item",
+    "tac._BodyPass.walk_block",
+    "tac._BodyPass.walk_item",
+    "tac._BodyPass.walk_while",
+    "tac._BodyPass.walk_for",
+    "tac._BodyPass.walk_for_num",
+    "tac._BodyPass.flatten_top",
+    "tac._BodyPass.flatten_assign",
+    "tac._BodyPass.flatten_target",
+    "tac._BodyPass.hoist_operands",
+    "tac._BodyPass.lower_shortcircuit",
+    "tac._BodyPass.to_atom",
+    # tac's test for an atom, through member accesses (`TC.cov`)
+    "base.TacOps.is_atomic",
     # the run compiler's elseif chain (item 5)
     "minilua._else_tail",
     # runtime values: MiniJS renders and compares nested arrays on an
@@ -49,6 +71,9 @@ RECURSIVE = {
     "minijs._render_array",
     "minijs._same_arrays",
     "minijs._same_value",
+    # the program generator, down to a depth it is given
+    "gen._Emitter.bool_expr",
+    "gen._Emitter.int_expr",
     # walks over a schema's types and sorts, not over a program
     "schema._arg_codec",
     "schema._parse_one_type",
@@ -88,47 +113,65 @@ class _Scope:
     """A function: its qualified name, the functions defined directly in
     it, the names it binds otherwise, and its enclosing function."""
 
-    def __init__(self, name: str, parent: "_Scope | None"):
+    def __init__(self, name: str, parent: "_Scope | None", methods: dict):
         self.name = name
         self.parent = parent
+        # the methods `self.<name>` reaches, by name
+        self.methods = methods
         self.defs: dict[str, str] = {}
         self.bound: set[str] = set()
         self.loads: set[str] = set()
+        self.self_calls: set[str] = set()
 
 
 def _scopes(tree: ast.Module, module: str) -> list[_Scope]:
-    top = _Scope(module, None)
+    top = _Scope(module, None, {})
     out = []
+    # each class's methods, by the class's qualified name
+    classes: dict[str, dict[str, str]] = {}
 
-    def visit(node: ast.AST, qual: str, scope: _Scope):
+    def visit(node: ast.AST, qual: str, scope: _Scope, methods: dict):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 name = f"{qual}.{child.name}"
                 if scope is not None:
                     scope.defs[child.name] = name
-                inner = _Scope(name, scope or top)
+                inner = _Scope(name, scope or top, methods)
                 args = child.args
                 inner.bound.update(a.arg for a in (*args.posonlyargs, *args.args,
                                                    *args.kwonlyargs))
                 inner.bound.update(a.arg for a in (args.vararg, args.kwarg) if a)
                 out.append(inner)
-                visit(child, name, inner)
+                visit(child, name, inner, methods)
             elif isinstance(child, ast.ClassDef):
-                # a method is not visible by its bare name
-                visit(child, f"{qual}.{child.name}", None)
+                # a method is not visible by its bare name, only through self
+                cls = f"{qual}.{child.name}"
+                own = {}
+                for base in child.bases:
+                    if isinstance(base, ast.Name):
+                        own.update(classes.get(f"{module}.{base.id}", {}))
+                own.update({f.name: f"{cls}.{f.name}" for f in child.body
+                            if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))})
+                classes[cls] = own
+                visit(child, cls, None, own)
             else:
                 if isinstance(child, ast.Name) and scope is not None:
                     target = scope.loads if isinstance(child.ctx, ast.Load) else scope.bound
                     target.add(child.id)
-                visit(child, qual, scope)
+                elif (isinstance(child, ast.Attribute) and scope is not None
+                        and isinstance(child.value, ast.Name) and child.value.id == "self"
+                        and child.attr in scope.methods):
+                    scope.self_calls.add(scope.methods[child.attr])
+                visit(child, qual, scope, methods)
 
-    visit(tree, module, top)
+    visit(tree, module, top, {})
     return out
 
 
 def _calls(scope: _Scope) -> set[str]:
-    """The functions scope's names resolve to."""
-    found = set()
+    """The functions scope's names and `self.<name>` attributes resolve
+    to."""
+    found = set(scope.self_calls)
     for name in scope.loads:
         s = scope
         while s is not None:
