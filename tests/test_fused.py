@@ -222,8 +222,8 @@ def unfused_compiler(lname: str):
     })
 
 
-# Source of each operand kind: a declaration of x (or y) and an
-# expression that returns the value from a call of f (or g).
+# The source of each operand kind's value, with its type in MiniC: x and
+# y are declared with it, and f and g return it.
 RUN_VALUES = {
     "minic": {"int": ("int", "7"), "negative": ("int", "-7"), "zero": ("int", "0"),
               "bool": ("bool", "true"), "array": ("int[]", "{1, 2}")},
