@@ -320,7 +320,8 @@ def c_stmt_layout(lang: str, expr: Callable, inner: Callable, body: Callable,
 def expr_stmt(comp: Compiler, s: GenericValue) -> Callable:
     code = comp.expr(s.args[0])
     if code.__code__ is _ASSIGN_LOCAL:
-        # `x = <expr>;` to a local x: the statement and the assignment
+        # `x = <expr>;` to a local x: one closure spends the statement's
+        # unit and the assignment's, with nothing between them
         return local_assignment(*code.__defaults__, 2)
 
     def expr_stmt(st, env, code=code):
