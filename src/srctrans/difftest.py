@@ -15,6 +15,7 @@ from .langs.base import LanguageDef, get_language
 from .passes.hoist import elementary_hoist, hoist
 from .passes.tac import tac
 from .passes.testcov import testcov
+from .terms import gc_paused
 
 
 def _identity(term, lang):
@@ -96,6 +97,7 @@ def _first_divergence(a: tuple, b: tuple) -> int:
     return min(len(a), len(b))
 
 
+@gc_paused
 def diff_one(
     lang: LanguageDef,
     pass_fn: Callable,

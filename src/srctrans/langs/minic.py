@@ -518,6 +518,7 @@ class _Compiler(CCompiler):
     EXPR = {**CCompiler.EXPR, "IntLit": literal}
     BINOP = {"==": equality(_equal), "!=": equality(_equal), "&&": _and, "||": _or}
     BOOL_OPS = CCompiler.BOOL_OPS | {"&&", "||"}
+    DECLARES = frozenset({"DeclItem"})
     BUILTINS = {"array": list}
 
     @staticmethod

@@ -503,6 +503,7 @@ class _Compiler(CCompiler):
     read_index = staticmethod(_read_index)
     store_index = staticmethod(_store_index)
     STMT = {**CCompiler.STMT, "VarStmt": _var_stmt}
+    DECLARES = frozenset({"VarStmt"})
     EXPR = {**CCompiler.EXPR, "NumLit": literal, "UndefLit": nil_literal,
             "MemberE": member, "ArrayE": _array}
     BINOP = {"&&": and_value, "||": or_value,

@@ -700,6 +700,7 @@ class _Compiler(Compiler):
     BINOP = {"and": and_value, "or": or_value,
              "==": equality(_same_value), "~=": equality(_same_value)}
     BOOL_OPS = COMPARISONS | {"==", "~="}
+    DECLARES = frozenset({"LocalStmt"})
 
     def __init__(self, chunk: GenericValue, *args):
         # a name defined twice calls its last definition

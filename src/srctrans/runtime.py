@@ -19,13 +19,14 @@ compiled outlives its run.  A closure binds what it uses as default
 arguments, one tuple where captured variables would cost a cell each, so
 a run allocates fewer objects for the cyclic collector to scan.
 
-A scope is a block's, or a routine's for its parameters, and a
-declaration binds in the innermost scope when it runs.  Items run in
-order and a loop body gets a new scope each time it runs, so the scope
-that holds a name at a point is the innermost enclosing one that
-declares the name before that point, and none holds it if none does.
-The compiler finds it from the text, and a variable's closure reads
-`env[depth][name]` without searching the chain.
+A scope is a routine's, for its parameters, or a block's whose own items
+declare, and a declaration binds in the innermost scope when it runs; a
+block that declares nothing has no scope.  Items run in order and a
+loop body gets a new scope each time it runs, so the scope that holds a
+name at a point is the innermost enclosing one that declares the name
+before that point, and none holds it if none does.  The compiler finds
+it from the text, and a variable's closure reads `env[depth][name]`
+without searching the chain.
 
 Every node a tree walk would visit still costs one unit of fuel, at the
 same step, but only where going on could be seen is the balance checked:
@@ -50,8 +51,10 @@ The commonest expression shapes compile to one fused closure where a
 chain of closures would call one per node (Ertl & Gregg's
 superinstructions): an integer operator, `==` or `!=` whose operands
 are a local variable or any closure, against a local variable, an
-integer constant or any closure, with the operator written inline; and
-the statement `x = <expr>` for a local x.  A fused closure spends the
+integer constant or any closure, with the operator written inline; the
+statement `x = <expr>` for a local x, with the operator if the value is
+one of those; and a condition that is an `and` or `or` giving an
+operand, over its operands' tests.  A fused closure spends the
 fuel of every node it stands for before the first point where it can
 trap, exactly as the chain spends it: reading a local variable cannot
 trap, so a closure whose operands are locals and constants spends all
@@ -65,6 +68,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache
+from types import CodeType
 from typing import Callable, Optional
 
 
@@ -247,9 +251,11 @@ class Compiler:
     - `read_index(base, idx)` and `store_index(base, idx, value)` for
       an index into anything but the coverage array;
     - NOT, its negation operator (every other unary operator is minus),
-      BOOL_OPS, the binary operators whose value is always a bool, and
-      BUILTINS, the callees it runs itself; `void` is what print and a
-      routine that falls off its end return.
+      BOOL_OPS, the binary operators whose value is always a bool,
+      DECLARES, the constructors of the items that declare names in
+      their block (each compiles through `declare`), and BUILTINS, the
+      callees it runs itself; `void` is what print and a routine that
+      falls off its end return.
 
     An item's closure spends the item's fuel without checking it;
     `item(node)` compiles one, and `hooked` checks the fuel before the
@@ -260,6 +266,7 @@ class Compiler:
     STMT: dict[str, Callable] = {}
     BINOP: dict[str, Callable] = {}
     BOOL_OPS: frozenset = frozenset()
+    DECLARES: frozenset = frozenset()
     BUILTINS: dict[str, Callable] = {}
     NOT = "!"
     void = None
@@ -342,11 +349,21 @@ class Compiler:
         return hooked
 
     def test(self, e) -> Callable:
-        """A closure that gives the truth of condition e."""
+        """A closure that gives the truth of condition e.  An `and` or
+        `or` that gives an operand (`and_value`, `or_value`) is one
+        closure over its operands' tests (`and_test`, `or_test`)."""
+        if e.ctor == "BinE":
+            op, lhs, rhs = e.args
+            own = self.BINOP.get(op)
+            if own is and_value:
+                return and_test(self.test(lhs), self.test(rhs))
+            if own is or_value:
+                return or_test(self.test(lhs), self.test(rhs))
+            if op in self.BOOL_OPS:
+                return self.expr(e)
+        elif e.ctor == "UnaryE" and e.args[0] == self.NOT:
+            return self.expr(e)
         code = self.expr(e)
-        if ((e.ctor == "BinE" and e.args[0] in self.BOOL_OPS)
-                or (e.ctor == "UnaryE" and e.args[0] == self.NOT)):
-            return code
 
         def test(st, env, truthy=self.truthy, code=code):
             return truthy(code(st, env))
@@ -376,11 +393,22 @@ class Compiler:
         return params, self.block(self.routine_block(func), False)
 
     def block(self, block, new_scope: bool = True) -> Callable:
-        """A closure that runs block's items, in a new scope unless
-        new_scope is False; the items are compiled when it first runs."""
+        """A closure that runs block's items; the items are compiled when
+        it first runs.
+
+        A block one of whose own items declares (its constructor is in
+        `DECLARES`) runs in a new scope each time, unless new_scope is
+        False.  Any other block binds nothing, so it runs, and its items
+        compile, in the scopes around it: it neither pushes a compile-time
+        scope nor copies env, and a variable's depth is counted over the
+        scopes of declaring blocks only.
+        """
+        items = self.items_of(block)
+        new_scope = new_scope and any(item.ctor in self.DECLARES for item in items)
+
         # `outer` holds the names bound where the block starts; `code` is
         # filled the first time the block runs
-        def run(st, env, comp=self, items=self.items_of(block), new_scope=new_scope,
+        def run(st, env, comp=self, items=items, new_scope=new_scope,
                 outer=tuple(self.scopes), code=[]):
             if not code:
                 comp.scopes = [*outer, scope()] if new_scope else list(outer)
@@ -520,7 +548,12 @@ _LOCAL = local(0, "").__code__
 def local_assignment(depth: int, name: str, value_c: Callable, fuel: int) -> Callable:
     """The closure of a statement that stores value_c's value to the local
     env[depth][name], for a statement of `fuel` nodes above value_c with
-    nothing observable between them."""
+    nothing observable between them.  Where value_c is a fused operator,
+    the statement and the operator are one closure."""
+    fused = _FUSED.get(value_c.__code__)
+    if fused is not None:
+        return _fused_maker(*fused, True)(depth, name, fuel, *value_c.__defaults__)
+
     def assign(st, env, depth=depth, name=name, value_c=value_c, fuel=fuel):
         st.fuel -= fuel
         env[depth][name] = value_c(st, env)
@@ -651,6 +684,26 @@ def or_value(comp: Compiler, e) -> Callable:
     return or_value
 
 
+def and_test(a: Callable, b: Callable) -> Callable:
+    """The test of an `and_value` node whose operands' tests are a and b:
+    it spends the node's unit, and b runs only if a holds, as the truth
+    of `and_value` would have it."""
+    def and_test(st, env, a=a, b=b):
+        st.fuel -= 1
+        return a(st, env) and b(st, env)
+
+    return and_test
+
+
+def or_test(a: Callable, b: Callable) -> Callable:
+    """The test of an `or_value` node whose operands' tests are a and b."""
+    def or_test(st, env, a=a, b=b):
+        st.fuel -= 1
+        return a(st, env) or b(st, env)
+
+    return or_test
+
+
 def equality(equal: Callable) -> Callable:
     """The compile function of `==` and its negation; equal(a, b) decides
     it, and on two integers gives what `==` gives."""
@@ -666,53 +719,79 @@ def equality(equal: Callable) -> Callable:
 # Fused operators (see the module docstring): Ertl & Gregg's
 # superinstructions (PLDI 2003), generated from source.
 
-# By shape: the closure's parameters, and the code that spends the fuel
-# of the nodes it stands for and binds the operands x and y.  Reading a
-# local variable cannot trap, so where no operand is a closure the fuel
-# is spent at once; a closure operand runs where the unfused chain runs
-# it, after its operator's unit and before a constant's.
+# By shape: the closure's parameters, the fuel it spends first, and the
+# code that spends the rest of the fuel of the nodes it stands for and
+# binds the operands x and y.  Reading a local variable cannot trap, so
+# where no operand is a closure the fuel is spent at once; a closure
+# operand runs where the unfused chain runs it, after its operator's unit
+# and before a constant's.
 _SHAPES = {
-    "local_const": ("depth, name, y, fuel",
-                    "st.fuel -= fuel\nx = env[depth][name]\n"),
-    "local_local": ("depth, name, depth_y, name_y",
-                    "st.fuel -= 3\nx = env[depth][name]\ny = env[depth_y][name_y]\n"),
-    "any_const": ("a, y, fuel",
-                  "st.fuel -= 1\nx = a(st, env)\nst.fuel -= fuel\n"),
-    "any_any": ("a, b",
-                "st.fuel -= 1\nx = a(st, env)\ny = b(st, env)\n"),
+    "local_const": ("depth, name, y, fuel", "fuel", "x = env[depth][name]\n"),
+    "local_local": ("depth, name, depth_y, name_y", "3",
+                    "x = env[depth][name]\ny = env[depth_y][name_y]\n"),
+    "any_const": ("a, y, fuel", "1", "x = a(st, env)\nst.fuel -= fuel\n"),
+    "any_any": ("a, b", "1", "x = a(st, env)\ny = b(st, env)\n"),
 }
 
 # What a fused closure does with its operands: an integer operator traps
 # unless both are integers; equality asks `equal` unless both are.  A
-# constant operand is always an integer.
+# constant operand is always an integer.  `result` is `return ` for a
+# value closure, or the store of a statement closure.
 _INT_OP = """\
 if type(x) is not int{y_is_not_int}:
     raise Trap("type")
-return {expr}
+{result}{expr}
 """
-_EQUALITY = "return x {op} y if type(x) is int{y_is_int} else {negation}equal(x, y)\n"
+_EQUALITY = "{result}x {op} y if type(x) is int{y_is_int} else {negation}equal(x, y)\n"
+
+# The code of each fused value closure made so far, to its shape and
+# operator (see `local_assignment`).
+_FUSED: dict = {}
+
+
+def _fused_source(shape: str, op: str, store: bool) -> str:
+    """The source of `make`, which makes the fused closures of one shape
+    and operator from the shape's parameters, and then `equal` for
+    equality.
+
+    A store closure is the statement `x = <value>` for a local x whose
+    value would be the value closure: `make` takes x's depth and name and
+    the statement's own fuel first, and the closure spends that fuel
+    with the value's first units, having run nothing in between.
+    """
+    params, first, load = _SHAPES[shape]
+    name, result = shape, "return "
+    if store:
+        params = "to_depth, to_name, to_fuel, " + params
+        first = "to_fuel + " + first
+        name, result = shape + "_store", "env[to_depth][to_name] = "
+    y_const = shape.endswith("_const")
+    if op in _INT_OPS:
+        body = _INT_OP.format(y_is_not_int="" if y_const else " or type(y) is not int",
+                              result=result, expr=_INT_OPS[op])
+    else:
+        params += ", equal"
+        body = _EQUALITY.format(result=result, op=op,
+                                y_is_int="" if y_const else " and type(y) is int",
+                                negation="" if op == "==" else "not ")
+    defaults = ", ".join(f"{p}={p}" for p in params.split(", "))
+    return (f"def make({params}):\n    def {name}(st, env, {defaults}):\n"
+            + "".join(f"        {line}\n"
+                      for line in f"st.fuel -= {first}\n{load}{body}".splitlines())
+            + f"    return {name}\n")
 
 
 @cache
-def _fused_maker(shape: str, op: str) -> Callable:
-    """The function that makes the fused closures of one shape and
-    operator from the shape's parameters, and `equal` for equality."""
-    params, load = _SHAPES[shape]
-    y_const = shape.endswith("_const")
-    if op in _INT_OPS:
-        body = _INT_OP.format(
-            y_is_not_int="" if y_const else " or type(y) is not int", expr=_INT_OPS[op])
-    else:
-        params += ", equal"
-        body = _EQUALITY.format(op=op, y_is_int="" if y_const else " and type(y) is int",
-                                negation="" if op == "==" else "not ")
-    defaults = ", ".join(f"{p}={p}" for p in params.split(", "))
-    source = (f"def make({params}):\n    def {shape}(st, env, {defaults}):\n"
-              + "".join(f"        {line}\n" for line in (load + body).splitlines())
-              + f"    return {shape}\n")
+def _fused_maker(shape: str, op: str, store: bool = False) -> Callable:
+    """The `make` of `_fused_source`, compiled on first use."""
     namespace = {"Trap": Trap, "trunc_div": trunc_div, "trunc_mod": trunc_mod}
-    exec(compile(source, f"<fused {op} {shape}>", "exec"), namespace)
-    return namespace["make"]
+    exec(compile(_fused_source(shape, op, store), f"<fused {op} {shape}>", "exec"),
+         namespace)
+    make = namespace["make"]
+    if not store:
+        closure, = (c for c in make.__code__.co_consts if isinstance(c, CodeType))
+        _FUSED[closure] = shape, op
+    return make
 
 
 def _fused(op: str, a: Callable, b: Callable, equal: Optional[Callable] = None) -> Callable:

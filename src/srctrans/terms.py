@@ -30,10 +30,13 @@ Terms are immutable and acyclic, so reference counting frees them.  The
 layers that build trees (parse, decompose, the passes, the CFG builder
 and its dump, recompose and pretty) therefore run with CPython's cyclic collector
 paused, through `gc_paused`: otherwise every few hundred allocations
-start a collection that traverses the live trees and finds nothing.  The
-pause only defers cycle collection to the end of the call; no result
-depends on it.  The collector is process-wide, so a call in one thread
-may briefly pause collection for the others as well.
+start a collection that traverses the live trees and finds nothing.
+`difftest.diff_one` takes one pause over all of these and its two runs;
+the cyclic garbage a run makes is bounded by its fuel and is collected
+after `diff_one` returns.  The pause only defers cycle collection to the
+end of the call; no result depends on it.  The collector is
+process-wide, so a call in one thread may briefly pause collection for
+the others as well.
 """
 
 from __future__ import annotations

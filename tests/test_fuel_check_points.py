@@ -16,11 +16,16 @@ list is a run that may go on unseen or without bound.
 Some closures are generated from source (`runtime._fused_maker`), so the
 test also parses each string assigned at a module's top level that
 mentions `st.fuel`, under the name the string is assigned to.  Such a
-template must parse on its own, or its comparisons would go unseen.
+template must parse on its own, or its comparisons would go unseen.  It
+also parses the source of every closure the templates make, an
+operator's value and the statement that stores it, which must compare
+no fuel either.
 """
 
 import ast
 from pathlib import Path
+
+from srctrans.runtime import _INT_OPS, _SHAPES, _fused_source
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "srctrans"
@@ -88,3 +93,12 @@ def test_fuel_is_compared_only_at_the_check_points():
 def test_the_fused_closure_templates_are_parsed():
     names = {name for module, tree in _modules() for name, _ in _templates(tree, module)}
     assert "runtime._SHAPES" in names
+
+
+def test_no_generated_closure_compares_the_fuel():
+    for shape in _SHAPES:
+        for op in [*_INT_OPS, "==", "!="]:
+            for store in (False, True):
+                source = _fused_source(shape, op, store)
+                assert "st.fuel -= " in source
+                assert not set(_checking_functions(ast.parse(source), "make")), source

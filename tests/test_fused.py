@@ -4,11 +4,14 @@
 operands have one of the commonest shapes (a local variable or any
 closure, against a local variable, an integer constant or any closure)
 to one closure, and `common.expr_stmt` and MiniLua's assignment compile
-`x = <expr>` to a local x to one closure.  Each must give the value, or
-raise the trap, that the chain of closures it replaces gives, and spend
-the same fuel: the chain's operator closure spends its unit, calls each
-operand's closure, and then checks the operands and applies the
-operator's function.  That chain is written out here.
+`x = <expr>` to a local x to one closure, which is also the operator's
+when the value is a fused operator.  `Compiler.test` compiles an `and`
+or `or` condition of MiniJS or MiniLua to one closure over its
+operands' tests.  Each must give the value, or raise the trap, that the
+chain of closures it replaces gives, and spend the same fuel: the
+chain's operator closure spends its unit, calls each operand's closure,
+and then checks the operands and applies the operator's function; a
+condition is `truthy` of its value.  That chain is written out here.
 
 The unit cases compile one operator at a time and compare the closures
 on every operand kind, at several fuels.  The run cases run small
@@ -27,6 +30,7 @@ from srctrans.runtime import (
     State,
     Trap,
     check_int,
+    local_assignment,
     scope,
     trunc_div,
     trunc_mod,
@@ -161,6 +165,47 @@ def test_fused_closures_match_the_unfused_chain(lname):
     assert shapes == {"local_const", "local_local", "any_const", "any_any"}
 
 
+def unfused_assignment(depth: int, name: str, value_c, fuel: int):
+    def assign(st, env):
+        st.fuel -= fuel
+        env[depth][name] = value_c(st, env)
+
+    return assign
+
+
+def stored(code, values: dict, fuel: int):
+    """What the statement code does on these values at this fuel: its
+    outcome, the fuel left and the value it leaves in the local r."""
+    comp = Compiler({})
+    st = State(comp, fuel)
+    st.globals = {n: v for n, v in values.items() if n in ("g", "h") and v is not UNBOUND}
+    env = [{"x": values.get("x")}, {"y": values.get("y"), "r": "unset"}]
+    try:
+        code(st, env)
+    except Trap as trap:
+        return ("trap", trap.kind), st.fuel, env[1]["r"]
+    return "done", st.fuel, env[1]["r"]
+
+
+@pytest.mark.parametrize("lname", ["minic", "minijs", "minilua"])
+def test_assignments_of_fused_values_match_the_unfused_chain(lname):
+    """`r = <fused operator>` is one closure, which stores what the
+    assignment of the operator's closure stores, or traps where it traps
+    with the same fuel left.  A statement spends 1 unit above its value
+    in MiniLua and 2 (the statement and the assignment) elsewhere."""
+    comp = unit_compiler(lname)
+    for op in ops(lname):
+        for shape, lhs, rhs, values in operand_cases(lname):
+            value_c = comp.expr(GV("BinE", (op, lhs, rhs)))
+            for unit in (1, 2):
+                code = local_assignment(-1, "r", value_c, unit)
+                assert code.__name__ == shape + "_store", (op, shape)
+                chain = unfused_assignment(-1, "r", value_c, unit)
+                for fuel in FUELS:
+                    assert stored(code, values, fuel) == stored(chain, values, fuel), (
+                        op, shape, values, unit, fuel)
+
+
 @pytest.mark.parametrize("lname", ["minic", "minijs", "minilua"])
 def test_folded_constants_match_the_unfused_chain(lname):
     """A constant left operand makes an any-constant closure, which folds
@@ -214,11 +259,23 @@ def unfused_compiler(lname: str):
 
         return assign
 
+    def test(comp, e):
+        code = comp.expr(e)
+        if ((e.ctor == "BinE" and e.args[0] in comp.BOOL_OPS)
+                or (e.ctor == "UnaryE" and e.args[0] == comp.NOT)):
+            return code
+
+        def test(st, env):
+            return comp.truthy(code(st, env))
+
+        return test
+
     stmt = {"AssignStmt": assign_stmt} if lname == "minilua" else {"ExprStmt": expr_stmt}
     return type("Unfused", (base,), {
         "EXPR": {**base.EXPR, "BinE": binary},
         "BINOP": {**base.BINOP, "==": equality, NOT_EQUAL[lname]: equality},
         "STMT": {**base.STMT, **stmt},
+        "test": test,
     })
 
 
@@ -277,12 +334,13 @@ def run_cases(lname: str):
         yield program(lname, "any_any", op, "unbound", "int")
 
 
-@pytest.mark.parametrize("lname", ["minic", "minijs", "minilua"])
-def test_runs_match_the_unfused_chain_at_every_fuel(lname, monkeypatch):
+def assert_runs_match_the_unfused_chain(lname: str, texts, monkeypatch):
+    """Each program gives the same result as compiled and with the
+    unfused chain, at every fuel from 0 to the one that completes it."""
     lang = get_language(lname)
     module = MODULES[lname]
     fused, reference = module._Compiler, unfused_compiler(lname)
-    for text in run_cases(lname):
+    for text in texts:
         ast = lang.parse(text)
         fuel = 0
         while True:
@@ -293,3 +351,125 @@ def test_runs_match_the_unfused_chain_at_every_fuel(lname, monkeypatch):
             if expected.events[-1] != ("trap", "fuel"):
                 break
             fuel += 1
+
+
+@pytest.mark.parametrize("lname", ["minic", "minijs", "minilua"])
+def test_runs_match_the_unfused_chain_at_every_fuel(lname, monkeypatch):
+    assert_runs_match_the_unfused_chain(lname, run_cases(lname), monkeypatch)
+
+
+# Conditions built of `and` and `or` in if, while and (MiniJS) for:
+# nested, over operands of every truth, with a print call as the left
+# operand, and with a right operand that traps.
+CONDITIONS = {
+    "minijs": [
+        """\
+function main() {
+  var i = 0;
+  var a = [1];
+  var u = undefined;
+  while (i < 6 && (i != 4 || i > 9) || i == 7 && i > 0) {
+    if ((i % 2 == 0 || i == 3) && !(i == 2) && (i > 0 || i == 0)) {
+      print(i);
+    }
+    if (a && u || i && a) {
+      print(10 + i);
+    }
+    i = i + 1;
+  }
+  for (i = 0; i < 3 && (u || a); i = i + 1) {
+    print(i);
+  }
+  return i;
+}
+""",
+        """\
+function main() {
+  var i = 0;
+  while (print(i) || i < 3) {
+    if (print(i + 10) && i > 100) {
+      print(0);
+    }
+    if (print(i + 20) || i == 1) {
+      print(1);
+    }
+    i = i + 1;
+  }
+  return i;
+}
+""",
+        """\
+function main() {
+  var i = 0;
+  while (i < 3 || i / 0 > 1) {
+    i = i + 1;
+  }
+  return i;
+}
+""",
+        """\
+function main() {
+  var i = 0;
+  if (i == 1 || print(i) || i == 0 && u > 1) {
+    print(1);
+  }
+  return i;
+}
+""",
+    ],
+    "minilua": [
+        """\
+local i = 0
+local a = true
+local u = nil
+while i < 6 and (i ~= 4 or i > 9) or i == 7 and i > 0 do
+  if (i % 2 == 0 or i == 3) and not (i == 2) and (i > 0 or i == 0) then
+    print(i)
+  elseif a and u or i and a then
+    print(10 + i)
+  end
+  i = i + 1
+end
+return i
+""",
+        """\
+local i = 0
+while print(i) or i < 3 do
+  if print(i + 10) and i > 100 then
+    print(0)
+  end
+  if print(i + 20) or i == 1 then
+    print(1)
+  end
+  i = i + 1
+end
+return i
+""",
+        """\
+local i = 0
+while i < 3 or i / 0 > 1 do
+  i = i + 1
+end
+return i
+""",
+        """\
+local i = 0
+if i == 1 or print(i) or i == 0 and 1 + nil > 0 then
+  print(1)
+end
+return i
+""",
+    ],
+}
+
+
+@pytest.mark.parametrize("lname", sorted(CONDITIONS))
+def test_and_or_conditions_match_the_unfused_chain_at_every_fuel(lname, monkeypatch):
+    comp = unit_compiler(lname)
+    and_op, or_op = ("&&", "||") if lname == "minijs" else ("and", "or")
+    for op, name in ((and_op, "and_test"), (or_op, "or_test")):
+        assert comp.test(GV("BinE", (op, var("x"), var("y")))).__name__ == name
+    lang = get_language(lname)
+    ends = [lang.run(lang.parse(text)).events[-1][1] for text in CONDITIONS[lname]]
+    assert ends[-2:] == ["divzero", "undef" if lname == "minijs" else "type"]
+    assert_runs_match_the_unfused_chain(lname, CONDITIONS[lname], monkeypatch)

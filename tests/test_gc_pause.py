@@ -4,15 +4,19 @@ Terms are acyclic and reference counting frees them, so the pause only
 defers collection.  These tests check that the pause is taken once per
 layer call, that it is given back on every path, that a caller's own
 setting is kept, and that an op leaves no cyclic garbage for the
-deferred collection to find.
+deferred collection to find.  `difftest.diff_one` takes one pause over
+a whole differential test, its two runs included, so the cyclic garbage
+a run makes waits for the first collection after it returns.
 """
 
 import gc
+import tracemalloc
+from dataclasses import replace
 
 import pytest
 
 from helpers import HAND, nested_recursion
-from srctrans.difftest import PASSES, diff_one
+from srctrans.difftest import PASSES, Verdict, diff_one
 from srctrans.flow import build_cfg, dump_dot
 from srctrans.gen import GenConfig, gen_program
 from srctrans.langs.base import get_language
@@ -134,6 +138,115 @@ def test_no_collection_starts_inside_a_layer(lname):
     }
     started = {name: _collections_during(*call) for name, call in layers.items()}
     assert started == {name: [] for name in layers}
+
+
+@pytest.mark.parametrize("lname", ALL)
+def test_no_collection_starts_inside_diff_one(lname):
+    # the same programs start collections in every layer, the runs
+    # included, when nothing pauses the collector
+    lang = get_language(lname)
+    text = gen_program(lname, GenConfig(seed=1, max_depth=8, max_stmts=7))
+    for name in ("ident", "hoist", "testcov"):
+        assert _collections_during(diff_one, lang, PASSES[name], 0, text,
+                                   name == "testcov") == [], name
+
+
+def _raising_on_call(fn, calls: int):
+    """fn, except that its call number `calls` (from 1) raises."""
+    count = [0]
+
+    def call(*args, **kwargs):
+        count[0] += 1
+        if count[0] == calls:
+            raise RuntimeError("fault")
+        return fn(*args, **kwargs)
+
+    return call
+
+
+def test_each_verdict_leaves_the_collector_on():
+    lang = get_language("minijs")
+    text = "function main() {\n  print(1);\n  return 0;\n}\n"
+    ident = PASSES["ident"]
+
+    def other_program(term, lang):
+        return lang.decompose(lang.parse("function main() {\n  print(2);\n  return 0;\n}\n"))
+
+    def failing(term, lang):
+        raise RuntimeError("fault")
+
+    # (language, pass, text) and the verdict's kind and detail prefix
+    cases = [
+        ((lang, ident, "function main() {"), "ParseError", "original: "),
+        ((replace(lang, run=_raising_on_call(lang.run, 1)), ident, text),
+         "RunError", "before: "),
+        ((lang, failing, text), "TransformError", "RuntimeError: "),
+        ((replace(lang, pretty=lambda value: "function main() {"), ident, text),
+         "ParseError", "transformed: "),
+        ((replace(lang, run=_raising_on_call(lang.run, 2)), ident, text),
+         "RunError", "after: "),
+        ((lang, other_program, text), "TraceDiverged", "step 0: "),
+    ]
+    for (case_lang, pass_fn, case_text), kind, detail in cases:
+        verdict = diff_one(case_lang, pass_fn, 0, case_text)
+        assert (verdict.kind, verdict.detail[:len(detail)]) == (kind, detail), verdict
+        assert gc.isenabled(), verdict
+
+
+# Builds an array that holds itself on every iteration until the fuel
+# runs out, and prints the iteration's number.
+SELF_ARRAYS = """\
+function main() {
+  var i = 0;
+  while (true) {
+    var a = [i];
+    a[1] = a;
+    print(i);
+    i = i + 1;
+  }
+  return i;
+}
+"""
+
+
+def test_a_runs_cyclic_garbage_waits_for_diff_one_to_return():
+    """Each iteration of SELF_ARRAYS leaves one array, in a cycle, for
+    the collector, and prints one event.  With the collector paused over
+    all of `diff_one`, the arrays of both runs live until it returns, so
+    the fuel bounds them: the tracemalloc peak over the call stays within
+    1 kB per event of one run's trace.  Each run's trace costs about 120
+    bytes per event and each iteration's array about 140, so the two
+    runs come to about 500 bytes per event (Python 3.11, 64-bit).  The
+    first collection after `diff_one` returns frees them all."""
+    lang = get_language("minijs")
+    events = len(lang.run(lang.parse(SELF_ARRAYS)).events)
+    assert events > 5000
+    collected = []
+
+    def watch(phase, info):
+        if phase == "stop":
+            collected.append(info["collected"])
+
+    gc.collect()
+    tracemalloc.start()
+    gc.callbacks.append(watch)
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        verdict = diff_one(lang, PASSES["ident"], 0, SELF_ARRAYS)
+        peak = tracemalloc.get_traced_memory()[1] - base
+        gc.collect()
+        left = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        gc.callbacks.remove(watch)
+        tracemalloc.stop()
+    assert verdict == Verdict(0, "Equal")
+    # one array for each iteration of each run, but the last
+    assert sum(collected) >= 2 * (events - 2)
+    assert gc.collect() == 0
+    assert peak <= 1000 * events, f"{peak} bytes for {events} events"
+    # far less than one array per iteration is left
+    assert left <= 16 * events, f"{left} bytes left for {events} events"
 
 
 def _garbage_left(fn):

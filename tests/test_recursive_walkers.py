@@ -63,6 +63,10 @@ RECURSIVE = {
     "base.TacOps.is_atomic",
     # the run compiler's elseif chain (item 5)
     "minilua._else_tail",
+    # the run compiler's test of a condition, through nested `and` and
+    # `or`: one frame per operator, no deeper than `comp.expr` already
+    # goes on the same condition
+    "runtime.Compiler.test",
     # runtime values: MiniJS renders and compares nested arrays on an
     # explicit stack and hands each element that is not an array back to
     # the function that called; MiniC's arrays hold only integers
