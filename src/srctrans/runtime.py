@@ -60,8 +60,9 @@ trap, exactly as the chain spends it: reading a local variable cannot
 trap, so a closure whose operands are locals and constants spends all
 its fuel at once, and an operand that is a closure runs where the chain
 runs it, after its operator's unit and before a constant's.  No fused
-closure compares the fuel.  Each is generated from source once per
-shape and operator, the first time a run needs it (`_fused_maker`).
+closure compares the fuel.  Each operator closure, and each statement
+that stores one, is generated from source once per shape and operator,
+the first time a run needs it (`_fused_maker`).
 """
 
 from __future__ import annotations
@@ -552,7 +553,7 @@ def local_assignment(depth: int, name: str, value_c: Callable, fuel: int) -> Cal
     the statement and the operator are one closure."""
     fused = _FUSED.get(value_c.__code__)
     if fused is not None:
-        return _fused_maker(*fused, True)(depth, name, fuel, *value_c.__defaults__)
+        return _fused_maker(*fused, store=True)(depth, name, fuel, *value_c.__defaults__)
 
     def assign(st, env, depth=depth, name=name, value_c=value_c, fuel=fuel):
         st.fuel -= fuel
@@ -746,7 +747,7 @@ _EQUALITY = "{result}x {op} y if type(x) is int{y_is_int} else {negation}equal(x
 
 # The code of each fused value closure made so far, to its shape and
 # operator (see `local_assignment`).
-_FUSED: dict = {}
+_FUSED: dict[CodeType, tuple[str, str]] = {}
 
 
 def _fused_source(shape: str, op: str, store: bool) -> str:
