@@ -8,11 +8,9 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
 from .difftest import PASSES, diff_test
 from .flow import build_cfg, dump_dot
-from .gen import GenConfig, gen_program
 from .langs.base import get_language, language_names
 from .schema import dump_modularized, modularize_schema, parse_schema_text
 
@@ -24,6 +22,16 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _path(text: str) -> str:
+    """text as `pathlib.Path(text)` spells it, without importing pathlib:
+    no `.` parts, no repeated or trailing slashes, and `.` for an empty
+    path.  A command opens the file that pathlib would, and an error
+    names it as pathlib would."""
+    rel = text.lstrip("/")
+    root = "//" if len(text) - len(rel) == 2 else "/" if rel != text else ""
+    return root + "/".join(p for p in rel.split("/") if p not in ("", ".")) or "."
+
+
 def _build_parser() -> _Parser:
     p = _Parser(prog="srctrans", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
@@ -32,12 +40,12 @@ def _build_parser() -> _Parser:
     tr.add_argument("--lang", required=True, choices=language_names())
     tr.add_argument("--pass", dest="pass_name", required=True,
                     choices=sorted(PASSES))
-    tr.add_argument("--out", type=Path)
-    tr.add_argument("file", type=Path)
+    tr.add_argument("--out", type=_path)
+    tr.add_argument("file", type=_path)
 
     rt = sub.add_parser("roundtrip", help="check parse/pretty stability")
     rt.add_argument("--lang", required=True, choices=language_names())
-    rt.add_argument("file", type=Path)
+    rt.add_argument("file", type=_path)
 
     dt = sub.add_parser("difftest", help="differential-test a pass")
     dt.add_argument("--lang", required=True, choices=language_names())
@@ -45,16 +53,16 @@ def _build_parser() -> _Parser:
                     choices=sorted(PASSES))
     src = dt.add_mutually_exclusive_group(required=True)
     src.add_argument("--count", type=int)
-    src.add_argument("--corpus", type=Path)
+    src.add_argument("--corpus", type=_path)
     dt.add_argument("--seed", type=int, default=0)
 
     cf = sub.add_parser("cfg", help="dump the control-flow graph")
     cf.add_argument("--lang", required=True, choices=language_names())
-    cf.add_argument("--dot", type=Path)
-    cf.add_argument("file", type=Path)
+    cf.add_argument("--dot", type=_path)
+    cf.add_argument("file", type=_path)
 
     mo = sub.add_parser("modularize", help="dump kinds and sorts of a schema")
-    mo.add_argument("schema", type=Path)
+    mo.add_argument("schema", type=_path)
 
     ins = sub.add_parser("inspect", help="dump language tables")
     ins.add_argument("--injections", metavar="LANG",
@@ -62,18 +70,20 @@ def _build_parser() -> _Parser:
     return p
 
 
-def _read_source(path: Path) -> str:
+def _read_source(path: str) -> str:
     """A source file's text.  A file that is not UTF-8 still gets a
     position for its first bad byte: the byte becomes a lone surrogate,
     which the lexer rejects as an unexpected character."""
-    return path.read_text(errors="surrogateescape")
+    with open(path, errors="surrogateescape") as f:
+        return f.read()
 
 
-def _emit(text: str, out) -> None:
+def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        out.write_text(text)
+        with open(out, "w") as f:
+            f.write(text)
 
 
 def _cmd_transform(args) -> int:
@@ -107,10 +117,14 @@ def _cmd_roundtrip(args) -> int:
 
 def _cmd_difftest(args) -> int:
     if args.corpus is not None:
+        from pathlib import Path
+
         lang = get_language(args.lang)
-        paths = sorted(args.corpus.glob(f"*{lang.file_ext}"))
+        paths = sorted(Path(args.corpus).glob(f"*{lang.file_ext}"))
         corpus = [_read_source(p) for p in paths]
     else:
+        from .gen import GenConfig, gen_program
+
         corpus = [
             gen_program(args.lang, GenConfig(seed=args.seed + i))
             for i in range(args.count)
@@ -133,8 +147,11 @@ def _cmd_cfg(args) -> int:
 
 
 def _cmd_modularize(args) -> int:
+    from pathlib import Path
+
+    path = Path(args.schema)
     try:
-        schema = parse_schema_text(args.schema.read_text(), args.schema.stem)
+        schema = parse_schema_text(path.read_text(), path.stem)
         text = dump_modularized(modularize_schema(schema))
     except Exception as e:
         print(f"srctrans: {e}", file=sys.stderr)

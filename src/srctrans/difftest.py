@@ -8,13 +8,13 @@ a failure never aborts the batch, so one report covers the whole corpus.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from collections.abc import Callable
 
 from .langs.base import LanguageDef, get_language
 from .passes.hoist import elementary_hoist, hoist
 from .passes.tac import tac
 from .passes.testcov import testcov
+from .records import Frozen
 from .terms import gc_paused
 
 
@@ -35,23 +35,24 @@ PASSES: dict[str, Callable] = {
 }
 
 
-@dataclass(frozen=True)
-class Verdict:
-    """Outcome for one corpus program."""
+class Verdict(Frozen):
+    """Outcome for one corpus program: its `kind` is Equal, TraceDiverged,
+    TransformError, ParseError or RunError."""
 
-    index: int
-    kind: str  # Equal | TraceDiverged | TransformError | ParseError | RunError
-    detail: str = ""
+    __slots__ = ("index", "kind", "detail")
+
+    def __init__(self, index: int, kind: str, detail: str = ""):
+        Frozen.__init__(self, index, kind, detail)
 
     def line(self) -> str:
         return f"{self.index}\t{self.kind}\t{self.detail}".rstrip()
 
 
-@dataclass(frozen=True)
-class DiffReport:
-    lang: str
-    pass_name: str
-    verdicts: tuple
+class DiffReport(Frozen):
+    __slots__ = ("lang", "pass_name", "verdicts")
+
+    def __init__(self, lang: str, pass_name: str, verdicts: tuple):
+        Frozen.__init__(self, lang, pass_name, verdicts)
 
     @property
     def passed(self) -> int:

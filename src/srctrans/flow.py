@@ -20,9 +20,7 @@ them and callers must rebuild.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from operator import is_
-from typing import Optional
 
 from .langs.base import (
     BreakView,
@@ -35,6 +33,7 @@ from .langs.base import (
     block_items,
     with_block_items,
 )
+from .records import Frozen
 from .terms import Term, gc_paused
 from .traversal import get_at, replace_at
 
@@ -48,28 +47,27 @@ class InvalidPath(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class BeforeStmt:
+class BeforeStmt(Frozen):
     """Insert immediately before the item at `index` of a block; index 0
     is the start of the block, and the block's length its end."""
 
-    body: int
-    block: BlockPath
-    index: int
+    __slots__ = ("body", "block", "index")
+
+    def __init__(self, body: int, block: BlockPath, index: int):
+        Frozen.__init__(self, body, block, index)
 
 
 # ---------------------------------------------------------------------------
 # Graph construction
 
 
-@dataclass(frozen=True)
-class BasicBlock:
+class BasicBlock(Frozen):
     """Maximal straight-line run of statement nodes."""
 
-    id: int
-    body: int
-    stmts: tuple
-    leader: BeforeStmt
+    __slots__ = ("id", "body", "stmts", "leader")
+
+    def __init__(self, id: int, body: int, stmts: tuple, leader: BeforeStmt):
+        Frozen.__init__(self, id, body, stmts, leader)
 
 
 class CFG:
@@ -90,7 +88,7 @@ class CFG:
 class _Ctx:
     """Per-loop targets while walking a body."""
 
-    def __init__(self, cont_target: Optional[NodeId], breaks: Optional[list]):
+    def __init__(self, cont_target: NodeId | None, breaks: list | None):
         self.cont_target = cont_target
         self.breaks = breaks
 

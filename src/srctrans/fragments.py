@@ -9,8 +9,6 @@ disjointness.
 
 from __future__ import annotations
 
-from typing import Optional, Protocol
-
 from .terms import Atom, ListOf, NodeKind, Signature, Term, build_list, iter_subterms
 
 # Reserved generic sorts
@@ -100,7 +98,7 @@ def assign(lhs: Term, rhs: Term) -> Term:
     return ASSIGN.build(lhs, ASSIGN_OP_EQUALS.build(), rhs)
 
 
-def opt_init(init: Optional[Term]) -> Term:
+def opt_init(init: Term | None) -> Term:
     """The initializer option of a LocalVarInitL term `init`, or the empty
     option for None."""
     return NO_INIT.build() if init is None else JUST_INIT.build(init)
@@ -111,15 +109,19 @@ def single_decl(binder: Term, opt: Term) -> Term:
     return SINGLE_DECL.build(EMPTY_DECL_ATTRS.build(), binder, opt)
 
 
-def multi_decl(singles: list[Term], attrs: Optional[Term] = None) -> Term:
+def multi_decl(singles: list[Term], attrs: Term | None = None) -> Term:
     """A declaration of `singles` sharing `attrs` (none by default)."""
     if attrs is None:
         attrs = EMPTY_COMMON_ATTRS.build()
     return MULTI_DECL.build(attrs, build_list(SINGLE_DECL_L, singles))
 
 
-class LanguageOps(Protocol):
-    """The two syntactic operations each frontend supplies for hoisting."""
+class LanguageOps:
+    """The two syntactic operations each frontend supplies for hoisting.
+
+    A frontend's object has these attributes; it need not derive from
+    this class, which documents them.
+    """
 
     # Whether a declaration's binder is in scope inside its own
     # initializer.  False means hoisting a self-referencing initializer

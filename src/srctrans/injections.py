@@ -9,9 +9,7 @@ pair has at most one edge, declared or derived.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
-
+from .records import Frozen, Record
 from .terms import NodeKind, Signature, Sort, Term, sort_name
 
 
@@ -35,15 +33,15 @@ class MissingEdge(InjectionError):
     pass
 
 
-@dataclass(frozen=True)
-class InjectionDecl:
-    from_sort: Sort
-    to_sort: Sort
-    path: tuple[NodeKind, ...]  # innermost first
-    derived: bool = False
+class InjectionDecl(Frozen):
+    __slots__ = ("from_sort", "to_sort", "path", "derived")
+
+    def __init__(self, from_sort: Sort, to_sort: Sort, path: tuple[NodeKind, ...],
+                 derived: bool = False):  # path: innermost first
+        Frozen.__init__(self, from_sort, to_sort, path, derived)
 
 
-def _check_path(decl: InjectionDecl, signature: Optional[Signature]) -> None:
+def _check_path(decl: InjectionDecl, signature: Signature | None) -> None:
     current = decl.from_sort
     for kind in decl.path:
         if signature is not None and not signature.contains(kind):
@@ -62,12 +60,14 @@ def _check_path(decl: InjectionDecl, signature: Optional[Signature]) -> None:
         )
 
 
-@dataclass
-class InjectionTable:
+class InjectionTable(Record):
     """Per-language registry of sort injections, immutable once built."""
 
-    signature: Optional[Signature] = None
-    _edges: dict[tuple[Sort, Sort], InjectionDecl] = field(default_factory=dict)
+    __slots__ = ("signature", "_edges")
+
+    def __init__(self, signature: Signature | None = None,
+                 _edges: dict[tuple[Sort, Sort], InjectionDecl] | None = None):
+        Record.__init__(self, signature, {} if _edges is None else _edges)
 
     def declare(self, decl: InjectionDecl) -> None:
         if self.has(decl.from_sort, decl.to_sort):
@@ -101,7 +101,7 @@ class InjectionTable:
             out = kind.build(out)
         return out
 
-    def proj(self, term: Term, source: Sort) -> Optional[Term]:
+    def proj(self, term: Term, source: Sort) -> Term | None:
         """Recover an embedded term of the source sort, or None."""
         out = term
         for kind in reversed(self.lookup(source, term.sort).path):

@@ -8,10 +8,9 @@ knowing the concrete grammar.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable
 from operator import is_
 from types import SimpleNamespace
-from typing import Callable, Optional, Protocol
 
 from ..fragments import (
     BLOCK,
@@ -31,6 +30,7 @@ from ..fragments import (
     single_decl,
 )
 from ..injections import InjectionDecl, InjectionTable
+from ..records import Frozen
 from ..schema import (
     Case,
     GenericValue,
@@ -260,7 +260,7 @@ def c_item_view(C, body: BodyCodec) -> Callable[[Term], ItemView]:
             (None, body.fresh) if else_slot is None else body.open(else_slot)
         )
 
-        def rebuild(c: Term, tb: Term, eb: Optional[Term]) -> Term:
+        def rebuild(c: Term, tb: Term, eb: Term | None) -> Term:
             new_else = C.NoElse() if eb is None else C.SomeElse(body.close(eb, else_keep))
             return body.item(C.IfStmt(c, body.close(tb, then_keep), new_else))
 
@@ -321,7 +321,7 @@ class TacOps:
 
     def __init__(self, C, body: BodyCodec, ident_term: Callable[[str], Term],
                  literals: tuple[str, ...], not_op: str,
-                 and_or: tuple[str, str], assign_is: Optional[NodeKind] = None):
+                 and_or: tuple[str, str], assign_is: NodeKind | None = None):
         self.C = C
         self.body = body
         self.ident_term = ident_term
@@ -400,8 +400,12 @@ class TacOps:
         return ("operands", parts, rebuild)
 
 
-class Adapter(Protocol):
-    """Structural hooks transformations need from a frontend."""
+class Adapter:
+    """Structural hooks transformations need from a frontend.
+
+    A frontend's adapter has these methods; it need not derive from this
+    class, which documents them.
+    """
 
     def item_view(self, item: Term) -> ItemView: ...
 
@@ -412,28 +416,25 @@ class Adapter(Protocol):
         """A block item recording that coverage cell `index` was reached."""
 
 
-@dataclass(frozen=True)
-class LanguageDef:
-    name: str
-    file_ext: str
-    schema: Schema
-    modularized: ModularizedLanguage
-    ips: Signature
-    injections: InjectionTable
-    ops: LanguageOps
-    adapter: Adapter
-    parse: Callable[[str], GenericValue]
-    pretty: Callable[[GenericValue], str]
-    # The IPS term of a parsed value and back, each in one walk:
-    # `schema.walker` and `schema.reader` with the frontend's cases.
-    decompose: Callable[[GenericValue], Term]
-    recompose: Callable[[Term], GenericValue]
-    run: Callable
-    item_walk: Callable
-    tac: Optional[TacOps] = None
+class LanguageDef(Frozen):
+    """One registered frontend.  `decompose` and `recompose` take a parsed
+    value to its IPS term and back, each in one walk: `schema.walker` and
+    `schema.reader` with the frontend's cases."""
 
-    def __post_init__(self):
-        assert_reserved_disjoint(dict(self.modularized.sort_of).values())
+    __slots__ = ("name", "file_ext", "schema", "modularized", "ips", "injections", "ops",
+                 "adapter", "parse", "pretty", "decompose", "recompose", "run", "item_walk",
+                 "tac")
+
+    def __init__(self, name: str, file_ext: str, schema: Schema,
+                 modularized: ModularizedLanguage, ips: Signature, injections: InjectionTable,
+                 ops: LanguageOps, adapter: Adapter, parse: Callable[[str], GenericValue],
+                 pretty: Callable[[GenericValue], str],
+                 decompose: Callable[[GenericValue], Term],
+                 recompose: Callable[[Term], GenericValue], run: Callable,
+                 item_walk: Callable, tac: TacOps | None = None):
+        Frozen.__init__(self, name, file_ext, schema, modularized, ips, injections, ops, adapter,
+                        parse, pretty, decompose, recompose, run, item_walk, tac)
+        assert_reserved_disjoint(dict(modularized.sort_of).values())
 
     @gc_paused
     def trans_ips(self, term: Term) -> Term:
@@ -563,7 +564,7 @@ def ident_assign_cases(
 
 def block_cases(body: BodyCodec, surface_block: Callable, decl: Callable,
                 tr_decl: Callable, un_decl: Case,
-                items: Optional[tuple[Callable, Callable]] = None) -> tuple[dict, dict]:
+                items: tuple[Callable, Callable] | None = None) -> tuple[dict, dict]:
     """(trans cases, untrans cases) of a frontend's statement list: the
     surface block `surface_block` holds statements and `decl`
     declarations, and its generic Block holds them under the codec's
@@ -674,7 +675,7 @@ def option_cases(some_ctor: Callable, none_ctor: Callable, init_is: NodeKind,
     }, Case(un_option, option_value)
 
 
-def some(option: Term) -> Optional[Term]:
+def some(option: Term) -> Term | None:
     """The value of a surface option node (`SomeExpr e`), or None for the
     empty one (`NoExpr`)."""
     return option.children[0] if option.children else None

@@ -11,8 +11,9 @@ statements, which `render` expands on an explicit stack."""
 from __future__ import annotations
 
 import re
+from collections import namedtuple
+from collections.abc import Callable
 from string import ascii_letters, digits
-from typing import Callable, NamedTuple
 
 from ..runtime import (
     BREAK,
@@ -34,12 +35,8 @@ class ParseError(Exception):
         self.col = col
 
 
-class Token(NamedTuple):
-    kind: str  # num | name | string | op | eof
-    value: str
-    line: int
-    col: int
-
+# A token's kind is num, name, string, op or eof.
+Token = namedtuple("Token", "kind value line col")
 
 # Token's generated __new__ is a Python function; the lexer builds the
 # tuple directly.

@@ -9,7 +9,7 @@ statements, so `if (c) int x = 1;` is a parse error.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from collections.abc import Callable
 
 from ..fragments import (
     ASSIGN_L,
@@ -561,8 +561,8 @@ class _Compiler(CCompiler):
 
 
 def run(ast: GenericValue, fuel: int = 100_000,
-        on_item: Optional[Callable] = None,
-        on_enter: Optional[Callable] = None) -> RunResult:
+        on_item: Callable | None = None,
+        on_enter: Callable | None = None) -> RunResult:
     funcs = {f.args[1].args[0]: f for f in ast.args[0]}
     return _Compiler(funcs, on_item, on_enter).run(fuel)
 

@@ -9,7 +9,7 @@ Assignment to an undeclared name creates a global; reading one traps.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from collections.abc import Callable
 
 from ..fragments import (
     ASSIGN_L,
@@ -266,7 +266,7 @@ class _Body(BodyCodec):
         directives, stmts = block.children
         return super().open_block(stmts)[0], directives
 
-    def close_block(self, generic: Term, directives: Optional[Term]) -> Term:
+    def close_block(self, generic: Term, directives: Term | None) -> Term:
         if directives is None:
             directives = build_list(S("Directive"), [])
         return C.Block(directives, super().close_block(generic, None))
@@ -346,7 +346,7 @@ class _Adapter:
 # Three-address hooks
 
 class _Tac(TacOps):
-    def make_decl_item(self, name: str, init: Optional[Term]) -> Term:
+    def make_decl_item(self, name: str, init: Term | None) -> Term:
         if init is not None:
             init = EXPR_IS_INIT.build(init)
         single = single_decl(IDENT_IS_BINDER.build(ident(name)), opt_init(init))
@@ -535,8 +535,8 @@ class _Compiler(CCompiler):
 
 
 def run(ast: GenericValue, fuel: int = 100_000,
-        on_item: Optional[Callable] = None,
-        on_enter: Optional[Callable] = None) -> RunResult:
+        on_item: Callable | None = None,
+        on_enter: Callable | None = None) -> RunResult:
     funcs = {f.args[0].args[0]: f for f in ast.args[0]}
     return _Compiler(funcs, on_item, on_enter).run(fuel)
 

@@ -9,7 +9,7 @@ globals yield nil; assignment to one creates it.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from collections.abc import Callable
 
 from ..fragments import (
     ASSIGN_L,
@@ -417,7 +417,7 @@ class _Ops:
 # ---------------------------------------------------------------------------
 # Structural adapter
 
-def _tail_to_block(tail: Term) -> tuple[Optional[Term], str]:
+def _tail_to_block(tail: Term) -> tuple[Term | None, str]:
     name = tail.kind.name
     if name == "MiniLua.NoElse":
         return None, "none"
@@ -429,7 +429,7 @@ def _tail_to_block(tail: Term) -> tuple[Optional[Term], str]:
     return generic_block([BODY.item(synthetic)]), "elseif"
 
 
-def _block_to_tail(block: Optional[Term], how: str) -> Term:
+def _block_to_tail(block: Term | None, how: str) -> Term:
     if block is None:
         return C.NoElse()
     if how == "elseif":
@@ -461,7 +461,7 @@ def _if_view(stmt: Term) -> IfView:
     then_g = BODY.open(then)[0]
     else_g, how = _tail_to_block(tail)
 
-    def rebuild(c: Term, tb: Term, eb: Optional[Term]) -> Term:
+    def rebuild(c: Term, tb: Term, eb: Term | None) -> Term:
         return BODY.item(C.IfStmt(c, BODY.close(tb, None), _block_to_tail(eb, how)))
 
     return IfView(cond, then_g, else_g, rebuild)
@@ -528,7 +528,7 @@ class _Adapter:
 # Three-address hooks
 
 class _Tac(TacOps):
-    def make_decl_item(self, name: str, init: Optional[Term]) -> Term:
+    def make_decl_item(self, name: str, init: Term | None) -> Term:
         names = C.NameList(build_list(S("Ident"), [_ident_term(name)]))
         if init is not None:
             init = EXPRLIST_IS_INIT.build(C.ExprList(build_list(S("Expr"), [init])))
@@ -633,7 +633,7 @@ def _if_stmt(comp: "_Compiler", s: GenericValue) -> Callable:
     return branch(comp.test(cond), comp.block(then), _else_tail(comp, tail))
 
 
-def _else_tail(comp: "_Compiler", tail: GenericValue) -> Optional[Callable]:
+def _else_tail(comp: "_Compiler", tail: GenericValue) -> Callable | None:
     if tail.ctor == "Else":
         return comp.block(tail.args[0])
     if tail.ctor != "ElseIf":
@@ -766,8 +766,8 @@ def _below_or_in_func(s: GenericValue) -> tuple:
 
 
 def run(ast: GenericValue, fuel: int = 100_000,
-        on_item: Optional[Callable] = None,
-        on_enter: Optional[Callable] = None) -> RunResult:
+        on_item: Callable | None = None,
+        on_enter: Callable | None = None) -> RunResult:
     return _Compiler(ast, on_item, on_enter).run(fuel)
 
 

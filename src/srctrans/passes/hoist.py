@@ -11,8 +11,6 @@ parallel Lua declarations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..fragments import (
     ASSIGN,
     ASSIGN_L,
@@ -29,6 +27,7 @@ from ..fragments import (
     ident_names,
 )
 from ..langs.base import LanguageDef, block_items, with_block_items
+from ..records import Frozen
 from ..terms import Term, build_list, gc_paused, iter_subterms, mk_term
 from ..traversal import transform_bottom_up
 
@@ -37,13 +36,15 @@ class RequirementMissing(Exception):
     """The language lacks something a pass needs; names the gap."""
 
 
-@dataclass(frozen=True)
-class PassRequirements:
-    """What a pass demands of a language before it will run."""
+class PassRequirements(Frozen):
+    """What a pass demands of a language before it will run: node kinds,
+    injections as (from sort, to sort) pairs, and the names of
+    LanguageOps attributes."""
 
-    kinds: tuple = ()
-    injections: tuple = ()  # (from sort, to sort) pairs
-    ops: tuple = ()  # LanguageOps attribute names
+    __slots__ = ("kinds", "injections", "ops")
+
+    def __init__(self, kinds: tuple = (), injections: tuple = (), ops: tuple = ()):
+        Frozen.__init__(self, kinds, injections, ops)
 
     def check(self, lang: LanguageDef, pass_name: str) -> None:
         for kind in self.kinds:

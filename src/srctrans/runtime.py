@@ -67,10 +67,11 @@ the first time a run needs it (`_fused_maker`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Callable
 from functools import cache
 from types import CodeType
-from typing import Callable, Optional
+
+from .records import Frozen
 
 
 class Trap(Exception):
@@ -81,12 +82,13 @@ class Trap(Exception):
         self.kind = kind
 
 
-@dataclass(frozen=True)
-class RunResult:
+class RunResult(Frozen):
     """Observable outcome of one program run."""
 
-    events: tuple
-    coverage: dict = field(default_factory=dict)
+    __slots__ = ("events", "coverage")
+
+    def __init__(self, events: tuple, coverage: dict | None = None):
+        Frozen.__init__(self, events, {} if coverage is None else coverage)
 
     def erased(self) -> "RunResult":
         """Drop coverage events; used to compare against unmarked runs."""
@@ -274,8 +276,8 @@ class Compiler:
     render: Callable
     truthy: Callable
 
-    def __init__(self, funcs: dict, on_item: Optional[Callable] = None,
-                 on_enter: Optional[Callable] = None):
+    def __init__(self, funcs: dict, on_item: Callable | None = None,
+                 on_enter: Callable | None = None):
         self.funcs = funcs
         self.on_item = on_item
         self.on_enter = on_enter
@@ -377,7 +379,7 @@ class Compiler:
             names[name] = count
             self.scopes[-1] = (names, count + 1)
 
-    def resolve(self, name: str) -> Optional[int]:
+    def resolve(self, name: str) -> int | None:
         """The index in `env` of the scope that holds name at this point,
         or None if no scope does."""
         scopes = self.scopes
@@ -795,7 +797,7 @@ def _fused_maker(shape: str, op: str, store: bool = False) -> Callable:
     return make
 
 
-def _fused(op: str, a: Callable, b: Callable, equal: Optional[Callable] = None) -> Callable:
+def _fused(op: str, a: Callable, b: Callable, equal: Callable | None = None) -> Callable:
     """The closure of `a op b`, for an integer operator or for `==` or
     `!=` decided by equal, fused for the shape of the operand closures:
     a local variable against a local variable or an integer constant,

@@ -26,9 +26,10 @@ recompose go straight between value and IPS term.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional, Union
+from collections import namedtuple
+from collections.abc import Callable
 
+from .records import Frozen, Record
 from .terms import (
     Atom,
     ListOf,
@@ -71,69 +72,78 @@ class RemovedKindNotPresent(SchemaError):
     pass
 
 
-@dataclass(frozen=True)
-class Prim:
-    name: str  # Int | Bool | String
+class Prim(Frozen):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):  # Int | Bool | String
+        Frozen.__init__(self, name)
 
 
-@dataclass(frozen=True)
-class Named:
-    name: str
+class Named(Frozen):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        Frozen.__init__(self, name)
 
 
-@dataclass(frozen=True)
-class ListT:
-    elem: "SchemaType"
+class ListT(Frozen):
+    __slots__ = ("elem",)
+
+    def __init__(self, elem: SchemaType):
+        Frozen.__init__(self, elem)
 
 
-@dataclass(frozen=True)
-class PairT:
-    first: "SchemaType"
-    second: "SchemaType"
+class PairT(Frozen):
+    __slots__ = ("first", "second")
+
+    def __init__(self, first: SchemaType, second: SchemaType):
+        Frozen.__init__(self, first, second)
 
 
-SchemaType = Union[Prim, Named, ListT, PairT]
+SchemaType = Prim | Named | ListT | PairT
 
 
-@dataclass(frozen=True)
-class ConstructorDecl:
-    name: str
-    args: tuple[SchemaType, ...]
+class ConstructorDecl(Frozen):
+    __slots__ = ("name", "args")
+
+    def __init__(self, name: str, args: tuple[SchemaType, ...]):
+        Frozen.__init__(self, name, args)
 
 
-@dataclass(frozen=True)
-class Schema:
-    name: str
-    type_defs: tuple[tuple[str, tuple[ConstructorDecl, ...]], ...]
-    root_type: str
+class Schema(Frozen):
+    """`_ctors`, each constructor's type name and declaration by its name,
+    is built here, outside repr, `==` and hash."""
 
-    _ctors: dict = field(init=False, default_factory=dict, compare=False, repr=False)
+    __slots__ = ("name", "type_defs", "root_type", "_ctors")
+    __match_args__ = ("name", "type_defs", "root_type")
 
-    def __post_init__(self):
-        for tname, ctors in self.type_defs:
-            for c in ctors:
-                self._ctors.setdefault(c.name, (tname, c))
+    def __init__(self, name: str, type_defs: tuple[tuple[str, tuple[ConstructorDecl, ...]], ...],
+                 root_type: str):
+        Frozen.__init__(self, name, type_defs, root_type)
+        ctors: dict = {}
+        for tname, decls in type_defs:
+            for c in decls:
+                ctors.setdefault(c.name, (tname, c))
+        object.__setattr__(self, "_ctors", ctors)
 
     def types(self) -> dict[str, tuple[ConstructorDecl, ...]]:
         return dict(self.type_defs)
 
-    def constructor(self, name: str) -> Optional[tuple[str, ConstructorDecl]]:
+    def constructor(self, name: str) -> tuple[str, ConstructorDecl] | None:
         return self._ctors.get(name)
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class GenericValue:
+class GenericValue(Frozen):
     """A neutral constructor-applied value conforming to some schema.
 
     Arguments are primitives, nested GenericValues, tuples (for list
     types), or 2-element PairV wrappers (for pair types).  The class is
-    a frozen dataclass whose `__init__` fills the two slots directly:
-    the generated one would set each field through `object.__setattr__`
-    in a Python frame, at about three times the cost.
+    frozen, and its `__init__` fills the two slots directly: setting
+    each field through `object.__setattr__` in a Python frame, as
+    `Frozen.__init__` does, costs about three times as much.
     """
 
-    ctor: str
-    args: tuple = ()
+    __slots__ = ("ctor", "args")
 
     def __init__(self, ctor: str, args: tuple = ()):
         _set_ctor(self, ctor)
@@ -144,10 +154,11 @@ _set_ctor = GenericValue.ctor.__set__
 _set_args = GenericValue.args.__set__
 
 
-@dataclass(frozen=True)
-class PairV:
-    first: object
-    second: object
+class PairV(Frozen):
+    __slots__ = ("first", "second")
+
+    def __init__(self, first: object, second: object):
+        Frozen.__init__(self, first, second)
 
 
 GV = GenericValue
@@ -156,9 +167,11 @@ GV = GenericValue
 # ---------------------------------------------------------------------------
 # Validation (kinding)
 
-@dataclass
-class ValidationReport:
-    errors: list[tuple[str, str]] = field(default_factory=list)
+class ValidationReport(Record):
+    __slots__ = ("errors",)
+
+    def __init__(self, errors: list[tuple[str, str]] | None = None):
+        Record.__init__(self, [] if errors is None else errors)
 
     @property
     def ok(self) -> bool:
@@ -245,8 +258,7 @@ class _CtorCodec:
     builder.  The decode plan: `readers` has the read case of each
     child, None where the reader reads it by its kind, and `order` puts
     the payloads followed by the decoded children back in argument
-    order, or is None where they already are.  A plain class, not a
-    dataclass, to keep import time down.
+    order, or is None where they already are.
     """
 
     __slots__ = ("ctor", "kind", "build", "slots", "arity", "payloads", "encoders",
@@ -273,33 +285,36 @@ class _CtorCodec:
         self.split = len(self.payloads) if in_order and named else None
 
 
-@dataclass(frozen=True)
-class ModularizedLanguage:
-    schema: Schema
-    signature: Signature
-    sort_of: tuple[tuple[str, Atom], ...]  # type name -> sort
-    fragment_of: tuple[tuple[str, tuple[NodeKind, ...]], ...]
-    # Lookup tables built once, at construction: sorts by type name and
-    # codecs by constructor name and by kind name.
-    _sorts: dict = field(init=False, default_factory=dict, compare=False, repr=False)
-    _by_ctor: dict = field(init=False, default_factory=dict, compare=False, repr=False)
-    _by_kind: dict = field(init=False, default_factory=dict, compare=False, repr=False)
+class ModularizedLanguage(Frozen):
+    """`sort_of` maps each type name to its sort.  The lookup tables are
+    built once, here, outside repr, `==` and hash: sorts by type name
+    and codecs by constructor name and by kind name."""
 
-    def __post_init__(self):
-        self._sorts.update(self.sort_of)
-        name = self.schema.name
-        for _, ctors in self.schema.type_defs:
+    __slots__ = ("schema", "signature", "sort_of", "fragment_of", "_sorts", "_by_ctor",
+                 "_by_kind")
+    __match_args__ = ("schema", "signature", "sort_of", "fragment_of")
+
+    def __init__(self, schema: Schema, signature: Signature,
+                 sort_of: tuple[tuple[str, Atom], ...],
+                 fragment_of: tuple[tuple[str, tuple[NodeKind, ...]], ...]):
+        Frozen.__init__(self, schema, signature, sort_of, fragment_of)
+        by_ctor, by_kind = {}, {}
+        name = schema.name
+        for _, ctors in schema.type_defs:
             for ctor in ctors:
                 codec = _CtorCodec(
                     ctor.name,
-                    self.signature.kind(f"{name}.{ctor.name}"),
+                    signature.kind(f"{name}.{ctor.name}"),
                     tuple(
                         a.name if isinstance(a, Prim) else _arg_codec(name, a)
                         for a in ctor.args
                     ),
                 )
-                self._by_ctor[ctor.name] = codec
-                self._by_kind[codec.kind.name] = codec
+                by_ctor[ctor.name] = codec
+                by_kind[codec.kind.name] = codec
+        object.__setattr__(self, "_sorts", dict(sort_of))
+        object.__setattr__(self, "_by_ctor", by_ctor)
+        object.__setattr__(self, "_by_kind", by_kind)
 
     def sort_for(self, type_name: str) -> Atom:
         return self._sorts[type_name]
@@ -362,10 +377,10 @@ def modularize_schema(schema: Schema) -> ModularizedLanguage:
 
 # How `reader` reads one node, in the two steps of `terms.fold`; `up` is
 # None where `down` always gives the node's value outright.
-Case = NamedTuple("Case", [("down", Callable), ("up", Callable)])
+Case = namedtuple("Case", "down up")
 
 
-def _arg_codec(lang_name: str, ty: SchemaType) -> tuple[Optional[Callable], Optional[Case]]:
+def _arg_codec(lang_name: str, ty: SchemaType) -> tuple[Callable | None, Case | None]:
     """(encode, read case) for a value of type ty in a child slot:
     encode(walk, value) -> Term encodes the constructor values inside
     value with `walk`, and the case reads the term back.  Both are None

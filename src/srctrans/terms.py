@@ -42,10 +42,11 @@ the others as well.
 from __future__ import annotations
 
 import gc
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Iterator
 from functools import cache, wraps
 from operator import attrgetter
-from typing import Iterable, Iterator, Optional, Union
+
+from .records import Frozen
 
 # The primitive payload types, by name, and the Python class of each.
 PRIM_TYPES = {"Int": int, "Bool": bool, "String": str}
@@ -106,16 +107,19 @@ class PayloadMismatch(TermError):
 _INTERN: dict = {}
 
 
-class _Interned:
+class _Interned(Frozen):
     """A value whose equal instances are one object.
 
     The constructor returns the instance first built with the same
     fields, so `==` is the default identity test and hashing is by id.
-    Subclasses are frozen dataclasses with `init=False` whose fields are
-    set here, in declaration order, once.
+    Subclasses are frozen, with the fields of their `__match_args__`
+    set here, in that order, once; there is no `__init__`.
     """
 
     __slots__ = ()
+    __init__ = object.__init__
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     def __new__(cls, *fields):
         key = (cls, *fields)
@@ -127,29 +131,22 @@ class _Interned:
             _INTERN[key] = self
         return self
 
-    def __reduce__(self):
-        return self.__class__, tuple(getattr(self, n) for n in self.__match_args__)
 
-
-@dataclass(frozen=True, eq=False, init=False)
 class Atom(_Interned):
     """A nominal sort label."""
 
-    name: str
+    __slots__ = ("name",)
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class ListOf(_Interned):
-    elem: "Sort"
+    __slots__ = ("elem",)
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class PairOf(_Interned):
-    first: "Sort"
-    second: "Sort"
+    __slots__ = ("first", "second")
 
 
-Sort = Union[Atom, ListOf, PairOf]
+Sort = Atom | ListOf | PairOf
 
 
 def sort_name(sort: Sort) -> str:
@@ -162,7 +159,6 @@ def sort_name(sort: Sort) -> str:
     raise TypeError(f"not a sort: {sort!r}")
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class NodeKind(_Interned):
     """A constructor descriptor: payload slots, child sorts, produced sort.
 
@@ -172,10 +168,8 @@ class NodeKind(_Interned):
     off by the kind's payload count.
     """
 
-    name: str
-    payloads: tuple[str, ...]
-    child_sorts: tuple[Sort, ...]
-    produced: Sort
+    __slots__ = ("name", "payloads", "child_sorts", "produced", "build")
+    __match_args__ = ("name", "payloads", "child_sorts", "produced")
 
     def __new__(cls, name: str, payloads: Iterable[str], child_sorts: Iterable[Sort],
                 produced: Sort):
@@ -184,7 +178,7 @@ class NodeKind(_Interned):
             if p not in PRIM_TYPES:
                 raise ValueError(f"{name}: bad payload type {p!r}")
         self = super().__new__(cls, name, payloads, tuple(child_sorts), produced)
-        if "build" not in self.__dict__:
+        if not hasattr(self, "build"):
             object.__setattr__(self, "build", _builder(self))
         return self
 
@@ -192,27 +186,29 @@ class NodeKind(_Interned):
         return f"NodeKind({self.name})"
 
 
-@dataclass(frozen=True, slots=True)
-class Term:
+class Term(Frozen):
     """An immutable sorted tree node.  Build through a kind's builder, or
     through mk_term to rebuild a node of a kind read from another node.
 
     `origin` is the provenance described in the module docstring, or None
-    for a node built otherwise, as a pass builds its nodes.
+    for a node built otherwise, as a pass builds its nodes; it is outside
+    repr, `==` and hash.
     """
 
-    kind: NodeKind
-    payload_values: tuple
-    children: tuple["Term", ...]
-    origin: object = field(default=None, compare=False, repr=False)
+    __slots__ = ("kind", "payload_values", "children", "origin")
+    _compared = ("kind", "payload_values", "children")
+
+    def __init__(self, kind: NodeKind, payload_values: tuple, children: tuple[Term, ...],
+                 origin: object = None):
+        Frozen.__init__(self, kind, payload_values, children, origin)
 
     @property
     def sort(self) -> Sort:
         return self.kind.produced
 
 
-# The builders fill a new Term's slots directly: the frozen __init__ would
-# set each field through object.__setattr__ in a Python frame.
+# The builders fill a new Term's slots directly: __init__ would set each
+# field through object.__setattr__ in a Python frame.
 _new_term = object.__new__
 _set_kind = Term.kind.__set__
 _set_payloads = Term.payload_values.__set__
@@ -400,24 +396,25 @@ def build_pair(first: Term, second: Term) -> Term:
 # ---------------------------------------------------------------------------
 # Signatures
 
-@dataclass(frozen=True)
-class Signature:
+class Signature(Frozen):
     """A finite set of node kinds naming one language representation.
 
     Container kinds are implicit members of every signature and are not
-    listed.
+    listed.  `_by_name` and `_containing` are lookup tables, outside
+    repr, `==` and hash.
     """
 
-    name: str
-    kinds: tuple[NodeKind, ...]
-    _by_name: dict = field(default_factory=dict, compare=False, repr=False)
-    _containing: dict = field(default_factory=dict, compare=False, repr=False)
+    __slots__ = ("name", "kinds", "_by_name", "_containing")
+    _compared = ("name", "kinds")
 
-    def __post_init__(self):
+    def __init__(self, name: str, kinds: tuple[NodeKind, ...], _by_name: dict | None = None,
+                 _containing: dict | None = None):
+        Frozen.__init__(self, name, kinds, {} if _by_name is None else _by_name,
+                        {} if _containing is None else _containing)
         seen = {}
-        for k in self.kinds:
+        for k in kinds:
             if k.name in seen:
-                raise ValueError(f"duplicate kind name {k.name!r} in {self.name}")
+                raise ValueError(f"duplicate kind name {k.name!r} in {name}")
             seen[k.name] = k
         self._by_name.update(seen)
 
@@ -466,7 +463,7 @@ class Signature:
         return found
 
 
-def check_term(term: Term, signature: Optional[Signature] = None) -> None:
+def check_term(term: Term, signature: Signature | None = None) -> None:
     """Exhaustively re-verify well-sortedness of a whole tree.
 
     Test support: asserts the construction-time invariant really holds on

@@ -14,18 +14,18 @@ reads `terms.iter_subterms`, the pre-order walk over a term's nodes.
 from __future__ import annotations
 
 from operator import is_
-from typing import Callable, Optional
+from collections.abc import Callable
 
 from .terms import Term, mk_term, sort_name
 
-Rewrite = Callable[[Term], Optional[Term]]
+Rewrite = Callable[[Term], Term | None]
 
 
 class SortViolation(Exception):
     pass
 
 
-def _apply(r: Rewrite, t: Term) -> Optional[Term]:
+def _apply(r: Rewrite, t: Term) -> Term | None:
     out = r(t)
     if out is not None and out.sort != t.sort:
         raise SortViolation(
@@ -34,7 +34,7 @@ def _apply(r: Rewrite, t: Term) -> Optional[Term]:
     return out
 
 
-def transform_bottom_up(r: Rewrite, t: Term, within: Optional[frozenset] = None) -> Term:
+def transform_bottom_up(r: Rewrite, t: Term, within: frozenset | None = None) -> Term:
     """Apply r at every node, children first; non-firing nodes pass through.
 
     With `within`, a set of sorts, a node of any other sort passes

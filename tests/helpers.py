@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 import string
 
+from srctrans.langs.base import LanguageDef
 from srctrans.schema import (
     ConstructorDecl,
     GV,
@@ -31,6 +32,13 @@ from srctrans.terms import (
     build_pair,
     mk_term,
 )
+
+def replace_language(lang: LanguageDef, **changes) -> LanguageDef:
+    """The language built from lang's fields with `changes` in place of
+    some of them."""
+    fields = {name: getattr(lang, name) for name in LanguageDef.__match_args__}
+    return LanguageDef(**{**fields, **changes})
+
 
 def without_origin(term: Term) -> Term:
     """A copy of term rebuilt through mk_term, so that no node records an

@@ -1,9 +1,12 @@
 """Command line interface: subcommands and exit codes."""
 
+import itertools
+from pathlib import Path
+
 import pytest
 
 from helpers import COUNTF
-from srctrans.cli import cli
+from srctrans.cli import _path, cli
 
 ARITH_SCHEMA = """\
 type Arith = Add Atom Atom
@@ -113,6 +116,26 @@ def test_file_not_utf8_fails_with_position(tmp_path, capsys, command):
     assert captured.out == ""
     assert captured.err == (
         "srctrans: line 1, col 21: unexpected character '\\udcff'\n"
+    )
+
+
+def test_paths_are_spelled_as_pathlib_spells_them():
+    for n in range(6):
+        for parts in itertools.product(["/", ".", "a", "..", "b.c"], repeat=n):
+            text = "".join(parts)
+            assert _path(text) == str(Path(text)), text
+
+
+@pytest.mark.parametrize("command", [
+    ["transform", "--lang", "minic", "--pass", "ident"],
+    ["roundtrip", "--lang", "minic"],
+    ["cfg", "--lang", "minic"],
+])
+def test_missing_file_is_named_as_pathlib_names_it(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    assert cli([*command, ".//nowhere/./a.mc/"]) == 2
+    assert capsys.readouterr().err == (
+        "srctrans: [Errno 2] No such file or directory: 'nowhere/a.mc'\n"
     )
 
 

@@ -1,10 +1,8 @@
 """Differential harness: verdicts, report shape, resilience."""
 
-from dataclasses import replace
-
 import pytest
 
-from helpers import COUNTF, HAND
+from helpers import COUNTF, HAND, replace_language
 from srctrans.difftest import PASSES, DiffReport, Verdict, diff_one, diff_test
 from srctrans.gen import GenConfig, gen_program
 from srctrans.langs.base import block_items, get_language, with_block_items
@@ -91,8 +89,8 @@ def test_run_failures_become_verdicts():
     # An exception escaping the interpreter on the original program does
     # not abort the batch.
     lang = get_language("minijs")
-    lang = replace(lang, run=_faulty_run(lang, "explode", RecursionError("too deep")))
-    lang = replace(lang, run=_faulty_run(lang, "leak", RuntimeError("leaked")))
+    lang = replace_language(lang, run=_faulty_run(lang, "explode", RecursionError("too deep")))
+    lang = replace_language(lang, run=_faulty_run(lang, "leak", RuntimeError("leaked")))
     texts = [
         "function main() { print(1); }",
         "function main() { leak(1); }",
@@ -114,7 +112,7 @@ def test_run_failure_after_transform():
         return lang.decompose(lang.parse("function main() { leak(1); }"))
 
     lang = get_language("minijs")
-    lang = replace(lang, run=_faulty_run(lang, "leak", RuntimeError("leaked")))
+    lang = replace_language(lang, run=_faulty_run(lang, "leak", RuntimeError("leaked")))
     v = diff_one(lang, add_leak, 0, "function main() { print(1); }")
     assert v.kind == "RunError"
     assert v.detail.startswith("after: RuntimeError: ")

@@ -11,11 +11,10 @@ a run makes waits for the first collection after it returns.
 
 import gc
 import tracemalloc
-from dataclasses import replace
 
 import pytest
 
-from helpers import HAND, nested_recursion
+from helpers import HAND, nested_recursion, replace_language
 from srctrans.difftest import PASSES, Verdict, diff_one
 from srctrans.flow import build_cfg, dump_dot
 from srctrans.gen import GenConfig, gen_program
@@ -178,12 +177,12 @@ def test_each_verdict_leaves_the_collector_on():
     # (language, pass, text) and the verdict's kind and detail prefix
     cases = [
         ((lang, ident, "function main() {"), "ParseError", "original: "),
-        ((replace(lang, run=_raising_on_call(lang.run, 1)), ident, text),
+        ((replace_language(lang, run=_raising_on_call(lang.run, 1)), ident, text),
          "RunError", "before: "),
         ((lang, failing, text), "TransformError", "RuntimeError: "),
-        ((replace(lang, pretty=lambda value: "function main() {"), ident, text),
+        ((replace_language(lang, pretty=lambda value: "function main() {"), ident, text),
          "ParseError", "transformed: "),
-        ((replace(lang, run=_raising_on_call(lang.run, 2)), ident, text),
+        ((replace_language(lang, run=_raising_on_call(lang.run, 2)), ident, text),
          "RunError", "after: "),
         ((lang, other_program, text), "TraceDiverged", "step 0: "),
     ]

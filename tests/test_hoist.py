@@ -1,12 +1,11 @@
 """Declaration hoisting, elementary and shadow-aware variants."""
 
-import dataclasses
 import re
 from types import SimpleNamespace
 
 import pytest
 
-from helpers import unpruned_transform_bottom_up
+from helpers import replace_language, unpruned_transform_bottom_up
 from srctrans.fragments import BLOCK
 from srctrans.gen import GenConfig, gen_program
 from srctrans.langs.base import get_language
@@ -156,7 +155,7 @@ def test_both_variants_preserve_semantics_without_shadowing():
 
 def test_requirements_checked():
     lang = get_language("minic")
-    crippled = dataclasses.replace(
+    crippled = replace_language(
         lang, ops=SimpleNamespace(binder_in_scope_in_init=True)
     )
     term = lang.decompose(lang.parse("int main() { return 0; }"))

@@ -185,7 +185,7 @@ def test_generic_value_is_frozen_and_has_no_dict():
         with pytest.raises(dataclasses.FrozenInstanceError):
             delattr(v, name)
     assert not hasattr(v, "__dict__")
-    assert [f.name for f in dataclasses.fields(GV)] == ["ctor", "args"]
+    assert list(GV.__match_args__) == ["ctor", "args"]
 
 
 def test_generic_value_copies_and_pickles():
