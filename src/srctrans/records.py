@@ -13,10 +13,10 @@ driven by two class attributes:
 
 A subclass writes its own `__init__`, with the fields' defaults, and
 stores the fields with `Record.__init__(self, *values)` in
-`__match_args__` order.  `Record` is a mutable dataclass with `eq=True`:
-the dataclass repr, `==` between instances of one class by their compared
-values, and no hash.  `Frozen` is a frozen one: it adds the hash of the
-compared values, and `setattr` and `delattr` raise
+`__match_args__` order.  `Record` behaves as a mutable dataclass: the
+dataclass repr, `==` between instances of one class by their compared
+values, and no hash.  `Frozen` behaves as a frozen one: it adds the hash
+of the compared values, and `setattr` and `delattr` raise
 `dataclasses.FrozenInstanceError`, with `dataclasses` imported only then.
 A copy or a pickle of either calls the constructor again, so a table the
 constructor builds is built again.
