@@ -11,7 +11,7 @@ import sys
 
 from .difftest import PASSES, diff_test
 from .flow import build_cfg, dump_dot
-from .langs.base import get_language, language_names
+from .langs.base import LANGUAGE_NAMES, get_language
 from .schema import dump_modularized, modularize_schema, parse_schema_text
 
 
@@ -37,18 +37,18 @@ def _build_parser() -> _Parser:
     sub = p.add_subparsers(dest="command", required=True)
 
     tr = sub.add_parser("transform", help="apply a pass to one source file")
-    tr.add_argument("--lang", required=True, choices=language_names())
+    tr.add_argument("--lang", required=True, choices=LANGUAGE_NAMES)
     tr.add_argument("--pass", dest="pass_name", required=True,
                     choices=sorted(PASSES))
     tr.add_argument("--out", type=_path)
     tr.add_argument("file", type=_path)
 
     rt = sub.add_parser("roundtrip", help="check parse/pretty stability")
-    rt.add_argument("--lang", required=True, choices=language_names())
+    rt.add_argument("--lang", required=True, choices=LANGUAGE_NAMES)
     rt.add_argument("file", type=_path)
 
     dt = sub.add_parser("difftest", help="differential-test a pass")
-    dt.add_argument("--lang", required=True, choices=language_names())
+    dt.add_argument("--lang", required=True, choices=LANGUAGE_NAMES)
     dt.add_argument("--pass", dest="pass_name", required=True,
                     choices=sorted(PASSES))
     src = dt.add_mutually_exclusive_group(required=True)
@@ -57,7 +57,7 @@ def _build_parser() -> _Parser:
     dt.add_argument("--seed", type=int, default=0)
 
     cf = sub.add_parser("cfg", help="dump the control-flow graph")
-    cf.add_argument("--lang", required=True, choices=language_names())
+    cf.add_argument("--lang", required=True, choices=LANGUAGE_NAMES)
     cf.add_argument("--dot", type=_path)
     cf.add_argument("file", type=_path)
 
@@ -66,7 +66,7 @@ def _build_parser() -> _Parser:
 
     ins = sub.add_parser("inspect", help="dump language tables")
     ins.add_argument("--injections", metavar="LANG",
-                     choices=language_names(), required=True)
+                     choices=LANGUAGE_NAMES, required=True)
     return p
 
 

@@ -459,8 +459,16 @@ def register(lang: LanguageDef) -> LanguageDef:
     return lang
 
 
+# The built-in frontends, each a module of this package named after its
+# language, in sorted order.
+LANGUAGE_NAMES = ("minic", "minijs", "minilua")
+
+
 def get_language(name: str) -> LanguageDef:
-    _load_builtin()
+    """The language registered as name.  A built-in one is loaded on the
+    first call, and no other frontend with it."""
+    if name not in _REGISTRY and name in LANGUAGE_NAMES:
+        __import__(f"{__package__}.{name}")
     try:
         return _REGISTRY[name]
     except KeyError:
@@ -468,12 +476,10 @@ def get_language(name: str) -> LanguageDef:
 
 
 def language_names() -> list[str]:
-    _load_builtin()
+    """Every registered language, the built-in ones loaded."""
+    for name in LANGUAGE_NAMES:
+        get_language(name)
     return sorted(_REGISTRY)
-
-
-def _load_builtin() -> None:
-    from . import minic, minijs, minilua  # noqa: F401
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 from collections.abc import Callable
-from string import ascii_letters, digits
 
 from ..runtime import (
     BREAK,
@@ -37,6 +36,11 @@ class ParseError(Exception):
 
 # A token's kind is num, name, string, op or eof.
 Token = namedtuple("Token", "kind value line col")
+
+# `string.ascii_letters` and `string.digits`, written out so that loading
+# a language does not import `string`.
+_ASCII_LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
+_DIGITS = "0123456789"
 
 # Token's generated __new__ is a Python function; the lexer builds the
 # tuple directly.
@@ -65,8 +69,8 @@ def lexer(
     ).findall
     exact = dict.fromkeys(operators, "op")
     exact["\n"] = "nl"
-    first = dict.fromkeys(ascii_letters + "_", "name")
-    first.update(dict.fromkeys(digits, "num"))
+    first = dict.fromkeys(_ASCII_LETTERS + "_", "name")
+    first.update(dict.fromkeys(_DIGITS, "num"))
     exact_kind, first_kind = exact.get, first.get
 
     def rare_kind(tok: str, line: int, col: int) -> str:

@@ -171,25 +171,47 @@ def _other_sort(sort):
     return Atom("Elsewhere") if sort is not Atom("Elsewhere") else E
 
 
-def _builder_kinds():
+def _builtin_kinds():
+    """The kinds of the three languages (surface and IPS), the generic
+    fragments and the prim boxes, with the list and pair kinds of their
+    child sorts."""
+    from srctrans.fragments import GENERIC_KINDS
     from srctrans.langs.base import get_language, language_names
     from srctrans.schema import PRIM_BOX_KINDS
     from srctrans.terms import pair_kind
 
     kinds = {}
     for name in language_names():
-        for kind in get_language(name).ips.kinds:
-            kinds[kind] = None
-            for sort in kind.child_sorts:
-                if isinstance(sort, ListOf):
-                    kinds[list_kind(sort.elem)] = None
-                elif isinstance(sort, PairOf):
-                    kinds[pair_kind(sort.first, sort.second)] = None
+        lang = get_language(name)
+        kinds.update(dict.fromkeys(lang.modularized.signature.kinds))
+        kinds.update(dict.fromkeys(lang.ips.kinds))
+    kinds.update(dict.fromkeys(GENERIC_KINDS))
     kinds.update(dict.fromkeys(PRIM_BOX_KINDS.values()))
-    # no bundled language has a pair; these stand for pairs of every shape
-    kinds[pair_kind(E, ListOf(E))] = None
-    kinds[pair_kind(PairOf(E, E), PRIM_BOX_KINDS["Int"].produced)] = None
+    for kind in list(kinds):
+        for sort in kind.child_sorts:
+            if isinstance(sort, ListOf):
+                kinds[list_kind(sort.elem)] = None
+            elif isinstance(sort, PairOf):
+                kinds[pair_kind(sort.first, sort.second)] = None
     return list(kinds)
+
+
+# Kinds of shapes that no built-in kind has: their builders run mk_term's
+# checks on every node.
+_ANY_SHAPE_KINDS = (
+    NodeKind("TwoPayloads", ("Int", "String"), (E,), E),
+    NodeKind("SixChildren", (), (E, E, ListOf(E), E, E, Atom("F")), E),
+    NodeKind("ListF", ("Bool",), (E,), ListOf(E)),  # a payload before the elements
+)
+
+
+def _builder_kinds():
+    from srctrans.schema import PRIM_BOX_KINDS
+    from srctrans.terms import pair_kind
+
+    # no bundled language has a pair; these stand for pairs of every shape
+    pairs = [pair_kind(E, ListOf(E)), pair_kind(PairOf(E, E), PRIM_BOX_KINDS["Int"].produced)]
+    return [*_builtin_kinds(), *pairs, *_ANY_SHAPE_KINDS]
 
 
 def _bad_inputs(kind):
@@ -225,6 +247,7 @@ def _outcome(build, *args):
 def test_builders_agree_with_mk_term():
     kinds = _builder_kinds()
     assert {k.name for k in kinds} >= {"ListF", "PairF", "IntBox", "BoolBox", "StringBox"}
+    assert set(_ANY_SHAPE_KINDS) <= set(kinds)
     checked = 0
     for kind in kinds:
         n = len(kind.payloads)
@@ -238,6 +261,17 @@ def test_builders_agree_with_mk_term():
             assert got == _outcome(mk_term, kind, bad[:n], bad[n:]), (kind, what)
             checked += 1
     assert checked > 500
+
+
+def _has_any_shape_builder(kind):
+    return kind.build.__code__ is terms._any_shape_builder(kind).__code__
+
+
+def test_every_builtin_kind_has_a_written_out_builder():
+    kinds = _builtin_kinds()
+    assert len(kinds) > 150
+    assert [k for k in kinds if _has_any_shape_builder(k)] == []
+    assert all(_has_any_shape_builder(k) for k in _ANY_SHAPE_KINDS)
 
 
 def test_list_builder_takes_any_number_of_elements():
