@@ -42,17 +42,28 @@ Token = namedtuple("Token", "kind value line col")
 _ASCII_LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
 _DIGITS = "0123456789"
 
-# Token's generated __new__ is a Python function; the lexer builds the
-# tuple directly.
-_new_token = tuple.__new__
 _UNESCAPE = re.compile(r"\\(.)", re.DOTALL).sub
+
+
+def token_value(text: str) -> str:
+    """The value of the token `text`: a string's is its text without the
+    quotes and escapes, any other token's is its text."""
+    if text[:1] in ("'", '"'):
+        return _UNESCAPE(r"\1", text[1:-1])
+    return text
 
 
 def lexer(
     operators: list[str], line_comment: str, strings: bool = False
-) -> Callable[[str], list[Token]]:
+) -> tuple[Callable[[str], list[Token]], Callable[..., TokenStream]]:
     """A language's lexer over names, decimal integers, operators and,
     with `strings`, quoted strings, compiled into one regular expression.
+    It returns `tokenize(text)`, the tokens with their kinds, values and
+    positions, and `scan(text, keywords)`, the `TokenStream` a parser
+    reads: the token texts of one `findall`, ended by the eof text "",
+    and the kind of each distinct text.  A string keeps its quotes, so
+    a token's text gives its kind, and `scan` leaves positions to
+    `tokenize`, which a `TokenStream` calls only to raise an error.
 
     Operators use longest match.  A column counts every character before
     it on its line except comment characters, and a backslash-escaped
@@ -62,140 +73,144 @@ def lexer(
     """
     ops = "|".join(map(re.escape, sorted(operators, key=len, reverse=True)))
     string = r"""|"(?:[^"\\\n]|\\.)*"|'(?:[^'\\\n]|\\.)*'""" if strings else ""
-    # each match: the horizontal space before a token, then the token
-    scan = re.compile(
-        rf"([^\S\n]*)(\n|{re.escape(line_comment)}[^\n]*|\d+|[^\W\d]\w*{string}|{ops}|\S)",
-        re.DOTALL,
-    ).findall
+    comment = re.escape(line_comment)
+    # each match: the space and comments before a token, then the token,
+    # the empty text at the end, or any other character, which the kind
+    # rules reject; so each match starts where the last one ended, and
+    # none is tried again from a later position
+    pattern = re.compile(
+        rf"\s*(?:{comment}[^\n]*\s*)*(\d+|[^\W\d]\w*{string}|{ops}|\S|\Z)", re.DOTALL
+    )
+    findall, finditer = pattern.findall, pattern.finditer
     exact = dict.fromkeys(operators, "op")
-    exact["\n"] = "nl"
+    exact[""] = "eof"
     first = dict.fromkeys(_ASCII_LETTERS + "_", "name")
     first.update(dict.fromkeys(_DIGITS, "num"))
     exact_kind, first_kind = exact.get, first.get
 
-    def rare_kind(tok: str, line: int, col: int) -> str:
+    def rare_kind(tok: str) -> str | None:
+        """The kind of a text that the tables do not give, or None for a
+        lone quote or an unexpected character."""
         c = tok[0]
-        if tok.startswith(line_comment):
-            return "comment"
-        if strings and c in "'\"":
-            if len(tok) == 1:
-                raise ParseError("unterminated string", line, col)
-            return "string"
+        if c in "'\"":
+            return "string" if strings and len(tok) > 1 else None
         if c.isdecimal():
             return "num"
         if c.isalpha():
             return "name"
-        raise ParseError(f"unexpected character {c!r}", line, col)
+        return None
 
     def tokenize(text: str) -> list[Token]:
         toks: list[Token] = []
-        append = toks.append
         line = col = 1
-        tok = ""
-        for space, tok in scan(text):
-            col += len(space)
-            kind = exact_kind(tok) or first_kind(tok[0]) or rare_kind(tok, line, col)
-            if kind == "nl":
-                line += 1
-                col = 1
-                continue
-            if kind == "comment":
-                continue
-            value = tok
-            if kind == "string":
-                value = tok[1:-1]
-                if "\\" in value:
-                    value = _UNESCAPE(r"\1", value)
-            append(_new_token(Token, (kind, value, line, col)))
-            col += len(tok)
-        # the space after the last token's line counts toward the eof
-        # column; the characters of a trailing comment do not
-        if not tok.startswith(line_comment):
-            tail = text[len(text.rstrip()):]
-            col += len(tail) - tail.rfind("\n") - 1
-        append(_new_token(Token, ("eof", "", line, col)))
-        return toks
+        for m in finditer(text):
+            skip = m.start()
+            start, end = m.span(1)
+            if start > skip:
+                skipped = text[skip:start]
+                newline = skipped.rfind("\n")
+                if newline >= 0:
+                    line += skipped.count("\n")
+                    col = 1
+                    skipped = skipped[newline + 1:]
+                # only a comment that runs to the end of the text is
+                # left after the last newline
+                cut = skipped.find(line_comment)
+                col += len(skipped) if cut < 0 else cut
+            tok = m[1]
+            kind = exact_kind(tok) or first_kind(tok[0]) or rare_kind(tok)
+            if kind is None:
+                c = tok[0]
+                raise ParseError(
+                    "unterminated string" if strings and c in "'\"" else
+                    f"unexpected character {c!r}", line, col,
+                )
+            toks.append(Token(kind, token_value(tok), line, col))
+            if not tok:  # the last match is always the eof text
+                return toks
+            col += end - start
 
-    return tokenize
+    def scan(text: str, keywords: frozenset[str]) -> TokenStream:
+        toks = findall(text)
+        if len(toks) > 1 and not toks[-2]:
+            # after space or a comment that ends the text, `\Z` matches
+            # once more, at the end
+            del toks[-1]
+        kinds = {
+            tok: exact_kind(tok) or first_kind(tok[0]) or rare_kind(tok) for tok in set(toks)
+        }
+        if None in kinds.values():
+            tokenize(text)  # raises the first lexing error, at its position
+        return TokenStream(toks, kinds, keywords, lambda: tokenize(text))
+
+    return tokenize, scan
 
 
 class TokenStream:
-    """Cursor over a token list with the usual expect/accept helpers.
-    The list ends with the one eof token, which `next` never passes."""
+    """Cursor over a file's token texts with the usual expect/accept
+    helpers.  The list ends with the eof text "", which `next` never
+    passes, and `kinds` maps each distinct text to its kind.  No text of
+    one kind equals a text of another, so a keyword or operator test is
+    a comparison of texts.  An error takes its token's line and column
+    from `positions()`, the file's exact tokens."""
 
-    def __init__(self, tokens: list[Token], keywords: frozenset[str]):
+    def __init__(self, tokens: list[str], kinds: dict[str, str],
+                 keywords: frozenset[str], positions: Callable[[], list[Token]]):
         self.tokens = tokens
+        self.kinds = kinds
         self.pos = 0
         self.keywords = keywords
+        self.positions = positions
         self.in_loop = False
 
-    def peek(self, ahead: int = 0) -> Token:
-        if ahead:
-            return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+    def peek(self) -> str:
         return self.tokens[self.pos]
 
-    def next(self) -> Token:
+    def next(self) -> str:
         tok = self.tokens[self.pos]
-        if tok.kind != "eof":
+        if tok:
             self.pos += 1
         return tok
 
-    def error(self, message: str) -> ParseError:
-        tok = self.peek()
+    def error_at(self, i: int, message: str) -> ParseError:
+        tok = self.positions()[i]
         return ParseError(message, tok.line, tok.col)
 
-    def at_op(self, op: str) -> bool:
-        tok = self.tokens[self.pos]
-        return tok.kind == "op" and tok.value == op
+    def error(self, message: str) -> ParseError:
+        return self.error_at(self.pos, message)
 
-    def at_kw(self, kw: str) -> bool:
-        tok = self.tokens[self.pos]
-        return tok.kind == "name" and tok.value == kw
+    def at(self, text: str) -> bool:
+        return self.tokens[self.pos] == text
 
-    def accept_op(self, op: str) -> bool:
-        tok = self.tokens[self.pos]
-        if tok.kind == "op" and tok.value == op:
+    def accept(self, text: str) -> bool:
+        if self.tokens[self.pos] == text:
             self.pos += 1
             return True
         return False
 
-    def accept_kw(self, kw: str) -> bool:
+    def expect(self, text: str) -> None:
         tok = self.tokens[self.pos]
-        if tok.kind == "name" and tok.value == kw:
-            self.pos += 1
-            return True
-        return False
-
-    def expect_op(self, op: str) -> None:
-        if not self.accept_op(op):
-            raise self.error(f"expected {op!r}, got {self.peek().value!r}")
-
-    def expect_kw(self, kw: str) -> None:
-        if not self.accept_kw(kw):
-            raise self.error(f"expected {kw!r}, got {self.peek().value!r}")
+        if tok != text:
+            raise self.error(f"expected {text!r}, got {token_value(tok)!r}")
+        self.pos += 1
 
     def expect_name(self) -> str:
-        tok = self.peek()
-        if tok.kind != "name" or tok.value in self.keywords:
-            raise self.error(f"expected an identifier, got {tok.value!r}")
-        self.next()
-        return tok.value
-
-    def expect_eof(self) -> None:
-        tok = self.peek()
-        if tok.kind != "eof":
-            raise self.error(f"trailing input {tok.value!r}")
+        tok = self.tokens[self.pos]
+        if self.kinds[tok] != "name" or tok in self.keywords:
+            raise self.error(f"expected an identifier, got {token_value(tok)!r}")
+        self.pos += 1
+        return tok
 
     def comma_list(self, item: Callable, closer: str | None = None) -> list:
         """`item(self)` results separated by commas.  With a closer, the
         list may be empty and the closer is consumed."""
-        if closer is not None and self.accept_op(closer):
+        if closer is not None and self.accept(closer):
             return []
         items = [item(self)]
-        while self.accept_op(","):
+        while self.accept(","):
             items.append(item(self))
         if closer is not None:
-            self.expect_op(closer)
+            self.expect(closer)
         return items
 
     def loop_body(self, parse: Callable, in_loop: bool = True):
@@ -207,12 +222,12 @@ class TokenStream:
         return body
 
     def accept_jump(self, kw: str) -> bool:
-        """accept_kw for `break`/`continue`, rejecting one outside a loop."""
-        if not self.at_kw(kw):
+        """accept for `break`/`continue`, rejecting one outside a loop."""
+        if self.tokens[self.pos] != kw:
             return False
         if not self.in_loop:
             raise self.error(f"{kw!r} outside a loop")
-        self.next()
+        self.pos += 1
         return True
 
 
@@ -225,45 +240,44 @@ def parse_c_stmt(ts: TokenStream, expr: Callable, body: Callable,
     """A statement of the C-like grammar MiniC and MiniJS share.  `body`
     parses the body of if, while and for, `block` a braced block; a for
     header may not start with the declaration keyword `decl_kw`."""
-    tok = ts.tokens[ts.pos]
-    if tok.kind == "name" and tok.value in _C_STMT_KWS:
-        if ts.accept_kw("if"):
-            ts.expect_op("(")
+    if ts.tokens[ts.pos] in _C_STMT_KWS:
+        if ts.accept("if"):
+            ts.expect("(")
             cond = expr(ts)
-            ts.expect_op(")")
+            ts.expect(")")
             then = body(ts)
-            els = GV("SomeElse", (body(ts),)) if ts.accept_kw("else") else GV("NoElse")
+            els = GV("SomeElse", (body(ts),)) if ts.accept("else") else GV("NoElse")
             return GV("IfStmt", (cond, then, els))
-        if ts.accept_kw("while"):
-            ts.expect_op("(")
+        if ts.accept("while"):
+            ts.expect("(")
             cond = expr(ts)
-            ts.expect_op(")")
+            ts.expect(")")
             return GV("WhileStmt", (cond, ts.loop_body(body)))
-        if ts.accept_kw("for"):
-            ts.expect_op("(")
-            if decl_kw is not None and ts.at_kw(decl_kw):
+        if ts.accept("for"):
+            ts.expect("(")
+            if decl_kw is not None and ts.at(decl_kw):
                 raise ts.error("declarations are not allowed in a for header")
             init = _parse_opt_expr(ts, expr, ";")
-            ts.expect_op(";")
+            ts.expect(";")
             cond = _parse_opt_expr(ts, expr, ";")
-            ts.expect_op(";")
+            ts.expect(";")
             step = _parse_opt_expr(ts, expr, ")")
-            ts.expect_op(")")
+            ts.expect(")")
             return GV("ForStmt", (init, cond, step, ts.loop_body(body)))
-        if ts.accept_kw("return"):
+        if ts.accept("return"):
             opt = _parse_opt_expr(ts, expr, ";")
-            ts.expect_op(";")
+            ts.expect(";")
             return GV("ReturnStmt", (opt,))
         if ts.accept_jump("break"):
-            ts.expect_op(";")
+            ts.expect(";")
             return GV("BreakStmt")
         if ts.accept_jump("continue"):
-            ts.expect_op(";")
+            ts.expect(";")
             return GV("ContinueStmt")
-    if ts.at_op("{"):
+    if ts.at("{"):
         return GV("BlockStmt", (block(ts),))
     e = expr(ts)
-    ts.expect_op(";")
+    ts.expect(";")
     return GV("ExprStmt", (e,))
 
 
@@ -272,7 +286,7 @@ _C_STMT_KWS = frozenset({"if", "while", "for", "return", "break", "continue"})
 
 
 def _parse_opt_expr(ts: TokenStream, expr: Callable, closer: str) -> GenericValue:
-    if ts.at_op(closer):
+    if ts.at(closer):
         return GV("NoExpr")
     return GV("SomeExpr", (expr(ts),))
 
@@ -513,6 +527,7 @@ def expression_parser(
 
     def parse(ts: TokenStream, postfix_only: bool = False) -> GenericValue:
         toks = ts.tokens
+        kinds = ts.kinds
         i = ts.pos
         vals: list = []    # the left operand of each pending binary operator
         ops: list = []     # (binding power, operator), prefix ones at _PREFIX
@@ -522,23 +537,20 @@ def expression_parser(
             # An operand: prefix operators, then a primary.  A bracket
             # pushes a frame and parses its first operand next.
             tok = toks[i]
-            kind, value = tok[0], tok[1]
             if frames or not postfix_only:
-                while (value == "-" or value == not_op) and (kind == "op" or kind == "name"):
-                    ops.append((_PREFIX, value))
+                while tok == "-" or tok == not_op:
+                    ops.append((_PREFIX, tok))
                     i += 1
                     tok = toks[i]
-                    kind, value = tok[0], tok[1]
-            if kind == "name" and value not in keywords:
+            kind = kinds[tok]
+            if kind == "name" and tok not in keywords:
                 i += 1
-                e = GV("Ident", (value,))
-                tok = toks[i]
-                if tok[1] != "(" or tok[0] != "op":
+                e = GV("Ident", (tok,))
+                if toks[i] != "(":
                     e = GV("VarE", (e,))
                 else:
                     i += 1
-                    tok = toks[i]
-                    if tok[1] != ")" or tok[0] != "op":
+                    if toks[i] != ")":
                         frames.append((_CALL, base, (e, [])))
                         base = len(ops)
                         continue
@@ -546,71 +558,68 @@ def expression_parser(
                     e = GV("CallE", (e, ()))
             elif kind == "num":
                 i += 1
-                e = GV(num, (int(value),))
+                e = GV(num, (int(tok),))
             elif kind == "name":
-                if value == "true" or value == "false":
-                    e = GV("BoolLit", (value == "true",))
-                elif value == nil_kw:
+                if tok == "true" or tok == "false":
+                    e = GV("BoolLit", (tok == "true",))
+                elif tok == nil_kw:
                     e = GV(nil_ctor)
                 else:
-                    raise ParseError(f"expected an identifier, got {value!r}", tok[2], tok[3])
+                    raise ts.error_at(i, f"expected an identifier, got {tok!r}")
                 i += 1
-            elif kind == "op" and value == "(":
+            elif tok == "(":
                 i += 1
                 frames.append((_PAREN, base, None))
                 base = len(ops)
                 continue
-            elif array and kind == "op" and value == "[":
+            elif array and tok == "[":
                 i += 1
-                tok = toks[i]
-                if tok[1] != "]" or tok[0] != "op":
+                if toks[i] != "]":
                     frames.append((_ARRAY, base, []))
                     base = len(ops)
                     continue
                 i += 1
                 e = GV("ArrayE", ((),))
             else:
-                raise ParseError(f"expected an expression, got {value!r}", tok[2], tok[3])
+                raise ts.error_at(i, f"expected an expression, got {token_value(tok)!r}")
 
             # `e` is a primary, or a bracket's value: its suffixes, its
             # prefix operators, then a binary operator, `=` or a closer.
             while True:
                 tok = toks[i]
-                kind, value = tok[0], tok[1]
-                if kind == "op":
-                    if value == "[":
-                        i += 1
-                        frames.append((_INDEX, base, e))
-                        base = len(ops)
-                        break
-                    if value == ".":
-                        tok = toks[i + 1]
-                        if tok[0] != "name" or tok[1] in keywords:
-                            raise ParseError(
-                                f"expected an identifier, got {tok[1]!r}", tok[2], tok[3]
-                            )
-                        i += 2
-                        e = GV("MemberE", (e, tok[1]))
-                        continue
+                if tok == "[":
+                    i += 1
+                    frames.append((_INDEX, base, e))
+                    base = len(ops)
+                    break
+                if tok == ".":
+                    member = toks[i + 1]
+                    if kinds[member] != "name" or member in keywords:
+                        raise ts.error_at(
+                            i + 1, f"expected an identifier, got {token_value(member)!r}"
+                        )
+                    i += 2
+                    e = GV("MemberE", (e, member))
+                    continue
                 if postfix_only and not frames:
                     ts.pos = i
                     return e
                 while len(ops) > base and ops[-1][0] == _PREFIX:
                     e = GV("UnaryE", (ops.pop()[1], e))
-                p = power(value) if kind == "op" or kind == "name" else None
+                p = power(tok)
                 if p is not None:
                     while len(ops) > base and ops[-1][0] >= p:
                         e = GV("BinE", (ops.pop()[1], vals.pop(), e))
-                    ops.append((p, value))
+                    ops.append((p, tok))
                     vals.append(e)
                     i += 1
                     break
                 # the end of the expression in the innermost bracket
                 while len(ops) > base:
                     e = GV("BinE", (ops.pop()[1], vals.pop(), e))
-                if targets and value == "=" and kind == "op":
+                if targets and tok == "=":
                     if e.ctor not in targets:
-                        raise ParseError(target_message, tok[2], tok[3])
+                        raise ts.error_at(i, target_message)
                     i += 1
                     frames.append((_ASSIGN, base, e))
                     break
@@ -624,12 +633,12 @@ def expression_parser(
                 if bracket == _CALL or bracket == _ARRAY:
                     items = payload[1] if bracket == _CALL else payload
                     items.append(e)
-                    if value == "," and kind == "op":
+                    if tok == ",":
                         i += 1
                         break
                 closer = ")" if bracket == _PAREN or bracket == _CALL else "]"
-                if value != closer or kind != "op":
-                    raise ParseError(f"expected {closer!r}, got {value!r}", tok[2], tok[3])
+                if tok != closer:
+                    raise ts.error_at(i, f"expected {closer!r}, got {token_value(tok)!r}")
                 i += 1
                 frames.pop()
                 base = outer

@@ -112,31 +112,28 @@ _PREC = {"||": 2, "&&": 3, "==": 4, "!=": 4, "<": 5, "<=": 5,
          ">": 5, ">=": 5, "+": 6, "-": 6, "*": 7, "/": 7, "%": 7}
 
 
-tokenize = lexer(_OPS, "//")
+tokenize, scan = lexer(_OPS, "//")
 
 
 @gc_paused
 def parse(text: str) -> GenericValue:
-    ts = TokenStream(tokenize(text), _KEYWORDS)
+    ts = scan(text, _KEYWORDS)
     funcs = []
-    while ts.peek().kind != "eof":
+    while ts.peek():
         funcs.append(_parse_func(ts))
-    ts.expect_eof()
     return GV("Program", (tuple(funcs),))
 
 
 def _at_type(ts: TokenStream) -> bool:
-    tok = ts.tokens[ts.pos]
-    return tok.kind == "name" and tok.value in _TYPE_KWS
+    return ts.tokens[ts.pos] in _TYPE_KWS
 
 
 def _parse_type(ts: TokenStream) -> GenericValue:
-    if ts.accept_kw("bool"):
+    if ts.accept("bool"):
         return GV("TBool")
-    ts.expect_kw("int")
-    if ts.at_op("[") and ts.peek(1).kind == "op" and ts.peek(1).value == "]":
-        ts.next()
-        ts.next()
+    ts.expect("int")
+    if ts.at("[") and ts.tokens[ts.pos + 1] == "]":
+        ts.pos += 2
         return GV("TIntArr")
     return GV("TInt")
 
@@ -144,7 +141,7 @@ def _parse_type(ts: TokenStream) -> GenericValue:
 def _parse_func(ts: TokenStream) -> GenericValue:
     ty = _parse_type(ts)
     name = parse_ident(ts)
-    ts.expect_op("(")
+    ts.expect("(")
     params = ts.comma_list(_parse_param, ")")
     block = _parse_block(ts)
     return GV("FuncDef", (ty, name, tuple(params), block))
@@ -156,28 +153,28 @@ def _parse_param(ts: TokenStream) -> GenericValue:
 
 
 def _parse_block(ts: TokenStream) -> GenericValue:
-    ts.expect_op("{")
+    ts.expect("{")
     items = []
-    while not ts.at_op("}"):
+    while not ts.at("}"):
         if _at_type(ts):
             items.append(GV("DeclItem", (_parse_decl(ts),)))
         else:
             items.append(GV("StmtItem", (_parse_stmt(ts),)))
-    ts.expect_op("}")
+    ts.expect("}")
     return GV("Block", (tuple(items),))
 
 
 def _parse_decl(ts: TokenStream) -> GenericValue:
     ty = _parse_type(ts)
     dtors = ts.comma_list(_parse_declarator)
-    ts.expect_op(";")
+    ts.expect(";")
     return GV("Decl", (ty, tuple(dtors)))
 
 
 def _parse_declarator(ts: TokenStream) -> GenericValue:
     name = parse_ident(ts)
-    if ts.accept_op("="):
-        if ts.accept_op("{"):
+    if ts.accept("="):
+        if ts.accept("{"):
             init = GV("ArrInit", (tuple(ts.comma_list(_parse_expr, "}")),))
         else:
             init = GV("ExprInit", (_parse_expr(ts),))

@@ -79,6 +79,7 @@ from .common import (
     parse_c_stmt,
     parse_ident,
     render,
+    token_value,
 )
 
 SCHEMA_TEXT = """
@@ -119,51 +120,50 @@ _PREC = {"||": 2, "&&": 3, "==": 4, "!=": 4, "<": 5, "<=": 5,
          ">": 5, ">=": 5, "+": 6, "-": 6, "*": 7, "/": 7, "%": 7}
 
 
-tokenize = lexer(_OPS, "//", strings=True)
+tokenize, scan = lexer(_OPS, "//", strings=True)
 
 
 @gc_paused
 def parse(text: str) -> GenericValue:
-    ts = TokenStream(tokenize(text), _KEYWORDS)
+    ts = scan(text, _KEYWORDS)
     funcs = []
-    while ts.peek().kind != "eof":
+    while ts.peek():
         funcs.append(_parse_func(ts))
-    ts.expect_eof()
     return GV("Program", (tuple(funcs),))
 
 
 def _parse_func(ts: TokenStream) -> GenericValue:
-    ts.expect_kw("function")
+    ts.expect("function")
     name = parse_ident(ts)
-    ts.expect_op("(")
+    ts.expect("(")
     params = ts.comma_list(parse_ident, ")")
     return GV("FuncDef", (name, tuple(params), _parse_block(ts)))
 
 
 def _parse_block(ts: TokenStream) -> GenericValue:
-    ts.expect_op("{")
+    ts.expect("{")
     directives = []
-    while ts.peek().kind == "string":
-        directives.append(GV("Directive", (ts.next().value,)))
-        ts.expect_op(";")
+    while ts.kinds[ts.peek()] == "string":
+        directives.append(GV("Directive", (token_value(ts.next()),)))
+        ts.expect(";")
     stmts = []
-    while not ts.at_op("}"):
+    while not ts.at("}"):
         stmts.append(_parse_stmt(ts))
-    ts.expect_op("}")
+    ts.expect("}")
     return GV("Block", (tuple(directives), GV("Stmts", (tuple(stmts),))))
 
 
 def _parse_stmt(ts: TokenStream) -> GenericValue:
-    if ts.accept_kw("var"):
+    if ts.accept("var"):
         dtors = ts.comma_list(_parse_dtor)
-        ts.expect_op(";")
+        ts.expect(";")
         return GV("VarStmt", (tuple(dtors),))
     return parse_c_stmt(ts, _parse_expr, _parse_block, _parse_block, decl_kw="var")
 
 
 def _parse_dtor(ts: TokenStream) -> GenericValue:
     name = parse_ident(ts)
-    if ts.accept_op("="):
+    if ts.accept("="):
         opt = GV("SomeInit", (_parse_expr(ts),))
     else:
         opt = GV("NoInit")

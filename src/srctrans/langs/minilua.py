@@ -128,28 +128,25 @@ _PREC = {"or": 2, "and": 3, "<": 4, ">": 4, "<=": 4, ">=": 4, "~=": 4,
 _BLOCK_ENDERS = frozenset({"end", "else", "elseif"})
 
 
-tokenize = lexer(_OPS, "--")
+tokenize, scan = lexer(_OPS, "--")
 
 
 @gc_paused
 def parse(text: str) -> GenericValue:
-    ts = TokenStream(tokenize(text), _KEYWORDS)
+    ts = scan(text, _KEYWORDS)
     block = _parse_block(ts, top=True)
-    ts.expect_eof()
     return GV("Chunk", (block,))
 
 
 def _at_block_end(ts: TokenStream, top: bool) -> bool:
     tok = ts.tokens[ts.pos]
-    if top:
-        return tok.kind == "eof"
-    return tok.kind == "name" and tok.value in _BLOCK_ENDERS
+    return not tok if top else tok in _BLOCK_ENDERS
 
 
 def _parse_block(ts: TokenStream, top: bool = False) -> GenericValue:
     stmts = []
     while not _at_block_end(ts, top):
-        if ts.accept_op(";"):
+        if ts.accept(";"):
             continue
         stmts.append(_parse_stmt(ts))
     return GV("Block", (tuple(stmts),))
@@ -164,64 +161,63 @@ def _parse_expr_list(ts: TokenStream) -> GenericValue:
 
 
 def _parse_stmt(ts: TokenStream) -> GenericValue:
-    tok = ts.tokens[ts.pos]
-    if tok.kind == "name" and tok.value in _STMT_KWS:
-        if ts.accept_kw("local"):
+    if ts.tokens[ts.pos] in _STMT_KWS:
+        if ts.accept("local"):
             names = _parse_name_list(ts)
-            if ts.accept_op("="):
+            if ts.accept("="):
                 opt = GV("SomeExprs", (_parse_expr_list(ts),))
             else:
                 opt = GV("NoExprs")
             return GV("LocalStmt", (names, opt))
-        if ts.accept_kw("function"):
+        if ts.accept("function"):
             name = parse_ident(ts)
-            ts.expect_op("(")
+            ts.expect("(")
             params = GV("NameList", (tuple(ts.comma_list(parse_ident, ")")),))
             body = ts.loop_body(_parse_block, in_loop=False)
-            ts.expect_kw("end")
+            ts.expect("end")
             return GV("FuncStmt", (name, params, body))
-        if ts.accept_kw("if"):
+        if ts.accept("if"):
             cond = _parse_expr(ts)
-            ts.expect_kw("then")
+            ts.expect("then")
             then = _parse_block(ts)
             return GV("IfStmt", (cond, then, _parse_else_tail(ts)))
-        if ts.accept_kw("while"):
+        if ts.accept("while"):
             cond = _parse_expr(ts)
-            ts.expect_kw("do")
+            ts.expect("do")
             body = ts.loop_body(_parse_block)
-            ts.expect_kw("end")
+            ts.expect("end")
             return GV("WhileStmt", (cond, body))
-        if ts.accept_kw("for"):
+        if ts.accept("for"):
             var = parse_ident(ts)
-            ts.expect_op("=")
+            ts.expect("=")
             low = _parse_expr(ts)
-            ts.expect_op(",")
+            ts.expect(",")
             high = _parse_expr(ts)
-            step = GV("SomeStep", (_parse_expr(ts),)) if ts.accept_op(",") else GV("NoStep")
-            ts.expect_kw("do")
+            step = GV("SomeStep", (_parse_expr(ts),)) if ts.accept(",") else GV("NoStep")
+            ts.expect("do")
             body = ts.loop_body(_parse_block)
-            ts.expect_kw("end")
+            ts.expect("end")
             return GV("ForStmt", (var, low, high, step, body))
-        if ts.accept_kw("return"):
-            if _at_block_end(ts, top=False) or ts.peek().kind == "eof" or ts.at_op(";"):
+        if ts.accept("return"):
+            if _at_block_end(ts, top=False) or not ts.peek() or ts.at(";"):
                 return GV("ReturnStmt", (GV("NoRet"),))
             return GV("ReturnStmt", (GV("SomeRet", (_parse_expr(ts),)),))
         if ts.accept_jump("break"):
             return GV("BreakStmt")
-        if ts.accept_kw("do"):
+        if ts.accept("do"):
             body = _parse_block(ts)
-            ts.expect_kw("end")
+            ts.expect("end")
             return GV("DoStmt", (body,))
     # assignment or call statement
     first = _parse_expr(ts, postfix_only=True)
-    if ts.at_op(",") or ts.at_op("="):
+    if ts.at(",") or ts.at("="):
         targets = [first]
-        while ts.accept_op(","):
+        while ts.accept(","):
             targets.append(_parse_expr(ts, postfix_only=True))
         for t in targets:
             if t.ctor not in ("VarE", "IndexE", "MemberE"):
                 raise ts.error("assignment target must be a variable, index or member")
-        ts.expect_op("=")
+        ts.expect("=")
         return GV("AssignStmt", (GV("LhsList", (tuple(targets),)), _parse_expr_list(ts)))
     if first.ctor != "CallE":
         raise ts.error("expression statements must be calls")
@@ -233,16 +229,16 @@ _STMT_KWS = frozenset({"local", "function", "if", "while", "for", "return", "bre
 
 
 def _parse_else_tail(ts: TokenStream) -> GenericValue:
-    if ts.accept_kw("elseif"):
+    if ts.accept("elseif"):
         cond = _parse_expr(ts)
-        ts.expect_kw("then")
+        ts.expect("then")
         block = _parse_block(ts)
         return GV("ElseIf", (cond, block, _parse_else_tail(ts)))
-    if ts.accept_kw("else"):
+    if ts.accept("else"):
         block = _parse_block(ts)
-        ts.expect_kw("end")
+        ts.expect("end")
         return GV("Else", (block,))
-    ts.expect_kw("end")
+    ts.expect("end")
     return GV("NoElse")
 
 

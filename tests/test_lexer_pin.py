@@ -8,18 +8,27 @@ of a seeded fuzz of mutated inputs.  The fuzz alphabet leaves out
 characters such as `²` that `str.isdigit` accepts and `int` rejects:
 those once escaped the parsers as `ValueError` and now lex as an
 unexpected character (see test_unicode_superscript_is_a_parse_error).
+
+A parser reads each language's `scan`, one `findall` that gives token
+texts and their kinds but no positions; `tokenize`, which the hashes
+pin, is the exact lexer that errors take their positions from.  The
+scan must agree with it on every input: the same values and kinds, or
+the same `ParseError`.
 """
 
 import dataclasses
 import hashlib
 import random
+import time
 from importlib import import_module
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from srctrans.gen import GenConfig, gen_program
 from srctrans.langs.base import get_language
-from srctrans.langs.common import ParseError
+from srctrans.langs.common import ParseError, token_value
 from srctrans.terms import (
     ArityMismatch,
     Atom,
@@ -31,6 +40,8 @@ from srctrans.terms import (
     list_kind,
     mk_term,
 )
+
+from test_parse_pin import _mutants
 
 LANGS = ("minic", "minijs", "minilua")
 
@@ -170,6 +181,90 @@ def test_name_start_and_continuation(lname):
     assert _tokenize(lname, "aⅫ ٣")[:2] == [("name", "aⅫ", 1, 1), ("num", "٣", 1, 4)]
     with pytest.raises(ParseError, match="unexpected character 'Ⅻ'"):
         _tokenize(lname, "Ⅻ")
+
+
+# ---------------------------------------------------------------------------
+# The scan agrees with `tokenize`
+
+
+def _scanned(lname: str, text: str) -> str:
+    """The values and kinds of `scan`'s texts, or its error."""
+    try:
+        ts = import_module(f"srctrans.langs.{lname}").scan(text, frozenset())
+    except ParseError as e:
+        return f"ParseError: {e}"
+    return repr([(ts.kinds[tok], token_value(tok)) for tok in ts.tokens])
+
+
+def _tokenized(lname: str, text: str) -> str:
+    """The values and kinds of `tokenize`'s tokens, or its error."""
+    try:
+        return repr([(t.kind, t.value) for t in
+                     import_module(f"srctrans.langs.{lname}").tokenize(text)])
+    except ParseError as e:
+        return f"ParseError: {e}"
+
+
+@pytest.mark.parametrize("lname", LANGS)
+def test_scan_agrees_with_tokenize(lname):
+    generated = [gen_program(lname, GenConfig(seed=s)) for s in range(20)]
+    texts = generated + _fuzz_inputs(lname) + _mutants(lname)
+    refused = 0
+    for text in texts:
+        expected = _tokenized(lname, text)
+        assert _scanned(lname, text) == expected, text
+        refused += expected.startswith("ParseError")
+    # both outcomes are exercised
+    assert 0 < refused < len(texts)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(st.sampled_from(LANGS), st.lists(st.sampled_from(_ALPHABET + _RARE), max_size=30))
+def test_scan_agrees_with_tokenize_on_the_fuzz_alphabet(lname, pieces):
+    text = "".join(pieces)
+    assert _scanned(lname, text) == _tokenized(lname, text)
+
+
+# ---------------------------------------------------------------------------
+# Linear-time lexers
+
+_N = 2000
+_GROWTH = {
+    "trailing blank lines": ("minic", lambda n: "x" + "\n" * n),
+    "comment-only lines": ("minilua", lambda n: "-- note\n" * n),
+    "a long run of spaces": ("minic", lambda n: "x" + " " * n),
+    "a long string": ("minijs", lambda n: '"' + "a" * n + '";'),
+}
+
+
+def _cpu(lex, text: str, reps: int) -> float:
+    """The least CPU time of 5 samples of `reps` calls of lex(text)."""
+    best = float("inf")
+    for _ in range(5):
+        start = time.process_time()
+        for _ in range(reps):
+            lex(text)
+        best = min(best, time.process_time() - start)
+    return best
+
+
+@pytest.mark.parametrize("lexer", ["scan", "tokenize"])
+@pytest.mark.parametrize("shape", list(_GROWTH))
+def test_lexer_time_is_linear(shape, lexer):
+    """Lexing an input 4 times longer takes less than 8 times the CPU
+    time: a linear lexer reads about 4x (2.7-3.7x measured), one that
+    tries each position of a trailing run again about 16x.  The samples
+    repeat the call until the short input's sample takes 5 ms."""
+    lname, make = _GROWTH[shape]
+    module = import_module(f"srctrans.langs.{lname}")
+    lex = module.tokenize if lexer == "tokenize" else (
+        lambda text: module.scan(text, frozenset()))
+    short, long = make(_N), make(4 * _N)
+    start = time.process_time()
+    lex(short)
+    reps = max(1, int(0.005 / max(time.process_time() - start, 1e-6)))
+    ratio = _cpu(lex, long, reps) / _cpu(lex, short, reps)
+    assert ratio < 8, f"{shape}: {ratio:.1f}x the time for 4x the input"
 
 
 # ---------------------------------------------------------------------------

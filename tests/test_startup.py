@@ -10,7 +10,9 @@ The value classes are `records.Frozen` and `records.Record`; only
 `gen.GenConfig` stays a dataclass, because callers use
 `dataclasses.replace` on it and `gen` is not loaded at start-up.
 Loading compiles no generated source, so all of its bytecode comes from
-the cached `.pyc` files: the term builders are ordinary functions.
+the cached `.pyc` files: the term builders are ordinary functions.  It
+compiles one regular expression per language, its lexer, and one to
+unescape strings.
 """
 
 import ast
@@ -90,6 +92,23 @@ def test_loading_the_languages_compiles_no_generated_source():
                    if f == "<string>" and s.startswith("lambda _cls, ") and "_tuple_new(_cls, (" in s]
     assert len(namedtuples) >= 2
     assert [f for f, s in generated if (f, s) not in namedtuples] == []
+
+
+def test_loading_the_languages_compiles_one_pattern_per_lexer():
+    """`re.compile` calls made from srctrans modules: `_UNESCAPE` in
+    `langs.common` and one lexer per language."""
+    hook = (
+        "import re\n"
+        "callers = []\n"
+        "_compile = re.compile\n"
+        "def compile(*args, **kwargs):\n"
+        "    callers.append(sys._getframe(1).f_globals.get('__name__', ''))\n"
+        "    return _compile(*args, **kwargs)\n"
+        "re.compile = compile\n"
+    )
+    callers = _result_after(hook + LOAD_LANGUAGES, "callers")
+    ours = [c for c in callers if c.split(".")[0] == "srctrans"]
+    assert ours == ["srctrans.langs.common"] * 4
 
 
 def test_cli_imports_the_generator_only_for_generated_corpora():
