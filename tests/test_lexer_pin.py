@@ -237,14 +237,16 @@ _GROWTH = {
 }
 
 
-def _cpu(lex, text: str, reps: int) -> float:
-    """The least CPU time of 5 samples of `reps` calls of lex(text)."""
-    best = float("inf")
+def _cpu(lex, texts: list[str], reps: int) -> list[float]:
+    """Per text, the least CPU time of 5 samples of `reps` calls of
+    lex(text), the texts' samples taken in turn."""
+    best = [float("inf")] * len(texts)
     for _ in range(5):
-        start = time.process_time()
-        for _ in range(reps):
-            lex(text)
-        best = min(best, time.process_time() - start)
+        for k, text in enumerate(texts):
+            start = time.process_time()
+            for _ in range(reps):
+                lex(text)
+            best[k] = min(best[k], time.process_time() - start)
     return best
 
 
@@ -253,8 +255,9 @@ def _cpu(lex, text: str, reps: int) -> float:
 def test_lexer_time_is_linear(shape, lexer):
     """Lexing an input 4 times longer takes less than 8 times the CPU
     time: a linear lexer reads about 4x (2.7-3.7x measured), one that
-    tries each position of a trailing run again about 16x.  The samples
-    repeat the call until the short input's sample takes 5 ms."""
+    tries each position of a trailing run again about 16x.  Each sample
+    repeats the call often enough that the short input's takes about
+    5 ms."""
     lname, make = _GROWTH[shape]
     module = import_module(f"srctrans.langs.{lname}")
     lex = module.tokenize if lexer == "tokenize" else (
@@ -263,7 +266,8 @@ def test_lexer_time_is_linear(shape, lexer):
     start = time.process_time()
     lex(short)
     reps = max(1, int(0.005 / max(time.process_time() - start, 1e-6)))
-    ratio = _cpu(lex, long, reps) / _cpu(lex, short, reps)
+    short_s, long_s = _cpu(lex, [short, long], reps)
+    ratio = long_s / short_s
     assert ratio < 8, f"{shape}: {ratio:.1f}x the time for 4x the input"
 
 
