@@ -20,6 +20,12 @@ of the compared values, and `setattr` and `delattr` raise
 `dataclasses.FrozenInstanceError`, with `dataclasses` imported only then.
 A copy or a pickle of either calls the constructor again, so a table the
 constructor builds is built again.
+
+`Frozen` also mixes into a named tuple, so that a class made in one
+allocation keeps this contract: `terms.Term` puts it before the named
+tuple in its bases, declares its `__match_args__`, and fills its fields
+with the named tuple's `__new__`, with `__init__ = object.__init__`.
+`Token` and `Case` are plain named tuples.
 """
 
 from operator import attrgetter

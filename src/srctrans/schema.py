@@ -39,6 +39,7 @@ from .terms import (
     Signature,
     Sort,
     Term,
+    _new,
     build_pair,
     fold,
     gc_paused,
@@ -439,10 +440,55 @@ def _arg_codec(lang_name: str, ty: SchemaType) -> tuple[Callable | None, Case | 
 
 def list_items(value) -> tuple:
     """value, the elements of a list-typed argument; a case that reads a
-    list argument itself checks it here, as the walk does."""
-    if value.__class__ is not tuple and not isinstance(value, tuple):
+    list argument itself checks it here, as the walk does.  A Term is a
+    tuple too, but a node, not a list."""
+    if value.__class__ is not tuple and (not isinstance(value, tuple) or isinstance(value, Term)):
         raise NonConformingValue(f"expected tuple for list, got {value!r}")
     return value
+
+
+# The constructor shapes that the walk writes out, one small int each: a
+# plain node with its payloads first (P, one payload; C, each child; L,
+# a list of constructor values), a case that is a node kind, and a case
+# function of a constructor with no payload or with one payload alone.
+# Any other constructor is _CHECKED.
+(_CHECKED, _P1, _C0, _C1, _C2, _C3, _P1C1, _P1C2, _L1, _C1L1, _IS, _CASE,
+ _CASE_P1) = range(13)
+_NODE_SHAPES = {(1, 0): _P1, (0, 0): _C0, (0, 1): _C1, (0, 2): _C2, (0, 3): _C3,
+                (1, 1): _P1C1, (1, 2): _P1C2}
+
+
+def _walk_entry(codec: _CtorCodec, case, lang_sorts) -> tuple:
+    """The walk's plan entry of one constructor, with its case or None:
+    (shape, kind, a, b, c, codec, case).  For a plain node, kind is its
+    kind and a, b, c are its payload classes and then its child sorts,
+    where a list gives its kind and its element sort; for a node-kind
+    case, kind is the case and a its child sort; for a case function, a
+    is the arity, or the payload's class for one payload alone.
+    `lang_sorts` are the sorts of the language's types."""
+    classes = [cls for _, cls in codec.payloads]
+    kind = codec.kind
+    if case is None:
+        shape = _NODE_SHAPES.get((len(classes), len(codec.encoders)))
+        if shape is not None and codec.split is not None:
+            a, b, c, *_ = *classes, *kind.child_sorts, None, None, None
+            return shape, kind, a, b, c, codec, None
+        # a list of constructor values, alone or after one such child
+        *named, last = kind.child_sorts or (None,)
+        if (not classes and len(named) < 2 and last.__class__ is ListOf
+                and last.elem in lang_sorts and lang_sorts.issuperset(named)):
+            elem = last.elem
+            if named:
+                return _C1L1, kind, named[0], list_kind(elem), elem, codec, None
+            return _L1, kind, list_kind(elem), elem, None, codec, None
+    elif case.__class__ is NodeKind:
+        if codec.arity == 1 and codec.split == 0:
+            return _IS, case, case.child_sorts[0], None, None, codec, case
+    elif not classes:
+        return _CASE, None, codec.arity, None, None, codec, case
+    elif codec.arity == 1:
+        return _CASE_P1, None, classes[0], None, None, codec, case
+    return _CHECKED, None, None, None, None, codec, case
 
 
 def walker(lang: ModularizedLanguage, cases: dict) -> Callable[[GenericValue], Term]:
@@ -461,11 +507,20 @@ def walker(lang: ModularizedLanguage, cases: dict) -> Callable[[GenericValue], T
     order; a child of the wrong sort raises SortMismatch from the node
     above.
 
+    The common shapes of constructor (`_walk_entry`) are written out at
+    the top of the walk: when the arguments are a tuple of the right
+    length, each payload is exactly its class and each encoded child a
+    Term of exactly its sort, the walk makes the node in place, as its
+    builder would.  Anything else goes on to the checking code below
+    them, which raises what it raised before they were written out.
+
     The walk recurses once per constructor-typed child and does not
     pause the collector; `to_modular` is this walk with no cases.
     """
-    # one lookup per value: each constructor's codec and case
-    plan = {ctor: (codec, cases.get(ctor)) for ctor, codec in lang._by_ctor.items()}.get
+    # one lookup per value: each constructor's plan entry
+    lang_sorts = set(lang._sorts.values())
+    plan = {ctor: _walk_entry(codec, cases.get(ctor), lang_sorts)
+            for ctor, codec in lang._by_ctor.items()}.get
 
     def walk(value):
         if value.__class__ is not GenericValue and not isinstance(value, GenericValue):
@@ -473,8 +528,86 @@ def walker(lang: ModularizedLanguage, cases: dict) -> Callable[[GenericValue], T
         entry = plan(value.ctor)
         if entry is None:
             raise NonConformingValue(f"unknown constructor {value.ctor}")
-        codec, case = entry
+        shape, kind, a, b, c, codec, case = entry
         args = value.args
+        if args.__class__ is tuple:
+            n = len(args)
+            if shape == _P1:
+                if n == 1 and args[0].__class__ is a:
+                    return _new(Term, (kind, args, (), value))
+            elif shape == _C1:
+                if n == 1:
+                    c0 = walk(args[0])
+                    if c0.__class__ is Term and c0.kind.produced is a:
+                        return _new(Term, (kind, (), (c0,), value))
+                    return kind.build(c0, origin=value)
+            elif shape == _CASE_P1:
+                if n == 1 and args[0].__class__ is a:
+                    return case(value, walk)
+            elif shape == _CASE:
+                if n == a:
+                    return case(value, walk)
+            elif shape == _P1C2:
+                if n == 3 and args[0].__class__ is a:
+                    c0 = walk(args[1])
+                    c1 = walk(args[2])
+                    if (c0.__class__ is Term and c0.kind.produced is b
+                            and c1.__class__ is Term and c1.kind.produced is c):
+                        return _new(Term, (kind, (args[0],), (c0, c1), value))
+                    return kind.build(args[0], c0, c1, origin=value)
+            elif shape == _C1L1:
+                if n == 2 and args[1].__class__ is tuple:
+                    c0 = walk(args[0])
+                    elems = tuple(map(walk, args[1]))
+                    for e in elems:
+                        if e.__class__ is not Term or e.kind.produced is not c:
+                            break
+                    else:
+                        if c0.__class__ is Term and c0.kind.produced is a:
+                            return _new(Term, (kind, (), (c0, _new(Term, (b, (), elems, None))),
+                                               value))
+                    return kind.build(c0, b.build(*elems), origin=value)
+            elif shape == _L1:
+                if n == 1 and args[0].__class__ is tuple:
+                    elems = tuple(map(walk, args[0]))
+                    for e in elems:
+                        if e.__class__ is not Term or e.kind.produced is not b:
+                            return kind.build(a.build(*elems), origin=value)
+                    return _new(Term, (kind, (), (_new(Term, (a, (), elems, None)),), value))
+            elif shape == _IS:
+                if n == 1:
+                    c0 = walk(args[0])
+                    if c0.__class__ is Term and c0.kind.produced is a:
+                        return _new(Term, (kind, (), (c0,), None))
+                    return kind.build(c0)
+            elif shape == _C0:
+                if not n:
+                    return _new(Term, (kind, (), (), value))
+            elif shape == _C3:
+                if n == 3:
+                    c0 = walk(args[0])
+                    c1 = walk(args[1])
+                    c2 = walk(args[2])
+                    if (c0.__class__ is Term and c0.kind.produced is a
+                            and c1.__class__ is Term and c1.kind.produced is b
+                            and c2.__class__ is Term and c2.kind.produced is c):
+                        return _new(Term, (kind, (), (c0, c1, c2), value))
+                    return kind.build(c0, c1, c2, origin=value)
+            elif shape == _C2:
+                if n == 2:
+                    c0 = walk(args[0])
+                    c1 = walk(args[1])
+                    if (c0.__class__ is Term and c0.kind.produced is a
+                            and c1.__class__ is Term and c1.kind.produced is b):
+                        return _new(Term, (kind, (), (c0, c1), value))
+                    return kind.build(c0, c1, origin=value)
+            elif shape == _P1C1:
+                if n == 2 and args[0].__class__ is a:
+                    c0 = walk(args[1])
+                    if c0.__class__ is Term and c0.kind.produced is b:
+                        return _new(Term, (kind, (args[0],), (c0,), value))
+                    return kind.build(args[0], c0, origin=value)
+        # the checking code
         if len(args) != codec.arity:
             raise NonConformingValue(
                 f"{value.ctor}: expected {codec.arity} arguments, got {len(args)}"

@@ -30,6 +30,11 @@ calls failed there with `ParseError original: maximum recursion depth
 exceeded` when the parser took several Python frames per level; the
 expression parser now takes none, so 10,000 levels parse.
 
+Decompose may take no more Python frames per nested `if` than its one
+walk takes today: 5 in MiniC, 4 in MiniJS and 3 in MiniLua.  A walk
+that encodes a value in two frames, such as a constructor's encoder
+called from the walk, reaches the recursion limit in the cells above.
+
 Compiling and running such an expression must cost work linear in its
 depth.  The run compiler once refolded every subtree at each level to
 find constants, which made 3.9 times the calls into `runtime` at 300
@@ -137,3 +142,32 @@ def test_run_work_grows_linearly_with_depth(lname, shape):
     at_150 = _runtime_calls(lang, nested_expr(lname, shape, 150))
     at_300 = _runtime_calls(lang, nested_expr(lname, shape, 300))
     assert at_300 <= 2.2 * at_150, (at_150, at_300)
+
+
+def _decompose_depth(lname: str, n: int) -> int:
+    """The deepest Python stack, counted from decompose's own frame,
+    while decompose encodes the program of n nested ifs."""
+    lang = get_language(lname)
+    ast = lang.parse(nested_ifs(lname, n))
+    depth = deepest = 0
+
+    def profile(frame, event, arg):
+        nonlocal depth, deepest
+        if event == "call":
+            depth += 1
+            deepest = max(deepest, depth)
+        elif event == "return":
+            depth -= 1
+
+    sys.setprofile(profile)
+    try:
+        lang.decompose(ast)
+    finally:
+        sys.setprofile(None)
+    return deepest
+
+
+@pytest.mark.parametrize("lname, frames", [("minic", 5), ("minijs", 4), ("minilua", 3)])
+def test_decompose_frames_per_nesting_level(lname, frames):
+    per_level = (_decompose_depth(lname, 80) - _decompose_depth(lname, 40)) / 40
+    assert per_level <= frames, per_level

@@ -2,12 +2,14 @@
 
 import copy
 import dataclasses
+import importlib
 import pickle
 import random
 
 import pytest
 
 from helpers import random_schema, random_value
+from srctrans import schema
 from srctrans.schema import (
     GV,
     GenericValue,
@@ -193,3 +195,28 @@ def test_generic_value_copies_and_pickles():
     for copied in (copy.deepcopy(v), pickle.loads(pickle.dumps(v)), copy.copy(v)):
         assert copied == v and repr(copied) == repr(v) and type(copied) is GV
     assert copy.deepcopy(v) is not v
+
+
+# The built-in constructors that the encoder walk sends to its checking
+# code rather than a written-out shape (`schema._walk_entry`), per
+# language, with the frontend's decompose cases and with none (as in
+# to_modular): those with four or more children, a list between other
+# arguments, or a payload after a child.
+CHECKED_CONSTRUCTORS = {
+    "minic": ["ForStmt", "FuncDef"],
+    "minijs": ["Block", "ForStmt", "FuncDef", "MemberE"],
+    "minilua": ["ForStmt", "MemberE"],
+}
+
+
+@pytest.mark.parametrize("lname", sorted(CHECKED_CONSTRUCTORS))
+def test_every_common_constructor_takes_a_written_out_shape(lname):
+    module = importlib.import_module(f"srctrans.langs.{lname}")
+    mod = module.MOD
+    sorts = set(mod._sorts.values())
+    for cases in (module._CASES, {}):
+        checked = sorted(
+            ctor for ctor, codec in mod._by_ctor.items()
+            if schema._walk_entry(codec, cases.get(ctor), sorts)[0] == schema._CHECKED
+        )
+        assert checked == CHECKED_CONSTRUCTORS[lname], bool(cases)

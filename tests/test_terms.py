@@ -281,3 +281,61 @@ def test_list_builder_takes_any_number_of_elements():
         assert build(*items) == mk_term(list_kind(E), (), items)
     bad = [lit(1), _leaf(Atom("F")), "x"]
     assert _outcome(build, *bad) == _outcome(mk_term, list_kind(E), (), bad)
+
+
+# ---------------------------------------------------------------------------
+# A Term is a named tuple of its fields, and a node, not a sequence
+
+
+def _term():
+    return ADD.build(lit(1), lit(2), origin="o")
+
+
+def test_a_term_never_equals_a_plain_tuple():
+    t = _term()
+    fields = (t.kind, t.payload_values, t.children, t.origin)
+    assert t != fields and fields != t
+    assert not t == fields and not fields == t
+    assert t == ADD.build(lit(1), lit(2)) and not t != ADD.build(lit(1), lit(2))
+
+
+def test_a_term_hashes_as_its_fields_without_origin():
+    t = _term()
+    assert hash(t) == hash((t.kind, t.payload_values, t.children))
+
+
+@pytest.mark.parametrize("use", [
+    lambda t: t < t, lambda t: len(t), lambda t: iter(t), lambda t: t[0], lambda t: t + (),
+], ids=["order", "len", "iter", "index", "sum"])
+def test_a_term_is_not_a_sequence(use):
+    with pytest.raises(TypeError):
+        use(_term())
+
+
+def test_a_term_offers_no_unchecked_rebuild():
+    for name in ("_replace", "_make", "_asdict"):
+        assert not hasattr(terms.Term, name), name
+        assert not hasattr(_term(), name), name
+
+
+def test_a_term_is_not_a_list_value():
+    from srctrans.schema import NonConformingValue, list_items
+
+    with pytest.raises(NonConformingValue, match="expected tuple for list"):
+        list_items(_term())
+
+
+def test_walks_read_a_term_as_a_node():
+    from srctrans.schema import GV, from_modular, modularize_schema, parse_schema_text
+
+    t = _term()
+    # fold: a term that `down` gives is a result, not the nodes below
+    leaves = terms.fold(t, lambda n: n if n.kind is LIT else n.children, lambda n, rs: rs)
+    assert leaves == [lit(1), lit(2)]
+    assert to_sexpr(t) == "(Add (Lit 1) (Lit 2))"
+    # recompose: a term below a node is read by its kind, not as a
+    # (case, term) pair
+    mod = modularize_schema(parse_schema_text("type E = Add E E | Lit Int"))
+    k = mod.signature.kind
+    term = k("Schema.Add").build(k("Schema.Lit").build(1), k("Schema.Lit").build(2))
+    assert from_modular(mod, term) == GV("Add", (GV("Lit", (1,)), GV("Lit", (2,))))
