@@ -533,7 +533,7 @@ def walker(lang: ModularizedLanguage, cases: dict) -> Callable[[GenericValue], T
         if args.__class__ is tuple:
             n = len(args)
             if shape == _P1:
-                if n == 1 and args[0].__class__ is a:
+                if n == 1 and args[0].__class__ is a:  # args is the payload tuple
                     return _new(Term, (kind, args, (), value))
             elif shape == _C1:
                 if n == 1:

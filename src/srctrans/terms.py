@@ -46,8 +46,8 @@ the others as well.
 from __future__ import annotations
 
 import gc
-from collections.abc import Iterable, Iterator
 from collections import namedtuple
+from collections.abc import Iterable, Iterator
 from functools import cache, wraps
 from operator import attrgetter
 
