@@ -103,11 +103,11 @@ def _cmd_roundtrip(args) -> int:
     try:
         ast = lang.parse(_read_source(args.file))
         text = lang.pretty(ast)
-        again = lang.parse(text)
+        differs = lang.parse(text) != ast
     except Exception as e:
         print(f"srctrans: {e}", file=sys.stderr)
         return 2
-    if again != ast:
+    if differs:
         print("srctrans: pretty output parses to a different tree",
               file=sys.stderr)
         return 2

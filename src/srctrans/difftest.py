@@ -8,14 +8,15 @@ a failure never aborts the batch, so one report covers the whole corpus.
 
 from __future__ import annotations
 
+import gc
 from collections.abc import Callable
+from functools import wraps
 
 from .langs.base import LanguageDef, get_language
 from .passes.hoist import elementary_hoist, hoist
 from .passes.tac import tac
 from .passes.testcov import testcov
 from .records import Frozen
-from .terms import gc_paused
 
 
 def _identity(term, lang):
@@ -98,7 +99,27 @@ def _first_divergence(a: tuple, b: tuple) -> int:
     return min(len(a), len(b))
 
 
-@gc_paused
+def _young_pause(fn):
+    """fn, run with the cyclic collector paused, as `terms.gc_paused`
+    runs a layer, but with nothing moved out of the young generations
+    when the pause ends: a differential test returns a verdict and no
+    tree, and the cyclic garbage its runs made must stay young, for the
+    next young collection to free."""
+
+    @wraps(fn)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return fn(*args, **kwargs)
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            gc.enable()
+
+    return paused
+
+
+@_young_pause
 def diff_one(
     lang: LanguageDef,
     pass_fn: Callable,
@@ -157,8 +178,11 @@ def diff_test(
     except KeyError:
         raise KeyError(f"unknown pass {pass_name!r}") from None
     erase_markers = pass_name == "testcov"
-    verdicts = tuple(
-        diff_one(lang, pass_fn, i, text, erase_markers, fuel)
-        for i, text in enumerate(corpus)
-    )
-    return DiffReport(lang_name, pass_name, verdicts)
+    verdicts = []
+    for i, text in enumerate(corpus):
+        verdicts.append(diff_one(lang, pass_fn, i, text, erase_markers, fuel))
+        # Between two programs nothing may allocate enough to start a
+        # collection, so free this program's run garbage before the next.
+        if gc.isenabled():
+            gc.collect(0)
+    return DiffReport(lang_name, pass_name, tuple(verdicts))

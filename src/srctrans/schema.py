@@ -675,8 +675,9 @@ def reader(lang: ModularizedLanguage, cases: dict) -> Callable[[Term], GenericVa
             return codec.down(node)
         if codec is None or codec.kind is not kind:
             raise ForeignKind(f"kind {kind.name} is not part of {lang.schema.name}")
-        if node.origin is not None:
-            return node.origin
+        origin = node.origin
+        if origin is not None:
+            return origin
         if codec.split is not None:
             return node.children
         return [t if r is None else (r, t) for r, t in zip(codec.readers, node.children)]

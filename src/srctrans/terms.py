@@ -35,12 +35,21 @@ layers that build trees (parse, decompose, the passes, the CFG builder
 and its dump, recompose and pretty) therefore run with CPython's cyclic collector
 paused, through `gc_paused`: otherwise every few hundred allocations
 start a collection that traverses the live trees and finds nothing.
-`difftest.diff_one` takes one pause over all of these and its two runs;
-the cyclic garbage a run makes is bounded by its fuel and is collected
-after `diff_one` returns.  The pause only defers cycle collection to the
-end of the call; no result depends on it.  The collector is
-process-wide, so a call in one thread may briefly pause collection for
-the others as well.
+When the pause ends, everything that survived the call, the returned
+trees included, moves to the oldest generation (`gc.freeze()` then
+`gc.unfreeze()`, which walk nothing, and the young count restarts from
+zero), so the caller's next allocation does not start a young
+collection over the trees it keeps.  The move is
+skipped while the caller has objects frozen, so that a caller's
+permanent generation is never thawed.  Cyclic garbage that the caller
+made and that was still young moves too, and waits for the next full
+collection.  `difftest.diff_one` takes one plain pause over all of the
+layers and its two runs, and moves nothing: it returns no tree, and the
+cyclic garbage a run makes, bounded by its fuel, stays young for the
+first young collection after it returns.  No result depends on the
+pause or the move.  The collector is process-wide, so a call in one
+thread may briefly pause collection for the others as well, and moves
+their young objects along with its own.
 """
 
 from __future__ import annotations
@@ -62,7 +71,9 @@ def gc_paused(fn):
 
     A call made while the collector is already off, as from an outer
     paused layer or by a caller that turned it off, leaves it as it is.
-    Otherwise the collector is turned back on when fn returns or raises.
+    Otherwise, when fn returns or raises, what survived the call is moved
+    to the oldest generation, unless the caller has objects frozen
+    (`gc.get_freeze_count()`), and the collector is turned back on.
     Recursive walkers call the undecorated function, so the pause is
     taken once per layer call, not once per node.
     """
@@ -75,6 +86,9 @@ def gc_paused(fn):
         try:
             return fn(*args, **kwargs)
         finally:
+            if not gc.get_freeze_count():
+                gc.freeze()
+                gc.unfreeze()
             gc.enable()
 
     return paused
@@ -550,18 +564,17 @@ class Signature(Frozen):
         found = self._containing.get(target)
         if found is None:
             holders: dict = {}  # sort -> the sorts whose terms hold it directly
-
-            def held(holder: Sort, sort: Sort) -> None:
+            # (holder, sort) pairs: a plain stack, not a nested function,
+            # which would refer to itself through its closure and be a cycle
+            edges = [(kind.produced, sort) for kind in self.kinds for sort in kind.child_sorts]
+            while edges:
+                holder, sort = edges.pop()
                 holders.setdefault(sort, set()).add(holder)
                 if isinstance(sort, ListOf):
-                    held(sort, sort.elem)
+                    edges.append((sort, sort.elem))
                 elif isinstance(sort, PairOf):
-                    held(sort, sort.first)
-                    held(sort, sort.second)
-
-            for kind in self.kinds:
-                for sort in kind.child_sorts:
-                    held(kind.produced, sort)
+                    edges.append((sort, sort.first))
+                    edges.append((sort, sort.second))
             found = {target}
             todo = [target]
             while todo:

@@ -46,7 +46,8 @@ def collector_settings_kept():
     """Fail any test after which the collector's thresholds differ from
     their values when the test run started, or objects are left frozen:
     the tree layers pause the collector for a call (`terms.gc_paused`)
-    and change nothing else about it.  Both are put back here so one
+    and move what survived it to the oldest generation, but change no
+    threshold and leave nothing frozen.  Both are put back here so one
     failure does not leak into the tests after it."""
     yield
     threshold, frozen = gc.get_threshold(), gc.get_freeze_count()

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import COUNTF
+from helpers import COUNTF, nested_ifs
 from srctrans.cli import _path, cli
 
 ARITH_SCHEMA = """\
@@ -164,3 +164,12 @@ def test_inspect_injections(capsys):
     assert "->" in out
     lines = out.strip().splitlines()
     assert lines == sorted(lines)
+
+
+def test_roundtrip_of_deep_input_fails_with_one_line(tmp_path, capsys):
+    # comparing the two trees of 60 nested ifs runs out of stack
+    f = write(tmp_path, "deep.mc", nested_ifs("minic", 60))
+    rc = cli(["roundtrip", "--lang", "minic", str(f)])
+    out, err = capsys.readouterr()
+    assert (rc, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith("srctrans: "), err

@@ -7,15 +7,26 @@ setting is kept, and that an op leaves no cyclic garbage for the
 deferred collection to find.  `difftest.diff_one` takes one pause over
 a whole differential test, its two runs included, so the cyclic garbage
 a run makes waits for the first collection after it returns.
+
+When a layer's pause ends, what survived the call moves to the oldest
+generation, so no young collection starts over the trees a caller
+keeps; a caller's frozen objects stay frozen.  `diff_one` moves
+nothing, so its runs' cyclic garbage stays young, and `diff_test`
+collects it after each program.
 """
 
 import gc
+import json
+import subprocess
+import sys
 import tracemalloc
+import weakref
+from pathlib import Path
 
 import pytest
 
 from helpers import HAND, nested_recursion, replace_language
-from srctrans.difftest import PASSES, Verdict, diff_one
+from srctrans.difftest import PASSES, Verdict, diff_one, diff_test
 from srctrans.flow import build_cfg, dump_dot
 from srctrans.gen import GenConfig, gen_program
 from srctrans.langs.base import get_language
@@ -25,6 +36,7 @@ from srctrans.schema import GV, ForeignKind, NonConformingValue, from_modular, t
 from srctrans.terms import gc_paused
 
 ALL = ("minic", "minijs", "minilua")
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def test_nested_calls_leave_the_collector_on():
@@ -310,3 +322,208 @@ def test_runs_leave_no_cyclic_garbage(lname):
             lambda: lang.run(ast, on_item=calls.append, on_enter=calls.append)
         )
     assert left == {run: 0 for run in left}
+
+
+# ---------------------------------------------------------------------------
+# What a layer's pause leaves behind: the trees it returns are moved out of
+# the young generations, so no collection starts over the trees a caller keeps.
+
+
+class _Result:
+    """A transform op's trees and text, as a caller keeps them: an object
+    that no free list supplies, so making it can start a collection."""
+
+    def __init__(self, *parts):
+        self.parts = parts
+
+
+def _op(lang, pass_name, text):
+    ast = lang.parse(text)
+    term = lang.decompose(ast)
+    out = PASSES[pass_name](term, lang)
+    rec = lang.recompose(out)
+    return _Result(ast, term, out, rec, lang.pretty(rec))
+
+
+def _transform_ops():
+    """30 ops over the three languages and four passes, with programs of
+    a few thousand nodes."""
+    ops = []
+    for seed in range(10):
+        for lname in ALL:
+            lang = get_language(lname)
+            passes = ("ehoist", "hoist", "testcov") + (("tac",) if lang.tac is not None else ())
+            text = gen_program(lname, GenConfig(seed=seed, max_depth=7, max_stmts=7))
+            ops.append((lang, passes[seed % len(passes)], text))
+    return ops
+
+
+@pytest.mark.parametrize("keep", ["last", "all"])
+def test_no_collection_starts_over_the_trees_a_caller_keeps(keep):
+    ops = _transform_ops()
+    kept = []
+
+    def run():
+        for op in ops:
+            result = _op(*op)
+            if keep == "last":
+                kept[:] = [result]
+            else:
+                kept.append(result)
+
+    assert _collections_during(run) == []
+    assert len(kept) == (1 if keep == "last" else len(ops))
+
+
+def _layer_calls(lname):
+    """Each layer entry of an op with its arguments, and one call that
+    raises."""
+    lang = get_language(lname)
+    mod = lang.modularized
+    text = gen_program(lname, GenConfig(seed=4))
+    ast = lang.parse(text)
+    generic = lang.decompose(ast)
+    out = PASSES["hoist"](generic, lang)
+    passes = ["ehoist", "hoist", "testcov"] + (["tac"] if lang.tac is not None else [])
+    return {
+        "parse": (lang.parse, text),
+        "to_modular": (to_modular, mod, ast),
+        "decompose": (lang.decompose, ast),
+        "trans_ips": (lang.trans_ips, to_modular(mod, ast)),
+        **{f"pass.{p}": (PASSES[p], generic, lang) for p in passes},
+        "recompose": (lang.recompose, out),
+        "untrans_ips": (lang.untrans_ips, out),
+        "from_modular": (from_modular, mod, lang.untrans_ips(out)),
+        "pretty": (lang.pretty, ast),
+        "build_cfg": (build_cfg, generic, lang),
+        "dump_dot": (dump_dot, build_cfg(generic, lang)),
+        "diff_one": (diff_one, lang, PASSES["hoist"], 0, text),
+        "parse failing": (lang.parse, "x = ("),
+    }
+
+
+def _call(fn, *args):
+    try:
+        fn(*args)
+    except ParseError:
+        pass
+
+
+@pytest.mark.parametrize("lname", ALL)
+def test_no_layer_leaves_objects_frozen(lname):
+    frozen = {}
+    for name, call in _layer_calls(lname).items():
+        _call(*call)
+        frozen[name] = gc.get_freeze_count()
+    assert frozen == {name: 0 for name in frozen}
+
+
+@pytest.mark.parametrize("lname", ALL)
+def test_a_callers_frozen_objects_stay_frozen(lname):
+    calls = _layer_calls(lname)
+    gc.collect()
+    gc.freeze()
+    try:
+        frozen = gc.get_freeze_count()
+        assert frozen > 0
+        after = {}
+        for name, call in calls.items():
+            _call(*call)
+            after[name] = gc.get_freeze_count()
+    finally:
+        gc.unfreeze()
+    assert after == {name: frozen for name in after}
+
+
+def test_a_runs_cyclic_garbage_stays_young():
+    """`diff_one` returns no tree, so its pause moves nothing out of the
+    young generations: the first young collection after it returns frees
+    the arrays both runs of SELF_ARRAYS left."""
+    lang = get_language("minijs")
+    events = len(lang.run(lang.parse(SELF_ARRAYS)).events)
+    gc.collect()
+    verdict = diff_one(lang, PASSES["ident"], 0, SELF_ARRAYS)
+    freed = gc.collect(0)
+    assert verdict == Verdict(0, "Equal")
+    assert freed >= 2 * (events - 2), f"{freed} freed for {events} events"
+
+
+class _Cell:
+    pass
+
+
+@pytest.mark.parametrize("lname", ALL)
+def test_a_callers_cycle_is_freed_by_a_full_collection(lname):
+    """A cycle the caller left before a layer call is moved to the oldest
+    generation with the layer's trees: a young collection leaves it, and
+    a full collection frees it."""
+    lang = get_language(lname)
+    text = gen_program(lname, GenConfig(seed=5))
+    gc.collect()
+    cell = _Cell()
+    cell.self = cell
+    alive = weakref.ref(cell)
+    del cell
+    lang.decompose(lang.parse(text))
+    gc.collect(1)
+    assert alive() is not None
+    gc.collect()
+    assert alive() is None
+
+
+def test_diff_test_frees_each_programs_run_garbage():
+    """Each SELF_ARRAYS run leaves a few thousand arrays in cycles.  With
+    nothing between two programs to start a collection, a batch would
+    keep every program's arrays until it ended; `diff_test` collects them
+    after each program, so its peak does not grow with the batch."""
+    peaks = {}
+    for n in (2, 16):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            report = diff_test("minijs", "ident", [SELF_ARRAYS] * n)
+            peaks[n] = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert report.all_equal
+    assert peaks[16] <= 1.5 * peaks[2], peaks
+
+
+# Each language's first call of a layer that computes `sorts_containing`
+# or a CFG, in a fresh interpreter; prints the unreachable objects each left.
+_FIRST_CALLS = """\
+import gc
+from srctrans.difftest import PASSES
+from srctrans.flow import build_cfg
+from srctrans.gen import GenConfig, gen_program
+from srctrans.langs.base import get_language
+from srctrans.passes.hoist import RequirementMissing
+
+left = {}
+for lname in ("minic", "minijs", "minilua"):
+    lang = get_language(lname)
+    term = lang.decompose(lang.parse(gen_program(lname, GenConfig(seed=1))))
+    calls = {name: PASSES[name] for name in ("ehoist", "hoist", "testcov", "tac")}
+    calls["build_cfg"] = build_cfg
+    for name, fn in calls.items():
+        gc.collect()
+        try:
+            fn(term, lang)
+        except RequirementMissing:  # MiniC has no tac
+            pass
+        left[f"{lname} {name}"] = gc.collect()
+print(json.dumps(left))
+"""
+
+
+def test_first_calls_leave_no_cyclic_garbage():
+    # in a fresh process, so that every per-language cache starts empty
+    prelude = f"import json, sys\nsys.path.insert(0, {str(SRC)!r})\n"
+    proc = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", prelude + _FIRST_CALLS],
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    left = json.loads(proc.stdout)
+    assert len(left) == 15
+    assert left == {call: 0 for call in left}

@@ -83,7 +83,6 @@ RECURSIVE = {
     "schema._parse_one_type",
     "schema._translate_sort",
     "schema.validate_schema.check",
-    "terms.Signature.sorts_containing.held",
     "terms.sort_name",
 }
 
