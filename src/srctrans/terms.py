@@ -566,7 +566,8 @@ class Signature(Frozen):
             holders: dict = {}  # sort -> the sorts whose terms hold it directly
             # (holder, sort) pairs: a plain stack, not a nested function,
             # which would refer to itself through its closure and be a cycle
-            edges = [(kind.produced, sort) for kind in self.kinds for sort in kind.child_sorts]
+            edges = [(kind.produced, sort)
+                     for kind in self.kinds for sort in kind.child_sorts]
             while edges:
                 holder, sort = edges.pop()
                 holders.setdefault(sort, set()).add(holder)
