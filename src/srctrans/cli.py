@@ -1,12 +1,14 @@
 """Command line front end.
 
-Exit codes: 0 success, 1 usage error, 2 parse or transform failure,
-3 differential failures present in an otherwise successful batch.
+Exit codes: 0 success, 1 usage error, 2 parse or transform failure or
+a file or directory that cannot be read or written, 3 differential
+failures present in an otherwise successful batch.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .difftest import PASSES, diff_test
@@ -32,6 +34,17 @@ def _path(text: str) -> str:
     return root + "/".join(p for p in rel.split("/") if p not in ("", ".")) or "."
 
 
+def _count(text: str) -> int:
+    """A `--count`: an int, as argparse reads one, that is not negative."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"invalid count: {text!r} is negative")
+    return n
+
+
 def _build_parser() -> _Parser:
     p = _Parser(prog="srctrans", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
@@ -52,7 +65,7 @@ def _build_parser() -> _Parser:
     dt.add_argument("--pass", dest="pass_name", required=True,
                     choices=sorted(PASSES))
     src = dt.add_mutually_exclusive_group(required=True)
-    src.add_argument("--count", type=int)
+    src.add_argument("--count", type=_count)
     src.add_argument("--corpus", type=_path)
     dt.add_argument("--seed", type=int, default=0)
 
@@ -78,6 +91,12 @@ def _read_source(path: str) -> str:
         return f.read()
 
 
+def _fail(error: Exception) -> int:
+    """Report error on one stderr line; its exit code."""
+    print(f"srctrans: {error}", file=sys.stderr)
+    return 2
+
+
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -90,11 +109,9 @@ def _cmd_transform(args) -> int:
     lang = get_language(args.lang)
     try:
         term = lang.decompose(lang.parse(_read_source(args.file)))
-        out = lang.pretty(lang.recompose(PASSES[args.pass_name](term, lang)))
+        _emit(lang.pretty(lang.recompose(PASSES[args.pass_name](term, lang))), args.out)
     except Exception as e:
-        print(f"srctrans: {e}", file=sys.stderr)
-        return 2
-    _emit(out, args.out)
+        return _fail(e)
     return 0
 
 
@@ -105,8 +122,7 @@ def _cmd_roundtrip(args) -> int:
         text = lang.pretty(ast)
         differs = lang.parse(text) != ast
     except Exception as e:
-        print(f"srctrans: {e}", file=sys.stderr)
-        return 2
+        return _fail(e)
     if differs:
         print("srctrans: pretty output parses to a different tree",
               file=sys.stderr)
@@ -117,11 +133,12 @@ def _cmd_roundtrip(args) -> int:
 
 def _cmd_difftest(args) -> int:
     if args.corpus is not None:
-        from pathlib import Path
-
-        lang = get_language(args.lang)
-        paths = sorted(Path(args.corpus).glob(f"*{lang.file_ext}"))
-        corpus = [_read_source(p) for p in paths]
+        ext = get_language(args.lang).file_ext
+        try:
+            names = sorted(n for n in os.listdir(args.corpus) if n.endswith(ext))
+            corpus = [_read_source(os.path.join(args.corpus, n)) for n in names]
+        except OSError as e:
+            return _fail(e)
     else:
         from .gen import GenConfig, gen_program
 
@@ -138,11 +155,9 @@ def _cmd_cfg(args) -> int:
     lang = get_language(args.lang)
     try:
         term = lang.decompose(lang.parse(_read_source(args.file)))
-        text = dump_dot(build_cfg(term, lang))
+        _emit(dump_dot(build_cfg(term, lang)), args.dot)
     except Exception as e:
-        print(f"srctrans: {e}", file=sys.stderr)
-        return 2
-    _emit(text, args.dot)
+        return _fail(e)
     return 0
 
 
@@ -154,8 +169,7 @@ def _cmd_modularize(args) -> int:
         schema = parse_schema_text(path.read_text(), path.stem)
         text = dump_modularized(modularize_schema(schema))
     except Exception as e:
-        print(f"srctrans: {e}", file=sys.stderr)
-        return 2
+        return _fail(e)
     sys.stdout.write(text)
     return 0
 

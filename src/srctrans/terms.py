@@ -8,17 +8,20 @@ can never be built through this module's constructors.  Sorts and node
 kinds are interned: building one equal to an existing one returns that
 object, so their equality is identity and the sort check is an identity
 test.  Each node kind gets one builder, `kind.build`, when it is first
-interned, specialised to the kind's payload classes, child sorts and
-list-ness.  It tests the common case inline, and on a mismatch runs
-mk_term's checks, so it raises what mk_term raises; each node is checked
-once, where it is built.  The builders are ordinary functions, one per
-shape that the built-in kinds use; a kind of any other shape gets one
-that runs mk_term's checks on every node.  Code that knows the kind it
-builds calls its builder; mk_term is for code that rebuilds a node of a
-kind it read from another node.  List and pair values are embedded as
-ordinary terms via the built-in container kinds, which exist at every
-element sort: a list is one ListF node whose children, any number of
-them, are its elements; a pair is a PairF node.
+interned, and each node is checked once, where it is built: a builder
+raises what mk_term raises.  A kind of a shape that is written out (a
+payload count, a child count and list-ness) gets a builder specialised
+to its payload classes and child sorts, which tests the common case
+inline and runs mk_term's checks only on a mismatch.  A shape is written
+out when it makes at least 1 % of the nodes on both the transform-large
+and the difftest-gen workloads; a kind of any other shape, such as a
+for loop or a binary expression, gets one that runs mk_term's checks on
+every node.  Code that knows the kind it builds calls its builder;
+mk_term is for code that rebuilds a node of a kind it read from another
+node.  List and pair values are embedded as ordinary terms via the
+built-in container kinds, which exist at every element sort: a list is
+one ListF node whose children, any number of them, are its elements; a
+pair is a PairF node.
 
 A term also remembers its provenance in `origin`: always the
 GenericValue the node stands for.  The walk of `schema.walker` records
@@ -334,14 +337,17 @@ def _checked(kind: NodeKind, payloads: tuple, children: tuple, origin: object) -
     return _new(Term, (kind, payloads, children, origin))
 
 
-# The builders, one maker per shape that the built-in kinds use: the
-# payload count, the child count, and whether the kind is a list.  A maker
-# takes the kind, its payload classes P0... and its child sorts S0....  The
-# inline test asks that each payload be of exactly its class and each child
-# a Term of exactly its sort, and then the builder makes the Term in one
-# call, `_new(Term, fields)`; anything else goes to _checked, which accepts
-# what mk_term accepts.  `schema.walker` writes the common shapes out the
-# same way.
+# The builders, one maker per shape written out: the payload count, the
+# child count, and whether the kind is a list.  A shape is written out
+# when it makes at least 1 % of the builder calls on both the
+# transform-large and the difftest-gen workloads; over every op at seed
+# 4242 the six below make 6.7-48.6 % each, and the next, (1, 2),
+# 0.63-0.70 %.  A maker takes the kind, its payload classes P0... and its
+# child sorts S0....  The inline test asks that each payload be of exactly
+# its class and each child a Term of exactly its sort, and then the
+# builder makes the Term in one call, `_new(Term, fields)`; anything else
+# goes to _checked, which accepts what mk_term accepts.  `schema.walker`
+# writes its shapes out the same way, by the same rule.
 
 def _list_builder(kind, S0):
     def build(*args, origin=None):
@@ -393,33 +399,6 @@ def _builder_0_3(kind, S0, S1, S2):
     return build
 
 
-def _builder_0_4(kind, S0, S1, S2, S3):
-    def build(*args, origin=None):
-        if len(args) == 4:
-            c0, c1, c2, c3 = args
-            if (c0.__class__ is Term and c0.kind.produced is S0
-                    and c1.__class__ is Term and c1.kind.produced is S1
-                    and c2.__class__ is Term and c2.kind.produced is S2
-                    and c3.__class__ is Term and c3.kind.produced is S3):
-                return _new(Term, (kind, (), args, origin))
-        return _checked(kind, (), args, origin)
-    return build
-
-
-def _builder_0_5(kind, S0, S1, S2, S3, S4):
-    def build(*args, origin=None):
-        if len(args) == 5:
-            c0, c1, c2, c3, c4 = args
-            if (c0.__class__ is Term and c0.kind.produced is S0
-                    and c1.__class__ is Term and c1.kind.produced is S1
-                    and c2.__class__ is Term and c2.kind.produced is S2
-                    and c3.__class__ is Term and c3.kind.produced is S3
-                    and c4.__class__ is Term and c4.kind.produced is S4):
-                return _new(Term, (kind, (), args, origin))
-        return _checked(kind, (), args, origin)
-    return build
-
-
 def _builder_1_0(kind, P0):
     def build(*args, origin=None):
         if len(args) == 1:
@@ -430,30 +409,9 @@ def _builder_1_0(kind, P0):
     return build
 
 
-def _builder_1_1(kind, P0, S0):
-    def build(*args, origin=None):
-        if len(args) == 2:
-            p0, c0 = args
-            if p0.__class__ is P0 and c0.__class__ is Term and c0.kind.produced is S0:
-                return _new(Term, (kind, (p0,), (c0,), origin))
-        return _checked(kind, args[:1], args[1:], origin)
-    return build
-
-
-def _builder_1_2(kind, P0, S0, S1):
-    def build(*args, origin=None):
-        if len(args) == 3:
-            p0, c0, c1 = args
-            if (p0.__class__ is P0 and c0.__class__ is Term and c0.kind.produced is S0
-                    and c1.__class__ is Term and c1.kind.produced is S1):
-                return _new(Term, (kind, (p0,), (c0, c1), origin))
-        return _checked(kind, args[:1], args[1:], origin)
-    return build
-
-
 def _any_shape_builder(kind):
-    """The builder of a kind of a shape no maker has, which only user
-    schemas and tests build: every node takes mk_term's checks."""
+    """The builder of a kind of a shape no maker has: every node takes
+    mk_term's checks."""
     n = len(kind.payloads)
 
     def build(*args, origin=None):
@@ -467,11 +425,7 @@ _MAKERS = {
     (0, 1, False): _builder_0_1,
     (0, 2, False): _builder_0_2,
     (0, 3, False): _builder_0_3,
-    (0, 4, False): _builder_0_4,
-    (0, 5, False): _builder_0_5,
     (1, 0, False): _builder_1_0,
-    (1, 1, False): _builder_1_1,
-    (1, 2, False): _builder_1_2,
 }
 
 

@@ -588,6 +588,18 @@ def nested_ifs(lname: str, n: int) -> str:
     return head + "if (x < 5) {\n" * n + "print(x);\n" + "}\n" * n + "return 0;\n}\n"
 
 
+def nested_whiles(lname: str, n: int) -> str:
+    """A program that counts x up to 5 inside n nested `while x < 5`
+    loops, then prints it."""
+    if lname == "minilua":
+        return "local x = 1\n" + "while x < 5 do\n" * n + "x = x + 1\n" + "end\n" * n + "print(x)\n"
+    if lname == "minic":
+        head = "int main() {\n  int x = 1;\n"
+    else:
+        head = "function main() {\n  var x = 1;\n"
+    return head + "while (x < 5) {\n" * n + "x = x + 1;\n" + "}\n" * n + "print(x);\nreturn 0;\n}\n"
+
+
 def elseif_chain(n: int) -> str:
     """A MiniLua program whose one `if` has n arms, the last n - 1 of
     them `elseif` arms, and an else; x selects the last arm."""

@@ -167,9 +167,48 @@ def test_inspect_injections(capsys):
 
 
 def test_roundtrip_of_deep_input_fails_with_one_line(tmp_path, capsys):
-    # comparing the two trees of 60 nested ifs runs out of stack
-    f = write(tmp_path, "deep.mc", nested_ifs("minic", 60))
+    # the two trees of 60 and of 150 nested ifs compare on a stack
+    for n in (60, 150):
+        f = write(tmp_path, "deep.mc", nested_ifs("minic", n))
+        assert cli(["roundtrip", "--lang", "minic", str(f)]) == 0
+        out, err = capsys.readouterr()
+        assert out.count("if (x < 5) {") == n and err == ""
+    # the parser runs out of stack at 400
+    f = write(tmp_path, "deep.mc", nested_ifs("minic", 400))
     rc = cli(["roundtrip", "--lang", "minic", str(f)])
     out, err = capsys.readouterr()
     assert (rc, out) == (2, "")
     assert len(err.splitlines()) == 1 and err.startswith("srctrans: "), err
+
+
+@pytest.mark.parametrize("command, flag", [
+    (["transform", "--lang", "minic", "--pass", "ident"], "--out"),
+    (["cfg", "--lang", "minic"], "--dot"),
+])
+def test_output_into_a_missing_directory_fails_with_one_line(
+        tmp_path, capsys, monkeypatch, command, flag):
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path, "a.mc", COUNTF["minic"])
+    assert cli([*command, "a.mc", flag, "nowhere/out"]) == 2
+    assert capsys.readouterr() == (
+        "", "srctrans: [Errno 2] No such file or directory: 'nowhere/out'\n")
+
+
+@pytest.mark.parametrize("corpus, error", [
+    ("nowhere", "[Errno 2] No such file or directory: 'nowhere'"),
+    ("a.mc", "[Errno 20] Not a directory: 'a.mc'"),
+])
+def test_difftest_corpus_that_is_not_a_directory_fails_with_one_line(
+        tmp_path, capsys, monkeypatch, corpus, error):
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path, "a.mc", COUNTF["minic"])
+    assert cli(["difftest", "--lang", "minic", "--pass", "ident", "--corpus", corpus]) == 2
+    assert capsys.readouterr() == ("", f"srctrans: {error}\n")
+
+
+def test_difftest_negative_count_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli(["difftest", "--lang", "minic", "--pass", "ident", "--count", "-3"])
+    assert exc.value.code == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "argument --count: invalid count: '-3' is negative" in err

@@ -30,8 +30,9 @@ calls failed there with `ParseError original: maximum recursion depth
 exceeded` when the parser took several Python frames per level; the
 expression parser now takes none, so 10,000 levels parse.
 
-Decompose may take no more Python frames per nested `if` than its one
-walk takes today: 5 in MiniC, 4 in MiniJS and 3 in MiniLua.  A walk
+Decompose may take no more Python frames per nested `if` or `while`
+than its one walk takes today: 5 in MiniC, 4 in MiniJS and 3 in
+MiniLua; and one per level of a unary chain.  A walk
 that encodes a value in two frames, such as a constructor's encoder
 called from the walk, reaches the recursion limit in the cells above.
 
@@ -46,7 +47,7 @@ import sys
 
 import pytest
 
-from helpers import EXPR_SHAPES, elseif_chain, nested_expr, nested_ifs
+from helpers import EXPR_SHAPES, elseif_chain, nested_expr, nested_ifs, nested_whiles
 from srctrans import runtime
 from srctrans.difftest import PASSES, diff_one
 from srctrans.langs.base import get_language
@@ -144,11 +145,11 @@ def test_run_work_grows_linearly_with_depth(lname, shape):
     assert at_300 <= 2.2 * at_150, (at_150, at_300)
 
 
-def _decompose_depth(lname: str, n: int) -> int:
+def _decompose_depth(lname: str, program, n: int) -> int:
     """The deepest Python stack, counted from decompose's own frame,
-    while decompose encodes the program of n nested ifs."""
+    while decompose encodes program(lname, n), a program nested n deep."""
     lang = get_language(lname)
-    ast = lang.parse(nested_ifs(lname, n))
+    ast = lang.parse(program(lname, n))
     depth = deepest = 0
 
     def profile(frame, event, arg):
@@ -169,5 +170,11 @@ def _decompose_depth(lname: str, n: int) -> int:
 
 @pytest.mark.parametrize("lname, frames", [("minic", 5), ("minijs", 4), ("minilua", 3)])
 def test_decompose_frames_per_nesting_level(lname, frames):
-    per_level = (_decompose_depth(lname, 80) - _decompose_depth(lname, 40)) / 40
-    assert per_level <= frames, per_level
+    # a while loop takes what an if takes; a unary chain, one frame a level
+    def unary(lname, n):
+        return nested_expr(lname, "unary", n)
+
+    for program, most in ((nested_ifs, frames), (nested_whiles, frames), (unary, 1)):
+        per_level = (_decompose_depth(lname, program, 80)
+                     - _decompose_depth(lname, program, 40)) / 40
+        assert per_level <= most, (program, per_level)

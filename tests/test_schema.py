@@ -3,8 +3,11 @@
 import copy
 import dataclasses
 import importlib
+import inspect
 import pickle
 import random
+import re
+import sys
 
 import pytest
 
@@ -16,6 +19,7 @@ from srctrans.schema import (
     ForeignKind,
     InvalidSchema,
     NonConformingValue,
+    PairV,
     RemovedKindNotPresent,
     dump_modularized,
     from_modular,
@@ -179,6 +183,23 @@ def test_generic_value_repr_hash_eq_match_a_frozen_dataclass():
     assert GV(ctor="NoInit").args == () and GV("NoInit") == GV("NoInit", ())
 
 
+def _chain(depth: int, leaf: int) -> GV:
+    """A value `depth` levels deep, through an argument tuple, a list and
+    a PairV at each level."""
+    v = GV("IntLit", (leaf,))
+    for _ in range(depth):
+        v = GV("UnaryE", ("-", (GV("NoElse"), PairV(v, 1))))
+    return v
+
+
+def test_generic_value_equality_takes_no_frame_per_level():
+    depth = 10_000
+    assert depth > sys.getrecursionlimit()
+    a, same, other = _chain(depth, 1), _chain(depth, 1), _chain(depth, 2)
+    assert a == same and not a != same
+    assert a != other and not a == other
+
+
 def test_generic_value_is_frozen_and_has_no_dict():
     v = GV("IntLit", (1,))
     for name in ("ctor", "args"):
@@ -199,13 +220,18 @@ def test_generic_value_copies_and_pickles():
 
 # The built-in constructors that the encoder walk sends to its checking
 # code rather than a written-out shape (`schema._walk_entry`), per
-# language, with the frontend's decompose cases and with none (as in
-# to_modular): those with four or more children, a list between other
-# arguments, or a payload after a child.
+# language: those of no shape that makes at least 1 % of the values walked
+# (two children, four or more, one payload and one child, a list between
+# other arguments, a payload after a child), with the frontend's decompose
+# cases; and those that also take it with no cases (as in to_modular):
+# constructors of two children that decompose gives a case.
 CHECKED_CONSTRUCTORS = {
-    "minic": ["ForStmt", "FuncDef"],
-    "minijs": ["Block", "ForStmt", "FuncDef", "MemberE"],
-    "minilua": ["ForStmt", "MemberE"],
+    "minic": (["ForStmt", "FuncDef", "IndexE", "Param", "UnaryE", "WhileStmt"],
+              ["AssignE", "Declarator"]),
+    "minijs": (["Block", "ForStmt", "FuncDef", "IndexE", "MemberE", "UnaryE", "WhileStmt"],
+               ["AssignE", "VarDtor"]),
+    "minilua": (["ForStmt", "IndexE", "MemberE", "UnaryE", "WhileStmt"],
+                ["AssignStmt", "LocalStmt"]),
 }
 
 
@@ -214,9 +240,24 @@ def test_every_common_constructor_takes_a_written_out_shape(lname):
     module = importlib.import_module(f"srctrans.langs.{lname}")
     mod = module.MOD
     sorts = set(mod._sorts.values())
-    for cases in (module._CASES, {}):
+    decompose, without_cases = CHECKED_CONSTRUCTORS[lname]
+    for cases, extra in ((module._CASES, []), ({}, without_cases)):
         checked = sorted(
             ctor for ctor, codec in mod._by_ctor.items()
             if schema._walk_entry(codec, cases.get(ctor), sorts)[0] == schema._CHECKED
         )
-        assert checked == CHECKED_CONSTRUCTORS[lname], bool(cases)
+        assert checked == sorted(decompose + extra), bool(cases)
+
+
+def test_every_walk_shape_serves_a_builtin_constructor():
+    written_out = {getattr(schema, name) for name in
+                   re.findall(r"shape == (_\w+)", inspect.getsource(schema.walker))}
+    assert written_out and schema._CHECKED not in written_out
+    used = set()
+    for lname in CHECKED_CONSTRUCTORS:
+        module = importlib.import_module(f"srctrans.langs.{lname}")
+        sorts = set(module.MOD._sorts.values())
+        for cases in (module._CASES, {}):
+            used.update(schema._walk_entry(codec, cases.get(ctor), sorts)[0]
+                        for ctor, codec in module.MOD._by_ctor.items())
+    assert written_out <= used
