@@ -141,6 +141,47 @@ def ident_names(term: Term) -> list[str]:
     return [t.payload_values[0] for t in iter_subterms(term) if t.kind is IDENT]
 
 
+class NameSets:
+    """The set of generic identifier names in each term asked, for one
+    pass: `names(term)` is `frozenset(ident_names(term))`.
+
+    The set of each term asked is kept, keyed by the term's identity with
+    the term itself kept alive, so that its id is not reused while the
+    pass runs.  A scan stops at every subterm whose set is kept and takes
+    that set, so a pass that asks for a block and then for an item that
+    holds it scans the block's nodes once.  The scan keeps an explicit
+    stack, so nesting takes no Python frames.
+    """
+
+    __slots__ = ("_kept",)
+
+    def __init__(self):
+        self._kept: dict[int, tuple[Term, frozenset]] = {}
+
+    def __call__(self, term: Term) -> frozenset:
+        kept = self._kept
+        got = kept.get(id(term))
+        if got is not None:
+            return got[1]
+        names = set()
+        todo = [term]
+        while todo:
+            t = todo.pop()
+            children = t.children
+            if not children:
+                if t.kind is IDENT:
+                    names.add(t.payload_values[0])
+                continue
+            got = kept.get(id(t))
+            if got is None:
+                todo.extend(children)
+            else:
+                names |= got[1]
+        found = frozenset(names)
+        kept[id(term)] = (term, found)
+        return found
+
+
 def assert_reserved_disjoint(language_sorts) -> None:
     """Registration check: modularizer-generated sorts never collide with
     the reserved generic ones."""

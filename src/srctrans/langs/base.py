@@ -19,32 +19,32 @@ from ..fragments import (
     IDENT,
     IDENT_IS_BINDER,
     JUST_INIT,
-    MULTI_DECL,
     MULTI_DECL_IS_ITEM,
     NO_INIT,
     LanguageOps,
     assert_reserved_disjoint,
-    assign,
     generic_signature,
     ident,
-    single_decl,
 )
 from ..injections import InjectionDecl, InjectionTable
 from ..records import Frozen
 from ..schema import (
+    AssignCase,
+    BlockCase,
     Case,
+    DeclaratorCase,
     GenericValue,
+    IdentCase,
+    InitCase,
     ModularizedLanguage,
     Schema,
     from_modular,
-    list_items,
     sum_signatures,
     to_modular,
 )
 from ..terms import (
     NodeKind,
     Signature,
-    SortMismatch,
     Term,
     build_list,
     gc_paused,
@@ -538,14 +538,6 @@ def ident_assign_cases(
     def ident_term(name: str) -> Term:
         return ident_is.build(ident(name))
 
-    def tr_ident(v: GenericValue, walk) -> Term:
-        return ident_is.build(ident(v.args[0]))
-
-    def tr_assign(v: GenericValue, walk) -> Term:
-        lhs, rhs = v.args
-        lhs, rhs = walk(lhs), walk(rhs)
-        return assign_is.build(assign(lhs_is.build(lhs), rhs_is.build(rhs)))
-
     def un_ident(t: Term) -> GenericValue:
         inner = t.children[0]
         expect(inner.kind is IDENT, "expected a generic identifier")
@@ -562,7 +554,7 @@ def ident_assign_cases(
 
     return (
         ident_term,
-        {ident_ctor: tr_ident, assign_ctor: tr_assign},
+        {ident_ctor: IdentCase(ident_is), assign_ctor: AssignCase(assign_is, lhs_is, rhs_is)},
         {ident_is.name: Case(un_ident, None),
          assign_is.name: Case(un_assign, lambda t, v: GenericValue(assign_ctor, tuple(v)))},
     )
@@ -584,15 +576,6 @@ def block_cases(body: BodyCodec, surface_block: Callable, decl: Callable,
         stmt_item, decl_item = map(ctor_name, items)
         cases[stmt_item] = body.stmt_is
         cases[decl_item] = MULTI_DECL_IS_ITEM
-
-    def tr_block(v: GenericValue, walk) -> Term:
-        elems = list(map(walk, list_items(v.args[0])))
-        if items is None:
-            elems = [
-                MULTI_DECL_IS_ITEM.build(t) if t.kind is MULTI_DECL else body.item(t)
-                for t in elems
-            ]
-        return body.block_is.build(generic_block(elems))
 
     def un_decl_item(item: Term):
         expect(item.kind == MULTI_DECL_IS_ITEM, f"unexpected block item {item.kind.name}")
@@ -618,7 +601,7 @@ def block_cases(body: BodyCodec, surface_block: Callable, decl: Callable,
                      for i, e in zip(block_items(t.children[0]), elems)]
         return GenericValue(block_ctor, (tuple(elems),))
 
-    cases[block_ctor] = tr_block
+    cases[block_ctor] = BlockCase(body.block_is, body.stmt_is if items is None else None)
     return cases, {body.block_is.name: Case(un_block, block_value)}
 
 
@@ -630,16 +613,8 @@ def declarator_cases(C, dtor: Callable, ident_is: NodeKind, init_is: NodeKind,
     the generic side holds under `init_is`.  Each declarator becomes a
     SingleLocalVarDecl, which the untrans case reads back.  `lang` and
     `init_what` name the language and the initializer in error messages."""
-    ident_sort = ident_is.produced
     dtor_ctor, ident_ctor = ctor_name(dtor), ctor_name(C.Ident)
     option_trans, un_option = option_cases(C.SomeInit, C.NoInit, init_is, init_what)
-
-    def tr_dtor(v: GenericValue, walk) -> Term:
-        name, opt = v.args
-        name, opt = walk(name), walk(opt)
-        if name.sort != ident_sort:
-            raise SortMismatch(0, ident_sort, name.sort)
-        return single_decl(IDENT_IS_BINDER.build(name.children[0]), opt)
 
     def un_dtor(single: Term) -> tuple:
         _, binder, opt = single.children
@@ -651,7 +626,7 @@ def declarator_cases(C, dtor: Callable, ident_is: NodeKind, init_is: NodeKind,
         name = GenericValue(ident_ctor, single.children[1].children[0].payload_values)
         return GenericValue(dtor_ctor, (name, opt[0]))
 
-    return {ctor_name(dtor): tr_dtor, **option_trans}, Case(un_dtor, dtor_value)
+    return {ctor_name(dtor): DeclaratorCase(ident_is), **option_trans}, Case(un_dtor, dtor_value)
 
 
 def option_cases(some_ctor: Callable, none_ctor: Callable, init_is: NodeKind,
@@ -675,8 +650,7 @@ def option_cases(some_ctor: Callable, none_ctor: Callable, init_is: NodeKind,
         return GenericValue(some_ctor_name, (init[0],)) if init else none
 
     return {
-        some_ctor_name:
-            lambda v, walk: JUST_INIT.build(init_is.build(walk(v.args[0]))),
+        some_ctor_name: InitCase(init_is),
         ctor_name(none_ctor): lambda v, walk: NO_INIT.build(),
     }, Case(un_option, option_value)
 

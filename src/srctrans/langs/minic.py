@@ -386,15 +386,18 @@ class _Ops:
 # ---------------------------------------------------------------------------
 # Structural adapter
 
+# The parts of `cov[i] = true` that do not depend on i, built once.
+_COV, _TRUE = C.VarE(_ident_term("cov")), EXPR_IS_RHS.build(C.BoolLit(True))
+
+
 class _Adapter:
     item_view = staticmethod(c_item_view(C, BODY))
     # FuncDef children: type, name, params, block wrapper.
     body_paths = staticmethod(func_body_paths((3, 0)))
 
     def make_cov_marker(self, index: int) -> Term:
-        cell = C.IndexE(C.VarE(_ident_term("cov")), C.IntLit(index))
-        a = assign(EXPR_IS_LHS.build(cell), EXPR_IS_RHS.build(C.BoolLit(True)))
-        return TABLE.inj(a, BLOCK_ITEM_L)
+        cell = C.IndexE(_COV, C.IntLit(index))
+        return TABLE.inj(assign(EXPR_IS_LHS.build(cell), _TRUE), BLOCK_ITEM_L)
 
 
 # ---------------------------------------------------------------------------

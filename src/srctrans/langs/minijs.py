@@ -329,17 +329,19 @@ def _assign_item(target: Term, source: Term) -> Term:
     return TABLE.inj(a, BLOCK_ITEM_L)
 
 
+# The parts of `TC.cov[i] = true` that do not depend on i, built once.
+_COV = C.MemberE("cov", C.VarE(_ident_term("TC")))
+_TRUE = EXPR_IS_RHS.build(C.BoolLit(True))
+
+
 class _Adapter:
     item_view = staticmethod(c_item_view(C, BODY))
     # FuncDef children: name, params, block(directives, stmts).
     body_paths = staticmethod(func_body_paths((2, 1, 0)))
 
     def make_cov_marker(self, index: int) -> Term:
-        cell = C.IndexE(
-            C.MemberE("cov", C.VarE(_ident_term("TC"))),
-            C.NumLit(index),
-        )
-        return _assign_item(cell, C.BoolLit(True))
+        cell = C.IndexE(_COV, C.NumLit(index))
+        return TABLE.inj(assign(EXPR_IS_LHS.build(cell), _TRUE), BLOCK_ITEM_L)
 
 
 # ---------------------------------------------------------------------------

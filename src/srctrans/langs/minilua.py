@@ -47,7 +47,7 @@ from ..runtime import (
     scope,
 )
 from ..schema import GV, Case, GenericValue, modularize_schema, parse_schema_text, reader, walker
-from ..terms import NodeKind, Term, build_list, gc_paused, list_kind
+from ..terms import NodeKind, Term, build_list, gc_paused
 from ..traversal import Path
 from .base import (
     AssignView,
@@ -476,10 +476,12 @@ def _for_view(stmt: Term) -> ForNumView:
     return ForNumView(low, high, some(step), body_g, rebuild)
 
 
-# The sorts of an expression and of a list of them: no function statement
-# occurs under either, so the body scan does not descend into them.
-_EXPR = C.VarE.kind.produced
-_EXPRS = list_kind(_EXPR).produced
+_FUNC = C.FuncStmt.kind
+
+
+# The parts of `TC.cov[i] = true` that do not depend on i, built once.
+_COV = C.MemberE("cov", C.VarE(_ident_term("TC")))
+_TRUE = EXPRLIST_IS_RHS.build(C.ExprList(build_list(S("Expr"), [C.BoolLit(True)])))
 
 
 class _Adapter:
@@ -493,16 +495,19 @@ class _Adapter:
     def body_paths(self, root: Term) -> list[Path]:
         # The chunk body comes first, then every function body in
         # document order.  The scan keeps a stack of child iterators, one
-        # per node on `path`, so deep nesting does not recurse.
+        # per node on `path`, so deep nesting does not recurse, and
+        # descends only into the sorts that can hold a function
+        # statement, as hoist's walk skips those that cannot hold a block.
+        holders = IPS.sorts_containing(_FUNC.produced)
         paths: list[Path] = [(0, 0)]
         path: list[int] = []
         todo = [enumerate(root.children)]
         while todo:
             for i, child in todo[-1]:
-                if child.kind.name == "MiniLua.FuncStmt":
+                kind = child.kind
+                if kind is _FUNC:
                     paths.append((*path, i, 2, 0))
-                sort = child.kind.produced
-                if child.children and sort is not _EXPR and sort is not _EXPRS:
+                if kind.produced in holders and child.children:
                     path.append(i)
                     todo.append(enumerate(child.children))
                     break
@@ -513,11 +518,9 @@ class _Adapter:
         return paths
 
     def make_cov_marker(self, index: int) -> Term:
-        cell = C.IndexE(
-            C.MemberE("cov", C.VarE(_ident_term("TC"))),
-            C.NumLit(index),
-        )
-        return _assign_item([cell], [C.BoolLit(True)])
+        cell = C.IndexE(_COV, C.NumLit(index))
+        lhs = LHSLIST_IS_LHS.build(C.LhsList(build_list(S("Expr"), [cell])))
+        return TABLE.inj(assign(lhs, _TRUE), BLOCK_ITEM_L)
 
 
 # ---------------------------------------------------------------------------

@@ -23,8 +23,8 @@ from ..fragments import (
     MULTI_DECL_L,
     NO_INIT,
     SINGLE_DECL_L,
+    NameSets,
     assign,
-    ident_names,
 )
 from ..langs.base import LanguageDef, block_items, with_block_items
 from ..records import Frozen
@@ -109,28 +109,37 @@ def _split_decl(decl: Term, lang: LanguageDef) -> tuple[Term, list[Term]]:
     return hoisted, _decl_to_assigns(decl, lang)
 
 
-def _hoist(term: Term, lang: LanguageDef, pass_name: str, unsafe) -> Term:
-    """Move the declarations of every block to its top, except each one
-    at an index i of its block's items for which
-    unsafe(_PrefixNames(items), i, lang) holds."""
+def _hoist(term: Term, lang: LanguageDef, pass_name: str, names: NameSets | None) -> Term:
+    """Move the declarations of every block to its top: with `names`, the
+    pass's name sets, every one except those that are shadow-unsafe where
+    they stand (`_PrefixNames.shadow_unsafe`), and without, every one.
+
+    The walk is bottom-up, so an inner block is rewritten before the
+    blocks that hold it.  Each block the full variant rewrites, or leaves
+    as it is, records its name set, so the prefix scans of the blocks
+    around it take that set and do not rescan the block: each node is
+    scanned about once, however deep it is nested."""
     CAN_HOIST.check(lang, pass_name)
 
     def rw(t: Term):
         if t.kind != BLOCK:
             return None
         items = block_items(t)
-        prefix = _PrefixNames(items)
+        prefix = None if names is None else _PrefixNames(items, names)
         decls: list[Term] = []
         rest: list[Term] = []
         for i, item in enumerate(items):
             decl = _as_decl(item, lang)
-            if decl is None or unsafe(prefix, i, lang):
+            if decl is None or (prefix is not None and prefix.shadow_unsafe(i, lang)):
                 rest.append(item)
                 continue
             hoisted, assigns = _split_decl(decl, lang)
             decls.append(hoisted)
             rest.extend(assigns)
-        return with_block_items(t, decls + rest)
+        out = with_block_items(t, decls + rest)
+        if names is not None:
+            names(out)
+        return out
 
     return transform_bottom_up(rw, term, lang.ips.sorts_containing(BLOCK_L))
 
@@ -138,7 +147,7 @@ def _hoist(term: Term, lang: LanguageDef, pass_name: str, unsafe) -> Term:
 @gc_paused
 def elementary_hoist(term: Term, lang: LanguageDef) -> Term:
     """Rearrange every block, ignoring name capture."""
-    return _hoist(term, lang, "elementary_hoist", lambda prefix, i, lang: False)
+    return _hoist(term, lang, "elementary_hoist", None)
 
 
 # ---------------------------------------------------------------------------
@@ -147,10 +156,12 @@ def elementary_hoist(term: Term, lang: LanguageDef) -> Term:
 
 class _PrefixNames:
     """The identifier names in a block's items before a given index, for
-    indexes asked in increasing order: each item is scanned once."""
+    indexes asked in increasing order: the union of the items' name sets
+    (`names`), each asked once."""
 
-    def __init__(self, items: list[Term]):
+    def __init__(self, items: list[Term], names: NameSets):
         self.items = items
+        self.sets = names
         self.names: set[str] = set()
         self.upto = 0
 
@@ -166,18 +177,19 @@ class _PrefixNames:
         decl = _as_decl(self.items[index], lang)
         if decl is None:
             raise ValueError("item is not a declaration")
+        sets = self.sets
         for earlier in self.items[self.upto:index]:
-            self.names.update(ident_names(earlier))
+            self.names |= sets(earlier)
         self.upto = index
         bound = set()
         for single in decl.children[1].children:
-            bound.update(ident_names(single.children[1]))
-        if bound & self.names:
+            bound |= sets(single.children[1])
+        if not bound.isdisjoint(self.names):
             return True
         if not lang.ops.binder_in_scope_in_init:
             for single in decl.children[1].children:
                 opt = single.children[2]
-                if opt.kind == JUST_INIT and not bound.isdisjoint(ident_names(opt.children[0])):
+                if opt.kind == JUST_INIT and not bound.isdisjoint(sets(opt.children[0])):
                     return True
         return False
 
@@ -185,7 +197,7 @@ class _PrefixNames:
 @gc_paused
 def hoist(term: Term, lang: LanguageDef) -> Term:
     """As elementary_hoist, but leave shadow-sensitive declarations alone."""
-    return _hoist(term, lang, "hoist", _PrefixNames.shadow_unsafe)
+    return _hoist(term, lang, "hoist", NameSets())
 
 
 def postcondition_violations(term: Term, lang: LanguageDef) -> list[str]:
@@ -196,11 +208,13 @@ def postcondition_violations(term: Term, lang: LanguageDef) -> list[str]:
     deliberately leaves those in place).
     """
     problems: list[str] = []
-    for t in iter_subterms(term):
-        if t.kind != BLOCK:
-            continue
+    names = NameSets()
+    blocks = [t for t in iter_subterms(term) if t.kind == BLOCK]
+    for t in reversed(blocks):
+        names(t)  # inner blocks first, so no block is scanned again
+    for t in blocks:
         items = block_items(t)
-        prefix = _PrefixNames(items)
+        prefix = _PrefixNames(items, names)
         seen_stmt = False
         for i, item in enumerate(items):
             decl = _as_decl(item, lang)

@@ -15,7 +15,7 @@ from ..flow import insert_at_back_edges, rewrite_bodies
 from ..fragments import (
     BLOCK_ITEM_L,
     MULTI_DECL_IS_ITEM,
-    ident_names,
+    NameSets,
     multi_decl,
 )
 from ..langs.base import (
@@ -57,10 +57,11 @@ class _Names:
 
 
 class _BodyPass:
-    def __init__(self, lang: LanguageDef, names: _Names):
+    def __init__(self, lang: LanguageDef, names: _Names, name_sets: NameSets):
         self.lang = lang
         self.ops = lang.tac
         self.names = names
+        self.name_sets = name_sets
 
     # -- expression flattening ---------------------------------------------
 
@@ -68,8 +69,8 @@ class _BodyPass:
         """Atoms whose value cannot change under later side effects."""
         if self.ops.is_effect_free(e):
             return True
-        names = ident_names(e)
-        return bool(names) and all(n in self.names.minted for n in names)
+        names = self.name_sets(e)
+        return bool(names) and names <= self.names.minted
 
     def flatten_top(self, e: Term) -> tuple[list[Term], Term]:
         """Prelude items plus an equivalent expression whose operands are
@@ -329,9 +330,10 @@ def tac(term: Term, lang: LanguageDef) -> Term:
             f"tac on {lang.name}: no untyped-declaration hooks "
             "(declaring temporaries would need type inference)"
         )
+    name_sets = NameSets()
     return rewrite_bodies(
         term, lang,
         lambda b, body, before: _BodyPass(
-            lang, _Names(set(ident_names(before)))
+            lang, _Names(name_sets(before)), name_sets
         ).walk_block(body),
     )

@@ -11,7 +11,7 @@ or `TC`) would capture them, so it is refused.
 from __future__ import annotations
 
 from ..flow import basic_blocks, build_cfg, insert_many
-from ..fragments import ASSIGN, ASSIGN_L, BLOCK, BLOCK_ITEM_L, ident_names
+from ..fragments import ASSIGN, ASSIGN_L, BLOCK, BLOCK_ITEM_L, NameSets
 from ..langs.base import LanguageDef
 from ..terms import Term, gc_paused
 from .hoist import PassRequirements, RequirementMissing
@@ -25,12 +25,13 @@ CAN_TESTCOV = PassRequirements(
 @gc_paused
 def testcov(term: Term, lang: LanguageDef) -> tuple[Term, int]:
     CAN_TESTCOV.check(lang, "testcov")
-    roots = set(ident_names(lang.adapter.make_cov_marker(0)))
-    for name in ident_names(term):
-        if name in roots:
-            raise RequirementMissing(
-                f"testcov on {lang.name}: the program uses the marker name {name!r}"
-            )
+    names = NameSets()
+    used = names(lang.adapter.make_cov_marker(0)) & names(term)
+    if used:
+        # every built-in marker reads one name, so this is the one it reads
+        raise RequirementMissing(
+            f"testcov on {lang.name}: the program uses the marker name {min(used)!r}"
+        )
     blocks = basic_blocks(build_cfg(term, lang))
     requests = [
         (blk.leader, [lang.adapter.make_cov_marker(blk.id)]) for blk in blocks

@@ -21,7 +21,9 @@ each node through its kind's builder; decoding is one `terms.fold` over
 a term (`reader`), which takes no Python frame per level.  `to_modular`
 and `from_modular` are the walks alone.  A frontend adds cases for what
 its incremental parametric syntax replaces, so its decompose and
-recompose go straight between value and IPS term.
+recompose go straight between value and IPS term; the cases of the
+generic fragments are classes here (`IdentCase` and those after it),
+whose nodes the walk builds in one step.
 """
 
 from __future__ import annotations
@@ -29,6 +31,21 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Callable
 
+from .fragments import (
+    ASSIGN,
+    ASSIGN_OP_EQUALS,
+    BLOCK,
+    BLOCK_ITEM_L,
+    EMPTY_BLOCK_END,
+    EMPTY_DECL_ATTRS,
+    IDENT,
+    IDENT_IS_BINDER,
+    JUST_INIT,
+    MULTI_DECL,
+    MULTI_DECL_IS_ITEM,
+    OPT_LOCAL_VAR_INIT_L,
+    SINGLE_DECL,
+)
 from .records import Frozen, Record
 from .terms import (
     Atom,
@@ -38,8 +55,10 @@ from .terms import (
     PairOf,
     Signature,
     Sort,
+    SortMismatch,
     Term,
     _new,
+    build_list,
     build_pair,
     fold,
     gc_paused,
@@ -173,7 +192,40 @@ class GenericValue(Frozen):
                 todo.append((a, b))
         return True
 
-    __hash__ = Frozen.__hash__  # defining __eq__ would set it to None
+    def __hash__(self):
+        """hash((ctor, args)), the hash a frozen dataclass has, from the
+        hashes of the parts, so that a deep value takes no Python frame
+        per level: equal values have equal parts, so equal hashes."""
+        return fold(self, _hash_down, _hash_up).value
+
+    def __repr__(self):
+        """The repr a dataclass has, `GenericValue(ctor=..., args=...)`,
+        written out piece by piece from an explicit stack and joined
+        once: a value, a PairV or a tuple shows its parts (`_PARTS`), and
+        anything else shows its own repr."""
+        out = []
+        todo = [(False, self)]  # (True, text) or (False, part to show)
+        while todo:
+            is_text, part = todo.pop()
+            parts = None if is_text else _PARTS.get(part.__class__)
+            if parts is None:
+                out.append(part if is_text else repr(part))
+                continue
+            values = parts(part)
+            if part.__class__ is tuple:
+                pieces = [(True, "(")]
+                labels = [""] * len(values)
+                close = ",)" if len(values) == 1 else ")"
+            else:
+                pieces = [(True, f"{part.__class__.__qualname__}(")]
+                labels = [f"{name}=" for name in part._compared]
+                close = ")"
+            for i, (label, value) in enumerate(zip(labels, values)):
+                pieces.append((True, f"{', ' if i else ''}{label}"))
+                pieces.append((False, value))
+            pieces.append((True, close))
+            todo.extend(reversed(pieces))
+        return "".join(out)
 
 
 _set_ctor = GenericValue.ctor.__set__
@@ -189,6 +241,31 @@ class PairV(Frozen):
 
 _PARTS = {GenericValue: GenericValue._values, PairV: PairV._values, tuple: tuple}
 GV = GenericValue
+
+
+class _Hashed:
+    """A stand-in whose hash is a part's hash: a tuple of them hashes as
+    the tuple of the parts would."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value: int):
+        self.value = value
+
+    def __hash__(self):
+        return self.value
+
+
+# The fold of GenericValue's hash: a value, a PairV or a tuple folds its
+# parts (`_PARTS`); anything else is a leaf, hashed by itself.
+
+def _hash_down(part):
+    parts = _PARTS.get(part.__class__)
+    return _Hashed(hash(part)) if parts is None else parts(part)
+
+
+def _hash_up(part, hashes) -> _Hashed:
+    return _Hashed(hash(tuple(hashes)))
 
 
 # ---------------------------------------------------------------------------
@@ -473,16 +550,132 @@ def list_items(value) -> tuple:
     return value
 
 
+# ---------------------------------------------------------------------------
+# The trans cases of the generic fragments
+#
+# A frontend's decompose replaces its identifiers, assignments, blocks,
+# declarators and initializers by the generic fragments, each under the
+# frontend's injections.  Each class below is the case of one such
+# constructor, given by those injections.  It is a case like any other,
+# case(value, walk), which builds through the kinds' builders, and
+# `finish` is the same case from the encoded children on.  The walk
+# builds the fragments in one step instead whenever the builders' inline
+# tests hold (see walker), and calls `finish` on any other input.
+
+_ITEM_LIST = list_kind(BLOCK_ITEM_L)
+
+
+def _block(block_is: NodeKind, items: tuple) -> Term:
+    """block_is(Block(items, EmptyBlockEnd)) made in one step, for block
+    items the walk has checked."""
+    parts = (_new(Term, (_ITEM_LIST, (), items, None)),
+             _new(Term, (EMPTY_BLOCK_END, (), (), None)))
+    return _new(Term, (block_is, (), (_new(Term, (BLOCK, (), parts, None)),), None))
+
+
+class IdentCase:
+    """`Ident name` as ident_is(Ident name)."""
+
+    __slots__ = ("ident_is",)
+
+    def __init__(self, ident_is: NodeKind):
+        self.ident_is = ident_is
+
+    def __call__(self, value, walk) -> Term:
+        return self.ident_is.build(IDENT.build(value.args[0]))
+
+
+class InitCase:
+    """An initializer option that holds its initializer, as
+    JustLocalVarInit(init_is(init))."""
+
+    __slots__ = ("init_is",)
+
+    def __init__(self, init_is: NodeKind):
+        self.init_is = init_is
+
+    def finish(self, init: Term) -> Term:
+        return JUST_INIT.build(self.init_is.build(init))
+
+    def __call__(self, value, walk) -> Term:
+        return self.finish(walk(value.args[0]))
+
+
+class AssignCase:
+    """`lhs = rhs` as assign_is(Assign(lhs_is(lhs), AssignOpEquals, rhs_is(rhs)))."""
+
+    __slots__ = ("assign_is", "lhs_is", "rhs_is")
+
+    def __init__(self, assign_is: NodeKind, lhs_is: NodeKind, rhs_is: NodeKind):
+        self.assign_is, self.lhs_is, self.rhs_is = assign_is, lhs_is, rhs_is
+
+    def finish(self, lhs: Term, rhs: Term) -> Term:
+        lhs, rhs = self.lhs_is.build(lhs), self.rhs_is.build(rhs)
+        return self.assign_is.build(ASSIGN.build(lhs, ASSIGN_OP_EQUALS.build(), rhs))
+
+    def __call__(self, value, walk) -> Term:
+        lhs, rhs = value.args
+        return self.finish(walk(lhs), walk(rhs))
+
+
+class BlockCase:
+    """A statement list as block_is(Block [item], EmptyBlockEnd).  With
+    stmt_is, each encoded element that is a MultiLocalVarDecl goes under
+    MultiLocalVarDeclIsBlockItem and every other under stmt_is; with
+    None, each encoded element is a block item itself."""
+
+    __slots__ = ("block_is", "stmt_is")
+
+    def __init__(self, block_is: NodeKind, stmt_is: NodeKind | None):
+        self.block_is, self.stmt_is = block_is, stmt_is
+
+    def finish(self, elems) -> Term:
+        stmt_is = self.stmt_is
+        if stmt_is is not None:
+            elems = [MULTI_DECL_IS_ITEM.build(t) if t.kind is MULTI_DECL else stmt_is.build(t)
+                     for t in elems]
+        block = BLOCK.build(build_list(BLOCK_ITEM_L, elems), EMPTY_BLOCK_END.build())
+        return self.block_is.build(block)
+
+    def __call__(self, value, walk) -> Term:
+        return self.finish(list(map(walk, list_items(value.args[0]))))
+
+
+class DeclaratorCase:
+    """A declarator of an identifier, which the walk gives under
+    ident_is, and an initializer option, as SingleLocalVarDecl with no
+    attributes and the identifier under IdentIsVarDeclBinder."""
+
+    __slots__ = ("ident_is",)
+
+    def __init__(self, ident_is: NodeKind):
+        self.ident_is = ident_is
+
+    def finish(self, name: Term, opt: Term) -> Term:
+        ident_sort = self.ident_is.produced
+        if name.sort != ident_sort:
+            raise SortMismatch(0, ident_sort, name.sort)
+        binder = IDENT_IS_BINDER.build(name.children[0])
+        return SINGLE_DECL.build(EMPTY_DECL_ATTRS.build(), binder, opt)
+
+    def __call__(self, value, walk) -> Term:
+        name, opt = value.args
+        return self.finish(walk(name), walk(opt))
+
+
 # The constructor shapes that the walk writes out, one small int each: a
 # plain node with its payloads first (P, one payload; C, each child; L,
-# a list of constructor values), a case that is a node kind, and a case
-# function of a constructor with no payload or with one payload alone.
-# A shape is written out when it makes at least 1 % of the values walked
-# on both the transform-large and the difftest-gen workloads: over every
-# op at seed 4242 the rarest kept, _C3, makes 1.52-1.72 %, and the next,
-# a plain node of one payload and one child, 0.54-0.65 %.  Any other
+# a list of constructor values), a case that is a node kind, a case
+# function of a constructor with no payload, and the generic fragments'
+# cases above.  A shape is written out when it makes at least 1 % of the
+# values walked on both the transform-large and the difftest-gen
+# workloads: over every op at seed 4242 the rarest kept, _ITEM_BLOCK (a
+# block of items, MiniC's), makes 1.01-1.16 %, and the next, a plain node
+# of one payload and one child, 0.54-0.65 %; the initializer option that
+# holds none makes 0.14-0.15 % and stays a case function.  Any other
 # constructor is _CHECKED.
-(_CHECKED, _P1, _C0, _C1, _C3, _P1C2, _L1, _C1L1, _IS, _CASE, _CASE_P1) = range(11)
+(_CHECKED, _P1, _C0, _C1, _C3, _P1C2, _L1, _C1L1, _IS, _CASE, _IDENT, _INIT, _ASSIGN,
+ _BLOCK, _ITEM_BLOCK, _DTOR) = range(16)
 _NODE_SHAPES = {(1, 0): _P1, (0, 0): _C0, (0, 1): _C1, (0, 3): _C3, (1, 2): _P1C2}
 
 
@@ -492,10 +685,15 @@ def _walk_entry(codec: _CtorCodec, case, lang_sorts) -> tuple:
     kind and a, b, c are its payload classes and then its child sorts,
     where a list gives its kind and its element sort; for a node-kind
     case, kind is the case and a its child sort; for a case function, a
-    is the arity, or the payload's class for one payload alone.
-    `lang_sorts` are the sorts of the language's types."""
+    is the arity.  For a fragment case, kind is its outermost injection,
+    or for a declarator the injection its identifier must be under; a is
+    the class of an identifier's payload, the sort an initializer must
+    have, or a statement and b its injection, or the sort of an
+    assignment's target and b that of its source.  `lang_sorts` are the
+    sorts of the language's types."""
     classes = [cls for _, cls in codec.payloads]
     kind = codec.kind
+    arity = codec.arity
     if case is None:
         shape = _NODE_SHAPES.get((len(classes), len(codec.encoders)))
         if shape is not None and codec.split is not None:
@@ -509,13 +707,29 @@ def _walk_entry(codec: _CtorCodec, case, lang_sorts) -> tuple:
             if named:
                 return _C1L1, kind, named[0], list_kind(elem), elem, codec, None
             return _L1, kind, list_kind(elem), elem, None, codec, None
-    elif case.__class__ is NodeKind:
-        if codec.arity == 1 and codec.split == 0:
+        return _CHECKED, None, None, None, None, codec, None
+    cls = case.__class__
+    named = codec.split == 0  # the arguments are all constructor-typed
+    if classes:
+        if cls is IdentCase and arity == 1 and classes == [PRIM_TYPES[IDENT.payloads[0]]]:
+            return _IDENT, case.ident_is, classes[0], None, None, codec, case
+    elif cls is NodeKind:
+        if arity == 1 and named:
             return _IS, case, case.child_sorts[0], None, None, codec, case
-    elif not classes:
-        return _CASE, None, codec.arity, None, None, codec, case
-    elif codec.arity == 1:
-        return _CASE_P1, None, classes[0], None, None, codec, case
+    elif cls is BlockCase and arity == 1:
+        stmt_is = case.stmt_is
+        if stmt_is is None:
+            return _ITEM_BLOCK, case.block_is, None, None, None, codec, case
+        return _BLOCK, case.block_is, stmt_is.child_sorts[0], stmt_is, None, codec, case
+    elif cls is InitCase and arity == 1 and named:
+        return _INIT, case.init_is, case.init_is.child_sorts[0], None, None, codec, case
+    elif cls is AssignCase and arity == 2 and named:
+        a, b = case.lhs_is.child_sorts[0], case.rhs_is.child_sorts[0]
+        return _ASSIGN, case.assign_is, a, b, None, codec, case
+    elif cls is DeclaratorCase and arity == 2 and named:
+        return _DTOR, case.ident_is, None, None, None, codec, case
+    else:
+        return _CASE, None, arity, None, None, codec, case
     return _CHECKED, None, None, None, None, codec, case
 
 
@@ -539,9 +753,12 @@ def walker(lang: ModularizedLanguage, cases: dict) -> Callable[[GenericValue], T
     walked (`_walk_entry`) are written out at the top of the walk: when
     the arguments are a tuple of the right length, each payload is
     exactly its class and each encoded child a Term of exactly its sort,
-    the walk makes the node in place, as its builder would.  Anything
-    else goes on to the checking code below them, which raises what it
-    raised before they were written out.
+    the walk makes the node in place, as its builder would.  A fragment
+    case (`IdentCase` and the classes after it) is written out the same
+    way: the walk makes its nodes, one `tuple.__new__` each, where its
+    builders' inline tests hold, and otherwise calls its `finish` on the
+    encoded children.  Anything else goes on to the checking code below
+    them, which raises what it raised before they were written out.
 
     The walk recurses once per constructor-typed child and does not
     pause the collector; `to_modular` is this walk with no cases.
@@ -570,12 +787,9 @@ def walker(lang: ModularizedLanguage, cases: dict) -> Callable[[GenericValue], T
                     if c0.__class__ is Term and c0.kind.produced is a:
                         return _new(Term, (kind, (), (c0,), value))
                     return kind.build(c0, origin=value)
-            elif shape == _CASE_P1:
-                if n == 1 and args[0].__class__ is a:
-                    return case(value, walk)
-            elif shape == _CASE:
-                if n == a:
-                    return case(value, walk)
+            elif shape == _IDENT:
+                if n == 1 and args[0].__class__ is a:  # args is the payload tuple
+                    return _new(Term, (kind, (), (_new(Term, (IDENT, args, (), None)),), None))
             elif shape == _P1C2:
                 if n == 3 and args[0].__class__ is a:
                     c0 = walk(args[1])
@@ -609,9 +823,56 @@ def walker(lang: ModularizedLanguage, cases: dict) -> Callable[[GenericValue], T
                     if c0.__class__ is Term and c0.kind.produced is a:
                         return _new(Term, (kind, (), (c0,), None))
                     return kind.build(c0)
+            elif shape == _ASSIGN:
+                if n == 2:
+                    c0 = walk(args[0])
+                    c1 = walk(args[1])
+                    if (c0.__class__ is Term and c0.kind.produced is a
+                            and c1.__class__ is Term and c1.kind.produced is b):
+                        return _new(Term, (kind, (), (_new(Term, (ASSIGN, (), (
+                            _new(Term, (case.lhs_is, (), (c0,), None)),
+                            _new(Term, (ASSIGN_OP_EQUALS, (), (), None)),
+                            _new(Term, (case.rhs_is, (), (c1,), None))), None)),), None))
+                    return case.finish(c0, c1)
             elif shape == _C0:
                 if not n:
                     return _new(Term, (kind, (), (), value))
+            elif shape == _CASE:
+                if n == a:
+                    return case(value, walk)
+            elif shape == _BLOCK:
+                if n == 1 and args[0].__class__ is tuple:
+                    elems = list(map(walk, args[0]))
+                    items = []
+                    for e in elems:
+                        if e.__class__ is not Term:
+                            break
+                        if e.kind is MULTI_DECL:
+                            items.append(_new(Term, (MULTI_DECL_IS_ITEM, (), (e,), None)))
+                        elif e.kind.produced is a:
+                            items.append(_new(Term, (b, (), (e,), None)))
+                        else:
+                            break
+                    else:
+                        return _block(kind, tuple(items))
+                    return case.finish(elems)
+            elif shape == _INIT:
+                if n == 1:
+                    c0 = walk(args[0])
+                    if c0.__class__ is Term and c0.kind.produced is a:
+                        return _new(Term, (JUST_INIT, (), (_new(Term, (kind, (), (c0,), None)),),
+                                           None))
+                    return case.finish(c0)
+            elif shape == _DTOR:
+                if n == 2:
+                    c0 = walk(args[0])
+                    c1 = walk(args[1])
+                    if (c0.__class__ is Term and c0.kind is kind
+                            and c1.__class__ is Term and c1.kind.produced is OPT_LOCAL_VAR_INIT_L):
+                        return _new(Term, (SINGLE_DECL, (), (
+                            _new(Term, (EMPTY_DECL_ATTRS, (), (), None)),
+                            _new(Term, (IDENT_IS_BINDER, (), c0.children, None)), c1), None))
+                    return case.finish(c0, c1)
             elif shape == _C3:
                 if n == 3:
                     c0 = walk(args[0])
@@ -622,6 +883,13 @@ def walker(lang: ModularizedLanguage, cases: dict) -> Callable[[GenericValue], T
                             and c2.__class__ is Term and c2.kind.produced is c):
                         return _new(Term, (kind, (), (c0, c1, c2), value))
                     return kind.build(c0, c1, c2, origin=value)
+            elif shape == _ITEM_BLOCK:
+                if n == 1 and args[0].__class__ is tuple:
+                    items = tuple(map(walk, args[0]))
+                    for e in items:
+                        if e.__class__ is not Term or e.kind.produced is not BLOCK_ITEM_L:
+                            return case.finish(items)
+                    return _block(kind, items)
         # the checking code
         if len(args) != codec.arity:
             raise NonConformingValue(

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 import string
+import time
 
 from srctrans.langs.base import LanguageDef
 from srctrans.schema import (
@@ -83,6 +84,20 @@ def unpruned_transform_bottom_up(r, t: Term, within=None) -> Term:
         assert out is None or out.sort is node.sort
         results.append(node if out is None else out)
     return results[0]
+
+
+def unpruned_minilua_body_paths(root: Term) -> list:
+    """The MiniLua adapter's body_paths as a scan that descends into
+    every node: the chunk body, then the body of each FuncStmt in
+    document order, each as the path to its generic Block."""
+    paths = [(0, 0)]
+    todo = [(root, ())]
+    while todo:
+        node, path = todo.pop()
+        if node.kind.name == "MiniLua.FuncStmt":
+            paths.append((*path, 2, 0))
+        todo.extend((child, (*path, i)) for i, child in reversed(list(enumerate(node.children))))
+    return paths
 
 
 # ---------------------------------------------------------------------------
@@ -586,6 +601,34 @@ def nested_ifs(lname: str, n: int) -> str:
     else:
         head = "function main() {\n  var x = 1;\n"
     return head + "if (x < 5) {\n" * n + "print(x);\n" + "}\n" * n + "return 0;\n}\n"
+
+
+def nested_decls(lname: str, n: int) -> str:
+    """A program whose every level, n deep, holds `if x > 0` around the
+    next level and then a declaration of v<level> = x: a declaration
+    after each of n nested blocks."""
+    if lname == "minilua":
+        opens = "".join("if x > 0 then\n" for _ in range(n))
+        closes = "".join(f"end\nlocal v{k} = x\n" for k in reversed(range(n)))
+        return f"local x = 1\n{opens}print(x)\n{closes}print(x)\n"
+    if lname == "minic":
+        head, decl = "int main() {\n  int x = 1;\n", "int"
+    else:
+        head, decl = "function main() {\n  var x = 1;\n", "var"
+    opens = "if (x > 0) {\n" * n
+    closes = "".join(f"}}\n{decl} v{k} = x;\n" for k in reversed(range(n)))
+    return f"{head}{opens}print(x);\n{closes}return 0;\n}}\n"
+
+
+def cpu_seconds(fn, *args) -> float:
+    """The CPU time of fn(*args), best of 5.  A growth test compares two
+    of these taken in one process, so a slower host slows both alike."""
+    best = float("inf")
+    for _ in range(5):
+        start = time.process_time()
+        fn(*args)
+        best = min(best, time.process_time() - start)
+    return best
 
 
 def nested_whiles(lname: str, n: int) -> str:

@@ -12,11 +12,9 @@ whose constructors are in the language's `DECLARES`, which must be
 exactly the items whose compile calls `Compiler.declare`.
 """
 
-import time
-
 import pytest
 
-from helpers import HAND
+from helpers import HAND, cpu_seconds
 from srctrans.gen import GenConfig, gen_program
 from srctrans.langs import minic, minijs, minilua
 from srctrans.langs.base import get_language
@@ -49,16 +47,6 @@ def declarations(lname: str, n: int) -> str:
     return "".join(f"local v{i} = {i}\n" for i in range(n))
 
 
-def run_seconds(lang, ast) -> float:
-    """The CPU time of lang.run on ast, best of 5."""
-    best = float("inf")
-    for _ in range(5):
-        start = time.process_time()
-        lang.run(ast)
-        best = min(best, time.process_time() - start)
-    return best
-
-
 @pytest.mark.parametrize("lname", sorted(LATER))
 def test_run_time_grows_linearly_with_declarations(lname):
     """Running one block of 8,000 declarations costs at most 8 times what
@@ -70,7 +58,7 @@ def test_run_time_grows_linearly_with_declarations(lname):
     """
     lang = get_language(lname)
     small, large = (lang.parse(declarations(lname, n)) for n in (2000, 8000))
-    small_s, large_s = run_seconds(lang, small), run_seconds(lang, large)
+    small_s, large_s = cpu_seconds(lang.run, small), cpu_seconds(lang.run, large)
     assert large_s <= 8 * small_s, f"{large_s:.4f} s against {small_s:.4f} s"
 
 

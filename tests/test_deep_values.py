@@ -14,8 +14,8 @@ length grows with the square of the depth, 2 * n**2 bytes or about
 200 MB at DEPTH, so those shapes print at PRINTED_DEPTH, which is still
 three times the recursion limit; the elseif tail prints flat, at DEPTH.
 
-Deep values are compared on an explicit stack: GenericValue's generated
-`__eq__` recurses once per level.
+Deep values are compared with `==`, which GenericValue runs on an
+explicit stack (`tests/test_schema.py` checks it at 10,000 levels).
 """
 
 import sys
@@ -31,24 +31,6 @@ from srctrans.terms import build_list
 
 DEPTH = 10_000
 PRINTED_DEPTH = 3_000
-
-
-def same_value(a, b) -> bool:
-    """a == b for GenericValues and tuples of them, on an explicit stack."""
-    todo = [(a, b)]
-    while todo:
-        x, y = todo.pop()
-        if isinstance(x, GenericValue) and isinstance(y, GenericValue):
-            if x.ctor != y.ctor:
-                return False
-            todo.append((x.args, y.args))
-        elif isinstance(x, tuple) and isinstance(y, tuple):
-            if len(x) != len(y):
-                return False
-            todo.extend(zip(x, y))
-        elif x != y:
-            return False
-    return True
 
 
 def _lines(head: list, nest: list, leaf: str, close: list, foot: list) -> str:
@@ -175,7 +157,7 @@ def test_deep_values_pretty_and_recompose(shape):
     assert DEPTH > PRINTED_DEPTH > 2 * sys.getrecursionlimit()
     lname, value, term, _ = shape(DEPTH)
     lang = get_language(lname)
-    assert same_value(lang.recompose(term), value)
+    assert lang.recompose(term) == value
     if shape not in FLAT:
         lname, value, _, text = shape(PRINTED_DEPTH)
     else:

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import srctrans.langs
-from helpers import COUNTF, without_origin
+from helpers import COUNTF, unpruned_minilua_body_paths, without_origin
 from srctrans.difftest import diff_test
 from srctrans.gen import GenConfig, gen_program
 from srctrans.langs.base import get_language, language_names
@@ -282,3 +282,53 @@ def test_frontends_import_no_other_frontend():
             elif isinstance(node, ast.Import):
                 imported.update(a.name.rsplit(".", 1)[-1] for a in node.names)
         assert not imported & (set(ALL) - {lname}), lname
+
+
+# Functions nested in each MiniLua body that can hold one: an if's then
+# and else, an elseif arm, a while, a numeric for, a do block and a
+# function, and a function after a nested one.
+NESTED_FUNCS = """\
+function a()
+  if x then
+    function b()
+      return 1
+    end
+  elseif y then
+    function c()
+      while z do
+        function d()
+          return 2
+        end
+      end
+    end
+  else
+    for i = 1, 3 do
+      do
+        function e()
+          function f()
+            return 3
+          end
+          return f
+        end
+      end
+    end
+  end
+  function g()
+    return 4
+  end
+end
+local h = 1
+"""
+
+
+def test_minilua_body_scan_finds_what_a_full_scan_finds():
+    """The body scan descends only into the sorts that can hold a
+    FuncStmt; it gives the paths a scan of every node gives."""
+    lang = get_language("minilua")
+    texts = [NESTED_FUNCS] + [gen_program("minilua", GenConfig(seed=s, max_depth=d))
+                              for s in range(40) for d in (3, 6)]
+    for text in texts:
+        term = lang.decompose(lang.parse(text))
+        assert lang.adapter.body_paths(term) == unpruned_minilua_body_paths(term), text
+    nested = lang.decompose(lang.parse(NESTED_FUNCS))
+    assert len(lang.adapter.body_paths(nested)) == 8

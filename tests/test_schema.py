@@ -12,6 +12,7 @@ import sys
 import pytest
 
 from helpers import random_schema, random_value
+from srctrans.langs.base import get_language
 from srctrans import schema
 from srctrans.schema import (
     GV,
@@ -29,7 +30,7 @@ from srctrans.schema import (
     to_modular,
     validate_schema,
 )
-from srctrans.terms import Atom, NodeKind, check_term, mk_term
+from srctrans.terms import Atom, NodeKind, SortMismatch, check_term, mk_term
 
 ARITH_TEXT = """\
 type Arith = Add Atom Atom
@@ -200,6 +201,27 @@ def test_generic_value_equality_takes_no_frame_per_level():
     assert a != other and not a == other
 
 
+def test_generic_value_hash_and_repr_take_no_frame_per_level():
+    """hash and repr of a value 10,000 levels deep, and a message that
+    shows one: equal values hash alike, and the text is the dataclass
+    repr, as at a depth where the recursive one works."""
+    depth = 10_000
+    assert depth > sys.getrecursionlimit()
+    a, same, other = _chain(depth, 1), _chain(depth, 1), _chain(depth, 2)
+    assert hash(a) == hash(same) and isinstance(hash(other), int)
+    assert repr(_chain(1, 1)) == (
+        "GenericValue(ctor='UnaryE', args=('-', (GenericValue(ctor='NoElse', args=()), "
+        "PairV(first=GenericValue(ctor='IntLit', args=(1,)), second=1))))"
+    )
+    head, leaf = "GenericValue(ctor='UnaryE', args=('-', (GenericValue(ctor='NoElse', " \
+        "args=()), PairV(first=", "GenericValue(ctor='IntLit', args=(1,))"
+    assert repr(a) == head * depth + leaf + ", second=1))))" * depth
+    lang = get_language("minic")
+    with pytest.raises(NonConformingValue) as bad:
+        to_modular(lang.modularized, GV("Program", ([a],)))
+    assert str(bad.value) == f"expected tuple for list, got [{a!r}]"
+
+
 def test_generic_value_is_frozen_and_has_no_dict():
     v = GV("IntLit", (1,))
     for name in ("ctor", "args"):
@@ -261,3 +283,52 @@ def test_every_walk_shape_serves_a_builtin_constructor():
             used.update(schema._walk_entry(codec, cases.get(ctor), sorts)[0]
                         for ctor, codec in module.MOD._by_ctor.items())
     assert written_out <= used
+
+
+# One malformed value per written-out fragment case, in a frontend whose
+# decompose takes that case: a child of the wrong sort raises the
+# SortMismatch its builders raise, with the same message, and an
+# identifier, which has no child, rejects a payload of the wrong class.
+_I1, _BREAK = GV("IntLit", (1,)), GV("BreakStmt")
+FRAGMENT_ERRORS = [
+    ("_IDENT", "minic", GV("Ident", (5,)),
+     "NonConformingValue: Ident: expected String, got 5"),
+    ("_ASSIGN", "minic", GV("AssignE", (_BREAK, _I1)),
+     "SortMismatch: child 0: expected sort MiniC.ExprL, got MiniC.StmtL"),
+    ("_ASSIGN", "minilua", GV("AssignStmt", (GV("ExprList", ((),)), GV("ExprList", ((),)))),
+     "SortMismatch: child 0: expected sort MiniLua.LhsListL, got MiniLua.ExprListL"),
+    ("_BLOCK", "minijs", GV("Stmts", ((GV("NumLit", (1,)),),)),
+     "SortMismatch: child 0: expected sort MiniJS.StmtL, got MiniJS.ExprL"),
+    ("_BLOCK", "minilua", GV("Block", ((GV("BreakStmt"), GV("NilLit")),)),
+     "SortMismatch: child 0: expected sort MiniLua.StmtL, got MiniLua.ExprL"),
+    ("_ITEM_BLOCK", "minic", GV("Block", ((GV("StmtItem", (_BREAK,)), _BREAK),)),
+     "SortMismatch: child 1: expected sort BlockItemL, got MiniC.StmtL"),
+    ("_DTOR", "minic", GV("Declarator", (_I1, GV("NoInit"))),
+     "SortMismatch: child 0: expected sort MiniC.IdentL, got MiniC.ExprL"),
+    ("_DTOR", "minijs", GV("VarDtor", (GV("Ident", ("a",)), GV("NumLit", (1,)))),
+     "SortMismatch: child 2: expected sort OptLocalVarInitL, got MiniJS.ExprL"),
+    ("_INIT", "minic", GV("SomeInit", (_I1,)),
+     "SortMismatch: child 0: expected sort MiniC.InitL, got MiniC.ExprL"),
+    ("_INIT", "minilua", GV("SomeExprs", (GV("LhsList", ((),)),)),
+     "SortMismatch: child 0: expected sort MiniLua.ExprListL, got MiniLua.LhsListL"),
+]
+
+
+@pytest.mark.parametrize("shape,lname,value,message", FRAGMENT_ERRORS,
+                         ids=[f"{row[0]}-{row[1]}" for row in FRAGMENT_ERRORS])
+def test_a_written_out_fragment_case_raises_what_its_builders_raise(shape, lname, value,
+                                                                    message):
+    module = importlib.import_module(f"srctrans.langs.{lname}")
+    mod = module.MOD
+    entry = schema._walk_entry(mod._by_ctor[value.ctor], module._CASES[value.ctor],
+                               set(mod._sorts.values()))
+    assert entry[0] == getattr(schema, shape)
+    with pytest.raises((NonConformingValue, SortMismatch)) as bad:
+        get_language(lname).decompose(value)
+    assert f"{type(bad.value).__name__}: {bad.value}" == message
+
+
+def test_every_written_out_fragment_case_has_an_error_row():
+    cases = {"_IDENT", "_ASSIGN", "_BLOCK", "_ITEM_BLOCK", "_DTOR", "_INIT"}
+    assert {row[0] for row in FRAGMENT_ERRORS} == cases
+    assert cases <= set(re.findall(r"shape == (_\w+)", inspect.getsource(schema.walker)))
