@@ -21,8 +21,10 @@ from ..runtime import (
     EXPRESSIONS,
     Compiler,
     Trap,
+    and_test,
     literal,
     local_assignment,
+    or_test,
 )
 from ..schema import GV, GenericValue
 
@@ -333,7 +335,12 @@ def c_stmt_layout(lang: str, expr: Callable, inner: Callable, body: Callable,
 
 
 def expr_stmt(comp: Compiler, s: GenericValue) -> Callable:
-    code = comp.expr(s.args[0])
+    e = s.args[0]
+    if e.ctor == "AssignE":
+        code = comp.constant_store(*e.args, 2)
+        if code is not None:
+            return code
+    code = comp.expr(e)
     if code.__code__ is _ASSIGN_LOCAL:
         # `x = <expr>;` to a local x: one closure spends the statement's
         # unit and the assignment's, with nothing between them
@@ -481,6 +488,7 @@ class CCompiler(Compiler):
     }
     EXPR = {**EXPRESSIONS, "BoolLit": literal, "AssignE": _assign_expr}
     BOOL_OPS = COMPARISONS | {"==", "!="}
+    JUNCTIONS = {"&&": and_test, "||": or_test}
 
 
 # The kinds of open bracket in `expression_parser`'s loop, and the binding

@@ -35,6 +35,7 @@ from ..runtime import (
     Compiler,
     RunResult,
     Trap,
+    and_test,
     and_value,
     check_int,
     equality,
@@ -42,6 +43,7 @@ from ..runtime import (
     local_assignment,
     member,
     nil_literal,
+    or_test,
     or_value,
     returned,
     scope,
@@ -585,11 +587,7 @@ def _local_stmt(comp: "_Compiler", s: GenericValue) -> Callable:
     for name in names:
         comp.declare(name)
     if len(names) == len(values) == 1:
-        def local_one(st, env, name=names[0], code=values[0]):
-            st.fuel -= 1
-            env[-1][name] = code(st, env)
-
-        return local_one
+        return local_assignment(-1, names[0], values[0], 1)
 
     def local(st, env, names=names, values=values):
         st.fuel -= 1
@@ -603,8 +601,12 @@ def _local_stmt(comp: "_Compiler", s: GenericValue) -> Callable:
 
 def _assign_stmt(comp: "_Compiler", s: GenericValue) -> Callable:
     """Parallel assignment: every value first, then the targets in order."""
-    values = [comp.expr(e) for e in s.args[1].args[0]]
-    lhs = s.args[0].args[0]
+    lhs, rhs = s.args[0].args[0], s.args[1].args[0]
+    if len(lhs) == len(rhs) == 1:
+        code = comp.constant_store(lhs[0], rhs[0], 1)
+        if code is not None:
+            return code
+    values = [comp.expr(e) for e in rhs]
     if len(lhs) == len(values) == 1 and lhs[0].ctor == "VarE":
         name = lhs[0].args[0].args[0]
         depth = comp.resolve(name)
@@ -698,6 +700,7 @@ class _Compiler(Compiler):
             "NilLit": nil_literal, "MemberE": member}
     BINOP = {"and": and_value, "or": or_value,
              "==": equality(_same_value), "~=": equality(_same_value)}
+    JUNCTIONS = {"and": and_test, "or": or_test}
     BOOL_OPS = COMPARISONS | {"==", "~="}
     DECLARES = frozenset({"LocalStmt"})
 

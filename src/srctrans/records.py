@@ -19,7 +19,11 @@ values, and no hash.  `Frozen` behaves as a frozen one: it adds the hash
 of the compared values, and `setattr` and `delattr` raise
 `dataclasses.FrozenInstanceError`, with `dataclasses` imported only then.
 A copy or a pickle of either calls the constructor again, so a table the
-constructor builds is built again.
+constructor builds is built again.  A class whose values nest without
+bound (`schema.GenericValue` and `PairV`, `terms.Term`) also puts `Tree`
+first in its bases: a pickle or a deep copy of one is a flat list of its
+nodes, so nesting takes no Python frames, and a shallow copy is the
+constructor on the same fields.
 
 `Frozen` also mixes into a named tuple, so that a class made in one
 allocation keeps this contract: `terms.Term` puts it before the named
@@ -62,7 +66,7 @@ class Record:
     __hash__ = None
 
     def __reduce__(self):
-        return self.__class__, tuple([getattr(self, n) for n in self.__match_args__])
+        return self.__class__, _fields(self)
 
 
 class Frozen(Record):
@@ -82,3 +86,69 @@ def _frozen(message: str) -> Exception:
     from dataclasses import FrozenInstanceError
 
     return FrozenInstanceError(message)
+
+
+class Tree:
+    """A mixin for a Record whose fields nest values of Tree classes and
+    tuples without bound: its `__reduce__` hands pickle and deepcopy the
+    nodes below it as one flat list (`_flat`), so neither takes a Python
+    frame per level, and the list keeps a part that occurs twice as one
+    part."""
+
+    __slots__ = ()
+
+    def __reduce__(self):
+        return _unflat, (_flat(self),)
+
+    def __copy__(self):
+        return self.__class__(*_fields(self))
+
+
+def _fields(obj) -> tuple:
+    """obj's constructor arguments: its fields in `__match_args__` order."""
+    return tuple([getattr(obj, n) for n in obj.__match_args__])
+
+
+def _parts(part) -> tuple | None:
+    """The parts below a Tree value or a plain tuple, else None."""
+    if part.__class__ is tuple:
+        return part
+    return _fields(part) if isinstance(part, Tree) else None
+
+
+def _flat(root) -> list:
+    """root's nodes in post-order, each as (class, the positions of its
+    parts in the list), or (None, itself) for a leaf."""
+    nodes: list = []
+    at: dict[int, int] = {}  # id of a node in `nodes` -> its position
+    todo = [root]
+    while todo:
+        part = todo[-1]
+        if id(part) in at:
+            todo.pop()
+            continue
+        parts = _parts(part)
+        if parts is None:
+            node = (None, part)
+        else:
+            missing = [p for p in parts if id(p) not in at]
+            if missing:
+                todo.extend(reversed(missing))
+                continue
+            node = (part.__class__, tuple([at[id(p)] for p in parts]))
+        todo.pop()
+        at[id(part)] = len(nodes)
+        nodes.append(node)
+    return nodes
+
+
+def _unflat(nodes: list):
+    """The value `_flat` listed, built bottom-up."""
+    built: list = []
+    for cls, parts in nodes:
+        if cls is None:
+            built.append(parts)
+        else:
+            values = [built[i] for i in parts]
+            built.append(tuple(values) if cls is tuple else cls(*values))
+    return built[-1]

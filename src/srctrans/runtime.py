@@ -47,22 +47,26 @@ each node once.  A node the compiler cannot run, such as an unknown
 constructor or operator, compiles to a closure that traps when it runs:
 compiling never raises.
 
-The commonest expression shapes compile to one fused closure where a
-chain of closures would call one per node (Ertl & Gregg's
-superinstructions): an integer operator, `==` or `!=` whose operands
-are a local variable or any closure, against a local variable, an
-integer constant or any closure, with the operator written inline; the
-statement `x = <expr>` for a local x, with the operator if the value is
-one of those; and a condition that is an `and` or `or` giving an
-operand, over its operands' tests.  A fused closure spends the
-fuel of every node it stands for before the first point where it can
-trap, exactly as the chain spends it: reading a local variable cannot
-trap, so a closure whose operands are locals and constants spends all
-its fuel at once, and an operand that is a closure runs where the chain
-runs it, after its operator's unit and before a constant's.  No fused
-closure compares the fuel.  Each operator closure, and each statement
-that stores one, is generated from source once per shape and operator,
-the first time a run needs it (`_fused_maker`).
+The commonest shapes compile to one fused closure where a chain of
+closures would call one per node (Ertl & Gregg's superinstructions): an
+integer operator, `==` or `!=` whose operands are a local variable or
+any closure, against a local variable, an integer constant or any
+closure, with the operator written inline; the store of a value to a
+local x (`local_assignment`), with the operator if the value is one of
+those; a statement that stores a literal to a literal index of a global
+or of a global's member, as every coverage marker does
+(`Compiler.constant_store`), with the lookups inline; and a condition
+that is an `and` or `or` (`Compiler.JUNCTIONS`), over its operands'
+tests, or a constant.  A fused closure spends the fuel of every node it
+stands for before the first point where it can trap, exactly as the
+chain spends it: reading a local variable cannot trap, so a closure
+whose operands are locals and constants spends all its fuel at once,
+and an operand that is a closure runs where the chain runs it, after
+the units of the nodes before it and before those after it.  No fused
+closure compares the fuel; a coverage store's event goes through
+`emit`.  Each operator closure, and each statement that stores one, is
+generated from source once per shape and operator, the first time a
+run needs it (`_fused_maker`).
 """
 
 from __future__ import annotations
@@ -255,6 +259,8 @@ class Compiler:
       an index into anything but the coverage array;
     - NOT, its negation operator (every other unary operator is minus),
       BOOL_OPS, the binary operators whose value is always a bool,
+      JUNCTIONS, its `and` and `or` operators to `and_test` and
+      `or_test`,
       DECLARES, the constructors of the items that declare names in
       their block (each compiles through `declare`), and BUILTINS, the
       callees it runs itself; `void` is what print and a routine that
@@ -271,6 +277,7 @@ class Compiler:
     BOOL_OPS: frozenset = frozenset()
     DECLARES: frozenset = frozenset()
     BUILTINS: dict[str, Callable] = {}
+    JUNCTIONS: dict[str, Callable] = {}
     NOT = "!"
     void = None
     render: Callable
@@ -352,26 +359,71 @@ class Compiler:
         return hooked
 
     def test(self, e) -> Callable:
-        """A closure that gives the truth of condition e.  An `and` or
-        `or` that gives an operand (`and_value`, `or_value`) is one
-        closure over its operands' tests (`and_test`, `or_test`)."""
+        """A closure that gives the truth of condition e.  An operator of
+        `JUNCTIONS` is one closure over its operands' tests (`and_test`,
+        `or_test`), and a constant condition is a constant."""
         if e.ctor == "BinE":
             op, lhs, rhs = e.args
-            own = self.BINOP.get(op)
-            if own is and_value:
-                return and_test(self.test(lhs), self.test(rhs))
-            if own is or_value:
-                return or_test(self.test(lhs), self.test(rhs))
+            junction = self.JUNCTIONS.get(op)
+            if junction is not None:
+                return junction(self.test(lhs), self.test(rhs))
             if op in self.BOOL_OPS:
                 return self.expr(e)
         elif e.ctor == "UnaryE" and e.args[0] == self.NOT:
             return self.expr(e)
         code = self.expr(e)
+        if code.__code__ is _CONSTANT:
+            # no language's truthy traps on a constant: an integer, a bool or nil
+            value, fuel = code.__defaults__
+            return constant(self.truthy(value), fuel)
 
         def test(st, env, truthy=self.truthy, code=code):
             return truthy(code(st, env))
 
         return test
+
+    def constant_store(self, lhs, rhs, fuel: int) -> Callable | None:
+        """The closure of a statement of `fuel` nodes above the assignment
+        `lhs = rhs` that stores a literal to a literal integer index of a
+        global or of a global's member, as every coverage marker does, or
+        None for any other assignment.  The nodes decide it, so nothing is
+        compiled for None.
+
+        The closure reads the global and the member inline, and spends the
+        fuel of every node before the first point where it can trap, as
+        the chain of `Compiler.target`'s `store_at`, `variable`, `member`
+        and the constants spends it: the index's unit after the base's
+        lookup, which may trap."""
+        if lhs.ctor != "IndexE" or self.EXPR.get(rhs.ctor) is not literal:
+            return None
+        base, idx = lhs.args
+        if self.EXPR.get(idx.ctor) is not literal or type(idx.args[0]) is not int:
+            return None
+        is_member = self.EXPR.get(base.ctor) is member
+        var = base.args[0] if is_member else base
+        if var.ctor != "VarE" or self.resolve(var.args[0].args[0]) is not None:
+            return None
+        idx, value = idx.args[0], rhs.args[0]
+
+        def constant_store(st, env, spent=fuel + 2 + is_member, name=var.args[0].args[0],
+                           unbound=self.unbound, is_member=is_member,
+                           is_cov=is_member and base.args[1] == "cov", event=("cov", idx),
+                           idx=idx, flag=bool(value), value=value,
+                           store_index=self.store_index):
+            st.fuel -= spent
+            base = st.globals[name] if name in st.globals else unbound(name)
+            if is_member:
+                if base is not TC or not is_cov:
+                    raise Trap("member")
+                base = COV
+            st.fuel -= 1
+            if base is COV:
+                emit(st, event)
+                st.cov[idx] = flag
+            else:
+                store_index(base, idx, value)
+
+        return constant_store
 
     def declare(self, name: str) -> None:
         names, count = self.scopes[-1]
@@ -726,13 +778,17 @@ def equality(equal: Callable) -> Callable:
 # code that spends the rest of the fuel of the nodes it stands for and
 # binds the operands x and y.  Reading a local variable cannot trap, so
 # where no operand is a closure the fuel is spent at once; a closure
-# operand runs where the unfused chain runs it, after its operator's unit
-# and before a constant's.
+# operand runs where the unfused chain runs it, after the units of its
+# operator and of a local on its left, and before the unit of a constant
+# or a local on its right.
 _SHAPES = {
     "local_const": ("depth, name, y, fuel", "fuel", "x = env[depth][name]\n"),
     "local_local": ("depth, name, depth_y, name_y", "3",
                     "x = env[depth][name]\ny = env[depth_y][name_y]\n"),
+    "local_any": ("depth, name, b", "2", "x = env[depth][name]\ny = b(st, env)\n"),
     "any_const": ("a, y, fuel", "1", "x = a(st, env)\nst.fuel -= fuel\n"),
+    "any_local": ("a, depth_y, name_y", "1",
+                  "x = a(st, env)\nst.fuel -= 1\ny = env[depth_y][name_y]\n"),
     "any_any": ("a, b", "1", "x = a(st, env)\ny = b(st, env)\n"),
 }
 
@@ -800,16 +856,21 @@ def _fused_maker(shape: str, op: str, store: bool = False) -> Callable:
 def _fused(op: str, a: Callable, b: Callable, equal: Callable | None = None) -> Callable:
     """The closure of `a op b`, for an integer operator or for `==` or
     `!=` decided by equal, fused for the shape of the operand closures:
-    a local variable against a local variable or an integer constant,
-    or any closure against an integer constant or any closure."""
+    a local variable or any closure, against a local variable, an
+    integer constant or any closure."""
     extra = () if equal is None else (equal,)
+    a_local = a.__code__ is _LOCAL
     if b.__code__ is _CONSTANT and type(b.__defaults__[0]) is int:
         y, fuel = b.__defaults__
-        if a.__code__ is _LOCAL:
+        if a_local:
             return _fused_maker("local_const", op)(*a.__defaults__, y, 2 + fuel, *extra)
         return _fused_maker("any_const", op)(a, y, fuel, *extra)
-    if a.__code__ is _LOCAL and b.__code__ is _LOCAL:
-        return _fused_maker("local_local", op)(*a.__defaults__, *b.__defaults__, *extra)
+    if b.__code__ is _LOCAL:
+        if a_local:
+            return _fused_maker("local_local", op)(*a.__defaults__, *b.__defaults__, *extra)
+        return _fused_maker("any_local", op)(a, *b.__defaults__, *extra)
+    if a_local:
+        return _fused_maker("local_any", op)(*a.__defaults__, b, *extra)
     return _fused_maker("any_any", op)(a, b, *extra)
 
 

@@ -46,7 +46,7 @@ from .fragments import (
     OPT_LOCAL_VAR_INIT_L,
     SINGLE_DECL,
 )
-from .records import Frozen, Record
+from .records import Frozen, Record, Tree
 from .terms import (
     Atom,
     ListOf,
@@ -153,7 +153,7 @@ class Schema(Frozen):
         return self._ctors.get(name)
 
 
-class GenericValue(Frozen):
+class GenericValue(Tree, Frozen):
     """A neutral constructor-applied value conforming to some schema.
 
     Arguments are primitives, nested GenericValues, tuples (for list
@@ -232,7 +232,7 @@ _set_ctor = GenericValue.ctor.__set__
 _set_args = GenericValue.args.__set__
 
 
-class PairV(Frozen):
+class PairV(Tree, Frozen):
     __slots__ = ("first", "second")
 
     def __init__(self, first: object, second: object):

@@ -61,9 +61,8 @@ import gc
 from collections import namedtuple
 from collections.abc import Iterable, Iterator
 from functools import cache, wraps
-from operator import attrgetter
 
-from .records import Frozen
+from .records import Frozen, Tree
 
 # The primitive payload types, by name, and the Python class of each.
 PRIM_TYPES = {"Int": int, "Bool": bool, "String": str}
@@ -221,7 +220,7 @@ def _refused(what: str):
     return refuse
 
 
-class Term(Frozen, _TermFields):
+class Term(Tree, Frozen, _TermFields):
     """An immutable sorted tree node.  Build through a kind's builder, or
     through mk_term to rebuild a node of a kind read from another node.
 
@@ -599,25 +598,6 @@ def fold(root, down, up):
         else:
             frames[-1].append(up(node, ()))
     return frames[0][0]
-
-
-def _sexpr(term: Term, children: list) -> str:
-    parts = [term.kind.name]
-    for ty, v in zip(term.kind.payloads, term.payload_values):
-        if ty == "String":
-            parts.append('"' + v.replace("\\", "\\\\").replace('"', '\\"') + '"')
-        elif ty == "Bool":
-            parts.append("true" if v else "false")
-        else:
-            parts.append(str(v))
-    parts += children
-    return "(" + " ".join(parts) + ")"
-
-
-def to_sexpr(term: Term) -> str:
-    """Parenthesized dump `(KindName payload* child*)`, strings quoted: a
-    fold."""
-    return fold(term, attrgetter("children"), _sexpr)
 
 
 def iter_subterms(term: Term) -> Iterator[Term]:

@@ -31,6 +31,7 @@ from srctrans.terms import (
     Term,
     build_list,
     build_pair,
+    fold,
     mk_term,
 )
 
@@ -58,6 +59,25 @@ def without_origin(term: Term) -> Term:
             stack.append((t, True))
             stack.extend((c, False) for c in reversed(t.children))
     return done[0]
+
+
+def _sexpr(term: Term, children: list) -> str:
+    parts = [term.kind.name]
+    for ty, v in zip(term.kind.payloads, term.payload_values):
+        if ty == "String":
+            parts.append('"' + v.replace("\\", "\\\\").replace('"', '\\"') + '"')
+        elif ty == "Bool":
+            parts.append("true" if v else "false")
+        else:
+            parts.append(str(v))
+    parts += children
+    return "(" + " ".join(parts) + ")"
+
+
+def to_sexpr(term: Term) -> str:
+    """Parenthesized dump `(KindName payload* child*)`, strings quoted: a
+    fold, so a deep term takes no Python frame per level."""
+    return fold(term, lambda t: t.children, _sexpr)
 
 
 def unpruned_transform_bottom_up(r, t: Term, within=None) -> Term:

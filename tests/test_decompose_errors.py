@@ -13,9 +13,10 @@ import hashlib
 
 import pytest
 
+from helpers import to_sexpr
 from srctrans.langs.base import get_language
 from srctrans.schema import GV, GenericValue, ListT, Named, NonConformingValue, Prim, to_modular
-from srctrans.terms import SortMismatch, to_sexpr
+from srctrans.terms import SortMismatch
 
 TEXT = {
     "minic": "int main() {\n  int a = 1, b;\n  int[] c = {1, 2};\n  a = a + 1;\n"

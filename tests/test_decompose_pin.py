@@ -13,10 +13,10 @@ import hashlib
 
 import pytest
 
-from helpers import COUNTF
+from helpers import COUNTF, to_sexpr
 from srctrans.gen import GenConfig, gen_program
 from srctrans.langs.base import get_language
-from srctrans.terms import sort_name, to_sexpr
+from srctrans.terms import sort_name
 
 PINNED = {
     "minic": "15219dcfc32383c4ffacf537c50c4e3f52e97e9a477790f67a18262fdb1d388d",

@@ -16,13 +16,20 @@ three times the recursion limit; the elseif tail prints flat, at DEPTH.
 
 Deep values are compared with `==`, which GenericValue runs on an
 explicit stack (`tests/test_schema.py` checks it at 10,000 levels).
+
+`copy.deepcopy` and `pickle` of a deep value or term go through
+`records.Tree`'s flat `__reduce__`, so they work at PRINTED_DEPTH, and on
+the parse and the decompose of `helpers.nested_ifs` in each language,
+whose terms hold their values as origins.
 """
 
+import copy
+import pickle
 import sys
 
 import pytest
 
-from helpers import without_origin
+from helpers import nested_ifs, to_sexpr, without_origin
 from srctrans.fragments import ident
 from srctrans.langs import minic, minijs, minilua
 from srctrans.langs.base import generic_block, get_language
@@ -163,3 +170,39 @@ def test_deep_values_pretty_and_recompose(shape):
     else:
         text = shape(DEPTH)[3]
     assert lang.pretty(value) == text
+
+
+def _copies(obj) -> list:
+    return [copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))]
+
+
+@pytest.mark.parametrize("shape", SHAPES, ids=lambda s: s.__name__)
+def test_deep_values_copy_and_pickle(shape):
+    lname, value, term, _ = shape(PRINTED_DEPTH)
+    lang = get_language(lname)
+    for copied in _copies(value):
+        assert copied == value and copied is not value
+    for copied in _copies(term):
+        assert lang.recompose(copied) == value
+
+
+@pytest.mark.parametrize("lname", ["minic", "minijs", "minilua"])
+def test_deep_parses_and_decomposes_copy_and_pickle(lname):
+    """150 nested ifs, which made both raise `RecursionError`; a
+    decomposed term keeps each node's origin."""
+    lang = get_language(lname)
+    value = lang.parse(nested_ifs(lname, 150))
+    term = lang.decompose(value)
+    for copied in _copies(value):
+        assert copied == value
+    for copied in _copies(term):
+        assert to_sexpr(copied) == to_sexpr(term)
+        assert copied.origin == value and lang.recompose(copied) == value
+
+
+def test_a_part_that_occurs_twice_is_copied_once():
+    leaf = GV("IntLit", (1,))
+    value = GV("BinE", ("+", leaf, leaf))
+    for copied in [*_copies(value), copy.copy(value)]:
+        assert copied == value and copied.args[1] is copied.args[2]
+    assert copy.copy(value).args is value.args

@@ -1,22 +1,28 @@
-"""Fused operator closures give what the unfused chain gives.
+"""Fused closures give what the unfused chain gives.
 
 `runtime.binary` and `runtime.equality` compile a binary operator whose
 operands have one of the commonest shapes (a local variable or any
 closure, against a local variable, an integer constant or any closure)
-to one closure, and `common.expr_stmt` and MiniLua's assignment compile
-`x = <expr>` to a local x to one closure, which is also the operator's
-when the value is a fused operator.  `Compiler.test` compiles an `and`
-or `or` condition of MiniJS or MiniLua to one closure over its
-operands' tests.  Each must give the value, or raise the trap, that the
-chain of closures it replaces gives, and spend the same fuel: the
-chain's operator closure spends its unit, calls each operand's closure,
-and then checks the operands and applies the operator's function; a
-condition is `truthy` of its value.  That chain is written out here.
+to one closure, and `common.expr_stmt` and MiniLua's assignment and
+`local x = <expr>` compile the store of a value to a local x to one
+closure, which is also the operator's when the value is a fused
+operator.  A statement that stores a literal to a
+literal index of a global, or of a global's member, as every coverage
+marker does, is one closure (`Compiler.constant_store`).
+`Compiler.test` compiles an `and` or `or` condition to one closure over
+its operands' tests, and a constant condition to a constant.  Each must
+give the value, or raise the trap, that the chain of closures it
+replaces gives, and spend the same fuel: the chain's operator closure
+spends its unit, calls each operand's closure, and then checks the
+operands and applies the operator's function; a condition is `truthy`
+of its value.  That chain is written out here.
 
 The unit cases compile one operator at a time and compare the closures
 on every operand kind, at several fuels.  The run cases run small
 programs through `lang.run` at every fuel up to the one that completes
-them, once as compiled and once with the unfused chain swapped in.
+them, once as compiled and once with the unfused chain swapped in; they
+include one loop per language that the testcov pass instrumented.
+Every shape must be made by compiling at least one of them.
 """
 
 import operator
@@ -25,7 +31,9 @@ import pytest
 
 from srctrans.langs import minic, minijs, minilua
 from srctrans.langs.base import get_language
+from srctrans.passes.testcov import testcov as cov_pass
 from srctrans.runtime import (
+    _SHAPES,
     Compiler,
     State,
     Trap,
@@ -127,13 +135,16 @@ def operand_cases(lname: str):
         for rk, rv in [*bound.items(), ("int", 7)]:
             if lk == "int" or rk == "int":
                 yield "local_local", var("x"), var("y"), {"x": lv, "y": rv}
+        for rk, rv in VALUES.items():
+            if lk == "int" or rk == "int":
+                yield "local_any", var("x"), var("g"), {"x": lv, "g": rv}
     for lk, lv in VALUES.items():
         for k in CONSTANTS:
             yield "any_const", var("g"), GV(lit, (k,)), {"g": lv}
         for rk, rv in VALUES.items():
             if lk == "int" or rk == "int":
                 yield "any_any", var("g"), var("h"), {"g": lv, "h": rv}
-                yield "any_any", var("g"), var("y"), {"g": lv, "y": rv}
+                yield "any_local", var("g"), var("y"), {"g": lv, "y": rv}
 
 
 def outcome(code, values: dict, fuel: int):
@@ -162,7 +173,7 @@ def test_fused_closures_match_the_unfused_chain(lname):
             for fuel in FUELS:
                 assert outcome(code, values, fuel) == outcome(chain, values, fuel), (
                     op, shape, values, fuel)
-    assert shapes == {"local_const", "local_local", "any_const", "any_any"}
+    assert shapes == set(_SHAPES)
 
 
 def unfused_assignment(depth: int, name: str, value_c, fuel: int):
@@ -259,6 +270,21 @@ def unfused_compiler(lname: str):
 
         return assign
 
+    def local_stmt(comp, s):
+        names, opt = s.args
+        names = [n.args[0] for n in names.args[0]]
+        values = [comp.expr(e) for e in opt.args[0].args[0]] if opt.ctor == "SomeExprs" else []
+        for name in names:
+            comp.declare(name)
+
+        def local(st, env):
+            st.fuel -= 1
+            vs = [c(st, env) for c in values]
+            for i, name in enumerate(names):
+                env[-1][name] = vs[i] if i < len(vs) else None
+
+        return local
+
     def test(comp, e):
         code = comp.expr(e)
         if ((e.ctor == "BinE" and e.args[0] in comp.BOOL_OPS)
@@ -270,7 +296,10 @@ def unfused_compiler(lname: str):
 
         return test
 
-    stmt = {"AssignStmt": assign_stmt} if lname == "minilua" else {"ExprStmt": expr_stmt}
+    if lname == "minilua":
+        stmt = {"AssignStmt": assign_stmt, "LocalStmt": local_stmt}
+    else:
+        stmt = {"ExprStmt": expr_stmt}
     return type("Unfused", (base,), {
         "EXPR": {**base.EXPR, "BinE": binary},
         "BINOP": {**base.BINOP, "==": equality, NOT_EQUAL[lname]: equality},
@@ -330,8 +359,13 @@ def run_cases(lname: str):
             yield program(lname, "local_local", op, "int", left)
             yield program(lname, "any_any", op, left, "zero")
             yield program(lname, "any_any", op, "negative", left)
+            yield program(lname, "local_any", op, left, "int")
+            yield program(lname, "local_any", op, "int", left)
+            yield program(lname, "any_local", op, left, "int")
+            yield program(lname, "any_local", op, "int", left)
         yield program(lname, "any_const", op, "unbound", "3")
         yield program(lname, "any_any", op, "unbound", "int")
+        yield program(lname, "any_local", op, "unbound", "int")
 
 
 def assert_runs_match_the_unfused_chain(lname: str, texts, monkeypatch):
@@ -463,13 +497,223 @@ return i
 }
 
 
+CONDITIONS["minic"] = [
+    """\
+int main() {
+  int i = 0;
+  int[] a = {1};
+  while (i < 6 && (i != 4 || i > 9) || i == 7 && i > 0) {
+    if ((i % 2 == 0 || i == 3) && !(i == 2) && (i > 0 || i == 0)) {
+      print(i);
+    }
+    if (i && true || false && i) {
+      print(10 + i);
+    }
+    i = i + 1;
+  }
+  for (i = 0; i < 3 && (false || i >= 0); i = i + 1) {
+    print(i);
+  }
+  while (i > 0 && a) {
+    i = i - 1;
+  }
+  return i;
+}
+""",
+    """\
+int main() {
+  int i = 0;
+  while (print(i) || i < 3) {
+    if (print(i + 10) && i > 100) {
+      print(0);
+    }
+    if (print(i + 20) || i == 1) {
+      print(1);
+    }
+    i = i + 1;
+  }
+  return i;
+}
+""",
+    """\
+int main() {
+  int i = 0;
+  while (i < 3 || i / 0 > 1) {
+    i = i + 1;
+  }
+  return i;
+}
+""",
+    """\
+int main() {
+  int i = 0;
+  if (i == 1 || print(i) || i == 0 && u > 1) {
+    print(1);
+  }
+  return i;
+}
+""",
+]
+
+
 @pytest.mark.parametrize("lname", sorted(CONDITIONS))
 def test_and_or_conditions_match_the_unfused_chain_at_every_fuel(lname, monkeypatch):
     comp = unit_compiler(lname)
-    and_op, or_op = ("&&", "||") if lname == "minijs" else ("and", "or")
+    and_op, or_op = ("and", "or") if lname == "minilua" else ("&&", "||")
     for op, name in ((and_op, "and_test"), (or_op, "or_test")):
         assert comp.test(GV("BinE", (op, var("x"), var("y")))).__name__ == name
     lang = get_language(lname)
     ends = [lang.run(lang.parse(text)).events[-1][1] for text in CONDITIONS[lname]]
-    assert ends[-2:] == ["divzero", "undef" if lname == "minijs" else "type"]
+    assert ends[-2:] == ["divzero", "type" if lname == "minilua" else "undef"]
     assert_runs_match_the_unfused_chain(lname, CONDITIONS[lname], monkeypatch)
+
+
+# A loop nest with a constant condition, `and` and `or`, and `local j = 0`
+# (MiniLua), whose every block the testcov pass marks with `cov[i] = true`.
+LOOPS = {
+    "minic": """\
+int main() {
+  int acc = 1;
+  int i = 0;
+  for (i = 0; i < 3; i = i + 1) {
+    int j = 0;
+    while (true) {
+      j = j + 1;
+      if (j > 3) {
+        break;
+      }
+      if (j % 2 == 0 && i > 0 || j == 1) {
+        continue;
+      }
+      acc = i * j + acc;
+    }
+  }
+  print(acc);
+  return acc;
+}
+""",
+    "minijs": """\
+function main() {
+  var acc = 1;
+  var i = 0;
+  for (i = 0; i < 3; i = i + 1) {
+    var j = 0;
+    while (true) {
+      j = j + 1;
+      if (j > 3) {
+        break;
+      }
+      if (j % 2 == 0 && i > 0 || j == 1) {
+        continue;
+      }
+      acc = i * j + acc;
+    }
+  }
+  print(acc);
+  return acc;
+}
+""",
+    "minilua": """\
+local acc = 1
+for i = 0, 2 do
+  local j = 0
+  while true do
+    j = j + 1
+    if j > 3 then
+      break
+    end
+    if not (j % 2 == 0 and i > 0 or j == 1) then
+      acc = i * j + acc
+    end
+  end
+end
+print(acc)
+return acc
+""",
+}
+
+# Literal stores to a literal index that are not coverage markers: a
+# global array, a flag that is not a bool, and a base or member that traps.
+CONSTANT_STORES = {
+    "minic": [
+        "int main() {\n  cov[2] = 5;\n  cov[3] = false;\n  print(cov[2], cov[3]);\n"
+        "  return 0;\n}\n",
+        "int main() {\n  x[0] = 1;\n  return 0;\n}\n",
+        "int main() {\n  int[] a = {1, 2};\n  a[1] = 7;\n  print(a[1]);\n  return 0;\n}\n",
+    ],
+    "minijs": [
+        "function main() {\n  g = [1, 2];\n  g[1] = 7;\n  g[2] = 8;\n  print(g);\n"
+        "  g[5] = 1;\n  return 0;\n}\n",
+        "function main() {\n  TC.other[0] = true;\n  return 0;\n}\n",
+        "function main() {\n  TC[0] = true;\n  return 0;\n}\n",
+        "function main() {\n  u[0] = true;\n  return 0;\n}\n",
+        "function main() {\n  TC.cov[4] = 0;\n  print(TC.cov[4]);\n  return 0;\n}\n",
+    ],
+    "minilua": [
+        "g = 5\ng[1] = 2\n",
+        "TC.other[1] = true\n",
+        "u[1] = true\n",
+        "TC.cov[4] = 0\nprint(TC.cov[4])\n",
+    ],
+}
+
+
+def instrumented(lname: str, text: str) -> str:
+    lang = get_language(lname)
+    term, markers = cov_pass(lang.decompose(lang.parse(text)), lang)
+    assert markers > 5
+    return lang.pretty(lang.recompose(term))
+
+
+@pytest.mark.parametrize("lname", sorted(LOOPS))
+def test_instrumented_loops_match_the_unfused_chain_at_every_fuel(lname, monkeypatch):
+    lang = get_language(lname)
+    text = instrumented(lname, LOOPS[lname])
+    result = lang.run(lang.parse(text))
+    assert result.events[-1][0] == "return" and len(result.coverage) > 5
+    assert_runs_match_the_unfused_chain(lname, [text, *CONSTANT_STORES[lname]], monkeypatch)
+
+
+def made_closures(lname: str, texts) -> set[str]:
+    """The name of every closure that compiling texts makes as they run
+    with the default fuel: each item's closure and, through their
+    default arguments, every closure it holds."""
+    lang = get_language(lname)
+    module = MODULES[lname]
+    base = module._Compiler
+    made = []
+
+    class Recording(base):
+        def item(self, item):
+            code = base.item(self, item)
+            made.append(code)
+            return code
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(module, "_Compiler", Recording)
+        for text in texts:
+            lang.run(lang.parse(text))
+    names, seen = set(), set()
+    while made:
+        part = made.pop()
+        if id(part) in seen:
+            continue
+        seen.add(id(part))
+        if isinstance(part, (list, tuple)):
+            made.extend(part)
+        elif hasattr(part, "__code__"):
+            names.add(part.__code__.co_name)
+            made.extend(part.__defaults__ or ())
+    return names
+
+
+def test_every_fused_shape_is_made_by_a_program_here():
+    """A shape of `runtime._SHAPES`, its store, or the constant store
+    that no program here makes has no test above, and no caller."""
+    made = set()
+    for lname in MODULES:
+        texts = [*run_cases(lname), *CONDITIONS[lname], instrumented(lname, LOOPS[lname]),
+                 *CONSTANT_STORES[lname]]
+        made |= made_closures(lname, texts)
+    shapes = {name for shape in _SHAPES for name in (shape, shape + "_store")}
+    assert shapes | {"constant_store"} <= made, sorted(shapes - made)

@@ -2,9 +2,9 @@
 
 A walker that calls itself once per nesting level fails on deep enough
 input with `RecursionError`, at a depth set by Python's recursion limit.
-Recompose, the statement printers, MiniC's dangling-else test,
-`terms.to_sexpr` and the frontends' item walks now run on explicit
-stacks, so they must not recurse.
+Recompose, the statement printers, MiniC's dangling-else test and
+the frontends' item walks now run on explicit stacks, so they must
+not recurse.
 
 This test parses every module under `src/srctrans` and lists the
 functions, by qualified name, that reach themselves through names
@@ -89,7 +89,6 @@ RECURSIVE = {
 # The walks moved onto explicit stacks: none may recurse again.
 STACKED = {
     "schema.reader.read",
-    "terms.to_sexpr",
     "minic._dangles",
     "minic._print_block",
     "minic._print_body",

@@ -4,6 +4,7 @@ import pickle
 
 import pytest
 
+from helpers import to_sexpr
 from srctrans import terms
 from srctrans.terms import (
     ArityMismatch,
@@ -21,7 +22,6 @@ from srctrans.terms import (
     list_kind,
     mk_term,
     sort_name,
-    to_sexpr,
 )
 
 E = Atom("E")
